@@ -113,7 +113,11 @@ impl HammingLsh {
         1.0 - (1.0 - p.powi(self.bits_per_key as i32)).powi(self.tables as i32)
     }
 
-    fn table_positions(&self, len: usize) -> Vec<Vec<usize>> {
+    /// The sampled bit positions of every hash table for filters of `len`
+    /// bits — the projection underlying [`band_key`]. Sampling costs
+    /// `tables × bits_per_key` draws, so callers that key many filters
+    /// fetch this once per filter length and keep it.
+    pub fn sampled_positions(&self, len: usize) -> Vec<Vec<usize>> {
         let mut rng = SplitMix64::new(self.seed);
         (0..self.tables)
             .map(|_| {
@@ -123,32 +127,9 @@ impl HammingLsh {
             .collect()
     }
 
-    /// The sampled bit positions of every hash table for filters of `len`
-    /// bits — the projection underlying [`HammingLsh::band_key`]. Callers
-    /// that key many filters should fetch this once and apply
-    /// [`BitVec::sample`] themselves instead of paying the sampling setup
-    /// per record.
-    pub fn sampled_positions(&self, len: usize) -> Vec<Vec<usize>> {
-        self.table_positions(len)
-    }
-
-    /// The band key of `filter` in hash table `table`: the sampled bit
-    /// positions of that table serialised to bytes. Two filters collide in
-    /// the table iff their band keys are equal, so the key doubles as a
-    /// deterministic partitioning token (e.g. shard routing in
-    /// `pprl-index`) that keeps Hamming-similar filters together.
-    pub fn band_key(&self, filter: &BitVec, table: usize) -> Result<Vec<u8>> {
-        if table >= self.tables {
-            return Err(PprlError::invalid(
-                "table",
-                format!("table {table} out of range ({} tables)", self.tables),
-            ));
-        }
-        let positions = &self.table_positions(filter.len())[table];
-        Ok(filter.sample(positions)?.to_bytes())
-    }
-
-    /// Candidate pairs between two filter sets of equal bit length.
+    /// Candidate pairs between two filter sets of equal bit length,
+    /// sorted and without repeats. Keys are 64-bit integers, so at most
+    /// 64 bits per key can be sampled.
     pub fn candidates(
         &self,
         filters_a: &[&BitVec],
@@ -166,36 +147,76 @@ impl HammingLsh {
                 ));
             }
         }
-        let mut out: HashSet<CandidatePair> = HashSet::new();
-        for positions in self.table_positions(len) {
-            let mut table: HashMap<Vec<u8>, Vec<usize>> = HashMap::new();
-            for (j, f) in filters_b.iter().enumerate() {
-                // An all-zero filter encodes a record with no usable
-                // evidence (e.g. every field missing); it would trivially
-                // collide with every sparse filter whose sampled positions
-                // happen to be zero, so it is excluded from blocking.
-                if f.count_ones() == 0 {
-                    continue;
-                }
-                let key = f.sample(&positions)?.to_bytes();
-                table.entry(key).or_default().push(j);
-            }
-            for (i, f) in filters_a.iter().enumerate() {
-                if f.count_ones() == 0 {
-                    continue;
-                }
-                let key = f.sample(&positions)?.to_bytes();
-                if let Some(rows) = table.get(&key) {
-                    for &j in rows {
-                        out.insert((i, j));
-                    }
-                }
-            }
+        if self.bits_per_key.min(len) > 64 {
+            return Err(PprlError::invalid(
+                "bits_per_key",
+                "candidate generation keys on at most 64 sampled bits",
+            ));
         }
-        let mut pairs: Vec<CandidatePair> = out.into_iter().collect();
-        pairs.sort_unstable();
+        let positions = self.sampled_positions(len);
+        // An all-zero filter encodes a record with no usable evidence
+        // (e.g. every field missing); it would trivially collide with
+        // every sparse filter whose sampled positions happen to be zero,
+        // so it is excluded from blocking.
+        let informative = |f: &BitVec| f.as_words().iter().any(|&w| w != 0);
+        // Per table, B's rows sorted by band key.
+        let tables: Vec<Vec<(u64, usize)>> = positions
+            .iter()
+            .map(|table| {
+                let mut keyed: Vec<(u64, usize)> = filters_b
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, f)| informative(f))
+                    .map(|(j, f)| (band_key(f.as_words(), table), j))
+                    .collect();
+                keyed.sort_unstable();
+                keyed
+            })
+            .collect();
+        // Probe row by row, so the pairs come out sorted by `i` and only
+        // one row's collisions are sorted and deduplicated at a time. A
+        // row's keys are all computed before any is searched for: the
+        // searches then do not wait on one another.
+        let mut pairs = Vec::new();
+        let mut keys: Vec<u64> = Vec::with_capacity(positions.len());
+        let mut row: Vec<usize> = Vec::new();
+        for (i, f) in filters_a
+            .iter()
+            .enumerate()
+            .filter(|&(_, f)| informative(f))
+        {
+            keys.clear();
+            keys.extend(positions.iter().map(|table| band_key(f.as_words(), table)));
+            row.clear();
+            for (&key, keyed) in keys.iter().zip(&tables) {
+                let from = keyed.partition_point(|&(k, _)| k < key);
+                row.extend(
+                    keyed[from..]
+                        .iter()
+                        .take_while(|&&(k, _)| k == key)
+                        .map(|&(_, j)| j),
+                );
+            }
+            row.sort_unstable();
+            row.dedup();
+            pairs.extend(row.iter().map(|&j| (i, j)));
+        }
         Ok(pairs)
     }
+}
+
+/// The band key of a filter (given as its backing words) under one hash
+/// table's sampled `positions`, at most 64 of them and each below the
+/// filter's length: bit `j` of the key is the filter bit `positions[j]`.
+/// Two filters collide in the table iff their band keys are equal, so the
+/// key doubles as a deterministic partitioning token that keeps
+/// Hamming-similar filters together.
+#[inline]
+pub fn band_key(words: &[u64], positions: &[usize]) -> u64 {
+    debug_assert!(positions.len() <= 64);
+    positions.iter().enumerate().fold(0u64, |key, (j, &p)| {
+        key | ((words[p / 64] >> (p % 64)) & 1) << j
+    })
 }
 
 #[cfg(test)]
@@ -322,25 +343,29 @@ mod tests {
     }
 
     #[test]
-    fn band_key_matches_table_collisions() {
+    fn band_key_packs_the_sampled_bits() {
         let lsh = HammingLsh::new(4, 16, 7).unwrap();
-        let f = BitVec::from_positions(256, &[1, 17, 33, 200]).unwrap();
-        let mut g = f.clone();
+        let mut g = BitVec::from_positions(256, &[1, 17, 33, 200]).unwrap();
         g.flip(2);
-        // Identical filters share every band key.
-        for t in 0..4 {
-            assert_eq!(lsh.band_key(&f, t).unwrap(), lsh.band_key(&f, t).unwrap());
+        for pos in lsh.sampled_positions(256) {
+            let key = band_key(g.as_words(), &pos);
+            let sampled = g.sample(&pos).unwrap();
+            assert_eq!(key, sampled.as_words()[0]);
         }
-        // Band keys agree with the published sampled positions.
-        let positions = lsh.sampled_positions(256);
-        for (t, pos) in positions.iter().enumerate() {
-            assert_eq!(
-                lsh.band_key(&g, t).unwrap(),
-                g.sample(pos).unwrap().to_bytes()
-            );
-        }
-        // Out-of-range table is a typed error.
-        assert!(lsh.band_key(&f, 4).is_err());
+        // All 64 key bits are usable.
+        let ones = BitVec::ones(70);
+        let all: Vec<usize> = (3..67).collect();
+        assert_eq!(band_key(ones.as_words(), &all), u64::MAX);
+    }
+
+    #[test]
+    fn more_than_64_key_bits_is_a_typed_error() {
+        let f = BitVec::ones(128);
+        let wide = HammingLsh::new(2, 65, 1).unwrap();
+        assert!(wide.candidates(&[&f], &[&f]).is_err());
+        // The sample is capped by the filter length.
+        let short = BitVec::ones(40);
+        assert_eq!(wide.candidates(&[&short], &[&short]).unwrap(), [(0, 0)]);
     }
 
     #[test]

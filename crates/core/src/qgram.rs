@@ -44,38 +44,69 @@ impl QGramConfig {
     }
 }
 
-/// Extracts the q-gram multiset of `s` as a sorted `(gram, count)` map.
+/// Buffers [`for_each_qgram`] reuses from call to call, so that
+/// tokenising a column allocates once, not once per gram.
+#[derive(Debug, Default)]
+pub struct QGramScratch {
+    /// The (padded) input.
+    padded: String,
+    /// Byte offset of every character of `padded`, then its length.
+    bounds: Vec<usize>,
+    /// The current gram when a position suffix has to be appended.
+    gram: String,
+}
+
+/// Calls `f` with every q-gram of `s` in order of occurrence, duplicates
+/// kept.
 ///
-/// Returns an empty map for the empty string. A string shorter than `q`
-/// without padding yields the string itself as a single gram, following the
+/// Nothing for the empty string. A string shorter than `q` without
+/// padding yields the string itself as a single gram, following the
 /// convention used by data-matching toolkits (so very short names still
 /// produce a token).
+pub fn for_each_qgram(
+    s: &str,
+    config: &QGramConfig,
+    scratch: &mut QGramScratch,
+    mut f: impl FnMut(&str),
+) {
+    if s.is_empty() || config.q == 0 {
+        return;
+    }
+    let QGramScratch {
+        padded,
+        bounds,
+        gram,
+    } = scratch;
+    let pad = if config.padded { config.q - 1 } else { 0 };
+    padded.clear();
+    padded.extend(std::iter::repeat_n(PAD_CHAR, pad));
+    padded.push_str(s);
+    padded.extend(std::iter::repeat_n(PAD_CHAR, pad));
+    bounds.clear();
+    bounds.extend(padded.char_indices().map(|(at, _)| at));
+    bounds.push(padded.len());
+    if bounds.len() <= config.q {
+        return f(padded);
+    }
+    for (pos, window) in bounds.windows(config.q + 1).enumerate() {
+        let plain = &padded[window[0]..window[config.q]];
+        if config.positional {
+            use std::fmt::Write;
+            gram.clear();
+            write!(gram, "{plain}_{pos}").expect("writing to a String cannot fail");
+            f(gram);
+        } else {
+            f(plain);
+        }
+    }
+}
+
+/// Extracts the q-gram multiset of `s` as a sorted `(gram, count)` map.
 pub fn qgram_counts(s: &str, config: &QGramConfig) -> BTreeMap<String, usize> {
     let mut out = BTreeMap::new();
-    if s.is_empty() || config.q == 0 {
-        return out;
-    }
-    let mut chars: Vec<char> = Vec::with_capacity(s.len() + 2 * (config.q - 1));
-    if config.padded {
-        chars.extend(std::iter::repeat_n(PAD_CHAR, config.q - 1));
-    }
-    chars.extend(s.chars());
-    if config.padded {
-        chars.extend(std::iter::repeat_n(PAD_CHAR, config.q - 1));
-    }
-    if chars.len() < config.q {
-        let gram: String = chars.iter().collect();
-        *out.entry(gram).or_insert(0) += 1;
-        return out;
-    }
-    for (pos, window) in chars.windows(config.q).enumerate() {
-        let mut gram: String = window.iter().collect();
-        if config.positional {
-            gram.push('_');
-            gram.push_str(&pos.to_string());
-        }
-        *out.entry(gram).or_insert(0) += 1;
-    }
+    for_each_qgram(s, config, &mut QGramScratch::default(), |gram| {
+        *out.entry(gram.to_owned()).or_insert(0) += 1;
+    });
     out
 }
 
@@ -86,32 +117,11 @@ pub fn qgram_set(s: &str, config: &QGramConfig) -> Vec<String> {
 
 /// Extracts the q-gram list in order of occurrence (duplicates kept).
 pub fn qgram_list(s: &str, config: &QGramConfig) -> Vec<String> {
-    if s.is_empty() || config.q == 0 {
-        return Vec::new();
-    }
-    let mut chars: Vec<char> = Vec::new();
-    if config.padded {
-        chars.extend(std::iter::repeat_n(PAD_CHAR, config.q - 1));
-    }
-    chars.extend(s.chars());
-    if config.padded {
-        chars.extend(std::iter::repeat_n(PAD_CHAR, config.q - 1));
-    }
-    if chars.len() < config.q {
-        return vec![chars.iter().collect()];
-    }
-    chars
-        .windows(config.q)
-        .enumerate()
-        .map(|(pos, w)| {
-            let mut g: String = w.iter().collect();
-            if config.positional {
-                g.push('_');
-                g.push_str(&pos.to_string());
-            }
-            g
-        })
-        .collect()
+    let mut out = Vec::new();
+    for_each_qgram(s, config, &mut QGramScratch::default(), |gram| {
+        out.push(gram.to_owned());
+    });
+    out
 }
 
 /// Dice coefficient between the q-gram sets of two strings.

@@ -26,93 +26,154 @@ const SHA256_IV: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// One SHA-256 compression round over a 64-byte block.
-fn sha256_compress(h: &mut [u32; 8], block: &[u8; 64]) {
-    let mut w = [0u32; 64];
-    for (i, word) in w.iter_mut().take(16).enumerate() {
-        *word = u32::from_be_bytes([
-            block[i * 4],
-            block[i * 4 + 1],
-            block[i * 4 + 2],
-            block[i * 4 + 3],
-        ]);
+const SHA1_IV: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
+
+/// Big-endian words of a 64-byte block (the first 16 schedule words).
+fn load_block(w: &mut [u32], block: &[u8; 64]) {
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
     }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
-    }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
-    for i in 0..64 {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ ((!e) & g);
-        let temp1 = hh
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(SHA256_K[i])
-            .wrapping_add(w[i]);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let temp2 = s0.wrapping_add(maj);
-        hh = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(temp1);
-        d = c;
-        c = b;
-        b = a;
-        a = temp1.wrapping_add(temp2);
-    }
-    h[0] = h[0].wrapping_add(a);
-    h[1] = h[1].wrapping_add(b);
-    h[2] = h[2].wrapping_add(c);
-    h[3] = h[3].wrapping_add(d);
-    h[4] = h[4].wrapping_add(e);
-    h[5] = h[5].wrapping_add(f);
-    h[6] = h[6].wrapping_add(g);
-    h[7] = h[7].wrapping_add(hh);
 }
 
-/// An incremental SHA-256 computation.
+/// What SHA-1 and SHA-256 differ in: the chaining state, its initial
+/// value and the compression of one 64-byte block into it. Buffering,
+/// padding and HMAC are written once over this in [`Hasher`] and
+/// [`Hmac`].
+pub trait Compression: Copy {
+    /// The digest: the chaining state as big-endian bytes.
+    type Digest: Copy + Default + AsRef<[u8]> + AsMut<[u8]>;
+    /// The initial chaining state.
+    const IV: Self;
+    /// Compresses one block into the state.
+    fn compress(&mut self, block: &[u8; 64]);
+    /// The state's words, in order.
+    fn words(&self) -> &[u32];
+}
+
+impl Compression for [u32; 8] {
+    type Digest = Sha256Digest;
+    const IV: Self = SHA256_IV;
+
+    fn compress(&mut self, block: &[u8; 64]) {
+        let mut w = [0u32; 64];
+        load_block(&mut w, block);
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *self;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ ((!e) & g);
+            let temp1 = hh
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(SHA256_K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let temp2 = s0.wrapping_add(maj);
+            hh = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(temp1);
+            d = c;
+            c = b;
+            b = a;
+            a = temp1.wrapping_add(temp2);
+        }
+        for (h, x) in self.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+            *h = h.wrapping_add(x);
+        }
+    }
+
+    fn words(&self) -> &[u32] {
+        self
+    }
+}
+
+impl Compression for [u32; 5] {
+    type Digest = Sha1Digest;
+    const IV: Self = SHA1_IV;
+
+    fn compress(&mut self, block: &[u8; 64]) {
+        let mut w = [0u32; 80];
+        load_block(&mut w, block);
+        for i in 16..80 {
+            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e] = *self;
+        for (i, &wi) in w.iter().enumerate() {
+            let (f, k) = match i {
+                0..=19 => ((b & c) | ((!b) & d), 0x5A827999u32),
+                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
+                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
+                _ => (b ^ c ^ d, 0xCA62C1D6),
+            };
+            let temp = a
+                .rotate_left(5)
+                .wrapping_add(f)
+                .wrapping_add(e)
+                .wrapping_add(k)
+                .wrapping_add(wi);
+            e = d;
+            d = c;
+            c = b.rotate_left(30);
+            b = a;
+            a = temp;
+        }
+        for (h, x) in self.iter_mut().zip([a, b, c, d, e]) {
+            *h = h.wrapping_add(x);
+        }
+    }
+
+    fn words(&self) -> &[u32] {
+        self
+    }
+}
+
+/// An incremental hash computation over a [`Compression`] state.
 ///
 /// Allocation-free: input is absorbed block by block into a fixed
-/// 64-byte buffer, so hot paths (per-frame MACs, keystreams) can hash
-/// without touching the heap. Resumable from a saved compression state
-/// — that is what lets [`HmacKey`] pay for its key pads exactly once.
+/// 64-byte buffer, so hot paths (per-frame MACs, keystreams, Bloom
+/// positions) can hash without touching the heap. Resumable from a saved
+/// compression state — that is what lets [`Hmac`] pay for its key pads
+/// exactly once.
 #[derive(Debug, Clone)]
-pub struct Sha256 {
-    state: [u32; 8],
+pub struct Hasher<C> {
+    state: C,
     buf: [u8; 64],
     buf_len: usize,
     /// Total bytes absorbed so far (including any resumed-from prefix).
     len: u64,
 }
 
-impl Default for Sha256 {
+/// Streaming SHA-256.
+pub type Sha256 = Hasher<[u32; 8]>;
+/// Streaming SHA-1.
+pub type Sha1 = Hasher<[u32; 5]>;
+
+impl<C: Compression> Default for Hasher<C> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Sha256 {
+impl<C: Compression> Hasher<C> {
     /// Starts a fresh hash.
-    pub fn new() -> Sha256 {
-        Sha256 {
-            state: SHA256_IV,
-            buf: [0u8; 64],
-            buf_len: 0,
-            len: 0,
-        }
+    pub fn new() -> Self {
+        Self::from_midstate(C::IV, 0)
     }
 
     /// Resumes from a saved compression state after `len` bytes were
     /// already absorbed (`len` must be a multiple of 64).
-    fn from_midstate(state: [u32; 8], len: u64) -> Sha256 {
+    fn from_midstate(state: C, len: u64) -> Self {
         debug_assert_eq!(len % 64, 0);
-        Sha256 {
+        Hasher {
             state,
             buf: [0u8; 64],
             buf_len: 0,
@@ -134,12 +195,13 @@ impl Sha256 {
                 return;
             }
             let block = self.buf;
-            sha256_compress(&mut self.state, &block);
+            self.state.compress(&block);
             self.buf_len = 0;
         }
         let mut chunks = rest.chunks_exact(64);
         for block in &mut chunks {
-            sha256_compress(&mut self.state, block.try_into().expect("64-byte chunk"));
+            self.state
+                .compress(block.try_into().expect("64-byte chunk"));
         }
         let tail = chunks.remainder();
         self.buf[..tail.len()].copy_from_slice(tail);
@@ -147,25 +209,25 @@ impl Sha256 {
     }
 
     /// Pads, finishes, and writes the digest into `out`.
-    pub fn finalize_into(mut self, out: &mut Sha256Digest) {
+    pub fn finalize_into(mut self, out: &mut C::Digest) {
         let bit_len = self.len.wrapping_mul(8);
         let mut block = [0u8; 64];
         block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
         block[self.buf_len] = 0x80;
         if self.buf_len >= 56 {
-            sha256_compress(&mut self.state, &block);
+            self.state.compress(&block);
             block = [0u8; 64];
         }
         block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        sha256_compress(&mut self.state, &block);
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        self.state.compress(&block);
+        for (bytes, word) in out.as_mut().chunks_exact_mut(4).zip(self.state.words()) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
     }
 
     /// Pads, finishes, and returns the digest.
-    pub fn finalize(self) -> Sha256Digest {
-        let mut out = [0u8; 32];
+    pub fn finalize(self) -> C::Digest {
+        let mut out = C::Digest::default();
         self.finalize_into(&mut out);
         out
     }
@@ -180,133 +242,83 @@ pub fn sha256(data: &[u8]) -> Sha256Digest {
 
 /// Computes the SHA-1 digest of `data`.
 pub fn sha1(data: &[u8]) -> Sha1Digest {
-    let mut h: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
-    let padded = pad_message(data);
-    let mut w = [0u32; 80];
-    for block in padded.chunks_exact(64) {
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = h;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999u32),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
-    }
-    let mut out = [0u8; 20];
-    for (i, word) in h.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
+    let mut h = Sha1::new();
+    h.update(data);
+    h.finalize()
 }
 
-/// Merkle–Damgård padding for SHA-1 (SHA-256 pads inside [`Sha256`]).
-fn pad_message(data: &[u8]) -> Vec<u8> {
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut padded = data.to_vec();
-    padded.push(0x80);
-    while padded.len() % 64 != 56 {
-        padded.push(0);
-    }
-    padded.extend_from_slice(&bit_len.to_be_bytes());
-    padded
-}
-
-/// An HMAC-SHA-256 key with precomputed ipad/opad midstates.
+/// An HMAC key with precomputed ipad/opad midstates.
 ///
 /// RFC 2104 HMAC hashes `(key ⊕ ipad) ‖ message` and then
 /// `(key ⊕ opad) ‖ inner`. Both pad blocks depend only on the key, so
 /// their compression states are computed once here; every subsequent
-/// [`mac`](HmacKey::new) resumes from the midstates and pays ~2
+/// [`mac`](Hmac::mac) resumes from the midstates and pays ~2
 /// compression calls for a short message instead of 4. That halves the
 /// per-frame MAC cost of a session that keeps the key for thousands of
-/// frames, and it is exactly as strong — the midstates are a pure
+/// frames, and the per-token cost of a Bloom encoder that keeps it for a
+/// whole dataset, and it is exactly as strong — the midstates are a pure
 /// restatement of the standard computation.
 #[derive(Debug, Clone)]
-pub struct HmacKey {
-    inner: [u32; 8],
-    outer: [u32; 8],
+pub struct Hmac<C> {
+    inner: C,
+    outer: C,
 }
 
-impl HmacKey {
+/// HMAC-SHA-256 key with cached pad midstates.
+pub type HmacKey = Hmac<[u32; 8]>;
+/// HMAC-SHA-1 key with cached pad midstates.
+pub type HmacSha1Key = Hmac<[u32; 5]>;
+
+impl<C: Compression> Hmac<C> {
     /// Derives the pad midstates from `key` (hashed first if longer than
     /// the 64-byte block, per RFC 2104).
-    pub fn new(key: &[u8]) -> HmacKey {
-        const BLOCK: usize = 64;
-        let mut key_block = [0u8; BLOCK];
-        if key.len() > BLOCK {
-            key_block[..32].copy_from_slice(&sha256(key));
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; 64];
+        if key.len() > 64 {
+            let mut h = Hasher::<C>::new();
+            h.update(key);
+            let digest = h.finalize();
+            key_block[..digest.as_ref().len()].copy_from_slice(digest.as_ref());
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
-        let mut pad = [0u8; BLOCK];
-        let mut inner = SHA256_IV;
-        for (p, k) in pad.iter_mut().zip(key_block.iter()) {
-            *p = k ^ 0x36;
+        let midstate = |pad: u8| {
+            let mut state = C::IV;
+            state.compress(&key_block.map(|k| k ^ pad));
+            state
+        };
+        Hmac {
+            inner: midstate(0x36),
+            outer: midstate(0x5c),
         }
-        sha256_compress(&mut inner, &pad);
-        let mut outer = SHA256_IV;
-        for (p, k) in pad.iter_mut().zip(key_block.iter()) {
-            *p = k ^ 0x5c;
-        }
-        sha256_compress(&mut outer, &pad);
-        HmacKey { inner, outer }
     }
 
     /// Starts the inner hash, resumed past the key pad. Feed the message
-    /// with [`Sha256::update`], then call [`finish`](HmacKey::finish).
-    pub fn begin(&self) -> Sha256 {
-        Sha256::from_midstate(self.inner, 64)
+    /// with [`Hasher::update`], then call [`finish`](Hmac::finish).
+    pub fn begin(&self) -> Hasher<C> {
+        Hasher::from_midstate(self.inner, 64)
     }
 
     /// Completes an HMAC whose inner hash was started with
-    /// [`begin`](HmacKey::begin), writing the tag into `out`.
-    pub fn finish_into(&self, inner: Sha256, out: &mut Sha256Digest) {
-        let mut digest = [0u8; 32];
+    /// [`begin`](Hmac::begin), writing the tag into `out`.
+    pub fn finish_into(&self, inner: Hasher<C>, out: &mut C::Digest) {
+        let mut digest = C::Digest::default();
         inner.finalize_into(&mut digest);
-        let mut outer = Sha256::from_midstate(self.outer, 64);
-        outer.update(&digest);
+        let mut outer = Hasher::from_midstate(self.outer, 64);
+        outer.update(digest.as_ref());
         outer.finalize_into(out);
     }
 
     /// Completes an HMAC whose inner hash was started with
-    /// [`begin`](HmacKey::begin).
-    pub fn finish(&self, inner: Sha256) -> Sha256Digest {
-        let mut out = [0u8; 32];
+    /// [`begin`](Hmac::begin).
+    pub fn finish(&self, inner: Hasher<C>) -> C::Digest {
+        let mut out = C::Digest::default();
         self.finish_into(inner, &mut out);
         out
     }
 
     /// One-shot MAC over `message` (allocation-free).
-    pub fn mac(&self, message: &[u8]) -> Sha256Digest {
+    pub fn mac(&self, message: &[u8]) -> C::Digest {
         let mut state = self.begin();
         state.update(message);
         self.finish(state)
@@ -321,27 +333,10 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Sha256Digest {
     HmacKey::new(key).mac(message)
 }
 
-/// HMAC-SHA-1 (RFC 2104); second independent keyed hash for double hashing.
+/// HMAC-SHA-1 (RFC 2104); second independent keyed hash for double
+/// hashing. One-shot, like [`hmac_sha256`]; see [`HmacSha1Key`].
 pub fn hmac_sha1(key: &[u8], message: &[u8]) -> Sha1Digest {
-    const BLOCK: usize = 64;
-    let mut key_block = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        key_block[..20].copy_from_slice(&sha1(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut inner = Vec::with_capacity(BLOCK + message.len());
-    let mut outer = Vec::with_capacity(BLOCK + 20);
-    for &b in &key_block {
-        inner.push(b ^ 0x36);
-    }
-    inner.extend_from_slice(message);
-    let inner_hash = sha1(&inner);
-    for &b in &key_block {
-        outer.push(b ^ 0x5c);
-    }
-    outer.extend_from_slice(&inner_hash);
-    sha1(&outer)
+    HmacSha1Key::new(key).mac(message)
 }
 
 /// Constant-time equality for digests, MACs, and checksums.
@@ -453,16 +448,88 @@ mod tests {
     }
 
     #[test]
+    fn sha1_long_and_uneven_streaming() {
+        // FIPS 180: one million 'a' characters, one-shot and fed in
+        // uneven slices that straddle the 64-byte block boundary.
+        let million_a = vec![b'a'; 1_000_000];
+        let expect = "34aa973cd4c4daa4f61eeb2bdbad27316534016f";
+        assert_eq!(to_hex(&sha1(&million_a)), expect);
+        let mut h = Sha1::new();
+        let mut rest = &million_a[..];
+        for step in [1usize, 63, 64, 65, 7, 129, 1000].iter().cycle() {
+            let (head, tail) = rest.split_at((*step).min(rest.len()));
+            h.update(head);
+            rest = tail;
+            if rest.is_empty() {
+                break;
+            }
+        }
+        assert_eq!(to_hex(&h.finalize()), expect);
+        // FIPS 180 two-block message.
+        let two_block = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
+        let mut h = Sha1::new();
+        for chunk in two_block.chunks(13) {
+            h.update(chunk);
+        }
+        assert_eq!(
+            to_hex(&h.finalize()),
+            "a49b2446a02c645bf419f995b67091253a04a259"
+        );
+    }
+
+    #[test]
     fn hmac_sha1_rfc2202_vectors() {
-        let key = [0x0b; 20];
-        assert_eq!(
-            to_hex(&hmac_sha1(&key, b"Hi There")),
-            "b617318655057264e28bc0b6fb378c8ef146be00"
-        );
-        assert_eq!(
-            to_hex(&hmac_sha1(b"Jefe", b"what do ya want for nothing?")),
-            "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"
-        );
+        // RFC 2202 test cases 1-7, one-shot and through the cached key.
+        let cases: [(&[u8], &[u8], &str); 7] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b617318655057264e28bc0b6fb378c8ef146be00",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "125d7342b9ac11cd91a39af48aa17b4f63f175d3",
+            ),
+            (
+                &[
+                    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22,
+                    23, 24, 25,
+                ],
+                &[0xcd; 50],
+                "4c9007f4026250c6bc8414f9bf50c86c2d7235da",
+            ),
+            (
+                &[0x0c; 20],
+                b"Test With Truncation",
+                "4c1a03424b55e07fe7f27be1d58bb9324a9a5a04",
+            ),
+            (
+                &[0xaa; 80],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "aa4ae5e15272d00e95705637ce8a3b55ed402112",
+            ),
+            (
+                &[0xaa; 80],
+                b"Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data",
+                "e8e99d0f45237d786d6bbaa7965c7808bbff1a91",
+            ),
+        ];
+        for (key, message, expect) in cases {
+            assert_eq!(to_hex(&hmac_sha1(key, message)), expect);
+            let cached = HmacSha1Key::new(key);
+            let mut state = cached.begin();
+            for chunk in message.chunks(9) {
+                state.update(chunk);
+            }
+            assert_eq!(to_hex(&cached.finish(state)), expect);
+        }
     }
 
     #[test]

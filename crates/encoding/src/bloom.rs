@@ -16,7 +16,8 @@
 
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
-use pprl_crypto::sha::{digest_prefix_u64, hmac_sha1, hmac_sha256};
+use pprl_crypto::sha::{digest_prefix_u64, hmac_sha256, Compression, Hmac, HmacKey, HmacSha1Key};
+use std::collections::HashMap;
 
 /// How bit positions are derived from a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,28 +89,58 @@ impl BloomParams {
 #[derive(Debug, Clone)]
 pub struct BloomEncoder {
     params: BloomParams,
-    /// Derived keys for the `KIndependent` scheme (computed once).
-    derived_keys: Vec<Vec<u8>>,
+    /// The keyed hashes with their HMAC pad midstates, derived once.
+    hasher: TokenHasher,
+}
+
+#[derive(Debug, Clone)]
+enum TokenHasher {
+    /// `h1` from HMAC-SHA-1, `h2` from HMAC-SHA-256, both under the key.
+    Double(HmacSha1Key, HmacKey),
+    /// One HMAC-SHA-256 key per hash function.
+    KIndependent(Vec<HmacKey>),
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Encoders built on this thread, for tests that assert none were.
+    pub(crate) static ENCODERS_BUILT: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+}
+
+/// The first 8 bytes of `HMAC(key, token)`, the token domain-separated
+/// as `field|token` when it comes from a record field.
+fn keyed_hash<C: Compression>(key: &Hmac<C>, field: Option<&str>, token: &str) -> u64 {
+    let mut state = key.begin();
+    if let Some(field) = field {
+        state.update(field.as_bytes());
+        state.update(b"|");
+    }
+    state.update(token.as_bytes());
+    digest_prefix_u64(key.finish(state).as_ref())
 }
 
 impl BloomEncoder {
     /// Creates an encoder, validating parameters.
     pub fn new(params: BloomParams) -> Result<Self> {
         params.validate()?;
-        let derived_keys = match params.scheme {
-            HashingScheme::DoubleHashing => Vec::new(),
-            HashingScheme::KIndependent => (0..params.num_hashes)
-                .map(|i| {
-                    let mut k = params.key.clone();
-                    k.extend_from_slice(&(i as u64).to_be_bytes());
-                    hmac_sha256(&k, b"pprl-kind-key").to_vec()
-                })
-                .collect(),
+        #[cfg(test)]
+        ENCODERS_BUILT.with(|built| built.set(built.get() + 1));
+        let hasher = match params.scheme {
+            HashingScheme::DoubleHashing => {
+                TokenHasher::Double(HmacSha1Key::new(&params.key), HmacKey::new(&params.key))
+            }
+            HashingScheme::KIndependent => TokenHasher::KIndependent(
+                (0..params.num_hashes)
+                    .map(|i| {
+                        let mut k = params.key.clone();
+                        k.extend_from_slice(&(i as u64).to_be_bytes());
+                        HmacKey::new(&hmac_sha256(&k, b"pprl-kind-key"))
+                    })
+                    .collect(),
+            ),
         };
-        Ok(BloomEncoder {
-            params,
-            derived_keys,
-        })
+        Ok(BloomEncoder { params, hasher })
     }
 
     /// Filter length in bits.
@@ -127,27 +158,31 @@ impl BloomEncoder {
         self.params.num_hashes
     }
 
+    /// Appends the `k` bit positions (possibly repeating) of `token` (of
+    /// `field|token`, given a field): all the hashing a token ever costs.
+    fn push_positions(&self, field: Option<&str>, token: &str, positions: &mut Vec<usize>) {
+        let l = self.params.len as u64;
+        match &self.hasher {
+            TokenHasher::Double(sha1_key, sha256_key) => {
+                let h1 = keyed_hash(sha1_key, field, token) % l;
+                let h2 = keyed_hash(sha256_key, field, token) % l;
+                // With h2 = 0 every position would collapse onto h1.
+                let h2 = h2.max(1);
+                let hashes = 0..self.params.num_hashes as u64;
+                positions.extend(hashes.map(|i| ((h1 + i * h2) % l) as usize));
+            }
+            TokenHasher::KIndependent(keys) => positions.extend(
+                keys.iter()
+                    .map(|key| (keyed_hash(key, field, token) % l) as usize),
+            ),
+        }
+    }
+
     /// Bit positions for one token (with possible duplicates).
     pub fn positions(&self, token: &str) -> Vec<usize> {
-        let l = self.params.len as u64;
-        match self.params.scheme {
-            HashingScheme::DoubleHashing => {
-                let h1 = digest_prefix_u64(&hmac_sha1(&self.params.key, token.as_bytes())) % l;
-                let h2 = digest_prefix_u64(&hmac_sha256(&self.params.key, token.as_bytes())) % l;
-                // Keep h2 odd so it is coprime with power-of-two lengths and
-                // cycles well for typical l; for h2 = 0 the positions would
-                // all collapse onto h1.
-                let h2 = if h2 == 0 { 1 } else { h2 };
-                (0..self.params.num_hashes as u64)
-                    .map(|i| ((h1 + i * h2) % l) as usize)
-                    .collect()
-            }
-            HashingScheme::KIndependent => self
-                .derived_keys
-                .iter()
-                .map(|key| (digest_prefix_u64(&hmac_sha256(key, token.as_bytes())) % l) as usize)
-                .collect(),
-        }
+        let mut positions = Vec::with_capacity(self.params.num_hashes);
+        self.push_positions(None, token, &mut positions);
+        positions
     }
 
     /// Encodes a token set into a fresh filter.
@@ -172,10 +207,11 @@ impl BloomEncoder {
                 format!("{} bits", filter.len()),
             ));
         }
+        let mut positions = Vec::with_capacity(self.params.num_hashes);
         for t in tokens {
-            for p in self.positions(t.as_ref()) {
-                filter.set(p);
-            }
+            positions.clear();
+            self.push_positions(None, t.as_ref(), &mut positions);
+            positions.iter().for_each(|&p| filter.set(p));
         }
         Ok(())
     }
@@ -191,6 +227,46 @@ impl BloomEncoder {
         let k = self.params.num_hashes as f64;
         let l = self.params.len as f64;
         (1.0 - (-k * n as f64 / l).exp()).powf(k)
+    }
+}
+
+/// The tokens one encoder has hashed so far in one `encode_dataset`
+/// call, so that each distinct token of a column is hashed once and
+/// every repeat costs a lookup and `k` bit-sets. Scoped to the call and
+/// to the encoder: nothing outlives the key it was computed under.
+#[derive(Debug, Default)]
+pub(crate) struct TokenMemo {
+    /// Token → where its `k` positions start in `positions`.
+    starts: HashMap<String, usize>,
+    positions: Vec<usize>,
+}
+
+impl TokenMemo {
+    /// ORs the bits of `field|token` under `encoder` into `filter`, which
+    /// must have the encoder's length. A token not seen before is
+    /// hashed, and remembered while `budget` (entries the caller still
+    /// allows) lasts.
+    pub(crate) fn encode(
+        &mut self,
+        encoder: &BloomEncoder,
+        field: &str,
+        token: &str,
+        filter: &mut BitVec,
+        budget: &mut usize,
+    ) {
+        let mut set = |positions: &[usize]| positions.iter().for_each(|&p| filter.set(p));
+        if let Some(&start) = self.starts.get(token) {
+            return set(&self.positions[start..start + encoder.num_hashes()]);
+        }
+        let start = self.positions.len();
+        encoder.push_positions(Some(field), token, &mut self.positions);
+        set(&self.positions[start..]);
+        if *budget > 0 {
+            *budget -= 1;
+            self.starts.insert(token.to_owned(), start);
+        } else {
+            self.positions.truncate(start);
+        }
     }
 }
 
@@ -328,6 +404,28 @@ mod tests {
         assert!(e.false_positive_rate(10) < e.false_positive_rate(100));
         assert!(e.false_positive_rate(100) < e.false_positive_rate(1000));
         assert!(e.false_positive_rate(0) < 1e-12);
+    }
+
+    #[test]
+    fn memo_agrees_with_positions_within_and_beyond_its_budget() {
+        for scheme in [HashingScheme::DoubleHashing, HashingScheme::KIndependent] {
+            let e = encoder(scheme);
+            let mut memo = TokenMemo::default();
+            let mut budget = 2;
+            let mut filter = BitVec::zeros(512);
+            let mut expect = BitVec::zeros(512);
+            // Repeats of memoised and of unmemoised tokens, interleaved.
+            for token in ["ab", "bc", "cd", "ab", "de", "cd", "bc", "de"] {
+                memo.encode(&e, "f", token, &mut filter, &mut budget);
+                for p in e.positions(&format!("f|{token}")) {
+                    expect.set(p);
+                }
+                assert_eq!(filter, expect, "{scheme:?} after {token}");
+            }
+            // Only the budgeted tokens were kept, with their positions.
+            assert_eq!((memo.starts.len(), budget), (2, 0));
+            assert_eq!(memo.positions.len(), 2 * e.num_hashes());
+        }
     }
 
     #[test]

@@ -14,17 +14,20 @@
 //! token for categoricals), optional salting by a stable field, and a
 //! hardening pipeline applied to every output filter.
 
-use crate::bloom::{BloomEncoder, BloomParams};
+use crate::bloom::{BloomEncoder, BloomParams, TokenMemo};
 use crate::hardening::{apply_pipeline, salted_key, Hardening};
 use crate::numeric_bf::NeighbourhoodParams;
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
 use pprl_core::normalize::normalize_default;
-use pprl_core::qgram::{qgram_set, QGramConfig};
+use pprl_core::qgram::{for_each_qgram, QGramConfig, QGramScratch};
 use pprl_core::record::Dataset;
 use pprl_core::schema::Schema;
 use pprl_core::value::Value;
 use pprl_similarity::bitvec_sim::dice_bits;
+use std::borrow::Cow;
+use std::collections::hash_map::{Entry, HashMap};
+use std::fmt::Write;
 
 /// How one field's value becomes tokens.
 #[derive(Debug, Clone)]
@@ -40,47 +43,81 @@ pub enum FieldEncoding {
     Categorical,
 }
 
+/// Buffers [`FieldEncoding::for_each_token`] reuses from value to value,
+/// so that tokenising allocates per value at most, never per token.
+#[derive(Debug, Default)]
+pub struct TokenScratch {
+    qgrams: QGramScratch,
+    token: String,
+}
+
 impl FieldEncoding {
-    /// Tokenises `value` for field `field_name` (tokens are domain-separated
-    /// by the field name). Missing values produce no tokens.
-    pub fn tokens(&self, field_name: &str, value: &Value) -> Result<Vec<String>> {
+    /// Calls `f` with every token of `value`, without the field-name
+    /// domain prefix and possibly repeating. Missing values produce no
+    /// tokens.
+    pub fn for_each_token(
+        &self,
+        value: &Value,
+        scratch: &mut TokenScratch,
+        mut f: impl FnMut(&str),
+    ) -> Result<()> {
         if value.is_missing() {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        let prefix = |t: String| format!("{field_name}|{t}");
+        let TokenScratch { qgrams, token } = scratch;
+        let mut emit = |parts: std::fmt::Arguments<'_>| {
+            token.clear();
+            token
+                .write_fmt(parts)
+                .expect("writing to a String cannot fail");
+            f(token);
+        };
         match self {
             FieldEncoding::TextQGram(cfg) => {
                 let normalised = normalize_default(&value.as_text());
-                Ok(qgram_set(&normalised, cfg)
-                    .into_iter()
-                    .map(prefix)
-                    .collect())
+                for_each_qgram(&normalised, cfg, qgrams, f);
             }
-            FieldEncoding::Numeric(params) => Ok(params
-                .tokens(value.as_f64()?)?
-                .into_iter()
-                .map(prefix)
-                .collect()),
+            FieldEncoding::Numeric(params) => {
+                for point in params.grid_points(value.as_f64()?)? {
+                    emit(format_args!("n{point}"));
+                }
+            }
             FieldEncoding::DateComponents => match value {
-                Value::Date(d) => Ok(vec![
-                    prefix(format!("full:{d}")),
-                    prefix(format!("y:{}", d.year())),
-                    prefix(format!("m:{}", d.month())),
-                    prefix(format!("d:{}", d.day())),
-                ]),
-                _ => Err(PprlError::ValueError(
-                    "DateComponents encoding needs a Date value".into(),
-                )),
+                Value::Date(d) => {
+                    emit(format_args!("full:{d}"));
+                    emit(format_args!("y:{}", d.year()));
+                    emit(format_args!("m:{}", d.month()));
+                    emit(format_args!("d:{}", d.day()));
+                }
+                _ => {
+                    return Err(PprlError::ValueError(
+                        "DateComponents encoding needs a Date value".into(),
+                    ))
+                }
             },
             FieldEncoding::Categorical => {
                 let normalised = normalize_default(&value.as_text());
-                if normalised.is_empty() {
-                    Ok(Vec::new())
-                } else {
-                    Ok(vec![prefix(normalised)])
+                if !normalised.is_empty() {
+                    f(&normalised);
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Tokenises `value` for field `field_name` (tokens are domain-separated
+    /// by the field name; q-gram tokens are a sorted set). Missing values
+    /// produce no tokens.
+    pub fn tokens(&self, field_name: &str, value: &Value) -> Result<Vec<String>> {
+        let mut tokens = Vec::new();
+        self.for_each_token(value, &mut TokenScratch::default(), |t| {
+            tokens.push(format!("{field_name}|{t}"));
+        })?;
+        if matches!(self, FieldEncoding::TextQGram(_)) {
+            tokens.sort_unstable();
+            tokens.dedup();
+        }
+        Ok(tokens)
     }
 }
 
@@ -299,6 +336,29 @@ impl EncodedDataset {
 #[derive(Debug, Clone)]
 pub struct RecordEncoder {
     config: RecordEncoderConfig,
+    /// One encoder per field spec under the unsalted key, built once.
+    encoders: Vec<BloomEncoder>,
+}
+
+/// Distinct salt values whose encoders one `encode_dataset` call keeps
+/// before it drops them all and starts over.
+const SALT_CACHE_CAP: usize = 1024;
+/// Tokens one `encode_dataset` call memoises, over all its encoders:
+/// some tens of megabytes at most, and several times the distinct tokens
+/// (q-grams, dates, ages) of a person corpus.
+const MEMO_BUDGET: usize = 1 << 16;
+
+/// The field encoders under one key and what they have hashed so far.
+struct KeyedCoders<'a> {
+    encoders: Cow<'a, [BloomEncoder]>,
+    memos: Vec<TokenMemo>,
+}
+
+impl<'a> KeyedCoders<'a> {
+    fn new(encoders: Cow<'a, [BloomEncoder]>) -> Self {
+        let memos = encoders.iter().map(|_| TokenMemo::default()).collect();
+        KeyedCoders { encoders, memos }
+    }
 }
 
 impl RecordEncoder {
@@ -319,9 +379,8 @@ impl RecordEncoder {
         if let Some(salt) = &config.salt_field {
             schema.index_of(salt)?;
         }
-        // Validate Bloom parameters eagerly.
-        BloomEncoder::new(config.params.clone())?;
-        Ok(RecordEncoder { config })
+        let encoders = build_encoders(&config, &config.params.key)?;
+        Ok(RecordEncoder { config, encoders })
     }
 
     /// The configured output filter length after hardening.
@@ -346,60 +405,73 @@ impl RecordEncoder {
             Some(f) => Some(schema.index_of(f)?),
             None => None,
         };
-        // One encoder per field honours the attribute weight (hash-count
-        // multiplier) of the weighted-CLK construction.
-        let build_encoders = |key: &[u8]| -> Result<Vec<BloomEncoder>> {
-            self.config
-                .fields
-                .iter()
-                .map(|spec| {
-                    let mut params = self.config.params.clone();
-                    params.key = key.to_vec();
-                    params.num_hashes = self.config.params.num_hashes * spec.weight;
-                    BloomEncoder::new(params)
-                })
-                .collect()
-        };
-        let base_encoders = build_encoders(&self.config.params.key)?;
+        // A lone record (a streaming insert) has no repeats worth keeping.
+        let mut budget = if dataset.len() > 1 { MEMO_BUDGET } else { 0 };
+        let mut unsalted = KeyedCoders::new((&self.encoders[..]).into());
+        let mut salted: HashMap<String, KeyedCoders<'_>> = HashMap::new();
+        let mut scratch = TokenScratch::default();
         let mut records = Vec::with_capacity(dataset.len());
         for (row, record) in dataset.records().iter().enumerate() {
-            // Per-record encoders when salting; the shared ones otherwise.
-            let salted_encoders;
-            let encoders = if let Some(si) = salt_idx {
-                let salt = record.values[si].as_text();
-                salted_encoders = build_encoders(&salted_key(&self.config.params.key, &salt))?;
-                &salted_encoders
-            } else {
-                &base_encoders
+            let coders = match salt_idx {
+                None => &mut unsalted,
+                Some(si) => {
+                    let salt = record.values[si].as_text();
+                    if salted.len() >= SALT_CACHE_CAP && !salted.contains_key(&salt) {
+                        salted.clear();
+                    }
+                    match salted.entry(salt) {
+                        Entry::Occupied(held) => held.into_mut(),
+                        Entry::Vacant(slot) => {
+                            let key = salted_key(&self.config.params.key, slot.key());
+                            let encoders = build_encoders(&self.config, &key)?;
+                            slot.insert(KeyedCoders::new(encoders.into()))
+                        }
+                    }
+                }
             };
             let nonce = row as u64;
-            let encoded = match self.config.mode {
+            let mut filters = Vec::new();
+            for (f, (spec, &idx)) in self.config.fields.iter().zip(&field_idx).enumerate() {
+                if f == 0 || self.config.mode == EncodingMode::FieldLevel {
+                    filters.push(BitVec::zeros(self.config.params.len));
+                }
+                let filter = filters.last_mut().expect("pushed for the first field");
+                let (encoder, memo) = (&coders.encoders[f], &mut coders.memos[f]);
+                spec.encoding
+                    .for_each_token(&record.values[idx], &mut scratch, |token| {
+                        memo.encode(encoder, &spec.field, token, filter, &mut budget)
+                    })?;
+            }
+            let mut hardened = filters
+                .into_iter()
+                .map(|filter| apply_pipeline(filter, &self.config.hardening, nonce));
+            records.push(match self.config.mode {
                 EncodingMode::Clk => {
-                    let mut filter = BitVec::zeros(self.config.params.len);
-                    for ((spec, &idx), enc) in
-                        self.config.fields.iter().zip(&field_idx).zip(encoders)
-                    {
-                        let tokens = spec.encoding.tokens(&spec.field, &record.values[idx])?;
-                        enc.encode_tokens_into(&tokens, &mut filter)?;
-                    }
-                    EncodedRecord::Clk(apply_pipeline(&filter, &self.config.hardening, nonce)?)
+                    EncodedRecord::Clk(hardened.next().expect("one CLK filter per record")?)
                 }
-                EncodingMode::FieldLevel => {
-                    let mut filters = Vec::with_capacity(self.config.fields.len());
-                    for ((spec, &idx), enc) in
-                        self.config.fields.iter().zip(&field_idx).zip(encoders)
-                    {
-                        let tokens = spec.encoding.tokens(&spec.field, &record.values[idx])?;
-                        let filter = enc.encode_tokens(&tokens);
-                        filters.push(apply_pipeline(&filter, &self.config.hardening, nonce)?);
-                    }
-                    EncodedRecord::Fields(filters)
-                }
-            };
-            records.push(encoded);
+                EncodingMode::FieldLevel => EncodedRecord::Fields(hardened.collect::<Result<_>>()?),
+            });
         }
         Ok(EncodedDataset { records })
     }
+}
+
+/// One encoder per field spec under `key`, each honouring its field's
+/// attribute weight (hash-count multiplier) of the weighted-CLK
+/// construction.
+fn build_encoders(config: &RecordEncoderConfig, key: &[u8]) -> Result<Vec<BloomEncoder>> {
+    config
+        .fields
+        .iter()
+        .map(|spec| {
+            BloomEncoder::new(BloomParams {
+                len: config.params.len,
+                num_hashes: config.params.num_hashes * spec.weight,
+                scheme: config.params.scheme,
+                key: key.to_vec(),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -532,6 +604,67 @@ mod tests {
         let diff_salt = e.records[0].dice(&e.records[1]).unwrap();
         assert_eq!(same_salt, 1.0);
         assert!(diff_salt < 0.5, "cross-salt similarity {diff_salt}");
+    }
+
+    #[test]
+    fn encoders_are_built_per_key_not_per_call_or_record() {
+        let built = || crate::bloom::ENCODERS_BUILT.with(|built| built.get());
+        let anna = |dob| person("anna", "smith", dob, 39);
+        let enc = RecordEncoder::new(
+            RecordEncoderConfig::person_clk(b"k".to_vec()),
+            &Schema::person(),
+        )
+        .unwrap();
+        let before = built();
+        // One-record datasets, as `StreamingLinker::insert` encodes them.
+        for _ in 0..5 {
+            enc.encode_dataset(&dataset(vec![anna((1987, 6, 5))]))
+                .unwrap();
+        }
+        enc.encode_dataset(&dataset(vec![anna((1987, 6, 5)); 3]))
+            .unwrap();
+        assert_eq!(built(), before, "the unsalted encoders come from `new`");
+
+        // Salted: one set per distinct salt value in the call.
+        let mut cfg = RecordEncoderConfig::person_clk(b"k".to_vec());
+        cfg.salt_field = Some("dob".into());
+        let fields = cfg.fields.len();
+        let enc = RecordEncoder::new(cfg, &Schema::person()).unwrap();
+        let before = built();
+        let rows = [(1987, 6, 5), (1988, 7, 6), (1987, 6, 5), (1988, 7, 6)];
+        enc.encode_dataset(&dataset(rows.map(anna).to_vec()))
+            .unwrap();
+        assert_eq!(built() - before, 2 * fields);
+    }
+
+    #[test]
+    fn salt_cache_eviction_does_not_show_in_the_filters() {
+        // More distinct salts than the cache holds, each revisited after
+        // it was evicted: the whole dataset must encode as its rows do
+        // one by one.
+        let mut cfg = RecordEncoderConfig::person_clk(b"k".to_vec());
+        cfg.salt_field = Some("postcode".into());
+        cfg.params.len = 64;
+        cfg.params.num_hashes = 2;
+        cfg.fields.truncate(2);
+        let enc = RecordEncoder::new(cfg, &Schema::person()).unwrap();
+        let rows: Vec<Record> = (0..2 * (SALT_CACHE_CAP + 10))
+            .map(|i| {
+                let salt = (i % (SALT_CACHE_CAP + 10)).to_string();
+                person_at("anna", "smith", (1987, 6, 5), 39, "1 main st", "ulm", &salt)
+            })
+            .collect();
+        let whole = enc.encode_dataset(&dataset(rows.clone())).unwrap();
+        for (row, record) in rows.into_iter().enumerate() {
+            let alone = enc.encode_dataset(&dataset(vec![record])).unwrap();
+            assert_eq!(alone.records[0], whole.records[row], "row {row}");
+        }
+    }
+
+    #[test]
+    fn encoder_is_shareable_across_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<RecordEncoder>();
     }
 
     #[test]

@@ -109,8 +109,8 @@ impl Hardening {
 }
 
 /// Applies a pipeline of hardening mechanisms in order.
-pub fn apply_pipeline(filter: &BitVec, pipeline: &[Hardening], nonce: u64) -> Result<BitVec> {
-    let mut out = filter.clone();
+pub fn apply_pipeline(filter: BitVec, pipeline: &[Hardening], nonce: u64) -> Result<BitVec> {
+    let mut out = filter;
     for h in pipeline {
         out = h.apply(&out, nonce)?;
     }
@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn pipeline_composes() {
         let pipeline = [Hardening::Balance, Hardening::XorFold];
-        let out = apply_pipeline(&filter(), &pipeline, 0).unwrap();
+        let out = apply_pipeline(filter(), &pipeline, 0).unwrap();
         // Balance doubles to 128, fold halves back to 64.
         assert_eq!(out.len(), 64);
         // Balance then fold = filter XOR ¬filter = all ones.

@@ -30,16 +30,22 @@ impl NeighbourhoodParams {
         Ok(NeighbourhoodParams { step, neighbours })
     }
 
-    /// The neighbourhood token set of `value`: `2·d + 1` grid points
-    /// rendered as stable strings.
-    pub fn tokens(&self, value: f64) -> Result<Vec<String>> {
+    /// The `2·d + 1` grid points around `value`, in ascending order.
+    pub fn grid_points(&self, value: f64) -> Result<std::ops::RangeInclusive<i64>> {
         if !value.is_finite() {
             return Err(PprlError::ValueError("non-finite numeric value".into()));
         }
         let snapped = (value / self.step).round() as i64;
         let d = self.neighbours as i64;
-        Ok((-d..=d)
-            .map(|offset| format!("n{}", snapped + offset))
+        Ok(snapped - d..=snapped + d)
+    }
+
+    /// The neighbourhood token set of `value`: its grid points rendered as
+    /// stable strings.
+    pub fn tokens(&self, value: f64) -> Result<Vec<String>> {
+        Ok(self
+            .grid_points(value)?
+            .map(|point| format!("n{point}"))
             .collect())
     }
 

@@ -24,6 +24,7 @@
 //!   threshold, the segment cannot contribute a hit and its arena is
 //!   never materialised.
 
+use pprl_blocking::lsh::band_key;
 use pprl_core::bitvec::BitVec;
 use pprl_core::rng::SplitMix64;
 
@@ -114,15 +115,7 @@ pub fn band_keys_words(words: &[u64], positions: &[Vec<usize>]) -> Vec<u64> {
 /// one allocation across the whole segment.
 pub fn band_keys_words_into(words: &[u64], positions: &[Vec<usize>], keys: &mut Vec<u64>) {
     keys.clear();
-    keys.extend(positions.iter().map(|table| {
-        let mut key = 0u64;
-        for (j, &pos) in table.iter().enumerate() {
-            if (words[pos / 64] >> (pos % 64)) & 1 == 1 {
-                key |= 1u64 << j;
-            }
-        }
-        key
-    }));
+    keys.extend(positions.iter().map(|table| band_key(words, table)));
 }
 
 /// Sound Dice upper bound for a query (popcount `q`) against any record

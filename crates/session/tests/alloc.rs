@@ -6,27 +6,36 @@
 //! HMAC midstates into stack arrays; keystreams are applied in place.
 //!
 //! Uses the same counting-global-allocator shim as the E19 compaction
-//! bench: an integration test binary gets its own `#[global_allocator]`,
-//! so the counter sees every allocation this process makes.
+//! bench: an integration test binary gets its own `#[global_allocator]`.
+//! The counter is per thread, so the handshake another test runs at the
+//! same time is not charged to the frames measured here.
 
 use pprl_session::handshake::{client_handshake_established, server_handshake, ClientAuth};
 use pprl_session::keys::{entropy_rng, PartyKey};
 use pprl_session::registry::{AuthRegistry, TenantGrant};
 use pprl_session::{CipherSuite, IncomingRef, SecureChannel, SuiteOffer};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Cursor;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates directly to `System`; the counter is a relaxed
-// atomic and never touches the allocator's invariants.
+fn count_call() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+// SAFETY: delegates directly to `System`; the counter is a thread-local
+// `Cell<u64>` (no destructor, no allocation) and never touches the
+// allocator's invariants.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,9 +53,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 
 fn alloc_calls<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let calls0 = ALLOC_CALLS.load(Ordering::Relaxed);
+    let calls0 = ALLOC_CALLS.with(Cell::get);
     let out = f();
-    (out, ALLOC_CALLS.load(Ordering::Relaxed) - calls0)
+    (out, ALLOC_CALLS.with(Cell::get) - calls0)
 }
 
 /// Establishes a real wire v4 session over loopback and hands both
