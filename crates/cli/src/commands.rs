@@ -1082,7 +1082,10 @@ pub fn cluster_cmd(mut args: Args) -> CmdResult {
 /// `--list` prints just the runnable kernel names, one per line, for
 /// scripting (CI iterates it to force each path in turn). `--check`
 /// turns an unsupported `PPRL_KERNEL` request into a hard error
-/// instead of the silent best-available fallback the library applies.
+/// instead of the silent best-available fallback the library applies,
+/// and then runs every op of the active kernel against the `scalar`
+/// path on fixed vectors ([`check_kernel_ops`]), so a forced path that
+/// dispatches but miscounts fails too.
 pub fn kernels_cmd(mut args: Args) -> CmdResult {
     use pprl_similarity::kernel;
     let list = args.flag("list");
@@ -1125,7 +1128,94 @@ pub fn kernels_cmd(mut args: Args) -> CmdResult {
             names.join(" ")
         ));
     }
+    if check {
+        let cases = check_kernel_ops(kernel::active_kernel(), kernel::available_kernels()[0])?;
+        println!("self-check: {cases} comparisons against scalar, all equal");
+    }
     Ok(())
+}
+
+/// Runs `and_count`, `and_count4` and `scan_ge` of `active` against
+/// `reference`'s `and_count` on fixed pseudo-random vectors: strides of 1, 15, 16 and
+/// 17 words (below, one short of, exactly and one past the widest vector
+/// width), tiles of 0–17 rows (every step-size remainder), and `need` at
+/// 0, a mid-tile count and past the maximum. Returns the number of
+/// comparisons made, or a description of the first difference.
+fn check_kernel_ops(
+    active: pprl_similarity::kernel::Kernel,
+    reference: pprl_similarity::kernel::Kernel,
+) -> std::result::Result<usize, String> {
+    let mut rng = pprl_core::rng::SplitMix64::new(0x5E1F_C4EC);
+    // ~44 % density, like a CLK: an AND of two draws is 25 % dense, the
+    // OR of two such ANDs 1 − 0.75² ≈ 44 %.
+    let mut words = |n: usize| -> Vec<u64> {
+        (0..n)
+            .map(|_| (rng.next_u64() & rng.next_u64()) | (rng.next_u64() & rng.next_u64()))
+            .collect()
+    };
+    let mut cases = 0usize;
+    let differ = |op: &str, stride: usize, rows: usize, detail: String| {
+        format!(
+            "kernel `{}` disagrees with `{}` on {op} (stride {stride} words, {rows} rows): {detail}",
+            active.name(),
+            reference.name()
+        )
+    };
+    for stride in [1usize, 15, 16, 17] {
+        for n in 0..=17usize {
+            let query = words(stride);
+            let tile = words(n * stride);
+            let counts: Vec<usize> = tile
+                .chunks_exact(stride)
+                .map(|row| reference.and_count(&query, row))
+                .collect();
+            for (i, row) in tile.chunks_exact(stride).enumerate() {
+                let got = active.and_count(&query, row);
+                cases += 1;
+                if got != counts[i] {
+                    return Err(differ(
+                        "and_count",
+                        stride,
+                        n,
+                        format!("row {i}: {got} vs {}", counts[i]),
+                    ));
+                }
+            }
+            for (b, block) in tile.chunks_exact(4 * stride).enumerate() {
+                let got = active.and_count4(&query, block);
+                cases += 1;
+                if got[..] != counts[4 * b..4 * b + 4] {
+                    return Err(differ(
+                        "and_count4",
+                        stride,
+                        n,
+                        format!("block {b}: {got:?}"),
+                    ));
+                }
+            }
+            let max = counts.iter().copied().max().unwrap_or(0);
+            let mid = counts.get(n / 2).copied().unwrap_or(0);
+            for need in [0, mid, max + 1] {
+                let mut got = Vec::new();
+                active.scan_ge(&query, &tile, need, &mut got);
+                cases += 1;
+                let want = counts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c >= need)
+                    .map(|(i, &c)| (i as u32, c as u32));
+                if !got.iter().copied().eq(want) {
+                    return Err(differ(
+                        "scan_ge",
+                        stride,
+                        n,
+                        format!("need {need}: reported {got:?} of counts {counts:?}"),
+                    ));
+                }
+            }
+        }
+    }
+    Ok(cases)
 }
 
 /// `pprl suites` — report the record-layer cipher suites this build
@@ -1322,6 +1412,8 @@ COMMANDS:
             (unset or `auto` picks the best the CPU supports); --list
             prints just the runnable names for scripting, --check fails
             loudly when PPRL_KERNEL names a kernel this host cannot run
+            or when any op of the active kernel (and_count, and_count4,
+            scan_ge) disagrees with the scalar path on fixed vectors
 
   suites    [--list] [--bench]
             report the record-layer cipher suites this build negotiates
@@ -1357,6 +1449,15 @@ mod tests {
         let dir = std::env::temp_dir().join("pprl-cli-tests");
         std::fs::create_dir_all(&dir).expect("tmp dir");
         dir.join(name).to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn kernel_self_check_passes_on_every_runnable_path() {
+        let kernels = pprl_similarity::kernel::available_kernels();
+        for &k in kernels {
+            let cases = check_kernel_ops(k, kernels[0]).unwrap_or_else(|e| panic!("{e}"));
+            assert!(cases > 900, "{}: only {cases} comparisons", k.name());
+        }
     }
 
     #[test]

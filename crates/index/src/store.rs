@@ -34,7 +34,7 @@
 use crate::arena::{ArenaBuilder, FilterArena};
 use crate::format::{fnv1a, io_err, storage_err, Reader};
 use crate::manifest::{segment_path, Manifest, SegmentEntry};
-use crate::query::{IndexReader, SlotSpec};
+use crate::query::{ArenaCell, IndexReader, SlotSpec};
 use crate::segment::{
     read_segment_arena_with, read_segment_with, record_count_for_size, write_segment_arena_with,
 };
@@ -43,8 +43,9 @@ use crate::vfs::{std_vfs, Vfs};
 use pprl_blocking::lsh::HammingLsh;
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 pub use crate::manifest::{IndexConfig, QuarantinedSegment, MANIFEST_FILE};
 
@@ -86,15 +87,31 @@ pub struct IndexStats {
     pub quarantined_segments: usize,
 }
 
-/// What building an [`IndexReader`] actually read from disk.
+/// What an [`IndexReader`] read from disk and scanned.
+///
+/// `bytes_read` and `segments_read` count only what *this* reader (or
+/// the call that built it) pulled from disk. A lazy reader's segment
+/// that an earlier generation already materialised is inherited through
+/// the store's shared cell and counts as neither read nor skipped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadStats {
-    /// Bytes read (manifest + log + loaded segment files).
+    /// Bytes read (loaded segment files; plus manifest + log for
+    /// [`IndexStore::reader_for_popcounts`]).
     pub bytes_read: u64,
     /// Segments decoded.
     pub segments_read: usize,
-    /// Segments skipped by popcount pruning (not read at all).
+    /// Segments not resident: excluded up front by
+    /// [`IndexStore::reader_for_popcounts`]' popcount range, or, for a
+    /// lazy reader, not materialised by anyone yet (every query so far
+    /// pruned them, or none ran).
     pub segments_skipped: usize,
+    /// `(query, row)` pairs the scan kernel AND-popcounted (rows of
+    /// tiles skipped by the threshold bound are not counted).
+    pub rows_scanned: u64,
+    /// Of `rows_scanned`, the rows that reached the f64 score and the
+    /// top-k heap; `rows_scored / rows_scanned` is the scan's
+    /// wasted-work ratio.
+    pub rows_scored: u64,
     /// Name of the dispatched scan-kernel path serving these reads
     /// (`"scalar"`, `"avx2"`, …; empty in a default-constructed value).
     pub kernel: &'static str,
@@ -286,6 +303,13 @@ pub struct IndexStore {
     /// carry a stale epoch, so it is rewritten from `pending` before
     /// the next append.
     wal_ok: bool,
+    /// Materialised rows by segment id, shared with the lazy readers
+    /// handed out so far: a generation swap re-reads nothing an earlier
+    /// generation loaded. Sound because a segment file is immutable
+    /// once a committed manifest names its id and ids are never reused
+    /// after that; [`IndexStore::lazy_reader`] creates cells only for
+    /// ids in the committed manifest and prunes the rest.
+    arenas: Mutex<HashMap<u64, ArenaCell>>,
 }
 
 impl IndexStore {
@@ -336,6 +360,7 @@ impl IndexStore {
             durability: options.durability,
             wal_unsynced: 0,
             wal_ok: true,
+            arenas: Mutex::default(),
         })
     }
 
@@ -414,6 +439,7 @@ impl IndexStore {
             durability: options.durability,
             wal_unsynced: 0,
             wal_ok: true,
+            arenas: Mutex::default(),
         };
         if replay.repair {
             // Rewrite the log so the torn/stale bytes are gone before
@@ -831,14 +857,24 @@ impl IndexStore {
     /// until some query actually needs it — call
     /// [`IndexReader::materialise_all`] to force full verification.
     ///
+    /// Segments an earlier lazy reader of this store already
+    /// materialised are handed over resident (shared, not copied), so
+    /// the reader built after a flush loads only the segments that flush
+    /// wrote, and the one after a compaction only the merged output.
+    ///
     /// [`reader`]: IndexStore::reader
     pub fn lazy_reader(&self) -> Result<IndexReader> {
         let flen = self.manifest.config.filter_len;
         let num_shards = self.manifest.config.num_shards as usize;
         let mut specs = Vec::with_capacity(self.manifest.segments.len() + num_shards);
+        let mut arenas = self.arenas.lock().expect("arena map lock");
+        let mut live: HashMap<u64, ArenaCell> =
+            HashMap::with_capacity(self.manifest.segments.len());
         for entry in &self.manifest.segments {
             let path = segment_path(&self.dir, entry.id);
             let bytes = file_size_with(&*self.vfs, &path)?;
+            let arena = arenas.get(&entry.id).cloned().unwrap_or_default();
+            live.insert(entry.id, Arc::clone(&arena));
             specs.push(SlotSpec::File {
                 path,
                 shard: entry.shard,
@@ -848,8 +884,13 @@ impl IndexStore {
                 pc_min: entry.pc_min as usize,
                 pc_max: entry.pc_max as usize,
                 summary: entry.summary.clone(),
+                arena,
             });
         }
+        // Whatever the committed manifest no longer names is dropped
+        // here; readers still pinned to it keep their own handles.
+        *arenas = live;
+        drop(arenas);
         for builder in self.pending_by_shard()? {
             if !builder.is_empty() {
                 specs.push(SlotSpec::Memory(builder.finish()));
@@ -1733,6 +1774,47 @@ mod tests {
         lazy.materialise_all().unwrap();
         assert_eq!(lazy.read_stats().segments_read, 2);
         assert_eq!(lazy.read_stats().segments_skipped, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn generations_share_resident_arenas_instead_of_copying_them() {
+        let dir = temp_dir("share");
+        let mut store = IndexStore::create(&dir, IndexConfig::new(128, 3)).unwrap();
+        let recs = filters(240, 128);
+        store.insert_batch(&recs[..200]).unwrap();
+        store.flush().unwrap();
+        let first = store.lazy_reader().unwrap();
+        assert!(first.resident_arenas().is_empty(), "nothing loaded yet");
+        first.materialise_all().unwrap();
+        let old = first.resident_arenas();
+        let corpus: usize = old.iter().map(|&(_, bytes)| bytes).sum();
+
+        store.insert_batch(&recs[200..]).unwrap();
+        store.flush().unwrap();
+        let second = store.lazy_reader().unwrap();
+        // Resident before any query, and the very same allocations.
+        assert_eq!(second.resident_arenas(), old);
+        second.materialise_all().unwrap();
+        let new = second.resident_arenas();
+        assert_eq!(new[..old.len()], old[..]);
+
+        // Two pinned generations hold ~1x the corpus, not 2x.
+        let mut unique: Vec<_> = old.iter().chain(&new).copied().collect();
+        unique.sort();
+        unique.dedup();
+        let resident: usize = unique.iter().map(|&(_, bytes)| bytes).sum();
+        let added: usize = new[old.len()..].iter().map(|&(_, bytes)| bytes).sum();
+        assert_eq!(resident, corpus + added);
+        assert!(added * 4 < corpus, "40 of 240 records were new");
+
+        // A compaction drops the merged-away ids from the store's map;
+        // the pinned readers keep theirs alive and the map forgets them.
+        store.compact().unwrap();
+        let third = store.lazy_reader().unwrap();
+        assert!(third.resident_arenas().is_empty(), "merged output is new");
+        assert_eq!(store.arenas.lock().unwrap().len(), 3);
+        drop((first, second));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

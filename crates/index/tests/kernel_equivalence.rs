@@ -3,7 +3,7 @@
 //! The correctness bar for the arena rewrite is *bit-for-bit* agreement
 //! with the scalar `BitVec` path at every layer:
 //!
-//! 1. The flat-slice kernels (`and_count`, `and_count4`,
+//! 1. The flat-slice kernels (`and_count`, `and_count4`, `scan_ge`,
 //!    `dice_from_counts`) must reproduce `BitVec::and_count` /
 //!    `dice_bits` exactly, including all-zero and all-one edges and
 //!    lengths that straddle word boundaries.
@@ -13,10 +13,17 @@
 //! 3. Band-key summary pruning is an *optimisation only*: an index
 //!    built with summaries enabled must answer every query — at every
 //!    `min_score` — identically to one built with summaries disabled.
+//! 4. The one scan loop behind `top_k`, `top_k_planned` and
+//!    `top_k_batch` must stay bit-identical to the brute-force oracle
+//!    across `k`, thread counts, `min_score`, tiny and multi-tile slots,
+//!    and runs of equal-score rows whose ids decide the ranking.
+//!
+//! The root `tests/scan_equivalence.rs` includes this file, so the
+//! tier-1 `cargo test -q` runs it too.
 
 use pprl_core::bitvec::BitVec;
 use pprl_index::arena::FilterArena;
-use pprl_index::query::Hit;
+use pprl_index::query::{Hit, IndexReader};
 use pprl_index::store::{IndexConfig, IndexStore};
 use pprl_index::summary::SummaryConfig;
 use pprl_similarity::bitvec_sim::dice_bits;
@@ -189,8 +196,8 @@ fn batched_kernel_matches_scalar_over_arena_blocks() {
             }
             i += 4;
         }
-        // Tail rows go through the scalar kernel; check them against the
-        // original BitVec too (arena rows round-trip exactly).
+        // Every row, tail rows included, against the original BitVec
+        // (arena rows round-trip exactly).
         for row in 0..arena.len() {
             let (_, filter) = arena.get(row).expect("row");
             assert_eq!(
@@ -200,6 +207,236 @@ fn batched_kernel_matches_scalar_over_arena_blocks() {
             );
         }
     }
+}
+
+/// `scan_ge` over real arena tiles: on every dispatch path, exactly the
+/// rows whose `and_count` reaches `need`, in row order with that count —
+/// for strides around both vector widths, tiles whose row count leaves
+/// every step-size remainder (including the empty tile), and `need`
+/// from "everything" to "nothing".
+#[test]
+fn scan_ge_reports_exactly_the_rows_reaching_need_on_every_path() {
+    let mut state = 0x5CA9u64;
+    for len in [1usize, 64, 65, 450, 960, 1000, 1030, 2048] {
+        for n in (0..=19u64).chain([40]) {
+            let records: Vec<(u64, BitVec)> = (0..n)
+                .map(|i| (i, random_filter(len, 200 + 40 * (i % 9), &mut state)))
+                .collect();
+            let arena = FilterArena::from_records(records, len).expect("arena");
+            let query = random_filter(len, 400, &mut state);
+            let counts: Vec<usize> = (0..arena.len())
+                .map(|row| query.and_count(&arena.get(row).expect("row").1))
+                .collect();
+            let max = counts.iter().copied().max().unwrap_or(0);
+            let mid = counts.get(counts.len() / 2).copied().unwrap_or(0);
+            for need in [0, 1, mid, max, max + 1] {
+                let want: Vec<(u32, u32)> = counts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c >= need)
+                    .map(|(row, &c)| (row as u32, c as u32))
+                    .collect();
+                for kernel in available_kernels() {
+                    let mut got = Vec::new();
+                    kernel.scan_ge(query.as_words(), arena.words(), need, &mut got);
+                    assert_eq!(
+                        got,
+                        want,
+                        "kernel {} len {len} rows {n} need {need}",
+                        kernel.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Fisher–Yates with the file's splitmix.
+fn shuffle<T>(items: &mut [T], state: &mut u64) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, (splitmix(state) % (i as u64 + 1)) as usize);
+    }
+}
+
+/// The whole query surface against the brute-force oracle on a reader
+/// built to stress the tile/`need` scan: slots of 0–9 rows (no full
+/// kernel step), slots of several tiles plus a ragged tail, and three
+/// filters stored many times over under shuffled ids, so long runs of
+/// rows tie — at 1.0 for member probes — and only the id order decides
+/// which of them place.
+#[test]
+fn scan_paths_match_the_oracle_across_k_threads_min_score_and_slot_shapes() {
+    let len = 1000; // the benchmark's CLK length: 16-word stride
+    let mut state = 0x71E5u64;
+    let twins: Vec<BitVec> = (0..3)
+        .map(|i| random_filter(len, 380 + 30 * i, &mut state))
+        .collect();
+    let mut filters: Vec<BitVec> = Vec::new();
+    for twin in &twins {
+        filters.extend(std::iter::repeat_n(twin.clone(), 45));
+    }
+    for i in 0..520u64 {
+        filters.push(random_filter(len, 330 + 15 * (i % 12), &mut state));
+    }
+    // Near-duplicates, so 0.8 keeps some hits and drops others.
+    for i in 0..60 {
+        let mut near = filters[135 + 7 * i].clone();
+        for _ in 0..(10 + 12 * (i % 9)) {
+            near.flip((splitmix(&mut state) % len as u64) as usize);
+        }
+        filters.push(near);
+    }
+    filters.push(BitVec::zeros(len));
+    filters.push(BitVec::zeros(len));
+    filters.push(BitVec::ones(len));
+    let mut ids: Vec<u64> = (0..filters.len() as u64).map(|i| 3 * i + 1).collect();
+    shuffle(&mut ids, &mut state);
+    let mut records: Vec<(u64, BitVec)> = ids.into_iter().zip(filters).collect();
+    shuffle(&mut records, &mut state);
+
+    // Slots of 0..=9 rows, then two multi-tile slots with ragged ends.
+    let mut shards: Vec<Vec<(u64, BitVec)>> = Vec::new();
+    let mut rest = records.as_slice();
+    for size in 0..=9usize {
+        let (head, tail) = rest.split_at(size);
+        shards.push(head.to_vec());
+        rest = tail;
+    }
+    let (head, tail) = rest.split_at(301);
+    shards.push(head.to_vec());
+    shards.push(tail.to_vec());
+    let reader = IndexReader::new(shards, len).expect("reader");
+    assert_eq!(reader.len(), records.len());
+
+    let mut queries: Vec<BitVec> = twins.clone();
+    queries.push(BitVec::zeros(len));
+    queries.push(BitVec::ones(len));
+    for (_, f) in records.iter().step_by(97) {
+        let mut probe = f.clone();
+        for _ in 0..50 {
+            probe.flip((splitmix(&mut state) % len as u64) as usize);
+        }
+        queries.push(probe);
+    }
+    queries.push(random_filter(len, 414, &mut state));
+    let refs: Vec<&BitVec> = queries.iter().collect();
+
+    let scanned_before = reader.read_stats().rows_scanned;
+    for k in [1usize, 10, records.len() + 5] {
+        for threads in [1usize, 3] {
+            for min_score in [None, Some(0.0), Some(0.8), Some(1.0)] {
+                let batch = reader
+                    .top_k_batch(&refs, k, threads, min_score)
+                    .expect("batch");
+                for (qi, query) in queries.iter().enumerate() {
+                    assert_eq!(
+                        batch[qi],
+                        brute_force(&records, query, k, min_score.unwrap_or(0.0)),
+                        "batch k={k} threads={threads} ms={min_score:?} query={qi}"
+                    );
+                }
+            }
+            for (qi, query) in queries.iter().enumerate() {
+                let expect = brute_force(&records, query, k, 0.0);
+                let single = reader.top_k(query, k, threads).expect("top_k");
+                assert_eq!(single, expect, "top_k k={k} threads={threads} query={qi}");
+                let mut plan = reader.popcount_scan_order(query.count_ones());
+                for _ in 0..2 {
+                    let planned = reader
+                        .top_k_planned(query, k, threads, &plan)
+                        .expect("planned");
+                    assert_eq!(
+                        planned, expect,
+                        "planned k={k} threads={threads} query={qi}"
+                    );
+                    plan.reverse();
+                }
+            }
+        }
+    }
+    let stats = reader.read_stats();
+    assert!(stats.rows_scanned > scanned_before);
+    assert!(stats.rows_scored <= stats.rows_scanned);
+}
+
+/// The wasted-work ratio on the data the scan is built for: real person
+/// CLKs (1000 bits, ~41 % dense, every third record a corrupted
+/// duplicate), probes with ~5 % of their bits flipped, `Link` at 0.8.
+/// Every row is AND-popcounted, but only rows that can place are scored:
+/// `rows_scored` covers every true ≥ 0.8 pair and stays under 2 % of
+/// `rows_scanned`.
+#[test]
+fn link_at_0_8_scores_under_two_percent_of_the_clk_rows_it_scans() {
+    use pprl_core::record::{Dataset, Record};
+    use pprl_core::schema::Schema;
+    use pprl_datagen::generator::{Generator, GeneratorConfig};
+    use pprl_encoding::encoder::{RecordEncoder, RecordEncoderConfig};
+
+    let n = 3000usize;
+    let mut generator = Generator::new(GeneratorConfig {
+        seed: 7,
+        corruption_rate: 0.3,
+        ..GeneratorConfig::default()
+    })
+    .expect("generator");
+    let mut people: Vec<Record> = Vec::with_capacity(n);
+    for j in 0..n {
+        let record = if j % 3 == 2 {
+            generator.corrupt_record(&people[j / 3])
+        } else {
+            generator.entity(j as u64)
+        };
+        people.push(record);
+    }
+    let dataset = Dataset::from_records(Schema::person(), people).expect("dataset");
+    let encoder = RecordEncoder::new(RecordEncoderConfig::person_clk(b"k"), dataset.schema())
+        .expect("encoder");
+    let encoded = encoder.encode_dataset(&dataset).expect("encode");
+    let records: Vec<(u64, BitVec)> = encoded
+        .records
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (i as u64, r.try_clk().expect("CLK").clone()))
+        .collect();
+    let len = records[0].1.len();
+    let mut shards = vec![Vec::new(); 8];
+    for (i, record) in records.iter().enumerate() {
+        shards[i % 8].push(record.clone());
+    }
+    let reader = IndexReader::new(shards, len).expect("reader");
+
+    let mut state = 0x11CCu64;
+    let probes: Vec<BitVec> = (0..32)
+        .map(|i| {
+            let mut probe = records[(i * 97) % n].1.clone();
+            for pos in 0..len {
+                if splitmix(&mut state).is_multiple_of(20) {
+                    probe.flip(pos);
+                }
+            }
+            probe
+        })
+        .collect();
+    let refs: Vec<&BitVec> = probes.iter().collect();
+    // k beyond the corpus: the threshold stays at min_score throughout.
+    let hits = reader
+        .top_k_batch(&refs, n + 1, 1, Some(0.8))
+        .expect("link");
+    let qualifying: usize = hits.iter().map(Vec::len).sum();
+    for (probe, got) in probes.iter().zip(&hits) {
+        assert_eq!(got, &brute_force(&records, probe, n + 1, 0.8));
+    }
+    let stats = reader.read_stats();
+    assert!(qualifying >= probes.len(), "every probe finds its source");
+    assert!(stats.rows_scanned <= (probes.len() * n) as u64);
+    assert!(stats.rows_scanned >= (probes.len() * n) as u64 / 2);
+    assert!(stats.rows_scored >= qualifying as u64);
+    assert!(
+        stats.rows_scored * 50 < stats.rows_scanned,
+        "scored {} of {} scanned rows",
+        stats.rows_scored,
+        stats.rows_scanned
+    );
 }
 
 /// Builds a store at `dir` from `records`, flushing in two batches so the

@@ -191,10 +191,12 @@ impl LinkageService {
     }
 
     /// Builds a fresh lazy reader from the (locked) store and installs it
-    /// as the next generation, clearing the result cache. The retiring
-    /// snapshot's cumulative read counter folds into the service metrics
-    /// here, so `bytes_read` in [`stats_report`] stays a running total
-    /// across generations.
+    /// as the next generation, clearing the result cache. The new reader
+    /// inherits every segment the store's earlier readers materialised,
+    /// so the swap costs the segments this mutation wrote, not the index.
+    /// The retiring snapshot's cumulative read counter folds into the
+    /// service metrics here, so `bytes_read` in [`stats_report`] stays a
+    /// running total across generations.
     ///
     /// [`stats_report`]: LinkageService::stats_report
     fn install_fresh(&self, store: &IndexStore, obsolete: Vec<std::path::PathBuf>) -> Result<u64> {

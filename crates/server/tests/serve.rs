@@ -204,6 +204,81 @@ fn old_snapshot_reads_identical_while_compaction_swaps() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Total size of the `.seg` files under `dir`, by file name.
+fn segment_bytes(dir: &std::path::Path) -> std::collections::BTreeMap<String, u64> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".seg"))
+        .map(|e| {
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                e.metadata().unwrap().len(),
+            )
+        })
+        .collect()
+}
+
+/// A generation swap costs the segments it added, not the index: over N
+/// served inserts and a compaction, cumulative `bytes_read` grows by the
+/// size of the newly written segment files only, while an old pinned
+/// generation keeps answering from the rows it shares with the new one.
+#[test]
+fn generation_swaps_read_only_the_segments_they_added() {
+    let dir = temp_dir("carry-over");
+    drop(build_index(&dir, 300, 6));
+    let service = LinkageService::open(
+        &dir,
+        ServiceConfig {
+            tiered: aggressive_policy(),
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let pinned = service.snapshot();
+    pinned.reader.materialise_all().unwrap();
+    let probe = filter_for(7);
+    let pinned_answer = pinned.reader.top_k(&probe, 5, 1).unwrap();
+    let mut expected = segment_bytes(&dir).values().sum::<u64>();
+    assert_eq!(service.stats_report(1, 1).bytes_read, expected);
+
+    for round in 0..5u64 {
+        let known = segment_bytes(&dir);
+        let records: Vec<(u64, BitVec)> = (0..20)
+            .map(|i| 5_000 + 20 * round + i)
+            .map(|id| (id, filter_for(id)))
+            .collect();
+        service.insert(&records).unwrap();
+        let added: u64 = segment_bytes(&dir)
+            .iter()
+            .filter(|(name, _)| !known.contains_key(*name))
+            .map(|(_, bytes)| bytes)
+            .sum();
+        assert!(added > 0);
+        service.snapshot().reader.materialise_all().unwrap();
+        assert_eq!(service.query(&records[3].1, 1).unwrap()[0].score, 1.0);
+        expected += added;
+        assert_eq!(
+            service.stats_report(1, 1).bytes_read,
+            expected,
+            "insert {round} re-read segments it did not write"
+        );
+    }
+
+    let known = segment_bytes(&dir);
+    let outcome = service.compact_step().unwrap();
+    assert!(!outcome.is_noop());
+    service.snapshot().reader.materialise_all().unwrap();
+    expected += segment_bytes(&dir)
+        .iter()
+        .filter(|(name, _)| !known.contains_key(*name))
+        .map(|(_, bytes)| bytes)
+        .sum::<u64>();
+    assert_eq!(service.stats_report(1, 1).bytes_read, expected);
+    assert_eq!(pinned.reader.top_k(&probe, 5, 1).unwrap(), pinned_answer);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Overflowing the bounded queue yields an immediate `Busy` with the
 /// configured retry hint — not an ever-growing backlog.
 #[test]

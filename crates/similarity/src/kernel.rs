@@ -5,14 +5,20 @@
 //! `pprl-index`), so its hot loop works on `&[u64]` slices rather than
 //! `BitVec`s. These kernels are the slice-level counterparts of
 //! [`pprl_core::bitvec::BitVec::and_count`] and
-//! [`crate::bitvec_sim::dice_bits`], with two throughput-oriented
+//! [`crate::bitvec_sim::dice_bits`], with three throughput-oriented
 //! variants:
 //!
 //! * [`and_count`] — one pair, four independent accumulators so the
 //!   popcounts pipeline instead of serialising on one add chain;
 //! * [`and_count4`] — one query against four rows stored contiguously,
-//!   loading each query word once per *four* intersections, which is
-//!   what makes the batched arena scan memory-bandwidth-friendly.
+//!   loading each query word once per *four* intersections;
+//! * [`Kernel::scan_ge`] — one query against a whole tile of contiguous
+//!   rows, reporting only the rows whose intersection reaches an integer
+//!   threshold. This is the index scan's only inner loop: the caller
+//!   turns its Dice threshold into the smallest qualifying intersection
+//!   count once per tile (see [`need_count`]), and rows that cannot
+//!   place cost an AND, a popcount and an integer compare — no float
+//!   arithmetic, no heap.
 //!
 //! # Dispatch
 //!
@@ -29,6 +35,12 @@
 //! | `avx2`     | x86-64   | `avx2`                    | Muła nibble-LUT popcount, 256-bit  |
 //! | `avx512`   | x86-64   | `avx512f+avx512vpopcntdq` | `vpopcntq`, 512-bit lanes          |
 //! | `neon`     | aarch64  | `neon`                    | `cnt.16b` + widening adds, 128-bit |
+//!
+//! `scan_ge` is native on `avx512` (8 rows per step) and `avx2` (4 rows
+//! per step): the per-row accumulators are reduced by one transposed add
+//! tree into a single vector of row counts and compared in-register, so
+//! a step whose rows all fall short never leaves the vector unit. The
+//! other paths build it from their `and_count4` plus integer compares.
 //!
 //! (`portable` is the portable-width stand-in for `std::simd`, which is
 //! still nightly-only: the scalar loop recompiled with the baseline
@@ -61,7 +73,11 @@ pub struct Kernel {
     name: &'static str,
     and_count: fn(&[u64], &[u64]) -> usize,
     and_count4: fn(&[u64], &[u64]) -> [usize; 4],
+    scan_ge: ScanGe,
 }
+
+/// `(query, tile, need, out)`; see [`Kernel::scan_ge`].
+type ScanGe = fn(&[u64], &[u64], usize, &mut Vec<(u32, u32)>);
 
 impl Kernel {
     /// Path name as accepted by `PPRL_KERNEL` (e.g. `"avx2"`).
@@ -98,6 +114,29 @@ impl Kernel {
             "and_count4: rows must hold exactly 4 query-width rows"
         );
         (self.and_count4)(query, rows)
+    }
+
+    /// Thresholded tile scan: AND-popcounts `query` against every
+    /// `query.len()`-word row laid out back-to-back in `rows` and appends
+    /// `(row index within the tile, intersection count)` to `out`, in row
+    /// order, for exactly the rows with `count >= need`. `need == 0`
+    /// reports every row; an empty tile reports none. `out` is appended
+    /// to, never cleared, so the caller owns its reuse.
+    ///
+    /// The shape checks stay on in release builds (one per tile): a tile
+    /// that is not a whole number of rows means a corrupt arena stride.
+    #[inline]
+    pub fn scan_ge(&self, query: &[u64], rows: &[u64], need: usize, out: &mut Vec<(u32, u32)>) {
+        assert!(!query.is_empty(), "scan_ge: empty query");
+        assert!(
+            rows.len().is_multiple_of(query.len()),
+            "scan_ge: tile must hold whole query-width rows"
+        );
+        assert!(
+            rows.len() / query.len() <= u32::MAX as usize,
+            "scan_ge: tile row index must fit u32"
+        );
+        (self.scan_ge)(query, rows, need, out)
     }
 }
 
@@ -142,6 +181,68 @@ pub fn dice_from_counts(intersection: usize, ones_a: usize, ones_b: usize) -> f6
     2.0 * intersection as f64 / (ones_a + ones_b) as f64
 }
 
+/// The smallest intersection count `c` with
+/// `dice_from_counts(c, ones_a, ones_b) >= theta` — the integer form of a
+/// Dice threshold, for [`Kernel::scan_ge`].
+///
+/// Exact, not merely conservative: the answer is settled by evaluating
+/// the very f64 expression of [`dice_from_counts`] (which is monotone in
+/// `c`), so `c >= need_count(theta, a, b)` holds **iff**
+/// `dice_from_counts(c, a, b) >= theta`, ties included. The result may
+/// exceed `min(ones_a, ones_b)`, meaning no real intersection qualifies;
+/// it is also monotone non-decreasing in `ones_b`, so the value at a
+/// popcount-sorted tile's lowest popcount is a valid floor for the tile.
+/// A `theta` above 1.0 (or NaN) is out of every real pair's reach and
+/// yields `usize::MAX`.
+#[inline]
+pub fn need_count(theta: f64, ones_a: usize, ones_b: usize) -> usize {
+    if theta.is_nan() || theta > 1.0 {
+        return usize::MAX;
+    }
+    // The product only seeds the search; the comparisons decide.
+    let mut c = (theta * (ones_a + ones_b) as f64 / 2.0).ceil().max(0.0) as usize;
+    while c > 0 && dice_from_counts(c - 1, ones_a, ones_b) >= theta {
+        c -= 1;
+    }
+    while dice_from_counts(c, ones_a, ones_b) < theta {
+        c += 1;
+    }
+    c
+}
+
+/// [`Kernel::scan_ge`] built from a 4-row and a 1-row intersection
+/// count: whole blocks through `count4`, the < 4-row tail through
+/// `count1`, an integer compare per row. `inline(always)` so each caller
+/// compiles it with its own target features.
+#[inline(always)]
+fn scan_ge_by_blocks(
+    query: &[u64],
+    rows: &[u64],
+    need: usize,
+    out: &mut Vec<(u32, u32)>,
+    count4: impl Fn(&[u64], &[u64]) -> [usize; 4],
+    count1: impl Fn(&[u64], &[u64]) -> usize,
+) {
+    let stride = query.len();
+    let mut blocks = rows.chunks_exact(4 * stride);
+    let mut row = 0u32;
+    for block in blocks.by_ref() {
+        for (lane, &count) in count4(query, block).iter().enumerate() {
+            if count >= need {
+                out.push((row + lane as u32, count as u32));
+            }
+        }
+        row += 4;
+    }
+    for tail in blocks.remainder().chunks_exact(stride) {
+        let count = count1(query, tail);
+        if count >= need {
+            out.push((row, count as u32));
+        }
+        row += 1;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scalar reference path (always available, any architecture).
 // ---------------------------------------------------------------------------
@@ -183,6 +284,11 @@ mod scalar {
         }
         acc
     }
+
+    #[inline]
+    pub(super) fn scan_ge(query: &[u64], rows: &[u64], need: usize, out: &mut Vec<(u32, u32)>) {
+        super::scan_ge_by_blocks(query, rows, need, out, and_count4, and_count);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -214,6 +320,11 @@ mod x86 {
         super::scalar::and_count4(query, rows)
     }
 
+    #[target_feature(enable = "popcnt")]
+    fn scan_ge_popcnt_impl(query: &[u64], rows: &[u64], need: usize, out: &mut Vec<(u32, u32)>) {
+        super::scalar::scan_ge(query, rows, need, out)
+    }
+
     pub(super) fn and_count_portable(a: &[u64], b: &[u64]) -> usize {
         // SAFETY: reachable only via a Kernel built after
         // is_x86_feature_detected!("popcnt") succeeded.
@@ -223,6 +334,16 @@ mod x86 {
     pub(super) fn and_count4_portable(query: &[u64], rows: &[u64]) -> [usize; 4] {
         // SAFETY: as above — popcnt was detected at runtime.
         unsafe { and_count4_popcnt_impl(query, rows) }
+    }
+
+    pub(super) fn scan_ge_portable(
+        query: &[u64],
+        rows: &[u64],
+        need: usize,
+        out: &mut Vec<(u32, u32)>,
+    ) {
+        // SAFETY: as above — popcnt was detected at runtime.
+        unsafe { scan_ge_popcnt_impl(query, rows, need, out) }
     }
 
     // ---- avx2: Muła nibble-LUT popcount over 256-bit lanes ----
@@ -322,6 +443,86 @@ mod x86 {
         out
     }
 
+    /// Native `scan_ge`: 4 rows per step, one 256-bit accumulator each,
+    /// reduced together by a transposed add tree into one vector holding
+    /// the four row counts, which is compared against `need` in-register.
+    #[target_feature(enable = "avx2")]
+    fn scan_ge_avx2_impl(query: &[u64], rows: &[u64], need: usize, out: &mut Vec<(u32, u32)>) {
+        let stride = query.len();
+        let n = rows.len() / stride;
+        let body = stride - stride % 4;
+        let zero = _mm256_setzero_si256();
+        // Signed compare is exact here: counts are at most 64·stride, and
+        // a `need` beyond i64 is beyond every count.
+        let floor = _mm256_set1_epi64x(i64::try_from(need).unwrap_or(i64::MAX) - 1);
+        let mut row = 0usize;
+        while row + 4 <= n {
+            let block = &rows[row * stride..(row + 4) * stride];
+            let mut acc = [zero; 4];
+            let mut i = 0usize;
+            while i < body {
+                // SAFETY: i + 4 <= body <= stride keeps the query load and
+                // the four row loads (at lane * stride + i) inside `query`
+                // and the 4 * stride words of `block`.
+                unsafe {
+                    let q = _mm256_loadu_si256(query.as_ptr().add(i).cast());
+                    for (lane, a) in acc.iter_mut().enumerate() {
+                        let r = _mm256_loadu_si256(block.as_ptr().add(lane * stride + i).cast());
+                        let v = _mm256_and_si256(q, r);
+                        *a = _mm256_add_epi64(*a, _mm256_sad_epu8(popcnt_bytes_avx2(v), zero));
+                    }
+                }
+                i += 4;
+            }
+            // [a0 a1 a2 a3] x 4 lanes -> one vector of the 4 row totals.
+            let s01 = _mm256_add_epi64(
+                _mm256_unpacklo_epi64(acc[0], acc[1]),
+                _mm256_unpackhi_epi64(acc[0], acc[1]),
+            );
+            let s23 = _mm256_add_epi64(
+                _mm256_unpacklo_epi64(acc[2], acc[3]),
+                _mm256_unpackhi_epi64(acc[2], acc[3]),
+            );
+            let mut totals = _mm256_add_epi64(
+                _mm256_permute2x128_si256(s01, s23, 0x20),
+                _mm256_permute2x128_si256(s01, s23, 0x31),
+            );
+            if body < stride {
+                let mut tail = [0i64; 4];
+                for (lane, t) in tail.iter_mut().enumerate() {
+                    let r = &block[lane * stride..(lane + 1) * stride];
+                    for w in body..stride {
+                        *t += i64::from((query[w] & r[w]).count_ones());
+                    }
+                }
+                totals = _mm256_add_epi64(
+                    totals,
+                    _mm256_setr_epi64x(tail[0], tail[1], tail[2], tail[3]),
+                );
+            }
+            let hits = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(totals, floor)));
+            if hits != 0 {
+                let mut counts = [0u64; 4];
+                // SAFETY: `counts` is a 32-byte writable buffer; storeu
+                // has no alignment requirement.
+                unsafe { _mm256_storeu_si256(counts.as_mut_ptr().cast(), totals) };
+                for (lane, &count) in counts.iter().enumerate() {
+                    if hits & (1 << lane) != 0 {
+                        out.push(((row + lane) as u32, count as u32));
+                    }
+                }
+            }
+            row += 4;
+        }
+        while row < n {
+            let count = and_count_avx2_impl(query, &rows[row * stride..(row + 1) * stride]);
+            if count >= need {
+                out.push((row as u32, count as u32));
+            }
+            row += 1;
+        }
+    }
+
     pub(super) fn and_count_avx2(a: &[u64], b: &[u64]) -> usize {
         // SAFETY: reachable only via a Kernel built after
         // is_x86_feature_detected!("avx2") succeeded.
@@ -331,6 +532,16 @@ mod x86 {
     pub(super) fn and_count4_avx2(query: &[u64], rows: &[u64]) -> [usize; 4] {
         // SAFETY: as above — avx2 was detected at runtime.
         unsafe { and_count4_avx2_impl(query, rows) }
+    }
+
+    pub(super) fn scan_ge_avx2(
+        query: &[u64],
+        rows: &[u64],
+        need: usize,
+        out: &mut Vec<(u32, u32)>,
+    ) {
+        // SAFETY: as above — avx2 was detected at runtime.
+        unsafe { scan_ge_avx2_impl(query, rows, need, out) }
     }
 
     // ---- avx512: native 64-bit-lane popcount (VPOPCNTDQ) ----
@@ -396,6 +607,101 @@ mod x86 {
         out
     }
 
+    /// Native `scan_ge`: 8 rows per step, one 512-bit accumulator each.
+    /// The eight accumulators are reduced together by a transposed add
+    /// tree (3 levels, 14 shuffles + 7 adds) into one vector holding the
+    /// eight row counts, compared against `need` into a mask register —
+    /// a step with no qualifying row costs no scalar work at all. Words
+    /// past the last whole 8-word group use masked loads.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn scan_ge_avx512_impl(query: &[u64], rows: &[u64], need: usize, out: &mut Vec<(u32, u32)>) {
+        let stride = query.len();
+        let n = rows.len() / stride;
+        let body = stride - stride % 8;
+        let tail_mask: __mmask8 = (1u8 << (stride % 8)) - 1;
+        let floor = _mm512_set1_epi64(i64::try_from(need).unwrap_or(i64::MAX));
+        let mut row = 0usize;
+        while row + 8 <= n {
+            let block = &rows[row * stride..(row + 8) * stride];
+            let mut acc = [_mm512_setzero_si512(); 8];
+            let mut i = 0usize;
+            if body > 0 {
+                unsafe {
+                    let q = _mm512_loadu_si512(query.as_ptr().cast());
+                    for (lane, a) in acc.iter_mut().enumerate() {
+                        let r = _mm512_loadu_si512(block.as_ptr().add(lane * stride).cast());
+                        *a = _mm512_popcnt_epi64(_mm512_and_si512(q, r));
+                    }
+                }
+                i = 8;
+            }
+            while i < body {
+                // SAFETY: i + 8 <= body <= stride keeps the query load and
+                // the eight row loads (at lane * stride + i) inside `query`
+                // and the 8 * stride words of `block`.
+                unsafe {
+                    let q = _mm512_loadu_si512(query.as_ptr().add(i).cast());
+                    for (lane, a) in acc.iter_mut().enumerate() {
+                        let r = _mm512_loadu_si512(block.as_ptr().add(lane * stride + i).cast());
+                        *a = _mm512_add_epi64(*a, _mm512_popcnt_epi64(_mm512_and_si512(q, r)));
+                    }
+                }
+                i += 8;
+            }
+            if tail_mask != 0 {
+                // SAFETY: a masked load touches only the `stride % 8`
+                // selected words, which start at `body` and end at
+                // `stride` in `query` and in each row of `block`;
+                // masked-out lanes are not accessed.
+                unsafe {
+                    let q = _mm512_maskz_loadu_epi64(tail_mask, query.as_ptr().add(body).cast());
+                    for (lane, a) in acc.iter_mut().enumerate() {
+                        let r = _mm512_maskz_loadu_epi64(
+                            tail_mask,
+                            block.as_ptr().add(lane * stride + body).cast(),
+                        );
+                        *a = _mm512_add_epi64(*a, _mm512_popcnt_epi64(_mm512_and_si512(q, r)));
+                    }
+                }
+            }
+            // Level 1: fold adjacent u64 lanes, interleaving row pairs.
+            let pair = |a: __m512i, b: __m512i| {
+                _mm512_add_epi64(_mm512_unpacklo_epi64(a, b), _mm512_unpackhi_epi64(a, b))
+            };
+            // Levels 2 and 3: fold 128-bit lanes, interleaving the halves.
+            let quad = |a: __m512i, b: __m512i| {
+                _mm512_add_epi64(
+                    _mm512_shuffle_i64x2(a, b, 0x88),
+                    _mm512_shuffle_i64x2(a, b, 0xDD),
+                )
+            };
+            let totals = quad(
+                quad(pair(acc[0], acc[1]), pair(acc[2], acc[3])),
+                quad(pair(acc[4], acc[5]), pair(acc[6], acc[7])),
+            );
+            let mut hits = _mm512_cmpge_epu64_mask(totals, floor);
+            if hits != 0 {
+                let mut counts = [0u64; 8];
+                // SAFETY: `counts` is a 64-byte writable buffer; storeu
+                // has no alignment requirement.
+                unsafe { _mm512_storeu_si512(counts.as_mut_ptr().cast(), totals) };
+                while hits != 0 {
+                    let lane = hits.trailing_zeros() as usize;
+                    out.push(((row + lane) as u32, counts[lane] as u32));
+                    hits &= hits - 1;
+                }
+            }
+            row += 8;
+        }
+        while row < n {
+            let count = and_count_avx512_impl(query, &rows[row * stride..(row + 1) * stride]);
+            if count >= need {
+                out.push((row as u32, count as u32));
+            }
+            row += 1;
+        }
+    }
+
     pub(super) fn and_count_avx512(a: &[u64], b: &[u64]) -> usize {
         // SAFETY: reachable only via a Kernel built after
         // is_x86_feature_detected! confirmed avx512f + avx512vpopcntdq.
@@ -405,6 +711,16 @@ mod x86 {
     pub(super) fn and_count4_avx512(query: &[u64], rows: &[u64]) -> [usize; 4] {
         // SAFETY: as above — avx512f + avx512vpopcntdq were detected.
         unsafe { and_count4_avx512_impl(query, rows) }
+    }
+
+    pub(super) fn scan_ge_avx512(
+        query: &[u64],
+        rows: &[u64],
+        need: usize,
+        out: &mut Vec<(u32, u32)>,
+    ) {
+        // SAFETY: as above — avx512f + avx512vpopcntdq were detected.
+        unsafe { scan_ge_avx512_impl(query, rows, need, out) }
     }
 }
 
@@ -476,6 +792,20 @@ mod arm {
         out
     }
 
+    #[target_feature(enable = "neon")]
+    fn scan_ge_neon_impl(query: &[u64], rows: &[u64], need: usize, out: &mut Vec<(u32, u32)>) {
+        super::scan_ge_by_blocks(
+            query,
+            rows,
+            need,
+            out,
+            // Closures, not fn items: they inherit this function's
+            // target feature, which is what makes the calls safe.
+            |q, block| and_count4_neon_impl(q, block),
+            |q, r| and_count_neon_impl(q, r),
+        );
+    }
+
     pub(super) fn and_count_neon(a: &[u64], b: &[u64]) -> usize {
         // SAFETY: reachable only via a Kernel built after the aarch64
         // runtime detection of "neon" succeeded.
@@ -485,6 +815,16 @@ mod arm {
     pub(super) fn and_count4_neon(query: &[u64], rows: &[u64]) -> [usize; 4] {
         // SAFETY: as above — neon was detected at runtime.
         unsafe { and_count4_neon_impl(query, rows) }
+    }
+
+    pub(super) fn scan_ge_neon(
+        query: &[u64],
+        rows: &[u64],
+        need: usize,
+        out: &mut Vec<(u32, u32)>,
+    ) {
+        // SAFETY: as above — neon was detected at runtime.
+        unsafe { scan_ge_neon_impl(query, rows, need, out) }
     }
 }
 
@@ -496,6 +836,7 @@ const SCALAR: Kernel = Kernel {
     name: "scalar",
     and_count: scalar::and_count,
     and_count4: scalar::and_count4,
+    scan_ge: scalar::scan_ge,
 };
 
 /// Detect what this CPU supports, worst path first / best path last.
@@ -509,6 +850,7 @@ fn detect_kernels() -> Vec<Kernel> {
                 name: "portable",
                 and_count: x86::and_count_portable,
                 and_count4: x86::and_count4_portable,
+                scan_ge: x86::scan_ge_portable,
             });
         }
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -516,6 +858,7 @@ fn detect_kernels() -> Vec<Kernel> {
                 name: "avx2",
                 and_count: x86::and_count_avx2,
                 and_count4: x86::and_count4_avx2,
+                scan_ge: x86::scan_ge_avx2,
             });
         }
         if std::arch::is_x86_feature_detected!("avx512f")
@@ -525,6 +868,7 @@ fn detect_kernels() -> Vec<Kernel> {
                 name: "avx512",
                 and_count: x86::and_count_avx512,
                 and_count4: x86::and_count4_avx512,
+                scan_ge: x86::scan_ge_avx512,
             });
         }
     }
@@ -535,6 +879,7 @@ fn detect_kernels() -> Vec<Kernel> {
                 name: "neon",
                 and_count: arm::and_count_neon,
                 and_count4: arm::and_count4_neon,
+                scan_ge: arm::scan_ge_neon,
             });
         }
     }
@@ -732,6 +1077,112 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Flat word rows with a given fill, for strides that are not a
+    /// whole number of bits-per-filter (the kernels only see words).
+    fn random_words(n: usize, denom: u64, rng: &mut SplitMix64) -> Vec<u64> {
+        (0..n)
+            .map(|_| {
+                let mut w = rng.next_u64();
+                for _ in 1..denom {
+                    w &= rng.next_u64();
+                }
+                w
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scan_ge_equals_filtered_and_count_on_every_path() {
+        // Strides around every vector width (4 and 8 words) and its
+        // tails; row counts around every step size (4 and 8 rows),
+        // including the empty tile.
+        let mut rng = SplitMix64::new(0x5CA9);
+        for stride in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 32] {
+            for n in (0..=19).chain([64, 67]) {
+                let query = random_words(stride, 1 + rng.next_u64() % 2, &mut rng);
+                let rows = random_words(n * stride, 1 + rng.next_u64() % 3, &mut rng);
+                let counts: Vec<usize> = rows
+                    .chunks_exact(stride)
+                    .map(|r| scalar::and_count(&query, r))
+                    .collect();
+                let max = counts.iter().copied().max().unwrap_or(0);
+                let mid = counts.get(n / 2).copied().unwrap_or(1);
+                for need in [0, 1, mid, max, max + 1, usize::MAX] {
+                    let want: Vec<(u32, u32)> = counts
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &c)| c >= need)
+                        .map(|(i, &c)| (i as u32, c as u32))
+                        .collect();
+                    for k in available_kernels() {
+                        // Appends after what is already there.
+                        let mut got = vec![(u32::MAX, u32::MAX)];
+                        k.scan_ge(&query, &rows, need, &mut got);
+                        assert_eq!(got[0], (u32::MAX, u32::MAX));
+                        assert_eq!(
+                            &got[1..],
+                            &want[..],
+                            "kernel={} stride={stride} rows={n} need={need}",
+                            k.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scan_ge")]
+    fn ragged_tile_panics_in_release_too() {
+        active_kernel().scan_ge(&[0u64; 4], &[0u64; 10], 0, &mut Vec::new());
+    }
+
+    #[test]
+    fn need_count_is_the_exact_integer_form_of_a_dice_threshold() {
+        // θ drawn from real score values (so ties occur), plus the
+        // interval ends and values just off a real score.
+        let mut rng = SplitMix64::new(0x7E57);
+        let mut cases: Vec<(usize, usize)> = vec![(0, 0), (0, 5), (5, 0), (1, 1), (414, 414)];
+        for _ in 0..60 {
+            cases.push((
+                (rng.next_u64() % 600) as usize,
+                (rng.next_u64() % 600) as usize,
+            ));
+        }
+        for &(q, x) in &cases {
+            let cap = q.min(x);
+            let mut thetas = vec![0.0, 1.0, 0.8, 0.65, f64::MIN_POSITIVE];
+            for c in [0, cap / 3, cap / 2, cap.saturating_sub(1), cap] {
+                let score = dice_from_counts(c, q, x);
+                thetas.push(score);
+                thetas.push(f64::from_bits(score.to_bits() + 1).min(1.0));
+                if score > 0.0 {
+                    thetas.push(f64::from_bits(score.to_bits() - 1));
+                }
+            }
+            // A score of some *other* pair: the k-th best so far.
+            thetas.push(dice_from_counts(cap / 2, q + 3, x + 11));
+            for theta in thetas {
+                let need = need_count(theta, q, x);
+                for c in 0..=cap + 2 {
+                    assert_eq!(
+                        c >= need,
+                        dice_from_counts(c, q, x) >= theta,
+                        "theta={theta} q={q} x={x} c={c} need={need}"
+                    );
+                }
+                // Monotone in the row popcount: the tile floor is sound.
+                assert!(
+                    need <= need_count(theta, q, x + 1),
+                    "theta={theta} q={q} x={x}"
+                );
+            }
+        }
+        assert_eq!(need_count(1.0, 0, 0), 0, "both-empty pairs score 1.0");
+        assert_eq!(need_count(1.5, 10, 10), usize::MAX);
+        assert_eq!(need_count(f64::NAN, 10, 10), usize::MAX);
     }
 
     #[test]
