@@ -4,13 +4,23 @@
 //! Topology is deliberately dumb: N independent `pprl-server` shard
 //! nodes, each holding a disjoint slice of the corpus, fronted by one
 //! coordinator that speaks the same wire protocol downstream (through
-//! the stock [`Client`], inheriting its jittered `Busy` backoff and
-//! per-call deadline) and upstream (see [`crate::server`]). Reads
+//! the stock [`Client`]) and upstream (see [`crate::server`]). Reads
 //! (Query/Link) are broadcast to every shard and the per-shard top-k
 //! lists merged exactly by [`crate::merge::merge_top_k`]; writes
 //! (Insert) are routed to a single shard by a stable hash of the record
 //! id, so a record always lands — and is always found — on the same
 //! node.
+//!
+//! Fan-out needs no threads. Every operation goes through one
+//! [`Coordinator::scatter`]: the request is encoded once from the
+//! caller's borrowed data, *phase 1* writes that payload to a pooled
+//! (or freshly dialed) connection of every target shard, *phase 2*
+//! reads the replies in shard order on the calling thread. Once the
+//! requests are on the wire the shards work concurrently and the
+//! kernel buffers whatever arrives early, so reading in turn waits
+//! exactly as long as the slowest shard — what a thread per shard
+//! would wait — without the spawn, join and wake-up per shard per
+//! request. One absolute deadline covers the whole gather.
 //!
 //! Failure handling follows the quorum/degraded-mode semantics of
 //! `protocols::session`: a shard whose call fails at the transport
@@ -27,7 +37,9 @@ use pprl_core::error::{PprlError, Result};
 use pprl_index::query::Hit;
 use pprl_server::client::Client;
 use pprl_server::metrics::LatencyHistogram;
-use pprl_server::wire::{StatsReport, WIRE_VERSION};
+use pprl_server::wire::{
+    encode_insert, encode_link, encode_query, Request, Response, StatsReport, WIRE_VERSION,
+};
 use pprl_session::handshake::ClientAuth;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -44,8 +56,11 @@ pub struct ClusterConfig {
     /// many shards answered; fewer is a typed error, not a silently
     /// partial result. Writes always require their routed shard.
     pub min_shards: usize,
-    /// Per shard-call deadline (request + shard think time + `Busy`
-    /// backoff cycles), enforced by the underlying [`Client`].
+    /// Deadline of one gather: every shard's reply (request + shard
+    /// think time) is awaited against the same instant, this long after
+    /// the scatter began. A fallback on one shard (stale-socket redial,
+    /// `Busy` backoff) runs a plain [`Client::call`] under a fresh
+    /// budget of the same length.
     pub deadline: Duration,
     /// Credentials the coordinator presents to its shard nodes. `None`
     /// speaks plaintext wire v3 (shards must be running without an auth
@@ -121,7 +136,8 @@ fn get(counter: &AtomicU64) -> u64 {
 /// One shard node: its address, a small pool of idle connections
 /// (workers return connections after successful calls, so concurrent
 /// requests multiplex without a global lock), and the last known
-/// health, updated by every call outcome.
+/// health, updated by every call outcome. Every pooled connection is
+/// quiescent — no request of ours is unanswered on it.
 #[derive(Debug)]
 struct ShardSlot {
     addr: String,
@@ -257,98 +273,137 @@ impl Coordinator {
             .collect()
     }
 
-    /// Runs one call against shard `i` on a pooled (or fresh)
-    /// connection, updating the shard's health mark from the outcome.
-    /// Connections survive successful calls; a failed call's connection
-    /// is dropped so the next attempt starts clean.
+    /// Marks shard `i` down if `e` is a shard failure; a typed rejection
+    /// passes through (the shard is up, it just refused this request).
+    fn failed(&self, i: usize, e: PprlError) -> PprlError {
+        if is_shard_failure(&e) {
+            self.shards[i].down.store(true, Ordering::SeqCst);
+            add(&self.metrics.shard_failures, 1);
+        }
+        e
+    }
+
+    /// A fresh connection to shard `i` (handshake included when
+    /// authenticating) with the cluster deadline set.
+    fn dial(&self, i: usize) -> Result<Client> {
+        let mut client = Client::connect_with(&self.shards[i].addr, self.config.shard_auth.clone())
+            .map_err(|e| self.failed(i, e))?;
+        client.set_deadline(self.config.deadline);
+        Ok(client)
+    }
+
+    /// Phase 1 for one shard: writes `payload` on a pooled connection,
+    /// else a fresh one, and returns it with whether it was pooled.
     ///
-    /// A connection-level `Transport` failure (EOF, reset) on a
-    /// *pooled* connection proves nothing about the shard — nodes close
-    /// sessions idle past their `idle_timeout`, so a pool that sat
-    /// quiet holds dead sockets. Only that failure falls through to one
-    /// fresh dial before the shard is declared down, and the redial
-    /// cannot double-apply an insert: a node that reads a request
-    /// always writes the acknowledgement on the same connection before
-    /// closing it, so an EOF with no response means the request was
-    /// never processed. A `Timeout` carries no such proof — the request
-    /// may be fully written to a slow-but-alive shard that applies it
-    /// after we give up, so resending would double-apply non-idempotent
-    /// calls — and a version-skewed shard answers a redial identically;
-    /// both are terminal here.
-    fn call_shard<T>(&self, i: usize, f: impl Fn(&mut Client) -> Result<T>) -> Result<T> {
-        let slot = &self.shards[i];
-        // Bind the pop before matching on it: an `if let` on the locked
-        // pool would hold the mutex guard across the call below and
-        // self-deadlock when the success path re-locks to return the
-        // connection.
-        let pooled = slot.idle.lock().expect("idle lock").pop();
-        if let Some(mut pooled) = pooled {
-            match f(&mut pooled) {
-                Ok(v) => {
-                    slot.down.store(false, Ordering::SeqCst);
-                    slot.idle.lock().expect("idle lock").push(pooled);
-                    return Ok(v);
-                }
-                // The shard answered with a typed rejection: it is up,
-                // and retrying the same request would not help. Drop
-                // the connection (it may hold a half-read response).
-                Err(e) if !is_shard_failure(&e) => return Err(e),
-                // Possibly-stale pooled socket (EOF/reset before any
-                // response): provably unprocessed, safe to redial.
+    /// A `Transport` failure writing to a *pooled* socket proves nothing
+    /// about the shard — nodes close sessions idle past their
+    /// `idle_timeout`, so a quiet pool holds dead sockets — and a frame
+    /// that never arrived whole was never processed: dial once and send
+    /// there instead.
+    fn send_to(&self, i: usize, payload: &[u8]) -> Result<(Client, bool)> {
+        // Bind the pop first: the pool's guard must not outlive this
+        // statement, or it would be held across the I/O below.
+        let pooled = self.shards[i].idle.lock().expect("idle lock").pop();
+        if let Some(mut client) = pooled {
+            match client.send(payload) {
+                Ok(()) => return Ok((client, true)),
                 Err(PprlError::Transport(_)) => {}
-                // Timeout (maybe applied — resending could duplicate)
-                // or version skew (redial answers the same): terminal.
-                Err(e) => {
-                    slot.down.store(true, Ordering::SeqCst);
-                    add(&self.metrics.shard_failures, 1);
-                    return Err(e);
-                }
+                Err(e) => return Err(self.failed(i, e)),
             }
         }
-        let mut client = match Client::connect_with(&slot.addr, self.config.shard_auth.clone()) {
-            Ok(mut c) => {
-                c.set_deadline(self.config.deadline);
-                c
+        let mut client = self.dial(i)?;
+        client.send(payload).map_err(|e| self.failed(i, e))?;
+        Ok((client, false))
+    }
+
+    /// Phase 2 for one shard: reads the reply owed on the connection
+    /// `send_to` returned, against the gather's `deadline`, and updates
+    /// the shard's health mark. Per shard:
+    ///
+    /// - `Transport` on a *pooled* socket is taken as the stale-socket
+    ///   signature (EOF or reset, no reply byte): the write went into a
+    ///   dead socket's buffer. A node that reads a request always
+    ///   writes its reply on the same connection before closing it, so
+    ///   no reply means never processed, and one fresh dial plus a
+    ///   plain [`Client::call`] cannot double-apply an insert. A
+    ///   freshly dialed socket gets no second chance.
+    /// - `Timeout` carries no such proof — the request may be fully
+    ///   written to a slow-but-alive shard that applies it after we
+    ///   give up, so resending could double-apply — and a version-skewed
+    ///   shard answers a redial identically: both are terminal and mark
+    ///   the shard down.
+    /// - `Busy` means rejected before dispatch and the connection
+    ///   closed: `Client::call` on the same client backs off,
+    ///   reconnects and resends within its own deadline.
+    /// - A typed rejection leaves the health mark alone and surfaces to
+    ///   [`Coordinator::gather`], which aborts the operation on it.
+    ///
+    /// **A connection returns to the idle pool only here, once its reply
+    /// has been read in full and has the shape `expect` accepts.** A
+    /// reply left unread would be taken for the answer to the *next*
+    /// request on that connection — under wire v4 too, where it carries
+    /// exactly the sequence number the next reply is expected to. Every
+    /// other outcome drops the connection.
+    fn recv_from<T>(
+        &self,
+        i: usize,
+        payload: &[u8],
+        sent: Result<(Client, bool)>,
+        deadline: Instant,
+        expect: &impl Fn(Response) -> Option<T>,
+    ) -> Result<T> {
+        let (mut client, pooled) = sent?;
+        let call = |client: &mut Client| client.call(&Request::decode(payload)?);
+        let reply = match client.recv(deadline) {
+            Ok(Response::Busy { .. }) => call(&mut client),
+            Err(PprlError::Transport(_)) if pooled => {
+                client = self.dial(i)?;
+                call(&mut client)
             }
-            Err(e) => {
-                slot.down.store(true, Ordering::SeqCst);
-                add(&self.metrics.shard_failures, 1);
-                return Err(e);
-            }
+            other => other,
         };
-        match f(&mut client) {
-            Ok(v) => {
-                slot.down.store(false, Ordering::SeqCst);
-                slot.idle.lock().expect("idle lock").push(client);
-                Ok(v)
+        let malformed =
+            || PprlError::Transport(format!("shard {i}: malformed or unexpected reply"));
+        match reply.and_then(|reply| expect(reply).ok_or_else(malformed)) {
+            Ok(value) => {
+                self.shards[i].down.store(false, Ordering::SeqCst);
+                self.shards[i].idle.lock().expect("idle lock").push(client);
+                Ok(value)
             }
-            Err(e) => {
-                if is_shard_failure(&e) {
-                    slot.down.store(true, Ordering::SeqCst);
-                    add(&self.metrics.shard_failures, 1);
-                }
-                // Drop the connection: the stream may hold a half-read
-                // response.
-                Err(e)
-            }
+            Err(e) => Err(self.failed(i, e)),
         }
     }
 
-    /// Scatters `f` to every shard concurrently (one scoped thread per
-    /// shard) and gathers the per-shard outcomes in shard order.
-    fn scatter<T: Send>(&self, f: impl Fn(&mut Client) -> Result<T> + Sync) -> Vec<Result<T>> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards.len())
-                .map(|i| {
-                    let f = &f;
-                    scope.spawn(move || self.call_shard(i, f))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard call panicked"))
-                .collect()
-        })
+    /// The one fan-out path. Sends each `(shard, payload)` leg, then
+    /// reads the replies in the same order on the calling thread; a
+    /// reply `expect` does not accept is a shard failure. Every request
+    /// is on the wire before the first reply is awaited, so the shards
+    /// overlap; every reply is awaited even after another leg has
+    /// failed, so no connection is left with a reply in flight. A silent
+    /// shard costs the gather its deadline once (blocking reads wake at
+    /// least every `deadline`; each further silent shard adds at most
+    /// one such wake-up).
+    fn scatter<'a, T>(
+        &self,
+        legs: impl Iterator<Item = (usize, &'a [u8])>,
+        expect: impl Fn(Response) -> Option<T>,
+    ) -> Vec<Result<T>> {
+        let deadline = Instant::now() + self.config.deadline;
+        let sent: Vec<_> = legs
+            .map(|(i, payload)| (i, payload, self.send_to(i, payload)))
+            .collect();
+        sent.into_iter()
+            .map(|(i, payload, sent)| self.recv_from(i, payload, sent, deadline, &expect))
+            .collect()
+    }
+
+    /// [`Coordinator::scatter`] of one shared payload to every shard.
+    fn broadcast<T>(
+        &self,
+        payload: &[u8],
+        expect: impl Fn(Response) -> Option<T>,
+    ) -> Vec<Result<T>> {
+        self.scatter((0..self.shards.len()).map(|i| (i, payload)), expect)
     }
 
     /// Splits gather results into per-shard successes and a missing
@@ -388,7 +443,10 @@ impl Coordinator {
     /// as degraded).
     pub fn query(&self, filter: &BitVec, k: usize) -> Result<Vec<Hit>> {
         let started = Instant::now();
-        let results = self.scatter(|c| c.query(filter, k));
+        let results = self.broadcast(&encode_query(filter, k as u32), |reply| match reply {
+            Response::Hits(hits) => Some(hits),
+            _ => None,
+        });
         let (lists, _missing) = self.gather(results)?;
         let merged = merge_top_k(&lists, k);
         add(&self.metrics.queries, 1);
@@ -400,16 +458,24 @@ impl Coordinator {
 
     /// Broadcast batch link: per-probe top-k at or above `min_score`,
     /// merged per probe with the same exact k-way merge as
-    /// [`Coordinator::query`].
+    /// [`Coordinator::query`]. A shard whose reply does not carry
+    /// exactly one hit list per probe is malformed, not "no hits for
+    /// the rest": it counts as a failed shard under the quorum rules.
     pub fn link(&self, probes: &[BitVec], k: usize, min_score: f64) -> Result<Vec<Vec<Hit>>> {
         let started = Instant::now();
-        let results = self.scatter(|c| c.link(probes, k, min_score));
-        let (per_shard, _missing) = self.gather(results)?;
+        let payload = encode_link(probes, k as u32, min_score);
+        let results = self.broadcast(&payload, |reply| match reply {
+            Response::LinkHits(lists) if lists.len() == probes.len() => Some(lists),
+            _ => None,
+        });
+        let (mut per_shard, _missing) = self.gather(results)?;
+        // Each probe's lists are moved out of the replies, not cloned;
+        // `[pi]` is in range because short replies were refused above.
         let merged = (0..probes.len())
             .map(|pi| {
                 let lists: Vec<Vec<Hit>> = per_shard
-                    .iter()
-                    .map(|shard| shard.get(pi).cloned().unwrap_or_default())
+                    .iter_mut()
+                    .map(|shard| std::mem::take(&mut shard[pi]))
                     .collect();
                 merge_top_k(&lists, k)
             })
@@ -445,36 +511,37 @@ impl Coordinator {
     pub fn insert(&self, records: &[(u64, BitVec)]) -> Result<(u32, u64)> {
         let started = Instant::now();
         let n = self.shards.len();
-        let mut groups: Vec<Vec<(u64, BitVec)>> = vec![Vec::new(); n];
-        for (id, filter) in records {
-            groups[route_id(*id, n)].push((*id, filter.clone()));
+        let mut groups: Vec<Vec<&(u64, BitVec)>> = vec![Vec::new(); n];
+        for record in records {
+            groups[route_id(record.0, n)].push(record);
         }
-        let outcomes: Vec<(usize, Result<(u32, u64)>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .iter()
-                .enumerate()
-                .filter(|(_, g)| !g.is_empty())
-                .map(|(i, group)| scope.spawn(move || (i, self.call_shard(i, |c| c.insert(group)))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard insert panicked"))
-                .collect()
+        // One payload per target shard, encoded straight from the
+        // caller's records; shards that own nothing are not contacted.
+        let payloads: Vec<(usize, Vec<u8>)> = groups
+            .iter()
+            .enumerate()
+            .filter(|(_, group)| !group.is_empty())
+            .map(|(i, group)| (i, encode_insert(group.iter().copied())))
+            .collect();
+        let legs = payloads.iter().map(|(i, payload)| (*i, payload.as_slice()));
+        let outcomes = self.scatter(legs, |reply| match reply {
+            Response::Inserted { count, generation } => Some((count, generation)),
+            _ => None,
         });
         let mut count = 0u32;
         let mut generation = 0u64;
         let mut applied_shards = Vec::new();
         let mut failed_shards = Vec::new();
         let mut first_error = None;
-        for (shard, outcome) in outcomes {
+        for ((shard, _), outcome) in payloads.iter().zip(outcomes) {
             match outcome {
                 Ok((c, g)) => {
                     count += c;
                     generation = generation.max(g);
-                    applied_shards.push(shard as u32);
+                    applied_shards.push(*shard as u32);
                 }
                 Err(e) => {
-                    failed_shards.push(shard as u32);
+                    failed_shards.push(*shard as u32);
                     if first_error.is_none() {
                         first_error = Some(e);
                     }
@@ -517,7 +584,10 @@ impl Coordinator {
     /// with `degraded`/`shards_down`/`missing_shards` telling the
     /// truth about the rest.
     pub fn stats(&self, uptime_ms: u64) -> StatsReport {
-        let results = self.scatter(|c| c.stats());
+        let results = self.broadcast(&Request::Stats.encode(), |reply| match reply {
+            Response::Stats(report) => Some(report),
+            _ => None,
+        });
         let mut report = StatsReport::default();
         let mut missing_shards = Vec::new();
         for (i, r) in results.into_iter().enumerate() {
@@ -566,7 +636,10 @@ impl Coordinator {
     /// acknowledged. Used by orderly cluster teardown (the coordinator
     /// front end itself is stopped separately).
     pub fn shutdown_shards(&self) -> usize {
-        let results = self.scatter(|c| c.shutdown());
+        let results = self.broadcast(&Request::Shutdown.encode(), |reply| match reply {
+            Response::Bye => Some(()),
+            _ => None,
+        });
         results.into_iter().filter(Result::is_ok).count()
     }
 

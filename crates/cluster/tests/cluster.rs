@@ -1007,3 +1007,438 @@ fn authenticated_cluster_end_to_end() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+// ------------------------------------------------------------------
+// Scripted shards: the two-phase scatter under forced interleavings.
+//
+// A fake shard speaks plaintext wire v3 — or wire v4, after the real
+// server-side handshake — and answers from a script, so each test
+// decides exactly when a request has been received, when (and whether)
+// its reply is written, and what the reply says. Ordering is forced
+// with channels, never with sleeps.
+
+use pprl_cluster::merge::merge_top_k;
+use pprl_session::channel::SecureChannel;
+use pprl_session::handshake::{server_handshake, ClientAuth};
+use pprl_session::keys::{entropy_rng, PartyKey};
+use pprl_session::registry::{AuthRegistry, TenantGrant};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Instant;
+
+/// How long a scripted shard waits for a signal that a correct
+/// coordinator delivers at once; a wrong one fails the test instead of
+/// hanging it.
+const SIGNAL_WAIT: Duration = Duration::from_secs(5);
+
+/// One accepted connection of a scripted shard.
+struct FakeConn {
+    stream: TcpStream,
+    channel: Option<SecureChannel>,
+}
+
+impl FakeConn {
+    fn accept(listener: &TcpListener, registry: Option<&AuthRegistry>) -> FakeConn {
+        let (mut stream, _) = listener.accept().unwrap();
+        let channel = registry.map(|registry| {
+            let Incoming::Payload(hello) = read_payload(&mut stream).unwrap() else {
+                panic!("coordinator hung up before HELLO");
+            };
+            let mut rng = entropy_rng();
+            server_handshake(
+                &mut stream,
+                &hello,
+                registry,
+                &mut rng,
+                SuiteOffer::default(),
+            )
+            .unwrap()
+            .channel
+        });
+        FakeConn { stream, channel }
+    }
+
+    /// The next request, or `None` once the coordinator has dropped
+    /// this connection.
+    fn request(&mut self) -> Option<Request> {
+        let incoming = match &mut self.channel {
+            Some(channel) => channel.recv(&mut self.stream),
+            None => read_payload(&mut self.stream),
+        };
+        match incoming {
+            Ok(Incoming::Payload(p)) => Some(Request::decode(&p).unwrap()),
+            Ok(Incoming::Eof) | Err(_) => None,
+            Ok(Incoming::TimedOut) => panic!("fake shards set no read timeout"),
+        }
+    }
+
+    fn reply(&mut self, response: Response) {
+        match &mut self.channel {
+            Some(channel) => channel.send(&mut self.stream, &response.encode()).unwrap(),
+            None => write_payload(&mut self.stream, &response.encode()).unwrap(),
+        }
+    }
+}
+
+struct FakeShard {
+    addr: String,
+    /// Connections accepted so far.
+    connections: Arc<AtomicUsize>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+/// A scripted shard that serves `requests` requests, over as many
+/// successive connections as the coordinator opens. `script(n, request,
+/// conn)` plays the n-th: it replies on `conn` (or does not) and
+/// returns whether the shard lives on — `false` kills it on the spot,
+/// connection and listener closed.
+fn fake_shard(
+    registry: Option<AuthRegistry>,
+    requests: usize,
+    mut script: impl FnMut(usize, Request, &mut FakeConn) -> bool + Send + 'static,
+) -> FakeShard {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let connections = Arc::new(AtomicUsize::new(0));
+    let accepted = Arc::clone(&connections);
+    let thread = std::thread::spawn(move || {
+        let mut served = 0;
+        while served < requests {
+            let mut conn = FakeConn::accept(&listener, registry.as_ref());
+            accepted.fetch_add(1, Ordering::SeqCst);
+            while served < requests {
+                let Some(request) = conn.request() else { break };
+                if !script(served, request, &mut conn) {
+                    return;
+                }
+                served += 1;
+            }
+        }
+    });
+    FakeShard {
+        addr,
+        connections,
+        thread,
+    }
+}
+
+/// A coordinator over `fakes` (plaintext unless `auth`).
+fn coordinator_over(
+    fakes: &[FakeShard],
+    min_shards: usize,
+    deadline: Duration,
+    auth: Option<ClientAuth>,
+) -> Coordinator {
+    Coordinator::new(ClusterConfig {
+        shards: fakes.iter().map(|f| f.addr.clone()).collect(),
+        min_shards,
+        deadline,
+        shard_auth: auth,
+    })
+    .unwrap()
+}
+
+fn join_all(fakes: Vec<FakeShard>) {
+    for fake in fakes {
+        fake.thread.join().expect("scripted shard panicked");
+    }
+}
+
+/// Scripted hits of `shard` for its `request`-th request: sorted the
+/// way a node sorts, distinct per request (a reply consumed one request
+/// late changes the merged answer), with scores that tie across shards
+/// (so the merge has to break ties by id).
+fn scripted_hits(shard: usize, request: usize) -> Vec<Hit> {
+    (0..3)
+        .map(|rank| Hit {
+            id: (shard * 1000 + request * 10 + rank) as u64,
+            score: 0.9 - 0.1 * rank as f64,
+        })
+        .collect()
+}
+
+/// The script step of a well-behaved shard: answer with the scripted
+/// hits.
+fn reply_hits(conn: &mut FakeConn, shard: usize, request: usize) -> bool {
+    conn.reply(Response::Hits(scripted_hits(shard, request)));
+    true
+}
+
+/// What the coordinator must answer for request number `request` when
+/// exactly `shards` reply.
+fn scripted_merge(shards: &[usize], request: usize, k: usize) -> Vec<Hit> {
+    let lists: Vec<Vec<Hit>> = shards.iter().map(|&s| scripted_hits(s, request)).collect();
+    merge_top_k(&lists, k)
+}
+
+/// Overlap: shard 0 replies only after shards 1 and 2 have each
+/// *received* their request. A coordinator that awaits shard 0's reply
+/// before writing to the others deadlocks against this script and times
+/// out; the two-phase scatter has every request on the wire first.
+#[test]
+fn every_request_is_on_the_wire_before_the_first_reply_is_awaited() {
+    let (seen_tx, seen_rx) = mpsc::channel::<()>();
+    let mut fakes = vec![fake_shard(None, 1, move |n, _, conn| {
+        for _ in 0..2 {
+            seen_rx
+                .recv_timeout(SIGNAL_WAIT)
+                .expect("shard 0's reply was awaited before shards 1 and 2 got their requests");
+        }
+        reply_hits(conn, 0, n)
+    })];
+    for shard in 1..SHARDS {
+        let seen = seen_tx.clone();
+        fakes.push(fake_shard(None, 1, move |n, _, conn| {
+            seen.send(()).unwrap();
+            reply_hits(conn, shard, n)
+        }));
+    }
+    let coordinator = coordinator_over(&fakes, SHARDS, Duration::from_secs(2), None);
+    let got = coordinator.query(&filter_for(1), 5).unwrap();
+    assert_eq!(got, scripted_merge(&[0, 1, 2], 0, 5));
+    assert!(coordinator.missing_shards().is_empty());
+    join_all(fakes);
+}
+
+/// One query against three scripted shards whose replies are written
+/// strictly in `order` (each shard waits for its predecessor's reply to
+/// be on the wire).
+fn query_with_reply_order(order: [usize; SHARDS]) -> Vec<Hit> {
+    let (turn_txs, turn_rxs): (Vec<_>, Vec<_>) = (0..SHARDS).map(|_| mpsc::channel::<()>()).unzip();
+    turn_txs[order[0]].send(()).unwrap();
+    let fakes: Vec<FakeShard> = turn_rxs
+        .into_iter()
+        .enumerate()
+        .map(|(shard, my_turn)| {
+            let place = order.iter().position(|&s| s == shard).unwrap();
+            let next = order.get(place + 1).map(|&s| turn_txs[s].clone());
+            fake_shard(None, 1, move |n, _, conn| {
+                my_turn.recv_timeout(SIGNAL_WAIT).expect("turn never came");
+                reply_hits(conn, shard, n);
+                if let Some(next) = &next {
+                    next.send(()).unwrap();
+                }
+                true
+            })
+        })
+        .collect();
+    let coordinator = coordinator_over(&fakes, SHARDS, Duration::from_secs(2), None);
+    let got = coordinator.query(&filter_for(1), 7).unwrap();
+    join_all(fakes);
+    got
+}
+
+/// Order: replies arriving in reverse shard order merge to the same
+/// answer as replies arriving in shard order — the gather reads them in
+/// turn whatever order they land in, and the merge sees them by shard.
+#[test]
+fn reply_arrival_order_does_not_change_the_answer() {
+    let forward = query_with_reply_order([0, 1, 2]);
+    let reverse = query_with_reply_order([2, 1, 0]);
+    assert_eq!(forward, scripted_merge(&[0, 1, 2], 0, 7));
+    assert_eq!(reverse, forward);
+}
+
+/// A shard that reads the request and never answers costs the gather
+/// its deadline once: a typed timeout inside 2 × deadline, that shard
+/// marked down, and — quorum allowing — the other shards' hits returned
+/// as a degraded reply, including replies that sat buffered while the
+/// silent shard (read first when it is shard 0) ran the clock out.
+#[test]
+fn silent_shard_times_out_and_the_rest_answer_degraded() {
+    let deadline = Duration::from_millis(200);
+    for silent in [0usize, 2] {
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let mut done_rx = Some(done_rx);
+        let fakes: Vec<FakeShard> = (0..SHARDS)
+            .map(|shard| {
+                if shard == silent {
+                    let done = done_rx.take().unwrap();
+                    fake_shard(None, 1, move |_, _, _| {
+                        // Hold the connection open, silently, until the
+                        // test is over; then die.
+                        let _ = done.recv();
+                        false
+                    })
+                } else {
+                    fake_shard(None, 1, move |n, _, conn| reply_hits(conn, shard, n))
+                }
+            })
+            .collect();
+        let coordinator = coordinator_over(&fakes, 2, deadline, None);
+        let started = Instant::now();
+        let got = coordinator.query(&filter_for(1), 5).unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed >= deadline && elapsed < 2 * deadline,
+            "silent shard {silent}: gather took {elapsed:?} under a {deadline:?} deadline"
+        );
+        let answered: Vec<usize> = (0..SHARDS).filter(|&s| s != silent).collect();
+        assert_eq!(got, scripted_merge(&answered, 0, 5));
+        assert_eq!(coordinator.missing_shards(), vec![silent as u32]);
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(count(&coordinator.metrics.shard_failures), 1);
+        assert_eq!(count(&coordinator.metrics.degraded_replies), 1);
+        drop(done_tx);
+        join_all(fakes);
+    }
+}
+
+/// Pool hygiene. Shard 0 rejects the first query with a typed
+/// `ServerError` while shards 1 and 2 answer it normally: the call
+/// returns that error, and the next three queries are exactly the merge
+/// of what each shard scripted for *them*. A connection pooled with the
+/// first query's reply still unread would hand that reply to the second
+/// query — over wire v4 too, where the stale frame carries the expected
+/// sequence number and a valid MAC.
+fn typed_rejection_leaves_no_stale_reply(authenticated: bool) {
+    let key = PartyKey::from_bytes([0xC0; 32]);
+    let registry = authenticated.then(|| {
+        let mut registry = AuthRegistry::new();
+        registry
+            .insert("coordinator", key.clone(), TenantGrant::Any)
+            .unwrap();
+        registry
+    });
+    let auth = authenticated.then(|| ClientAuth {
+        identity: "coordinator".into(),
+        key: key.clone(),
+        tenant: "default".into(),
+        encrypt: true,
+        suites: SuiteOffer::default(),
+    });
+    let fakes: Vec<FakeShard> = (0..SHARDS)
+        .map(|shard| {
+            fake_shard(registry.clone(), 4, move |n, request, conn| {
+                assert!(matches!(request, Request::Query { .. }));
+                if shard == 0 && n == 0 {
+                    conn.reply(Response::ServerError {
+                        message: "shape mismatch: expected 512-bit filter, got 256-bit filter"
+                            .into(),
+                    });
+                    return true;
+                }
+                reply_hits(conn, shard, n)
+            })
+        })
+        .collect();
+    let coordinator = coordinator_over(&fakes, SHARDS, Duration::from_secs(5), auth);
+    match coordinator.query(&filter_for(1), 5) {
+        Err(PprlError::ProtocolError(msg)) => assert!(msg.contains("512-bit filter"), "{msg}"),
+        other => panic!("expected the shard's typed rejection, got {other:?}"),
+    }
+    // A rejection is not a failure: nobody is marked down.
+    assert!(coordinator.missing_shards().is_empty());
+    for request in 1..4 {
+        let got = coordinator.query(&filter_for(request as u64), 5).unwrap();
+        assert_eq!(
+            got,
+            scripted_merge(&[0, 1, 2], request, 5),
+            "query {request} consumed a reply that was not its own"
+        );
+    }
+    join_all(fakes);
+}
+
+#[test]
+fn typed_rejection_leaves_no_stale_reply_plaintext() {
+    typed_rejection_leaves_no_stale_reply(false);
+}
+
+#[test]
+fn typed_rejection_leaves_no_stale_reply_authenticated() {
+    typed_rejection_leaves_no_stale_reply(true);
+}
+
+/// A shard killed between phase 1 and phase 2 — it has read its request
+/// (on a pooled connection) and dies without a word once every other
+/// request is delivered — yields a degraded reply with exactly that
+/// shard missing, and the survivors keep serving on the connections
+/// they already had.
+#[test]
+fn shard_killed_mid_scatter_degrades_and_survivors_keep_their_connections() {
+    let (seen_tx, seen_rx) = mpsc::channel::<()>();
+    let mut seen_rx = Some(seen_rx);
+    let fakes: Vec<FakeShard> = (0..SHARDS)
+        .map(|shard| {
+            if shard == 1 {
+                let seen = seen_rx.take().unwrap();
+                fake_shard(None, 2, move |n, _, conn| {
+                    if n == 0 {
+                        return reply_hits(conn, shard, n);
+                    }
+                    for _ in 0..2 {
+                        seen.recv_timeout(SIGNAL_WAIT)
+                            .expect("shards 0 and 2 never got the second request");
+                    }
+                    false
+                })
+            } else {
+                let seen = seen_tx.clone();
+                fake_shard(None, 3, move |n, _, conn| {
+                    if n == 1 {
+                        seen.send(()).unwrap();
+                    }
+                    reply_hits(conn, shard, n)
+                })
+            }
+        })
+        .collect();
+    let coordinator = coordinator_over(&fakes, 2, Duration::from_secs(5), None);
+
+    // Query 0 fills the pools; query 1 loses shard 1 mid-flight; query
+    // 2 finds it still gone (its listener died with it).
+    assert_eq!(
+        coordinator.query(&filter_for(0), 5).unwrap(),
+        scripted_merge(&[0, 1, 2], 0, 5)
+    );
+    for request in 1..3 {
+        assert_eq!(
+            coordinator.query(&filter_for(request as u64), 5).unwrap(),
+            scripted_merge(&[0, 2], request, 5),
+            "query {request}: degraded merge is not exactly the survivors' hits"
+        );
+        assert_eq!(coordinator.missing_shards(), vec![1]);
+    }
+    for survivor in [0, 2] {
+        assert_eq!(
+            fakes[survivor].connections.load(Ordering::SeqCst),
+            1,
+            "survivor {survivor} was redialed: its pooled connection was not kept"
+        );
+    }
+    join_all(fakes);
+}
+
+/// A `LinkHits` reply with fewer hit lists than probes is a malformed
+/// reply — a failed shard under the quorum rules — not "no hits for
+/// the remaining probes".
+#[test]
+fn short_link_reply_is_a_shard_failure_not_a_partial_result() {
+    let probes: Vec<BitVec> = (0..3u64).map(filter_for).collect();
+    // Probe p's list from `shard`: the scripted hits of "request" p.
+    let lists_of = |shard: usize, n: usize| (0..n).map(|p| scripted_hits(shard, p)).collect();
+    let fakes: Vec<FakeShard> = (0..SHARDS)
+        .map(|shard| {
+            fake_shard(None, 1, move |_, request, conn| {
+                let Request::Link { probes, .. } = request else {
+                    panic!("expected a link request");
+                };
+                let answered = if shard == 1 { 2 } else { probes.len() };
+                conn.reply(Response::LinkHits(lists_of(shard, answered)));
+                true
+            })
+        })
+        .collect();
+    let coordinator = coordinator_over(&fakes, 2, Duration::from_secs(5), None);
+    let got = coordinator.link(&probes, 4, 0.0).unwrap();
+    let want: Vec<Vec<Hit>> = (0..probes.len())
+        .map(|p| scripted_merge(&[0, 2], p, 4))
+        .collect();
+    assert_eq!(got, want);
+    assert_eq!(coordinator.missing_shards(), vec![1]);
+    let failures = &coordinator.metrics.shard_failures;
+    assert_eq!(failures.load(Ordering::Relaxed), 1);
+    join_all(fakes);
+}

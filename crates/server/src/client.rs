@@ -15,6 +15,22 @@ use std::time::{Duration, Instant};
 /// Ceiling on one `Busy` backoff sleep, in milliseconds.
 const MAX_BACKOFF_MS: u64 = 2000;
 
+/// Ceiling on one blocking socket read or write. A call deadline
+/// shorter than this lowers it further (see [`Client::set_deadline`]).
+const MAX_IO_WAIT: Duration = Duration::from_secs(30);
+
+/// Sets the socket's read and write timeouts to `min(deadline, 30 s)`.
+/// Blocking I/O can only notice the call deadline when it wakes, so the
+/// wake-up interval must not exceed the deadline: a peer that accepts
+/// and goes silent then costs at most one timeout past the deadline
+/// (a typed `Timeout` within 2 × deadline), and one that stops draining
+/// fails the write instead of pinning the caller in `write_all`.
+fn set_io_timeouts(stream: &TcpStream, deadline: Duration) -> std::io::Result<()> {
+    let wait = Some(deadline.min(MAX_IO_WAIT));
+    stream.set_read_timeout(wait)?;
+    stream.set_write_timeout(wait)
+}
+
 /// Seeds the backoff jitter so concurrent clients rejected by the same
 /// burst do not retry in lockstep: a hash of the address mixed with
 /// sub-second wall-clock nanoseconds.
@@ -47,6 +63,11 @@ pub struct Client {
     addr: String,
     deadline: Duration,
     rng: SplitMix64,
+    /// Retry hint of a `Busy` reply [`recv`](Client::recv) surfaced and
+    /// no [`call`](Client::call) has absorbed yet. The server closed
+    /// that connection before dispatch, so the next `call` backs off
+    /// and reconnects before it sends.
+    rejected: Option<u32>,
 }
 
 impl Client {
@@ -60,42 +81,44 @@ impl Client {
     /// backoff, like requests do.
     pub fn connect_with(addr: &str, auth: Option<ClientAuth>) -> Result<Client> {
         let mut rng = SplitMix64::new(jitter_seed(addr));
+        let call_deadline = Duration::from_secs(60);
         let deadline = Instant::now() + Duration::from_secs(30);
-        let (stream, channel) = Self::establish(addr, auth.as_ref(), &mut rng, deadline)?;
+        let (stream, channel) =
+            Self::establish(addr, auth.as_ref(), &mut rng, deadline, call_deadline)?;
         Ok(Client {
             stream,
             channel,
             auth,
             addr: addr.to_string(),
-            deadline: Duration::from_secs(60),
+            deadline: call_deadline,
             rng,
+            rejected: None,
         })
     }
 
-    fn open_stream(addr: &str) -> Result<TcpStream> {
+    fn open_stream(addr: &str, call_deadline: Duration) -> Result<TcpStream> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| PprlError::Transport(format!("connecting to {addr}: {e}")))?;
         stream
             .set_nodelay(true)
-            .map_err(|e| PprlError::Transport(format!("configuring socket: {e}")))?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
+            .and_then(|()| set_io_timeouts(&stream, call_deadline))
             .map_err(|e| PprlError::Transport(format!("configuring socket: {e}")))?;
         Ok(stream)
     }
 
     /// Opens a socket and, when authenticating, completes the handshake,
     /// backing off through pre-handshake `Busy` rejections until
-    /// `deadline`.
+    /// `deadline`. The socket's I/O timeouts follow `call_deadline`.
     fn establish(
         addr: &str,
         auth: Option<&ClientAuth>,
         rng: &mut SplitMix64,
         deadline: Instant,
+        call_deadline: Duration,
     ) -> Result<(TcpStream, Option<SecureChannel>)> {
         let mut attempt: u32 = 0;
         loop {
-            let mut stream = Self::open_stream(addr)?;
+            let mut stream = Self::open_stream(addr, call_deadline)?;
             let Some(auth) = auth else {
                 return Ok((stream, None));
             };
@@ -121,11 +144,17 @@ impl Client {
 
     /// Sets the overall per-call deadline (default 60 s): the budget one
     /// [`call`] may spend on the request, server think time, and any
-    /// `Busy` backoff-and-retry cycles combined.
+    /// `Busy` backoff-and-retry cycles combined. Also lowers the
+    /// socket's read and write timeouts to `min(deadline, 30 s)` — here,
+    /// once, not per request — so a silent or stalled peer is noticed
+    /// within 2 × `deadline`.
     ///
     /// [`call`]: Client::call
     pub fn set_deadline(&mut self, deadline: Duration) {
         self.deadline = deadline.max(Duration::from_millis(1));
+        // Cannot fail on a live socket with a non-zero duration; if it
+        // did, the previous (coarser) timeouts stay in force.
+        let _ = set_io_timeouts(&self.stream, self.deadline);
     }
 
     /// Connects, retrying up to `attempts` times with `delay` between
@@ -162,80 +191,116 @@ impl Client {
     /// the call deadline (see [`set_deadline`]) runs out. A rejected
     /// connection was closed server-side *before* dispatch, so the
     /// request was never processed and resending after a reconnect is
-    /// safe. `ServerError` replies are surfaced as typed errors here so
-    /// the typed helpers below only see their success shape.
+    /// safe. `ServerError` replies are surfaced as typed errors (by
+    /// [`recv`]) so the typed helpers below only see their success
+    /// shape.
+    ///
+    /// A call is [`send`] then [`recv`]; the backoff step runs only
+    /// after a `Busy` — including one that an earlier bare `recv`
+    /// handed to its caller.
     ///
     /// [`set_deadline`]: Client::set_deadline
+    /// [`send`]: Client::send
+    /// [`recv`]: Client::recv
     pub fn call(&mut self, request: &Request) -> Result<Response> {
         let deadline = Instant::now() + self.deadline;
+        let encoded = request.encode();
         let mut attempt: u32 = 0;
         loop {
-            match self.call_once(request, deadline)? {
-                Response::Busy { retry_after_ms } => {
-                    attempt += 1;
-                    let base = u64::from(retry_after_ms.max(1))
-                        .saturating_mul(1 << (attempt - 1).min(6))
-                        .min(MAX_BACKOFF_MS);
-                    // Sleep in [base/2, base]: the random half keeps a
-                    // burst of rejected clients from retrying in phase.
-                    let wait = Duration::from_millis(base / 2 + self.rng.next_below(base / 2 + 1));
-                    if Instant::now() + wait >= deadline {
-                        return Err(PprlError::Timeout(format!(
-                            "server still busy after {attempt} attempts within the \
-                             {} ms deadline",
-                            self.deadline.as_millis()
-                        )));
-                    }
-                    std::thread::sleep(wait);
-                    // The server closed the rejected connection; an
-                    // authenticated client re-handshakes on the new one.
-                    let (stream, channel) =
-                        Self::establish(&self.addr, self.auth.as_ref(), &mut self.rng, deadline)?;
-                    self.stream = stream;
-                    self.channel = channel;
+            if let Some(retry_after_ms) = self.rejected.take() {
+                attempt += 1;
+                let base = u64::from(retry_after_ms.max(1))
+                    .saturating_mul(1 << (attempt - 1).min(6))
+                    .min(MAX_BACKOFF_MS);
+                // Sleep in [base/2, base]: the random half keeps a
+                // burst of rejected clients from retrying in phase.
+                let wait = Duration::from_millis(base / 2 + self.rng.next_below(base / 2 + 1));
+                if Instant::now() + wait >= deadline {
+                    return Err(PprlError::Timeout(format!(
+                        "server still busy after {attempt} attempts within the \
+                         {} ms deadline",
+                        self.deadline.as_millis()
+                    )));
                 }
-                Response::ServerError { message } => {
-                    return Err(PprlError::ProtocolError(format!(
-                        "server rejected request: {message}"
-                    )))
-                }
+                std::thread::sleep(wait);
+                // The server closed the rejected connection; an
+                // authenticated client re-handshakes on the new one.
+                let (stream, channel) = Self::establish(
+                    &self.addr,
+                    self.auth.as_ref(),
+                    &mut self.rng,
+                    deadline,
+                    self.deadline,
+                )?;
+                self.stream = stream;
+                self.channel = channel;
+            }
+            self.send(&encoded)?;
+            match self.recv(deadline)? {
+                Response::Busy { .. } => {} // `recv` kept the retry hint
                 other => return Ok(other),
             }
         }
     }
 
-    /// One request/response exchange on the current connection.
-    fn call_once(&mut self, request: &Request, deadline: Instant) -> Result<Response> {
-        let encoded = request.encode();
+    /// First half of a [`call`](Client::call): writes one
+    /// already-encoded request payload (the bytes of
+    /// [`Request::encode`]) as one frame, sealed first on an
+    /// authenticated session. One request is in flight per connection:
+    /// every `send` is followed by exactly one [`recv`](Client::recv).
+    pub fn send(&mut self, encoded: &[u8]) -> Result<()> {
         match &mut self.channel {
-            Some(ch) => ch.send(&mut self.stream, &encoded)?,
-            None => write_payload(&mut self.stream, &encoded)?,
+            Some(ch) => ch.send(&mut self.stream, encoded),
+            None => write_payload(&mut self.stream, encoded),
         }
+    }
+
+    /// Second half of a [`call`](Client::call): reads the one response
+    /// owed for the last [`send`](Client::send). Gives up with a typed
+    /// `Timeout` when a blocking read wakes past the absolute
+    /// `deadline`; a reply that is already buffered is still read,
+    /// however late the caller comes for it. `ServerError` becomes a
+    /// typed error. `Busy` is returned as it is: the server closed this
+    /// connection before dispatch, so the request is unprocessed, and
+    /// the next `call` backs off and reconnects before it sends.
+    pub fn recv(&mut self, deadline: Instant) -> Result<Response> {
+        let closed =
+            || PprlError::Transport("server closed the connection before responding".into());
         loop {
-            if Instant::now() >= deadline {
-                return Err(PprlError::Timeout(format!(
-                    "no response from server within {} ms",
-                    self.deadline.as_millis()
-                )));
-            }
             // The authenticated path decodes straight out of the
             // channel's receive buffer (no per-response copy); the
             // plaintext path keeps its owned payload.
-            let incoming = match &mut self.channel {
+            let response = match &mut self.channel {
                 Some(ch) => match ch.recv_ref(&mut self.stream)? {
-                    IncomingRef::Payload(p) => return Response::decode(p),
-                    IncomingRef::TimedOut => Incoming::TimedOut,
-                    IncomingRef::Eof => Incoming::Eof,
+                    IncomingRef::Payload(p) => Some(Response::decode(p)?),
+                    IncomingRef::TimedOut => None,
+                    IncomingRef::Eof => return Err(closed()),
                 },
-                None => read_payload(&mut self.stream)?,
+                None => match read_payload(&mut self.stream)? {
+                    Incoming::Payload(p) => Some(Response::decode(&p)?),
+                    Incoming::TimedOut => None,
+                    Incoming::Eof => return Err(closed()),
+                },
             };
-            match incoming {
-                Incoming::Payload(p) => return Response::decode(&p),
-                Incoming::TimedOut => continue, // server still working
-                Incoming::Eof => {
-                    return Err(PprlError::Transport(
-                        "server closed the connection before responding".into(),
-                    ))
+            match response {
+                Some(Response::ServerError { message }) => {
+                    return Err(PprlError::ProtocolError(format!(
+                        "server rejected request: {message}"
+                    )))
+                }
+                Some(other) => {
+                    if let Response::Busy { retry_after_ms } = other {
+                        self.rejected = Some(retry_after_ms);
+                    }
+                    return Ok(other);
+                }
+                // Server still working.
+                None if Instant::now() < deadline => {}
+                None => {
+                    return Err(PprlError::Timeout(format!(
+                        "no response from server within {} ms",
+                        self.deadline.as_millis()
+                    )))
                 }
             }
         }

@@ -301,46 +301,61 @@ fn read_hits(r: &mut WireReader<'_>) -> Result<Vec<Hit>> {
     Ok(hits)
 }
 
+/// [`Request::Query`]'s frame payload, encoded from a borrowed filter.
+/// The `encode_*` functions are the request encoders — `Request::encode`
+/// calls them — so a sender that already holds the data (the cluster
+/// coordinator, once per scatter) need not clone it into a `Request`.
+pub fn encode_query(filter: &BitVec, k: u32) -> Vec<u8> {
+    let mut out = vec![WIRE_VERSION, OP_QUERY];
+    out.extend_from_slice(&(filter.len() as u32).to_le_bytes());
+    push_filter_bits(&mut out, filter);
+    out.extend_from_slice(&k.to_le_bytes());
+    out
+}
+
+/// [`Request::Link`]'s frame payload, encoded from borrowed probes.
+pub fn encode_link(probes: &[BitVec], k: u32, min_score: f64) -> Vec<u8> {
+    let mut out = vec![WIRE_VERSION, OP_LINK];
+    let flen = probes.first().map_or(0, |f| f.len());
+    out.extend_from_slice(&(flen as u32).to_le_bytes());
+    out.extend_from_slice(&k.to_le_bytes());
+    out.extend_from_slice(&min_score.to_bits().to_le_bytes());
+    out.extend_from_slice(&(probes.len() as u32).to_le_bytes());
+    for p in probes {
+        push_filter_bits(&mut out, p);
+    }
+    out
+}
+
+/// [`Request::Insert`]'s frame payload, encoded from borrowed records —
+/// any subset of a batch, in iteration order.
+pub fn encode_insert<'a>(records: impl ExactSizeIterator<Item = &'a (u64, BitVec)>) -> Vec<u8> {
+    let mut out = vec![WIRE_VERSION, OP_INSERT];
+    let mut records = records.peekable();
+    let flen = records.peek().map_or(0, |(_, f)| f.len());
+    out.extend_from_slice(&(flen as u32).to_le_bytes());
+    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    for (id, f) in records {
+        out.extend_from_slice(&id.to_le_bytes());
+        push_filter_bits(&mut out, f);
+    }
+    out
+}
+
 impl Request {
     /// Serialises the request to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![WIRE_VERSION];
         match self {
-            Request::Query { filter, k } => {
-                out.push(OP_QUERY);
-                out.extend_from_slice(&(filter.len() as u32).to_le_bytes());
-                push_filter_bits(&mut out, filter);
-                out.extend_from_slice(&k.to_le_bytes());
-            }
+            Request::Query { filter, k } => encode_query(filter, *k),
             Request::Link {
                 probes,
                 k,
                 min_score,
-            } => {
-                out.push(OP_LINK);
-                let flen = probes.first().map_or(0, |f| f.len());
-                out.extend_from_slice(&(flen as u32).to_le_bytes());
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&min_score.to_bits().to_le_bytes());
-                out.extend_from_slice(&(probes.len() as u32).to_le_bytes());
-                for p in probes {
-                    push_filter_bits(&mut out, p);
-                }
-            }
-            Request::Insert { records } => {
-                out.push(OP_INSERT);
-                let flen = records.first().map_or(0, |(_, f)| f.len());
-                out.extend_from_slice(&(flen as u32).to_le_bytes());
-                out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-                for (id, f) in records {
-                    out.extend_from_slice(&id.to_le_bytes());
-                    push_filter_bits(&mut out, f);
-                }
-            }
-            Request::Stats => out.push(OP_STATS),
-            Request::Shutdown => out.push(OP_SHUTDOWN),
+            } => encode_link(probes, *k, *min_score),
+            Request::Insert { records } => encode_insert(records.iter()),
+            Request::Stats => vec![WIRE_VERSION, OP_STATS],
+            Request::Shutdown => vec![WIRE_VERSION, OP_SHUTDOWN],
         }
-        out
     }
 
     /// Parses a frame payload into a request. A payload whose leading

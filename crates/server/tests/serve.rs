@@ -587,3 +587,51 @@ fn plan_cache_shares_one_derivation_per_popcount_bucket() {
     assert_eq!(stats.plan_misses, 2);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The call deadline bounds blocking socket I/O in both directions: a
+/// peer that accepts and never answers yields a typed `Timeout` within
+/// 2 × the deadline (not after the 30 s socket timeout the deadline
+/// used to be rounded up to), and a peer that never drains its socket
+/// fails the write instead of pinning the caller in `write_all`
+/// forever.
+#[test]
+fn silent_or_stalled_peer_cannot_pin_a_caller_past_its_deadline() {
+    use std::time::Instant;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        // Hold both connections open without reading or writing a byte.
+        let held: Vec<_> = (0..2).map(|_| listener.accept().unwrap().0).collect();
+        let _ = done_rx.recv();
+        drop(held);
+    });
+    let deadline = Duration::from_millis(200);
+
+    let mut silent = Client::connect(&addr).unwrap();
+    silent.set_deadline(deadline);
+    let started = Instant::now();
+    match silent.stats() {
+        Err(PprlError::Timeout(_)) => {}
+        other => panic!("expected a typed timeout, got {other:?}"),
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed >= deadline && elapsed < 2 * deadline,
+        "silent peer held the call for {elapsed:?} under a {deadline:?} deadline"
+    );
+
+    // Far more than the loopback socket buffers absorb, so the write
+    // must block on a peer that never reads.
+    let mut stalled = Client::connect(&addr).unwrap();
+    stalled.set_deadline(deadline);
+    let started = Instant::now();
+    match stalled.send(&vec![0u8; 32 << 20]) {
+        Err(PprlError::Transport(_)) => {}
+        other => panic!("expected the stalled write to fail, got {other:?}"),
+    }
+    assert!(started.elapsed() < Duration::from_secs(5));
+
+    drop(done_tx);
+    peer.join().unwrap();
+}
