@@ -622,7 +622,6 @@ pub fn serve_cmd(mut args: Args) -> CmdResult {
     let workers: usize = args.parse_or("workers", 2).map_err(fail)?;
     let queue: usize = args.parse_or("queue", 32).map_err(fail)?;
     let cache: usize = args.parse_or("cache", 256).map_err(fail)?;
-    let threads: usize = args.parse_or("threads", 1).map_err(fail)?;
     let compact_ms: u64 = args.parse_or("compact-interval-ms", 500).map_err(fail)?;
     let addr_file = args.get("addr-file");
     let auth_dir = args.get("auth-dir");
@@ -635,7 +634,6 @@ pub fn serve_cmd(mut args: Args) -> CmdResult {
     let config = ServerConfig {
         workers,
         queue_capacity: queue,
-        query_threads: threads,
         cache_capacity: cache,
         compact_interval: (compact_ms > 0).then(|| std::time::Duration::from_millis(compact_ms)),
         suites,
@@ -1347,14 +1345,16 @@ COMMANDS:
             servers down); only the fingerprint is printed
 
   serve     --index IDX [--host H] [--port P] [--workers N] [--queue N]
-            [--cache N] [--threads N] [--compact-interval-ms MS]
+            [--cache N] [--compact-interval-ms MS]
             [--addr-file PATH] [--auth-dir DIR]
             [--suite auto|chacha20|hmac-ctr]
             serve the index over TCP: concurrent top-k Dice queries,
             batch link, durable inserts, background size-tiered
             compaction (set MS to 0 to disable), snapshot-isolated
-            reads; --port 0 binds an ephemeral port and --addr-file
-            publishes the resolved address atomically (tmp + rename);
+            reads; a large scan borrows idle cores on its own and
+            hands them back to writers (no thread flag); --port 0
+            binds an ephemeral port and --addr-file publishes the
+            resolved address atomically (tmp + rename);
             --auth-dir requires every client to complete the wire v4
             handshake against DIR's keys and serves one namespace per
             granted tenant (IDX/<tenant>, or IDX itself as `default`

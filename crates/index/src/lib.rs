@@ -35,8 +35,9 @@
 //! — and with [`store::IndexStore::lazy_reader`] never even read from
 //! disk — while surviving arenas are walked with per-block Dice
 //! upper-bound cutoffs `2·min(q,x)/(q+x)`. All pruning is lossless:
-//! results are bit-exact against a brute-force scan. Slots are split
-//! into sub-ranges and fanned out over `std::thread::scope` workers.
+//! results are bit-exact against a brute-force scan. A scan runs on its
+//! caller; a large one also lends idle cores to scoped helpers admitted
+//! by the process-wide [`gauge`], which yield to writers.
 //!
 //! ```
 //! use pprl_core::bitvec::BitVec;
@@ -62,6 +63,7 @@
 pub mod arena;
 pub mod backend;
 pub mod format;
+pub mod gauge;
 pub mod manifest;
 pub mod query;
 pub mod segment;

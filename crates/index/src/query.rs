@@ -37,15 +37,21 @@
 //! rows through to the heap, which rejects them. Results are
 //! bit-identical to brute force over `dice_bits`.
 //!
-//! Work fans out across `std::thread::scope` workers claiming
-//! `(slot, range)` tasks from a shared atomic counter; each worker keeps
-//! one local top-k per query (sound: a candidate below a worker's own
-//! k-th score cannot be in the global top k either) and partial results
-//! merge at the end. In a batch every tile is loaded once and scanned by
-//! each live query while it sits in L1.
+//! The caller scans: it claims `(slot, range)` tasks off an atomic
+//! counter. A call with `threads > 1` and at least ~1M (row, probe)
+//! pairs is cut into tasks of [`TASK_ROWS`], and before each claim the
+//! caller may admit one more scoped helper (up to `min(threads, cores) −
+//! 1`) while the process-wide [`gauge`] shows an idle core; a helper
+//! re-checks before each claim and sleeps while writers need the cores.
+//! Each thread keeps one local top-k per query (sound: a candidate below
+//! a thread's own k-th score cannot be in the global top k either) and
+//! helpers' heaps merge into the caller's at the end. In a batch every
+//! tile is loaded once and scanned by each live query while it sits in
+//! L1.
 
 use crate::arena::FilterArena;
 use crate::format::storage_err;
+use crate::gauge;
 use crate::segment::read_segment_arena_with;
 use crate::store::ReadStats;
 use crate::summary::{band_keys, no_match_dice_bound, BandKeySummary};
@@ -149,6 +155,8 @@ pub struct IndexReader {
     rows_scanned: AtomicU64,
     /// Of those, the survivors that were scored and met the heap.
     rows_scored: AtomicU64,
+    /// Of `rows_scanned`, the pairs scan helpers took.
+    helper_rows: AtomicU64,
     /// Serialises lazy materialisation so this reader reads each file at
     /// most once.
     load_lock: Mutex<()>,
@@ -234,6 +242,7 @@ impl IndexReader {
             segments_loaded: AtomicUsize::new(0),
             rows_scanned: AtomicU64::new(0),
             rows_scored: AtomicU64::new(0),
+            helper_rows: AtomicU64::new(0),
             load_lock: Mutex::new(()),
             vfs,
             quarantined_segments: 0,
@@ -292,6 +301,7 @@ impl IndexReader {
             segments_skipped,
             rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
             rows_scored: self.rows_scored.load(Ordering::Relaxed),
+            helper_rows: self.helper_rows.load(Ordering::Relaxed),
             kernel: pprl_similarity::kernel::kernel_name(),
         }
     }
@@ -350,8 +360,9 @@ impl IndexReader {
         Ok(slot.arena.get().expect("arena just set"))
     }
 
-    /// The exact `k` most Dice-similar records to `query`, fanned out
-    /// over up to `threads` worker threads. Results are sorted by score
+    /// The exact `k` most Dice-similar records to `query`, scanned by at
+    /// most `threads` threads (a cap; see the module docs for when
+    /// helpers join). Results are sorted by score
     /// descending, ties broken by ascending record id, and are
     /// bit-identical to a brute-force scan.
     pub fn top_k(&self, query: &BitVec, k: usize, threads: usize) -> Result<Vec<Hit>> {
@@ -444,6 +455,7 @@ impl IndexReader {
         if k == 0 {
             return Ok(vec![Vec::new(); queries.len()]);
         }
+        let _busy = gauge::foreground();
         let ctxs: Vec<QueryCtx> = queries
             .iter()
             .map(|q| QueryCtx {
@@ -452,48 +464,44 @@ impl IndexReader {
                 keys: band_keys(q, &self.summary_positions),
             })
             .collect();
-        let tasks = self.split_tasks(threads.max(1), order);
-        let workers = threads.max(1).min(tasks.len().max(1));
+        let elastic = threads > 1 && (self.len * ctxs.len()) as u64 >= gauge::HELPER_MIN_WORK;
+        let tasks = self.split_tasks(if elastic { TASK_ROWS } else { usize::MAX }, order);
+        let next = AtomicUsize::new(0);
         let mut merged: Vec<TopK> = (0..queries.len()).map(|_| TopK::new(k)).collect();
-        if workers <= 1 {
-            let mut scratch = ScanScratch::new(ctxs.len());
-            for &task in &tasks {
-                self.scan_task(task, &ctxs, min_score, &mut merged, &mut scratch)?;
-            }
+        if !elastic {
+            self.drain(&tasks, &next, &ctxs, min_score, &mut merged, || true)?;
         } else {
-            let next = AtomicUsize::new(0);
-            let partials: Vec<Result<Vec<TopK>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let tasks = &tasks;
-                        let ctxs = &ctxs;
-                        scope.spawn(move || {
-                            let mut locals: Vec<TopK> =
-                                (0..ctxs.len()).map(|_| TopK::new(k)).collect();
-                            let mut scratch = ScanScratch::new(ctxs.len());
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(&task) = tasks.get(i) else {
-                                    return Ok(locals);
-                                };
-                                self.scan_task(task, ctxs, min_score, &mut locals, &mut scratch)?;
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("query worker panicked"))
-                    .collect()
-            });
-            for partial in partials {
-                for (qi, local) in partial?.into_iter().enumerate() {
-                    for hit in local.heap {
-                        merged[qi].push(hit.0);
+            std::thread::scope(|scope| -> Result<()> {
+                let (tasks, next, ctxs) = (&tasks, &next, &ctxs);
+                let mut helpers = Vec::new();
+                let scanned = self.drain(tasks, next, ctxs, min_score, &mut merged, || {
+                    let left = tasks
+                        .get(next.load(Ordering::Relaxed)..)
+                        .unwrap_or_default();
+                    let rows: usize = left.iter().map(|&(_, start, end)| end - start).sum();
+                    let (busy, cores) = (gauge::occupied(), gauge::cores());
+                    let budget = threads - helpers.len();
+                    if gauge::admits_helper((rows * ctxs.len()) as u64, busy, cores, budget) {
+                        let slot = gauge::HelperSlot::enter();
+                        helpers.push(
+                            scope.spawn(move || self.help(slot, tasks, next, ctxs, k, min_score)),
+                        );
+                    }
+                    true
+                });
+                if scanned.is_err() {
+                    next.store(tasks.len(), Ordering::Relaxed); // stop the helpers
+                }
+                for helper in helpers {
+                    let tops = helper.join().expect("scan helper panicked")?;
+                    for (top, local) in merged.iter_mut().zip(tops) {
+                        for hit in local.heap {
+                            top.push(hit.0);
+                        }
                     }
                 }
-            }
+                scanned.map(|_| ())
+            })?;
         }
         Ok(merged
             .into_iter()
@@ -526,18 +534,61 @@ impl IndexReader {
         ub
     }
 
+    /// Claims tasks off `next` until none are left, scanning each into
+    /// `tops`; `ready` runs before each claim, and `false` ends the
+    /// drain. Returns the `(query, row)` pairs scanned.
+    fn drain(
+        &self,
+        tasks: &[Task],
+        next: &AtomicUsize,
+        ctxs: &[QueryCtx],
+        min_score: Option<f64>,
+        tops: &mut [TopK],
+        mut ready: impl FnMut() -> bool,
+    ) -> Result<u64> {
+        let mut scratch = ScanScratch::new(ctxs.len());
+        let mut scanned = 0;
+        while ready() {
+            let Some(&task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            scanned += self.scan_task(task, ctxs, min_score, tops, &mut scratch)?;
+        }
+        Ok(scanned)
+    }
+
+    /// A scan helper's life: drain tasks beside the caller into its own
+    /// heaps, yielding its core whenever the process has none idle.
+    fn help(
+        &self,
+        _slot: gauge::HelperSlot,
+        tasks: &[Task],
+        next: &AtomicUsize,
+        ctxs: &[QueryCtx],
+        k: usize,
+        min_score: Option<f64>,
+    ) -> Result<Vec<TopK>> {
+        let mut tops: Vec<TopK> = (0..ctxs.len()).map(|_| TopK::new(k)).collect();
+        let scanned = self.drain(tasks, next, ctxs, min_score, &mut tops, || {
+            gauge::wait_for_core(|| next.load(Ordering::Relaxed) >= tasks.len())
+        })?;
+        self.helper_rows.fetch_add(scanned, Ordering::Relaxed);
+        Ok(tops)
+    }
+
     /// Scans rows `[start, end)` of slot `si` for every query whose
     /// bounds cannot exclude the slot, pushing into the caller's
-    /// per-query accumulators. Pruned-for-all tasks return without
+    /// per-query accumulators, and returns the `(query, row)` pairs it
+    /// handed the kernel. Pruned-for-all tasks return without
     /// materialising the slot.
     fn scan_task(
         &self,
-        (si, start, end): (usize, usize, usize),
+        (si, start, end): Task,
         ctxs: &[QueryCtx],
         min_score: Option<f64>,
         locals: &mut [TopK],
         scratch: &mut ScanScratch,
-    ) -> Result<()> {
+    ) -> Result<u64> {
         let slot = &self.slots[si];
         // Slot-level pruning, before the segment file is touched.
         scratch.live.clear();
@@ -548,7 +599,7 @@ impl IndexReader {
             }
         }
         if scratch.live.is_empty() {
-            return Ok(());
+            return Ok(0);
         }
         let arena = self.arena(slot)?;
         let stride = arena.stride();
@@ -584,21 +635,18 @@ impl IndexReader {
         }
         self.rows_scanned.fetch_add(scanned, Ordering::Relaxed);
         self.rows_scored.fetch_add(scored, Ordering::Relaxed);
-        Ok(())
+        Ok(scanned)
     }
 
-    /// Splits slots into `(slot, start, end)` scan tasks. Chunk length
-    /// scales with the total record count (oversubscribed 4× so workers
-    /// stay busy despite uneven pruning) but never drops below
-    /// [`MIN_SPLIT`], so tiny slots are not shredded into per-record
-    /// tasks. With one worker this degenerates to one task per slot.
+    /// Splits slots into `(slot, start, end)` scan tasks of at most
+    /// `chunk` rows (`usize::MAX`: one task per slot).
     ///
     /// `order` is the optional slot-visiting hint from
     /// [`IndexReader::popcount_scan_order`]: tasks are emitted (and thus
-    /// claimed by workers) in that order, with out-of-range or repeated
-    /// indices dropped and unmentioned slots appended so coverage is
-    /// identical either way.
-    fn split_tasks(&self, workers: usize, order: Option<&[u32]>) -> Vec<(usize, usize, usize)> {
+    /// claimed) in that order, with out-of-range or repeated indices
+    /// dropped and unmentioned slots appended so coverage is identical
+    /// either way.
+    fn split_tasks(&self, chunk: usize, order: Option<&[u32]>) -> Vec<Task> {
         let visit: Vec<usize> = match order {
             None => (0..self.slots.len()).collect(),
             Some(hint) => {
@@ -614,12 +662,6 @@ impl IndexReader {
                 visit.extend((0..self.slots.len()).filter(|&si| !seen[si]));
                 visit
             }
-        };
-        let total: usize = self.slots.iter().map(|s| s.rows).sum();
-        let chunk = if workers <= 1 {
-            usize::MAX
-        } else {
-            MIN_SPLIT.max(total.div_ceil(workers * 4))
         };
         // Exact capacity: a query's allocator calls must not grow with slots.
         let mut tasks = Vec::with_capacity(self.slots.iter().map(|s| s.rows.div_ceil(chunk)).sum());
@@ -638,6 +680,9 @@ impl IndexReader {
         tasks
     }
 }
+
+/// A scan task: rows `[start, end)` of one slot, as `(slot, start, end)`.
+type Task = (usize, usize, usize);
 
 /// Per-query scan state: the query's words, popcount and band keys.
 struct QueryCtx<'a> {
@@ -671,8 +716,10 @@ impl ScanScratch {
 /// 101 µs per probe on the benchmark's 50k CLKs).
 const TILE_ROWS: usize = 128;
 
-/// Smallest sub-slot scan task; see [`IndexReader::split_tasks`].
-const MIN_SPLIT: usize = 32;
+/// Rows per task of a call helpers may join: 16 tiles, ≤ ~150 µs for a
+/// 32-probe batch, which bounds how long a writer waits for a helper to
+/// yield its core.
+const TASK_ROWS: usize = 16 * TILE_ROWS;
 
 /// `2·min(q, x)/(q + x)`, the best Dice score any filter with popcount
 /// `x` can reach against a query with popcount `q`: a full overlap. Two
@@ -981,15 +1028,12 @@ mod tests {
 
     #[test]
     fn single_shard_splits_into_sub_ranges() {
-        // One big slot, many threads: split_tasks must produce more tasks
-        // than slots so the scan actually parallelises.
+        // One big slot: split_tasks must cut it into chunk-sized tasks
+        // so helpers have something to claim.
         let records = random_filters(400, 128, 11);
         let reader = IndexReader::new(vec![records.clone()], 128).unwrap();
-        let tasks = reader.split_tasks(8, None);
-        assert!(
-            tasks.len() > 1,
-            "expected sub-slot splitting, got {tasks:?}"
-        );
+        let tasks = reader.split_tasks(64, None);
+        assert_eq!(tasks.len(), 7, "expected sub-slot splitting, got {tasks:?}");
         assert!(tasks.iter().all(|&(si, s, e)| si == 0 && s < e && e <= 400));
         let covered: usize = tasks.iter().map(|&(_, s, e)| e - s).sum();
         assert_eq!(covered, 400, "tasks must tile the slot exactly");

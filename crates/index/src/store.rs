@@ -33,6 +33,7 @@
 
 use crate::arena::{ArenaBuilder, FilterArena};
 use crate::format::{fnv1a, io_err, storage_err, Reader};
+use crate::gauge::foreground;
 use crate::manifest::{segment_path, Manifest, SegmentEntry};
 use crate::query::{ArenaCell, IndexReader, SlotSpec};
 use crate::segment::{
@@ -112,6 +113,10 @@ pub struct ReadStats {
     /// top-k heap; `rows_scored / rows_scanned` is the scan's
     /// wasted-work ratio.
     pub rows_scored: u64,
+    /// Of `rows_scanned`, the pairs scanned by helper threads lent to
+    /// large calls (see [`crate::gauge`]); 0 when every call ran on its
+    /// caller alone. In-process only: not part of server `STATS`.
+    pub helper_rows: u64,
     /// Name of the dispatched scan-kernel path serving these reads
     /// (`"scalar"`, `"avx2"`, …; empty in a default-constructed value).
     pub kernel: &'static str,
@@ -506,6 +511,7 @@ impl IndexStore {
     ///
     /// [`flush`]: IndexStore::flush
     pub fn insert_batch(&mut self, records: &[(u64, BitVec)]) -> Result<()> {
+        let _busy = foreground();
         let flen = self.manifest.config.filter_len;
         for (id, filter) in records {
             if filter.len() != flen {
@@ -597,6 +603,7 @@ impl IndexStore {
         if self.pending.is_empty() {
             return Ok(());
         }
+        let _busy = foreground();
         let num_shards = self.manifest.config.num_shards;
         let flen = self.manifest.config.filter_len;
         // Route pending rows to shards by index — no per-record BitVec.
@@ -651,6 +658,7 @@ impl IndexStore {
     /// single popcount-sorted segment. Returns the number of segments
     /// reclaimed.
     pub fn compact(&mut self) -> Result<usize> {
+        let _busy = foreground();
         self.flush()?;
         let num_shards = self.manifest.config.num_shards;
         let mut catalogue = Vec::new();
@@ -695,6 +703,7 @@ impl IndexStore {
     /// [`compact`]: IndexStore::compact
     pub fn compact_tiered(&mut self, policy: &TieredPolicy) -> Result<CompactionOutcome> {
         policy.validate()?;
+        let _busy = foreground();
         let num_shards = self.manifest.config.num_shards;
         let mut catalogue = Vec::new();
         let mut outcome = CompactionOutcome::default();

@@ -1,17 +1,20 @@
 //! Allocation audit for the scan path: a warm `top_k` makes a small,
 //! fixed number of allocator calls — the per-call query context, task
 //! list, top-k heap, scan scratch and result — no matter how many slots
-//! the reader has or how many rows (tiles) they hold. A per-slot or
-//! per-tile buffer would show up here as a count that grows with the
+//! the reader has or how many rows (tiles) they hold, or what thread cap
+//! a call below the helper threshold names. A per-slot, per-tile or
+//! per-task buffer would show up here as a count that grows with the
 //! index.
 //!
 //! Same per-thread counting-allocator shim as `session/tests/alloc.rs`.
 
 use pprl_core::bitvec::BitVec;
 use pprl_core::rng::SplitMix64;
+use pprl_index::gauge::{cores, foreground};
 use pprl_index::query::IndexReader;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Barrier;
 
 struct CountingAlloc;
 
@@ -85,20 +88,75 @@ fn warm_top_k_allocator_calls_do_not_grow_with_slots_or_rows() {
     for r in [&small, &wide, &tall] {
         let plan = r.popcount_scan_order(query.count_ones());
         let warm = r.top_k(&query, 10, 1).expect("warm-up");
-        let (hits, calls) = alloc_calls(|| r.top_k(&query, 10, 1).expect("top_k"));
-        assert_eq!(hits, warm);
-        let (planned, planned_calls) =
-            alloc_calls(|| r.top_k_planned(&query, 10, 1, &plan).expect("planned"));
-        assert_eq!(planned, warm);
-        counts.push((calls, planned_calls));
+        for threads in [1, 4] {
+            let (hits, calls) = alloc_calls(|| r.top_k(&query, 10, threads).expect("top_k"));
+            assert_eq!(hits, warm);
+            let (planned, planned_calls) = alloc_calls(|| {
+                r.top_k_planned(&query, 10, threads, &plan)
+                    .expect("planned")
+            });
+            assert_eq!(planned, warm);
+            counts.push((calls, planned_calls));
+        }
     }
-    assert_eq!(counts[0], counts[1], "more slots, more allocator calls");
-    assert_eq!(counts[0], counts[2], "more rows, more allocator calls");
-    let (calls, planned_calls) = counts[0];
-    assert!(calls <= 12, "top_k made {calls} allocator calls");
-    assert!(
-        planned_calls <= calls + 2,
-        "a plan adds the visit order and its seen-set, not {} calls",
-        planned_calls - calls
-    );
+    // The parent commit's counts: helper admission costs no allocation
+    // on a call that stays below its threshold, whatever the thread cap.
+    for (i, &count) in counts.iter().enumerate() {
+        assert_eq!(count, (8, 9), "reader {} threads {}", i / 2, [1, 4][i % 2]);
+    }
+}
+
+/// A filter of ~37.5 % density built word-wise (cheap at fixture size).
+fn word_filter(rng: &mut SplitMix64) -> BitVec {
+    let mut words: Vec<u64> = (0..16)
+        .map(|_| rng.next_u64() & (rng.next_u64() | rng.next_u64()))
+        .collect();
+    words[15] &= (1 << (1000 - 15 * 64)) - 1;
+    BitVec::from_words(words, 1000).expect("tail bits masked")
+}
+
+/// Past the helper threshold with every core's foreground gauge held,
+/// a call runs on its caller alone and checks for an idle core before
+/// each task: those checks allocate nothing, so the count does not grow
+/// with the number of tasks.
+#[test]
+fn helper_admission_checks_do_not_allocate() {
+    let mut rng = SplitMix64::new(0xAD417);
+    let records: Vec<(u64, BitVec)> = (0..34_000u64)
+        .map(|id| (id, word_filter(&mut rng)))
+        .collect();
+    let probes: Vec<BitVec> = (0..32).map(|_| word_filter(&mut rng)).collect();
+    let refs: Vec<&BitVec> = probes.iter().collect();
+    let one_slot = IndexReader::new(vec![records.clone()], 1000).expect("reader");
+    let eight_slots = records.chunks(4_250).map(<[_]>::to_vec).collect();
+    let eight_slots = IndexReader::new(eight_slots, 1000).expect("reader");
+
+    // One thread per core holds a foreground guard while the caller
+    // measures; asserts wait until they are released.
+    let (held, release) = (Barrier::new(cores() + 1), Barrier::new(cores() + 1));
+    let runs = std::thread::scope(|s| {
+        for _ in 0..cores() {
+            s.spawn(|| {
+                let _busy = foreground();
+                held.wait();
+                release.wait();
+            });
+        }
+        held.wait();
+        let runs: Vec<_> = [&one_slot, &eight_slots]
+            .map(|r| {
+                let warm = r.top_k_batch(&refs, 10, 4, None).expect("warm-up");
+                let (hits, calls) =
+                    alloc_calls(|| r.top_k_batch(&refs, 10, 4, None).expect("batch"));
+                (hits == warm, r.read_stats().helper_rows, calls)
+            })
+            .into();
+        release.wait();
+        runs
+    });
+    for &(same, helper_rows, _) in &runs {
+        assert!(same, "a warm batch changed its answer");
+        assert_eq!(helper_rows, 0, "a helper ran on a busy host");
+    }
+    assert_eq!(runs[0].2, runs[1].2, "more tasks, more allocator calls");
 }

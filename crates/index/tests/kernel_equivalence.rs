@@ -359,6 +359,104 @@ fn scan_paths_match_the_oracle_across_k_threads_min_score_and_slot_shapes() {
     assert!(stats.rows_scored <= stats.rows_scanned);
 }
 
+/// A 1000-bit filter of ~37.5 % density (`a & (b | c)` per word), built
+/// word-wise so the large fixtures below stay cheap in debug builds.
+fn dense_filter(state: &mut u64) -> BitVec {
+    let mut words: Vec<u64> = (0..16)
+        .map(|_| splitmix(state) & (splitmix(state) | splitmix(state)))
+        .collect();
+    words[15] &= (1 << (1000 - 15 * 64)) - 1;
+    BitVec::from_words(words, 1000).expect("tail bits masked")
+}
+
+/// A 32-probe batch over 34k rows is past the helper admission
+/// threshold (~1M (row, probe) pairs), so at `threads > 1` the call is
+/// cut into tasks that helpers claim whenever this process has an idle
+/// core. Every entry point, thread cap and `min_score` must still equal
+/// the oracle — including 700-row runs of equal-score twins under
+/// shuffled ids, whose id order decides placement across tasks.
+#[test]
+fn scans_large_enough_for_helpers_match_the_oracle() {
+    let mut state = 0x4E1Fu64;
+    let twins: Vec<BitVec> = (0..3).map(|_| dense_filter(&mut state)).collect();
+    let mut filters: Vec<BitVec> = Vec::new();
+    for twin in &twins {
+        filters.extend(std::iter::repeat_n(twin.clone(), 700));
+    }
+    while filters.len() < 34_000 {
+        filters.push(dense_filter(&mut state));
+    }
+    let mut ids: Vec<u64> = (0..filters.len() as u64).map(|i| 5 * i + 2).collect();
+    shuffle(&mut ids, &mut state);
+    let mut records: Vec<(u64, BitVec)> = ids.into_iter().zip(filters).collect();
+    shuffle(&mut records, &mut state);
+    let mut shards: Vec<Vec<(u64, BitVec)>> = Vec::new();
+    let mut rest = records.as_slice();
+    for size in [3_001, 9_000, 12_345, 7_000] {
+        let (head, tail) = rest.split_at(size);
+        shards.push(head.to_vec());
+        rest = tail;
+    }
+    shards.push(rest.to_vec());
+    let reader = IndexReader::new(shards, 1000).expect("reader");
+
+    // Twins, near-duplicates (so 0.8 keeps some hits), and strangers.
+    let mut probes: Vec<BitVec> = twins.clone();
+    for (i, (_, f)) in records.iter().step_by(1_601).take(21).enumerate() {
+        let mut probe = f.clone();
+        for _ in 0..(20 + 8 * i) {
+            probe.flip((splitmix(&mut state) % 1000) as usize);
+        }
+        probes.push(probe);
+    }
+    while probes.len() < 32 {
+        probes.push(dense_filter(&mut state));
+    }
+    let refs: Vec<&BitVec> = probes.iter().collect();
+    // The `dice_bits` oracle's top 10 by selection, not a full sort.
+    let rank = |a: &Hit, b: &Hit| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id));
+    let top10: Vec<Vec<Hit>> = probes
+        .iter()
+        .map(|p| {
+            let mut hits: Vec<Hit> = records
+                .iter()
+                .map(|(id, f)| Hit {
+                    id: *id,
+                    score: dice_bits(p, f).expect("dice"),
+                })
+                .collect();
+            hits.select_nth_unstable_by(9, rank);
+            hits.truncate(10);
+            hits.sort_by(rank);
+            hits
+        })
+        .collect();
+
+    for threads in [1usize, 4] {
+        for min_score in [None, Some(0.8)] {
+            let batch = reader
+                .top_k_batch(&refs, 10, threads, min_score)
+                .expect("batch");
+            for (qi, want) in top10.iter().enumerate() {
+                let mut want = want.clone();
+                want.retain(|h| h.score >= min_score.unwrap_or(0.0));
+                assert_eq!(
+                    batch[qi], want,
+                    "batch threads={threads} ms={min_score:?} probe={qi}"
+                );
+            }
+        }
+    }
+    for (qi, probe) in probes.iter().enumerate().step_by(4) {
+        let plan = reader.popcount_scan_order(probe.count_ones());
+        for threads in [1usize, 4] {
+            assert_eq!(reader.top_k(probe, 10, threads).expect("top_k"), top10[qi]);
+            let planned = reader.top_k_planned(probe, 10, threads, &plan);
+            assert_eq!(planned.expect("planned"), top10[qi], "probe={qi}");
+        }
+    }
+}
+
 /// The wasted-work ratio on the data the scan is built for: real person
 /// CLKs (1000 bits, ~41 % dense, every third record a corrupted
 /// duplicate), probes with ~5 % of their bits flipped, `Link` at 0.8.

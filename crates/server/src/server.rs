@@ -19,6 +19,7 @@ use crate::pool::BoundedQueue;
 use crate::service::{LinkageService, ServiceConfig};
 use crate::wire::{read_payload, write_payload, Incoming, Request, Response};
 use pprl_core::error::{PprlError, Result};
+use pprl_index::gauge::foreground;
 use pprl_index::store::TieredPolicy;
 use pprl_session::channel::{IncomingRef, SESSION_WIRE_VERSION};
 use pprl_session::handshake::{server_handshake, ServerSession};
@@ -44,8 +45,6 @@ pub struct ServerConfig {
     /// Bounded connection-queue capacity; overflow is rejected with
     /// `Busy` rather than buffered.
     pub queue_capacity: usize,
-    /// Threads fanned out per top-k scan.
-    pub query_threads: usize,
     /// Result-cache capacity in entries (0 disables).
     pub cache_capacity: usize,
     /// Back-off hint sent with `Busy` rejections, in milliseconds.
@@ -72,7 +71,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 2,
             queue_capacity: 32,
-            query_threads: 1,
             cache_capacity: 256,
             retry_after_ms: 50,
             compact_interval: Some(Duration::from_millis(500)),
@@ -276,7 +274,6 @@ fn open_service(dir: &Path, config: &ServerConfig) -> Result<Arc<LinkageService>
     Ok(Arc::new(LinkageService::open(
         dir,
         ServiceConfig {
-            query_threads: config.query_threads,
             cache_capacity: config.cache_capacity,
             tiered: config.tiered,
         },
@@ -619,6 +616,8 @@ fn serve_authenticated(mut stream: TcpStream, mut session: ServerSession, contex
 }
 
 fn dispatch(request: Request, service: &LinkageService, context: &ServerContext) -> Response {
+    // A core serving a request is not idle: scan helpers yield to it.
+    let _busy = foreground();
     let result = match request {
         Request::Query { filter, k } => service.query(&filter, k as usize).map(Response::Hits),
         Request::Link {

@@ -18,6 +18,7 @@ use crate::snapshot::{Snapshot, SnapshotHub};
 use crate::wire::StatsReport;
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
+use pprl_index::gauge;
 use pprl_index::query::Hit;
 use pprl_index::store::{CompactionOutcome, IndexStore, TieredPolicy};
 use std::path::Path;
@@ -27,8 +28,6 @@ use std::time::Instant;
 /// Tunables for a [`LinkageService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Threads fanned out per top-k scan (1 = scan on the caller).
-    pub query_threads: usize,
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
     /// Size-tiered compaction policy for maintenance steps.
@@ -38,7 +37,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            query_threads: 1,
             cache_capacity: 256,
             tiered: TieredPolicy::default(),
         }
@@ -128,7 +126,7 @@ impl LinkageService {
         let plan = self.scan_plan(&snap, filter.count_ones());
         let hits = snap
             .reader
-            .top_k_planned(filter, k, self.config.query_threads, &plan)?;
+            .top_k_planned(filter, k, gauge::cores(), &plan)?;
         self.cache
             .lock()
             .expect("cache lock")
@@ -184,7 +182,7 @@ impl LinkageService {
         let refs: Vec<&BitVec> = probes.iter().collect();
         let out = snap
             .reader
-            .top_k_batch(&refs, k, self.config.query_threads, Some(min_score))?;
+            .top_k_batch(&refs, k, gauge::cores(), Some(min_score))?;
         Metrics::add(&self.metrics.links, 1);
         self.metrics.observe_latency(started);
         Ok(out)
