@@ -42,7 +42,7 @@ fn bench_blocking(c: &mut Criterion) {
     let fb = eb.clks().expect("clk");
     let hlsh = HammingLsh::new(16, 24, 3).expect("valid");
     c.bench_function("hamming_lsh_500_16x24", |bch| {
-        bch.iter(|| std::hint::black_box(hlsh.candidates(&fa, &fb).expect("filters")))
+        bch.iter(|| std::hint::black_box(hlsh.candidates(&fa, &fb, 1).expect("filters")))
     });
 
     let hasher = MinHasher::new(64, b"bench").expect("valid");

@@ -104,7 +104,7 @@ fn main() {
         let (pairs, time) = timed(|| {
             HammingLsh::new(16, 24, 11)
                 .expect("params")
-                .candidates(&fa, &fb)
+                .candidates(&fa, &fb, 1)
                 .expect("filters")
         });
         report("hamming lsh (16x24)", pairs, time);

@@ -134,7 +134,7 @@ fn main() {
         (
             "complexity reduction",
             "parallel/distributed",
-            "pprl-blocking::engine::compare_pairs_parallel",
+            "pprl-core::runner (encoding, LSH blocking, comparison, index scan)",
         ),
         (
             "complexity reduction",

@@ -9,7 +9,8 @@
 use pprl_core::error::Result;
 use pprl_core::normalize::normalize_compact;
 use pprl_core::phonetic::{nysiis, soundex};
-use pprl_core::record::Dataset;
+use pprl_core::record::{Dataset, Record};
+use pprl_core::schema::Schema;
 use pprl_core::value::Value;
 
 /// One component of a blocking key.
@@ -83,14 +84,17 @@ impl BlockingKey {
     /// Records whose every part is empty (all-missing) yield an empty key,
     /// which blockers treat as "blocks with nothing".
     pub fn extract(&self, dataset: &Dataset) -> Result<Vec<String>> {
-        let schema = dataset.schema();
+        self.extract_rows(dataset.schema(), dataset.records())
+    }
+
+    /// [`BlockingKey::extract`] over `records` laid out by `schema`.
+    pub fn extract_rows(&self, schema: &Schema, records: &[Record]) -> Result<Vec<String>> {
         let indices: Vec<usize> = self
             .parts
             .iter()
             .map(|p| schema.index_of(p.field()))
             .collect::<Result<_>>()?;
-        Ok(dataset
-            .records()
+        Ok(records
             .iter()
             .map(|r| {
                 let mut key = String::new();

@@ -281,15 +281,18 @@ impl CandidateSource for MinHashLshSource {
 pub struct HammingLshSource {
     lsh: HammingLsh,
     filters_b: Vec<BitVec>,
+    threads: usize,
     stats: SourceStats,
 }
 
 impl HammingLshSource {
-    /// Binds the LSH parameters and target Bloom filters.
-    pub fn new(lsh: HammingLsh, filters_b: Vec<BitVec>) -> Self {
+    /// Binds the LSH parameters and target Bloom filters; candidate
+    /// generation uses at most `threads` threads.
+    pub fn new(lsh: HammingLsh, filters_b: Vec<BitVec>, threads: usize) -> Self {
         HammingLshSource {
             lsh,
             filters_b,
+            threads,
             stats: SourceStats::default(),
         }
     }
@@ -307,7 +310,7 @@ impl CandidateSource for HammingLshSource {
     fn candidates(&mut self, probes: &Probes<'_>) -> Result<Vec<CandidatePair>> {
         let filters = probes.require_filters(self.name())?;
         let refs: Vec<&BitVec> = self.filters_b.iter().collect();
-        let pairs = self.lsh.candidates(filters, &refs)?;
+        let pairs = self.lsh.candidates(filters, &refs, self.threads)?;
         self.stats
             .record_call(filters.len(), self.filters_b.len(), pairs.len());
         Ok(pairs)
@@ -546,13 +549,13 @@ mod tests {
         let fa = random_filters(20, 128, 1);
         let fb = random_filters(20, 128, 2);
         let lsh = HammingLsh::new(4, 10, 99).unwrap();
-        let mut s = HammingLshSource::new(lsh.clone(), fb.clone());
+        let mut s = HammingLshSource::new(lsh.clone(), fb.clone(), 2);
         let ra: Vec<&BitVec> = fa.iter().collect();
         let rb: Vec<&BitVec> = fb.iter().collect();
         let probes = Probes::from_filters(&ra);
         assert_eq!(
             s.candidates(&probes).unwrap(),
-            lsh.candidates(&ra, &rb).unwrap()
+            lsh.candidates(&ra, &rb, 1).unwrap()
         );
     }
 
@@ -625,7 +628,7 @@ mod tests {
         let mut s = KeyBlockSource::from_keys(&keys(&["a"]));
         let err = s.candidates(&Probes::default()).unwrap_err();
         assert!(matches!(err, PprlError::InvalidParameter { .. }), "{err}");
-        let mut s = HammingLshSource::new(HammingLsh::new(2, 4, 1).unwrap(), Vec::new());
+        let mut s = HammingLshSource::new(HammingLsh::new(2, 4, 1).unwrap(), Vec::new(), 1);
         assert!(s.candidates(&Probes::default()).is_err());
     }
 

@@ -9,6 +9,7 @@ use pprl_blocking::keys::BlockingKey;
 use pprl_blocking::lsh::HammingLsh;
 use pprl_cluster::coordinator::{ClusterConfig, Coordinator};
 use pprl_cluster::server::{serve_cluster, serve_cluster_auth, ClusterServerConfig};
+use pprl_core::gauge::cores;
 use pprl_core::json::Json;
 use pprl_core::record::Dataset;
 use pprl_core::schema::Schema;
@@ -86,7 +87,7 @@ pub fn link_cmd(mut args: Args) -> CmdResult {
     let output = args.get("output");
     let evaluate = args.flag("evaluate");
     let json = args.flag("json");
-    let threads: usize = args.parse_or("threads", 1).map_err(fail)?;
+    let threads: usize = args.parse_or("threads", cores()).map_err(fail)?;
     args.finish().map_err(fail)?;
 
     let a = read_dataset(&path_a)?;
@@ -1306,8 +1307,11 @@ COMMANDS:
             privacy-preserving linkage of two CSV datasets;
             --backend index links A against a pre-built persistent
             index (see `pprl index build`) instead of re-blocking B
-            in memory; --json emits machine-readable stats (source,
-            candidates, comparisons saved, bytes read, pairs)
+            in memory; --threads caps the threads encoding, blocking,
+            scanning and comparison may borrow while cores are idle
+            (default: every core; results do not depend on it);
+            --json emits machine-readable stats (source, candidates,
+            comparisons saved, bytes read, pairs)
 
   dedup     --input A.csv [--threshold F] [--backend memory|index]
             [--index-dir IDX] [--top-k K] [--key SECRET] [--threads N]

@@ -4,8 +4,10 @@
 //! workspace: errors, typed values and dates, schemas, records/datasets,
 //! q-gram tokenisation, bit vectors, phonetic codes, string normalisation,
 //! a small deterministic PRNG, the [`candidate::CandidateSource`]
-//! abstraction every blocking engine and index backend implements, and a
-//! minimal JSON writer shared by the CLI, pipeline and bench harness.
+//! abstraction every blocking engine and index backend implements, a
+//! minimal JSON writer shared by the CLI, pipeline and bench harness, and
+//! the elastic [`runner`] (with its foreground [`gauge`]) that lends idle
+//! cores to the index scan and the batch pipeline.
 //!
 //! Everything here is dependency-free and shared by every other crate in the
 //! workspace. See the workspace `DESIGN.md` for the system inventory.
@@ -20,12 +22,14 @@ pub mod bitvec;
 pub mod candidate;
 pub mod csv;
 pub mod error;
+pub mod gauge;
 pub mod json;
 pub mod normalize;
 pub mod phonetic;
 pub mod qgram;
 pub mod record;
 pub mod rng;
+pub mod runner;
 pub mod schema;
 pub mod value;
 

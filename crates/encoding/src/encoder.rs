@@ -21,7 +21,7 @@ use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
 use pprl_core::normalize::normalize_default;
 use pprl_core::qgram::{for_each_qgram, QGramConfig, QGramScratch};
-use pprl_core::record::Dataset;
+use pprl_core::record::{Dataset, Record};
 use pprl_core::schema::Schema;
 use pprl_core::value::Value;
 use pprl_similarity::bitvec_sim::dice_bits;
@@ -340,10 +340,10 @@ pub struct RecordEncoder {
     encoders: Vec<BloomEncoder>,
 }
 
-/// Distinct salt values whose encoders one `encode_dataset` call keeps
-/// before it drops them all and starts over.
+/// Distinct salt values whose encoders one [`EncodeScratch`] keeps before
+/// it drops them all and starts over.
 const SALT_CACHE_CAP: usize = 1024;
-/// Tokens one `encode_dataset` call memoises, over all its encoders:
+/// Tokens one [`EncodeScratch`] memoises, over all its encoders:
 /// some tens of megabytes at most, and several times the distinct tokens
 /// (q-grams, dates, ages) of a person corpus.
 const MEMO_BUDGET: usize = 1 << 16;
@@ -392,10 +392,17 @@ impl RecordEncoder {
         len
     }
 
-    /// Encodes every record of `dataset`.
+    /// Encodes every record of `dataset`: [`RecordEncoder::encode_rows`]
+    /// over all rows, on the calling thread.
     pub fn encode_dataset(&self, dataset: &Dataset) -> Result<EncodedDataset> {
-        let schema = dataset.schema();
-        let field_idx: Vec<usize> = self
+        let mut scratch = self.scratch(dataset.schema())?;
+        let records = self.encode_rows(&mut scratch, dataset.records(), 0)?;
+        Ok(EncodedDataset { records })
+    }
+
+    /// A fresh [`EncodeScratch`] for records laid out by `schema`.
+    pub fn scratch(&self, schema: &Schema) -> Result<EncodeScratch<'_>> {
+        let field_idx = self
             .config
             .fields
             .iter()
@@ -405,15 +412,43 @@ impl RecordEncoder {
             Some(f) => Some(schema.index_of(f)?),
             None => None,
         };
+        Ok(EncodeScratch {
+            encoder: self,
+            field_idx,
+            salt_idx,
+            budget: MEMO_BUDGET,
+            unsalted: KeyedCoders::new((&self.encoders[..]).into()),
+            salted: HashMap::new(),
+            tokens: TokenScratch::default(),
+        })
+    }
+
+    /// Encodes `records`, the rows `first_row..` of a dataset laid out as
+    /// `scratch` was built for: each row's hardening nonce is its global
+    /// row number, so any split of a dataset into calls encodes it exactly
+    /// as [`RecordEncoder::encode_dataset`] does. `scratch` must come from
+    /// this encoder.
+    pub fn encode_rows(
+        &self,
+        scratch: &mut EncodeScratch<'_>,
+        records: &[Record],
+        first_row: usize,
+    ) -> Result<Vec<EncodedRecord>> {
+        if !std::ptr::eq(scratch.encoder, self) {
+            return Err(PprlError::invalid("scratch", "built by another encoder"));
+        }
         // A lone record (a streaming insert) has no repeats worth keeping.
-        let mut budget = if dataset.len() > 1 { MEMO_BUDGET } else { 0 };
-        let mut unsalted = KeyedCoders::new((&self.encoders[..]).into());
-        let mut salted: HashMap<String, KeyedCoders<'_>> = HashMap::new();
-        let mut scratch = TokenScratch::default();
-        let mut records = Vec::with_capacity(dataset.len());
-        for (row, record) in dataset.records().iter().enumerate() {
-            let coders = match salt_idx {
-                None => &mut unsalted,
+        let mut no_budget = 0;
+        let budget = if records.len() > 1 {
+            &mut scratch.budget
+        } else {
+            &mut no_budget
+        };
+        let salted = &mut scratch.salted;
+        let mut encoded = Vec::with_capacity(records.len());
+        for (row, record) in (first_row..).zip(records) {
+            let coders = match scratch.salt_idx {
+                None => &mut scratch.unsalted,
                 Some(si) => {
                     let salt = record.values[si].as_text();
                     if salted.len() >= SALT_CACHE_CAP && !salted.contains_key(&salt) {
@@ -431,29 +466,52 @@ impl RecordEncoder {
             };
             let nonce = row as u64;
             let mut filters = Vec::new();
-            for (f, (spec, &idx)) in self.config.fields.iter().zip(&field_idx).enumerate() {
+            for (f, (spec, &idx)) in self
+                .config
+                .fields
+                .iter()
+                .zip(&scratch.field_idx)
+                .enumerate()
+            {
                 if f == 0 || self.config.mode == EncodingMode::FieldLevel {
                     filters.push(BitVec::zeros(self.config.params.len));
                 }
                 let filter = filters.last_mut().expect("pushed for the first field");
                 let (encoder, memo) = (&coders.encoders[f], &mut coders.memos[f]);
-                spec.encoding
-                    .for_each_token(&record.values[idx], &mut scratch, |token| {
-                        memo.encode(encoder, &spec.field, token, filter, &mut budget)
-                    })?;
+                spec.encoding.for_each_token(
+                    &record.values[idx],
+                    &mut scratch.tokens,
+                    |token| memo.encode(encoder, &spec.field, token, filter, budget),
+                )?;
             }
             let mut hardened = filters
                 .into_iter()
                 .map(|filter| apply_pipeline(filter, &self.config.hardening, nonce));
-            records.push(match self.config.mode {
+            encoded.push(match self.config.mode {
                 EncodingMode::Clk => {
                     EncodedRecord::Clk(hardened.next().expect("one CLK filter per record")?)
                 }
                 EncodingMode::FieldLevel => EncodedRecord::Fields(hardened.collect::<Result<_>>()?),
             });
         }
-        Ok(EncodedDataset { records })
+        Ok(encoded)
     }
+}
+
+/// What one thread's [`RecordEncoder::encode_rows`] calls share: the
+/// schema's column indices, the field encoders under each salt seen so
+/// far, and the tokens every encoder has hashed. Reusing it across calls
+/// saves work only: filters never depend on it. Built by
+/// [`RecordEncoder::scratch`].
+pub struct EncodeScratch<'a> {
+    encoder: &'a RecordEncoder,
+    field_idx: Vec<usize>,
+    salt_idx: Option<usize>,
+    /// Tokens the memos may still add.
+    budget: usize,
+    unsalted: KeyedCoders<'a>,
+    salted: HashMap<String, KeyedCoders<'a>>,
+    tokens: TokenScratch,
 }
 
 /// One encoder per field spec under `key`, each honouring its field's

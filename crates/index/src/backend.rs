@@ -35,8 +35,9 @@ pub struct IndexBackend {
 impl IndexBackend {
     /// Opens the index at `dir` as a candidate source emitting up to
     /// `top_k` neighbours per probe with Dice score ≥ `min_score`,
-    /// querying with up to `threads` worker threads. Segment files load
-    /// lazily, on the first probe batch that actually needs them.
+    /// scanning with at most `threads` threads (a cap; 0 fails the first
+    /// probe batch). Segment files load lazily, on the first probe batch
+    /// that actually needs them.
     pub fn open(dir: &Path, top_k: usize, min_score: f64, threads: usize) -> Result<IndexBackend> {
         if top_k == 0 {
             return Err(PprlError::invalid("top_k", "must be at least 1"));
@@ -57,7 +58,7 @@ impl IndexBackend {
             target_len,
             top_k,
             min_score,
-            threads: threads.max(1),
+            threads,
             stats,
         })
     }

@@ -37,7 +37,8 @@
 //! upper-bound cutoffs `2·min(q,x)/(q+x)`. All pruning is lossless:
 //! results are bit-exact against a brute-force scan. A scan runs on its
 //! caller; a large one also lends idle cores to scoped helpers admitted
-//! by the process-wide [`gauge`], which yield to writers.
+//! by the process-wide foreground gauge of [`pprl_core::runner`], which
+//! yield to writers.
 //!
 //! ```
 //! use pprl_core::bitvec::BitVec;
@@ -63,7 +64,6 @@
 pub mod arena;
 pub mod backend;
 pub mod format;
-pub mod gauge;
 pub mod manifest;
 pub mod query;
 pub mod segment;

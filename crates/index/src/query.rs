@@ -37,27 +37,24 @@
 //! rows through to the heap, which rejects them. Results are
 //! bit-identical to brute force over `dice_bits`.
 //!
-//! The caller scans: it claims `(slot, range)` tasks off an atomic
-//! counter. A call with `threads > 1` and at least ~1M (row, probe)
-//! pairs is cut into tasks of [`TASK_ROWS`], and before each claim the
-//! caller may admit one more scoped helper (up to `min(threads, cores) −
-//! 1`) while the process-wide [`gauge`] shows an idle core; a helper
-//! re-checks before each claim and sleeps while writers need the cores.
-//! Each thread keeps one local top-k per query (sound: a candidate below
-//! a thread's own k-th score cannot be in the global top k either) and
-//! helpers' heaps merge into the caller's at the end. In a batch every
-//! tile is loaded once and scanned by each live query while it sits in
-//! L1.
+//! The scan's `(slot, range)` tasks run on [`pprl_core::runner`]: the
+//! caller drains them, and a call with `threads > 1` and at least ~1M
+//! (row, probe) pairs is cut into tasks of [`TASK_ROWS`] so that helpers
+//! the runner admits to idle cores can share it. Each participant keeps
+//! one local top-k per query (sound: a candidate below a thread's own
+//! k-th score cannot be in the global top k either) and helpers' heaps
+//! merge into the caller's at the end. In a batch every tile is loaded
+//! once and scanned by each live query while it sits in L1.
 
 use crate::arena::FilterArena;
 use crate::format::storage_err;
-use crate::gauge;
 use crate::segment::read_segment_arena_with;
 use crate::store::ReadStats;
 use crate::summary::{band_keys, no_match_dice_bound, BandKeySummary};
 use crate::vfs::{std_vfs, Vfs};
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
+use pprl_core::runner;
 use pprl_similarity::kernel::{active_kernel, dice_from_counts, need_count};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -455,7 +452,6 @@ impl IndexReader {
         if k == 0 {
             return Ok(vec![Vec::new(); queries.len()]);
         }
-        let _busy = gauge::foreground();
         let ctxs: Vec<QueryCtx> = queries
             .iter()
             .map(|q| QueryCtx {
@@ -464,44 +460,36 @@ impl IndexReader {
                 keys: band_keys(q, &self.summary_positions),
             })
             .collect();
-        let elastic = threads > 1 && (self.len * ctxs.len()) as u64 >= gauge::HELPER_MIN_WORK;
+        let nanos = (self.len * ctxs.len()) as u64 * SCAN_PAIR_NANOS;
+        let elastic = runner::may_admit(threads, nanos);
         let tasks = self.split_tasks(if elastic { TASK_ROWS } else { usize::MAX }, order);
-        let next = AtomicUsize::new(0);
-        let mut merged: Vec<TopK> = (0..queries.len()).map(|_| TopK::new(k)).collect();
-        if !elastic {
-            self.drain(&tasks, &next, &ctxs, min_score, &mut merged, || true)?;
+        let task_nanos = if elastic {
+            nanos.div_ceil(tasks.len() as u64)
         } else {
-            std::thread::scope(|scope| -> Result<()> {
-                let (tasks, next, ctxs) = (&tasks, &next, &ctxs);
-                let mut helpers = Vec::new();
-                let scanned = self.drain(tasks, next, ctxs, min_score, &mut merged, || {
-                    let left = tasks
-                        .get(next.load(Ordering::Relaxed)..)
-                        .unwrap_or_default();
-                    let rows: usize = left.iter().map(|&(_, start, end)| end - start).sum();
-                    let (busy, cores) = (gauge::occupied(), gauge::cores());
-                    let budget = threads - helpers.len();
-                    if gauge::admits_helper((rows * ctxs.len()) as u64, busy, cores, budget) {
-                        let slot = gauge::HelperSlot::enter();
-                        helpers.push(
-                            scope.spawn(move || self.help(slot, tasks, next, ctxs, k, min_score)),
-                        );
-                    }
-                    true
-                });
-                if scanned.is_err() {
-                    next.store(tasks.len(), Ordering::Relaxed); // stop the helpers
+            0
+        };
+        // Each participant's per-query heaps, scan buffers and pairs scanned.
+        let init = || {
+            let tops: Vec<TopK> = (0..queries.len()).map(|_| TopK::new(k)).collect();
+            (tops, ScanScratch::new(ctxs.len()), 0)
+        };
+        let ((mut merged, _, _), helpers) = runner::run(
+            threads,
+            tasks.len(),
+            task_nanos,
+            init,
+            |(tops, scratch, scanned), i| {
+                *scanned += self.scan_task(tasks[i], &ctxs, min_score, tops, scratch)?;
+                Ok(())
+            },
+        )?;
+        for (tops, _, scanned) in helpers {
+            self.helper_rows.fetch_add(scanned, Ordering::Relaxed);
+            for (top, local) in merged.iter_mut().zip(tops) {
+                for hit in local.heap {
+                    top.push(hit.0);
                 }
-                for helper in helpers {
-                    let tops = helper.join().expect("scan helper panicked")?;
-                    for (top, local) in merged.iter_mut().zip(tops) {
-                        for hit in local.heap {
-                            top.push(hit.0);
-                        }
-                    }
-                }
-                scanned.map(|_| ())
-            })?;
+            }
         }
         Ok(merged
             .into_iter()
@@ -532,48 +520,6 @@ impl IndexReader {
             }
         }
         ub
-    }
-
-    /// Claims tasks off `next` until none are left, scanning each into
-    /// `tops`; `ready` runs before each claim, and `false` ends the
-    /// drain. Returns the `(query, row)` pairs scanned.
-    fn drain(
-        &self,
-        tasks: &[Task],
-        next: &AtomicUsize,
-        ctxs: &[QueryCtx],
-        min_score: Option<f64>,
-        tops: &mut [TopK],
-        mut ready: impl FnMut() -> bool,
-    ) -> Result<u64> {
-        let mut scratch = ScanScratch::new(ctxs.len());
-        let mut scanned = 0;
-        while ready() {
-            let Some(&task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) else {
-                break;
-            };
-            scanned += self.scan_task(task, ctxs, min_score, tops, &mut scratch)?;
-        }
-        Ok(scanned)
-    }
-
-    /// A scan helper's life: drain tasks beside the caller into its own
-    /// heaps, yielding its core whenever the process has none idle.
-    fn help(
-        &self,
-        _slot: gauge::HelperSlot,
-        tasks: &[Task],
-        next: &AtomicUsize,
-        ctxs: &[QueryCtx],
-        k: usize,
-        min_score: Option<f64>,
-    ) -> Result<Vec<TopK>> {
-        let mut tops: Vec<TopK> = (0..ctxs.len()).map(|_| TopK::new(k)).collect();
-        let scanned = self.drain(tasks, next, ctxs, min_score, &mut tops, || {
-            gauge::wait_for_core(|| next.load(Ordering::Relaxed) >= tasks.len())
-        })?;
-        self.helper_rows.fetch_add(scanned, Ordering::Relaxed);
-        Ok(tops)
     }
 
     /// Scans rows `[start, end)` of slot `si` for every query whose
@@ -691,7 +637,7 @@ struct QueryCtx<'a> {
     keys: Vec<u64>,
 }
 
-/// Per-call (per-worker) scan buffers, so no slot or tile allocates:
+/// Per-participant scan buffers, so no slot or tile allocates:
 /// the queries the current slot's bounds could not exclude, and the
 /// `(row in tile, intersection)` pairs one kernel call reported.
 struct ScanScratch {
@@ -720,6 +666,10 @@ const TILE_ROWS: usize = 128;
 /// 32-probe batch, which bounds how long a writer waits for a helper to
 /// yield its core.
 const TASK_ROWS: usize = 16 * TILE_ROWS;
+
+/// Estimated cost of one (row, probe) pair of a batched scan, for the
+/// runner's admission rule: ~2.0–2.5 ns measured on 1000-bit CLKs.
+const SCAN_PAIR_NANOS: u64 = 2;
 
 /// `2·min(q, x)/(q + x)`, the best Dice score any filter with popcount
 /// `x` can reach against a query with popcount `q`: a full overlap. Two

@@ -33,7 +33,6 @@
 
 use crate::arena::{ArenaBuilder, FilterArena};
 use crate::format::{fnv1a, io_err, storage_err, Reader};
-use crate::gauge::foreground;
 use crate::manifest::{segment_path, Manifest, SegmentEntry};
 use crate::query::{ArenaCell, IndexReader, SlotSpec};
 use crate::segment::{
@@ -44,6 +43,7 @@ use crate::vfs::{std_vfs, Vfs};
 use pprl_blocking::lsh::HammingLsh;
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
+use pprl_core::gauge::foreground;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -114,7 +114,7 @@ pub struct ReadStats {
     /// wasted-work ratio.
     pub rows_scored: u64,
     /// Of `rows_scanned`, the pairs scanned by helper threads lent to
-    /// large calls (see [`crate::gauge`]); 0 when every call ran on its
+    /// large calls (see [`pprl_core::runner`]); 0 when every call ran on its
     /// caller alone. In-process only: not part of server `STATS`.
     pub helper_rows: u64,
     /// Name of the dispatched scan-kernel path serving these reads

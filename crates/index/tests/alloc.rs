@@ -9,8 +9,8 @@
 //! Same per-thread counting-allocator shim as `session/tests/alloc.rs`.
 
 use pprl_core::bitvec::BitVec;
+use pprl_core::gauge::{cores, foreground};
 use pprl_core::rng::SplitMix64;
-use pprl_index::gauge::{cores, foreground};
 use pprl_index::query::IndexReader;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -3,10 +3,10 @@
 //! The foreground gauge is process-wide, so the tests here take turns
 //! (one lock) and nothing else in this binary scans or writes. Every
 //! interleaving is forced with channels, never a timer. The pure
-//! admission rule is unit-tested in `gauge.rs`.
+//! admission rule is unit-tested in `pprl_core::runner`.
 
 use pprl_core::bitvec::BitVec;
-use pprl_index::gauge::{cores, foreground};
+use pprl_core::gauge::{cores, foreground};
 use pprl_index::query::IndexReader;
 use pprl_index::store::{DurabilityMode, IndexConfig, IndexStore, StoreOptions};
 use pprl_index::vfs::{FaultVfs, Vfs};

@@ -31,8 +31,8 @@ pub struct DedupConfig {
     pub blocking: BlockingChoice,
     /// Dice duplicate threshold.
     pub threshold: f64,
-    /// Worker threads for index-backed scans (ignored by the in-memory
-    /// sources).
+    /// Thread cap for the index-backed and Hamming-LSH sources (ignored
+    /// by the other in-memory sources).
     pub threads: usize,
 }
 

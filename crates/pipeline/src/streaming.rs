@@ -215,7 +215,9 @@ impl StreamingLinker {
     }
 
     /// Validates and encodes one arriving record to its CLK filter and
-    /// blocking key.
+    /// blocking key. The record is row `len()` of the stream, which is
+    /// its hardening nonce: streamed records encode exactly as the same
+    /// records would in one dataset.
     fn encode_one(&self, record: &Record) -> Result<(BitVec, String)> {
         if record.values.len() != self.schema.len() {
             return Err(PprlError::shape(
@@ -223,17 +225,19 @@ impl StreamingLinker {
                 format!("{} values", record.values.len()),
             ));
         }
-        // Encode the single record via a one-row dataset.
-        let mut ds = pprl_core::record::Dataset::new(self.schema.clone());
-        ds.push(record.clone())?;
-        let encoded = self.encoder.encode_dataset(&ds)?;
-        let EncodedRecord::Clk(filter) = encoded.records.into_iter().next().expect("one row")
-        else {
+        let row = std::slice::from_ref(record);
+        let mut scratch = self.encoder.scratch(&self.schema)?;
+        let encoded = self.encoder.encode_rows(&mut scratch, row, self.len())?;
+        let EncodedRecord::Clk(filter) = encoded.into_iter().next().expect("one row") else {
             return Err(PprlError::Unsupported(
                 "streaming linker requires CLK encoding".into(),
             ));
         };
-        let key = self.blocking.extract(&ds)?.pop().expect("one key");
+        let key = self
+            .blocking
+            .extract_rows(&self.schema, row)?
+            .pop()
+            .expect("one key");
         Ok((filter, key))
     }
 
@@ -544,6 +548,38 @@ mod tests {
         assert_eq!(second.matches.len(), 1, "corrupted duplicate should match");
         assert_eq!(second.matches[0].existing, first.inserted);
         assert_eq!(second.cluster, first.cluster);
+    }
+
+    #[test]
+    fn streamed_blip_filters_equal_the_batch_encoding() {
+        // Each streamed record's BLIP nonce is its row in the stream, so
+        // records get independent noise, exactly as in one dataset.
+        let mut config = RecordEncoderConfig::person_clk(b"stream-key".to_vec());
+        config.hardening = vec![pprl_encoding::hardening::Hardening::Blip { epsilon: 2.0 }];
+        let mut linker = StreamingLinker::new(
+            Schema::person(),
+            config.clone(),
+            BlockingKey::person_default(),
+            0.8,
+        )
+        .unwrap();
+        let (a, _) = generator(9).dataset_pair(12, 12, 4).unwrap();
+        for r in a.records() {
+            linker.insert(0, r).unwrap();
+        }
+        let batch = RecordEncoder::new(config, a.schema())
+            .unwrap()
+            .encode_dataset(&a)
+            .unwrap();
+        assert_eq!(
+            linker.filters,
+            batch
+                .clks()
+                .unwrap()
+                .into_iter()
+                .cloned()
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub fn lu_linkage(a: &Dataset, b: &Dataset, config: &LuProtocolConfig) -> Result
     // LU side: block and compare on the received filters.
     let refs_a: Vec<&BitVec> = lu_a.iter().collect();
     let refs_b: Vec<&BitVec> = lu_b.iter().collect();
-    let candidates = config.lsh.candidates(&refs_a, &refs_b)?;
+    let candidates = config.lsh.candidates(&refs_a, &refs_b, 1)?;
     let outcome = compare_pairs(&candidates, config.threshold, |i, j| {
         dice_bits(refs_a[i], refs_b[j])
     })?;

@@ -108,7 +108,7 @@ pub fn two_party_linkage(
 
     // Both parties run the same deterministic LSH blocking locally.
     let received_refs: Vec<&BitVec> = received_b.iter().collect();
-    let candidates = config.lsh.candidates(&filters_a, &received_refs)?;
+    let candidates = config.lsh.candidates(&filters_a, &received_refs, 1)?;
     let outcome = compare_pairs(&candidates, config.threshold, |i, j| {
         dice_bits(filters_a[i], received_refs[j])
     })?;

@@ -19,7 +19,7 @@ use crate::pool::BoundedQueue;
 use crate::service::{LinkageService, ServiceConfig};
 use crate::wire::{read_payload, write_payload, Incoming, Request, Response};
 use pprl_core::error::{PprlError, Result};
-use pprl_index::gauge::foreground;
+use pprl_core::gauge::foreground;
 use pprl_index::store::TieredPolicy;
 use pprl_session::channel::{IncomingRef, SESSION_WIRE_VERSION};
 use pprl_session::handshake::{server_handshake, ServerSession};

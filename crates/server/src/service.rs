@@ -18,7 +18,7 @@ use crate::snapshot::{Snapshot, SnapshotHub};
 use crate::wire::StatsReport;
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
-use pprl_index::gauge;
+use pprl_core::gauge;
 use pprl_index::query::Hit;
 use pprl_index::store::{CompactionOutcome, IndexStore, TieredPolicy};
 use std::path::Path;

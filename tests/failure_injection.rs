@@ -99,7 +99,7 @@ fn lsh_rejects_mixed_filter_lengths() {
     let lsh = HammingLsh::new(4, 8, 1).unwrap();
     let a = BitVec::zeros(64);
     let b = BitVec::zeros(128);
-    assert!(lsh.candidates(&[&a], &[&b]).is_err());
+    assert!(lsh.candidates(&[&a], &[&b], 1).is_err());
 }
 
 #[test]

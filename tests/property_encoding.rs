@@ -403,13 +403,23 @@ fn candidates_by_byte_keys(
 #[test]
 fn integer_keys_give_exactly_the_byte_key_pairs() {
     let mut rng = SplitMix64::new(0x15A);
-    for case in 0..60 {
-        let len = [64usize, 65, 100, 256, 1000][case % 5];
-        let bits = [1usize, 24, 64][case % 3];
+    for case in 0..64 {
+        // The last cases are large enough for the runner to admit helpers.
+        let large = case >= 60;
+        let len = if large {
+            1000
+        } else {
+            [64usize, 65, 100, 256, 1000][case % 5]
+        };
+        let bits = if large {
+            24
+        } else {
+            [1usize, 24, 64][case % 3]
+        };
         // Clusters of near-duplicates plus all-zero filters, so that
         // tables collide often and rows repeat across tables.
         let mut population = |n: usize| -> Vec<BitVec> {
-            let bases: Vec<BitVec> = (0..4)
+            let bases: Vec<BitVec> = (0..(n / 3).max(4))
                 .map(|_| {
                     let mut f = BitVec::zeros(len);
                     for _ in 0..len / 3 {
@@ -423,7 +433,7 @@ fn integer_keys_give_exactly_the_byte_key_pairs() {
                     if rng.next_below(8) == 0 {
                         return BitVec::zeros(len);
                     }
-                    let mut f = bases[rng.next_below(4) as usize].clone();
+                    let mut f = bases[rng.next_below(bases.len() as u64) as usize].clone();
                     for _ in 0..rng.next_below(4) {
                         f.flip(rng.next_below(len as u64) as usize);
                     }
@@ -431,14 +441,22 @@ fn integer_keys_give_exactly_the_byte_key_pairs() {
                 })
                 .collect()
         };
-        let (a, b) = (population(1 + case % 17), population(case % 23));
+        let (a, b) = if large {
+            (population(3000), population(3000))
+        } else {
+            (population(1 + case % 17), population(case % 23))
+        };
         let (a, b): (Vec<&BitVec>, Vec<&BitVec>) = (a.iter().collect(), b.iter().collect());
-        let lsh = HammingLsh::new(1 + case % 6, bits, rng.next_u64()).unwrap();
-        assert_eq!(
-            lsh.candidates(&a, &b).unwrap(),
-            candidates_by_byte_keys(&lsh, &a, &b),
-            "case {case}: {len} bits, {bits} per key"
-        );
+        let tables = if large { 16 } else { 1 + case % 6 };
+        let lsh = HammingLsh::new(tables, bits, rng.next_u64()).unwrap();
+        let want = candidates_by_byte_keys(&lsh, &a, &b);
+        for threads in [1, 2, 4, 8] {
+            assert_eq!(
+                lsh.candidates(&a, &b, threads).unwrap(),
+                want,
+                "case {case}: {len} bits, {bits} per key, {threads} threads"
+            );
+        }
     }
 }
 
