@@ -353,7 +353,7 @@ fn main() {
         stats.missing_shards,
         stats.records,
         front
-            .coordinator()
+            .backend()
             .metrics
             .degraded_replies
             .load(std::sync::atomic::Ordering::Relaxed),

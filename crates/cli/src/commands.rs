@@ -669,8 +669,10 @@ pub fn serve_cmd(mut args: Args) -> CmdResult {
             None => String::new(),
         }
     );
-    let service = handle.join();
-    let stats = service.stats_report(workers as u32, queue as u32);
+    let backend = handle.join();
+    let stats = backend
+        .default_service()
+        .stats_report(workers as u32, queue as u32);
     println!(
         "shut down after {} queries, {} links, {} inserts, {} compactions",
         stats.queries, stats.links, stats.inserts, stats.compactions
@@ -1036,7 +1038,7 @@ pub fn cluster_cmd(mut args: Args) -> CmdResult {
                 );
             }
             let coordinator = handle.join();
-            let stats = coordinator.stats(0);
+            let stats = coordinator.stats();
             println!(
                 "coordinator shut down after {} queries, {} links, {} inserts \
                  ({} degraded replies); shards keep running",

@@ -34,9 +34,10 @@
 use crate::merge::merge_top_k;
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
+use pprl_core::hash::fnv1a;
 use pprl_index::query::Hit;
 use pprl_server::client::Client;
-use pprl_server::metrics::LatencyHistogram;
+use pprl_server::metrics::{LatencyHistogram, Metrics};
 use pprl_server::wire::{
     encode_insert, encode_link, encode_query, Request, Response, StatsReport, WIRE_VERSION,
 };
@@ -119,18 +120,8 @@ pub struct ClusterMetrics {
     pub shard_failures: AtomicU64,
     /// Reads answered from a strict subset of shards.
     pub degraded_replies: AtomicU64,
-    /// Connections the coordinator front end rejected with `Busy`.
-    pub busy_rejected: AtomicU64,
     /// Coordinator-side request latency (scatter + gather + merge).
     pub latency: LatencyHistogram,
-}
-
-fn add(counter: &AtomicU64, n: u64) {
-    counter.fetch_add(n, Ordering::Relaxed);
-}
-
-fn get(counter: &AtomicU64) -> u64 {
-    counter.load(Ordering::Relaxed)
 }
 
 /// One shard node: its address, a small pool of idle connections
@@ -151,12 +142,7 @@ struct ShardSlot {
 /// id, so a client can later locate a record without knowing its
 /// filter.
 pub fn route_id(id: u64, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in id.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % shards.max(1) as u64) as usize
+    (fnv1a(&id.to_le_bytes()) % shards.max(1) as u64) as usize
 }
 
 /// True for errors that mean "this shard is unreachable or unusable"
@@ -178,6 +164,7 @@ fn is_shard_failure(e: &PprlError) -> bool {
 pub struct Coordinator {
     shards: Vec<ShardSlot>,
     config: ClusterConfig,
+    started: Instant,
     /// Coordinator-level counters and latency histogram.
     pub metrics: ClusterMetrics,
 }
@@ -200,6 +187,7 @@ impl Coordinator {
         Ok(Coordinator {
             shards,
             config,
+            started: Instant::now(),
             metrics: ClusterMetrics::default(),
         })
     }
@@ -237,7 +225,7 @@ impl Coordinator {
                 Err(e @ (PprlError::Auth(_) | PprlError::CrossTenant { .. })) => return Err(e),
                 Err(_) => {
                     slot.down.store(true, Ordering::SeqCst);
-                    add(&coordinator.metrics.shard_failures, 1);
+                    Metrics::add(&coordinator.metrics.shard_failures, 1);
                 }
             }
         }
@@ -278,7 +266,7 @@ impl Coordinator {
     fn failed(&self, i: usize, e: PprlError) -> PprlError {
         if is_shard_failure(&e) {
             self.shards[i].down.store(true, Ordering::SeqCst);
-            add(&self.metrics.shard_failures, 1);
+            Metrics::add(&self.metrics.shard_failures, 1);
         }
         e
     }
@@ -430,7 +418,7 @@ impl Coordinator {
             )));
         }
         if missing > 0 {
-            add(&self.metrics.degraded_replies, 1);
+            Metrics::add(&self.metrics.degraded_replies, 1);
         }
         Ok((values, missing))
     }
@@ -449,7 +437,7 @@ impl Coordinator {
         });
         let (lists, _missing) = self.gather(results)?;
         let merged = merge_top_k(&lists, k);
-        add(&self.metrics.queries, 1);
+        Metrics::add(&self.metrics.queries, 1);
         self.metrics
             .latency
             .record_us(started.elapsed().as_micros() as u64);
@@ -480,7 +468,7 @@ impl Coordinator {
                 merge_top_k(&lists, k)
             })
             .collect();
-        add(&self.metrics.links, 1);
+        Metrics::add(&self.metrics.links, 1);
         self.metrics
             .latency
             .record_us(started.elapsed().as_micros() as u64);
@@ -562,7 +550,7 @@ impl Coordinator {
                 cause: cause.to_string(),
             });
         }
-        add(&self.metrics.inserts, 1);
+        Metrics::add(&self.metrics.inserts, 1);
         self.metrics
             .latency
             .record_us(started.elapsed().as_micros() as u64);
@@ -574,16 +562,16 @@ impl Coordinator {
     /// `quarantined_segments`, `busy_rejected`) are summed over the
     /// shards that answered — `generation` in particular is the *sum*
     /// of shard generations, a counter that bumps whenever any shard
-    /// changes. `workers`/`queue_capacity` are left 0 for the serving
-    /// front end to fill with its own pool size. Request-shaped
-    /// fields (`queries`, `links`, `inserts`, latency quantiles,
-    /// uptime) are the coordinator's own, since one broadcast query
-    /// would otherwise count N times. Unlike reads, stats never fails
-    /// on lost shards: operators need this surface *most* when the
-    /// cluster is degraded, so it reports whatever subset answered,
-    /// with `degraded`/`shards_down`/`missing_shards` telling the
-    /// truth about the rest.
-    pub fn stats(&self, uptime_ms: u64) -> StatsReport {
+    /// changes. The serving front end fills `workers`/`queue_capacity`
+    /// with its own pool size and adds its own `busy_rejected` count.
+    /// Request-shaped fields (`queries`, `links`, `inserts`, latency
+    /// quantiles, uptime) are the coordinator's own, since one
+    /// broadcast query would otherwise count N times. Unlike reads,
+    /// stats never fails on lost shards: operators need this surface
+    /// *most* when the cluster is degraded, so it reports whatever
+    /// subset answered, with `degraded`/`shards_down`/`missing_shards`
+    /// telling the truth about the rest.
+    pub fn stats(&self) -> StatsReport {
         let results = self.broadcast(&Request::Stats.encode(), |reply| match reply {
             Response::Stats(report) => Some(report),
             _ => None,
@@ -618,13 +606,12 @@ impl Coordinator {
                 Err(_) => missing_shards.push(i as u32),
             }
         }
-        report.queries = get(&self.metrics.queries);
-        report.links = get(&self.metrics.links);
-        report.inserts = get(&self.metrics.inserts);
-        report.busy_rejected += get(&self.metrics.busy_rejected);
+        report.queries = Metrics::get(&self.metrics.queries);
+        report.links = Metrics::get(&self.metrics.links);
+        report.inserts = Metrics::get(&self.metrics.inserts);
         report.latency_p50_us = self.metrics.latency.quantile_us(0.50);
         report.latency_p99_us = self.metrics.latency.quantile_us(0.99);
-        report.uptime_ms = uptime_ms;
+        report.uptime_ms = self.started.elapsed().as_millis() as u64;
         report.cluster_shards = self.shards.len() as u32;
         report.shards_down = missing_shards.len() as u32;
         report.degraded |= !missing_shards.is_empty();
@@ -664,6 +651,34 @@ mod tests {
                 assert_eq!(a, b);
                 assert!(a < shards);
             }
+        }
+    }
+
+    /// Every shipped shard and the benchmark's `partition()` depend on
+    /// this placement; the values were captured before the hash moved
+    /// to `pprl_core::hash`.
+    #[test]
+    fn route_golden_three_shards() {
+        let golden: [(u64, usize); 16] = [
+            (0, 1),
+            (1, 0),
+            (2, 0),
+            (3, 2),
+            (7, 1),
+            (42, 0),
+            (255, 1),
+            (256, 1),
+            (1000, 1),
+            (10_001, 0),
+            (65_535, 0),
+            (123_456_789, 0),
+            (1 << 32, 2),
+            (u64::MAX / 3, 1),
+            (u64::MAX - 1, 2),
+            (u64::MAX, 1),
+        ];
+        for (id, shard) in golden {
+            assert_eq!(route_id(id, 3), shard, "id {id} moved shards");
         }
     }
 

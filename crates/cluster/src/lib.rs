@@ -23,9 +23,11 @@
 //!   tail are copied to a fresh directory, verified by the usual
 //!   open-time checks, and served by a new node.
 //!
-//! [`serve_cluster`] wraps the coordinator in the same TCP front end a
-//! single node uses, so existing clients need no changes to talk to a
-//! cluster.
+//! [`serve_cluster`] serves the coordinator through the same TCP front
+//! end a single node uses — `pprl-server`'s one accept loop, worker pool
+//! and session loop, with the [`Coordinator`] as its
+//! [`Backend`](pprl_server::server::Backend) — so existing clients need
+//! no changes to talk to a cluster.
 
 pub mod coordinator;
 pub mod merge;

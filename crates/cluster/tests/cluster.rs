@@ -252,7 +252,7 @@ fn routed_inserts_are_visible_cluster_wide() {
     }
 
     // The stats surface sums the shard corpora: originals + the batch.
-    let stats = coordinator.stats(0);
+    let stats = coordinator.stats();
     assert_eq!(stats.records, records.len() as u64 + 30);
     assert_eq!(stats.cluster_shards, SHARDS as u32);
     assert_eq!(stats.shards_down, 0);
@@ -310,7 +310,7 @@ fn killed_shard_degrades_merge_and_stats_then_quorum_fails() {
     );
 
     // Stats never fails on lost shards; it reports them.
-    let stats = coordinator.stats(0);
+    let stats = coordinator.stats();
     assert!(stats.degraded);
     assert_eq!(stats.cluster_shards, 3);
     assert_eq!(stats.shards_down, 1);
@@ -1441,4 +1441,200 @@ fn short_link_reply_is_a_shard_failure_not_a_partial_result() {
     let failures = &coordinator.metrics.shard_failures;
     assert_eq!(failures.load(Ordering::Relaxed), 1);
     join_all(fakes);
+}
+
+// ------------------------------------------------------------------
+// Front-end behaviours, pinned through the cluster: the accept loop's
+// `Busy` shedding and its count, first-frame routing, tenant refusal,
+// and sessions that survive an undecodable request. Ordering comes
+// from request/reply round trips, never from sleeps.
+
+use pprl_cluster::server::serve_cluster_auth;
+use pprl_server::wire::WIRE_VERSION;
+use pprl_session::handshake::client_handshake;
+use std::io::{Read, Write};
+
+/// A coordinator over one address nobody listens on. Requests that
+/// never reach a shard are all these tests send, and `Stats` reports
+/// the shard down instead of failing.
+fn coordinator_without_shards() -> Arc<Coordinator> {
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .to_string();
+    Arc::new(Coordinator::new(ClusterConfig::new(vec![addr])).unwrap())
+}
+
+/// Writes one plaintext request payload and reads the one reply.
+fn round_trip(raw: &mut TcpStream, payload: &[u8]) -> Response {
+    write_payload(raw, payload).unwrap();
+    match read_payload(raw).unwrap() {
+        Incoming::Payload(reply) => Response::decode(&reply).unwrap(),
+        other => panic!("expected a reply frame, got {other:?}"),
+    }
+}
+
+#[test]
+fn front_end_refuses_a_privileged_identity_naming_another_tenant() {
+    let admin_key = PartyKey::from_bytes([0xAD; 32]);
+    let mut registry = AuthRegistry::new();
+    registry
+        .insert("admin", admin_key.clone(), TenantGrant::Any)
+        .unwrap();
+    let front = serve_cluster_auth(
+        coordinator_without_shards(),
+        "127.0.0.1:0",
+        ClusterServerConfig::default(),
+        registry,
+    )
+    .unwrap();
+    // The `*` grant may name any tenant, so the handshake succeeds...
+    let mut admin = Client::connect_with(
+        &front.addr().to_string(),
+        Some(ClientAuth {
+            identity: "admin".into(),
+            key: admin_key,
+            tenant: "other".into(),
+            encrypt: true,
+            suites: SuiteOffer::default(),
+        }),
+    )
+    .unwrap();
+    // ...and the first request is refused.
+    match admin.stats() {
+        Err(PprlError::ProtocolError(msg)) => assert!(
+            msg.contains("tenant `other` has no index namespace on this cluster front end"),
+            "{msg}"
+        ),
+        other => panic!("expected a tenant refusal, got {other:?}"),
+    }
+    front.shutdown_now();
+}
+
+#[test]
+fn front_end_sheds_overflow_with_busy_and_counts_it() {
+    let front = serve_cluster(
+        coordinator_without_shards(),
+        "127.0.0.1:0",
+        ClusterServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            retry_after_ms: 77,
+            ..ClusterServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = front.addr().to_string();
+    // A worker keeps a connection until EOF, so once `held` has had an
+    // answer it owns the only worker.
+    let mut held = Client::connect(&addr).unwrap();
+    assert_eq!(held.stats().unwrap().busy_rejected, 0);
+    // The acceptor takes connections in arrival order: `queued` fills
+    // the one queue slot before `rejected` is accepted.
+    let queued = TcpStream::connect(&addr).unwrap();
+    let mut rejected = TcpStream::connect(&addr).unwrap();
+    rejected
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    match read_payload(&mut rejected).unwrap() {
+        Incoming::Payload(p) => assert_eq!(
+            Response::decode(&p).unwrap(),
+            Response::Busy { retry_after_ms: 77 }
+        ),
+        other => panic!("expected a Busy frame, got {other:?}"),
+    }
+    let stats = held.stats().unwrap();
+    assert_eq!(stats.busy_rejected, 1, "the cluster lost its Busy count");
+    assert_eq!((stats.workers, stats.queue_capacity), (1, 1));
+    drop((queued, rejected));
+    front.shutdown_now();
+}
+
+/// Passes a socket through and keeps every byte read from it.
+struct Tap {
+    stream: TcpStream,
+    read: Vec<u8>,
+}
+
+impl Read for Tap {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        self.read.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+}
+
+impl Write for Tap {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+#[test]
+fn plaintext_front_end_refuses_a_v4_hello() {
+    let front = serve_cluster(
+        coordinator_without_shards(),
+        "127.0.0.1:0",
+        ClusterServerConfig::default(),
+    )
+    .unwrap();
+    let stream = TcpStream::connect(front.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut tap = Tap {
+        stream,
+        read: Vec::new(),
+    };
+    let auth = ClientAuth {
+        identity: "alice".into(),
+        key: PartyKey::from_bytes([0xA1; 32]),
+        tenant: "default".into(),
+        encrypt: false,
+        suites: SuiteOffer::default(),
+    };
+    // A real HELLO goes out; what comes back is no WELCOME...
+    assert!(client_handshake(&mut tap, &auth, &mut entropy_rng()).is_err());
+    // ...but a plaintext error naming the problem.
+    let Incoming::Payload(reply) = read_payload(&mut tap.read.as_slice()).unwrap() else {
+        panic!("the front end sent no frame");
+    };
+    match Response::decode(&reply).unwrap() {
+        Response::ServerError { message } => assert!(
+            message.contains("not configured for authenticated sessions"),
+            "{message}"
+        ),
+        other => panic!("expected a ServerError, got {other:?}"),
+    }
+    front.shutdown_now();
+}
+
+#[test]
+fn undecodable_request_gets_a_server_error_and_the_session_keeps_serving() {
+    let front = serve_cluster(
+        coordinator_without_shards(),
+        "127.0.0.1:0",
+        ClusterServerConfig::default(),
+    )
+    .unwrap();
+    let mut raw = TcpStream::connect(front.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    // Framed and checksummed correctly, but no such opcode.
+    match round_trip(&mut raw, &[WIRE_VERSION, 0x7f]) {
+        Response::ServerError { message } => {
+            assert!(message.contains("unknown request opcode"), "{message}")
+        }
+        other => panic!("expected a ServerError, got {other:?}"),
+    }
+    // The stream is still in sync: the same session answers a request.
+    match round_trip(&mut raw, &Request::Stats.encode()) {
+        Response::Stats(stats) => assert_eq!(stats.cluster_shards, 1),
+        other => panic!("expected Stats, got {other:?}"),
+    }
+    front.shutdown_now();
 }

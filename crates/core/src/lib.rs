@@ -5,7 +5,8 @@
 //! q-gram tokenisation, bit vectors, phonetic codes, string normalisation,
 //! a small deterministic PRNG, the [`candidate::CandidateSource`]
 //! abstraction every blocking engine and index backend implements, a
-//! minimal JSON writer shared by the CLI, pipeline and bench harness, and
+//! minimal JSON writer shared by the CLI, pipeline and bench harness, the
+//! FNV-1a [`hash`] behind every checksum and the cluster's routing, and
 //! the elastic [`runner`] (with its foreground [`gauge`]) that lends idle
 //! cores to the index scan and the batch pipeline.
 //!
@@ -23,6 +24,7 @@ pub mod candidate;
 pub mod csv;
 pub mod error;
 pub mod gauge;
+pub mod hash;
 pub mod json;
 pub mod normalize;
 pub mod phonetic;

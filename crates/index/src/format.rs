@@ -10,21 +10,7 @@
 //! probabilistically.
 
 use pprl_core::error::{PprlError, Result};
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a hash of `bytes`.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+use pprl_core::hash::fnv1a;
 
 /// Convenience constructor for a [`PprlError::Storage`] error.
 pub fn storage_err(msg: impl Into<String>) -> PprlError {
@@ -139,14 +125,6 @@ pub fn io_err(path: &std::path::Path, op: &str, e: std::io::Error) -> PprlError 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a_known_vector() {
-        // FNV-1a of the empty string is the offset basis.
-        assert_eq!(fnv1a(b""), FNV_OFFSET);
-        // And of "a" (a single absorb step).
-        assert_eq!(fnv1a(b"a"), (FNV_OFFSET ^ 0x61).wrapping_mul(FNV_PRIME));
-    }
 
     #[test]
     fn checksum_round_trip_and_flip_detection() {

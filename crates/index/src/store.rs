@@ -32,7 +32,7 @@
 //! co-locate and the routing is stable across process restarts.
 
 use crate::arena::{ArenaBuilder, FilterArena};
-use crate::format::{fnv1a, io_err, storage_err, Reader};
+use crate::format::{io_err, storage_err, Reader};
 use crate::manifest::{segment_path, Manifest, SegmentEntry};
 use crate::query::{ArenaCell, IndexReader, SlotSpec};
 use crate::segment::{
@@ -44,6 +44,7 @@ use pprl_blocking::lsh::HammingLsh;
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
 use pprl_core::gauge::foreground;
+use pprl_core::hash::fnv1a;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};

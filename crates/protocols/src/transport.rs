@@ -16,27 +16,13 @@
 //! byte is guaranteed to change the checksum and be caught.
 
 use pprl_core::error::{PprlError, Result};
+use pprl_core::hash::fnv1a;
 use pprl_core::rng::SplitMix64;
 use std::collections::VecDeque;
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Bytes of frame overhead around the payload: length (4) + sequence (4) +
 /// kind (1) + checksum (8).
 pub const FRAME_OVERHEAD: usize = 17;
-
-/// FNV-1a hash of `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

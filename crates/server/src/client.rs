@@ -4,6 +4,7 @@
 use crate::wire::{read_payload, write_payload, Incoming, Request, Response, StatsReport};
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
+use pprl_core::hash::fnv1a;
 use pprl_core::rng::SplitMix64;
 use pprl_index::query::Hit;
 use pprl_session::channel::{IncomingRef, SecureChannel};
@@ -35,11 +36,7 @@ fn set_io_timeouts(stream: &TcpStream, deadline: Duration) -> std::io::Result<()
 /// burst do not retry in lockstep: a hash of the address mixed with
 /// sub-second wall-clock nanoseconds.
 fn jitter_seed(addr: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in addr.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
+    let h = fnv1a(addr.as_bytes());
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| u64::from(d.subsec_nanos()))

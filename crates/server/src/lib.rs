@@ -8,8 +8,8 @@
 //!
 //! - [`wire`] — a framed, FNV-1a-checksummed request/response protocol
 //!   with typed [`pprl_core::error::PprlError::Transport`] errors;
-//! - [`pool`] — a bounded connection queue with explicit backpressure
-//!   (`Busy {retry_after}`), never unbounded buffering;
+//! - `pool` — the front end's bounded connection queue with explicit
+//!   backpressure (`Busy {retry_after}`), never unbounded buffering;
 //! - [`snapshot`] — generation-tagged snapshot isolation: queries pin an
 //!   immutable reader while writes install the next generation, and
 //!   superseded segment files are reclaimed only once readers drain;
@@ -18,8 +18,9 @@
 //!   (generation, filter bits, k);
 //! - [`metrics`] — lock-free counters and a fixed-bucket latency
 //!   histogram behind the `STATS` wire command;
-//! - [`server`] / [`client`] — the TCP front end and its blocking
-//!   counterpart.
+//! - [`server`] / [`client`] — the TCP front end, generic over the
+//!   [`Backend`] it serves (a node's tenants here, the coordinator in
+//!   `pprl-cluster`), and its blocking counterpart.
 //!
 //! ```no_run
 //! use pprl_server::server::{serve, ServerConfig};
@@ -38,14 +39,16 @@
 pub mod cache;
 pub mod client;
 pub mod metrics;
-pub mod pool;
+mod pool;
 pub mod server;
 pub mod service;
 pub mod snapshot;
 pub mod wire;
 
 pub use client::Client;
-pub use server::{serve, serve_auth, ServerBackend, ServerConfig, ServerHandle};
+pub use server::{
+    serve, serve_auth, serve_backend, Backend, ServerBackend, ServerConfig, ServerHandle,
+};
 pub use service::{LinkageService, ServiceConfig};
 pub use wire::StatsReport;
 

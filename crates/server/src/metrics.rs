@@ -84,8 +84,6 @@ pub struct Metrics {
     pub plan_hits: AtomicU64,
     /// Cache-missing queries that computed (and cached) a fresh plan.
     pub plan_misses: AtomicU64,
-    /// Connections rejected with a `Busy` frame.
-    pub busy_rejected: AtomicU64,
     /// Background compaction steps that merged at least one tier.
     pub compactions: AtomicU64,
     /// Segments merged away by background compaction.

@@ -39,21 +39,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Maximum number of queued items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("queue lock").items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Enqueues `item` without blocking. Returns `Err(item)` when the
     /// queue is full or closed, handing the job back so the caller can
     /// reject it explicitly.
@@ -112,7 +97,7 @@ mod tests {
         assert_eq!(q.try_push(3), Err(3)); // full: job handed back
         assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(1));
         assert!(q.try_push(3).is_ok()); // capacity freed
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.try_push(4), Err(4)); // and full again
     }
 
     #[test]

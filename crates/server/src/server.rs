@@ -1,34 +1,44 @@
-//! The TCP front end: accept loop, bounded worker pool, sessions, and
-//! the background maintenance thread.
+//! The one TCP front end — accept loop, bounded worker pool, first-frame
+//! routing, the session loop — generic over the [`Backend`] that answers
+//! requests, plus a node's background maintenance thread.
+//!
+//! Both linkage-unit roles serve through it: a node's tenant set
+//! ([`ServerBackend`], see [`serve`] / [`serve_auth`]) and the cluster
+//! coordinator (`pprl-cluster`'s `serve_cluster`). [`serve_backend`] is
+//! monomorphised per backend, so the seam costs no dynamic dispatch.
+//! Everything above it is shared: framing, authentication, tenant
+//! resolution once per connection, `Shutdown`, and the `Busy` count. A
+//! backend only names its tenants and answers requests.
 //!
 //! One connection is one job. The acceptor never blocks the world: the
 //! listener is non-blocking and polls the shutdown flag; a connection
 //! that does not fit in the bounded queue is answered immediately with
-//! `Busy {retry_after}` and closed — the server's memory use is bounded
-//! by `workers + queue_capacity` sessions no matter the offered load.
-//! Workers poll the queue with a short timeout, and session sockets
-//! carry a short read timeout, so every thread observes a shutdown
-//! request within ~100 ms without any platform-specific socket tricks.
-//! Sockets also carry a write timeout, and a connection idle for longer
-//! than [`ServerConfig::idle_timeout`] is closed — a stalled or
+//! `Busy {retry_after}` and closed — the front end's memory use is
+//! bounded by `workers + queue_capacity` sessions no matter the offered
+//! load. Workers poll the queue with a short timeout, and session
+//! sockets carry a short read timeout, so every thread observes a
+//! shutdown request within ~100 ms without any platform-specific socket
+//! tricks. Sockets also carry a write timeout, and a connection idle for
+//! longer than [`ServerConfig::idle_timeout`] is closed — a stalled or
 //! half-closed client can delay a worker, never pin it indefinitely.
 //! The maintenance thread treats a failed compaction step as transient:
 //! it backs off exponentially (capped) and retries rather than dying.
 
 use crate::pool::BoundedQueue;
 use crate::service::{LinkageService, ServiceConfig};
-use crate::wire::{read_payload, write_payload, Incoming, Request, Response};
+use crate::wire::{write_payload, Request, Response};
 use pprl_core::error::{PprlError, Result};
 use pprl_core::gauge::foreground;
 use pprl_index::store::TieredPolicy;
-use pprl_session::channel::{IncomingRef, SESSION_WIRE_VERSION};
-use pprl_session::handshake::{server_handshake, ServerSession};
+use pprl_session::channel::{IncomingRef, SecureChannel, SESSION_WIRE_VERSION};
+use pprl_session::frame::{frame_begin, frame_finish, frame_send, read_payload_into, IncomingLen};
+use pprl_session::handshake::server_handshake;
 use pprl_session::keys::entropy_rng;
 use pprl_session::registry::AuthRegistry;
 use pprl_session::suite::SuiteOffer;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -37,7 +47,9 @@ use std::time::Duration;
 /// flag. Bounds shutdown latency; invisible to throughput.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
-/// Tunables for [`serve`].
+/// Tunables for [`serve`] and every other front end. `cache_capacity`,
+/// `compact_interval` and `tiered` configure a node's index and are
+/// ignored by other backends.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Worker threads serving sessions.
@@ -83,7 +95,9 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    fn validate(&self) -> Result<()> {
+    /// Rejects a config no front end can run, and an empty registry
+    /// (every client would be refused).
+    fn preflight(&self, registry: Option<&AuthRegistry>) -> Result<()> {
         if self.workers == 0 {
             return Err(PprlError::invalid("workers", "must be at least 1"));
         }
@@ -102,22 +116,47 @@ impl ServerConfig {
                 "must allow at least one cipher suite",
             ));
         }
+        if registry.is_some_and(AuthRegistry::is_empty) {
+            return Err(PprlError::Auth(
+                "auth registry is empty: no identities would be able to connect".into(),
+            ));
+        }
         Ok(())
     }
 }
 
-/// The set of tenant namespaces one server process hosts, plus (when
-/// authentication is on) the identity registry gating access to them.
+/// What a front end serves: the seam between the shared accept, worker
+/// and session loops and the code that answers requests.
+///
+/// The front end resolves each connection's tenant once — `default` on
+/// plaintext, the handshake's tenant on wire v4 — and hands every
+/// request except `Shutdown` to [`Backend::dispatch`]. It fills
+/// `workers` and `queue_capacity` into a `Stats` reply and adds its own
+/// `busy_rejected` count, since a `Busy` rejection happens before any
+/// tenant is known.
+pub trait Backend: Send + Sync + 'static {
+    /// What a connection's tenant resolves to.
+    type Tenant;
+    /// How refusals name this front end (`server`, `cluster front end`).
+    const NAME: &'static str;
+
+    /// Resolves a tenant name. `Err` carries the refusal sent in reply
+    /// to the connection's first request, after which it is closed.
+    fn tenant(&self, name: &str) -> std::result::Result<Self::Tenant, String>;
+
+    /// Answers one request other than `Shutdown`.
+    fn dispatch(&self, tenant: &Self::Tenant, request: Request) -> Result<Response>;
+}
+
+/// The set of tenant namespaces one server process hosts.
 ///
 /// A plaintext server is the degenerate case: one tenant named
-/// `default`, no registry. An authenticated server maps each tenant
-/// name to its own [`LinkageService`] over its own index directory —
-/// disjoint stores, snapshots, caches, and metrics, so per-tenant
-/// `STATS` are exactly what a dedicated single-tenant server would
-/// report.
+/// `default`. An authenticated server maps each tenant name to its own
+/// [`LinkageService`] over its own index directory — disjoint stores,
+/// snapshots, caches, and metrics, so per-tenant `STATS` are exactly
+/// what a dedicated single-tenant server would report.
 pub struct ServerBackend {
     entries: Vec<(String, Arc<LinkageService>)>,
-    registry: Option<AuthRegistry>,
 }
 
 impl ServerBackend {
@@ -133,78 +172,122 @@ impl ServerBackend {
     pub fn default_service(&self) -> &Arc<LinkageService> {
         &self.entries[0].1
     }
+}
 
-    /// Tenant names hosted by this server, in load order.
-    pub fn tenants(&self) -> Vec<&str> {
-        self.entries.iter().map(|(name, _)| name.as_str()).collect()
+impl Backend for ServerBackend {
+    type Tenant = Arc<LinkageService>;
+    const NAME: &'static str = "server";
+
+    fn tenant(&self, name: &str) -> std::result::Result<Arc<LinkageService>, String> {
+        // A privileged identity may name any tenant at handshake; only
+        // some tenants have an index on this node.
+        self.service(name)
+            .cloned()
+            .ok_or_else(|| format!("tenant `{name}` has no index namespace on this server"))
     }
 
-    /// The identity registry, when authentication is enabled.
-    pub fn registry(&self) -> Option<&AuthRegistry> {
-        self.registry.as_ref()
+    fn dispatch(&self, service: &Arc<LinkageService>, request: Request) -> Result<Response> {
+        // A core serving a request is not idle: scan helpers yield to it.
+        let _busy = foreground();
+        match request {
+            Request::Query { filter, k } => service.query(&filter, k as usize).map(Response::Hits),
+            Request::Link {
+                probes,
+                k,
+                min_score,
+            } => service
+                .link(&probes, k as usize, min_score)
+                .map(Response::LinkHits),
+            Request::Insert { records } => {
+                service
+                    .insert(&records)
+                    .map(|generation| Response::Inserted {
+                        count: records.len() as u32,
+                        generation,
+                    })
+            }
+            // The front end fills in its own pool size.
+            Request::Stats => Ok(Response::Stats(service.stats_report(0, 0))),
+            Request::Shutdown => unreachable!("handled by the front end"),
+        }
     }
 }
 
-/// Everything a session needs, shared across threads.
-struct ServerContext {
-    backend: Arc<ServerBackend>,
-    shutdown: Arc<AtomicBool>,
-    workers: u32,
-    queue_capacity: u32,
-    retry_after_ms: u32,
-    write_timeout: Duration,
-    idle_timeout: Duration,
-    suites: SuiteOffer,
+/// Everything the front end's threads share.
+struct FrontEnd<B> {
+    backend: Arc<B>,
+    registry: Option<AuthRegistry>,
+    config: ServerConfig,
+    shutdown: AtomicBool,
+    /// Connections rejected with `Busy`.
+    busy_rejected: AtomicU64,
 }
 
-/// A running server; dropping the handle does **not** stop it — call
+impl<B: Backend> FrontEnd<B> {
+    fn stopping(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Counts one timed-out read — one `POLL_INTERVAL` of silence —
+    /// against a session's idle cap; true once the session should close.
+    fn idle_out(&self, idle: &mut Duration) -> bool {
+        *idle += POLL_INTERVAL;
+        *idle >= self.config.idle_timeout
+    }
+
+    fn dispatch(&self, tenant: &B::Tenant, request: Request) -> Response {
+        match self.backend.dispatch(tenant, request) {
+            Ok(Response::Stats(mut report)) => {
+                report.workers = self.config.workers as u32;
+                report.queue_capacity = self.config.queue_capacity as u32;
+                report.busy_rejected += self.busy_rejected.load(Ordering::Relaxed);
+                Ok(Response::Stats(report))
+            }
+            other => other,
+        }
+        .unwrap_or_else(|e| server_error(&e))
+    }
+}
+
+/// A running front end; dropping the handle does **not** stop it — call
 /// [`ServerHandle::shutdown_now`] or send a `Shutdown` request.
-pub struct ServerHandle {
+pub struct ServerHandle<B = ServerBackend> {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    backend: Arc<ServerBackend>,
+    front: Arc<FrontEnd<B>>,
     threads: Vec<JoinHandle<()>>,
 }
 
-impl ServerHandle {
+impl<B: Backend> ServerHandle<B> {
     /// The address actually bound (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// The default tenant's service (for in-process inspection and tests).
-    pub fn service(&self) -> &Arc<LinkageService> {
-        self.backend.default_service()
+    /// The backend being served (for in-process inspection and tests).
+    pub fn backend(&self) -> &Arc<B> {
+        &self.front.backend
     }
 
-    /// The full tenant backend.
-    pub fn backend(&self) -> &Arc<ServerBackend> {
-        &self.backend
-    }
-
-    /// True once a shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Requests an orderly shutdown without waiting for it.
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Waits for every server thread to exit. Returns the default
-    /// tenant's service so callers can read final stats.
-    pub fn join(self) -> Arc<LinkageService> {
+    /// Waits for every front-end thread to exit. Returns the backend so
+    /// callers can read final stats.
+    pub fn join(self) -> Arc<B> {
         for t in self.threads {
             let _ = t.join();
         }
-        Arc::clone(self.backend.default_service())
+        Arc::clone(&self.front.backend)
     }
 
     /// Requests shutdown and waits for it to complete.
-    pub fn shutdown_now(self) -> Arc<LinkageService> {
-        self.request_shutdown();
+    pub fn shutdown_now(self) -> Arc<B> {
+        self.front.shutdown.store(true, Ordering::SeqCst);
         self.join()
+    }
+}
+
+impl ServerHandle<ServerBackend> {
+    /// The default tenant's service (for in-process inspection and tests).
+    pub fn service(&self) -> &Arc<LinkageService> {
+        self.front.backend.default_service()
     }
 }
 
@@ -213,13 +296,11 @@ impl ServerHandle {
 /// the returned handle owns the acceptor, worker, and maintenance
 /// threads.
 pub fn serve(dir: &Path, addr: &str, config: ServerConfig) -> Result<ServerHandle> {
-    config.validate()?;
-    let service = open_service(dir, &config)?;
+    config.preflight(None)?;
     let backend = ServerBackend {
-        entries: vec![("default".to_string(), service)],
-        registry: None,
+        entries: vec![("default".to_string(), open_service(dir, &config)?)],
     };
-    serve_backend(backend, addr, config)
+    serve_node(backend, addr, config, None)
 }
 
 /// Serves with authentication and multi-tenant namespaces enabled.
@@ -236,12 +317,7 @@ pub fn serve_auth(
     config: ServerConfig,
     registry: AuthRegistry,
 ) -> Result<ServerHandle> {
-    config.validate()?;
-    if registry.is_empty() {
-        return Err(PprlError::Auth(
-            "auth registry is empty: no identities would be able to connect".into(),
-        ));
-    }
+    config.preflight(Some(&registry))?;
     let mut entries = Vec::new();
     if root.join("MANIFEST").exists() {
         entries.push(("default".to_string(), open_service(root, &config)?));
@@ -263,11 +339,7 @@ pub fn serve_auth(
             "no tenant namespaces to serve: grant at least one identity a named tenant".into(),
         ));
     }
-    let backend = ServerBackend {
-        entries,
-        registry: Some(registry),
-    };
-    serve_backend(backend, addr, config)
+    serve_node(ServerBackend { entries }, addr, config, Some(registry))
 }
 
 fn open_service(dir: &Path, config: &ServerConfig) -> Result<Arc<LinkageService>> {
@@ -280,8 +352,43 @@ fn open_service(dir: &Path, config: &ServerConfig) -> Result<Arc<LinkageService>
     )?))
 }
 
-fn serve_backend(backend: ServerBackend, addr: &str, config: ServerConfig) -> Result<ServerHandle> {
-    let backend = Arc::new(backend);
+/// The front end over a node's tenants, plus its maintenance thread.
+fn serve_node(
+    backend: ServerBackend,
+    addr: &str,
+    config: ServerConfig,
+    registry: Option<AuthRegistry>,
+) -> Result<ServerHandle> {
+    let mut handle = start(Arc::new(backend), addr, config, registry)?;
+    if let Some(interval) = config.compact_interval {
+        let front = Arc::clone(&handle.front);
+        handle.threads.push(std::thread::spawn(move || {
+            maintenance_loop(&front.backend, &front.shutdown, interval);
+        }));
+    }
+    Ok(handle)
+}
+
+/// Serves `backend` on `addr` through the shared front end: plaintext
+/// wire v3 when `registry` is `None`, otherwise only wire v4 sessions
+/// authenticated against it. Returns immediately; the handle owns the
+/// acceptor and worker threads.
+pub fn serve_backend<B: Backend>(
+    backend: Arc<B>,
+    addr: &str,
+    config: ServerConfig,
+    registry: Option<AuthRegistry>,
+) -> Result<ServerHandle<B>> {
+    config.preflight(registry.as_ref())?;
+    start(backend, addr, config, registry)
+}
+
+fn start<B: Backend>(
+    backend: Arc<B>,
+    addr: &str,
+    config: ServerConfig,
+    registry: Option<AuthRegistry>,
+) -> Result<ServerHandle<B>> {
     let listener = TcpListener::bind(addr)
         .map_err(|e| PprlError::Transport(format!("binding {addr}: {e}")))?;
     let local_addr = listener
@@ -291,66 +398,50 @@ fn serve_backend(backend: ServerBackend, addr: &str, config: ServerConfig) -> Re
         .set_nonblocking(true)
         .map_err(|e| PprlError::Transport(format!("setting listener non-blocking: {e}")))?;
 
-    let shutdown = Arc::new(AtomicBool::new(false));
     let queue: Arc<BoundedQueue<TcpStream>> = Arc::new(BoundedQueue::new(config.queue_capacity));
-    let context = Arc::new(ServerContext {
-        backend: Arc::clone(&backend),
-        shutdown: Arc::clone(&shutdown),
-        workers: config.workers as u32,
-        queue_capacity: config.queue_capacity as u32,
-        retry_after_ms: config.retry_after_ms,
-        write_timeout: config.write_timeout,
-        idle_timeout: config.idle_timeout,
-        suites: config.suites,
+    let front = Arc::new(FrontEnd {
+        backend,
+        registry,
+        config,
+        shutdown: AtomicBool::new(false),
+        busy_rejected: AtomicU64::new(0),
     });
 
     let mut threads = Vec::with_capacity(config.workers + 2);
     for _ in 0..config.workers {
         let queue = Arc::clone(&queue);
-        let context = Arc::clone(&context);
-        threads.push(std::thread::spawn(move || worker_loop(&queue, &context)));
+        let front = Arc::clone(&front);
+        threads.push(std::thread::spawn(move || worker_loop(&queue, &front)));
     }
     {
-        let queue = Arc::clone(&queue);
-        let context = Arc::clone(&context);
+        let front = Arc::clone(&front);
         threads.push(std::thread::spawn(move || {
-            accept_loop(&listener, &queue, &context);
-        }));
-    }
-    if let Some(interval) = config.compact_interval {
-        let services: Vec<Arc<LinkageService>> = backend
-            .entries
-            .iter()
-            .map(|(_, svc)| Arc::clone(svc))
-            .collect();
-        let shutdown = Arc::clone(&shutdown);
-        threads.push(std::thread::spawn(move || {
-            maintenance_loop(&services, &shutdown, interval);
+            accept_loop(&listener, &queue, &front);
         }));
     }
 
     Ok(ServerHandle {
         addr: local_addr,
-        shutdown,
-        backend,
+        front,
         threads,
     })
 }
 
-fn accept_loop(listener: &TcpListener, queue: &BoundedQueue<TcpStream>, context: &ServerContext) {
-    while !context.shutdown.load(Ordering::SeqCst) {
+fn accept_loop<B: Backend>(
+    listener: &TcpListener,
+    queue: &BoundedQueue<TcpStream>,
+    front: &FrontEnd<B>,
+) {
+    while !front.stopping() {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-                let _ = stream.set_write_timeout(Some(context.write_timeout));
+                let _ = stream.set_write_timeout(Some(front.config.write_timeout));
                 if let Err(mut rejected) = queue.try_push(stream) {
-                    crate::metrics::Metrics::add(
-                        &context.backend.default_service().metrics.busy_rejected,
-                        1,
-                    );
+                    front.busy_rejected.fetch_add(1, Ordering::Relaxed);
                     let busy = Response::Busy {
-                        retry_after_ms: context.retry_after_ms,
+                        retry_after_ms: front.config.retry_after_ms,
                     };
                     let _ = write_payload(&mut rejected, &busy.encode());
                     // Dropping the stream closes the rejected connection.
@@ -369,12 +460,12 @@ fn accept_loop(listener: &TcpListener, queue: &BoundedQueue<TcpStream>, context:
     queue.close();
 }
 
-fn worker_loop(queue: &BoundedQueue<TcpStream>, context: &ServerContext) {
+fn worker_loop<B: Backend>(queue: &BoundedQueue<TcpStream>, front: &FrontEnd<B>) {
     loop {
         match queue.pop_timeout(POLL_INTERVAL) {
-            Some(stream) => handle_session(stream, context),
+            Some(stream) => handle_session(stream, front),
             None => {
-                if context.shutdown.load(Ordering::SeqCst) {
+                if front.stopping() {
                     return;
                 }
             }
@@ -382,7 +473,8 @@ fn worker_loop(queue: &BoundedQueue<TcpStream>, context: &ServerContext) {
     }
 }
 
-fn maintenance_loop(services: &[Arc<LinkageService>], shutdown: &AtomicBool, interval: Duration) {
+fn maintenance_loop(backend: &ServerBackend, shutdown: &AtomicBool, interval: Duration) {
+    let services = || backend.entries.iter().map(|(_, service)| service);
     let slice = Duration::from_millis(20);
     let mut failures: u32 = 0;
     'outer: loop {
@@ -403,7 +495,7 @@ fn maintenance_loop(services: &[Arc<LinkageService>], shutdown: &AtomicBool, int
         // tick retries. reclaim_drained runs inside compact_step. One
         // thread round-robins every tenant's store.
         let mut any_failed = false;
-        for service in services {
+        for service in services() {
             if service.compact_step().is_err() {
                 any_failed = true;
             }
@@ -414,233 +506,221 @@ fn maintenance_loop(services: &[Arc<LinkageService>], shutdown: &AtomicBool, int
             0
         };
     }
-    for service in services {
+    for service in services() {
         let _ = service.reclaim_drained();
     }
 }
 
-/// Serves one connection until EOF, shutdown, or a framing error.
+fn server_error(e: &PprlError) -> Response {
+    Response::ServerError {
+        message: e.to_string(),
+    }
+}
+
+/// Answers a connection that has no session (yet) with a plaintext
+/// `ServerError`, best-effort; the caller then closes it.
+fn refuse(stream: &mut TcpStream, message: String) {
+    let _ = write_payload(stream, &Response::ServerError { message }.encode());
+}
+
+/// Who is on the other end of a session, fixed when its first frame
+/// routes it.
+struct Peer<T> {
+    /// The authenticated identity (empty on plaintext).
+    identity: String,
+    /// May send `Shutdown`: a privileged identity, or any plaintext peer.
+    privileged: bool,
+    /// The connection's tenant, resolved once.
+    tenant: std::result::Result<T, String>,
+}
+
+/// How a session's frames travel. Both variants reuse their buffers for
+/// the life of the session.
+enum Framing {
+    /// Plaintext wire v3: requests are read into, and replies built in,
+    /// `buf`. `pending` is the length of a request already in `buf` —
+    /// the frame that routed the connection — not yet served.
+    Plain {
+        buf: Vec<u8>,
+        pending: Option<usize>,
+    },
+    /// Wire v4: every frame opens and seals under the session's keys.
+    Sealed(Box<SecureChannel>),
+}
+
+impl Framing {
+    fn recv(&mut self, stream: &mut TcpStream) -> Result<IncomingRef<'_>> {
+        match self {
+            Framing::Plain { buf, pending } => {
+                let len = match pending.take() {
+                    Some(len) => len,
+                    None => match read_payload_into(stream, buf)? {
+                        IncomingLen::Payload(len) => len,
+                        IncomingLen::Eof => return Ok(IncomingRef::Eof),
+                        IncomingLen::TimedOut => return Ok(IncomingRef::TimedOut),
+                    },
+                };
+                Ok(IncomingRef::Payload(&buf[..len]))
+            }
+            Framing::Sealed(channel) => channel.recv_ref(stream),
+        }
+    }
+
+    fn send(&mut self, stream: &mut TcpStream, response: &Response) -> Result<()> {
+        match self {
+            Framing::Plain { buf, .. } => {
+                frame_begin(buf);
+                response.encode_into(buf);
+                frame_finish(buf)?;
+                frame_send(stream, buf)
+            }
+            Framing::Sealed(channel) => channel.send(stream, &response.encode()),
+        }
+    }
+}
+
+/// Routes one connection on its first frame, then serves it until EOF,
+/// shutdown, or a framing error.
 ///
-/// The first frame routes the connection: a payload leading with the
-/// session version byte enters the wire v4 handshake (when the server
-/// has a registry), anything else is a plaintext wire v3 request (only
-/// accepted when it does not). The mismatched combinations are both
-/// rejected with a plaintext `ServerError` naming the problem, since
-/// no session keys exist yet to say it authenticated.
-fn handle_session(mut stream: TcpStream, context: &ServerContext) {
+/// A payload leading with the session version byte enters the wire v4
+/// handshake (when the front end has a registry), anything else is a
+/// plaintext wire v3 request (only accepted when it does not). The
+/// mismatched combinations are both refused with a plaintext
+/// `ServerError` naming the problem, since no session keys exist yet to
+/// say it authenticated.
+fn handle_session<B: Backend>(mut stream: TcpStream, front: &FrontEnd<B>) {
+    let mut buf = Vec::new();
     let mut idle = Duration::ZERO;
     let first = loop {
-        if context.shutdown.load(Ordering::SeqCst) {
+        if front.stopping() {
             return;
         }
-        match read_payload(&mut stream) {
-            Ok(Incoming::TimedOut) => {
-                idle += POLL_INTERVAL;
-                if idle >= context.idle_timeout {
-                    return;
-                }
-            }
-            Ok(Incoming::Eof) => return,
-            Ok(Incoming::Payload(payload)) => break payload,
-            Err(e) => {
-                let err = Response::ServerError {
-                    message: e.to_string(),
-                };
-                let _ = write_payload(&mut stream, &err.encode());
-                return;
-            }
+        match read_payload_into(&mut stream, &mut buf) {
+            Ok(IncomingLen::Payload(len)) => break len,
+            Ok(IncomingLen::TimedOut) if !front.idle_out(&mut idle) => {}
+            Ok(_) => return, // EOF, or silent past the idle cap
+            Err(e) => return refuse(&mut stream, e.to_string()),
         }
     };
-
-    match (context.backend.registry(), first.first()) {
-        (Some(registry), Some(&SESSION_WIRE_VERSION)) => {
+    let sealed = buf[0] == SESSION_WIRE_VERSION;
+    match &front.registry {
+        Some(registry) if sealed => {
             let mut rng = entropy_rng();
+            let suites = front.config.suites;
             // On failure the handshake has already sent the typed
             // AUTH_ERROR where one is safe to send; just close.
             if let Ok(session) =
-                server_handshake(&mut stream, &first, registry, &mut rng, context.suites)
+                server_handshake(&mut stream, &buf[..first], registry, &mut rng, suites)
             {
-                serve_authenticated(stream, session, context);
+                let peer = Peer {
+                    tenant: front.backend.tenant(&session.tenant),
+                    identity: session.identity,
+                    privileged: session.privileged,
+                };
+                serve_session(
+                    stream,
+                    Framing::Sealed(Box::new(session.channel)),
+                    &peer,
+                    front,
+                );
             }
         }
-        (Some(_), _) => {
-            // Auth is on but the peer spoke plaintext v3: refuse before
-            // interpreting anything.
-            let err = Response::ServerError {
-                message: "authentication required: this server only accepts \
-                          wire v4 sessions (connect with an identity and key)"
-                    .into(),
+        // Auth is on but the peer spoke plaintext v3: refuse before
+        // interpreting anything.
+        Some(_) => refuse(
+            &mut stream,
+            format!(
+                "authentication required: this {} only accepts wire v4 sessions \
+                 (connect with an identity and key)",
+                B::NAME
+            ),
+        ),
+        None if sealed => refuse(
+            &mut stream,
+            format!(
+                "this {} is not configured for authenticated sessions \
+                 (start it with an auth directory)",
+                B::NAME
+            ),
+        ),
+        None => {
+            let peer = Peer {
+                identity: String::new(),
+                privileged: true,
+                tenant: front.backend.tenant("default"),
             };
-            let _ = write_payload(&mut stream, &err.encode());
-        }
-        (None, Some(&SESSION_WIRE_VERSION)) => {
-            let err = Response::ServerError {
-                message: "this server is not configured for authenticated \
-                          sessions (start it with an auth directory)"
-                    .into(),
+            let framing = Framing::Plain {
+                buf,
+                pending: Some(first),
             };
-            let _ = write_payload(&mut stream, &err.encode());
+            serve_session(stream, framing, &peer, front);
         }
-        (None, _) => serve_plain(stream, first, context, idle),
     }
 }
 
-/// The plaintext wire v3 session loop, starting from an already-read
-/// first payload.
-fn serve_plain(mut stream: TcpStream, first: Vec<u8>, context: &ServerContext, mut idle: Duration) {
-    let service = Arc::clone(context.backend.default_service());
-    let mut pending = Some(first);
+/// The session loop, plaintext and sealed alike.
+///
+/// A broken frame ends the session: on plaintext the byte stream can no
+/// longer be trusted, so the reason is sent best-effort; under session
+/// keys a frame that fails its MAC or sequence check closes the
+/// connection without a reply — a forger gets no feedback beyond the
+/// drop. A frame that arrives intact but does not decode is answered
+/// with a `ServerError` and the session keeps serving.
+///
+/// Requests decode straight out of the framing's receive buffer, and
+/// both framings reuse their buffers, so a steady-state request/response
+/// cycle performs no heap allocation inside the record layer.
+fn serve_session<B: Backend>(
+    mut stream: TcpStream,
+    mut framing: Framing,
+    peer: &Peer<B::Tenant>,
+    front: &FrontEnd<B>,
+) {
+    let mut idle = Duration::ZERO;
     loop {
-        if context.shutdown.load(Ordering::SeqCst) {
+        if front.stopping() {
             return;
         }
-        let payload = match pending.take() {
-            Some(p) => p,
-            None => match read_payload(&mut stream) {
-                Ok(Incoming::TimedOut) => {
-                    // Each timed-out read is one POLL_INTERVAL of
-                    // silence; a session idle past the cap is closed so
-                    // it cannot pin its worker forever.
-                    idle += POLL_INTERVAL;
-                    if idle >= context.idle_timeout {
-                        return;
-                    }
-                    continue;
+        // `Request` owns its fields, so the borrow of the receive buffer
+        // ends here and the framing is free to send the response.
+        let decoded = match framing.recv(&mut stream) {
+            Ok(IncomingRef::Payload(payload)) => Request::decode(payload),
+            Ok(IncomingRef::TimedOut) if !front.idle_out(&mut idle) => continue,
+            Ok(_) => return, // EOF, or silent past the idle cap
+            Err(e) => {
+                if let Framing::Plain { .. } = framing {
+                    let _ = framing.send(&mut stream, &server_error(&e));
                 }
-                Ok(Incoming::Eof) => return,
-                Ok(Incoming::Payload(p)) => p,
-                Err(e) => {
-                    // Framing is broken (bad checksum / truncation): the
-                    // byte stream can no longer be trusted, so answer
-                    // best-effort and drop the connection.
-                    let err = Response::ServerError {
-                        message: e.to_string(),
-                    };
-                    let _ = write_payload(&mut stream, &err.encode());
-                    return;
-                }
-            },
-        };
-        idle = Duration::ZERO;
-        let response = match Request::decode(&payload) {
-            Ok(Request::Shutdown) => {
-                let _ = write_payload(&mut stream, &Response::Bye.encode());
-                context.shutdown.store(true, Ordering::SeqCst);
                 return;
             }
-            // The frame was checksum-intact, so the stream is
-            // still in sync: report the bad body, keep serving.
-            Err(e) => Response::ServerError {
-                message: e.to_string(),
-            },
-            Ok(request) => dispatch(request, &service, context),
         };
-        if write_payload(&mut stream, &response.encode()).is_err() {
+        idle = Duration::ZERO;
+        let tenant = match &peer.tenant {
+            Ok(tenant) => tenant,
+            Err(message) => {
+                let refusal = Response::ServerError {
+                    message: message.clone(),
+                };
+                let _ = framing.send(&mut stream, &refusal);
+                return;
+            }
+        };
+        let response = match decoded {
+            Ok(Request::Shutdown) if peer.privileged => {
+                let _ = framing.send(&mut stream, &Response::Bye);
+                front.shutdown.store(true, Ordering::SeqCst);
+                return;
+            }
+            Ok(Request::Shutdown) => server_error(&PprlError::Auth(format!(
+                "identity `{}` is not privileged to shut down the {}",
+                peer.identity,
+                B::NAME
+            ))),
+            Err(e) => server_error(&e),
+            Ok(request) => front.dispatch(tenant, request),
+        };
+        if framing.send(&mut stream, &response).is_err() {
             return; // peer went away mid-response
         }
     }
-}
-
-/// The authenticated session loop: every frame must open under the
-/// session's keys before its inner opcode is even looked at. A frame
-/// that fails its MAC or sequence check closes the connection without a
-/// reply — a forger gets no feedback beyond the drop.
-///
-/// Frames are received with [`SecureChannel::recv_ref`] and decoded
-/// in place: the channel's reusable buffers mean a steady-state
-/// request/response cycle performs no heap allocation inside the
-/// record layer.
-fn serve_authenticated(mut stream: TcpStream, mut session: ServerSession, context: &ServerContext) {
-    let service = context.backend.service(&session.tenant).cloned();
-    let mut idle = Duration::ZERO;
-    loop {
-        if context.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // Decode while the frame is still borrowed from the channel's
-        // receive buffer; `Request` owns its fields, so the borrow ends
-        // here and the channel is free to send the response.
-        let decoded = match session.channel.recv_ref(&mut stream) {
-            Ok(IncomingRef::TimedOut) => {
-                idle += POLL_INTERVAL;
-                if idle >= context.idle_timeout {
-                    return;
-                }
-                continue;
-            }
-            Ok(IncomingRef::Eof) => return,
-            Ok(IncomingRef::Payload(inner)) => Request::decode(inner),
-            Err(_) => return,
-        };
-        idle = Duration::ZERO;
-        let Some(service) = service.as_ref() else {
-            // A privileged identity may name any tenant at handshake;
-            // only some tenants have an index on this node.
-            let err = Response::ServerError {
-                message: format!(
-                    "tenant `{}` has no index namespace on this server",
-                    session.tenant
-                ),
-            };
-            let _ = session.channel.send(&mut stream, &err.encode());
-            return;
-        };
-        let response = match decoded {
-            Ok(Request::Shutdown) => {
-                if session.privileged {
-                    let _ = session.channel.send(&mut stream, &Response::Bye.encode());
-                    context.shutdown.store(true, Ordering::SeqCst);
-                    return;
-                }
-                Response::ServerError {
-                    message: PprlError::Auth(format!(
-                        "identity `{}` is not privileged to shut down the server",
-                        session.identity
-                    ))
-                    .to_string(),
-                }
-            }
-            Err(e) => Response::ServerError {
-                message: e.to_string(),
-            },
-            Ok(request) => dispatch(request, service, context),
-        };
-        if session
-            .channel
-            .send(&mut stream, &response.encode())
-            .is_err()
-        {
-            return;
-        }
-    }
-}
-
-fn dispatch(request: Request, service: &LinkageService, context: &ServerContext) -> Response {
-    // A core serving a request is not idle: scan helpers yield to it.
-    let _busy = foreground();
-    let result = match request {
-        Request::Query { filter, k } => service.query(&filter, k as usize).map(Response::Hits),
-        Request::Link {
-            probes,
-            k,
-            min_score,
-        } => service
-            .link(&probes, k as usize, min_score)
-            .map(Response::LinkHits),
-        Request::Insert { records } => {
-            service
-                .insert(&records)
-                .map(|generation| Response::Inserted {
-                    count: records.len() as u32,
-                    generation,
-                })
-        }
-        Request::Stats => Ok(Response::Stats(
-            service.stats_report(context.workers, context.queue_capacity),
-        )),
-        Request::Shutdown => unreachable!("handled by the session loop"),
-    };
-    result.unwrap_or_else(|e| Response::ServerError {
-        message: e.to_string(),
-    })
 }

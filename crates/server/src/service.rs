@@ -273,7 +273,9 @@ impl LinkageService {
             cache_misses: Metrics::get(&self.metrics.cache_misses),
             plan_hits: Metrics::get(&self.metrics.plan_hits),
             plan_misses: Metrics::get(&self.metrics.plan_misses),
-            busy_rejected: Metrics::get(&self.metrics.busy_rejected),
+            // Counted by the front end: a `Busy` rejection happens
+            // before any tenant is known.
+            busy_rejected: 0,
             compactions: Metrics::get(&self.metrics.compactions),
             segments_merged: Metrics::get(&self.metrics.segments_merged),
             // Retired generations' reads (folded in at install) plus what

@@ -413,17 +413,25 @@ impl Request {
 impl Response {
     /// Serialises the response to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![WIRE_VERSION];
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the response's frame payload to `out`, so a session loop
+    /// can build every reply in one reused buffer.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(WIRE_VERSION);
         match self {
             Response::Hits(hits) => {
                 out.push(OP_HITS);
-                push_hits(&mut out, hits);
+                push_hits(out, hits);
             }
             Response::LinkHits(per_probe) => {
                 out.push(OP_LINK_HITS);
                 out.extend_from_slice(&(per_probe.len() as u32).to_le_bytes());
                 for hits in per_probe {
-                    push_hits(&mut out, hits);
+                    push_hits(out, hits);
                 }
             }
             Response::Inserted { count, generation } => {
@@ -478,7 +486,6 @@ impl Response {
             }
             Response::Bye => out.push(OP_BYE),
         }
-        out
     }
 
     /// Parses a frame payload into a response, rejecting foreign

@@ -131,7 +131,8 @@ fn concurrent_queries_match_offline_during_background_compaction() {
     assert!(stats.cache_hits > 0, "repeated queries never hit the cache");
     assert_eq!(stats.records, 400);
     client.shutdown().unwrap();
-    let service = handle.join();
+    let backend = handle.join();
+    let service = backend.default_service();
     assert_eq!(service.retired_generations(), 0, "files not reclaimed");
 
     // The compacted on-disk index still answers identically offline.

@@ -25,33 +25,13 @@
 //! constant-time path.
 
 use pprl_core::error::{PprlError, Result};
+use pprl_core::hash::{fnv1a, fnv1a_from};
 use pprl_crypto::sha::ct_eq;
 use std::io::{Read, Write};
 
 /// Hard cap on a frame payload (64 MiB): a garbled or hostile length
 /// prefix must never make a peer allocate unbounded memory.
 pub const MAX_PAYLOAD: usize = 64 << 20;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// FNV-1a over `bytes` (same function as `pprl_index::format::fnv1a`;
-/// duplicated here so the session layer does not depend on the store).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_from(FNV_OFFSET, bytes)
-}
-
-/// Continues an FNV-1a computation from state `h` — lets the checksum
-/// cover `prefix ‖ payload` without concatenating them into a scratch
-/// allocation.
-fn fnv1a_from(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 fn transport_err(msg: impl Into<String>) -> PprlError {
     PprlError::Transport(msg.into())
