@@ -287,7 +287,11 @@ impl Coordinator {
     /// about the shard — nodes close sessions idle past their
     /// `idle_timeout`, so a quiet pool holds dead sockets — and a frame
     /// that never arrived whole was never processed: dial once and send
-    /// there instead.
+    /// there instead. A write `Timeout` is terminal on a pooled socket
+    /// as on a fresh one, like a read timeout in
+    /// [`recv_from`](Coordinator::recv_from): the peer holds the socket
+    /// open but is not draining it, so a redial would most likely stall
+    /// the same way and spend the deadline twice.
     fn send_to(&self, i: usize, payload: &[u8]) -> Result<(Client, bool)> {
         // Bind the pop first: the pool's guard must not outlive this
         // statement, or it would be held across the I/O below.

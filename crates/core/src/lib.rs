@@ -6,9 +6,11 @@
 //! a small deterministic PRNG, the [`candidate::CandidateSource`]
 //! abstraction every blocking engine and index backend implements, a
 //! minimal JSON writer shared by the CLI, pipeline and bench harness, the
-//! FNV-1a [`hash`] behind every checksum and the cluster's routing, and
-//! the elastic [`runner`] (with its foreground [`gauge`]) that lends idle
-//! cores to the index scan and the batch pipeline.
+//! FNV-1a [`hash`] behind every checksum and the cluster's routing, the
+//! byte [`codec`] (one bounds-checked reader, one checksum trailer) every
+//! file and frame decoder parses through, and the elastic [`runner`]
+//! (with its foreground [`gauge`]) that lends idle cores to the index
+//! scan and the batch pipeline.
 //!
 //! Everything here is dependency-free and shared by every other crate in the
 //! workspace. See the workspace `DESIGN.md` for the system inventory.
@@ -21,6 +23,7 @@
 
 pub mod bitvec;
 pub mod candidate;
+pub mod codec;
 pub mod csv;
 pub mod error;
 pub mod gauge;

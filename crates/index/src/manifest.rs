@@ -49,35 +49,29 @@
 //! query whose Dice length bounds cannot intersect `[pc_min, pc_max]`
 //! skips the segment) and the per-segment band-key Bloom summary enables
 //! *content* pruning (see [`crate::summary`]) — both before the segment
-//! file is ever read. Version-1 manifests (no bounds) and version-2
-//! manifests (no summaries) still decode; missing bounds become the
-//! never-prune sentinel `[0, u32::MAX]` and missing summaries decode to
-//! `None` with the summary geometry disabled.
+//! file is ever read.
+//!
+//! The image parses through `pprl_core::codec` with
+//! [`PprlError::Storage`] as the error kind. Only version 4 decodes:
+//! versions 1–3 never shipped, so any other version byte is a typed
+//! "unsupported manifest version" error.
 
-use crate::format::{append_checksum, checked_body, io_err, storage_err, Reader};
+use crate::format::{io_err, storage_err};
 use crate::summary::{BandKeySummary, SummaryConfig};
 use crate::vfs::{StdVfs, Vfs};
+use pprl_core::codec::{append_checksum, checked_body, Reader};
 use pprl_core::error::{PprlError, Result};
 use std::path::{Path, PathBuf};
 
 /// Manifest file magic ("PMF1").
 const MANIFEST_MAGIC: u32 = 0x3146_4d50;
-/// Current manifest format version (4 = flush epoch + quarantine
-/// ledger).
+/// Manifest format version (4 = flush epoch + quarantine ledger).
 const MANIFEST_VERSION: u16 = 4;
-/// Oldest manifest version still decodable.
-const MANIFEST_VERSION_MIN: u16 = 1;
-/// Fixed bytes before the segment entries (versions 1 and 2).
-const HEADER_LEN_V2: usize = 38;
-/// Fixed bytes before the segment entries (version 4).
-const HEADER_LEN_V4: usize = 58;
-/// Bytes per segment entry in version 1 (shard + seg_id).
-const ENTRY_LEN_V1: usize = 12;
-/// Bytes per segment entry in version 2 (+ popcount min/max).
-const ENTRY_LEN_V2: usize = 20;
-/// Fixed bytes per version-3+ entry before the variable Bloom words.
-const ENTRY_FIXED_V3: usize = 24;
-/// Bytes per quarantined-segment record (version 4).
+/// Fixed bytes before the segment entries.
+const HEADER_LEN: usize = 58;
+/// Fixed bytes per segment entry before its variable Bloom words.
+const ENTRY_FIXED_LEN: usize = 24;
+/// Bytes per quarantined-segment record.
 const QUAR_ENTRY_LEN: usize = 12;
 /// Largest admissible per-segment summary, in u64 words (16 KiB).
 const MAX_SUMMARY_WORDS: usize = 131_072 / 64;
@@ -233,12 +227,13 @@ impl Manifest {
                     "segment summary exceeds the size cap",
                 ));
             }
-            entry_bytes += ENTRY_FIXED_V3 + words * 8;
+            entry_bytes += ENTRY_FIXED_LEN + words * 8;
         }
         let entry_bytes_u32 = u32::try_from(entry_bytes)
             .map_err(|_| PprlError::invalid("segments", "entry region exceeds u32 bytes"))?;
-        let mut out =
-            Vec::with_capacity(HEADER_LEN_V4 + entry_bytes + self.quarantined.len() * 12 + 8);
+        let mut out = Vec::with_capacity(
+            HEADER_LEN + entry_bytes + self.quarantined.len() * QUAR_ENTRY_LEN + 8,
+        );
         out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
         out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
         out.extend_from_slice(&flen.to_le_bytes());
@@ -275,15 +270,9 @@ impl Manifest {
         Ok(out)
     }
 
-    /// Parses and verifies a manifest file image (versions 1–4).
+    /// Parses and verifies a version-4 manifest file image.
     pub fn decode(bytes: &[u8]) -> Result<Manifest> {
-        if bytes.len() < HEADER_LEN_V2 + 8 {
-            return Err(storage_err(format!(
-                "manifest too short: {} bytes",
-                bytes.len()
-            )));
-        }
-        let mut header = Reader::new(bytes, "manifest header");
+        let mut header = Reader::new(bytes, PprlError::Storage);
         let magic = header.u32()?;
         if magic != MANIFEST_MAGIC {
             return Err(storage_err(format!(
@@ -291,7 +280,7 @@ impl Manifest {
             )));
         }
         let version = header.u16()?;
-        if !(MANIFEST_VERSION_MIN..=MANIFEST_VERSION).contains(&version) {
+        if version != MANIFEST_VERSION {
             return Err(storage_err(format!(
                 "unsupported manifest version {version}"
             )));
@@ -300,41 +289,18 @@ impl Manifest {
         let num_shards = header.u32()?;
         let lsh_seed = header.u64()?;
         let lsh_bits = header.u32()?;
-        // v1/v2 manifests predate summaries: geometry decodes disabled.
-        let summary = if version >= 3 {
-            SummaryConfig {
-                tables: header.u16()?,
-                bits: header.u16()?,
-            }
-        } else {
-            SummaryConfig::DISABLED
+        let summary = SummaryConfig {
+            tables: header.u16()?,
+            bits: header.u16()?,
         };
-        // Pre-v4 manifests predate the flush epoch and the quarantine
-        // ledger: epoch 0 matches the implicit epoch of their WAL.
-        let flush_epoch = if version >= 4 { header.u64()? } else { 0 };
+        let flush_epoch = header.u64()?;
         let next_segment_id = header.u64()?;
         let segs = header.u32()? as usize;
-        let quar = if version >= 4 {
-            header.u32()? as usize
-        } else {
-            0
-        };
-        let entry_bytes = if version >= 3 {
-            header.u32()? as usize
-        } else {
-            let entry_len = if version == 1 {
-                ENTRY_LEN_V1
-            } else {
-                ENTRY_LEN_V2
-            };
-            segs.checked_mul(entry_len)
-                .ok_or_else(|| storage_err(format!("manifest segment count {segs} overflows")))?
-        };
-        let header_len = header.pos();
-        let expected = header_len
-            .checked_add(entry_bytes)
-            .and_then(|n| n.checked_add(quar.checked_mul(QUAR_ENTRY_LEN)?))
-            .and_then(|n| n.checked_add(8))
+        let quar = header.u32()? as usize;
+        let entry_bytes = header.u32()? as usize;
+        let expected = quar
+            .checked_mul(QUAR_ENTRY_LEN)
+            .and_then(|n| n.checked_add(HEADER_LEN + 8 + entry_bytes))
             .ok_or_else(|| storage_err("manifest entry region overflows".to_string()))?;
         if bytes.len() != expected {
             return Err(storage_err(format!(
@@ -343,9 +309,9 @@ impl Manifest {
                 bytes.len()
             )));
         }
-        let body = checked_body(bytes, "manifest")?;
-        let mut r = Reader::new(&body[header_len..], "manifest entries");
-        let mut segments = Vec::with_capacity(segs);
+        let body = checked_body(bytes, PprlError::Storage)?;
+        let mut r = Reader::new(&body[HEADER_LEN..], PprlError::Storage);
+        let mut segments = Vec::with_capacity(segs.min(entry_bytes / ENTRY_FIXED_LEN));
         for i in 0..segs {
             let shard = r.u32()?;
             if shard >= num_shards {
@@ -354,36 +320,23 @@ impl Manifest {
                 )));
             }
             let id = r.u64()?;
-            // Version-1 entries carry no bounds: assume the whole popcount
-            // range so pruning never skips them incorrectly.
-            let (pc_min, pc_max) = if version == 1 {
-                (0, u32::MAX)
-            } else {
-                (r.u32()?, r.u32()?)
-            };
+            let (pc_min, pc_max) = (r.u32()?, r.u32()?);
             if pc_min > pc_max {
                 return Err(storage_err(format!(
                     "manifest entry {i}: popcount bounds inverted ({pc_min} > {pc_max})"
                 )));
             }
-            let entry_summary = if version >= 3 {
-                let sum_words = r.u32()? as usize;
-                if sum_words == 0 {
-                    None
-                } else {
-                    if sum_words > MAX_SUMMARY_WORDS || !sum_words.is_power_of_two() {
-                        return Err(storage_err(format!(
-                            "manifest entry {i}: invalid summary size ({sum_words} words)"
-                        )));
-                    }
-                    let mut words = Vec::with_capacity(sum_words);
-                    for _ in 0..sum_words {
-                        words.push(r.u64()?);
-                    }
-                    Some(BandKeySummary::from_words(words))
-                }
-            } else {
+            let sum_words = r.u32()? as usize;
+            let entry_summary = if sum_words == 0 {
                 None
+            } else {
+                if sum_words > MAX_SUMMARY_WORDS || !sum_words.is_power_of_two() {
+                    return Err(storage_err(format!(
+                        "manifest entry {i}: invalid summary size ({sum_words} words)"
+                    )));
+                }
+                let words = (0..sum_words).map(|_| r.u64()).collect::<Result<_>>()?;
+                Some(BandKeySummary::from_words(words))
             };
             segments.push(SegmentEntry {
                 shard,
@@ -533,113 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn version_1_manifest_still_decodes_with_sentinel_bounds() {
-        // Hand-build a v1 image: 12-byte entries, version field 1, no
-        // summary geometry in the header.
-        let m = sample();
-        let mut out = Vec::new();
-        out.extend_from_slice(&0x3146_4d50u32.to_le_bytes());
-        out.extend_from_slice(&1u16.to_le_bytes());
-        out.extend_from_slice(&(m.config.filter_len as u32).to_le_bytes());
-        out.extend_from_slice(&m.config.num_shards.to_le_bytes());
-        out.extend_from_slice(&m.config.lsh_seed.to_le_bytes());
-        out.extend_from_slice(&m.config.lsh_bits.to_le_bytes());
-        out.extend_from_slice(&m.next_segment_id.to_le_bytes());
-        out.extend_from_slice(&(m.segments.len() as u32).to_le_bytes());
-        for e in &m.segments {
-            out.extend_from_slice(&e.shard.to_le_bytes());
-            out.extend_from_slice(&e.id.to_le_bytes());
-        }
-        crate::format::append_checksum(&mut out);
-        let decoded = Manifest::decode(&out).unwrap();
-        // Pre-summary manifests decode with summaries disabled; routing
-        // and geometry fields carry over unchanged.
-        assert_eq!(decoded.config.filter_len, m.config.filter_len);
-        assert_eq!(decoded.config.num_shards, m.config.num_shards);
-        assert_eq!(decoded.config.lsh_seed, m.config.lsh_seed);
-        assert_eq!(decoded.config.lsh_bits, m.config.lsh_bits);
-        assert_eq!(decoded.config.summary, SummaryConfig::DISABLED);
-        for (got, want) in decoded.segments.iter().zip(&m.segments) {
-            assert_eq!((got.shard, got.id), (want.shard, want.id));
-            assert_eq!((got.pc_min, got.pc_max), (0, u32::MAX));
-            assert!(got.summary.is_none());
-        }
-    }
-
-    #[test]
-    fn version_2_manifest_decodes_without_summaries() {
-        // Hand-build a v2 image: 20-byte entries with popcount bounds but
-        // no summary fields.
-        let m = sample();
-        let mut out = Vec::new();
-        out.extend_from_slice(&0x3146_4d50u32.to_le_bytes());
-        out.extend_from_slice(&2u16.to_le_bytes());
-        out.extend_from_slice(&(m.config.filter_len as u32).to_le_bytes());
-        out.extend_from_slice(&m.config.num_shards.to_le_bytes());
-        out.extend_from_slice(&m.config.lsh_seed.to_le_bytes());
-        out.extend_from_slice(&m.config.lsh_bits.to_le_bytes());
-        out.extend_from_slice(&m.next_segment_id.to_le_bytes());
-        out.extend_from_slice(&(m.segments.len() as u32).to_le_bytes());
-        for e in &m.segments {
-            out.extend_from_slice(&e.shard.to_le_bytes());
-            out.extend_from_slice(&e.id.to_le_bytes());
-            out.extend_from_slice(&e.pc_min.to_le_bytes());
-            out.extend_from_slice(&e.pc_max.to_le_bytes());
-        }
-        crate::format::append_checksum(&mut out);
-        let decoded = Manifest::decode(&out).unwrap();
-        assert_eq!(decoded.config.summary, SummaryConfig::DISABLED);
-        for (got, want) in decoded.segments.iter().zip(&m.segments) {
-            assert_eq!((got.shard, got.id), (want.shard, want.id));
-            assert_eq!((got.pc_min, got.pc_max), (want.pc_min, want.pc_max));
-            assert!(got.summary.is_none());
-        }
-    }
-
-    #[test]
-    fn version_3_manifest_decodes_with_epoch_zero_and_empty_ledger() {
-        // Hand-build a v3 image: 46-byte header (summary geometry +
-        // entry_len, but no flush epoch or quarantine count) and
-        // variable-size entries.
-        let m = sample();
-        let mut out = Vec::new();
-        out.extend_from_slice(&0x3146_4d50u32.to_le_bytes());
-        out.extend_from_slice(&3u16.to_le_bytes());
-        out.extend_from_slice(&(m.config.filter_len as u32).to_le_bytes());
-        out.extend_from_slice(&m.config.num_shards.to_le_bytes());
-        out.extend_from_slice(&m.config.lsh_seed.to_le_bytes());
-        out.extend_from_slice(&m.config.lsh_bits.to_le_bytes());
-        out.extend_from_slice(&m.config.summary.tables.to_le_bytes());
-        out.extend_from_slice(&m.config.summary.bits.to_le_bytes());
-        out.extend_from_slice(&m.next_segment_id.to_le_bytes());
-        out.extend_from_slice(&(m.segments.len() as u32).to_le_bytes());
-        let mut entries = Vec::new();
-        for e in &m.segments {
-            entries.extend_from_slice(&e.shard.to_le_bytes());
-            entries.extend_from_slice(&e.id.to_le_bytes());
-            entries.extend_from_slice(&e.pc_min.to_le_bytes());
-            entries.extend_from_slice(&e.pc_max.to_le_bytes());
-            match &e.summary {
-                None => entries.extend_from_slice(&0u32.to_le_bytes()),
-                Some(s) => {
-                    entries.extend_from_slice(&(s.words().len() as u32).to_le_bytes());
-                    for w in s.words() {
-                        entries.extend_from_slice(&w.to_le_bytes());
-                    }
-                }
-            }
-        }
-        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        out.extend_from_slice(&entries);
-        crate::format::append_checksum(&mut out);
-        let decoded = Manifest::decode(&out).unwrap();
-        assert_eq!(decoded.config, m.config);
-        assert_eq!(decoded.segments, m.segments);
-        assert_eq!(decoded.flush_epoch, 0);
-        assert!(decoded.quarantined.is_empty());
-    }
-
-    #[test]
     fn quarantine_ledger_round_trips() {
         let mut m = sample();
         m.quarantined = vec![
@@ -680,27 +526,19 @@ mod tests {
     }
 
     #[test]
-    fn every_single_byte_flip_is_detected() {
-        let bytes = sample().encode().unwrap();
-        for pos in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut bad = bytes.clone();
-                bad[pos] ^= 1u8 << bit;
-                let err = Manifest::decode(&bad).expect_err(&format!("byte {pos} bit {bit}"));
-                assert!(
-                    matches!(err, PprlError::Storage(_)),
-                    "byte {pos} bit {bit}: {err}"
-                );
+    fn versions_that_never_shipped_are_a_typed_error() {
+        let image = sample().encode().unwrap();
+        for version in 1u16..4 {
+            let mut old = image[..image.len() - 8].to_vec();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            append_checksum(&mut old);
+            match Manifest::decode(&old) {
+                Err(PprlError::Storage(msg)) => assert!(
+                    msg.contains(&format!("unsupported manifest version {version}")),
+                    "{msg}"
+                ),
+                other => panic!("version {version}: {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn every_truncation_is_detected() {
-        let bytes = sample().encode().unwrap();
-        for cut in 0..bytes.len() {
-            let err = Manifest::decode(&bytes[..cut]).expect_err(&format!("cut at {cut}"));
-            assert!(matches!(err, PprlError::Storage(_)), "cut {cut}: {err}");
         }
     }
 

@@ -17,15 +17,19 @@
 //! fnv1a   u64   checksum of everything above
 //! ```
 //!
-//! Decoding validates the declared sizes *exactly* before trusting any
-//! entry, so every truncation is detected deterministically, and verifies
-//! the trailing FNV-1a checksum, so every byte flip is detected — both as
-//! typed [`PprlError::Storage`] errors.
+//! Both encoders emit the same bytes and both decoders share one
+//! header check through `pprl_core::codec`: the declared sizes must
+//! match the image length *exactly* before any entry is trusted, so
+//! every truncation is detected deterministically, and the trailing
+//! checksum must verify, so every byte flip is detected — both as typed
+//! [`PprlError::Storage`] errors. The WAL logs the same entry layout
+//! (`push_entry` / `read_entry`) with a checksum per entry.
 
 use crate::arena::{ArenaBuilder, FilterArena};
-use crate::format::{append_checksum, checked_body, io_err, storage_err, Reader};
+use crate::format::{io_err, storage_err};
 use crate::vfs::{StdVfs, Vfs};
 use pprl_core::bitvec::BitVec;
+use pprl_core::codec::{append_checksum, checked_body, Reader};
 use pprl_core::error::{PprlError, Result};
 use std::path::Path;
 
@@ -64,76 +68,119 @@ pub fn record_count_for_size(bytes: u64, filter_len: usize) -> usize {
     (bytes.saturating_sub((HEADER_LEN + 8) as u64) / entry) as usize
 }
 
+/// Appends one entry, `elen u32 | id u64 | bits`, taking the filter's
+/// `⌈filter_len/8⌉` bytes off its backing words — the little-endian
+/// bytes `BitVec::to_bytes` emits.
+pub(crate) fn push_entry(out: &mut Vec<u8>, id: u64, row: &[u64], filter_len: usize) {
+    let filter_bytes = filter_len.div_ceil(8);
+    out.extend_from_slice(&((8 + filter_bytes) as u32).to_le_bytes());
+    out.extend_from_slice(&id.to_le_bytes());
+    for b in 0..filter_bytes {
+        out.push((row[b / 8] >> ((b % 8) * 8)) as u8);
+    }
+}
+
+/// Reads one entry [`push_entry`] wrote: checks its length prefix and
+/// returns the id and the filter bytes.
+pub(crate) fn read_entry<'a>(r: &mut Reader<'a>, filter_len: usize) -> Result<(u64, &'a [u8])> {
+    let filter_bytes = filter_len.div_ceil(8);
+    let declared = r.u32()? as usize;
+    if declared != 8 + filter_bytes {
+        return Err(storage_err(format!(
+            "entry length prefix {declared}, expected {}",
+            8 + filter_bytes
+        )));
+    }
+    Ok((r.u64()?, r.take(filter_bytes)?))
+}
+
+/// Loads filter bytes into a word row (the inverse of [`push_entry`]'s
+/// byte extraction).
+pub(crate) fn load_row(raw: &[u8], row: &mut [u64]) {
+    row.fill(0);
+    for (b, &byte) in raw.iter().enumerate() {
+        row[b / 8] |= u64::from(byte) << ((b % 8) * 8);
+    }
+}
+
+/// A segment image with `count` entries: the header, then each entry
+/// from `rows` in order, then the checksum.
+fn encode_image<'a>(
+    shard: u32,
+    filter_len: usize,
+    count: usize,
+    rows: impl Iterator<Item = (u64, &'a [u64])>,
+) -> Result<Vec<u8>> {
+    let count32 = u32::try_from(count)
+        .map_err(|_| PprlError::invalid("records", "segment exceeds u32 entries"))?;
+    let flen = u32::try_from(filter_len)
+        .map_err(|_| PprlError::invalid("filter_len", "exceeds u32 bits"))?;
+    let mut out = Vec::with_capacity(HEADER_LEN + count * (12 + filter_len.div_ceil(8)) + 8);
+    out.extend_from_slice(&SEGMENT_MAGIC.to_le_bytes());
+    out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
+    out.extend_from_slice(&shard.to_le_bytes());
+    out.extend_from_slice(&flen.to_le_bytes());
+    out.extend_from_slice(&count32.to_le_bytes());
+    for (id, row) in rows {
+        push_entry(&mut out, id, row, filter_len);
+    }
+    append_checksum(&mut out);
+    Ok(out)
+}
+
 /// Serialises a segment to its file image.
 pub fn encode_segment(
     shard: u32,
     filter_len: usize,
     records: &[(u64, &BitVec)],
 ) -> Result<Vec<u8>> {
-    let filter_bytes = filter_len.div_ceil(8);
-    let count = u32::try_from(records.len())
-        .map_err(|_| PprlError::invalid("records", "segment exceeds u32 entries"))?;
-    let flen = u32::try_from(filter_len)
-        .map_err(|_| PprlError::invalid("filter_len", "exceeds u32 bits"))?;
-    let entry_len = 8 + filter_bytes;
-    let mut out = Vec::with_capacity(HEADER_LEN + records.len() * (4 + entry_len) + 8);
-    out.extend_from_slice(&SEGMENT_MAGIC.to_le_bytes());
-    out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
-    out.extend_from_slice(&shard.to_le_bytes());
-    out.extend_from_slice(&flen.to_le_bytes());
-    out.extend_from_slice(&count.to_le_bytes());
-    for (id, filter) in records {
-        if filter.len() != filter_len {
-            return Err(PprlError::shape(
-                format!("{filter_len} bits"),
-                format!("{} bits", filter.len()),
-            ));
-        }
-        out.extend_from_slice(&(entry_len as u32).to_le_bytes());
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&filter.to_bytes());
+    if let Some((_, f)) = records.iter().find(|(_, f)| f.len() != filter_len) {
+        return Err(PprlError::shape(
+            format!("{filter_len} bits"),
+            format!("{} bits", f.len()),
+        ));
     }
-    append_checksum(&mut out);
-    Ok(out)
+    let rows = records.iter().map(|(id, f)| (*id, f.as_words()));
+    encode_image(shard, filter_len, records.len(), rows)
 }
 
-/// Parses and verifies a segment file image. Any byte flip, truncation,
-/// or structural malformation yields a typed [`PprlError::Storage`].
-pub fn decode_segment(bytes: &[u8]) -> Result<Segment> {
-    if bytes.len() < HEADER_LEN + 8 {
-        return Err(storage_err(format!(
-            "segment too short: {} bytes",
-            bytes.len()
-        )));
-    }
-    // Structural validation first: header sizes determine the exact file
-    // length, so truncation (and flips inside the size fields) are caught
-    // deterministically before the checksum is even consulted.
-    let mut header = Reader::new(&bytes[..HEADER_LEN], "segment header");
-    let magic = header.u32()?;
+/// Serialises a segment file image straight from an arena's rows, in
+/// arena row order, without materialising a `BitVec` per record —
+/// byte-identical to [`encode_segment`] over the same rows in the same
+/// order.
+pub fn encode_segment_from_arena(shard: u32, arena: &FilterArena) -> Result<Vec<u8>> {
+    let rows = (0..arena.len()).map(|i| (arena.id(i), arena.row(i)));
+    encode_image(shard, arena.filter_len(), arena.len(), rows)
+}
+
+/// Checks a segment image's header, its exact declared size and its
+/// checksum, and returns `(shard, filter_len, count)` with a reader
+/// positioned at the first entry. The declared sizes account for every
+/// byte, so reading `count` entries consumes the entry region exactly.
+fn open_image(bytes: &[u8]) -> Result<(u32, usize, usize, Reader<'_>)> {
+    let mut r = Reader::new(bytes, PprlError::Storage);
+    let magic = r.u32()?;
     if magic != SEGMENT_MAGIC {
         return Err(storage_err(format!(
             "not a segment file (magic {magic:#x})"
         )));
     }
-    let version = header.u16()?;
+    let version = r.u16()?;
     if version != SEGMENT_VERSION {
         return Err(storage_err(format!(
             "unsupported segment version {version}"
         )));
     }
-    let shard = header.u32()?;
-    let filter_len = header.u32()? as usize;
-    let count = header.u32()? as usize;
-    let filter_bytes = filter_len.div_ceil(8);
-    let entry_len = 8 + filter_bytes;
-    let expected = HEADER_LEN
-        .checked_add(
-            count
-                .checked_mul(4 + entry_len)
-                .ok_or_else(|| storage_err(format!("segment entry count {count} overflows")))?,
-        )
-        .and_then(|n| n.checked_add(8))
+    let shard = r.u32()?;
+    let filter_len = r.u32()? as usize;
+    let count = r.u32()? as usize;
+    let entry_len = 8 + filter_len.div_ceil(8);
+    // Structural validation first: the header determines the exact file
+    // length, so truncation (and flips inside the size fields) are
+    // caught deterministically before the checksum is consulted.
+    let expected = count
+        .checked_mul(4 + entry_len)
+        .and_then(|n| n.checked_add(HEADER_LEN + 8))
         .ok_or_else(|| storage_err(format!("segment entry count {count} overflows")))?;
     if bytes.len() != expected {
         return Err(storage_err(format!(
@@ -142,22 +189,21 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Segment> {
             bytes.len()
         )));
     }
-    let body = checked_body(bytes, "segment")?;
-    let mut r = Reader::new(&body[HEADER_LEN..], "segment entries");
+    checked_body(bytes, PprlError::Storage)?;
+    Ok((shard, filter_len, count, r))
+}
+
+/// Parses and verifies a segment file image. Any byte flip, truncation,
+/// or structural malformation yields a typed [`PprlError::Storage`].
+pub fn decode_segment(bytes: &[u8]) -> Result<Segment> {
+    let (shard, filter_len, count, mut r) = open_image(bytes)?;
     let mut records = Vec::with_capacity(count);
-    for i in 0..count {
-        let declared = r.u32()? as usize;
-        if declared != entry_len {
-            return Err(storage_err(format!(
-                "segment entry {i} length prefix {declared}, expected {entry_len}"
-            )));
-        }
-        let id = r.u64()?;
-        let filter = BitVec::from_bytes(r.take(filter_bytes)?, filter_len)
-            .map_err(|e| storage_err(format!("segment entry {i}: {e}")))?;
+    for _ in 0..count {
+        let (id, raw) = read_entry(&mut r, filter_len)?;
+        let filter = BitVec::from_bytes(raw, filter_len)
+            .map_err(|e| storage_err(format!("segment record {id}: {e}")))?;
         records.push(SegmentRecord { id, filter });
     }
-    r.finish()?;
     Ok(Segment {
         shard,
         filter_len,
@@ -165,112 +211,23 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Segment> {
     })
 }
 
-/// Serialises a segment file image straight from an arena's rows, in
-/// arena row order, without materialising a `BitVec` per record. The
-/// output is byte-identical to [`encode_segment`] over the same rows in
-/// the same order: a filter's wire bytes are the little-endian bytes of
-/// its backing words truncated to `⌈flen/8⌉` (the `BitVec::to_bytes`
-/// contract), which is read here directly off each row's word slice.
-pub fn encode_segment_from_arena(shard: u32, arena: &FilterArena) -> Result<Vec<u8>> {
-    let filter_len = arena.filter_len();
-    let filter_bytes = filter_len.div_ceil(8);
-    let count = u32::try_from(arena.len())
-        .map_err(|_| PprlError::invalid("records", "segment exceeds u32 entries"))?;
-    let flen = u32::try_from(filter_len)
-        .map_err(|_| PprlError::invalid("filter_len", "exceeds u32 bits"))?;
-    let entry_len = 8 + filter_bytes;
-    let mut out = Vec::with_capacity(HEADER_LEN + arena.len() * (4 + entry_len) + 8);
-    out.extend_from_slice(&SEGMENT_MAGIC.to_le_bytes());
-    out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
-    out.extend_from_slice(&shard.to_le_bytes());
-    out.extend_from_slice(&flen.to_le_bytes());
-    out.extend_from_slice(&count.to_le_bytes());
-    for i in 0..arena.len() {
-        out.extend_from_slice(&(entry_len as u32).to_le_bytes());
-        out.extend_from_slice(&arena.id(i).to_le_bytes());
-        let row = arena.row(i);
-        for b in 0..filter_bytes {
-            out.push((row[b / 8] >> ((b % 8) * 8)) as u8);
-        }
-    }
-    append_checksum(&mut out);
-    Ok(out)
-}
-
 /// Parses and verifies a segment file image directly into a columnar
 /// [`FilterArena`] — one builder push per entry instead of one `BitVec`
-/// heap allocation per record. Validation is identical to
-/// [`decode_segment`]: exact structural sizes, the trailing FNV-1a
-/// checksum, per-entry length prefixes, and rejection of set bits beyond
-/// the declared filter length. Returns the owning shard alongside the
+/// heap allocation per record, with [`decode_segment`]'s validation
+/// (the builder rejects set bits beyond the filter length as
+/// `BitVec::from_bytes` does). Returns the owning shard alongside the
 /// arena (rows sorted by `(popcount, id)`; a segment already written in
 /// that order — the arena-native flush/compaction output — skips the
 /// sort entirely).
 pub fn decode_segment_arena(bytes: &[u8]) -> Result<(u32, FilterArena)> {
-    if bytes.len() < HEADER_LEN + 8 {
-        return Err(storage_err(format!(
-            "segment too short: {} bytes",
-            bytes.len()
-        )));
-    }
-    let mut header = Reader::new(&bytes[..HEADER_LEN], "segment header");
-    let magic = header.u32()?;
-    if magic != SEGMENT_MAGIC {
-        return Err(storage_err(format!(
-            "not a segment file (magic {magic:#x})"
-        )));
-    }
-    let version = header.u16()?;
-    if version != SEGMENT_VERSION {
-        return Err(storage_err(format!(
-            "unsupported segment version {version}"
-        )));
-    }
-    let shard = header.u32()?;
-    let filter_len = header.u32()? as usize;
-    let count = header.u32()? as usize;
-    let filter_bytes = filter_len.div_ceil(8);
-    let entry_len = 8 + filter_bytes;
-    let expected = HEADER_LEN
-        .checked_add(
-            count
-                .checked_mul(4 + entry_len)
-                .ok_or_else(|| storage_err(format!("segment entry count {count} overflows")))?,
-        )
-        .and_then(|n| n.checked_add(8))
-        .ok_or_else(|| storage_err(format!("segment entry count {count} overflows")))?;
-    if bytes.len() != expected {
-        return Err(storage_err(format!(
-            "segment size mismatch: header declares {count} entries of {entry_len} bytes \
-             ({expected} bytes total), file has {}",
-            bytes.len()
-        )));
-    }
-    let body = checked_body(bytes, "segment")?;
-    let mut r = Reader::new(&body[HEADER_LEN..], "segment entries");
-    let stride = BitVec::words_for_len(filter_len);
+    let (shard, filter_len, count, mut r) = open_image(bytes)?;
     let mut builder = ArenaBuilder::with_capacity(filter_len, count);
-    let mut row = vec![0u64; stride];
-    for i in 0..count {
-        let declared = r.u32()? as usize;
-        if declared != entry_len {
-            return Err(storage_err(format!(
-                "segment entry {i} length prefix {declared}, expected {entry_len}"
-            )));
-        }
-        let id = r.u64()?;
-        let raw = r.take(filter_bytes)?;
-        row.iter_mut().for_each(|w| *w = 0);
-        for (b, &byte) in raw.iter().enumerate() {
-            row[b / 8] |= (byte as u64) << ((b % 8) * 8);
-        }
-        // `push` re-checks the tail-bit invariant, matching
-        // `BitVec::from_bytes`' rejection of bits set beyond filter_len.
-        builder
-            .push(id, &row)
-            .map_err(|e| storage_err(format!("segment entry {i}: {e}")))?;
+    let mut row = vec![0u64; BitVec::words_for_len(filter_len)];
+    for _ in 0..count {
+        let (id, raw) = read_entry(&mut r, filter_len)?;
+        load_row(raw, &mut row);
+        builder.push(id, &row)?;
     }
-    r.finish()?;
     Ok((shard, builder.finish()))
 }
 
@@ -375,33 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn every_single_byte_flip_is_detected() {
-        let records = sample_records(3, 80);
-        let bytes = encode_segment(1, 80, &refs(&records)).unwrap();
-        for pos in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut bad = bytes.clone();
-                bad[pos] ^= 1u8 << bit;
-                let err = decode_segment(&bad).expect_err(&format!("byte {pos} bit {bit}"));
-                assert!(
-                    matches!(err, PprlError::Storage(_)),
-                    "byte {pos} bit {bit}: {err}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn every_truncation_is_detected() {
-        let records = sample_records(4, 64);
-        let bytes = encode_segment(0, 64, &refs(&records)).unwrap();
-        for cut in 0..bytes.len() {
-            let err = decode_segment(&bytes[..cut]).expect_err(&format!("cut at {cut}"));
-            assert!(matches!(err, PprlError::Storage(_)), "cut {cut}: {err}");
-        }
-    }
-
-    #[test]
     fn extension_is_detected() {
         let records = sample_records(2, 64);
         let mut bytes = encode_segment(0, 64, &refs(&records)).unwrap();
@@ -478,22 +408,6 @@ mod tests {
                 sorted_bytes,
                 "len={len}"
             );
-        }
-    }
-
-    #[test]
-    fn arena_decode_detects_every_byte_flip_and_truncation() {
-        let records = sample_records(3, 80);
-        let bytes = encode_segment(1, 80, &refs(&records)).unwrap();
-        for pos in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x10;
-            let err = decode_segment_arena(&bad).expect_err(&format!("byte {pos}"));
-            assert!(matches!(err, PprlError::Storage(_)), "byte {pos}: {err}");
-        }
-        for cut in 0..bytes.len() {
-            let err = decode_segment_arena(&bytes[..cut]).expect_err(&format!("cut at {cut}"));
-            assert!(matches!(err, PprlError::Storage(_)), "cut {cut}: {err}");
         }
     }
 }

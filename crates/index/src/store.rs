@@ -32,16 +32,18 @@
 //! co-locate and the routing is stable across process restarts.
 
 use crate::arena::{ArenaBuilder, FilterArena};
-use crate::format::{io_err, storage_err, Reader};
+use crate::format::{io_err, storage_err};
 use crate::manifest::{segment_path, Manifest, SegmentEntry};
 use crate::query::{ArenaCell, IndexReader, SlotSpec};
 use crate::segment::{
-    read_segment_arena_with, read_segment_with, record_count_for_size, write_segment_arena_with,
+    load_row, push_entry, read_entry, read_segment_arena_with, read_segment_with,
+    record_count_for_size, write_segment_arena_with,
 };
 use crate::summary::{band_keys_words_into, summary_positions, BandKeySummary};
 use crate::vfs::{std_vfs, Vfs};
 use pprl_blocking::lsh::HammingLsh;
 use pprl_core::bitvec::BitVec;
+use pprl_core::codec::{append_checksum, checked_body, Reader};
 use pprl_core::error::{PprlError, Result};
 use pprl_core::gauge::foreground;
 use pprl_core::hash::fnv1a;
@@ -59,14 +61,13 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 
 /// WAL file magic ("PWL1").
 const WAL_MAGIC: u32 = 0x314c_5750;
-/// Current WAL format version (2 = flush epoch + header checksum).
+/// WAL format version (2 = flush epoch + header checksum; version 1
+/// never shipped and is a typed error).
 const WAL_VERSION: u16 = 2;
-/// Version-1 WAL header bytes (`magic u32 | version u16 | flen u32`).
-const WAL_HEADER_LEN_V1: usize = 10;
-/// Version-2 WAL header bytes: `magic u32 | version u16 | flen u32 |
-/// flush_epoch u64 | fnv1a u64`, the checksum covering the preceding 18
-/// bytes. A flipped header byte is therefore a typed error, while a
-/// short header can only be a torn creation — benign and repairable.
+/// WAL header bytes: `magic u32 | version u16 | flen u32 | flush_epoch
+/// u64 | fnv1a u64`, the checksum covering the preceding 18 bytes. A
+/// flipped header byte is therefore a typed error, while a short header
+/// can only be a torn creation — benign and repairable.
 const WAL_HEADER_LEN: usize = 26;
 
 /// Summary of an index's on-disk and in-log state.
@@ -531,7 +532,7 @@ impl IndexStore {
         }
         let mut buf = Vec::new();
         for (id, filter) in records {
-            encode_wal_entry(&mut buf, *id, filter);
+            encode_wal_entry(&mut buf, *id, filter.as_words(), flen);
         }
         if let Err(e) = self.vfs.append(&path, &buf) {
             // The append may have half-landed (short write, crash,
@@ -1199,47 +1200,29 @@ fn quarantine_segment(vfs: &dyn Vfs, dir: &Path, seg_id: u64) -> Result<()> {
 
 /// A complete WAL image: header at `flush_epoch` followed by the
 /// pending rows in append order. Byte-identical to the log the appends
-/// originally produced (word rows serialise to the same little-endian
-/// bytes `BitVec::to_bytes` emits).
+/// originally produced.
 fn encode_wal_image(filter_len: usize, flush_epoch: u64, records: &ArenaBuilder) -> Vec<u8> {
-    let mut out = Vec::with_capacity(WAL_HEADER_LEN);
+    let mut out =
+        Vec::with_capacity(WAL_HEADER_LEN + records.len() * (20 + filter_len.div_ceil(8)));
     out.extend_from_slice(&WAL_MAGIC.to_le_bytes());
     out.extend_from_slice(&WAL_VERSION.to_le_bytes());
     out.extend_from_slice(&(filter_len as u32).to_le_bytes());
     out.extend_from_slice(&flush_epoch.to_le_bytes());
-    let hsum = fnv1a(&out);
-    out.extend_from_slice(&hsum.to_le_bytes());
+    append_checksum(&mut out);
     for i in 0..records.len() {
-        encode_wal_entry_words(&mut out, records.id(i), records.row(i), filter_len);
+        encode_wal_entry(&mut out, records.id(i), records.row(i), filter_len);
     }
     out
 }
 
-/// One log entry: `elen u32 | id u64 | bits | fnv1a u64` where the
-/// checksum covers the length prefix, id and filter bytes. A torn or
-/// flipped tail therefore fails verification on replay.
-fn encode_wal_entry(out: &mut Vec<u8>, id: u64, filter: &BitVec) {
-    let start = out.len();
-    let bits = filter.to_bytes();
-    out.extend_from_slice(&((8 + bits.len()) as u32).to_le_bytes());
-    out.extend_from_slice(&id.to_le_bytes());
-    out.extend_from_slice(&bits);
-    let sum = fnv1a(&out[start..]);
-    out.extend_from_slice(&sum.to_le_bytes());
-}
-
-/// [`encode_wal_entry`] from a filter's backing words — the same bytes,
-/// read off the word slice instead of an owned `BitVec`.
-fn encode_wal_entry_words(out: &mut Vec<u8>, id: u64, row: &[u64], filter_len: usize) {
-    let start = out.len();
-    let nbytes = filter_len.div_ceil(8);
-    out.extend_from_slice(&((8 + nbytes) as u32).to_le_bytes());
-    out.extend_from_slice(&id.to_le_bytes());
-    for b in 0..nbytes {
-        out.push((row[b / 8] >> ((b % 8) * 8)) as u8);
-    }
-    let sum = fnv1a(&out[start..]);
-    out.extend_from_slice(&sum.to_le_bytes());
+/// One log entry: a segment entry (`elen u32 | id u64 | bits`, read off
+/// the filter's backing words) followed by its own checksum, so a torn
+/// or flipped tail fails verification on replay.
+fn encode_wal_entry(out: &mut Vec<u8>, id: u64, row: &[u64], filter_len: usize) {
+    let mut entry = Vec::with_capacity(20 + filter_len.div_ceil(8));
+    push_entry(&mut entry, id, row, filter_len);
+    append_checksum(&mut entry);
+    out.extend_from_slice(&entry);
 }
 
 /// What [`replay_wal_with`] recovered, plus whether the on-disk log
@@ -1285,44 +1268,25 @@ fn replay_wal_with(
         }
         Err(e) => return Err(io_err(path, "reading", e)),
     };
-    // A header shorter than the version-1 fixed length can only be a
-    // torn creation or reset: nothing was logged yet.
-    if bytes.len() < WAL_HEADER_LEN_V1 {
+    // A header shorter than its fixed length can only be a torn
+    // creation or reset: nothing was logged yet.
+    if bytes.len() < WAL_HEADER_LEN {
         return Ok(WalReplay::repaired(ArenaBuilder::new(filter_len)));
     }
-    let mut r = Reader::new(&bytes, "wal");
+    let (header, entries) = bytes.split_at(WAL_HEADER_LEN);
+    let mut r = Reader::new(header, PprlError::Storage);
     let magic = r.u32()?;
     if magic != WAL_MAGIC {
         return Err(storage_err(format!("not a wal file (magic {magic:#x})")));
     }
     let version = r.u16()?;
-    let epoch = match version {
-        // Version-1 logs (pre-durability) carry no epoch; they pair
-        // with manifests whose flush_epoch decodes as 0.
-        1 => {
-            let _flen = r.u32()?;
-            0
-        }
-        2 => {
-            if bytes.len() < WAL_HEADER_LEN {
-                // Torn mid-header: the reset crashed before the epoch
-                // and checksum landed. Nothing was logged after it.
-                return Ok(WalReplay::repaired(ArenaBuilder::new(filter_len)));
-            }
-            let _flen = r.u32()?;
-            let epoch = r.u64()?;
-            let declared = r.u64()?;
-            let actual = fnv1a(&bytes[..WAL_HEADER_LEN - 8]);
-            if declared != actual {
-                return Err(storage_err(format!(
-                    "wal header checksum mismatch ({declared:#x} declared, {actual:#x} actual)"
-                )));
-            }
-            epoch
-        }
-        v => return Err(storage_err(format!("unsupported wal version {v}"))),
-    };
-    let flen = u32::from_le_bytes(bytes[6..10].try_into().expect("length checked")) as usize;
+    if version != WAL_VERSION {
+        return Err(storage_err(format!("unsupported wal version {version}")));
+    }
+    checked_body(header, PprlError::Storage)
+        .map_err(|e| storage_err(format!("wal header: {e}")))?;
+    let flen = r.u32()? as usize;
+    let epoch = r.u64()?;
     if flen != filter_len {
         return Err(storage_err(format!(
             "wal declares {flen}-bit filters, index expects {filter_len}"
@@ -1340,53 +1304,32 @@ fn replay_wal_with(
              this log does not pair with this manifest"
         )));
     }
-    let filter_bytes = filter_len.div_ceil(8);
-    let entry_len = 8 + filter_bytes;
+    let entry_len = 8 + filter_len.div_ceil(8);
     let frame_len = 4 + entry_len + 8;
     let mut records = ArenaBuilder::new(filter_len);
     let mut row = vec![0u64; records.stride()];
-    while r.pos() < bytes.len() {
-        let start = r.pos();
-        let remaining = bytes.len() - start;
-        if remaining < frame_len {
+    for (n, frame) in entries.chunks(frame_len).enumerate() {
+        let offset = WAL_HEADER_LEN + n * frame_len;
+        let at = |e: PprlError| storage_err(format!("wal entry at offset {offset}: {e}"));
+        if frame.len() < frame_len {
             // Short tail. It is a benign torn append only if what *is*
             // present is a prefix of a well-formed entry; a fully
             // present length prefix that disagrees is corruption.
-            if remaining >= 4 {
-                let declared =
-                    u32::from_le_bytes(bytes[start..start + 4].try_into().expect("4 bytes"))
-                        as usize;
-                if declared != entry_len {
+            if let Ok(declared) = Reader::new(frame, PprlError::Storage).u32() {
+                if declared as usize != entry_len {
                     return Err(storage_err(format!(
-                        "wal entry at offset {start}: length prefix {declared}, \
+                        "wal entry at offset {offset}: length prefix {declared}, \
                          expected {entry_len}"
                     )));
                 }
             }
             return Ok(WalReplay::repaired(records));
         }
-        let declared = r.u32()? as usize;
-        if declared != entry_len {
-            return Err(storage_err(format!(
-                "wal entry at offset {start}: length prefix {declared}, expected {entry_len}"
-            )));
-        }
-        let id = r.u64()?;
-        let bits = r.take(filter_bytes)?;
-        row.fill(0);
-        for (b, &byte) in bits.iter().enumerate() {
-            row[b / 8] |= (byte as u64) << ((b % 8) * 8);
-        }
-        records
-            .push(id, &row)
-            .map_err(|e| storage_err(format!("wal entry at offset {start}: {e}")))?;
-        let declared_sum = r.u64()?;
-        let actual = fnv1a(&bytes[start..start + 4 + entry_len]);
-        if declared_sum != actual {
-            return Err(storage_err(format!(
-                "wal entry at offset {start}: checksum mismatch"
-            )));
-        }
+        let body = checked_body(frame, PprlError::Storage).map_err(at)?;
+        let (id, raw) =
+            read_entry(&mut Reader::new(body, PprlError::Storage), filter_len).map_err(at)?;
+        load_row(raw, &mut row);
+        records.push(id, &row).map_err(at)?;
     }
     Ok(WalReplay {
         records,
@@ -1664,6 +1607,30 @@ mod tests {
         std::fs::write(&wal, &flipped).unwrap();
         let err = IndexStore::open(&dir).unwrap_err();
         assert!(matches!(err, PprlError::Storage(_)), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_1_wal_is_a_typed_unsupported_error() {
+        let dir = temp_dir("wal-v1");
+        let mut store = IndexStore::create(&dir, IndexConfig::new(64, 2)).unwrap();
+        store.insert_batch(&filters(2, 64)).unwrap();
+        drop(store);
+        let wal = dir.join(WAL_FILE);
+        let bytes = std::fs::read(&wal).unwrap();
+        // The never-shipped v1 layout: `magic | version 1 | flen`, no
+        // epoch and no header checksum, then the same entries.
+        let mut v1 = bytes[..4].to_vec();
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(&bytes[6..10]);
+        v1.extend_from_slice(&bytes[WAL_HEADER_LEN..]);
+        std::fs::write(&wal, &v1).unwrap();
+        match IndexStore::open(&dir) {
+            Err(PprlError::Storage(msg)) => {
+                assert!(msg.contains("unsupported wal version 1"), "{msg}")
+            }
+            other => panic!("expected a typed storage error, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

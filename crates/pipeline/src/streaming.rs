@@ -13,69 +13,28 @@
 //!
 //! For fault tolerance the linker can be checkpointed:
 //! [`StreamingLinker::snapshot`] serialises the full index/cluster state
-//! into a framed, checksummed byte blob and
-//! [`StreamingLinker::restore`] rebuilds an identical linker from it —
-//! any corruption of the blob is detected and reported as a typed
+//! into an in-memory blob — `magic ‖ body ‖ fnv1a`, `pprl_core::codec`'s
+//! checksum trailer — and [`StreamingLinker::restore`] rebuilds an
+//! identical linker from it through `pprl_core::codec`'s `Reader`: any
+//! corruption of the blob is detected and reported as a typed
 //! [`PprlError::Transport`] instead of silently resuming from bad state.
 
 use pprl_blocking::keys::BlockingKey;
 use pprl_blocking::source::KeyBlockSource;
 use pprl_core::bitvec::BitVec;
 use pprl_core::candidate::{CandidateSource, Probes};
+use pprl_core::codec::{append_checksum, checked_body, Reader};
 use pprl_core::error::{PprlError, Result};
 use pprl_core::record::{Record, RecordRef};
 use pprl_core::schema::Schema;
 use pprl_encoding::encoder::{EncodedRecord, RecordEncoder, RecordEncoderConfig};
 use pprl_index::store::IndexStore;
 use pprl_matching::clustering::IncrementalClusterer;
-use pprl_protocols::transport::{Frame, FrameKind};
 use pprl_similarity::bitvec_sim::dice_bits;
 use std::collections::HashMap;
 
 /// Magic prefix of a serialised [`StreamingLinker`] checkpoint ("PSL1").
 const SNAPSHOT_MAGIC: u32 = 0x314C_5350;
-
-/// Bounds-checked little-endian reader over checkpoint bytes; every
-/// malformation surfaces as [`PprlError::Transport`].
-struct SnapshotReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SnapshotReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        SnapshotReader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
-            return Err(PprlError::Transport(format!(
-                "checkpoint truncated at byte {}",
-                self.pos
-            )));
-        };
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
 
 fn push_u32(out: &mut Vec<u8>, v: usize, what: &str) -> Result<()> {
     let v = u32::try_from(v)
@@ -380,7 +339,7 @@ impl StreamingLinker {
     }
 
     /// Serialises the linker's mutable state (filters, blocking index,
-    /// clusters) into a framed, checksummed checkpoint blob. Configuration
+    /// clusters) into a checksummed checkpoint blob. Configuration
     /// (schema, encoder, blocking definition, threshold) is *not* restored
     /// from the blob — the caller supplies it again on
     /// [`StreamingLinker::restore`], and mismatches are rejected.
@@ -419,12 +378,13 @@ impl StreamingLinker {
                 push_u32(&mut payload, member.row, "cluster row")?;
             }
         }
-        Ok(Frame::data(0, payload).encode())
+        append_checksum(&mut payload);
+        Ok(payload)
     }
 
-    /// Rebuilds a linker from a [`StreamingLinker::snapshot`] blob and the
+    /// Rebuilds a linker from a [`StreamingLinker::snapshot`] payload and the
     /// same configuration the snapshotted linker was built with. Any
-    /// corruption of the blob — a flipped bit, truncation, a foreign byte
+    /// corruption of the payload — a flipped bit, truncation, a foreign byte
     /// stream — yields a typed [`PprlError::Transport`].
     pub fn restore(
         schema: Schema,
@@ -432,13 +392,10 @@ impl StreamingLinker {
         blocking: BlockingKey,
         bytes: &[u8],
     ) -> Result<Self> {
-        let frame = Frame::decode(bytes)?;
-        if frame.kind != FrameKind::Data {
-            return Err(PprlError::Transport(
-                "checkpoint frame is not a data frame".into(),
-            ));
-        }
-        let mut r = SnapshotReader::new(&frame.payload);
+        let mut r = Reader::new(
+            checked_body(bytes, PprlError::Transport)?,
+            PprlError::Transport,
+        );
         if r.u32()? != SNAPSHOT_MAGIC {
             return Err(PprlError::Transport(
                 "not a streaming-linker checkpoint".into(),
@@ -466,9 +423,7 @@ impl StreamingLinker {
         let mut index: HashMap<String, Vec<usize>> = HashMap::with_capacity(blocks);
         for _ in 0..blocks {
             let key_len = r.u32()? as usize;
-            let key = std::str::from_utf8(r.take(key_len)?)
-                .map_err(|_| PprlError::Transport("checkpoint block key not UTF-8".into()))?
-                .to_string();
+            let key = r.str(key_len)?.to_string();
             let rows_len = r.u32()? as usize;
             let mut rows = Vec::with_capacity(rows_len);
             for _ in 0..rows_len {
@@ -493,11 +448,7 @@ impl StreamingLinker {
             }
             clusters.push(cluster);
         }
-        if !r.done() {
-            return Err(PprlError::Transport(
-                "trailing bytes after checkpoint".into(),
-            ));
-        }
+        r.finish()?;
         Ok(StreamingLinker {
             schema,
             encoder,

@@ -24,6 +24,7 @@
 use crate::patterns::Pattern;
 use crate::transport::{Frame, FrameKind, Transport, FRAME_OVERHEAD};
 use pprl_core::bitvec::BitVec;
+use pprl_core::codec::Reader;
 use pprl_core::error::{PprlError, Result};
 use pprl_crypto::cost::CommCost;
 use pprl_encoding::cbf::CountingBloomFilter;
@@ -311,16 +312,10 @@ pub fn encode_match(a: usize, b: usize, similarity: f64) -> Result<Vec<u8>> {
 
 /// Inverse of [`encode_match`].
 pub fn decode_match(bytes: &[u8]) -> Result<(usize, usize, f64)> {
-    if bytes.len() != 16 {
-        return Err(PprlError::Transport(format!(
-            "match message of {} bytes, expected 16",
-            bytes.len()
-        )));
-    }
-    let a = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-    let b = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
-    let s = f64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    Ok((a, b, s))
+    let mut r = Reader::new(bytes, PprlError::Transport);
+    let entry = (r.u32()? as usize, r.u32()? as usize, r.f64()?);
+    r.finish()?;
+    Ok(entry)
 }
 
 // ---------- degraded-mode aggregation ----------

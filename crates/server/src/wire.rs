@@ -1,7 +1,9 @@
 //! The `pprl-server` wire protocol: framed, checksummed, typed.
 //!
-//! Every message travels as one frame following the
-//! `protocols::transport` / `pprl-index` framing conventions:
+//! Every message travels as one `pprl_session::frame` stream frame —
+//! `plen ‖ payload ‖ fnv1a`, the checksum being `pprl_core::codec`'s
+//! trailer — and every payload parses through `pprl_core::codec`'s
+//! bounds-checked `Reader`:
 //!
 //! ```text
 //! plen    u32 LE   payload length in bytes
@@ -9,10 +11,7 @@
 //! fnv1a   u64 LE   checksum of the length prefix + payload
 //! ```
 //!
-//! The FNV-1a absorb step is a bijection on `u64` for every fixed byte,
-//! so any single flipped byte changes the checksum; the explicit length
-//! prefix turns every truncation into a detectable short read. All
-//! malformations surface as typed [`PprlError::Transport`] errors —
+//! All malformations surface as typed [`PprlError::Transport`] errors —
 //! never a panic, never a silently misparsed request.
 //!
 //! The leading [`WIRE_VERSION`] byte exists for mixed deployments: a
@@ -26,13 +25,13 @@
 //! scores travel as IEEE-754 bit patterns.
 
 use pprl_core::bitvec::BitVec;
+use pprl_core::codec::Reader;
 use pprl_core::error::{PprlError, Result};
 use pprl_index::query::Hit;
 
-// The framing layer (length prefix + FNV-1a checksum) moved down into
-// `pprl-session::frame` when the authenticated session layer arrived —
-// wire v4 frames travel in the identical envelope. Re-exported here so
-// every existing `wire::read_payload` caller keeps compiling.
+// The framing layer lives in `pprl-session::frame`, because wire v4
+// session frames travel in the identical envelope; re-exported here so
+// every `wire::read_payload` caller keeps compiling.
 pub use pprl_session::frame::{read_payload, write_payload, Incoming, MAX_PAYLOAD};
 
 /// Wire protocol version, the first byte of every frame payload.
@@ -43,7 +42,7 @@ pub use pprl_session::frame::{read_payload, write_payload, Incoming, MAX_PAYLOAD
 pub const WIRE_VERSION: u8 = 3;
 
 /// Checks the leading version byte of a frame payload.
-fn check_version(r: &mut WireReader<'_>) -> Result<()> {
+fn check_version(r: &mut Reader<'_>) -> Result<()> {
     let found = r.u8()?;
     if found != WIRE_VERSION {
         return Err(PprlError::UnsupportedVersion {
@@ -208,73 +207,16 @@ pub struct StatsReport {
     pub kernel: String,
 }
 
-/// Bounds-checked little-endian reader over a frame payload.
-struct WireReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> WireReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        WireReader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
-            return Err(transport_err(format!(
-                "frame truncated: wanted {n} bytes at offset {}, payload has {}",
-                self.pos,
-                self.bytes.len()
-            )));
-        };
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn finish(&self) -> Result<()> {
-        if self.pos != self.bytes.len() {
-            return Err(transport_err(format!(
-                "frame has {} trailing bytes after offset {}",
-                self.bytes.len() - self.pos,
-                self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
 fn push_filter_bits(out: &mut Vec<u8>, filter: &BitVec) {
     out.extend_from_slice(&filter.to_bytes());
 }
 
-fn read_filter(r: &mut WireReader<'_>, flen: usize) -> Result<BitVec> {
+fn read_filter(r: &mut Reader<'_>, flen: usize) -> Result<BitVec> {
     let bytes = r.take(flen.div_ceil(8))?;
     BitVec::from_bytes(bytes, flen).map_err(|e| transport_err(format!("bad filter in frame: {e}")))
 }
 
-fn read_filter_len(r: &mut WireReader<'_>) -> Result<usize> {
+fn read_filter_len(r: &mut Reader<'_>) -> Result<usize> {
     let flen = r.u32()? as usize;
     if flen == 0 {
         return Err(transport_err("frame declares a zero-length filter"));
@@ -290,7 +232,7 @@ fn push_hits(out: &mut Vec<u8>, hits: &[Hit]) {
     }
 }
 
-fn read_hits(r: &mut WireReader<'_>) -> Result<Vec<Hit>> {
+fn read_hits(r: &mut Reader<'_>) -> Result<Vec<Hit>> {
     let n = r.u32()? as usize;
     let mut hits = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
@@ -362,7 +304,7 @@ impl Request {
     /// version byte differs from [`WIRE_VERSION`] is rejected with
     /// [`PprlError::UnsupportedVersion`] before any body parsing.
     pub fn decode(payload: &[u8]) -> Result<Request> {
-        let mut r = WireReader::new(payload);
+        let mut r = Reader::new(payload, PprlError::Transport);
         check_version(&mut r)?;
         let req = match r.u8()? {
             OP_QUERY => {
@@ -491,7 +433,7 @@ impl Response {
     /// Parses a frame payload into a response, rejecting foreign
     /// [`WIRE_VERSION`]s up front like [`Request::decode`].
     pub fn decode(payload: &[u8]) -> Result<Response> {
-        let mut r = WireReader::new(payload);
+        let mut r = Reader::new(payload, PprlError::Transport);
         check_version(&mut r)?;
         let resp = match r.u8()? {
             OP_HITS => Response::Hits(read_hits(&mut r)?),
@@ -549,9 +491,7 @@ impl Response {
                 }
                 let merge_rows = r.u64()?;
                 let klen = r.u32()? as usize;
-                let kernel = std::str::from_utf8(r.take(klen)?)
-                    .map_err(|_| transport_err("kernel name not UTF-8"))?
-                    .to_string();
+                let kernel = r.str(klen)?.to_string();
                 Response::Stats(StatsReport {
                     workers,
                     queue_capacity,
@@ -570,9 +510,7 @@ impl Response {
             },
             OP_ERROR => {
                 let len = r.u32()? as usize;
-                let message = std::str::from_utf8(r.take(len)?)
-                    .map_err(|_| transport_err("error message not UTF-8"))?
-                    .to_string();
+                let message = r.str(len)?.to_string();
                 Response::ServerError { message }
             }
             OP_BYE => Response::Bye,
@@ -675,68 +613,6 @@ mod tests {
             message: "no such index".into(),
         });
         round_trip_response(Response::Bye);
-    }
-
-    #[test]
-    fn every_single_byte_flip_is_detected() {
-        let req = Request::Query {
-            filter: filt(&[1, 2, 3]),
-            k: 5,
-        };
-        let mut buf = Vec::new();
-        write_payload(&mut buf, &req.encode()).unwrap();
-        for pos in 0..buf.len() {
-            for delta in [0x01u8, 0x80] {
-                let mut bad = buf.clone();
-                bad[pos] ^= delta;
-                let mut cursor = std::io::Cursor::new(bad);
-                // Either the frame read itself fails, or (for a length
-                // prefix grown past the buffer) the short read fails —
-                // a flip is never silently accepted.
-                match read_payload(&mut cursor) {
-                    Err(PprlError::Transport(_)) => {}
-                    Ok(Incoming::Payload(_)) => panic!("byte {pos} delta {delta:#x} undetected"),
-                    Ok(_) | Err(_) => {}
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn truncations_and_eof_are_distinguished() {
-        let mut buf = Vec::new();
-        write_payload(&mut buf, &Request::Stats.encode()).unwrap();
-        // Clean EOF before any frame byte.
-        let mut empty = std::io::Cursor::new(Vec::<u8>::new());
-        assert!(matches!(read_payload(&mut empty).unwrap(), Incoming::Eof));
-        // Every mid-frame truncation is a typed error.
-        for cut in 1..buf.len() {
-            let mut cursor = std::io::Cursor::new(buf[..cut].to_vec());
-            match read_payload(&mut cursor) {
-                Err(PprlError::Transport(_)) => {}
-                Ok(Incoming::Eof) if cut < 4 => {} // length prefix itself cut
-                other => panic!("cut {cut}: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn zero_and_oversized_lengths_rejected() {
-        let mut zero = std::io::Cursor::new(vec![0u8; 12]);
-        assert!(matches!(
-            read_payload(&mut zero),
-            Err(PprlError::Transport(_))
-        ));
-        let mut huge = Vec::new();
-        huge.extend_from_slice(&(u32::MAX).to_le_bytes());
-        huge.extend_from_slice(&[0u8; 16]);
-        let mut cursor = std::io::Cursor::new(huge);
-        assert!(matches!(
-            read_payload(&mut cursor),
-            Err(PprlError::Transport(_))
-        ));
-        let mut w = Vec::new();
-        assert!(write_payload(&mut w, &[]).is_err());
     }
 
     #[test]

@@ -593,8 +593,8 @@ fn plan_cache_shares_one_derivation_per_popcount_bucket() {
 /// peer that accepts and never answers yields a typed `Timeout` within
 /// 2 × the deadline (not after the 30 s socket timeout the deadline
 /// used to be rounded up to), and a peer that never drains its socket
-/// fails the write instead of pinning the caller in `write_all`
-/// forever.
+/// fails the write with a typed `Timeout` too, instead of pinning the
+/// caller in `write_all` forever.
 #[test]
 fn silent_or_stalled_peer_cannot_pin_a_caller_past_its_deadline() {
     use std::time::Instant;
@@ -628,8 +628,8 @@ fn silent_or_stalled_peer_cannot_pin_a_caller_past_its_deadline() {
     stalled.set_deadline(deadline);
     let started = Instant::now();
     match stalled.send(&vec![0u8; 32 << 20]) {
-        Err(PprlError::Transport(_)) => {}
-        other => panic!("expected the stalled write to fail, got {other:?}"),
+        Err(PprlError::Timeout(_)) => {}
+        other => panic!("expected the stalled write to time out, got {other:?}"),
     }
     assert!(started.elapsed() < Duration::from_secs(5));
 

@@ -1,5 +1,5 @@
 //! The byte-level framing shared by every TCP peer in the workspace:
-//! length prefix, payload, FNV-1a checksum.
+//! length prefix, payload, checksum.
 //!
 //! ```text
 //! plen    u32 LE   payload length in bytes
@@ -7,27 +7,24 @@
 //! fnv1a   u64 LE   checksum of the length prefix + payload
 //! ```
 //!
-//! This lived in `pprl-server::wire` through wire v3; it moved down
-//! here when the session layer arrived, because the authenticated
-//! record layer and the plaintext protocol share exactly this frame
-//! format — a v4 `HELLO` travels in the same envelope as a v3 `STATS`.
-//! `pprl-server::wire` re-exports everything in this module, so
-//! existing imports keep compiling.
+//! The authenticated record layer and the plaintext protocol share
+//! exactly this frame format — a v4 `HELLO` travels in the same
+//! envelope as a v3 `STATS` — and `pprl-server::wire` re-exports this
+//! module. The trailer is `pprl_core::codec`'s checksum trailer over
+//! `plen ‖ payload`, verified with its single word compare; the
+//! explicit length prefix turns every truncation into a detectable
+//! short read. Every malformed frame is a typed [`PprlError::Transport`]
+//! error. The checksum detects *accidents* only — an adversary can
+//! recompute it; tamper resistance is the session layer's per-frame MAC
+//! (see [`crate::channel::SecureChannel`]).
 //!
-//! The FNV-1a absorb step is a bijection on `u64` for every fixed
-//! byte, so any single flipped byte changes the checksum; the explicit
-//! length prefix turns every truncation into a detectable short read.
-//! The checksum detects *accidents* only — an adversary can recompute
-//! it. Tamper resistance is the session layer's per-frame HMAC (see
-//! [`crate::channel::SecureChannel`]), which is why the checksum
-//! comparison below still uses [`pprl_crypto::sha::ct_eq`]: it costs
-//! nothing and keeps every frame-compare in the workspace on the
-//! constant-time path.
+//! A write that stalls past the socket's write timeout is a
+//! [`PprlError::Timeout`], like a read that does; every other write
+//! failure is `Transport`.
 
+use pprl_core::codec::{append_checksum, checked_body};
 use pprl_core::error::{PprlError, Result};
-use pprl_core::hash::{fnv1a, fnv1a_from};
-use pprl_crypto::sha::ct_eq;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 /// Hard cap on a frame payload (64 MiB): a garbled or hostile length
 /// prefix must never make a peer allocate unbounded memory.
@@ -102,13 +99,8 @@ pub fn read_payload_into(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<Incomin
                 )))
             }
             Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if stalled(&e) => {
                 if got == 0 {
                     return Ok(IncomingLen::TimedOut);
                 }
@@ -125,15 +117,14 @@ pub fn read_payload_into(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<Incomin
             "frame length {plen} outside (0, {MAX_PAYLOAD}]"
         )));
     }
-    buf.resize(plen + 8, 0);
-    r.read_exact(buf)
+    // The checksum covers prefix ‖ payload: read the frame whole behind
+    // its prefix, verify it, then move the payload to the front.
+    buf.resize(4 + plen + 8, 0);
+    buf[..4].copy_from_slice(&len_bytes);
+    r.read_exact(&mut buf[4..])
         .map_err(|e| transport_err(format!("reading {plen}-byte frame: {e}")))?;
-    // Checksum covers prefix ‖ payload; continue the fold rather than
-    // concatenating them into a scratch buffer.
-    let sum = fnv1a_from(fnv1a(&len_bytes), &buf[..plen]);
-    if !ct_eq(&sum.to_le_bytes(), &buf[plen..]) {
-        return Err(transport_err("frame checksum mismatch"));
-    }
+    checked_body(buf, PprlError::Transport)?;
+    buf.copy_within(4..4 + plen, 0);
     Ok(IncomingLen::Payload(plen))
 }
 
@@ -167,17 +158,30 @@ pub fn frame_finish(buf: &mut Vec<u8>) -> Result<()> {
         )));
     }
     buf[..4].copy_from_slice(&(plen as u32).to_le_bytes());
-    let sum = fnv1a(buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
+    append_checksum(buf);
     Ok(())
 }
 
-/// Writes a finished frame to `w` and flushes.
+/// True for the error a socket read or write returns when its timeout
+/// fires (`WouldBlock` on Unix, `TimedOut` on Windows).
+fn stalled(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// Writes a finished frame to `w` and flushes. A peer that stops
+/// draining until the write timeout fires is a [`PprlError::Timeout`];
+/// any other failure is [`PprlError::Transport`].
 pub fn frame_send(w: &mut impl Write, frame: &[u8]) -> Result<()> {
-    w.write_all(frame)
-        .map_err(|e| transport_err(format!("writing frame: {e}")))?;
-    w.flush()
-        .map_err(|e| transport_err(format!("flushing frame: {e}")))
+    let fail = |op: &str, e: std::io::Error| {
+        let msg = format!("{op} frame: {e}");
+        if stalled(&e) {
+            PprlError::Timeout(msg)
+        } else {
+            transport_err(msg)
+        }
+    };
+    w.write_all(frame).map_err(|e| fail("writing", e))?;
+    w.flush().map_err(|e| fail("flushing", e))
 }
 
 /// Wire version of the *plaintext* request/response protocol carried
@@ -213,42 +217,6 @@ mod tests {
             panic!("expected a payload");
         };
         assert_eq!(p, b"hello");
-    }
-
-    #[test]
-    fn every_single_byte_flip_is_detected() {
-        let mut buf = Vec::new();
-        write_payload(&mut buf, b"some payload bytes").unwrap();
-        for pos in 0..buf.len() {
-            for delta in [0x01u8, 0x80] {
-                let mut bad = buf.clone();
-                bad[pos] ^= delta;
-                let mut cursor = std::io::Cursor::new(bad);
-                match read_payload(&mut cursor) {
-                    Err(PprlError::Transport(_)) => {}
-                    Ok(Incoming::Payload(_)) => panic!("byte {pos} delta {delta:#x} undetected"),
-                    Ok(_) | Err(_) => {}
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn truncations_rejected_eof_clean() {
-        let mut buf = Vec::new();
-        write_payload(&mut buf, b"x").unwrap();
-        // Only a close *between* frames is a clean EOF; every cut that
-        // leaves a partial frame — even a partial length prefix — is a
-        // typed transport error.
-        let mut empty = std::io::Cursor::new(Vec::<u8>::new());
-        assert!(matches!(read_payload(&mut empty).unwrap(), Incoming::Eof));
-        for cut in 1..buf.len() {
-            let mut cursor = std::io::Cursor::new(buf[..cut].to_vec());
-            match read_payload(&mut cursor) {
-                Err(PprlError::Transport(_)) => {}
-                other => panic!("cut {cut}: {other:?}"),
-            }
-        }
     }
 
     /// Yields its bytes, then one `WouldBlock` (a socket read timeout),
@@ -302,6 +270,30 @@ mod tests {
                 assert!(msg.contains("2 of 4"), "{msg}");
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// A writer whose every write and flush fails with `kind`.
+    struct FailingWriter(std::io::ErrorKind);
+
+    impl Write for FailingWriter {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::from(self.0))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::from(self.0))
+        }
+    }
+
+    #[test]
+    fn a_stalled_write_is_a_timeout_and_any_other_failure_transport() {
+        for kind in [ErrorKind::WouldBlock, ErrorKind::TimedOut] {
+            let err = frame_send(&mut FailingWriter(kind), b"frame").unwrap_err();
+            assert!(matches!(err, PprlError::Timeout(_)), "{kind:?}: {err}");
+        }
+        for kind in [ErrorKind::BrokenPipe, ErrorKind::ConnectionReset] {
+            let err = frame_send(&mut FailingWriter(kind), b"frame").unwrap_err();
+            assert!(matches!(err, PprlError::Transport(_)), "{kind:?}: {err}");
         }
     }
 

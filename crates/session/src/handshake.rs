@@ -75,6 +75,7 @@ use crate::frame::{parse_plain_busy, read_payload, write_payload, Incoming};
 use crate::keys::{entropy_rng, PartyKey, SecretRng};
 use crate::registry::{valid_name, AuthRegistry};
 use crate::suite::{select_suite, CipherSuite, SuiteOffer};
+use pprl_core::codec::Reader;
 use pprl_core::error::{PprlError, Result};
 use pprl_crypto::bigint::BigUint;
 use pprl_crypto::commutative::{CommutativeKey, FixedBaseTable, Group};
@@ -232,53 +233,6 @@ fn confirm_mac(master: &[u8; 32], label: &str, transcript: &[u8; 32]) -> [u8; 32
 
 // ---------------------------------------------------------------- encoding
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return Err(auth_err("malformed handshake frame: truncated field"));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16_le(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn str_u8(&mut self) -> Result<&'a str> {
-        let len = self.u8()? as usize;
-        std::str::from_utf8(self.take(len)?)
-            .map_err(|_| auth_err("malformed handshake frame: non-UTF-8 string"))
-    }
-
-    fn str_u16(&mut self) -> Result<&'a str> {
-        let len = self.u16_le()? as usize;
-        std::str::from_utf8(self.take(len)?)
-            .map_err(|_| auth_err("malformed handshake frame: non-UTF-8 string"))
-    }
-
-    fn finish(&self) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(auth_err("malformed handshake frame: trailing bytes"));
-        }
-        Ok(())
-    }
-}
-
 fn push_str_u8(out: &mut Vec<u8>, s: &str) -> Result<()> {
     if s.len() > u8::MAX as usize {
         return Err(auth_err("handshake string longer than 255 bytes"));
@@ -318,16 +272,18 @@ struct Hello<'a> {
 }
 
 fn decode_hello(payload: &[u8]) -> Result<Hello<'_>> {
-    let mut r = Reader::new(payload);
+    let mut r = Reader::new(payload, PprlError::Auth);
     if r.u8()? != SESSION_WIRE_VERSION || r.u8()? != OP_HELLO {
         return Err(auth_err("not a session HELLO frame"));
     }
     let flags = r.u8()?;
     let suites = SuiteOffer::from_bits(r.u8()?);
     let nonce_c: [u8; 16] = r.take(16)?.try_into().unwrap();
-    let identity = r.str_u8()?;
-    let tenant = r.str_u8()?;
-    let a_len = r.u16_le()? as usize;
+    let identity_len = r.u8()?;
+    let identity = r.str(identity_len.into())?;
+    let tenant_len = r.u8()?;
+    let tenant = r.str(tenant_len.into())?;
+    let a_len = r.u16()? as usize;
     let a_share = BigUint::from_bytes_be(r.take(a_len)?);
     r.finish()?;
     if !valid_name(identity) || !valid_name(tenant) {
@@ -375,13 +331,15 @@ fn encode_auth_error(code: u8, detail_a: &str, detail_b: &str) -> Vec<u8> {
 }
 
 fn decode_auth_error(payload: &[u8]) -> Result<PprlError> {
-    let mut r = Reader::new(payload);
+    let mut r = Reader::new(payload, PprlError::Auth);
     if r.u8()? != SESSION_WIRE_VERSION || r.u8()? != OP_AUTH_ERROR {
         return Err(auth_err("not an AUTH_ERROR frame"));
     }
     let code = r.u8()?;
-    let a = r.str_u16()?.to_string();
-    let b = r.str_u16()?.to_string();
+    let a_len = r.u16()?;
+    let a = r.str(a_len.into())?.to_string();
+    let b_len = r.u16()?;
+    let b = r.str(b_len.into())?.to_string();
     r.finish()?;
     Ok(match code {
         AUTH_ERR_CROSS_TENANT => PprlError::CrossTenant {
@@ -434,7 +392,7 @@ pub fn client_handshake<S: Read + Write>(
     if reply.len() >= 2 && reply[0] == SESSION_WIRE_VERSION && reply[1] == OP_AUTH_ERROR {
         return Err(decode_auth_error(&reply)?);
     }
-    let mut r = Reader::new(&reply);
+    let mut r = Reader::new(&reply, PprlError::Auth);
     if r.u8()? != SESSION_WIRE_VERSION || r.u8()? != OP_WELCOME {
         return Err(auth_err(
             "expected WELCOME from server (is the server running with --auth-dir?)",
@@ -442,7 +400,7 @@ pub fn client_handshake<S: Read + Write>(
     }
     let suite = CipherSuite::from_code(r.u8()?)?;
     let nonce_s: [u8; 16] = r.take(16)?.try_into().unwrap();
-    let b_len = r.u16_le()? as usize;
+    let b_len = r.u16()? as usize;
     let b_share = BigUint::from_bytes_be(r.take(b_len)?);
     let mac_s: [u8; 32] = r.take(32)?.try_into().unwrap();
     r.finish()?;
@@ -479,7 +437,7 @@ pub fn client_handshake<S: Read + Write>(
     write_payload(stream, &confirm)?;
 
     let verdict = expect_frame(stream)?;
-    let mut r = Reader::new(&verdict);
+    let mut r = Reader::new(&verdict, PprlError::Auth);
     match (r.u8()?, r.u8()?) {
         (SESSION_WIRE_VERSION, OP_ACCEPT) => {
             r.finish()?;
@@ -563,7 +521,7 @@ pub fn server_handshake<S: Read + Write>(
     write_payload(stream, &encode_welcome(suite, &nonce_s, &b_share, &mac_s)?)?;
 
     let confirm = expect_frame(stream)?;
-    let mut r = Reader::new(&confirm);
+    let mut r = Reader::new(&confirm, PprlError::Auth);
     let ok = r.u8()? == SESSION_WIRE_VERSION && r.u8()? == OP_CONFIRM && {
         let mac_c: [u8; 32] = r.take(32)?.try_into().unwrap();
         r.finish()?;
