@@ -3,18 +3,17 @@
 //! units are honest-but-curious *parties*, so the serving layer itself
 //! must authenticate callers and protect encodings in transit).
 //!
-//! Builds the E18 index of GeCo-person CLKs once, then serves it five
+//! Builds the E18 index of GeCo-person CLKs once, then serves it three
 //! ways in turn: plaintext wire v3 (baseline), then authenticated wire
-//! v4 pinned to each negotiable cipher suite (hmac-ctr, chacha20), MAC
-//! only and MAC + frame encryption. For each mode we time the
+//! v4 (ChaCha20/Poly1305), MAC only and MAC + frame encryption. For each mode we time the
 //! connection setup (TCP connect + full handshake for the v4 modes)
 //! and then run the E18 closed-loop client sweep (1 → 8 clients ×
 //! top-k queries), reporting QPS and client-observed p50/p99 per
 //! level. Every mode's answers are checked bit-identical to the
-//! plaintext baseline — the session layer (and the suite choice) must
-//! change who can ask and what crosses the wire, never what is
-//! answered. A keystream micro-bench rounds the picture out with raw
-//! per-suite MB/s on this host.
+//! plaintext baseline — the session layer must change who can ask and
+//! what crosses the wire, never what is answered. A keystream
+//! micro-bench rounds the picture out with raw ChaCha20 MB/s on this
+//! host.
 //!
 //! Run: `cargo run --release -p pprl-bench --bin exp_auth [-- --smoke]`
 
@@ -221,28 +220,21 @@ fn main() {
         )
     };
 
-    // The serving modes under test: plaintext, then each cipher suite
-    // pinned via its offer, MAC-only and MAC+encryption. Compaction is
-    // off so the sweep isolates the session layer; E18 covers churn.
-    let auth_for = |encrypt: bool, suite: CipherSuite| ClientAuth {
+    // The serving modes under test: plaintext, then MAC-only and
+    // MAC+encryption sessions. Compaction is off so the sweep isolates
+    // the session layer; E18 covers churn.
+    let auth_for = |encrypt: bool| ClientAuth {
         identity: IDENTITY.into(),
         key: PartyKey::from_bytes(KEY),
         tenant: "default".into(),
         encrypt,
-        suites: SuiteOffer::only(suite),
+        suites: SuiteOffer::default(),
     };
-    let modes: [(&str, Option<ClientAuth>); 5] = [
+    let suite = CipherSuite::ChaCha20;
+    let modes: [(&str, Option<ClientAuth>); 3] = [
         ("plaintext-v3", None),
-        ("hmac-ctr-mac", Some(auth_for(false, CipherSuite::HmacCtr))),
-        (
-            "hmac-ctr-mac+enc",
-            Some(auth_for(true, CipherSuite::HmacCtr)),
-        ),
-        ("chacha20-mac", Some(auth_for(false, CipherSuite::ChaCha20))),
-        (
-            "chacha20-mac+enc",
-            Some(auth_for(true, CipherSuite::ChaCha20)),
-        ),
+        ("chacha20-mac", Some(auth_for(false))),
+        ("chacha20-mac+enc", Some(auth_for(true))),
     ];
     // One worker per client at the deepest sweep level: each worker
     // owns a session for its lifetime, so fewer workers than clients
@@ -393,7 +385,7 @@ fn main() {
         ));
     }
     // Encryption must ride almost free on top of the MAC: the keystream
-    // is the only difference between the two modes of a suite.
+    // is the only difference between the two session modes.
     let qps_of = |name: &str| {
         last_qps
             .iter()
@@ -401,28 +393,22 @@ fn main() {
             .map(|&(_, q)| q)
             .expect("mode measured")
     };
-    let mut enc_delta: Vec<(String, f64)> = Vec::new();
-    for suite in CipherSuite::ALL {
-        let mac = qps_of(&format!("{suite}-mac"));
-        let enc = qps_of(&format!("{suite}-mac+enc"));
-        let pct = (mac - enc) / mac * 100.0;
-        println!("{suite}: MAC+enc costs {pct:.1}% QPS over MAC-only at {top_clients} clients");
-        enc_delta.push((suite.name().to_string(), pct));
-    }
+    let mac = qps_of(&format!("{suite}-mac"));
+    let enc = qps_of(&format!("{suite}-mac+enc"));
+    let pct = (mac - enc) / mac * 100.0;
+    println!("{suite}: MAC+enc costs {pct:.1}% QPS over MAC-only at {top_clients} clients");
+    let enc_delta = [(suite.name().to_string(), pct)];
 
-    // Keystream micro-bench: the raw per-suite cost of turning key
-    // material into pad bytes, isolated from sockets and scans.
+    // Keystream micro-bench: the raw cost of turning key material into
+    // pad bytes, isolated from sockets and scans.
     let mut body = vec![0u8; 1 << 20];
     let mut ks = Table::new(&["suite", "keystream MB/s"]);
-    let mut keystream_rows: Vec<Json> = Vec::new();
-    for suite in CipherSuite::ALL {
-        let mbps = keystream_mbps(suite, &mut body);
-        ks.row(vec![suite.name().to_string(), format!("{mbps:.0}")]);
-        keystream_rows.push(Json::Obj(vec![
-            ("suite".into(), Json::str(suite.name())),
-            ("mb_per_s".into(), Json::Num(mbps.round())),
-        ]));
-    }
+    let mbps = keystream_mbps(&mut body);
+    ks.row(vec![suite.name().to_string(), format!("{mbps:.0}")]);
+    let keystream_rows = vec![Json::Obj(vec![
+        ("suite".into(), Json::str(suite.name())),
+        ("mb_per_s".into(), Json::Num(mbps.round())),
+    ])];
     println!("\nKeystream micro-bench (1 MiB buffer, pprl-crypto primitives):");
     ks.print();
 
@@ -457,41 +443,22 @@ fn main() {
     println!("\nappended auth summary: {}", path.display());
 
     println!("\nThe session layer prices in two things: a one-time handshake (two");
-    println!("fixed-base modexps from a precomputed window table) and a per-frame MAC");
-    println!("from cached HMAC midstates — plus the negotiated keystream when");
-    println!("encryption is on, where ChaCha20 makes the pad an order of magnitude");
-    println!("cheaper than the legacy HMAC-CTR. Steady-state query answers are");
-    println!("bit-identical across all five modes.");
+    println!("fixed-base modexps from a precomputed window table) and a per-frame");
+    println!("Poly1305 tag — plus the ChaCha20 keystream when encryption is on.");
+    println!("Steady-state query answers are bit-identical across all three modes.");
 
     let _ = std::fs::remove_dir_all(&dir);
     report::save();
 }
 
-/// Raw keystream throughput for one suite over `body`, in MB/s,
-/// applied exactly the way the secure channel applies it (HMAC-CTR:
-/// one cached-midstate HMAC per 32-byte block; ChaCha20: one ARX block
-/// per 64 bytes).
-fn keystream_mbps(suite: CipherSuite, body: &mut [u8]) -> f64 {
+/// Raw ChaCha20 keystream throughput over `body`, in MB/s, applied the
+/// way the secure channel applies it (one ARX block per 64 bytes).
+fn keystream_mbps(body: &mut [u8]) -> f64 {
     use pprl_crypto::chacha;
-    use pprl_crypto::sha::HmacKey;
     let started = Instant::now();
     let mut passes = 0u64;
     while started.elapsed() < Duration::from_millis(300) {
-        match suite {
-            CipherSuite::ChaCha20 => chacha::apply_keystream(&[0x22; 32], &[9; 12], 0, body),
-            CipherSuite::HmacCtr => {
-                let key = HmacKey::new(&[0x22; 32]);
-                let mut input = [0u8; 16];
-                input[..8].copy_from_slice(&passes.to_le_bytes());
-                for (i, block) in body.chunks_mut(32).enumerate() {
-                    input[8..].copy_from_slice(&(i as u64).to_le_bytes());
-                    let pad = key.mac(&input);
-                    for (b, p) in block.iter_mut().zip(pad.iter()) {
-                        *b ^= p;
-                    }
-                }
-            }
-        }
+        chacha::apply_keystream(&[0x22; 32], &[9; 12], 0, body);
         passes += 1;
     }
     (passes as f64 * body.len() as f64) / (1024.0 * 1024.0) / started.elapsed().as_secs_f64()

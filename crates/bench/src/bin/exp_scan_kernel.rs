@@ -21,7 +21,7 @@
 //!
 //! - **SIMD dispatch paths** (`simd:*` rows): the batched walk forced
 //!   through every kernel this host can run (`scalar`, `popcnt`-only
-//!   `portable`, `avx2`, `avx512`, `neon`), all checked bit-identical
+//!   `portable`, `avx2`, `avx512`), all checked bit-identical
 //!   before timing. The dispatched path must be at least as fast as the
 //!   batched scalar walk — runtime detection must never cost throughput.
 //! - **Compaction allocations**: bytes and allocator calls per merged

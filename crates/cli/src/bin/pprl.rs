@@ -47,7 +47,6 @@ fn main() {
             "serve" => commands::serve_cmd(args),
             "keygen" => commands::keygen(args),
             "kernels" => commands::kernels_cmd(args),
-            "suites" => commands::suites_cmd(args),
             other => {
                 eprintln!("error: unknown command `{other}`\n\n{}", commands::help());
                 std::process::exit(2);

@@ -24,7 +24,7 @@ use pprl_protocols::{multi_party_linkage, MultiPartyConfig, Pattern};
 use pprl_server::client::Client;
 use pprl_server::server::{serve, serve_auth, ServerConfig};
 use pprl_server::wire::StatsReport;
-use pprl_server::{AuthRegistry, CipherSuite, ClientAuth, PartyKey, SuiteOffer};
+use pprl_server::{AuthRegistry, ClientAuth, PartyKey, SuiteOffer};
 
 type CmdResult = Result<(), String>;
 
@@ -585,16 +585,13 @@ pub fn keygen(mut args: Args) -> CmdResult {
 }
 
 /// Reads the session-auth client flags — `--identity NAME --key-file
-/// PATH [--tenant T] [--encrypt] [--suite auto|chacha20|hmac-ctr]` —
-/// into an optional [`ClientAuth`]. Absent flags mean plaintext wire
-/// v3, exactly as before; the default `--suite auto` offers every
-/// cipher suite and lets negotiation pick the fastest common one.
+/// PATH [--tenant T] [--encrypt]` — into an optional [`ClientAuth`].
+/// Absent flags mean plaintext wire v3, exactly as before.
 fn auth_from_args(args: &mut Args) -> Result<Option<ClientAuth>, String> {
     let identity = args.get("identity");
     let key_file = args.get("key-file");
     let tenant = args.get_or("tenant", "default");
     let encrypt = args.flag("encrypt");
-    let suites = SuiteOffer::parse(&args.get_or("suite", "auto")).map_err(fail)?;
     match (identity, key_file) {
         (Some(identity), Some(path)) => {
             let key = PartyKey::load(std::path::Path::new(&path)).map_err(fail)?;
@@ -603,7 +600,7 @@ fn auth_from_args(args: &mut Args) -> Result<Option<ClientAuth>, String> {
                 key,
                 tenant,
                 encrypt,
-                suites,
+                suites: SuiteOffer::default(),
             }))
         }
         (None, None) if !encrypt => Ok(None),
@@ -626,10 +623,6 @@ pub fn serve_cmd(mut args: Args) -> CmdResult {
     let compact_ms: u64 = args.parse_or("compact-interval-ms", 500).map_err(fail)?;
     let addr_file = args.get("addr-file");
     let auth_dir = args.get("auth-dir");
-    // Server-side cipher-suite policy: `auto` negotiates the fastest
-    // suite each client offers; pinning refuses clients that cannot
-    // speak the pinned suite.
-    let suites = SuiteOffer::parse(&args.get_or("suite", "auto")).map_err(fail)?;
     args.finish().map_err(fail)?;
 
     let config = ServerConfig {
@@ -637,7 +630,6 @@ pub fn serve_cmd(mut args: Args) -> CmdResult {
         queue_capacity: queue,
         cache_capacity: cache,
         compact_interval: (compact_ms > 0).then(|| std::time::Duration::from_millis(compact_ms)),
-        suites,
         ..ServerConfig::default()
     };
     let bind = format!("{host}:{port}");
@@ -658,14 +650,7 @@ pub fn serve_cmd(mut args: Args) -> CmdResult {
         "serving {dir} on {addr}: {workers} workers, queue {queue}, cache {cache}, \
          compaction every {compact_ms} ms (0 = disabled){}",
         match &auth_dir {
-            Some(auth) => format!(
-                ", authenticated sessions only (auth dir {auth}, suites {})",
-                suites
-                    .iter()
-                    .map(|s| s.name())
-                    .collect::<Vec<_>>()
-                    .join("+")
-            ),
+            Some(auth) => format!(", authenticated sessions only (auth dir {auth})"),
             None => String::new(),
         }
     );
@@ -967,11 +952,8 @@ pub fn cluster_cmd(mut args: Args) -> CmdResult {
             };
             let deadline_ms: u64 = args.parse_or("deadline-ms", 10_000).map_err(fail)?;
             let addr_file = args.get("addr-file");
-            let args_suite = args.get_or("suite", "auto");
             // Shard-leg credentials: the coordinator is itself a client
-            // to the shard nodes, so it reuses the client auth flags
-            // (including `--suite`; the default offer negotiates the
-            // fast suite on every privileged shard hop).
+            // to the shard nodes, so it reuses the client auth flags.
             let shard_auth = auth_from_args(&mut args)?;
             // Front-end registry: who may connect to the coordinator.
             let auth_dir = args.get("auth-dir");
@@ -998,14 +980,9 @@ pub fn cluster_cmd(mut args: Args) -> CmdResult {
                 .map_err(fail)?,
             );
             let missing = coordinator.missing_shards();
-            // One `--suite` flag governs both legs: auth_from_args put
-            // it in the shard hops' offer above, and the front end
-            // enforces it as policy on inbound clients here.
-            let suites = SuiteOffer::parse(&args_suite).map_err(fail)?;
             let front_config = ClusterServerConfig {
                 workers,
                 queue_capacity: queue,
-                suites,
                 ..ClusterServerConfig::default()
             };
             let bind = format!("{host}:{port}");
@@ -1219,77 +1196,6 @@ fn check_kernel_ops(
     Ok(cases)
 }
 
-/// `pprl suites` — report the record-layer cipher suites this build
-/// can negotiate, mirroring `pprl kernels` for the auth data plane.
-///
-/// `--list` prints just the suite names, one per line, for scripting
-/// (CI iterates it to pin each suite in turn). `--bench` additionally
-/// measures each suite's keystream throughput on this host, so the
-/// negotiation preference order can be sanity-checked against reality.
-pub fn suites_cmd(mut args: Args) -> CmdResult {
-    let list = args.flag("list");
-    let bench = args.flag("bench");
-    args.finish().map_err(fail)?;
-    // Fastest first, matching the server's selection preference.
-    let suites: Vec<CipherSuite> = SuiteOffer::all().iter().collect();
-    if list {
-        for s in &suites {
-            println!("{s}");
-        }
-        return Ok(());
-    }
-    let names: Vec<&str> = suites.iter().map(|s| s.name()).collect();
-    println!(
-        "available cipher suites (best to worst): {}",
-        names.join(" ")
-    );
-    println!(
-        "negotiation: client offers a set (--suite auto = all), server \
-         selects the fastest common suite; both bytes are transcript-bound, \
-         so downgrades abort the handshake"
-    );
-    println!("default selection: {}", suites[0]);
-    if bench {
-        use pprl_crypto::chacha;
-        use pprl_crypto::sha::HmacKey;
-        let mut body = vec![0u8; 1 << 20];
-        for (i, b) in body.iter_mut().enumerate() {
-            *b = (i * 31 + 7) as u8;
-        }
-        for suite in &suites {
-            let started = std::time::Instant::now();
-            let mut passes = 0u32;
-            // Keep probing until ~200 ms elapsed for a stable figure.
-            while started.elapsed() < std::time::Duration::from_millis(200) {
-                match suite {
-                    CipherSuite::ChaCha20 => {
-                        chacha::apply_keystream(&[0x42; 32], &[7; 12], 0, &mut body);
-                    }
-                    CipherSuite::HmacCtr => {
-                        // The legacy keystream: one HMAC per 32-byte
-                        // block, exactly as the channel applies it.
-                        let key = HmacKey::new(&[0x42; 32]);
-                        let mut input = [0u8; 16];
-                        input[..8].copy_from_slice(&passes.to_le_bytes()[..4].repeat(2));
-                        for (i, block) in body.chunks_mut(32).enumerate() {
-                            input[8..].copy_from_slice(&(i as u64).to_le_bytes());
-                            let pad = key.mac(&input);
-                            for (b, p) in block.iter_mut().zip(pad.iter()) {
-                                *b ^= p;
-                            }
-                        }
-                    }
-                }
-                passes += 1;
-            }
-            let mb = f64::from(passes) * (body.len() as f64) / (1024.0 * 1024.0);
-            let mbps = mb / started.elapsed().as_secs_f64();
-            println!("{suite}: {mbps:.0} MB/s keystream on this host");
-        }
-    }
-    Ok(())
-}
-
 /// Top-level help text.
 pub fn help() -> &'static str {
     "pprl — privacy-preserving record linkage toolkit
@@ -1353,7 +1259,6 @@ COMMANDS:
   serve     --index IDX [--host H] [--port P] [--workers N] [--queue N]
             [--cache N] [--compact-interval-ms MS]
             [--addr-file PATH] [--auth-dir DIR]
-            [--suite auto|chacha20|hmac-ctr]
             serve the index over TCP: concurrent top-k Dice queries,
             batch link, inserts acked at their WAL fsync, background
             flush and size-tiered compaction every MS (0 disables it;
@@ -1365,10 +1270,8 @@ COMMANDS:
             --auth-dir requires every client to complete the wire v4
             handshake against DIR's keys and serves one namespace per
             granted tenant (IDX/<tenant>, or IDX itself as `default`
-            when it holds a MANIFEST directly); --suite restricts the
-            record-layer cipher suites the server will negotiate
-            (default auto: fastest common suite wins); runs until a
-            client sends shutdown
+            when it holds a MANIFEST directly; sessions negotiate
+            ChaCha20/Poly1305); runs until a client sends shutdown
 
   client    query    --addr H:P --input Q.csv --key SECRET [--row N]
                      [--top-k K] [--json]
@@ -1384,10 +1287,8 @@ COMMANDS:
             the address is a cluster coordinator (loud error when
             pointed at a lone shard), and the session-auth flags
             [--identity NAME --key-file K.psk] [--tenant T] [--encrypt]
-            [--suite auto|chacha20|hmac-ctr]
             for servers running with --auth-dir (--encrypt additionally
-            encrypts frame bodies; --suite narrows the cipher-suite
-            offer, default auto; shutdown needs a `*` grant);
+            encrypts frame bodies; shutdown needs a `*` grant);
             query/link results are bit-for-bit identical to offline
             `pprl index query`
 
@@ -1395,7 +1296,7 @@ COMMANDS:
                   [--workers N] [--queue N] [--quorum N]
                   [--deadline-ms MS] [--addr-file PATH]
                   [--identity NAME --key-file K.psk] [--encrypt]
-                  [--auth-dir DIR] [--suite auto|chacha20|hmac-ctr]
+                  [--auth-dir DIR]
             stats --addr H:P [--json]
                   [--identity NAME --key-file K.psk] [--encrypt]
             scatter-gather coordinator over sharded `pprl serve` nodes,
@@ -1409,25 +1310,17 @@ COMMANDS:
             shutdown stops only the coordinator, never the shards;
             --identity/--key-file authenticate the coordinator to
             auth-enabled shards and --auth-dir makes the front end
-            demand the same handshake from its own clients; --suite
-            governs both legs (shard-hop offer and front-end policy)
+            demand the same handshake from its own clients
 
   kernels   [--list] [--check]
             report the scan-kernel dispatch on this host: detected CPU
             features, runnable implementations, and the active choice;
-            every scan obeys PPRL_KERNEL=scalar|portable|avx2|avx512|neon
+            every scan obeys PPRL_KERNEL=scalar|portable|avx2|avx512
             (unset or `auto` picks the best the CPU supports); --list
             prints just the runnable names for scripting, --check fails
             loudly when PPRL_KERNEL names a kernel this host cannot run
             or when any op of the active kernel (and_count, and_count4,
             scan_ge) disagrees with the scalar path on fixed vectors
-
-  suites    [--list] [--bench]
-            report the record-layer cipher suites this build negotiates
-            for authenticated sessions (chacha20, hmac-ctr) and how
-            negotiation picks between them; --list prints just the
-            names for scripting, --bench measures each suite's
-            keystream throughput on this host
 
   multiparty --inputs A.csv,B.csv,C.csv --key SECRET [--threshold F]
             [--pattern ring|sequential|tree|hierarchical]

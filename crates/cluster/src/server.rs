@@ -22,8 +22,8 @@ use std::sync::Arc;
 /// Tunables for [`serve_cluster`]: the shared front-end config, whose
 /// index fields (`cache_capacity`, `compact_interval`, `tiered`) a
 /// coordinator ignores. Each scatter fans out to every shard from its
-/// worker, so a handful of workers go a long way. Shard hops negotiate
-/// cipher suites independently via `ClusterConfig::shard_auth`.
+/// worker, so a handful of workers go a long way. Shard hops open
+/// their own sessions via `ClusterConfig::shard_auth`.
 pub type ClusterServerConfig = ServerConfig;
 
 /// A running cluster front end.

@@ -7,8 +7,8 @@
 //! but `std` arithmetic (add/rotate/xor on `u32`). This module provides
 //! the bare block function and a seekable keystream over it; it is a
 //! *keystream*, not an AEAD — authenticity comes from the session
-//! layer's encrypt-then-MAC (see `pprl-session::channel`), exactly as
-//! it does for the legacy HMAC-CTR suite.
+//! layer's encrypt-then-MAC with a Poly1305 tag (see
+//! `pprl-session::channel`).
 //!
 //! Layout per RFC 8439 §2.3: a 4×4 state of `u32` words — 4 constant
 //! words, 8 key words, a 32-bit block counter, and 3 nonce words (12

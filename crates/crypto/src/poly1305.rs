@@ -1,6 +1,6 @@
 //! Poly1305 (RFC 8439 §2.5), implemented from the specification.
 //!
-//! The fast cipher suite authenticates each record-layer frame with a
+//! The session cipher suite authenticates each record-layer frame with a
 //! Poly1305 tag under a one-time key drawn from the ChaCha20 keystream
 //! (block 0 of a per-frame nonce, exactly the RFC 8439 AEAD key
 //! schedule). One tag costs a handful of 32×32→64-bit multiplies per

@@ -10,8 +10,8 @@
 //! Candidates come from the exact batched top-k Dice engine
 //! ([`IndexReader::top_k_batch`]): each probe batch walks the columnar
 //! arenas once for all probes together, and the `min_score` bound is
-//! pushed down so a segment no probe can reach (by popcount or band-key
-//! summary) is never read from disk at all. Because the engine is exact,
+//! pushed down so a segment no probe can reach by popcount is never read
+//! from disk at all. Because the engine is exact,
 //! the emitted pairs are precisely the k nearest stored records per
 //! probe at or above the threshold — no false dismissals within k.
 

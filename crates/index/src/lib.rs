@@ -30,8 +30,8 @@
 //! id)`, with parallel id and popcount arrays — scanned by the unrolled
 //! slice kernels in `pprl-similarity` (4-row blocks score a whole query
 //! batch per block load). Queries answer exact top-k Dice similarity:
-//! segments whose popcount range or band-key Bloom summary (manifest
-//! v3) proves a score ceiling below the running k-th score are skipped
+//! segments whose popcount range proves a score ceiling below the
+//! running k-th score are skipped
 //! — and with [`store::IndexStore::lazy_reader`] never even read from
 //! disk — while surviving arenas are walked with per-block Dice
 //! upper-bound cutoffs `2·min(q,x)/(q+x)`. All pruning is lossless:
@@ -68,7 +68,6 @@ pub mod manifest;
 pub mod query;
 pub mod segment;
 pub mod store;
-pub mod summary;
 pub mod vfs;
 
 pub use backend::IndexBackend;

@@ -2,7 +2,7 @@
 //! on-disk index.
 //!
 //! The manifest records the index configuration (filter geometry, shard
-//! count, LSH routing parameters, band-key summary geometry), the next
+//! count, LSH routing parameters), the next
 //! segment id to allocate, and which segment files belong to which
 //! shard. It is rewritten atomically (write to `MANIFEST.tmp`, then
 //! rename, with fsync barriers on the tmp file and the directory) so a
@@ -16,8 +16,8 @@
 //! shards      u32   number of shards
 //! lsh_seed    u64   Hamming-LSH routing seed
 //! lsh_bits    u32   bits per LSH band key
-//! sum_tables  u16   band-key summary tables (0 = summaries disabled)
-//! sum_bits    u16   sampled positions per summary table
+//! sum_tables  u16   written 0, read and ignored
+//! sum_bits    u16   written 0, read and ignored
 //! flush_epoch u64   WAL flush epoch (see below)
 //! next_seg    u64   next segment id to allocate
 //! segs        u32   number of segment entries
@@ -28,7 +28,7 @@
 //!   seg_id    u64
 //!   pc_min    u32   smallest filter popcount in the segment
 //!   pc_max    u32   largest filter popcount in the segment
-//!   sum_words u32   Bloom words following (0 = no summary stored)
+//!   sum_words u32   written 0; read, size-checked and skipped
 //!   words     sum_words × u64
 //! quarantined × quar:
 //!   shard     u32
@@ -47,9 +47,13 @@
 //!
 //! The per-segment popcount bounds enable length pruning (a threshold
 //! query whose Dice length bounds cannot intersect `[pc_min, pc_max]`
-//! skips the segment) and the per-segment band-key Bloom summary enables
-//! *content* pruning (see [`crate::summary`]) — both before the segment
-//! file is ever read.
+//! skips the segment) before the segment file is ever read.
+//!
+//! The `sum_*` fields once held a per-segment band-key Bloom summary for
+//! content pruning. It never skipped a segment at linkage thresholds and
+//! is gone; the fields stay in the layout so indexes written with
+//! summaries still open (their words are skipped), and every manifest
+//! written now stores none.
 //!
 //! The image parses through `pprl_core::codec` with
 //! [`PprlError::Storage`] as the error kind. Only version 4 decodes:
@@ -57,7 +61,6 @@
 //! "unsupported manifest version" error.
 
 use crate::format::{io_err, storage_err};
-use crate::summary::{BandKeySummary, SummaryConfig};
 use crate::vfs::{StdVfs, Vfs};
 use pprl_core::codec::{append_checksum, checked_body, Reader};
 use pprl_core::error::{PprlError, Result};
@@ -73,7 +76,8 @@ const HEADER_LEN: usize = 58;
 const ENTRY_FIXED_LEN: usize = 24;
 /// Bytes per quarantined-segment record.
 const QUAR_ENTRY_LEN: usize = 12;
-/// Largest admissible per-segment summary, in u64 words (16 KiB).
+/// Largest admissible per-segment summary in a legacy entry, in u64
+/// words (16 KiB); larger or non-power-of-two sizes are corrupt.
 const MAX_SUMMARY_WORDS: usize = 131_072 / 64;
 
 /// Manifest file name inside an index directory.
@@ -90,21 +94,17 @@ pub struct IndexConfig {
     pub lsh_seed: u64,
     /// Sampled bits per LSH band key used for routing.
     pub lsh_bits: u32,
-    /// Band-key summary geometry (disabled when `tables == 0`).
-    pub summary: SummaryConfig,
 }
 
 impl IndexConfig {
     /// Configuration with default routing parameters (seed 0x5eed,
-    /// 16-bit band keys) and the default summary geometry when the
-    /// filter is long enough to support it.
+    /// 16-bit band keys).
     pub fn new(filter_len: usize, num_shards: u32) -> Self {
         IndexConfig {
             filter_len,
             num_shards,
             lsh_seed: 0x5eed,
             lsh_bits: 16,
-            summary: SummaryConfig::for_filter_len(filter_len),
         }
     }
 
@@ -119,24 +119,11 @@ impl IndexConfig {
         if self.lsh_bits == 0 {
             return Err(PprlError::invalid("lsh_bits", "must be positive"));
         }
-        if self.summary.enabled() {
-            if self.summary.bits > 64 {
-                return Err(PprlError::invalid("summary.bits", "must be at most 64"));
-            }
-            let need = self.summary.tables as usize * self.summary.bits as usize;
-            if self.filter_len < need {
-                return Err(PprlError::invalid(
-                    "summary",
-                    "tables × bits exceeds the filter length",
-                ));
-            }
-        }
         Ok(())
     }
 }
 
-/// One catalogued segment: its shard, id, filter-popcount range and
-/// optional band-key Bloom summary.
+/// One catalogued segment: its shard, id and filter-popcount range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentEntry {
     /// Owning shard.
@@ -147,9 +134,6 @@ pub struct SegmentEntry {
     pub pc_min: u32,
     /// Largest filter popcount stored in the segment.
     pub pc_max: u32,
-    /// Band-key Bloom summary over the segment's filters, when the index
-    /// was built with summaries enabled.
-    pub summary: Option<BandKeySummary>,
 }
 
 impl SegmentEntry {
@@ -218,17 +202,7 @@ impl Manifest {
             .map_err(|_| PprlError::invalid("segments", "catalogue exceeds u32 entries"))?;
         let quar = u32::try_from(self.quarantined.len())
             .map_err(|_| PprlError::invalid("quarantined", "ledger exceeds u32 entries"))?;
-        let mut entry_bytes = 0usize;
-        for entry in &self.segments {
-            let words = entry.summary.as_ref().map_or(0, |s| s.words().len());
-            if words > MAX_SUMMARY_WORDS {
-                return Err(PprlError::invalid(
-                    "summary",
-                    "segment summary exceeds the size cap",
-                ));
-            }
-            entry_bytes += ENTRY_FIXED_LEN + words * 8;
-        }
+        let entry_bytes = self.segments.len() * ENTRY_FIXED_LEN;
         let entry_bytes_u32 = u32::try_from(entry_bytes)
             .map_err(|_| PprlError::invalid("segments", "entry region exceeds u32 bytes"))?;
         let mut out = Vec::with_capacity(
@@ -240,8 +214,8 @@ impl Manifest {
         out.extend_from_slice(&self.config.num_shards.to_le_bytes());
         out.extend_from_slice(&self.config.lsh_seed.to_le_bytes());
         out.extend_from_slice(&self.config.lsh_bits.to_le_bytes());
-        out.extend_from_slice(&self.config.summary.tables.to_le_bytes());
-        out.extend_from_slice(&self.config.summary.bits.to_le_bytes());
+        // sum_tables, sum_bits: no summaries.
+        out.extend_from_slice(&[0u8; 4]);
         out.extend_from_slice(&self.flush_epoch.to_le_bytes());
         out.extend_from_slice(&self.next_segment_id.to_le_bytes());
         out.extend_from_slice(&segs.to_le_bytes());
@@ -252,15 +226,8 @@ impl Manifest {
             out.extend_from_slice(&entry.id.to_le_bytes());
             out.extend_from_slice(&entry.pc_min.to_le_bytes());
             out.extend_from_slice(&entry.pc_max.to_le_bytes());
-            match &entry.summary {
-                None => out.extend_from_slice(&0u32.to_le_bytes()),
-                Some(s) => {
-                    out.extend_from_slice(&(s.words().len() as u32).to_le_bytes());
-                    for w in s.words() {
-                        out.extend_from_slice(&w.to_le_bytes());
-                    }
-                }
-            }
+            // sum_words: no summary.
+            out.extend_from_slice(&0u32.to_le_bytes());
         }
         for q in &self.quarantined {
             out.extend_from_slice(&q.shard.to_le_bytes());
@@ -289,10 +256,8 @@ impl Manifest {
         let num_shards = header.u32()?;
         let lsh_seed = header.u64()?;
         let lsh_bits = header.u32()?;
-        let summary = SummaryConfig {
-            tables: header.u16()?,
-            bits: header.u16()?,
-        };
+        // sum_tables, sum_bits: a legacy summary geometry, ignored.
+        header.u32()?;
         let flush_epoch = header.u64()?;
         let next_segment_id = header.u64()?;
         let segs = header.u32()? as usize;
@@ -326,24 +291,19 @@ impl Manifest {
                     "manifest entry {i}: popcount bounds inverted ({pc_min} > {pc_max})"
                 )));
             }
+            // A legacy summary's words are size-checked and skipped.
             let sum_words = r.u32()? as usize;
-            let entry_summary = if sum_words == 0 {
-                None
-            } else {
-                if sum_words > MAX_SUMMARY_WORDS || !sum_words.is_power_of_two() {
-                    return Err(storage_err(format!(
-                        "manifest entry {i}: invalid summary size ({sum_words} words)"
-                    )));
-                }
-                let words = (0..sum_words).map(|_| r.u64()).collect::<Result<_>>()?;
-                Some(BandKeySummary::from_words(words))
-            };
+            if sum_words > MAX_SUMMARY_WORDS || (sum_words != 0 && !sum_words.is_power_of_two()) {
+                return Err(storage_err(format!(
+                    "manifest entry {i}: invalid summary size ({sum_words} words)"
+                )));
+            }
+            r.take(sum_words * 8)?;
             segments.push(SegmentEntry {
                 shard,
                 id,
                 pc_min,
                 pc_max,
-                summary: entry_summary,
             });
         }
         let mut quarantined = Vec::with_capacity(quar);
@@ -358,7 +318,6 @@ impl Manifest {
             num_shards,
             lsh_seed,
             lsh_bits,
-            summary,
         };
         config
             .validate()
@@ -424,21 +383,6 @@ mod tests {
             id,
             pc_min,
             pc_max,
-            summary: None,
-        }
-    }
-
-    fn entry_with_summary(shard: u32, id: u64, pc_min: u32, pc_max: u32) -> SegmentEntry {
-        let mut summary = BandKeySummary::with_capacity(64, 8);
-        for t in 0..8usize {
-            summary.insert(t, id ^ ((t as u64) << 8));
-        }
-        SegmentEntry {
-            shard,
-            id,
-            pc_min,
-            pc_max,
-            summary: Some(summary),
         }
     }
 
@@ -447,9 +391,9 @@ mod tests {
         m.flush_epoch = 9;
         m.next_segment_id = 5;
         m.segments = vec![
-            entry_with_summary(0, 0, 10, 250),
+            entry(0, 0, 10, 250),
             entry(1, 1, 5, 40),
-            entry_with_summary(0, 2, 100, 300),
+            entry(0, 2, 100, 300),
             entry(3, 4, 0, 1000),
         ];
         m.quarantined = vec![QuarantinedSegment { shard: 2, id: 3 }];
@@ -470,8 +414,6 @@ mod tests {
             vec![0, 2]
         );
         assert!(decoded.shard_segments(2).is_empty());
-        assert!(decoded.segments[0].summary.is_some());
-        assert!(decoded.segments[1].summary.is_none());
     }
 
     #[test]
@@ -571,17 +513,5 @@ mod tests {
     fn invalid_config_rejected() {
         assert!(IndexConfig::new(0, 4).validate().is_err());
         assert!(IndexConfig::new(64, 0).validate().is_err());
-        // Summary geometry must fit inside the filter.
-        let mut c = IndexConfig::new(1000, 4);
-        c.summary = SummaryConfig {
-            tables: 100,
-            bits: 16,
-        };
-        assert!(c.validate().is_err());
-        c.summary = SummaryConfig {
-            tables: 2,
-            bits: 65,
-        };
-        assert!(c.validate().is_err());
     }
 }

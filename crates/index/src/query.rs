@@ -15,9 +15,7 @@
 //!
 //! 1. **Slot bounds, before any IO** — for query popcount `q` and a slot
 //!    whose popcounts span `[pc_min, pc_max]`, no record can beat
-//!    `2·min(q,x)/(q+x)` at `x = clamp(q, pc_min, pc_max)`; if the
-//!    query's band keys also miss the slot's Bloom summary in every
-//!    table the ceiling drops to [`no_match_dice_bound`]. A slot whose
+//!    `2·min(q,x)/(q+x)` at `x = clamp(q, pc_min, pc_max)`. A slot whose
 //!    ceiling is below the query's threshold is never read.
 //! 2. **Tiles and `need`** — rows are walked in tiles of `TILE_ROWS`.
 //!    Per live query the threshold θ (its k-th score so far, floored by
@@ -50,7 +48,6 @@ use crate::arena::FilterArena;
 use crate::format::storage_err;
 use crate::segment::read_segment_arena_with;
 use crate::store::ReadStats;
-use crate::summary::{band_keys, no_match_dice_bound, BandKeySummary};
 use crate::vfs::{std_vfs, Vfs};
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
@@ -97,8 +94,6 @@ struct Slot {
     pc_min: usize,
     /// Largest filter popcount in the slot.
     pc_max: usize,
-    /// Band-key Bloom summary (file slots of summary-enabled indexes).
-    summary: Option<BandKeySummary>,
     source: SlotSource,
     arena: ArenaCell,
 }
@@ -124,8 +119,6 @@ pub(crate) enum SlotSpec {
         pc_min: usize,
         /// Manifest popcount upper bound.
         pc_max: usize,
-        /// Manifest band-key summary, if the index stores them.
-        summary: Option<BandKeySummary>,
         /// The store's cell for this segment id (possibly already
         /// filled by an earlier generation's reader).
         arena: ArenaCell,
@@ -142,8 +135,6 @@ pub struct IndexReader {
     filter_len: usize,
     num_shards: usize,
     len: usize,
-    /// Disjoint band-key position tables (empty = summaries disabled).
-    summary_positions: Vec<Vec<usize>>,
     /// Cumulative bytes this reader read materialising file slots.
     bytes_read: AtomicU64,
     /// File slots this reader materialised so far.
@@ -177,7 +168,7 @@ impl IndexReader {
                 )?))
             })
             .collect::<Result<Vec<_>>>()?;
-        Self::from_specs(specs, filter_len, num_shards, Vec::new(), std_vfs())
+        Self::from_specs(specs, filter_len, num_shards, std_vfs())
     }
 
     /// Builds a reader from slot specs (crate-internal; the public
@@ -187,7 +178,6 @@ impl IndexReader {
         specs: Vec<SlotSpec>,
         filter_len: usize,
         num_shards: usize,
-        summary_positions: Vec<Vec<usize>>,
         vfs: Arc<dyn Vfs>,
     ) -> Result<IndexReader> {
         let mut slots = Vec::with_capacity(specs.len());
@@ -198,7 +188,6 @@ impl IndexReader {
                     rows: arena.len(),
                     pc_min: arena.pc_min().unwrap_or(0) as usize,
                     pc_max: arena.pc_max().unwrap_or(0) as usize,
-                    summary: None,
                     source: SlotSource::Memory,
                     arena: Arc::new(OnceLock::from(arena)),
                 },
@@ -210,13 +199,11 @@ impl IndexReader {
                     rows,
                     pc_min,
                     pc_max,
-                    summary,
                     arena,
                 } => Slot {
                     rows,
                     pc_min,
                     pc_max,
-                    summary,
                     source: SlotSource::File {
                         path,
                         shard,
@@ -234,7 +221,6 @@ impl IndexReader {
             filter_len,
             num_shards,
             len,
-            summary_positions,
             bytes_read: AtomicU64::new(0),
             segments_loaded: AtomicUsize::new(0),
             rows_scanned: AtomicU64::new(0),
@@ -457,7 +443,6 @@ impl IndexReader {
             .map(|q| QueryCtx {
                 words: q.as_words(),
                 q: q.count_ones(),
-                keys: band_keys(q, &self.summary_positions),
             })
             .collect();
         let nanos = (self.len * ctxs.len()) as u64 * SCAN_PAIR_NANOS;
@@ -503,25 +488,6 @@ impl IndexReader {
             .collect())
     }
 
-    /// Best Dice score any record in `slot` could reach against `ctx`:
-    /// the popcount bound at `clamp(q, pc_min, pc_max)`, tightened by the
-    /// band-key summary bound when the query misses every summary table.
-    fn slot_upper_bound(&self, slot: &Slot, ctx: &QueryCtx) -> f64 {
-        let mut ub = dice_upper_bound(ctx.q, ctx.q.clamp(slot.pc_min, slot.pc_max));
-        if !ctx.keys.is_empty() {
-            if let Some(summary) = &slot.summary {
-                if !summary.contains_any(&ctx.keys) {
-                    ub = ub.min(no_match_dice_bound(
-                        ctx.q,
-                        slot.pc_max,
-                        self.summary_positions.len(),
-                    ));
-                }
-            }
-        }
-        ub
-    }
-
     /// Scans rows `[start, end)` of slot `si` for every query whose
     /// bounds cannot exclude the slot, pushing into the caller's
     /// per-query accumulators, and returns the `(query, row)` pairs it
@@ -539,7 +505,7 @@ impl IndexReader {
         // Slot-level pruning, before the segment file is touched.
         scratch.live.clear();
         for (qi, ctx) in ctxs.iter().enumerate() {
-            let ub = self.slot_upper_bound(slot, ctx);
+            let ub = dice_upper_bound(ctx.q, ctx.q.clamp(slot.pc_min, slot.pc_max));
             if !locals[qi].theta(min_score).is_some_and(|theta| ub < theta) {
                 scratch.live.push(qi);
             }
@@ -630,11 +596,10 @@ impl IndexReader {
 /// A scan task: rows `[start, end)` of one slot, as `(slot, start, end)`.
 type Task = (usize, usize, usize);
 
-/// Per-query scan state: the query's words, popcount and band keys.
+/// Per-query scan state: the query's words and popcount.
 struct QueryCtx<'a> {
     words: &'a [u64],
     q: usize,
-    keys: Vec<u64>,
 }
 
 /// Per-participant scan buffers, so no slot or tile allocates:

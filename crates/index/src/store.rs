@@ -39,7 +39,6 @@ use crate::segment::{
     load_row, push_entry, read_entry, read_segment_arena_with, read_segment_with,
     record_count_for_size, write_segment_arena_with,
 };
-use crate::summary::{band_keys_words_into, summary_positions, BandKeySummary};
 use crate::vfs::{std_vfs, Vfs};
 use pprl_blocking::lsh::HammingLsh;
 use pprl_core::bitvec::BitVec;
@@ -297,9 +296,6 @@ pub struct IndexStore {
     pending: ArenaBuilder,
     /// Cached LSH bit positions (table 0) used for shard routing.
     routing_positions: Vec<usize>,
-    /// Cached disjoint band-key position tables for segment summaries
-    /// (empty when summaries are disabled).
-    band_positions: Vec<Vec<usize>>,
     /// IO layer every file operation goes through.
     vfs: Arc<dyn Vfs>,
     /// WAL fsync policy.
@@ -360,7 +356,6 @@ impl IndexStore {
         Ok(IndexStore {
             dir: dir.to_path_buf(),
             routing_positions: routing_positions(&config)?,
-            band_positions: summary_positions(config.lsh_seed, config.filter_len, config.summary),
             manifest,
             pending: ArenaBuilder::new(config.filter_len),
             vfs,
@@ -435,11 +430,6 @@ impl IndexStore {
         let mut store = IndexStore {
             dir: dir.to_path_buf(),
             routing_positions: routing_positions(&manifest.config)?,
-            band_positions: summary_positions(
-                manifest.config.lsh_seed,
-                manifest.config.filter_len,
-                manifest.config.summary,
-            ),
             manifest,
             pending: replay.records,
             vfs,
@@ -633,12 +623,7 @@ impl IndexStore {
                 shard as u32,
                 &arena,
             )?;
-            new_segments.push(entry_with_bounds_arena(
-                shard as u32,
-                seg_id,
-                &arena,
-                &self.band_positions,
-            )?);
+            new_segments.push(entry_with_bounds_arena(shard as u32, seg_id, &arena));
         }
         self.vfs
             .sync_dir(&self.dir)
@@ -792,8 +777,7 @@ impl IndexStore {
         let new_id = self.manifest.next_segment_id;
         self.manifest.next_segment_id += 1;
         write_segment_arena_with(&*self.vfs, &segment_path(&self.dir, new_id), shard, &arena)?;
-        let entry = entry_with_bounds_arena(shard, new_id, &arena, &self.band_positions)?;
-        Ok((entry, arena.len()))
+        Ok((entry_with_bounds_arena(shard, new_id, &arena), arena.len()))
     }
 
     /// Loads every segment plus pending records into an in-memory
@@ -840,8 +824,7 @@ impl IndexStore {
                 specs.push(SlotSpec::Memory(builder.finish()));
             }
         }
-        let mut reader =
-            IndexReader::from_specs(specs, flen, num_shards, Vec::new(), Arc::clone(&self.vfs))?;
+        let mut reader = IndexReader::from_specs(specs, flen, num_shards, Arc::clone(&self.vfs))?;
         reader.set_quarantined(self.manifest.quarantined.len());
         Ok((reader, stats))
     }
@@ -861,9 +844,8 @@ impl IndexStore {
 
     /// A reader that defers segment loading to query time: every segment
     /// becomes a lazily-materialised slot carrying its manifest popcount
-    /// bounds and band-key summary, so a segment every query of a batch
-    /// can prune (by length, content, or a full top-k) is never read at
-    /// all. Pending records are memory-resident from the start. Unlike
+    /// popcount bounds, so a segment every query of a batch can prune (by
+    /// length, or a full top-k) is never read at all. Pending records are memory-resident from the start. Unlike
     /// [`reader`], disk corruption in a pruned segment goes unnoticed
     /// until some query actually needs it — call
     /// [`IndexReader::materialise_all`] to force full verification.
@@ -894,7 +876,6 @@ impl IndexStore {
                 rows: record_count_for_size(bytes, flen),
                 pc_min: entry.pc_min as usize,
                 pc_max: entry.pc_max as usize,
-                summary: entry.summary.clone(),
                 arena,
             });
         }
@@ -907,13 +888,7 @@ impl IndexStore {
                 specs.push(SlotSpec::Memory(builder.finish()));
             }
         }
-        let mut reader = IndexReader::from_specs(
-            specs,
-            flen,
-            num_shards,
-            self.band_positions.clone(),
-            Arc::clone(&self.vfs),
-        )?;
+        let mut reader = IndexReader::from_specs(specs, flen, num_shards, Arc::clone(&self.vfs))?;
         reader.set_quarantined(self.manifest.quarantined.len());
         Ok(reader)
     }
@@ -1115,37 +1090,15 @@ fn routing_positions(config: &IndexConfig) -> Result<Vec<usize>> {
 }
 
 /// Builds a manifest entry for a freshly written arena-backed segment:
-/// the popcount bounds come straight off the sorted arena's ends, and
-/// the band-key Bloom summary (when `positions` is non-empty) is built
-/// from each row's word slice — no per-record `BitVec`.
-fn entry_with_bounds_arena(
-    shard: u32,
-    id: u64,
-    arena: &FilterArena,
-    positions: &[Vec<usize>],
-) -> Result<SegmentEntry> {
+/// the popcount bounds come straight off the sorted arena's ends.
+fn entry_with_bounds_arena(shard: u32, id: u64, arena: &FilterArena) -> SegmentEntry {
     debug_assert!(!arena.is_empty(), "segments are never empty");
-    let mut summary = if positions.is_empty() {
-        None
-    } else {
-        Some(BandKeySummary::with_capacity(arena.len(), positions.len()))
-    };
-    if let Some(summary) = &mut summary {
-        let mut keys = Vec::with_capacity(positions.len());
-        for i in 0..arena.len() {
-            band_keys_words_into(arena.row(i), positions, &mut keys);
-            for (table, &key) in keys.iter().enumerate() {
-                summary.insert(table, key);
-            }
-        }
-    }
-    Ok(SegmentEntry {
+    SegmentEntry {
         shard,
         id,
         pc_min: arena.pc_min().unwrap_or(0),
         pc_max: arena.pc_max().unwrap_or(0),
-        summary,
-    })
+    }
 }
 
 fn file_size_with(vfs: &dyn Vfs, path: &Path) -> Result<u64> {

@@ -10,10 +10,7 @@
 //! 2. A lazy [`IndexReader`] over segment files, the eager store
 //!    reader, and a brute-force scan must return identical `(id,
 //!    score)` hit lists for the same queries.
-//! 3. Band-key summary pruning is an *optimisation only*: an index
-//!    built with summaries enabled must answer every query — at every
-//!    `min_score` — identically to one built with summaries disabled.
-//! 4. The one scan loop behind `top_k`, `top_k_planned` and
+//! 3. The one scan loop behind `top_k`, `top_k_planned` and
 //!    `top_k_batch` must stay bit-identical to the brute-force oracle
 //!    across `k`, thread counts, `min_score`, tiny and multi-tile slots,
 //!    and runs of equal-score rows whose ids decide the ranking.
@@ -25,7 +22,6 @@ use pprl_core::bitvec::BitVec;
 use pprl_index::arena::FilterArena;
 use pprl_index::query::{Hit, IndexReader};
 use pprl_index::store::{IndexConfig, IndexStore};
-use pprl_index::summary::SummaryConfig;
 use pprl_similarity::bitvec_sim::dice_bits;
 use pprl_similarity::kernel::{
     and_count, and_count4, available_kernels, dice_from_counts, kernel_name,
@@ -569,7 +565,7 @@ fn brute_force(records: &[(u64, BitVec)], query: &BitVec, k: usize, min_score: f
 
 #[test]
 fn lazy_reader_eager_reader_and_brute_force_agree() {
-    let len = 256; // long enough that summaries are enabled by default
+    let len = 256;
     let mut state = 0x5EEDu64;
     let records: Vec<(u64, BitVec)> = (0..180)
         .map(|i| (i, random_filter(len, 60 + 10 * (i % 30), &mut state)))
@@ -579,8 +575,7 @@ fn lazy_reader_eager_reader_and_brute_force_agree() {
     let eager = store.reader().expect("eager");
     let lazy = store.lazy_reader().expect("lazy");
 
-    // Queries: members, perturbed members, and foreign filters (likely
-    // full summary misses).
+    // Queries: members, perturbed members, and foreign filters.
     let mut queries: Vec<BitVec> = records.iter().step_by(23).map(|(_, f)| f.clone()).collect();
     for (_, f) in records.iter().step_by(31) {
         let mut p = f.clone();
@@ -617,56 +612,4 @@ fn lazy_reader_eager_reader_and_brute_force_agree() {
         );
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
-}
-
-#[test]
-fn summary_pruning_never_drops_a_true_hit() {
-    let len = 512;
-    let mut state = 0xFACEu64;
-    let records: Vec<(u64, BitVec)> = (0..150)
-        .map(|i| (i, random_filter(len, 50 + 15 * (i % 12), &mut state)))
-        .collect();
-    let with = IndexConfig::new(len, 3);
-    assert!(
-        with.summary.enabled(),
-        "default config must enable summaries at {len} bits"
-    );
-    let without = IndexConfig {
-        summary: SummaryConfig::DISABLED,
-        ..with
-    };
-    let dir_on = temp_dir("sum-on");
-    let dir_off = temp_dir("sum-off");
-    let pruned = build_store(&dir_on, with, &records)
-        .lazy_reader()
-        .expect("pruned reader");
-    let plain = build_store(&dir_off, without, &records)
-        .lazy_reader()
-        .expect("plain reader");
-
-    let mut queries: Vec<BitVec> = records.iter().step_by(17).map(|(_, f)| f.clone()).collect();
-    for _ in 0..6 {
-        // Foreign probes: most segments are all-tables Bloom misses, the
-        // case where content pruning actually fires.
-        queries.push(random_filter(len, 70, &mut state));
-    }
-    let refs: Vec<&BitVec> = queries.iter().collect();
-    for min_score in [0.0, 0.5, 0.8, 0.95] {
-        let a = pruned
-            .top_k_batch(&refs, 12, 2, Some(min_score))
-            .expect("pruned batch");
-        let b = plain
-            .top_k_batch(&refs, 12, 2, Some(min_score))
-            .expect("plain batch");
-        assert_eq!(a, b, "summary pruning changed results at ms={min_score}");
-        for (qi, query) in queries.iter().enumerate() {
-            assert_eq!(
-                a[qi],
-                brute_force(&records, query, 12, min_score),
-                "query {qi} at ms={min_score}"
-            );
-        }
-    }
-    std::fs::remove_dir_all(&dir_on).expect("cleanup");
-    std::fs::remove_dir_all(&dir_off).expect("cleanup");
 }

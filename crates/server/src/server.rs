@@ -74,10 +74,6 @@ pub struct ServerConfig {
     /// An established session that completes no frame for this long is
     /// closed (the read side of the anti-pinning guarantee).
     pub idle_timeout: Duration,
-    /// Record-layer cipher suites this server will negotiate. Defaults
-    /// to all; pin with [`SuiteOffer::only`] to enforce a policy (a
-    /// disjoint client is refused before any key material is spent).
-    pub suites: SuiteOffer,
 }
 
 impl Default for ServerConfig {
@@ -91,7 +87,6 @@ impl Default for ServerConfig {
             tiered: TieredPolicy::default(),
             write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
-            suites: SuiteOffer::all(),
         }
     }
 }
@@ -111,12 +106,6 @@ impl ServerConfig {
         }
         if self.idle_timeout.is_zero() {
             return Err(PprlError::invalid("idle_timeout", "must be non-zero"));
-        }
-        if self.suites.is_empty() {
-            return Err(PprlError::invalid(
-                "suites",
-                "must allow at least one cipher suite",
-            ));
         }
         if registry.is_some_and(AuthRegistry::is_empty) {
             return Err(PprlError::Auth(
@@ -611,12 +600,15 @@ fn handle_session<B: Backend>(mut stream: TcpStream, front: &FrontEnd<B>) {
     match &front.registry {
         Some(registry) if sealed => {
             let mut rng = entropy_rng();
-            let suites = front.config.suites;
             // On failure the handshake has already sent the typed
             // AUTH_ERROR where one is safe to send; just close.
-            if let Ok(session) =
-                server_handshake(&mut stream, &buf[..first], registry, &mut rng, suites)
-            {
+            if let Ok(session) = server_handshake(
+                &mut stream,
+                &buf[..first],
+                registry,
+                &mut rng,
+                SuiteOffer::all(),
+            ) {
                 let peer = Peer {
                     tenant: front.backend.tenant(&session.tenant),
                     identity: session.identity,

@@ -43,8 +43,8 @@
 //! Suite negotiation rides the same transcript: the client's offered
 //! suite set is a byte inside `hello_payload`, and the server's
 //! selection byte is hashed into `T` directly, so neither can be
-//! rewritten by a man-in-the-middle without failing key confirmation —
-//! a downgrade attempt dies exactly like a flipped encryption flag.
+//! rewritten by a man-in-the-middle without failing key confirmation
+//! (see [`crate::suite`]).
 //!
 //! Because `K` mixes the PSK with the agreed secret `S` and both
 //! nonces, a passive observer learns nothing about the session keys
@@ -139,8 +139,8 @@ pub struct ClientAuth {
     pub tenant: String,
     /// Whether to encrypt frame bodies for this session.
     pub encrypt: bool,
-    /// Record-layer suites to offer; the server picks the fastest
-    /// common one. Default offers everything.
+    /// Record-layer suites to offer; the server picks a common one.
+    /// Default offers everything this build knows.
     pub suites: SuiteOffer,
 }
 
@@ -404,14 +404,6 @@ pub fn client_handshake<S: Read + Write>(
     let b_share = BigUint::from_bytes_be(r.take(b_len)?);
     let mac_s: [u8; 32] = r.take(32)?.try_into().unwrap();
     r.finish()?;
-    // A selection outside the offer is refused immediately; a selection
-    // *inside* the offer is still only trusted once mac_s verifies —
-    // the transcript binds it, so a rewritten byte fails there.
-    if !auth.suites.contains(suite) {
-        return Err(auth_err(format!(
-            "server selected cipher suite `{suite}` that was not offered"
-        )));
-    }
 
     let shared = eph
         .encrypt(&b_share)
@@ -442,7 +434,7 @@ pub fn client_handshake<S: Read + Write>(
         (SESSION_WIRE_VERSION, OP_ACCEPT) => {
             r.finish()?;
             Ok(HandshakeOutcome::Established(Box::new(
-                SecureChannel::client(&master, auth.encrypt, suite),
+                SecureChannel::client(&master, auth.encrypt),
             )))
         }
         (SESSION_WIRE_VERSION, OP_AUTH_ERROR) => Err(decode_auth_error(&verdict)?),
@@ -457,7 +449,7 @@ pub fn client_handshake<S: Read + Write>(
 /// `hello_payload` is the first frame the connection produced (already
 /// read by the caller, which used its leading byte to route the
 /// connection to the session path). `allowed` is the server's suite
-/// policy; the fastest suite in both it and the client's offer wins.
+/// policy; a suite in both it and the client's offer is selected.
 /// On any authentication failure this sends a typed `AUTH_ERROR` to
 /// the peer before returning the error.
 pub fn server_handshake<S: Read + Write>(
@@ -553,7 +545,7 @@ pub fn server_handshake<S: Read + Write>(
 
     write_payload(stream, &[SESSION_WIRE_VERSION, OP_ACCEPT])?;
     Ok(ServerSession {
-        channel: SecureChannel::server(&master, encrypt, suite),
+        channel: SecureChannel::server(&master, encrypt),
         privileged: registry.is_privileged(&identity),
         identity,
         tenant,
@@ -815,30 +807,23 @@ mod tests {
         assert!(server.join().unwrap().is_err());
     }
 
-    #[test]
-    fn tampered_suite_offer_rejected() {
-        // Downgrade attempt #1: a MITM strips the ChaCha20 bit from the
-        // client's offer so the server picks the legacy suite. The offer
-        // byte is inside the HELLO payload the transcript signs, so the
-        // client's mac_s check fails.
-        let (_, alice, _) = test_registry();
+    /// Runs a handshake whose HELLO a man-in-the-middle rewrote with
+    /// `tamper` before the server read it; returns both outcomes.
+    fn run_tampered_hello(
+        tamper: impl FnOnce(&mut Vec<u8>) + Send + 'static,
+    ) -> (Result<HandshakeOutcome>, Result<ServerSession>) {
+        let (reg, alice, _) = test_registry();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let hello = match read_payload(&mut stream).unwrap() {
+            let mut hello = match read_payload(&mut stream).unwrap() {
                 Incoming::Payload(p) => p,
                 other => panic!("{other:?}"),
             };
-            let (mut reg, key) = (AuthRegistry::new(), PartyKey::from_bytes([0x11; 32]));
-            reg.insert("alice", key, TenantGrant::One("alice".into()))
-                .unwrap();
-            // Byte 3 is the suites-offer bitmask; strip ChaCha20.
-            let mut tampered = hello.clone();
-            assert_eq!(tampered[3], SuiteOffer::all().bits());
-            tampered[3] &= !CipherSuite::ChaCha20.code();
+            tamper(&mut hello);
             let mut rng = SecretRng::seeded([4u8; 32]);
-            server_handshake(&mut stream, &tampered, &reg, &mut rng, SuiteOffer::all())
+            server_handshake(&mut stream, &hello, &reg, &mut rng, SuiteOffer::all())
         });
         let mut stream = TcpStream::connect(addr).unwrap();
         let auth = ClientAuth {
@@ -850,18 +835,49 @@ mod tests {
         };
         let mut rng = SecretRng::seeded([5u8; 32]);
         let c = client_handshake(&mut stream, &auth, &mut rng);
-        assert!(c.is_err(), "client accepted a stripped suite offer");
         drop(stream);
-        assert!(server.join().unwrap().is_err());
+        (c, server.join().unwrap())
+    }
+
+    #[test]
+    fn tampered_suite_offer_rejected() {
+        // A MITM sets an offer bit no build knows. The server masks it
+        // and still selects ChaCha20, but the raw offer byte is inside
+        // the HELLO payload the transcript signs, so the client's mac_s
+        // check fails.
+        let (c, s) = run_tampered_hello(|hello| {
+            // Byte 3 is the suites-offer bitmask.
+            assert_eq!(hello[3], SuiteOffer::all().bits());
+            hello[3] |= 0x80;
+        });
+        let err = c.unwrap_err();
+        assert!(
+            err.to_string().contains("confirmation"),
+            "a tampered offer must die at key confirmation, got: {err}"
+        );
+        assert!(s.is_err());
+    }
+
+    #[test]
+    fn offer_without_a_known_suite_gets_no_common_suite() {
+        // What a peer offering only retired or unknown suites sends: the
+        // server refuses before spending key material, with a typed
+        // reason both sides see.
+        let (c, s) = run_tampered_hello(|hello| hello[3] = 0x01);
+        for err in [c.unwrap_err(), s.unwrap_err()] {
+            assert!(matches!(err, PprlError::Auth(_)), "{err}");
+            assert!(err.to_string().contains("no common cipher suite"), "{err}");
+        }
     }
 
     #[test]
     fn rewritten_suite_selection_rejected() {
-        // Downgrade attempt #2: a full MITM relays the handshake but
-        // rewrites the server's WELCOME selection byte from ChaCha20 to
-        // the legacy suite (recomputing the frame checksum, as a real
-        // MITM would). The selection is hashed into the transcript on
-        // the server side, so mac_s no longer verifies at the client.
+        // A full MITM relays the handshake but rewrites the server's
+        // WELCOME selection byte to a code this build does not know
+        // (recomputing the frame checksum, as a real MITM would). The
+        // client refuses it as a typed error before confirmation; a
+        // known code would fail there instead, because the selection is
+        // hashed into the transcript.
         let (reg, alice, _) = test_registry();
         let back = TcpListener::bind("127.0.0.1:0").unwrap();
         let back_addr = back.local_addr().unwrap();
@@ -892,7 +908,7 @@ mod tests {
             };
             assert_eq!(welcome[1], OP_WELCOME);
             assert_eq!(welcome[2], CipherSuite::ChaCha20.code());
-            welcome[2] = CipherSuite::HmacCtr.code();
+            welcome[2] = 0x01;
             write_payload(&mut client_side, &welcome).unwrap();
         });
         let mut stream = TcpStream::connect(front_addr).unwrap();
@@ -904,34 +920,13 @@ mod tests {
             suites: SuiteOffer::default(),
         };
         let mut rng = SecretRng::seeded([5u8; 32]);
-        let c = client_handshake(&mut stream, &auth, &mut rng);
-        let err = c.unwrap_err();
-        assert!(
-            err.to_string().contains("confirmation"),
-            "downgrade must die at key confirmation, got: {err}"
+        let err = client_handshake(&mut stream, &auth, &mut rng).unwrap_err();
+        assert_eq!(
+            err,
+            PprlError::Auth("unknown cipher suite code 0x01".into())
         );
         drop(stream);
         mitm.join().unwrap();
         assert!(server.join().unwrap().is_err());
-    }
-
-    #[test]
-    fn pinned_suites_negotiate_and_disjoint_policy_rejects() {
-        for suite in CipherSuite::ALL {
-            let (reg, alice, _) = test_registry();
-            let auth = ClientAuth {
-                identity: "alice".into(),
-                key: alice,
-                tenant: "alice".into(),
-                encrypt: true,
-                suites: SuiteOffer::only(suite),
-            };
-            let (c, s) = run_handshake(auth, reg);
-            let HandshakeOutcome::Established(cch) = c.unwrap() else {
-                panic!("client not established on pinned {suite}");
-            };
-            assert_eq!(cch.suite(), suite);
-            assert_eq!(s.unwrap().channel.suite(), suite);
-        }
     }
 }

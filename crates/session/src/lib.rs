@@ -18,16 +18,16 @@
 //!   SRA-commutative-cipher key agreement mixed with the PSK via
 //!   HMAC-SHA256, mutual key confirmation over a transcript hash, and
 //!   typed rejections (`Auth`, `CrossTenant`).
-//! * **[`suite`]** — negotiated record-layer cipher suites: the client
-//!   offers a set in `HELLO`, the server selects one in `WELCOME`, and
-//!   both bytes are transcript-bound so downgrades are caught by key
-//!   confirmation.
-//! * **[`channel`]** — the record layer: per-frame HMAC-SHA256 over
+//! * **[`suite`]** — the negotiated record-layer cipher suite
+//!   (ChaCha20/Poly1305): the client offers a set in `HELLO`, the
+//!   server selects one in `WELCOME`, and both bytes are
+//!   transcript-bound so a rewrite is caught by key confirmation.
+//! * **[`channel`]** — the record layer: a per-frame Poly1305 tag over
 //!   sequence number and payload (verified in constant time, before the
 //!   inner opcode is ever interpreted), strict monotonic sequence
-//!   numbers for replay rejection, and optional body encryption under
-//!   the negotiated keystream (HMAC-CTR or ChaCha20), with reusable
-//!   frame buffers so steady-state `DATA` frames allocate nothing.
+//!   numbers for replay rejection, and optional ChaCha20 body
+//!   encryption, with reusable frame buffers so steady-state `DATA`
+//!   frames allocate nothing.
 //!
 //! The layering is deliberate: a wire v4 `DATA` frame *wraps* an
 //! unmodified wire v3 payload, so the entire request/response protocol,

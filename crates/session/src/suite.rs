@@ -1,24 +1,19 @@
-//! Negotiated record-layer cipher suites.
+//! The record-layer cipher suite and its transcript-bound negotiation.
 //!
-//! Wire v4 originally had exactly one record cipher: HMAC-SHA256 for
-//! frame MACs and an HMAC-CTR keystream for bodies. The ChaCha20
-//! keystream (see `pprl-crypto::chacha`) is an order of magnitude
-//! cheaper per byte, but a fleet upgrades one binary at a time, so the
-//! suite is *negotiated*: the client offers a set in `HELLO`, the
-//! server selects one in `WELCOME`, and both the offer (inside the
-//! HELLO payload) and the selection (spliced into the transcript hash)
-//! are covered by the mutual confirmation MACs. A man-in-the-middle
-//! that strips the ChaCha20 bit from the offer, or rewrites the
-//! server's selection, changes the transcript and is caught by key
-//! confirmation — exactly the downgrade resistance the encryption
-//! flag already has.
+//! Wire v4 carries one record cipher today: Poly1305 frame tags and a
+//! ChaCha20 body keystream (see `pprl-crypto::chacha`). The suite is
+//! still *negotiated*, so a later suite can be added without a wire
+//! change: the client offers a bitmask in `HELLO`, the server selects
+//! one code in `WELCOME`, and both the offer (inside the HELLO payload)
+//! and the selection (spliced into the transcript hash) are covered by
+//! the mutual confirmation MACs. A man-in-the-middle that rewrites
+//! either byte changes the transcript and is caught by key confirmation
+//! — exactly the downgrade resistance the encryption flag already has.
 //!
-//! Both suites authenticate every frame over the same header/body
-//! layout; they differ in the authenticator (HMAC-SHA256 vs a
-//! per-frame-keyed Poly1305) and the body keystream. Answers are
-//! bit-identical across suites (asserted end-to-end in E22), and
-//! either peer may refuse a suite by policy without any security
-//! downgrade — every offered suite authenticates every frame.
+//! Offer bits this build does not know are ignored, and an offer with
+//! no known bit is refused with "no common cipher suite" before any key
+//! material is spent. Code `0x01` belonged to an HMAC-CTR suite that is
+//! no longer built; a peer that offers only it is refused that way.
 
 use pprl_core::error::{PprlError, Result};
 
@@ -28,9 +23,6 @@ use pprl_core::error::{PprlError, Result};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum CipherSuite {
-    /// HMAC-SHA256 frame MACs + HMAC-CTR body keystream (wire v4's
-    /// original cipher; 4 SHA-256 compressions per 32 bytes of body).
-    HmacCtr = 0x01,
     /// Poly1305 frame tags (one-time keys from ChaCha20 block 0, RFC
     /// 8439 §2.6) + ChaCha20 body keystream (one ARX block call per 64
     /// bytes of body).
@@ -38,9 +30,6 @@ pub enum CipherSuite {
 }
 
 impl CipherSuite {
-    /// Every suite, in ascending preference order.
-    pub const ALL: [CipherSuite; 2] = [CipherSuite::HmacCtr, CipherSuite::ChaCha20];
-
     /// The suite's wire code / offer bit.
     pub fn code(self) -> u8 {
         self as u8
@@ -49,7 +38,6 @@ impl CipherSuite {
     /// Decodes a `WELCOME` selection byte.
     pub fn from_code(code: u8) -> Result<CipherSuite> {
         match code {
-            0x01 => Ok(CipherSuite::HmacCtr),
             0x02 => Ok(CipherSuite::ChaCha20),
             other => Err(PprlError::Auth(format!(
                 "unknown cipher suite code {other:#04x}"
@@ -57,20 +45,10 @@ impl CipherSuite {
         }
     }
 
-    /// Stable lower-case name (CLI `--suite` values, STATS, bench rows).
+    /// Stable lower-case name (STATS, bench rows).
     pub fn name(self) -> &'static str {
         match self {
-            CipherSuite::HmacCtr => "hmac-ctr",
             CipherSuite::ChaCha20 => "chacha20",
-        }
-    }
-
-    /// Length in bytes of the frame authenticator this suite appends:
-    /// HMAC-SHA256 emits a 32-byte tag, Poly1305 a 16-byte one.
-    pub fn tag_len(self) -> usize {
-        match self {
-            CipherSuite::HmacCtr => 32,
-            CipherSuite::ChaCha20 => 16,
         }
     }
 }
@@ -87,7 +65,7 @@ impl std::fmt::Display for CipherSuite {
 pub struct SuiteOffer(u8);
 
 impl Default for SuiteOffer {
-    /// Offer everything; negotiation picks the fastest common suite.
+    /// Offer everything this build knows.
     fn default() -> Self {
         SuiteOffer::all()
     }
@@ -96,20 +74,16 @@ impl Default for SuiteOffer {
 impl SuiteOffer {
     /// Every suite this build knows.
     pub fn all() -> SuiteOffer {
-        let mut bits = 0u8;
-        for s in CipherSuite::ALL {
-            bits |= s.code();
-        }
-        SuiteOffer(bits)
+        SuiteOffer(CipherSuite::ChaCha20.code())
     }
 
-    /// Exactly one suite (pinning; used by tests and `--suite`).
+    /// Exactly one suite.
     pub fn only(suite: CipherSuite) -> SuiteOffer {
         SuiteOffer(suite.code())
     }
 
     /// Reconstructs an offer from its wire byte, keeping only bits this
-    /// build recognises — unknown bits from a newer peer are ignored,
+    /// build recognises — unknown bits from another build are ignored,
     /// which is safe because the raw byte is transcript-bound anyway.
     pub fn from_bits(bits: u8) -> SuiteOffer {
         SuiteOffer(bits & SuiteOffer::all().0)
@@ -129,35 +103,15 @@ impl SuiteOffer {
     pub fn contains(self, suite: CipherSuite) -> bool {
         self.0 & suite.code() != 0
     }
-
-    /// Parses a CLI `--suite` value.
-    pub fn parse(s: &str) -> Result<SuiteOffer> {
-        match s {
-            "auto" | "all" => Ok(SuiteOffer::all()),
-            "chacha20" => Ok(SuiteOffer::only(CipherSuite::ChaCha20)),
-            "hmac-ctr" => Ok(SuiteOffer::only(CipherSuite::HmacCtr)),
-            other => Err(PprlError::invalid(
-                "suite",
-                format!("unknown cipher suite `{other}` (want auto, chacha20, or hmac-ctr)"),
-            )),
-        }
-    }
-
-    /// The suites in the set, fastest first.
-    pub fn iter(self) -> impl Iterator<Item = CipherSuite> {
-        CipherSuite::ALL
-            .into_iter()
-            .rev()
-            .filter(move |s| self.contains(*s))
-    }
 }
 
-/// Server-side suite selection: the fastest suite in both the client's
-/// offer and the server's policy, or `None` when the sets are disjoint.
+/// Server-side suite selection: the suite in both the client's offer
+/// and the server's policy, or `None` when the sets are disjoint.
 pub fn select_suite(offer: SuiteOffer, allowed: SuiteOffer) -> Option<CipherSuite> {
-    SuiteOffer::from_bits(offer.bits() & allowed.bits())
-        .iter()
-        .next()
+    let common = SuiteOffer::from_bits(offer.bits() & allowed.bits());
+    common
+        .contains(CipherSuite::ChaCha20)
+        .then_some(CipherSuite::ChaCha20)
 }
 
 #[cfg(test)]
@@ -166,43 +120,27 @@ mod tests {
 
     #[test]
     fn codes_round_trip() {
-        for s in CipherSuite::ALL {
-            assert_eq!(CipherSuite::from_code(s.code()).unwrap(), s);
-            assert_eq!(SuiteOffer::parse(s.name()).unwrap(), SuiteOffer::only(s));
+        let s = CipherSuite::ChaCha20;
+        assert_eq!(CipherSuite::from_code(s.code()).unwrap(), s);
+        for code in [0, 0x01, 0x7f] {
+            assert!(CipherSuite::from_code(code).is_err(), "{code:#04x}");
         }
-        assert!(CipherSuite::from_code(0).is_err());
-        assert!(CipherSuite::from_code(0x7f).is_err());
-        assert!(SuiteOffer::parse("rot13").is_err());
     }
 
     #[test]
-    fn selection_prefers_chacha20() {
+    fn selection_needs_a_common_known_bit() {
         let all = SuiteOffer::all();
         assert_eq!(select_suite(all, all), Some(CipherSuite::ChaCha20));
-        assert_eq!(
-            select_suite(SuiteOffer::only(CipherSuite::HmacCtr), all),
-            Some(CipherSuite::HmacCtr)
-        );
-        assert_eq!(
-            select_suite(all, SuiteOffer::only(CipherSuite::HmacCtr)),
-            Some(CipherSuite::HmacCtr)
-        );
-        // Disjoint sets: no common suite.
-        assert_eq!(
-            select_suite(
-                SuiteOffer::only(CipherSuite::ChaCha20),
-                SuiteOffer::only(CipherSuite::HmacCtr)
-            ),
-            None
-        );
+        // The retired HMAC-CTR bit alone, or no bit at all: no suite.
+        assert_eq!(select_suite(SuiteOffer::from_bits(0x01), all), None);
         assert_eq!(select_suite(SuiteOffer::from_bits(0), all), None);
     }
 
     #[test]
     fn unknown_offer_bits_ignored() {
-        let offer = SuiteOffer::from_bits(0xF0 | CipherSuite::HmacCtr.code());
-        assert!(offer.contains(CipherSuite::HmacCtr));
-        assert!(!offer.contains(CipherSuite::ChaCha20));
-        assert_eq!(offer.bits(), CipherSuite::HmacCtr.code());
+        let offer = SuiteOffer::from_bits(0xF1 | CipherSuite::ChaCha20.code());
+        assert!(offer.contains(CipherSuite::ChaCha20));
+        assert_eq!(offer.bits(), CipherSuite::ChaCha20.code());
+        assert!(SuiteOffer::from_bits(0x81).is_empty());
     }
 }

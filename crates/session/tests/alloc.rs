@@ -1,9 +1,9 @@
 //! Steady-state allocation audit for the secure channel: after the
 //! handshake and one warm-up exchange, sealing, sending, receiving,
-//! and opening a `DATA` frame must not touch the heap at all, for
-//! either cipher suite, with and without body encryption. The frame
-//! buffers are owned by the channel and reused; MACs run from cached
-//! HMAC midstates into stack arrays; keystreams are applied in place.
+//! and opening a `DATA` frame must not touch the heap at all, with and
+//! without body encryption. The frame buffers are owned by the channel
+//! and reused; Poly1305 tags are computed in stack arrays; the ChaCha20
+//! keystream is applied in place.
 //!
 //! Uses the same counting-global-allocator shim as the E19 compaction
 //! bench: an integration test binary gets its own `#[global_allocator]`.
@@ -13,7 +13,7 @@
 use pprl_session::handshake::{client_handshake_established, server_handshake, ClientAuth};
 use pprl_session::keys::{entropy_rng, PartyKey};
 use pprl_session::registry::{AuthRegistry, TenantGrant};
-use pprl_session::{CipherSuite, IncomingRef, SecureChannel, SuiteOffer};
+use pprl_session::{IncomingRef, SecureChannel, SuiteOffer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::Cursor;
@@ -60,7 +60,7 @@ fn alloc_calls<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// Establishes a real wire v4 session over loopback and hands both
 /// channel ends to the calling thread.
-fn channel_pair(suite: CipherSuite, encrypt: bool) -> (SecureChannel, SecureChannel) {
+fn channel_pair(encrypt: bool) -> (SecureChannel, SecureChannel) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
@@ -84,7 +84,7 @@ fn channel_pair(suite: CipherSuite, encrypt: bool) -> (SecureChannel, SecureChan
         key: PartyKey::from_bytes([0xA7; 32]),
         tenant: "org-a".into(),
         encrypt,
-        suites: SuiteOffer::only(suite),
+        suites: SuiteOffer::default(),
     };
     let mut stream = TcpStream::connect(addr).unwrap();
     let client = client_handshake_established(&mut stream, &auth).unwrap();
@@ -117,23 +117,20 @@ fn steady_state_data_frames_do_not_allocate() {
     // A 256-byte body: the size E22's probe answers actually are.
     let payload: Vec<u8> = (0..256u32).map(|i| (i * 31 + 7) as u8).collect();
     let mut wire = vec![0u8; 4096];
-    for suite in CipherSuite::ALL {
-        for encrypt in [false, true] {
-            let (mut client, mut server) = channel_pair(suite, encrypt);
-            assert_eq!(client.suite(), suite);
-            // Warm-up: first exchange sizes the channel-owned buffers.
-            exchange(&mut client, &mut server, &mut wire, &payload);
-            // Steady state: every subsequent frame must be heap-silent.
-            let (_, calls) = alloc_calls(|| {
-                for _ in 0..64 {
-                    exchange(&mut client, &mut server, &mut wire, &payload);
-                }
-            });
-            assert_eq!(
-                calls, 0,
-                "{suite}/encrypt={encrypt}: {calls} allocator calls across 64 steady-state frames"
-            );
-        }
+    for encrypt in [false, true] {
+        let (mut client, mut server) = channel_pair(encrypt);
+        // Warm-up: first exchange sizes the channel-owned buffers.
+        exchange(&mut client, &mut server, &mut wire, &payload);
+        // Steady state: every subsequent frame must be heap-silent.
+        let (_, calls) = alloc_calls(|| {
+            for _ in 0..64 {
+                exchange(&mut client, &mut server, &mut wire, &payload);
+            }
+        });
+        assert_eq!(
+            calls, 0,
+            "encrypt={encrypt}: {calls} allocator calls across 64 steady-state frames"
+        );
     }
 }
 
@@ -141,7 +138,7 @@ fn steady_state_data_frames_do_not_allocate() {
 fn varying_payload_sizes_allocate_at_most_on_growth() {
     // Shrinking payloads must never allocate; only growth past the
     // high-water mark may touch the allocator (Vec::resize).
-    let (mut client, mut server) = channel_pair(CipherSuite::ChaCha20, true);
+    let (mut client, mut server) = channel_pair(true);
     let mut wire = vec![0u8; 65536];
     let big: Vec<u8> = vec![0xAB; 8192];
     exchange(&mut client, &mut server, &mut wire, &big);

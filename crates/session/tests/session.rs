@@ -12,7 +12,7 @@ use pprl_session::handshake::{
 };
 use pprl_session::keys::{entropy_rng, PartyKey};
 use pprl_session::registry::{AuthRegistry, TenantGrant};
-use pprl_session::{CipherSuite, SecureChannel, SuiteOffer};
+use pprl_session::{SecureChannel, SuiteOffer};
 use std::net::{TcpListener, TcpStream};
 
 const ORG_A_KEY: [u8; 32] = [0xA7; 32];
@@ -67,21 +67,17 @@ fn handshake(
     (client, session)
 }
 
-/// A mutually authenticated channel pair for tenant `org-a`, pinned to
-/// one record-layer cipher suite so property tests cover each suite.
-fn session_pair(encrypt: bool, suite: CipherSuite) -> (SecureChannel, SecureChannel) {
+/// A mutually authenticated channel pair for tenant `org-a`.
+fn session_pair(encrypt: bool) -> (SecureChannel, SecureChannel) {
     let auth = ClientAuth {
         identity: "org-a".into(),
         key: PartyKey::from_bytes(ORG_A_KEY),
         tenant: "org-a".into(),
         encrypt,
-        suites: SuiteOffer::only(suite),
+        suites: SuiteOffer::default(),
     };
     let (client, session) = handshake(&auth);
-    let (client, server) = (client.unwrap(), session.unwrap().channel);
-    assert_eq!(client.suite(), suite);
-    assert_eq!(server.suite(), suite);
-    (client, server)
+    (client.unwrap(), session.unwrap().channel)
 }
 
 /// An inner payload that would be catastrophic if it were ever acted
@@ -96,134 +92,90 @@ fn poison_inner() -> Vec<u8> {
 
 #[test]
 fn every_single_byte_flip_is_rejected_before_the_opcode() {
-    for suite in CipherSuite::ALL {
-        for encrypt in [false, true] {
-            let (mut client, mut server) = session_pair(encrypt, suite);
-            let inner = poison_inner();
-            let sealed = client.seal(&inner).unwrap();
-            // Every byte, under several bit patterns: header, sequence
-            // number, body, and MAC corruption are all covered.
-            for i in 0..sealed.len() {
-                for mask in [0x01u8, 0x80, 0xFF] {
-                    let mut tampered = sealed.clone();
-                    tampered[i] ^= mask;
-                    assert!(
-                        server.open(&tampered).is_err(),
-                        "{suite}/encrypt={encrypt}: flipping byte {i} with {mask:#04x} was accepted"
-                    );
-                }
+    for encrypt in [false, true] {
+        let (mut client, mut server) = session_pair(encrypt);
+        let inner = poison_inner();
+        let sealed = client.seal(&inner).unwrap();
+        // Every byte, under several bit patterns: header, sequence
+        // number, body, and MAC corruption are all covered.
+        for i in 0..sealed.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut tampered = sealed.clone();
+                tampered[i] ^= mask;
+                assert!(
+                    server.open(&tampered).is_err(),
+                    "encrypt={encrypt}: flipping byte {i} with {mask:#04x} was accepted"
+                );
             }
-            // The rejections consumed no session state: the pristine
-            // frame still opens to exactly the original inner payload,
-            // proving the tampered copies died at the MAC check —
-            // before the inner opcode existed as far as the receiver
-            // is concerned.
-            assert_eq!(server.open(&sealed).unwrap(), inner);
         }
+        // The rejections consumed no session state: the pristine frame
+        // still opens to exactly the original inner payload, proving the
+        // tampered copies died at the MAC check — before the inner
+        // opcode existed as far as the receiver is concerned.
+        assert_eq!(server.open(&sealed).unwrap(), inner);
     }
 }
 
 #[test]
 fn every_truncation_is_rejected() {
-    for suite in CipherSuite::ALL {
-        for encrypt in [false, true] {
-            let (mut client, mut server) = session_pair(encrypt, suite);
-            let inner = poison_inner();
-            let sealed = client.seal(&inner).unwrap();
-            for len in 0..sealed.len() {
-                assert!(
-                    server.open(&sealed[..len]).is_err(),
-                    "{suite}/encrypt={encrypt}: truncation to {len} bytes was accepted"
-                );
-            }
-            assert_eq!(server.open(&sealed).unwrap(), inner);
+    for encrypt in [false, true] {
+        let (mut client, mut server) = session_pair(encrypt);
+        let inner = poison_inner();
+        let sealed = client.seal(&inner).unwrap();
+        for len in 0..sealed.len() {
+            assert!(
+                server.open(&sealed[..len]).is_err(),
+                "encrypt={encrypt}: truncation to {len} bytes was accepted"
+            );
         }
+        assert_eq!(server.open(&sealed).unwrap(), inner);
     }
 }
 
 #[test]
 fn replay_is_rejected_without_poisoning_the_session() {
-    for suite in CipherSuite::ALL {
-        for encrypt in [false, true] {
-            let (mut client, mut server) = session_pair(encrypt, suite);
-            let first = client.seal(b"first").unwrap();
-            let second = client.seal(b"second").unwrap();
-            assert_eq!(server.open(&first).unwrap(), b"first");
-            // Replaying the already-consumed frame fails its sequence
-            // check even though its MAC is genuine...
-            assert!(
-                server.open(&first).is_err(),
-                "{suite}/encrypt={encrypt}: replay was accepted"
-            );
-            // ...and the legitimate stream continues undisturbed.
-            assert_eq!(server.open(&second).unwrap(), b"second");
-        }
+    for encrypt in [false, true] {
+        let (mut client, mut server) = session_pair(encrypt);
+        let first = client.seal(b"first").unwrap();
+        let second = client.seal(b"second").unwrap();
+        assert_eq!(server.open(&first).unwrap(), b"first");
+        // Replaying the already-consumed frame fails its sequence check
+        // even though its MAC is genuine...
+        assert!(
+            server.open(&first).is_err(),
+            "encrypt={encrypt}: replay was accepted"
+        );
+        // ...and the legitimate stream continues undisturbed.
+        assert_eq!(server.open(&second).unwrap(), b"second");
     }
 }
 
 #[test]
 fn frames_from_the_opposite_direction_are_rejected() {
-    for suite in CipherSuite::ALL {
-        let (mut client, mut server) = session_pair(true, suite);
-        // A server-sealed frame reflected back at the server must fail:
-        // direction keys differ, so a man-in-the-middle cannot bounce
-        // traffic back to its author.
-        let reflected = server.seal(b"reflect-me").unwrap();
-        assert!(server.open(&reflected).is_err(), "{suite}");
-        // The client, the intended recipient, opens it fine.
-        assert_eq!(client.open(&reflected).unwrap(), b"reflect-me");
-    }
+    let (mut client, mut server) = session_pair(true);
+    // A server-sealed frame reflected back at the server must fail:
+    // direction keys differ, so a man-in-the-middle cannot bounce
+    // traffic back to its author.
+    let reflected = server.seal(b"reflect-me").unwrap();
+    assert!(server.open(&reflected).is_err());
+    // The client, the intended recipient, opens it fine.
+    assert_eq!(client.open(&reflected).unwrap(), b"reflect-me");
 }
 
 #[test]
 fn encrypted_frames_do_not_leak_the_plaintext() {
     let secret = b"highly-identifying-bloom-filter-bits";
-    for suite in CipherSuite::ALL {
-        let (mut client, _server) = session_pair(true, suite);
-        let sealed = client.seal(secret).unwrap();
-        let visible = sealed.windows(secret.len()).any(|w| w == secret.as_slice());
-        assert!(
-            !visible,
-            "{suite}: encrypted frame carries the plaintext verbatim"
-        );
+    let (mut client, _server) = session_pair(true);
+    let sealed = client.seal(secret).unwrap();
+    let visible = sealed.windows(secret.len()).any(|w| w == secret.as_slice());
+    assert!(!visible, "encrypted frame carries the plaintext verbatim");
 
-        // Plaintext (MAC-only) mode genuinely is plaintext — the flag
-        // does what it says in both directions.
-        let (mut client, _server) = session_pair(false, suite);
-        let sealed = client.seal(secret).unwrap();
-        let visible = sealed.windows(secret.len()).any(|w| w == secret.as_slice());
-        assert!(
-            visible,
-            "{suite}: unencrypted frame unexpectedly hides its body"
-        );
-    }
-}
-
-#[test]
-fn negotiation_picks_chacha20_and_answers_agree_across_suites() {
-    // Default offer against default policy lands on the fast suite.
-    let auth = ClientAuth {
-        identity: "org-a".into(),
-        key: PartyKey::from_bytes(ORG_A_KEY),
-        tenant: "org-a".into(),
-        encrypt: true,
-        suites: SuiteOffer::default(),
-    };
-    let (client, session) = handshake(&auth);
-    assert_eq!(client.unwrap().suite(), CipherSuite::ChaCha20);
-    assert_eq!(session.unwrap().channel.suite(), CipherSuite::ChaCha20);
-
-    // The suite changes bytes on the wire, never the payloads: a frame
-    // sealed and opened under each suite round-trips bit-identically.
-    let inner = poison_inner();
-    let mut bodies = Vec::new();
-    for suite in CipherSuite::ALL {
-        let (mut client, mut server) = session_pair(true, suite);
-        let sealed = client.seal(&inner).unwrap();
-        bodies.push(sealed.clone());
-        assert_eq!(server.open(&sealed).unwrap(), inner);
-    }
-    assert_ne!(bodies[0], bodies[1], "suites produced identical ciphertext");
+    // Plaintext (MAC-only) mode genuinely is plaintext — the flag does
+    // what it says in both directions.
+    let (mut client, _server) = session_pair(false);
+    let sealed = client.seal(secret).unwrap();
+    let visible = sealed.windows(secret.len()).any(|w| w == secret.as_slice());
+    assert!(visible, "unencrypted frame unexpectedly hides its body");
 }
 
 #[test]

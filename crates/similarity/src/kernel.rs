@@ -23,8 +23,8 @@
 //! # Dispatch
 //!
 //! Each kernel has several implementations, selected **once per process**
-//! by runtime CPU-feature detection (`is_x86_feature_detected!` and the
-//! aarch64 equivalent). The default x86-64 code model does not even
+//! by runtime CPU-feature detection (`is_x86_feature_detected!`). The
+//! default x86-64 code model does not even
 //! guarantee a hardware `popcnt` instruction, so the paths form a real
 //! performance ladder:
 //!
@@ -34,7 +34,10 @@
 //! | `portable` | x86-64   | `popcnt`                  | same loop, hardware popcount       |
 //! | `avx2`     | x86-64   | `avx2`                    | Muła nibble-LUT popcount, 256-bit  |
 //! | `avx512`   | x86-64   | `avx512f+avx512vpopcntdq` | `vpopcntq`, 512-bit lanes          |
-//! | `neon`     | aarch64  | `neon`                    | `cnt.16b` + widening adds, 128-bit |
+//!
+//! Other architectures run `scalar`, whose `count_ones` lowers to the
+//! native popcount instruction wherever the baseline target has one
+//! (64-bit ARM's `cnt`, for one).
 //!
 //! `scan_ge` is native on `avx512` (8 rows per step) and `avx2` (4 rows
 //! per step): the per-row accumulators are reduced by one transposed add
@@ -210,39 +213,6 @@ pub fn need_count(theta: f64, ones_a: usize, ones_b: usize) -> usize {
     c
 }
 
-/// [`Kernel::scan_ge`] built from a 4-row and a 1-row intersection
-/// count: whole blocks through `count4`, the < 4-row tail through
-/// `count1`, an integer compare per row. `inline(always)` so each caller
-/// compiles it with its own target features.
-#[inline(always)]
-fn scan_ge_by_blocks(
-    query: &[u64],
-    rows: &[u64],
-    need: usize,
-    out: &mut Vec<(u32, u32)>,
-    count4: impl Fn(&[u64], &[u64]) -> [usize; 4],
-    count1: impl Fn(&[u64], &[u64]) -> usize,
-) {
-    let stride = query.len();
-    let mut blocks = rows.chunks_exact(4 * stride);
-    let mut row = 0u32;
-    for block in blocks.by_ref() {
-        for (lane, &count) in count4(query, block).iter().enumerate() {
-            if count >= need {
-                out.push((row + lane as u32, count as u32));
-            }
-        }
-        row += 4;
-    }
-    for tail in blocks.remainder().chunks_exact(stride) {
-        let count = count1(query, tail);
-        if count >= need {
-            out.push((row, count as u32));
-        }
-        row += 1;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Scalar reference path (always available, any architecture).
 // ---------------------------------------------------------------------------
@@ -285,9 +255,29 @@ mod scalar {
         acc
     }
 
+    /// [`Kernel::scan_ge`](super::Kernel::scan_ge) built from the
+    /// 4-row and 1-row counts: whole blocks through `and_count4`, the
+    /// < 4-row tail through `and_count`, an integer compare per row.
     #[inline]
     pub(super) fn scan_ge(query: &[u64], rows: &[u64], need: usize, out: &mut Vec<(u32, u32)>) {
-        super::scan_ge_by_blocks(query, rows, need, out, and_count4, and_count);
+        let stride = query.len();
+        let mut blocks = rows.chunks_exact(4 * stride);
+        let mut row = 0u32;
+        for block in blocks.by_ref() {
+            for (lane, &count) in and_count4(query, block).iter().enumerate() {
+                if count >= need {
+                    out.push((row + lane as u32, count as u32));
+                }
+            }
+            row += 4;
+        }
+        for tail in blocks.remainder().chunks_exact(stride) {
+            let count = and_count(query, tail);
+            if count >= need {
+                out.push((row, count as u32));
+            }
+            row += 1;
+        }
     }
 }
 
@@ -725,110 +715,6 @@ mod x86 {
 }
 
 // ---------------------------------------------------------------------------
-// aarch64 path: `cnt.16b` counts bits per byte, then three widening
-// pairwise adds fold bytes → u64 lanes.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-#[allow(unsafe_code)]
-mod arm {
-    use core::arch::aarch64::*;
-
-    #[target_feature(enable = "neon")]
-    fn and_count_neon_impl(a: &[u64], b: &[u64]) -> usize {
-        let n = a.len();
-        let mut acc = vdupq_n_u64(0);
-        let mut i = 0usize;
-        while i + 2 <= n {
-            // SAFETY: i + 2 <= n keeps both 16-byte loads in bounds.
-            let v = unsafe {
-                let va = vld1q_u64(a.as_ptr().add(i));
-                let vb = vld1q_u64(b.as_ptr().add(i));
-                vandq_u64(va, vb)
-            };
-            let cnt = vcntq_u8(vreinterpretq_u8_u64(v));
-            acc = vaddq_u64(acc, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(cnt))));
-            i += 2;
-        }
-        let mut total = (vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1)) as usize;
-        while i < n {
-            total += (a[i] & b[i]).count_ones() as usize;
-            i += 1;
-        }
-        total
-    }
-
-    #[target_feature(enable = "neon")]
-    fn and_count4_neon_impl(query: &[u64], rows: &[u64]) -> [usize; 4] {
-        let stride = query.len();
-        let (r0, rest) = rows.split_at(stride);
-        let (r1, rest) = rest.split_at(stride);
-        let (r2, r3) = rest.split_at(stride);
-        let mut acc = [vdupq_n_u64(0); 4];
-        let mut i = 0usize;
-        while i + 2 <= stride {
-            // SAFETY: i + 2 <= stride keeps all five 16-byte loads in
-            // bounds of their respective stride-length slices.
-            unsafe {
-                let q = vld1q_u64(query.as_ptr().add(i));
-                for (lane, r) in [r0, r1, r2, r3].into_iter().enumerate() {
-                    let v = vandq_u64(q, vld1q_u64(r.as_ptr().add(i)));
-                    let cnt = vcntq_u8(vreinterpretq_u8_u64(v));
-                    acc[lane] = vaddq_u64(acc[lane], vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(cnt))));
-                }
-            }
-            i += 2;
-        }
-        let fold = |v: uint64x2_t| (vgetq_lane_u64(v, 0) + vgetq_lane_u64(v, 1)) as usize;
-        let mut out = [fold(acc[0]), fold(acc[1]), fold(acc[2]), fold(acc[3])];
-        while i < stride {
-            let q = query[i];
-            out[0] += (q & r0[i]).count_ones() as usize;
-            out[1] += (q & r1[i]).count_ones() as usize;
-            out[2] += (q & r2[i]).count_ones() as usize;
-            out[3] += (q & r3[i]).count_ones() as usize;
-            i += 1;
-        }
-        out
-    }
-
-    #[target_feature(enable = "neon")]
-    fn scan_ge_neon_impl(query: &[u64], rows: &[u64], need: usize, out: &mut Vec<(u32, u32)>) {
-        super::scan_ge_by_blocks(
-            query,
-            rows,
-            need,
-            out,
-            // Closures, not fn items: they inherit this function's
-            // target feature, which is what makes the calls safe.
-            |q, block| and_count4_neon_impl(q, block),
-            |q, r| and_count_neon_impl(q, r),
-        );
-    }
-
-    pub(super) fn and_count_neon(a: &[u64], b: &[u64]) -> usize {
-        // SAFETY: reachable only via a Kernel built after the aarch64
-        // runtime detection of "neon" succeeded.
-        unsafe { and_count_neon_impl(a, b) }
-    }
-
-    pub(super) fn and_count4_neon(query: &[u64], rows: &[u64]) -> [usize; 4] {
-        // SAFETY: as above — neon was detected at runtime.
-        unsafe { and_count4_neon_impl(query, rows) }
-    }
-
-    pub(super) fn scan_ge_neon(
-        query: &[u64],
-        rows: &[u64],
-        need: usize,
-        out: &mut Vec<(u32, u32)>,
-    ) {
-        // SAFETY: as above — neon was detected at runtime.
-        unsafe { scan_ge_neon_impl(query, rows, need, out) }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Dispatch: one-time detection + PPRL_KERNEL override.
 // ---------------------------------------------------------------------------
 
@@ -869,17 +755,6 @@ fn detect_kernels() -> Vec<Kernel> {
                 and_count: x86::and_count_avx512,
                 and_count4: x86::and_count4_avx512,
                 scan_ge: x86::scan_ge_avx512,
-            });
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            v.push(Kernel {
-                name: "neon",
-                and_count: arm::and_count_neon,
-                and_count4: arm::and_count4_neon,
-                scan_ge: arm::scan_ge_neon,
             });
         }
     }
@@ -977,12 +852,6 @@ pub fn cpu_features() -> Vec<&'static str> {
             if hit {
                 v.push(name);
             }
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            v.push("neon");
         }
     }
     v

@@ -12,6 +12,11 @@
 //!   decoder's own error kind (`Storage` for index files, `Transport`
 //!   for frames): never `Ok`, never a panic.
 //!
+//! A manifest with a band-key summary entry, as the code before the
+//! summary was deleted wrote it, is kept as a decode-only golden: it
+//! must still decode and still reject every flip and cut, and
+//! re-encoding it gives the summary-less manifest golden.
+//!
 //! Formats whose corruption is *not* always an error are tested where
 //! that rule lives: a truncated WAL is a benign torn tail
 //! (`wal_recovery.rs`; its bytes are pinned below all the same), and
@@ -27,7 +32,6 @@ use pprl_index::segment::{
     decode_segment, decode_segment_arena, encode_segment, encode_segment_from_arena,
 };
 use pprl_index::store::{IndexStore, StoreOptions, WAL_FILE};
-use pprl_index::summary::{BandKeySummary, SummaryConfig};
 use pprl_index::vfs::{FaultVfs, Vfs};
 use pprl_protocols::transport::Frame;
 use pprl_server::wire::{read_payload, write_payload, Incoming, Request, Response, StatsReport};
@@ -121,6 +125,13 @@ fn decode_manifest(bytes: &[u8]) -> Result<Vec<u8>> {
     Manifest::decode(bytes)?.encode()
 }
 
+/// Accepts or rejects like [`Manifest::decode`]; on success hands the
+/// bytes back, for a golden no current encoder writes.
+fn decode_manifest_only(bytes: &[u8]) -> Result<Vec<u8>> {
+    Manifest::decode(bytes)?;
+    Ok(bytes.to_vec())
+}
+
 fn wire_case(name: &'static str, golden: &'static str, payload: Vec<u8>, request: bool) -> Case {
     let decoder: (&'static str, Decoder) = if request {
         ("Request::decode", decode_request)
@@ -146,15 +157,11 @@ fn segment_records() -> Vec<(u64, BitVec)> {
     ]
 }
 
-/// A v4 manifest with a summary entry, a summary-less entry and one
-/// quarantine record.
+/// A v4 manifest with two segment entries and one quarantine record:
+/// what [`GOLDEN_MANIFEST_WITH_SUMMARY`] decodes to.
 fn manifest() -> Manifest {
-    let config = IndexConfig {
-        summary: SummaryConfig { tables: 2, bits: 8 },
-        ..IndexConfig::new(80, 2)
-    };
     Manifest {
-        config,
+        config: IndexConfig::new(80, 2),
         flush_epoch: 3,
         next_segment_id: 9,
         segments: vec![
@@ -163,17 +170,12 @@ fn manifest() -> Manifest {
                 id: 4,
                 pc_min: 3,
                 pc_max: 41,
-                summary: Some(BandKeySummary::from_words(vec![
-                    0x0123_4567_89ab_cdef,
-                    0x8000_0000_0000_0001,
-                ])),
             },
             SegmentEntry {
                 shard: 1,
                 id: 8,
                 pc_min: 0,
                 pc_max: 80,
-                summary: None,
             },
         ],
         quarantined: vec![QuarantinedSegment { shard: 1, id: 6 }],
@@ -345,6 +347,13 @@ fn cases() -> Vec<Case> {
             decoders: vec![("Manifest::decode", decode_manifest)],
             kind: is_storage,
         },
+        Case {
+            name: "manifest v4 with a summary entry",
+            golden: GOLDEN_MANIFEST_WITH_SUMMARY,
+            encoded: Vec::new(),
+            decoders: vec![("Manifest::decode", decode_manifest_only)],
+            kind: is_storage,
+        },
     ]
 }
 
@@ -418,6 +427,23 @@ fn every_truncation_is_a_typed_error() {
     }
 }
 
+/// A manifest written with a summary decodes to the same segments, and
+/// re-encodes with every summary field zero.
+#[test]
+fn a_summary_manifest_reencodes_without_its_summary() {
+    let decoded = Manifest::decode(&from_hex(GOLDEN_MANIFEST_WITH_SUMMARY)).expect("decode");
+    assert_eq!(decoded, manifest());
+    let again = decoded.encode().expect("encode");
+    assert_eq!(to_hex(&again), GOLDEN_MANIFEST);
+    // sum_tables and sum_bits follow lsh_bits at byte 26; each 24-byte
+    // entry after the 58-byte header ends in its u32 sum_words.
+    assert_eq!(again[26..30], [0; 4]);
+    for entry in 0..decoded.segments.len() {
+        let at = 58 + 24 * entry + 20;
+        assert_eq!(again[at..at + 4], [0; 4], "entry {entry}");
+    }
+}
+
 /// The WAL a store logs for [`segment_records`] reproduces its golden,
 /// and a store opened over the golden replays exactly those records.
 #[test]
@@ -478,6 +504,12 @@ const GOLDEN_SEGMENT: &str = concat!(
     "0000070000000000000060000000000004004100164f4b48b9a1ce98",
 );
 const GOLDEN_MANIFEST: &str = concat!(
+    "504d463104005000000002000000ed5e00000000000010000000000000000300",
+    "0000000000000900000000000000020000000100000030000000000000000400",
+    "0000000000000300000029000000000000000100000008000000000000000000",
+    "000050000000000000000100000006000000000000007317dd9f149bc06f",
+);
+const GOLDEN_MANIFEST_WITH_SUMMARY: &str = concat!(
     "504d463104005000000002000000ed5e00000000000010000000020008000300",
     "0000000000000900000000000000020000000100000040000000000000000400",
     "000000000000030000002900000002000000efcdab8967452301010000000000",
