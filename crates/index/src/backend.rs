@@ -11,9 +11,9 @@
 //! ([`IndexReader::top_k_batch`]): each probe batch walks the columnar
 //! arenas once for all probes together, and the `min_score` bound is
 //! pushed down so a segment no probe can reach by popcount is never read
-//! from disk at all. Because the engine is exact,
-//! the emitted pairs are precisely the k nearest stored records per
-//! probe at or above the threshold — no false dismissals within k.
+//! from disk at all. Because the engine is exact, the emitted pairs are
+//! precisely the k nearest stored records per probe at or above the
+//! threshold — no false dismissals within k.
 
 use crate::query::IndexReader;
 use crate::store::{IndexStore, ReadStats};

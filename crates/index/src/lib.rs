@@ -31,9 +31,9 @@
 //! slice kernels in `pprl-similarity` (4-row blocks score a whole query
 //! batch per block load). Queries answer exact top-k Dice similarity:
 //! segments whose popcount range proves a score ceiling below the
-//! running k-th score are skipped
-//! — and with [`store::IndexStore::lazy_reader`] never even read from
-//! disk — while surviving arenas are walked with per-block Dice
+//! running k-th score are skipped — and with
+//! [`store::IndexStore::lazy_reader`] never even read from disk — while
+//! surviving arenas are walked with per-block Dice
 //! upper-bound cutoffs `2·min(q,x)/(q+x)`. All pruning is lossless:
 //! results are bit-exact against a brute-force scan. A scan runs on its
 //! caller; a large one also lends idle cores to scoped helpers admitted

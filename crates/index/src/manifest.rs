@@ -2,12 +2,12 @@
 //! on-disk index.
 //!
 //! The manifest records the index configuration (filter geometry, shard
-//! count, LSH routing parameters), the next
-//! segment id to allocate, and which segment files belong to which
-//! shard. It is rewritten atomically (write to `MANIFEST.tmp`, then
-//! rename, with fsync barriers on the tmp file and the directory) so a
-//! crash mid-update leaves either the old or the new manifest, never a
-//! torn one. Version-4 layout:
+//! count, LSH routing parameters), the next segment id to allocate, and
+//! which segment files belong to which shard. It is rewritten
+//! atomically (write to `MANIFEST.tmp`, then rename, with fsync barriers
+//! on the tmp file and the directory) so a crash mid-update leaves
+//! either the old or the new manifest, never a torn one. Version-4
+//! layout:
 //!
 //! ```text
 //! magic       u32   "PMF1"
@@ -72,7 +72,7 @@ const MANIFEST_MAGIC: u32 = 0x3146_4d50;
 const MANIFEST_VERSION: u16 = 4;
 /// Fixed bytes before the segment entries.
 const HEADER_LEN: usize = 58;
-/// Fixed bytes per segment entry before its variable Bloom words.
+/// Bytes per segment entry (a legacy entry's summary words follow).
 const ENTRY_FIXED_LEN: usize = 24;
 /// Bytes per quarantined-segment record.
 const QUAR_ENTRY_LEN: usize = 12;

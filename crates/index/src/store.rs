@@ -844,8 +844,9 @@ impl IndexStore {
 
     /// A reader that defers segment loading to query time: every segment
     /// becomes a lazily-materialised slot carrying its manifest popcount
-    /// popcount bounds, so a segment every query of a batch can prune (by
-    /// length, or a full top-k) is never read at all. Pending records are memory-resident from the start. Unlike
+    /// bounds, so a segment every query of a batch can prune (by length,
+    /// or a full top-k) is never read at all. Pending records are
+    /// memory-resident from the start. Unlike
     /// [`reader`], disk corruption in a pruned segment goes unnoticed
     /// until some query actually needs it — call
     /// [`IndexReader::materialise_all`] to force full verification.

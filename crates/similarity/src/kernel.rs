@@ -24,9 +24,8 @@
 //!
 //! Each kernel has several implementations, selected **once per process**
 //! by runtime CPU-feature detection (`is_x86_feature_detected!`). The
-//! default x86-64 code model does not even
-//! guarantee a hardware `popcnt` instruction, so the paths form a real
-//! performance ladder:
+//! default x86-64 code model does not even guarantee a hardware `popcnt`
+//! instruction, so the paths form a real performance ladder:
 //!
 //! | name       | arch     | requires                  | technique                          |
 //! |------------|----------|---------------------------|------------------------------------|
