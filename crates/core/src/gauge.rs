@@ -10,9 +10,15 @@
 //! `pprl-server` worker serving a request. Runner helpers do not; they
 //! are counted apart, from admission until they exit. A helper joins a
 //! call only while foreground threads plus running helpers leave a core
-//! idle, and before each task it re-checks and sleeps while they do not,
-//! so a writer gets its core back within one task. Counts publish no
-//! other data, so all ops are `Relaxed`.
+//! idle, and before each task it re-checks and sleeps while they do not.
+//!
+//! The gauge alone cannot give a writer its core back: a writer counts
+//! only once it runs, and the kernel lets a running scan thread finish
+//! its time slice before a woken thread gets the core. What bounds the
+//! wait to one task is the runner's yield before every claim of an
+//! elastic call; the gauge then sends the helper to sleep once the
+//! writer holds its guard. Counts publish no other data, so all ops are
+//! `Relaxed`.
 
 use std::cell::Cell;
 use std::marker::PhantomData;

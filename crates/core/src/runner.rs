@@ -10,7 +10,16 @@
 //! [`gauge`] shows an idle core and the unclaimed tasks are estimated at
 //! ≥ [`HELPER_MIN_NANOS`] — enough to pay for the spawn. A helper
 //! re-checks before each claim and sleeps while foreground threads need
-//! every core, so a writer gets its core back within one task. Each
+//! every core.
+//!
+//! Such an *elastic* call (one that may admit helpers at all) can hold
+//! every core for milliseconds, and the kernel protects a running
+//! thread's time slice: a writer that wakes — for its due time, socket
+//! data, an fsync completion — would wait out a scan thread's slice
+//! before it could even take its foreground guard. So in an elastic
+//! call every participant, caller and helpers alike, yields its core
+//! before each claim, and a woken writer waits at most one task. A call
+//! too small to admit a helper claims without yielding. Each
 //! participant keeps its own state (token memos, scan heaps, scratch
 //! buffers), built by `init` on its own thread; [`map`] stitches per-task
 //! outputs back in task order, so no result depends on how many helpers
@@ -94,6 +103,7 @@ where
         let (drain, init) = (&drain, &init);
         let mut helpers = Vec::new();
         let drained = drain(&mut state, &mut || {
+            yield_core();
             let budget = threads - helpers.len();
             if admits_helper(left(), gauge::occupied(), gauge::cores(), budget) {
                 let slot = gauge::HelperSlot::enter();
@@ -102,7 +112,10 @@ where
                     let _slot = slot;
                     let mut state = init();
                     let done = || next.load(Ordering::Relaxed) >= tasks;
-                    drain(&mut state, &mut || gauge::wait_for_core(done))?;
+                    drain(&mut state, &mut || {
+                        yield_core();
+                        gauge::wait_for_core(done)
+                    })?;
                     Ok(state)
                 }));
             }
@@ -118,6 +131,20 @@ where
         }
         failed.map_or(Ok((state, states)), Err)
     })
+}
+
+/// An elastic participant's step before each claim: gives its core to
+/// any runnable thread, so a woken writer need not wait out the slice.
+fn yield_core() {
+    #[cfg(test)]
+    YIELDS.with(|n| n.set(n.get() + 1));
+    std::thread::yield_now();
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`yield_core`] on this thread.
+    static YIELDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// [`run`] for tasks that each produce an output: returns the outputs in
@@ -199,6 +226,53 @@ mod tests {
             assert_eq!(caller + helpers.iter().sum::<usize>(), 500);
             assert!(helpers.len() < threads);
         }
+    }
+
+    fn yields() -> u64 {
+        YIELDS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn an_elastic_call_yields_once_per_claim_on_every_participant() {
+        // Each participant notes its thread's yields at `init`; when it
+        // runs its k-th task it has made exactly k claims, so it must
+        // have yielded exactly k times. Retried until a helper joins,
+        // since the process-wide gauge moves with the rest of the suite.
+        let mut helper_ran = false;
+        for _ in 0..100 {
+            let (caller, helpers) = run(
+                2,
+                64,
+                HELPER_MIN_NANOS,
+                || (yields(), 0u64, true),
+                |(base, claims, exact), _| {
+                    *claims += 1;
+                    *exact &= yields() - *base == *claims;
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                    Ok(())
+                },
+            )
+            .unwrap();
+            for (_, claims, exact) in std::iter::once(&caller).chain(&helpers) {
+                assert!(exact, "a participant skipped a yield ({claims} claims)");
+            }
+            assert_eq!(caller.1 + helpers.iter().map(|h| h.1).sum::<u64>(), 64);
+            helper_ran |= helpers.iter().any(|h| h.1 > 0);
+            if helper_ran {
+                break;
+            }
+        }
+        assert!(helper_ran || gauge::cores() == 1, "no helper ever joined");
+    }
+
+    #[test]
+    fn calls_that_cannot_admit_a_helper_never_yield() {
+        let before = yields();
+        // Too little work to pay for a helper, at any cap.
+        map(4, 500, 1, || (), |(), i| Ok(i)).unwrap();
+        // Enough work, but capped at the caller.
+        map(1, 500, HELPER_MIN_NANOS, || (), |(), i| Ok(i)).unwrap();
+        assert_eq!(yields(), before);
     }
 
     #[test]

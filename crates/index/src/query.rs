@@ -628,8 +628,8 @@ impl ScanScratch {
 const TILE_ROWS: usize = 128;
 
 /// Rows per task of a call helpers may join: 16 tiles, ≤ ~150 µs for a
-/// 32-probe batch, which bounds how long a writer waits for a helper to
-/// yield its core.
+/// 32-probe batch, which bounds how long a woken writer waits for a
+/// scan thread to yield its core at its next claim.
 const TASK_ROWS: usize = 16 * TILE_ROWS;
 
 /// Estimated cost of one (row, probe) pair of a batched scan, for the

@@ -294,6 +294,9 @@ pub struct IndexStore {
     /// held columnar (flat words + ids) in append order — the write
     /// path never materialises a per-record `BitVec`.
     pending: ArenaBuilder,
+    /// Shard of each `pending` row, in the same order: a row is routed
+    /// once, when an insert or the WAL replay adds it.
+    pending_shards: Vec<u32>,
     /// Cached LSH bit positions (table 0) used for shard routing.
     routing_positions: Vec<usize>,
     /// IO layer every file operation goes through.
@@ -306,13 +309,14 @@ pub struct IndexStore {
     /// carry a stale epoch, so it is rewritten from `pending` before
     /// the next append.
     wal_ok: bool,
-    /// Materialised rows by segment id, shared with the lazy readers
-    /// handed out so far: a generation swap re-reads nothing an earlier
-    /// generation loaded. Sound because a segment file is immutable
-    /// once a committed manifest names its id and ids are never reused
-    /// after that; [`IndexStore::lazy_reader`] creates cells only for
-    /// ids in the committed manifest and prunes the rest.
-    arenas: Mutex<HashMap<u64, ArenaCell>>,
+    /// File size and materialised rows by segment id, the rows shared
+    /// with the lazy readers handed out so far: a generation swap
+    /// re-stats and re-reads nothing an earlier generation saw. Sound
+    /// because a segment file is immutable once a committed manifest
+    /// names its id and ids are never reused after that;
+    /// [`IndexStore::lazy_reader`] creates entries only for ids in the
+    /// committed manifest and prunes the rest.
+    arenas: Mutex<HashMap<u64, (u64, ArenaCell)>>,
 }
 
 impl IndexStore {
@@ -358,6 +362,7 @@ impl IndexStore {
             routing_positions: routing_positions(&config)?,
             manifest,
             pending: ArenaBuilder::new(config.filter_len),
+            pending_shards: Vec::new(),
             vfs,
             durability: options.durability,
             wal_unsynced: 0,
@@ -432,12 +437,16 @@ impl IndexStore {
             routing_positions: routing_positions(&manifest.config)?,
             manifest,
             pending: replay.records,
+            pending_shards: Vec::new(),
             vfs,
             durability: options.durability,
             wal_unsynced: 0,
             wal_ok: true,
             arenas: Mutex::default(),
         };
+        store.pending_shards = (0..store.pending.len())
+            .map(|i| store.shard_of_words(store.pending.row(i)))
+            .collect();
         if replay.repair {
             // Rewrite the log so the torn/stale bytes are gone before
             // any new append lands after them.
@@ -555,6 +564,8 @@ impl IndexStore {
             self.pending
                 .push_filter(*id, filter)
                 .expect("length validated above; BitVec tail bits are zero by invariant");
+            self.pending_shards
+                .push(self.shard_of_words(filter.as_words()));
         }
         Ok(())
     }
@@ -598,10 +609,9 @@ impl IndexStore {
         let _busy = foreground();
         let num_shards = self.manifest.config.num_shards;
         let flen = self.manifest.config.filter_len;
-        // Route pending rows to shards by index — no per-record BitVec.
+        // Group pending rows by their shard, by index — no per-record BitVec.
         let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); num_shards as usize];
-        for i in 0..self.pending.len() {
-            let shard = self.shard_of_words(self.pending.row(i));
+        for (i, &shard) in self.pending_shards.iter().enumerate() {
             by_shard[shard as usize].push(i as u32);
         }
         let mut new_segments = Vec::new();
@@ -638,6 +648,7 @@ impl IndexStore {
         next.save_with(&*self.vfs, &self.dir)?;
         self.manifest = next;
         self.pending.clear();
+        self.pending_shards.clear();
         self.rewrite_wal()
     }
 
@@ -835,9 +846,8 @@ impl IndexStore {
         let flen = self.manifest.config.filter_len;
         let num_shards = self.manifest.config.num_shards as usize;
         let mut out: Vec<ArenaBuilder> = (0..num_shards).map(|_| ArenaBuilder::new(flen)).collect();
-        for i in 0..self.pending.len() {
-            let shard = self.shard_of_words(self.pending.row(i)) as usize;
-            out[shard].push(self.pending.id(i), self.pending.row(i))?;
+        for (i, &shard) in self.pending_shards.iter().enumerate() {
+            out[shard as usize].push(self.pending.id(i), self.pending.row(i))?;
         }
         Ok(out)
     }
@@ -855,6 +865,10 @@ impl IndexStore {
     /// materialised are handed over resident (shared, not copied), so
     /// the reader built after a flush loads only the segments that flush
     /// wrote, and the one after a compaction only the merged output.
+    /// Likewise only segment ids no earlier lazy reader saw have their
+    /// file size read, and pending rows keep the shard they were routed
+    /// to on insert: an install after an insert touches no segment file
+    /// and costs only a copy of the pending rows.
     ///
     /// [`reader`]: IndexStore::reader
     pub fn lazy_reader(&self) -> Result<IndexReader> {
@@ -862,13 +876,14 @@ impl IndexStore {
         let num_shards = self.manifest.config.num_shards as usize;
         let mut specs = Vec::with_capacity(self.manifest.segments.len() + num_shards);
         let mut arenas = self.arenas.lock().expect("arena map lock");
-        let mut live: HashMap<u64, ArenaCell> =
-            HashMap::with_capacity(self.manifest.segments.len());
+        let mut live = HashMap::with_capacity(self.manifest.segments.len());
         for entry in &self.manifest.segments {
             let path = segment_path(&self.dir, entry.id);
-            let bytes = file_size_with(&*self.vfs, &path)?;
-            let arena = arenas.get(&entry.id).cloned().unwrap_or_default();
-            live.insert(entry.id, Arc::clone(&arena));
+            let (bytes, arena) = match arenas.get(&entry.id) {
+                Some(seen) => seen.clone(),
+                None => (file_size_with(&*self.vfs, &path)?, ArenaCell::default()),
+            };
+            live.insert(entry.id, (bytes, Arc::clone(&arena)));
             specs.push(SlotSpec::File {
                 path,
                 shard: entry.shard,
@@ -1747,6 +1762,238 @@ mod tests {
         assert_eq!(store.arenas.lock().unwrap().len(), 3);
         drop((first, second));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A [`FaultVfs`] that logs every `file_size` of a segment file.
+    #[derive(Debug)]
+    struct StatLog {
+        inner: Arc<crate::vfs::FaultVfs>,
+        stats: Mutex<Vec<PathBuf>>,
+    }
+
+    impl StatLog {
+        fn new() -> Arc<StatLog> {
+            Arc::new(StatLog {
+                inner: crate::vfs::FaultVfs::reliable(),
+                stats: Mutex::default(),
+            })
+        }
+
+        /// Segment files stat'd since the last call, sorted.
+        fn take(&self) -> Vec<PathBuf> {
+            let mut seen = std::mem::take(&mut *self.stats.lock().unwrap());
+            seen.sort();
+            seen
+        }
+    }
+
+    impl Vfs for StatLog {
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            self.inner.read(path)
+        }
+        fn write(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+            self.inner.write(path, data)
+        }
+        fn append(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+            self.inner.append(path, data)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.sync_file(path)
+        }
+        fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.sync_dir(path)
+        }
+        fn file_size(&self, path: &Path) -> std::io::Result<u64> {
+            if path.extension().is_some_and(|e| e == "seg") {
+                self.stats.lock().unwrap().push(path.to_path_buf());
+            }
+            self.inner.file_size(path)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.remove_file(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.create_dir_all(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+    }
+
+    fn segment_paths(store: &IndexStore, except: &[u64]) -> Vec<PathBuf> {
+        let mut paths: Vec<PathBuf> = store
+            .manifest
+            .segments
+            .iter()
+            .filter(|e| !except.contains(&e.id))
+            .map(|e| segment_path(&store.dir, e.id))
+            .collect();
+        paths.sort();
+        paths
+    }
+
+    fn segment_ids(store: &IndexStore) -> Vec<u64> {
+        store.manifest.segments.iter().map(|e| e.id).collect()
+    }
+
+    #[test]
+    fn installs_stat_only_segment_ids_no_earlier_install_saw() {
+        let vfs = StatLog::new();
+        let dir = Path::new("/stat-once");
+        let options = StoreOptions::with_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>);
+        let mut store = IndexStore::create_with(dir, IndexConfig::new(128, 4), options).unwrap();
+        let recs = filters(300, 128);
+        for chunk in recs[..200].chunks(50) {
+            store.insert_batch(chunk).unwrap();
+            store.flush().unwrap();
+        }
+        vfs.take();
+        let _first = store.lazy_reader().unwrap();
+        assert_eq!(vfs.take(), segment_paths(&store, &[]), "first install");
+
+        store.insert_batch(&recs[200..250]).unwrap();
+        let _ = store.lazy_reader().unwrap();
+        assert!(
+            vfs.take().is_empty(),
+            "an install after an insert stats nothing"
+        );
+
+        let seen = segment_ids(&store);
+        store.flush().unwrap();
+        vfs.take();
+        let _ = store.lazy_reader().unwrap();
+        let fresh = segment_paths(&store, &seen);
+        assert!(!fresh.is_empty());
+        assert_eq!(
+            vfs.take(),
+            fresh,
+            "an install after a flush stats its segments"
+        );
+
+        let seen = segment_ids(&store);
+        store.insert_batch(&recs[250..]).unwrap();
+        assert!(store.compact().unwrap() > 0);
+        vfs.take();
+        let _ = store.lazy_reader().unwrap();
+        assert_eq!(
+            vfs.take(),
+            segment_paths(&store, &seen),
+            "merged output only"
+        );
+        assert_eq!(
+            store.arenas.lock().unwrap().len(),
+            store.manifest.segments.len()
+        );
+    }
+
+    /// Every pending row's cached shard is the one routing gives it.
+    fn assert_routed(store: &IndexStore, when: &str) {
+        assert_eq!(store.pending_shards.len(), store.pending.len(), "{when}");
+        for (i, &shard) in store.pending_shards.iter().enumerate() {
+            assert_eq!(
+                shard,
+                store.shard_of_words(store.pending.row(i)),
+                "{when}: row {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn pending_rows_keep_the_shard_they_were_routed_to() {
+        let vfs = crate::vfs::FaultVfs::reliable();
+        let options = || StoreOptions::with_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>);
+        let dir = Path::new("/route-once");
+        let recs = filters(120, 128);
+        let mut store = IndexStore::create_with(dir, IndexConfig::new(128, 8), options()).unwrap();
+        store.insert_batch(&recs[..30]).unwrap();
+        store.insert_batch(&recs[30..40]).unwrap();
+        assert_routed(&store, "insert_batch");
+        assert_eq!(store.pending_len(), 40);
+
+        drop(store);
+        let mut store = IndexStore::open_with(dir, options()).unwrap();
+        assert_routed(&store, "WAL replay");
+        assert_eq!(store.pending_len(), 40);
+
+        // The append and the repair after it both fail: nothing is added.
+        vfs.arm_crash_after(1);
+        assert!(store.insert_batch(&recs[40..50]).is_err());
+        assert_routed(&store, "failed append");
+        assert_eq!(store.pending_len(), 40);
+        vfs.crash_and_recover();
+        store.insert_batch(&recs[50..60]).unwrap();
+        assert_routed(&store, "insert after a repaired log");
+        assert_eq!(store.pending_len(), 50);
+
+        store.flush().unwrap();
+        assert_routed(&store, "flush");
+        assert_eq!(store.pending_len(), 0);
+        store.insert_batch(&recs[60..90]).unwrap();
+        assert_routed(&store, "insert after flush");
+
+        let dest = Path::new("/route-once-copy");
+        store.export_snapshot(dest).unwrap();
+        let copy = IndexStore::import_snapshot_with(dest, options()).unwrap();
+        assert_routed(&copy, "import_snapshot");
+        assert_eq!(copy.pending_len(), 30);
+    }
+
+    /// Every answer `reader` gives for `probes`, scores as raw bits.
+    fn answers(reader: &IndexReader, probes: &[(u64, BitVec)]) -> Vec<Vec<(u64, u64)>> {
+        let bits = |hits: Vec<crate::query::Hit>| -> Vec<(u64, u64)> {
+            hits.into_iter()
+                .map(|h| (h.id, h.score.to_bits()))
+                .collect()
+        };
+        let refs: Vec<&BitVec> = probes.iter().map(|(_, f)| f).collect();
+        let mut out: Vec<_> = probes
+            .iter()
+            .map(|(_, probe)| bits(reader.top_k(probe, 7, 1).unwrap()))
+            .collect();
+        out.extend(
+            reader
+                .top_k_batch(&refs, 7, 1, Some(0.6))
+                .unwrap()
+                .into_iter()
+                .map(bits),
+        );
+        out
+    }
+
+    #[test]
+    fn an_incrementally_installed_reader_answers_like_a_reopened_store() {
+        let vfs = crate::vfs::FaultVfs::reliable();
+        let options = || StoreOptions::with_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>);
+        let dir = Path::new("/incremental");
+        let recs = filters(400, 128);
+        let probes: &Vec<_> = &recs.iter().step_by(23).cloned().collect();
+        let mut store = IndexStore::create_with(dir, IndexConfig::new(128, 4), options()).unwrap();
+        let policy = TieredPolicy {
+            min_segments: 2,
+            growth: 4,
+            min_bytes: 64,
+        };
+        for (step, chunk) in recs.chunks(40).enumerate() {
+            store.insert_batch(chunk).unwrap();
+            match step % 3 {
+                0 => {}
+                1 => store.flush().unwrap(),
+                _ => {
+                    store.flush().unwrap();
+                    store.compact_tiered(&policy).unwrap();
+                }
+            }
+            let incremental = store.lazy_reader().unwrap();
+            let reopened = IndexStore::open_with(dir, options()).unwrap();
+            assert_eq!(
+                answers(&incremental, probes),
+                answers(&reopened.lazy_reader().unwrap(), probes),
+                "step {step}"
+            );
+        }
     }
 
     #[test]

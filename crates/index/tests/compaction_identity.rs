@@ -9,7 +9,8 @@
 //! old behaviour at the strongest possible granularity: the merged
 //! segment *files* must be byte-for-byte what the old path would have
 //! written — same record order (including duplicate `(popcount, id)`
-//! keys), same encoding, same checksum.
+//! keys), same encoding, same checksum. It also checks that every row a
+//! flush wrote sits in the segment of the shard it routes to.
 
 use pprl_core::bitvec::BitVec;
 use pprl_index::manifest::{segment_path, Manifest};
@@ -96,6 +97,13 @@ fn arena_native_compaction_is_byte_identical_to_record_roundtrip_merge() {
     }
 
     let before = Manifest::load(&dir).expect("manifest before");
+    // Every flushed row sits in the segment of the shard it routes to.
+    for entry in &before.segments {
+        let seg = read_segment(&segment_path(&dir, entry.id)).expect("read flushed");
+        for rec in &seg.records {
+            assert_eq!(store.shard_of(&rec.filter).unwrap(), entry.shard);
+        }
+    }
     let mut expected: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
     for shard in 0..num_shards {
         let members = before.segments.iter().filter(|e| e.shard == shard).count();

@@ -140,7 +140,7 @@ mod tests {
                                 Ok(()) => break,
                                 Err(back) => {
                                     v = back;
-                                    std::thread::yield_now();
+                                    std::thread::sleep(Duration::from_micros(10));
                                 }
                             }
                         }

@@ -27,14 +27,17 @@ use std::time::Instant;
 
 /// Pending rows at which [`LinkageService::insert`] flushes inline
 /// rather than waiting for the maintenance tick. Every install rebuilds
-/// the pending rows' memory slots (route, copy and popcount-sort each
-/// row), measured at 0.17–0.42 µs per 1000-bit row over 8 shards on a
-/// 2-vCPU x86-64 host. At 8,192 rows that is 1.4–3.4 ms per ack, still
-/// below the 5.6–8.4 ms a per-insert flush cost on a 50k-record store,
-/// so an insert with maintenance off or behind never pays more than that
-/// flush did; the inline flush itself (14–18 ms at 8,192 rows) is paid
-/// once per ≥ 40 200-row batches. A constant, not a setting: it bounds
-/// memory and install cost only, never what an ack guarantees.
+/// the pending rows' memory slots, copying and popcount-sorting each row
+/// into the slot of the shard it was routed to on insert: 0.055 µs per
+/// 1000-bit row over 8 shards on an idle 2-vCPU x86-64 host (0.15 µs
+/// when each install also re-routed every row). At 8,192 rows that is
+/// ~0.46 ms per ack, far below the 5.6–8.4 ms a per-insert flush cost on
+/// a 50k-record store. What sizes the constant is the inline flush
+/// itself (14–18 ms at 8,192 rows), paid by one ack in ≥ 40 200-row
+/// batches: a larger value makes that stall longer and holds more rows
+/// in memory, a smaller one pays the flush's 12 fsyncs more often. A
+/// constant, not a setting: it bounds memory and install cost only,
+/// never what an ack guarantees.
 pub const INLINE_FLUSH_ROWS: usize = 8_192;
 
 /// Tunables for a [`LinkageService`].
@@ -74,8 +77,8 @@ pub struct LinkageService {
 impl LinkageService {
     /// Opens the index at `dir` and builds the generation-0 snapshot.
     /// The snapshot's reader is *lazy*: segment files are read on the
-    /// first query that actually needs them (popcount bounds and
-    /// band-key summaries prune the rest), not all up front.
+    /// first query that actually needs them (popcount bounds prune the
+    /// rest), not all up front.
     pub fn open(dir: &Path, config: ServiceConfig) -> Result<LinkageService> {
         config.tiered.validate()?;
         let store = IndexStore::open(dir)?;
