@@ -843,8 +843,6 @@ fn stats_json(addr: &str, s: &StatsReport) -> Json {
         ("inserts".into(), Json::num(s.inserts as f64)),
         ("cache_hits".into(), Json::num(s.cache_hits as f64)),
         ("cache_misses".into(), Json::num(s.cache_misses as f64)),
-        ("plan_hits".into(), Json::num(s.plan_hits as f64)),
-        ("plan_misses".into(), Json::num(s.plan_misses as f64)),
         ("busy_rejected".into(), Json::num(s.busy_rejected as f64)),
         ("compactions".into(), Json::num(s.compactions as f64)),
         (
@@ -890,15 +888,8 @@ fn print_stats(addr: &str, s: &StatsReport) {
         s.queries, s.links, s.inserts, s.latency_p50_us, s.latency_p99_us
     );
     println!(
-        "  cache: {} hits / {} misses (plans: {} hits / {} misses); \
-         backpressure: {} rejected (queue {}, {} workers)",
-        s.cache_hits,
-        s.cache_misses,
-        s.plan_hits,
-        s.plan_misses,
-        s.busy_rejected,
-        s.queue_capacity,
-        s.workers
+        "  cache: {} hits / {} misses; backpressure: {} rejected (queue {}, {} workers)",
+        s.cache_hits, s.cache_misses, s.busy_rejected, s.queue_capacity, s.workers
     );
     println!(
         "  maintenance: {} compactions merged {} segments ({} rows rewritten); \

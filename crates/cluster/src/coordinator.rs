@@ -562,7 +562,7 @@ impl Coordinator {
     }
 
     /// The cluster stats surface. Corpus-shaped fields (`records`,
-    /// `generation`, cache/plan counters, compaction counters,
+    /// `generation`, cache counters, compaction counters,
     /// `quarantined_segments`, `busy_rejected`) are summed over the
     /// shards that answered — `generation` in particular is the *sum*
     /// of shard generations, a counter that bumps whenever any shard
@@ -589,8 +589,6 @@ impl Coordinator {
                     report.generation += s.generation;
                     report.cache_hits += s.cache_hits;
                     report.cache_misses += s.cache_misses;
-                    report.plan_hits += s.plan_hits;
-                    report.plan_misses += s.plan_misses;
                     report.busy_rejected += s.busy_rejected;
                     report.compactions += s.compactions;
                     report.segments_merged += s.segments_merged;

@@ -136,15 +136,6 @@ pub struct SegmentEntry {
     pub pc_max: u32,
 }
 
-impl SegmentEntry {
-    /// True when the segment may hold filters with a popcount in
-    /// `[lo, hi]` — false means a query bounded to that range can skip
-    /// the segment without reading it.
-    pub fn intersects(&self, lo: usize, hi: usize) -> bool {
-        (self.pc_min as usize) <= hi && lo <= (self.pc_max as usize)
-    }
-}
-
 /// A segment that failed verification at open and was moved to the
 /// `quarantine/` subdirectory instead of being served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -414,17 +405,6 @@ mod tests {
             vec![0, 2]
         );
         assert!(decoded.shard_segments(2).is_empty());
-    }
-
-    #[test]
-    fn popcount_intersection_decides_pruning() {
-        let e = entry(0, 0, 10, 20);
-        assert!(e.intersects(0, 10));
-        assert!(e.intersects(20, 99));
-        assert!(e.intersects(12, 15));
-        assert!(e.intersects(0, usize::MAX));
-        assert!(!e.intersects(0, 9));
-        assert!(!e.intersects(21, 99));
     }
 
     #[test]

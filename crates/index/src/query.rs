@@ -9,9 +9,9 @@
 //! materialised arena lives in a cell shared with the store, so the
 //! reader of the next generation inherits it instead of re-reading it.
 //!
-//! One scan loop serves [`IndexReader::top_k`],
-//! [`IndexReader::top_k_planned`] and [`IndexReader::top_k_batch`], and
-//! a row costs float arithmetic only if it can place:
+//! One scan loop serves [`IndexReader::top_k`] and
+//! [`IndexReader::top_k_batch`], visiting slots in order, and a row
+//! costs float arithmetic only if it can place:
 //!
 //! 1. **Slot bounds, before any IO** — for query popcount `q` and a slot
 //!    whose popcounts span `[pc_min, pc_max]`, no record can beat
@@ -353,46 +353,6 @@ impl IndexReader {
         Ok(results.pop().expect("one result per query"))
     }
 
-    /// The slot visiting order that serves a query of popcount `q`
-    /// best: indices of non-empty slots sorted by their popcount-only
-    /// Dice ceiling `2·min(q, clamp(q, pc_min, pc_max)) / (q + ·)`
-    /// descending, ties by index ascending. Scanning the
-    /// highest-ceiling slots first makes the running k-th score rise as
-    /// early as possible, so later low-ceiling slots are pruned without
-    /// ever being materialised. The order depends only on this reader's
-    /// slot geometry and `q` — never on filter *content* — which is
-    /// what makes it cacheable per `(generation, popcount)`.
-    pub fn popcount_scan_order(&self, q: usize) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.slots.len() as u32)
-            .filter(|&si| self.slots[si as usize].rows > 0)
-            .collect();
-        order.sort_by(|&a, &b| {
-            let sa = &self.slots[a as usize];
-            let sb = &self.slots[b as usize];
-            let ba = dice_upper_bound(q, q.clamp(sa.pc_min, sa.pc_max));
-            let bb = dice_upper_bound(q, q.clamp(sb.pc_min, sb.pc_max));
-            bb.total_cmp(&ba).then(a.cmp(&b))
-        });
-        order
-    }
-
-    /// [`IndexReader::top_k`] visiting slots in the given order (as
-    /// produced by [`IndexReader::popcount_scan_order`], possibly served
-    /// from a cache). The order is a *hint*: invalid or duplicate
-    /// indices are ignored and unmentioned slots are appended, so the
-    /// scan always covers the whole index and results stay bit-identical
-    /// to the default order — only the amount of pruning changes.
-    pub fn top_k_planned(
-        &self,
-        query: &BitVec,
-        k: usize,
-        threads: usize,
-        order: &[u32],
-    ) -> Result<Vec<Hit>> {
-        let mut results = self.top_k_batch_inner(&[query], k, threads, None, Some(order))?;
-        Ok(results.pop().expect("one result per query"))
-    }
-
     /// Exact top-k for a whole batch of queries in one pass: every arena
     /// tile is loaded once and scanned by all still-live queries. With
     /// `min_score`, hits below it are dropped from the results —
@@ -407,17 +367,6 @@ impl IndexReader {
         k: usize,
         threads: usize,
         min_score: Option<f64>,
-    ) -> Result<Vec<Vec<Hit>>> {
-        self.top_k_batch_inner(queries, k, threads, min_score, None)
-    }
-
-    fn top_k_batch_inner(
-        &self,
-        queries: &[&BitVec],
-        k: usize,
-        threads: usize,
-        min_score: Option<f64>,
-        order: Option<&[u32]>,
     ) -> Result<Vec<Vec<Hit>>> {
         for query in queries {
             if query.len() != self.filter_len {
@@ -447,7 +396,7 @@ impl IndexReader {
             .collect();
         let nanos = (self.len * ctxs.len()) as u64 * SCAN_PAIR_NANOS;
         let elastic = runner::may_admit(threads, nanos);
-        let tasks = self.split_tasks(if elastic { TASK_ROWS } else { usize::MAX }, order);
+        let tasks = self.split_tasks(if elastic { TASK_ROWS } else { usize::MAX });
         let task_nanos = if elastic {
             nanos.div_ceil(tasks.len() as u64)
         } else {
@@ -551,37 +500,12 @@ impl IndexReader {
     }
 
     /// Splits slots into `(slot, start, end)` scan tasks of at most
-    /// `chunk` rows (`usize::MAX`: one task per slot).
-    ///
-    /// `order` is the optional slot-visiting hint from
-    /// [`IndexReader::popcount_scan_order`]: tasks are emitted (and thus
-    /// claimed) in that order, with out-of-range or repeated indices
-    /// dropped and unmentioned slots appended so coverage is identical
-    /// either way.
-    fn split_tasks(&self, chunk: usize, order: Option<&[u32]>) -> Vec<Task> {
-        let visit: Vec<usize> = match order {
-            None => (0..self.slots.len()).collect(),
-            Some(hint) => {
-                let mut seen = vec![false; self.slots.len()];
-                let mut visit = Vec::with_capacity(self.slots.len());
-                for &si in hint {
-                    let si = si as usize;
-                    if si < self.slots.len() && !seen[si] {
-                        seen[si] = true;
-                        visit.push(si);
-                    }
-                }
-                visit.extend((0..self.slots.len()).filter(|&si| !seen[si]));
-                visit
-            }
-        };
+    /// `chunk` rows (`usize::MAX`: one task per slot), in slot order.
+    fn split_tasks(&self, chunk: usize) -> Vec<Task> {
         // Exact capacity: a query's allocator calls must not grow with slots.
         let mut tasks = Vec::with_capacity(self.slots.iter().map(|s| s.rows.div_ceil(chunk)).sum());
-        for si in visit {
-            let n = self.slots[si].rows;
-            if n == 0 {
-                continue;
-            }
+        for (si, slot) in self.slots.iter().enumerate() {
+            let n = slot.rows;
             let mut start = 0;
             while start < n {
                 let end = n.min(start.saturating_add(chunk));
@@ -786,62 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_scan_is_bit_identical_to_default_order() {
-        let records = random_filters(260, 128, 23);
-        let reader = IndexReader::new(shard_split(&records, 5), 128).unwrap();
-        let queries = random_filters(12, 128, 71);
-        for (_, query) in &queries {
-            let plan = reader.popcount_scan_order(query.count_ones());
-            for k in [1, 4, 50] {
-                for threads in [1, 3] {
-                    let default = reader.top_k(query, k, threads).unwrap();
-                    let planned = reader.top_k_planned(query, k, threads, &plan).unwrap();
-                    assert_eq!(planned, default, "k={k} threads={threads}");
-                }
-            }
-            // A garbage hint (wrong indices, duplicates, empty) must not
-            // change results either — it is only a visiting order.
-            let garbage: Vec<u32> = vec![99, 99, 3, 3, 1_000_000];
-            assert_eq!(
-                reader.top_k_planned(query, 10, 2, &garbage).unwrap(),
-                reader.top_k(query, 10, 1).unwrap()
-            );
-            assert_eq!(
-                reader.top_k_planned(query, 10, 1, &[]).unwrap(),
-                reader.top_k(query, 10, 1).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn scan_order_sorts_slots_by_popcount_ceiling() {
-        // Three shards with forced popcount bands: sparse, medium, dense.
-        let len = 128;
-        let mk = |ones: std::ops::Range<usize>, base: u64| -> Vec<(u64, BitVec)> {
-            ones.clone()
-                .map(|n| {
-                    let pos: Vec<usize> = (0..n.max(1)).collect();
-                    (base + n as u64, BitVec::from_positions(len, &pos).unwrap())
-                })
-                .collect()
-        };
-        let shards = vec![mk(2..6, 0), mk(40..48, 100), mk(100..110, 200)];
-        let reader = IndexReader::new(shards, len).unwrap();
-        // A dense query should visit the dense slot first, sparse last.
-        let dense_query = BitVec::from_positions(len, &(0..104).collect::<Vec<_>>()).unwrap();
-        assert_eq!(
-            reader.popcount_scan_order(dense_query.count_ones()),
-            [2, 1, 0]
-        );
-        // A sparse query reverses the preference.
-        let sparse_query = BitVec::from_positions(len, &[0, 1, 2, 3]).unwrap();
-        assert_eq!(
-            reader.popcount_scan_order(sparse_query.count_ones()),
-            [0, 1, 2]
-        );
-    }
-
-    #[test]
     fn batch_matches_per_query_top_k() {
         let records = random_filters(250, 128, 13);
         let reader = IndexReader::new(shard_split(&records, 3), 128).unwrap();
@@ -947,7 +815,7 @@ mod tests {
         // so helpers have something to claim.
         let records = random_filters(400, 128, 11);
         let reader = IndexReader::new(vec![records.clone()], 128).unwrap();
-        let tasks = reader.split_tasks(64, None);
+        let tasks = reader.split_tasks(64);
         assert_eq!(tasks.len(), 7, "expected sub-slot splitting, got {tasks:?}");
         assert!(tasks.iter().all(|&(si, s, e)| si == 0 && s < e && e <= 400));
         let covered: usize = tasks.iter().map(|&(_, s, e)| e - s).sum();

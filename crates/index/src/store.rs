@@ -91,21 +91,18 @@ pub struct IndexStats {
 
 /// What an [`IndexReader`] read from disk and scanned.
 ///
-/// `bytes_read` and `segments_read` count only what *this* reader (or
-/// the call that built it) pulled from disk. A lazy reader's segment
-/// that an earlier generation already materialised is inherited through
-/// the store's shared cell and counts as neither read nor skipped.
+/// `bytes_read` and `segments_read` count only what *this* reader
+/// pulled from disk. A segment that an earlier reader of the store
+/// already materialised is inherited through the store's shared cell
+/// and counts as neither read nor skipped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadStats {
-    /// Bytes read (loaded segment files; plus manifest + log for
-    /// [`IndexStore::reader_for_popcounts`]).
+    /// Bytes of segment files loaded.
     pub bytes_read: u64,
     /// Segments decoded.
     pub segments_read: usize,
-    /// Segments not resident: excluded up front by
-    /// [`IndexStore::reader_for_popcounts`]' popcount range, or, for a
-    /// lazy reader, not materialised by anyone yet (every query so far
-    /// pruned them, or none ran).
+    /// File-backed segments not resident: not materialised by anyone
+    /// yet (every query so far pruned them, or none ran).
     pub segments_skipped: usize,
     /// `(query, row)` pairs the scan kernel AND-popcounted (rows of
     /// tiles skipped by the threshold bound are not counted).
@@ -791,53 +788,13 @@ impl IndexStore {
         Ok((entry_with_bounds_arena(shard, new_id, &arena), arena.len()))
     }
 
-    /// Loads every segment plus pending records into an in-memory
-    /// [`IndexReader`] for querying.
+    /// [`IndexStore::lazy_reader`] with every segment materialised up
+    /// front, so corruption anywhere surfaces here as a typed error
+    /// rather than at the first query that needs the segment.
     pub fn reader(&self) -> Result<IndexReader> {
-        Ok(self.reader_for_popcounts(0, usize::MAX)?.0)
-    }
-
-    /// Like [`reader`], but skips segments whose manifest popcount range
-    /// `[pc_min, pc_max]` does not intersect `[lo, hi]` — those segment
-    /// files are never opened. Pending (log-resident) records are always
-    /// included, since the manifest holds no bounds for them. The returned
-    /// [`ReadStats`] report what was actually read versus pruned.
-    ///
-    /// Pruning is lossless for queries whose candidates all have popcounts
-    /// in `[lo, hi]` (e.g. the Dice length bound at a score threshold).
-    ///
-    /// [`reader`]: IndexStore::reader
-    pub fn reader_for_popcounts(&self, lo: usize, hi: usize) -> Result<(IndexReader, ReadStats)> {
-        let num_shards = self.manifest.config.num_shards as usize;
-        let flen = self.manifest.config.filter_len;
-        let mut stats = ReadStats {
-            bytes_read: file_size_with(&*self.vfs, &self.dir.join(MANIFEST_FILE))?
-                + file_size_with(&*self.vfs, &self.dir.join(WAL_FILE))?,
-            kernel: pprl_similarity::kernel::kernel_name(),
-            ..ReadStats::default()
-        };
-        // Each surviving segment decodes straight into its own arena
-        // slot; per-shard builders gather the pending rows. No
-        // per-record BitVec is materialised anywhere on this path.
-        let mut specs = Vec::with_capacity(self.manifest.segments.len() + num_shards);
-        for entry in &self.manifest.segments {
-            if !entry.intersects(lo, hi) {
-                stats.segments_skipped += 1;
-                continue;
-            }
-            let arena = self.load_segment_arena(entry.id, entry.shard)?;
-            stats.segments_read += 1;
-            stats.bytes_read += file_size_with(&*self.vfs, &segment_path(&self.dir, entry.id))?;
-            specs.push(SlotSpec::Memory(arena));
-        }
-        for builder in self.pending_by_shard()? {
-            if !builder.is_empty() {
-                specs.push(SlotSpec::Memory(builder.finish()));
-            }
-        }
-        let mut reader = IndexReader::from_specs(specs, flen, num_shards, Arc::clone(&self.vfs))?;
-        reader.set_quarantined(self.manifest.quarantined.len());
-        Ok((reader, stats))
+        let reader = self.lazy_reader()?;
+        reader.materialise_all()?;
+        Ok(reader)
     }
 
     /// Splits the pending buffer into one builder per shard (row order
@@ -1603,52 +1560,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Both store readers answer like an independently built memory
+    /// reader over the same records, scores compared as raw bits, with
+    /// the pending rows of the log included.
     #[test]
-    fn popcount_pruned_reader_skips_disjoint_segments() {
-        let dir = temp_dir("prune");
-        let mut store = IndexStore::create(&dir, IndexConfig::new(128, 1)).unwrap();
-        // Two flushes with disjoint popcount ranges: sparse (~8 ones) and
-        // dense (~64 ones) segments in the same shard.
-        let sparse: Vec<(u64, BitVec)> = (0..5u64)
-            .map(|i| {
-                let ones: Vec<usize> = (0..8).map(|k| (k * 16 + i as usize) % 128).collect();
-                (i, BitVec::from_positions(128, &ones).unwrap())
-            })
-            .collect();
-        let dense: Vec<(u64, BitVec)> = (0..5u64)
-            .map(|i| {
-                let ones: Vec<usize> = (0..64).map(|k| (k * 2 + i as usize) % 128).collect();
-                (100 + i, BitVec::from_positions(128, &ones).unwrap())
-            })
-            .collect();
-        store.insert_batch(&sparse).unwrap();
-        store.flush().unwrap();
-        store.insert_batch(&dense).unwrap();
-        store.flush().unwrap();
-
-        let (full, full_stats) = store.reader_for_popcounts(0, usize::MAX).unwrap();
-        assert_eq!(full.len(), 10);
-        assert_eq!(full_stats.segments_read, 2);
-        assert_eq!(full_stats.segments_skipped, 0);
-
-        // Only the sparse range: the dense segment is never opened.
-        let (pruned, stats) = store.reader_for_popcounts(0, 20).unwrap();
-        assert_eq!(pruned.len(), 5);
-        assert_eq!(stats.segments_read, 1);
-        assert_eq!(stats.segments_skipped, 1);
-        assert!(stats.bytes_read < full_stats.bytes_read);
-
-        // Pending records are always included, even outside the range.
-        store
-            .insert_batch(&[(200, BitVec::from_positions(128, &[0]).unwrap())])
-            .unwrap();
-        let (with_pending, _) = store.reader_for_popcounts(50, 70).unwrap();
-        assert_eq!(with_pending.len(), 6, "dense segment + pending record");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn lazy_reader_matches_eager_reader_bit_for_bit() {
+    fn store_readers_match_a_memory_reader_bit_for_bit() {
         let dir = temp_dir("lazy-eq");
         let mut store = IndexStore::create(&dir, IndexConfig::new(128, 2)).unwrap();
         let records = filters(45, 128);
@@ -1658,23 +1574,26 @@ mod tests {
         }
         // Leave 5 records pending in the log.
         store.insert_batch(&records[40..]).unwrap();
-        let eager = store.reader().unwrap();
-        let lazy = store.lazy_reader().unwrap();
-        assert_eq!(lazy.len(), eager.len());
-        assert_eq!(lazy.num_shards(), eager.num_shards());
-        for (_, query) in &records[..10] {
-            for k in [1, 5, 50] {
-                let expected = eager.top_k(query, k, 1).unwrap();
-                assert_eq!(lazy.top_k(query, k, 2).unwrap(), expected, "k={k}");
-                let mut thresholded = expected.clone();
-                thresholded.retain(|h| h.score >= 0.7);
-                assert_eq!(
-                    lazy.top_k_batch(&[query], k, 1, Some(0.7)).unwrap()[0],
-                    thresholded,
-                    "k={k} with min_score"
-                );
+        let oracle = IndexReader::new(vec![records.clone()], 128).unwrap();
+        let mut probes: Vec<(u64, BitVec)> = records.iter().step_by(4).cloned().collect();
+        for (_, probe) in probes.clone() {
+            let mut near = probe;
+            for bit in [3, 40, 77, 101] {
+                near.flip(bit);
             }
+            probes.push((0, near));
         }
+        let want = answers(&oracle, &probes);
+        // The lazy reader answers first, so it loads every segment itself
+        // rather than inheriting rows `reader()` already materialised.
+        let lazy = store.lazy_reader().unwrap();
+        assert_eq!(lazy.len(), records.len());
+        assert_eq!(answers(&lazy, &probes), want, "lazy_reader");
+        let eager = store.reader().unwrap();
+        assert_eq!(eager.len(), records.len());
+        assert_eq!(eager.num_shards(), 2);
+        assert_eq!(eager.read_stats().segments_skipped, 0);
+        assert_eq!(answers(&eager, &probes), want, "reader");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2017,6 +1936,9 @@ mod tests {
         let err = lazy.materialise_all().unwrap_err();
         assert!(matches!(err, PprlError::Storage(_)), "{err}");
         let err = lazy.top_k(&filters(1, 64)[0].1, 3, 1).unwrap_err();
+        assert!(matches!(err, PprlError::Storage(_)), "{err}");
+        // The eager reader reads every segment, so it fails at build.
+        let err = store.reader().unwrap_err();
         assert!(matches!(err, PprlError::Storage(_)), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -8,10 +8,11 @@
 //!    `dice_bits` exactly, including all-zero and all-one edges and
 //!    lengths that straddle word boundaries.
 //! 2. A lazy [`IndexReader`] over segment files, the eager store
-//!    reader, and a brute-force scan must return identical `(id,
-//!    score)` hit lists for the same queries.
-//! 3. The one scan loop behind `top_k`, `top_k_planned` and
-//!    `top_k_batch` must stay bit-identical to the brute-force oracle
+//!    reader (the lazy one with every segment loaded at build), and a
+//!    brute-force scan must return identical `(id, score)` hit lists
+//!    for the same queries.
+//! 3. The one scan loop behind `top_k` and `top_k_batch` must stay
+//!    bit-identical to the brute-force oracle
 //!    across `k`, thread counts, `min_score`, tiny and multi-tile slots,
 //!    and runs of equal-score rows whose ids decide the ranking.
 //!
@@ -336,17 +337,6 @@ fn scan_paths_match_the_oracle_across_k_threads_min_score_and_slot_shapes() {
                 let expect = brute_force(&records, query, k, 0.0);
                 let single = reader.top_k(query, k, threads).expect("top_k");
                 assert_eq!(single, expect, "top_k k={k} threads={threads} query={qi}");
-                let mut plan = reader.popcount_scan_order(query.count_ones());
-                for _ in 0..2 {
-                    let planned = reader
-                        .top_k_planned(query, k, threads, &plan)
-                        .expect("planned");
-                    assert_eq!(
-                        planned, expect,
-                        "planned k={k} threads={threads} query={qi}"
-                    );
-                    plan.reverse();
-                }
             }
         }
     }
@@ -444,11 +434,9 @@ fn scans_large_enough_for_helpers_match_the_oracle() {
         }
     }
     for (qi, probe) in probes.iter().enumerate().step_by(4) {
-        let plan = reader.popcount_scan_order(probe.count_ones());
         for threads in [1usize, 4] {
-            assert_eq!(reader.top_k(probe, 10, threads).expect("top_k"), top10[qi]);
-            let planned = reader.top_k_planned(probe, 10, threads, &plan);
-            assert_eq!(planned.expect("planned"), top10[qi], "probe={qi}");
+            let single = reader.top_k(probe, 10, threads).expect("top_k");
+            assert_eq!(single, top10[qi], "probe={qi}");
         }
     }
 }
@@ -573,7 +561,12 @@ fn lazy_reader_eager_reader_and_brute_force_agree() {
     let dir = temp_dir("agree");
     let store = build_store(&dir, IndexConfig::new(len, 4), &records);
     let eager = store.reader().expect("eager");
-    let lazy = store.lazy_reader().expect("lazy");
+    // A second handle on the same files, so the lazy reader loads every
+    // segment itself instead of inheriting the rows `reader()` loaded.
+    let lazy = IndexStore::open(&dir)
+        .expect("reopen")
+        .lazy_reader()
+        .expect("lazy");
 
     // Queries: members, perturbed members, and foreign filters.
     let mut queries: Vec<BitVec> = records.iter().step_by(23).map(|(_, f)| f.clone()).collect();

@@ -23,7 +23,7 @@ use pprl_pipeline::batch::{link, BlockingChoice, IndexSourceConfig, PipelineConf
 use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pprl-pipeline-it-{tag}"));
+    let dir = std::env::temp_dir().join(format!("pprl-pipeline-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

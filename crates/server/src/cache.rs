@@ -19,43 +19,6 @@ use std::collections::{HashMap, VecDeque};
 /// Cache key: snapshot generation, packed filter bytes, k.
 pub type QueryKey = (u64, Vec<u8>, u32);
 
-/// Scan-plan cache key: snapshot generation and query popcount
-/// *bucket*. Unlike [`QueryKey`] there are no filter bytes — a plan
-/// (the slot-visiting order from `popcount_scan_order`) depends only on
-/// the slot geometry of a generation and the probe's popcount, so
-/// *different* probes with similar popcounts share one entry. That is
-/// what lets miss-heavy broadcast workloads, where exact-key result
-/// caching never hits, still skip the per-query plan derivation.
-///
-/// Keying on a [`plan_bucket`] range rather than the exact popcount is
-/// safe because the plan is an ordering *hint* — `top_k_planned`
-/// produces bit-identical results under any order — and effective
-/// because nearby popcounts clamp to the same slot popcount ranges and
-/// thus sort the slots almost identically. Real CLK workloads
-/// concentrate popcounts in a band (hardening fixes the expected number
-/// of set bits), so a handful of buckets covers nearly every probe.
-pub type PlanKey = (u64, u32);
-
-/// Width of one popcount bucket. 16 is narrow enough that the
-/// bucket-representative plan prunes essentially as well as an exact
-/// one, and wide enough that a CLK popcount band of a few hundred maps
-/// to a handful of cached plans.
-pub const PLAN_BUCKET_WIDTH: u32 = 16;
-
-/// The bucket a probe popcount falls into.
-pub fn plan_bucket(popcount: u32) -> u32 {
-    popcount / PLAN_BUCKET_WIDTH
-}
-
-/// The popcount a bucket's plan is derived from: the bucket midpoint,
-/// so every probe in the range is at most half a bucket away. Using a
-/// fixed representative (rather than whichever probe missed first)
-/// keeps the cached plan deterministic for a given `(generation,
-/// bucket)` key.
-pub fn plan_bucket_representative(bucket: u32) -> u32 {
-    bucket * PLAN_BUCKET_WIDTH + PLAN_BUCKET_WIDTH / 2
-}
-
 /// A generic LRU cache with stamped lazy recency tracking.
 #[derive(Debug)]
 pub struct LruCache<K, V> {
@@ -140,21 +103,6 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plan_buckets_group_nearby_popcounts() {
-        for q in 0..2048u32 {
-            let b = plan_bucket(q);
-            let rep = plan_bucket_representative(b);
-            assert_eq!(plan_bucket(rep), b, "representative left its bucket");
-            assert!(rep.abs_diff(q) <= PLAN_BUCKET_WIDTH, "q={q} rep={rep}");
-        }
-        assert_eq!(plan_bucket(0), plan_bucket(PLAN_BUCKET_WIDTH - 1));
-        assert_ne!(
-            plan_bucket(PLAN_BUCKET_WIDTH - 1),
-            plan_bucket(PLAN_BUCKET_WIDTH)
-        );
-    }
 
     #[test]
     fn evicts_least_recently_used() {

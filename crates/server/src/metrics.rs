@@ -80,10 +80,6 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Query answers computed against a snapshot.
     pub cache_misses: AtomicU64,
-    /// Cache-missing queries that reused a cached popcount scan plan.
-    pub plan_hits: AtomicU64,
-    /// Cache-missing queries that computed (and cached) a fresh plan.
-    pub plan_misses: AtomicU64,
     /// Background compaction steps that merged at least one tier.
     pub compactions: AtomicU64,
     /// Segments merged away by background compaction.

@@ -12,7 +12,7 @@
 //! and the superseded segment files wait in the hub until every reader
 //! of an older generation drains.
 
-use crate::cache::{plan_bucket, plan_bucket_representative, LruCache, PlanKey, QueryKey};
+use crate::cache::{LruCache, QueryKey};
 use crate::metrics::Metrics;
 use crate::snapshot::{Snapshot, SnapshotHub};
 use crate::wire::StatsReport;
@@ -64,10 +64,6 @@ pub struct LinkageService {
     store: Mutex<IndexStore>,
     hub: SnapshotHub,
     cache: Mutex<LruCache<QueryKey, Vec<Hit>>>,
-    /// Popcount scan plans, keyed `(generation, popcount)`: probes that
-    /// miss the exact-key result cache still reuse the slot-visiting
-    /// order computed for any earlier probe of the same popcount.
-    plans: Mutex<LruCache<PlanKey, Arc<Vec<u32>>>>,
     /// Aggregate counters and the latency histogram.
     pub metrics: Metrics,
     config: ServiceConfig,
@@ -76,9 +72,8 @@ pub struct LinkageService {
 
 impl LinkageService {
     /// Opens the index at `dir` and builds the generation-0 snapshot.
-    /// The snapshot's reader is *lazy*: segment files are read on the
-    /// first query that actually needs them (popcount bounds prune the
-    /// rest), not all up front.
+    /// The snapshot's reader is *lazy*: each segment file is read on the
+    /// first query that scans it, not all up front.
     pub fn open(dir: &Path, config: ServiceConfig) -> Result<LinkageService> {
         config.tiered.validate()?;
         let store = IndexStore::open(dir)?;
@@ -87,7 +82,6 @@ impl LinkageService {
             store: Mutex::new(store),
             hub: SnapshotHub::new(reader),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
-            plans: Mutex::new(LruCache::new(config.cache_capacity)),
             metrics: Metrics::default(),
             config,
             started: Instant::now(),
@@ -138,10 +132,7 @@ impl LinkageService {
             return Ok(hits);
         }
         Metrics::add(&self.metrics.cache_misses, 1);
-        let plan = self.scan_plan(&snap, filter.count_ones());
-        let hits = snap
-            .reader
-            .top_k_planned(filter, k, gauge::cores(), &plan)?;
+        let hits = snap.reader.top_k(filter, k, gauge::cores())?;
         self.cache
             .lock()
             .expect("cache lock")
@@ -149,37 +140,6 @@ impl LinkageService {
         Metrics::add(&self.metrics.queries, 1);
         self.metrics.observe_latency(started);
         Ok(hits)
-    }
-
-    /// The cached slot-visiting order for a probe of popcount `q`
-    /// against `snap`'s generation, deriving and caching it on a miss.
-    /// The plan is purely an ordering hint — results are bit-identical
-    /// with or without it (see `IndexReader::top_k_planned`) — so a
-    /// cache race can at worst cost a recomputation, never correctness.
-    ///
-    /// Plans are keyed on the probe's popcount *bucket* and derived
-    /// from the bucket midpoint, so a miss-heavy workload whose
-    /// popcounts wander within a band still reuses one derivation per
-    /// `(generation, bucket)` instead of re-sorting segment bounds for
-    /// every distinct popcount. `STATS` exposes the hit/derive split as
-    /// `plan_hits` / `plan_misses`.
-    fn scan_plan(&self, snap: &Snapshot, q: usize) -> Arc<Vec<u32>> {
-        let bucket = plan_bucket(q as u32);
-        let key: PlanKey = (snap.generation, bucket);
-        if let Some(plan) = self.plans.lock().expect("plan lock").get(&key) {
-            Metrics::add(&self.metrics.plan_hits, 1);
-            return plan;
-        }
-        Metrics::add(&self.metrics.plan_misses, 1);
-        let plan = Arc::new(
-            snap.reader
-                .popcount_scan_order(plan_bucket_representative(bucket) as usize),
-        );
-        self.plans
-            .lock()
-            .expect("plan lock")
-            .put(key, Arc::clone(&plan));
-        plan
     }
 
     /// Batch link: top-k per probe against one pinned snapshot, dropping
@@ -221,7 +181,6 @@ impl LinkageService {
         );
         let generation = self.hub.install(reader, obsolete);
         self.cache.lock().expect("cache lock").clear();
-        self.plans.lock().expect("plan lock").clear();
         Ok(generation)
     }
 
@@ -317,8 +276,8 @@ impl LinkageService {
             inserts: Metrics::get(&self.metrics.inserts),
             cache_hits: Metrics::get(&self.metrics.cache_hits),
             cache_misses: Metrics::get(&self.metrics.cache_misses),
-            plan_hits: Metrics::get(&self.metrics.plan_hits),
-            plan_misses: Metrics::get(&self.metrics.plan_misses),
+            plan_hits: 0,
+            plan_misses: 0,
             // Counted by the front end: a `Busy` rejection happens
             // before any tenant is known.
             busy_rejected: 0,

@@ -163,9 +163,11 @@ pub struct StatsReport {
     pub cache_hits: u64,
     /// Query answers computed from a snapshot.
     pub cache_misses: u64,
-    /// Cache-missing queries that reused a cached popcount scan plan.
+    /// Always 0: reserved for the deleted scan-plan cache, kept so the
+    /// `STATS` layout stays the same.
     pub plan_hits: u64,
-    /// Cache-missing queries that had to compute a fresh scan plan.
+    /// Always 0: reserved for the deleted scan-plan cache, kept so the
+    /// `STATS` layout stays the same.
     pub plan_misses: u64,
     /// Connections rejected with [`Response::Busy`].
     pub busy_rejected: u64,

@@ -587,7 +587,14 @@ fn insert_over_wire_invalidates_cache_and_bumps_generation() {
     assert_eq!(stats.inserts, 1);
     assert_eq!(stats.generation, 1);
     assert_eq!(stats.records, 101);
-    assert!(stats.cache_hits >= 1);
+    // One hit (the repeat) and two misses (first query, post-insert
+    // query); the reserved scan-plan fields stay 0 on the wire.
+    assert_eq!(
+        (stats.cache_hits, stats.cache_misses),
+        (1, 2),
+        "result cache hits / misses"
+    );
+    assert_eq!((stats.plan_hits, stats.plan_misses), (0, 0));
     client.shutdown().unwrap();
     handle.join();
 
@@ -694,45 +701,6 @@ fn link_request_matches_offline_thresholded_topk() {
     }
     client.shutdown().unwrap();
     handle.join();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The scan-plan cache keys on popcount *buckets*: distinct probes
-/// whose popcounts fall in one bucket share a single derivation, while
-/// answers stay bit-identical to the offline reader (the plan is only
-/// an ordering hint).
-#[test]
-fn plan_cache_shares_one_derivation_per_popcount_bucket() {
-    let dir = temp_dir("plan-bucket");
-    let store = build_index(&dir, 120, 3);
-    let offline = store.reader().unwrap();
-    drop(store);
-    let service = LinkageService::open(&dir, ServiceConfig::default()).unwrap();
-
-    // Nine distinct probes with popcounts 32..=40 — all inside one
-    // 16-wide bucket. Their filter bytes differ, so the exact-key
-    // result cache never hits; only the plan cache can save work.
-    for q in 32..=40usize {
-        let positions: Vec<usize> = (0..q).map(|i| (i * 5 + q) % FILTER_LEN).collect();
-        let f = BitVec::from_positions(FILTER_LEN, &positions).unwrap();
-        assert_eq!(f.count_ones(), q);
-        let hits = service.query(&f, 5).unwrap();
-        assert_eq!(hits, offline.top_k(&f, 5, 1).unwrap(), "popcount {q}");
-    }
-    let stats = service.stats_report(1, 1);
-    assert_eq!(
-        stats.plan_misses, 1,
-        "nearby popcounts re-derived the scan plan"
-    );
-    assert_eq!(stats.plan_hits, 8);
-
-    // A probe two buckets away derives its own plan.
-    let positions: Vec<usize> = (0..100).collect();
-    let f = BitVec::from_positions(FILTER_LEN, &positions).unwrap();
-    let hits = service.query(&f, 5).unwrap();
-    assert_eq!(hits, offline.top_k(&f, 5, 1).unwrap());
-    let stats = service.stats_report(1, 1);
-    assert_eq!(stats.plan_misses, 2);
     std::fs::remove_dir_all(&dir).ok();
 }
 
