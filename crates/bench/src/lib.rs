@@ -1,7 +1,8 @@
 //! # pprl-bench
 //!
-//! The experiment harness: one `exp_*` binary per experiment in
-//! `DESIGN.md`'s index (E1–E14), plus criterion micro-benchmarks. This
+//! The experiment harness: one `exp_*` binary per survey experiment in
+//! `EXPERIMENTS.md` (E1–E16) plus the scan-kernel gates (E19), and
+//! criterion micro-benchmarks. This
 //! library holds the shared table-printing and timing helpers so each
 //! binary stays a thin driver.
 

@@ -22,7 +22,7 @@ fn main() {
     let args = match Args::parse(
         parse_from,
         &[
-            "evaluate", "compact", "json", "cluster", "list", "check", "encrypt", "bench",
+            "evaluate", "compact", "json", "cluster", "list", "check", "encrypt",
         ],
     ) {
         Ok(a) => a,

@@ -1980,6 +1980,9 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.contains("bogus"));
+        // `--bench` is no flag of any command
+        let e = kernels_cmd(Args::parse(&raw("kernels --bench 1"), &[]).unwrap()).unwrap_err();
+        assert!(e.contains("unknown flag `--bench`"), "{e}");
     }
 
     #[test]

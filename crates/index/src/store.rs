@@ -2,9 +2,9 @@
 //! segment flushes, and background-style compaction.
 //!
 //! An [`IndexStore`] owns one index directory. Inserts are appended to a
-//! write-ahead log (`wal.log`, per-entry checksums) and — under the
-//! default [`DurabilityMode::Always`] — fsynced before the call
-//! returns, so an acked insert survives a crash before the next flush;
+//! write-ahead log (`wal.log`, per-entry checksums) and fsynced before
+//! the call returns, so an acked insert survives a crash before the
+//! next flush;
 //! [`IndexStore::flush`] groups pending records by shard, writes (and
 //! fsyncs) one immutable segment per non-empty shard, syncs the
 //! directory, commits the new catalogue to the manifest (fsynced tmp +
@@ -14,8 +14,8 @@
 //! bounded under incremental insert workloads.
 //!
 //! All file IO goes through an injectable [`Vfs`] (see
-//! [`StoreOptions`]), so the crash-recovery property tests drive the
-//! identical code paths against a deterministic in-memory
+//! [`IndexStore::create_with`]), so the crash-recovery property tests
+//! drive the identical code paths against a deterministic in-memory
 //! [`crate::vfs::FaultVfs`]. Recovery distinguishes benign crash
 //! artefacts (a torn WAL tail, a stale-epoch log left by a crash
 //! between the manifest swap and the WAL reset — both repaired
@@ -118,56 +118,6 @@ pub struct ReadStats {
     /// Name of the dispatched scan-kernel path serving these reads
     /// (`"scalar"`, `"avx2"`, …; empty in a default-constructed value).
     pub kernel: &'static str,
-}
-
-/// When the WAL is fsynced relative to acking an insert.
-///
-/// The trade-off is the classic one: `Always` makes every acked insert
-/// crash-durable at the cost of one fsync per batch; `Interval(n)`
-/// amortises the fsync over `n` records and bounds the crash-loss
-/// window to at most `n` acked records; `Never` leaves durability to
-/// the next [`IndexStore::flush`] (or the OS), the fastest and least
-/// safe setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DurabilityMode {
-    /// Fsync the WAL before every [`IndexStore::insert_batch`] returns.
-    #[default]
-    Always,
-    /// Fsync once at least this many records have been appended since
-    /// the last sync.
-    Interval(u32),
-    /// Never fsync the WAL on insert; segments and the manifest are
-    /// still fsynced on flush.
-    Never,
-}
-
-/// How an [`IndexStore`] talks to storage: the durability policy and
-/// the [`Vfs`] implementation every file operation is routed through.
-#[derive(Debug, Clone)]
-pub struct StoreOptions {
-    /// WAL fsync policy (default [`DurabilityMode::Always`]).
-    pub durability: DurabilityMode,
-    /// IO layer (default [`crate::vfs::StdVfs`]).
-    pub vfs: Arc<dyn Vfs>,
-}
-
-impl Default for StoreOptions {
-    fn default() -> Self {
-        StoreOptions {
-            durability: DurabilityMode::Always,
-            vfs: std_vfs(),
-        }
-    }
-}
-
-impl StoreOptions {
-    /// Default durability on the given VFS — the common harness setup.
-    pub fn with_vfs(vfs: Arc<dyn Vfs>) -> Self {
-        StoreOptions {
-            durability: DurabilityMode::Always,
-            vfs,
-        }
-    }
 }
 
 /// Policy for [`IndexStore::compact_tiered`]: segments are grouped into
@@ -298,10 +248,6 @@ pub struct IndexStore {
     routing_positions: Vec<usize>,
     /// IO layer every file operation goes through.
     vfs: Arc<dyn Vfs>,
-    /// WAL fsync policy.
-    durability: DurabilityMode,
-    /// Records appended since the last WAL fsync (Interval mode).
-    wal_unsynced: u64,
     /// False after a failed WAL write: the on-disk log may be torn or
     /// carry a stale epoch, so it is rewritten from `pending` before
     /// the next append.
@@ -320,18 +266,12 @@ impl IndexStore {
     /// Creates a new, empty index in `dir` (which must not already hold
     /// one). The directory is created if missing.
     pub fn create(dir: &Path, config: IndexConfig) -> Result<IndexStore> {
-        Self::create_with(dir, config, StoreOptions::default())
+        Self::create_with(dir, config, std_vfs())
     }
 
-    /// [`IndexStore::create`] with an explicit durability policy and
-    /// IO layer.
-    pub fn create_with(
-        dir: &Path,
-        config: IndexConfig,
-        options: StoreOptions,
-    ) -> Result<IndexStore> {
+    /// [`IndexStore::create`] through an explicit IO layer.
+    pub fn create_with(dir: &Path, config: IndexConfig, vfs: Arc<dyn Vfs>) -> Result<IndexStore> {
         config.validate()?;
-        let vfs = options.vfs;
         vfs.create_dir_all(dir)
             .map_err(|e| io_err(dir, "creating", e))?;
         if vfs.exists(&dir.join(MANIFEST_FILE)) {
@@ -361,8 +301,6 @@ impl IndexStore {
             pending: ArenaBuilder::new(config.filter_len),
             pending_shards: Vec::new(),
             vfs,
-            durability: options.durability,
-            wal_unsynced: 0,
             wal_ok: true,
             arenas: Mutex::default(),
         })
@@ -378,20 +316,18 @@ impl IndexStore {
     ///
     /// Open is also where crash recovery happens: a missing, torn, or
     /// stale-epoch WAL is repaired (rewritten with exactly the entries
-    /// that survive the recovery rules; see [`DurabilityMode`] and the
-    /// module docs), and every catalogued segment is fully verified —
-    /// one that fails its checksum, length, or shard/geometry checks is
-    /// moved to `quarantine/` and recorded in the manifest's health
-    /// ledger rather than refusing the open. Check
-    /// [`IndexStore::is_degraded`] after opening.
+    /// that survive the recovery rules; see the module docs), and every
+    /// catalogued segment is fully verified — one that fails its
+    /// checksum, length, or shard/geometry checks is moved to
+    /// `quarantine/` and recorded in the manifest's health ledger rather
+    /// than refusing the open. Check [`IndexStore::is_degraded`] after
+    /// opening.
     pub fn open(dir: &Path) -> Result<IndexStore> {
-        Self::open_with(dir, StoreOptions::default())
+        Self::open_with(dir, std_vfs())
     }
 
-    /// [`IndexStore::open`] with an explicit durability policy and IO
-    /// layer.
-    pub fn open_with(dir: &Path, options: StoreOptions) -> Result<IndexStore> {
-        let vfs = options.vfs;
+    /// [`IndexStore::open`] through an explicit IO layer.
+    pub fn open_with(dir: &Path, vfs: Arc<dyn Vfs>) -> Result<IndexStore> {
         if !vfs.exists(&dir.join(MANIFEST_FILE)) {
             return Err(storage_err(format!(
                 "no index at {}: MANIFEST missing (not an index directory, \
@@ -436,8 +372,6 @@ impl IndexStore {
             pending: replay.records,
             pending_shards: Vec::new(),
             vfs,
-            durability: options.durability,
-            wal_unsynced: 0,
             wal_ok: true,
             arenas: Mutex::default(),
         };
@@ -501,10 +435,8 @@ impl IndexStore {
         (fnv1a(&key) % u64::from(self.manifest.config.num_shards)) as u32
     }
 
-    /// Appends records to the write-ahead log. Under
-    /// [`DurabilityMode::Always`] (the default) the log is fsynced before
-    /// this returns, so an acked batch survives a crash; see
-    /// [`DurabilityMode`] for the weaker settings. Records become
+    /// Appends records to the write-ahead log and fsyncs it before this
+    /// returns, so an acked batch survives a crash. Records become
     /// segment-resident on the next [`flush`].
     ///
     /// [`flush`]: IndexStore::flush
@@ -540,23 +472,9 @@ impl IndexStore {
             }
             return Err(io_err(&path, "appending to", e));
         }
-        match self.durability {
-            DurabilityMode::Always => {
-                self.vfs
-                    .sync_file(&path)
-                    .map_err(|e| io_err(&path, "syncing", e))?;
-            }
-            DurabilityMode::Interval(n) => {
-                self.wal_unsynced += records.len() as u64;
-                if self.wal_unsynced >= u64::from(n.max(1)) {
-                    self.vfs
-                        .sync_file(&path)
-                        .map_err(|e| io_err(&path, "syncing", e))?;
-                    self.wal_unsynced = 0;
-                }
-            }
-            DurabilityMode::Never => {}
-        }
+        self.vfs
+            .sync_file(&path)
+            .map_err(|e| io_err(&path, "syncing", e))?;
         for (id, filter) in records {
             self.pending
                 .push_filter(*id, filter)
@@ -583,7 +501,6 @@ impl IndexStore {
             .sync_file(&path)
             .map_err(|e| io_err(&path, "syncing", e))?;
         self.wal_ok = true;
-        self.wal_unsynced = 0;
         Ok(())
     }
 
@@ -999,13 +916,12 @@ impl IndexStore {
     /// [`PprlError::Storage`] error instead of a silently degraded
     /// replica. Use [`IndexStore::open`] for the forgiving behaviour.
     pub fn import_snapshot(dir: &Path) -> Result<IndexStore> {
-        Self::import_snapshot_with(dir, StoreOptions::default())
+        Self::import_snapshot_with(dir, std_vfs())
     }
 
-    /// [`IndexStore::import_snapshot`] with an explicit IO layer and
-    /// durability policy.
-    pub fn import_snapshot_with(dir: &Path, options: StoreOptions) -> Result<IndexStore> {
-        let store = Self::open_with(dir, options)?;
+    /// [`IndexStore::import_snapshot`] through an explicit IO layer.
+    pub fn import_snapshot_with(dir: &Path, vfs: Arc<dyn Vfs>) -> Result<IndexStore> {
+        let store = Self::open_with(dir, vfs)?;
         if store.is_degraded() {
             return Err(storage_err(format!(
                 "snapshot at {} failed verification: {} segment(s) \
@@ -1762,8 +1678,8 @@ mod tests {
     fn installs_stat_only_segment_ids_no_earlier_install_saw() {
         let vfs = StatLog::new();
         let dir = Path::new("/stat-once");
-        let options = StoreOptions::with_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>);
-        let mut store = IndexStore::create_with(dir, IndexConfig::new(128, 4), options).unwrap();
+        let io = Arc::clone(&vfs) as Arc<dyn Vfs>;
+        let mut store = IndexStore::create_with(dir, IndexConfig::new(128, 4), io).unwrap();
         let recs = filters(300, 128);
         for chunk in recs[..200].chunks(50) {
             store.insert_batch(chunk).unwrap();
@@ -1823,17 +1739,17 @@ mod tests {
     #[test]
     fn pending_rows_keep_the_shard_they_were_routed_to() {
         let vfs = crate::vfs::FaultVfs::reliable();
-        let options = || StoreOptions::with_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>);
+        let io = || Arc::clone(&vfs) as Arc<dyn Vfs>;
         let dir = Path::new("/route-once");
         let recs = filters(120, 128);
-        let mut store = IndexStore::create_with(dir, IndexConfig::new(128, 8), options()).unwrap();
+        let mut store = IndexStore::create_with(dir, IndexConfig::new(128, 8), io()).unwrap();
         store.insert_batch(&recs[..30]).unwrap();
         store.insert_batch(&recs[30..40]).unwrap();
         assert_routed(&store, "insert_batch");
         assert_eq!(store.pending_len(), 40);
 
         drop(store);
-        let mut store = IndexStore::open_with(dir, options()).unwrap();
+        let mut store = IndexStore::open_with(dir, io()).unwrap();
         assert_routed(&store, "WAL replay");
         assert_eq!(store.pending_len(), 40);
 
@@ -1855,7 +1771,7 @@ mod tests {
 
         let dest = Path::new("/route-once-copy");
         store.export_snapshot(dest).unwrap();
-        let copy = IndexStore::import_snapshot_with(dest, options()).unwrap();
+        let copy = IndexStore::import_snapshot_with(dest, io()).unwrap();
         assert_routed(&copy, "import_snapshot");
         assert_eq!(copy.pending_len(), 30);
     }
@@ -1885,11 +1801,11 @@ mod tests {
     #[test]
     fn an_incrementally_installed_reader_answers_like_a_reopened_store() {
         let vfs = crate::vfs::FaultVfs::reliable();
-        let options = || StoreOptions::with_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>);
+        let io = || Arc::clone(&vfs) as Arc<dyn Vfs>;
         let dir = Path::new("/incremental");
         let recs = filters(400, 128);
         let probes: &Vec<_> = &recs.iter().step_by(23).cloned().collect();
-        let mut store = IndexStore::create_with(dir, IndexConfig::new(128, 4), options()).unwrap();
+        let mut store = IndexStore::create_with(dir, IndexConfig::new(128, 4), io()).unwrap();
         let policy = TieredPolicy {
             min_segments: 2,
             growth: 4,
@@ -1906,7 +1822,7 @@ mod tests {
                 }
             }
             let incremental = store.lazy_reader().unwrap();
-            let reopened = IndexStore::open_with(dir, options()).unwrap();
+            let reopened = IndexStore::open_with(dir, io()).unwrap();
             assert_eq!(
                 answers(&incremental, probes),
                 answers(&reopened.lazy_reader().unwrap(), probes),

@@ -13,7 +13,7 @@ use pprl_core::bitvec::BitVec;
 use pprl_core::error::PprlError;
 use pprl_core::rng::SplitMix64;
 use pprl_index::query::{Hit, IndexReader};
-use pprl_index::store::{reclaim, IndexConfig, IndexStore, StoreOptions, TieredPolicy};
+use pprl_index::store::{reclaim, IndexConfig, IndexStore, TieredPolicy};
 use pprl_index::vfs::{FaultPlan, FaultVfs, Vfs};
 use pprl_similarity::bitvec_sim::dice_bits;
 use std::collections::BTreeMap;
@@ -208,8 +208,8 @@ fn a_segment_id_that_never_committed_is_never_served_from_the_map() {
             enospc_after_bytes: Some(limit),
             ..FaultPlan::none()
         });
-        let opts = StoreOptions::with_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>);
-        let Ok(mut store) = IndexStore::create_with(dir, IndexConfig::new(LEN, 2), opts) else {
+        let io = Arc::clone(&vfs) as Arc<dyn Vfs>;
+        let Ok(mut store) = IndexStore::create_with(dir, IndexConfig::new(LEN, 2), io) else {
             continue;
         };
         if store.insert_batch(&base).is_err() || store.flush().is_err() {

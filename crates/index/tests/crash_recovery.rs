@@ -9,9 +9,8 @@
 //! crash-consistency model, reopens, and asserts the two invariants the
 //! paper's linkage-unit deployment needs:
 //!
-//! 1. **No acked loss** — every insert acked under
-//!    [`DurabilityMode::Always`] before the crash is queryable after
-//!    reopening (extras are limited to a prefix-consistent subset of the
+//! 1. **No acked loss** — every insert acked before the crash is
+//!    queryable after reopening (extras are limited to a prefix-consistent subset of the
 //!    batch that was in flight when the crash hit).
 //! 2. **Oracle bit-identity** — every query against the recovered store
 //!    returns results bit-identical to a never-crashed oracle store
@@ -23,7 +22,7 @@
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::PprlError;
 use pprl_core::rng::SplitMix64;
-use pprl_index::store::{DurabilityMode, IndexConfig, IndexStore, StoreOptions, TieredPolicy};
+use pprl_index::store::{IndexConfig, IndexStore, TieredPolicy};
 use pprl_index::vfs::{FaultPlan, FaultVfs};
 use std::path::Path;
 use std::sync::Arc;
@@ -132,12 +131,8 @@ fn probes(n: usize) -> Vec<BitVec> {
 fn assert_oracle_identical(recovered: &IndexStore, records: &[(u64, BitVec)], what: &str) {
     let vfs = FaultVfs::reliable();
     let dir = Path::new("/oracle");
-    let mut oracle = IndexStore::create_with(
-        dir,
-        IndexConfig::new(FILTER_LEN, NUM_SHARDS),
-        StoreOptions::with_vfs(vfs),
-    )
-    .expect("oracle create");
+    let mut oracle = IndexStore::create_with(dir, IndexConfig::new(FILTER_LEN, NUM_SHARDS), vfs)
+        .expect("oracle create");
     if !records.is_empty() {
         oracle.insert_batch(records).expect("oracle insert");
         oracle.flush().expect("oracle flush");
@@ -171,7 +166,7 @@ fn crash_at_every_io_op_loses_no_acked_insert_and_matches_oracle() {
         let mut store = IndexStore::create_with(
             dir,
             IndexConfig::new(FILTER_LEN, NUM_SHARDS),
-            StoreOptions::with_vfs(Arc::clone(&dry) as Arc<dyn pprl_index::vfs::Vfs>),
+            Arc::clone(&dry) as Arc<dyn pprl_index::vfs::Vfs>,
         )
         .expect("dry create");
         let (mut acked, mut in_flight) = (Vec::new(), Vec::new());
@@ -185,13 +180,13 @@ fn crash_at_every_io_op_loses_no_acked_insert_and_matches_oracle() {
         for crash_at in 1..=total_ops {
             schedules_run += 1;
             let vfs = FaultVfs::new(FaultPlan::crash_at(seed, crash_at));
-            let opts = StoreOptions::with_vfs(Arc::clone(&vfs) as Arc<dyn pprl_index::vfs::Vfs>);
+            let io = Arc::clone(&vfs) as Arc<dyn pprl_index::vfs::Vfs>;
             let mut acked = Vec::new();
             let mut in_flight = Vec::new();
             let finished = match IndexStore::create_with(
                 dir,
                 IndexConfig::new(FILTER_LEN, NUM_SHARDS),
-                opts.clone(),
+                io.clone(),
             ) {
                 Ok(mut store) => run_schedule(&mut store, &ops, &mut acked, &mut in_flight),
                 Err(_) => false, // crashed during create: nothing acked
@@ -208,7 +203,7 @@ fn crash_at_every_io_op_loses_no_acked_insert_and_matches_oracle() {
             }
             vfs.crash_and_recover();
 
-            match IndexStore::open_with(dir, opts) {
+            match IndexStore::open_with(dir, io) {
                 Ok(recovered) => {
                     let probe = &probes(1)[0];
                     let ids = scan_ids(&recovered, probe);
@@ -276,60 +271,6 @@ fn crash_at_every_io_op_loses_no_acked_insert_and_matches_oracle() {
     );
 }
 
-/// Weaker modes trade the no-loss guarantee for fewer fsyncs, but
-/// recovery must still be sane: the recovered set is a subset of what
-/// was ever handed to the store, with no duplicates and no errors.
-#[test]
-fn weaker_durability_modes_recover_consistently() {
-    for (mode, seed) in [
-        (DurabilityMode::Interval(3), 11u64),
-        (DurabilityMode::Never, 12u64),
-    ] {
-        let ops = schedule(seed);
-        let dry = FaultVfs::reliable();
-        let dir = Path::new("/idx");
-        let mk_opts = |vfs: &Arc<FaultVfs>| StoreOptions {
-            durability: mode,
-            vfs: Arc::clone(vfs) as Arc<dyn pprl_index::vfs::Vfs>,
-        };
-        let mut store =
-            IndexStore::create_with(dir, IndexConfig::new(FILTER_LEN, NUM_SHARDS), mk_opts(&dry))
-                .expect("dry create");
-        let (mut acked, mut in_flight) = (Vec::new(), Vec::new());
-        assert!(run_schedule(&mut store, &ops, &mut acked, &mut in_flight));
-        let total_ops = dry.mutating_ops();
-
-        for crash_at in (1..=total_ops).step_by(3) {
-            let vfs = FaultVfs::new(FaultPlan::crash_at(seed, crash_at));
-            let mut acked = Vec::new();
-            let mut in_flight = Vec::new();
-            if let Ok(mut store) = IndexStore::create_with(
-                dir,
-                IndexConfig::new(FILTER_LEN, NUM_SHARDS),
-                mk_opts(&vfs),
-            ) {
-                run_schedule(&mut store, &ops, &mut acked, &mut in_flight);
-            }
-            vfs.crash_and_recover();
-            if let Ok(recovered) = IndexStore::open_with(dir, mk_opts(&vfs)) {
-                let ids = scan_ids(&recovered, &probes(1)[0]);
-                let mut unique = ids.clone();
-                unique.sort_unstable();
-                unique.dedup();
-                assert_eq!(unique.len(), ids.len(), "mode {mode:?}: duplicates");
-                let handed: std::collections::BTreeSet<u64> = acked
-                    .iter()
-                    .chain(in_flight.iter())
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in &unique {
-                    assert!(handed.contains(id), "mode {mode:?}: unknown id {id}");
-                }
-            }
-        }
-    }
-}
-
 /// ENOSPC during a WAL append is a typed error, nothing is half-acked,
 /// and once space frees the same store keeps working with no loss.
 #[test]
@@ -340,9 +281,9 @@ fn enospc_is_typed_and_the_store_stays_consistent() {
         ..FaultPlan::none()
     });
     let dir = Path::new("/idx");
-    let opts = StoreOptions::with_vfs(Arc::clone(&vfs) as Arc<dyn pprl_index::vfs::Vfs>);
+    let io = Arc::clone(&vfs) as Arc<dyn pprl_index::vfs::Vfs>;
     let mut store =
-        IndexStore::create_with(dir, IndexConfig::new(FILTER_LEN, NUM_SHARDS), opts.clone())
+        IndexStore::create_with(dir, IndexConfig::new(FILTER_LEN, NUM_SHARDS), io.clone())
             .expect("create");
     let mut acked: Vec<(u64, BitVec)> = Vec::new();
     let mut hit_enospc = false;
@@ -364,7 +305,7 @@ fn enospc_is_typed_and_the_store_stays_consistent() {
     // The disk "freed up" (the fault is one-shot): later inserts acked,
     // and a reopen finds every acked record.
     drop(store);
-    let recovered = IndexStore::open_with(dir, opts).expect("reopen after ENOSPC");
+    let recovered = IndexStore::open_with(dir, io).expect("reopen after ENOSPC");
     let ids: std::collections::BTreeSet<u64> =
         scan_ids(&recovered, &probes(1)[0]).into_iter().collect();
     for (id, _) in &acked {
@@ -379,9 +320,9 @@ fn corrupt_segment_quarantines_and_serves_degraded_reads() {
     let mut rng = SplitMix64::new(99);
     let vfs = FaultVfs::reliable();
     let dir = Path::new("/idx");
-    let opts = StoreOptions::with_vfs(Arc::clone(&vfs) as Arc<dyn pprl_index::vfs::Vfs>);
+    let io = Arc::clone(&vfs) as Arc<dyn pprl_index::vfs::Vfs>;
     let mut store =
-        IndexStore::create_with(dir, IndexConfig::new(FILTER_LEN, NUM_SHARDS), opts.clone())
+        IndexStore::create_with(dir, IndexConfig::new(FILTER_LEN, NUM_SHARDS), io.clone())
             .expect("create");
     // Two flushes so at least two segments exist.
     let first: Vec<(u64, BitVec)> = (0..12u64).map(|id| (id, random_filter(&mut rng))).collect();
@@ -402,7 +343,7 @@ fn corrupt_segment_quarantines_and_serves_degraded_reads() {
         .expect("a segment file");
     vfs.corrupt_stored(&victim, 40, 0x20);
 
-    let store = IndexStore::open_with(dir, opts).expect("degraded open must succeed");
+    let store = IndexStore::open_with(dir, io).expect("degraded open must succeed");
     assert!(store.is_degraded(), "corruption must degrade the store");
     assert_eq!(store.quarantined().len(), 1);
     let stats = store.stats().expect("stats");
@@ -432,8 +373,8 @@ fn corrupt_segment_quarantines_and_serves_degraded_reads() {
     // Reopening again is stable: the ledger persists, nothing else is
     // quarantined, and the same records answer.
     drop(store);
-    let vfs2_opts = StoreOptions::with_vfs(Arc::clone(&vfs) as Arc<dyn pprl_index::vfs::Vfs>);
-    let reopened = IndexStore::open_with(dir, vfs2_opts).expect("second open");
+    let vfs2_io = Arc::clone(&vfs) as Arc<dyn pprl_index::vfs::Vfs>;
+    let reopened = IndexStore::open_with(dir, vfs2_io).expect("second open");
     assert!(reopened.is_degraded());
     assert_eq!(reopened.quarantined().len(), 1);
     assert_eq!(scan_ids(&reopened, &probes(1)[0]).len(), ids.len());
@@ -451,9 +392,9 @@ fn read_flips_surface_as_typed_errors_never_panics() {
         ..FaultPlan::none()
     });
     let dir = Path::new("/idx");
-    let opts = StoreOptions::with_vfs(Arc::clone(&vfs) as Arc<dyn pprl_index::vfs::Vfs>);
+    let io = Arc::clone(&vfs) as Arc<dyn pprl_index::vfs::Vfs>;
     let mut store =
-        IndexStore::create_with(dir, IndexConfig::new(FILTER_LEN, NUM_SHARDS), opts.clone())
+        IndexStore::create_with(dir, IndexConfig::new(FILTER_LEN, NUM_SHARDS), io.clone())
             .expect("create");
     store.insert_batch(&records).expect("insert");
     store.flush().expect("flush");
@@ -467,7 +408,7 @@ fn read_flips_surface_as_typed_errors_never_panics() {
     let known: std::collections::BTreeSet<u64> = records.iter().map(|(id, _)| *id).collect();
     let mut served = false;
     for _ in 0..64 {
-        match IndexStore::open_with(dir, opts.clone()) {
+        match IndexStore::open_with(dir, io.clone()) {
             Ok(store) => match store.reader() {
                 Ok(reader) => match reader.top_k(&probes(1)[0], 5, 1) {
                     Ok(hits) => {

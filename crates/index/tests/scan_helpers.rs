@@ -8,7 +8,7 @@
 use pprl_core::bitvec::BitVec;
 use pprl_core::gauge::{cores, foreground};
 use pprl_index::query::IndexReader;
-use pprl_index::store::{DurabilityMode, IndexConfig, IndexStore, StoreOptions};
+use pprl_index::store::{IndexConfig, IndexStore};
 use pprl_index::vfs::{FaultVfs, Vfs};
 use std::io;
 use std::path::Path;
@@ -202,13 +202,9 @@ fn a_guard_taken_mid_scan_stops_helpers_claiming_tasks() {
         owner: Mutex::default(),
         gate: Mutex::default(),
     });
-    let options = || StoreOptions {
-        durability: DurabilityMode::Never,
-        vfs: Arc::clone(&vfs) as Arc<dyn Vfs>,
-    };
+    let io = || Arc::clone(&vfs) as Arc<dyn Vfs>;
     let dir = Path::new("/scan-helpers");
-    let mut store =
-        IndexStore::create_with(dir, IndexConfig::new(1000, 1), options()).expect("create");
+    let mut store = IndexStore::create_with(dir, IndexConfig::new(1000, 1), io()).expect("create");
     for chunk in records.chunks(SEGMENT_ROWS) {
         store.insert_batch(chunk).expect("insert");
         store.flush().expect("flush");
@@ -222,7 +218,7 @@ fn a_guard_taken_mid_scan_stops_helpers_claiming_tasks() {
     // task reads one; retry in the rare case the caller drains every
     // task before the helper claims any.
     for _ in 0..10 {
-        let reader = IndexStore::open_with(dir, options())
+        let reader = IndexStore::open_with(dir, io())
             .expect("open")
             .lazy_reader()
             .expect("lazy reader");

@@ -14,7 +14,7 @@
 
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::PprlError;
-use pprl_index::store::{IndexConfig, IndexStore, StoreOptions, WAL_FILE};
+use pprl_index::store::{IndexConfig, IndexStore, WAL_FILE};
 use pprl_index::vfs::{FaultVfs, Vfs};
 use std::path::Path;
 use std::sync::Arc;
@@ -41,7 +41,7 @@ fn populated_wal(n: u64) -> (Arc<FaultVfs>, Vec<u8>) {
     let mut store = IndexStore::create_with(
         dir,
         IndexConfig::new(FILTER_LEN, 2),
-        StoreOptions::with_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>),
+        Arc::clone(&vfs) as Arc<dyn Vfs>,
     )
     .expect("create");
     let records: Vec<(u64, BitVec)> = (0..n).map(|id| (id, filter(id + 1))).collect();
@@ -56,10 +56,7 @@ fn populated_wal(n: u64) -> (Arc<FaultVfs>, Vec<u8>) {
 }
 
 fn reopen(vfs: &Arc<FaultVfs>) -> Result<IndexStore, PprlError> {
-    IndexStore::open_with(
-        Path::new("/wal"),
-        StoreOptions::with_vfs(Arc::clone(vfs) as Arc<dyn Vfs>),
-    )
+    IndexStore::open_with(Path::new("/wal"), Arc::clone(vfs) as Arc<dyn Vfs>)
 }
 
 #[test]

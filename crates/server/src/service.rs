@@ -188,10 +188,9 @@ impl LinkageService {
     /// snapshot generation, in which they are visible and exact at once
     /// as in-memory pending rows. Returns the new generation.
     ///
-    /// The ack boundary is the WAL append: under the store's default
-    /// [`pprl_index::store::DurabilityMode::Always`] that is one fsync,
-    /// and a crash after it loses nothing, because opening the store
-    /// replays the log. Moving the rows into segment files is left to
+    /// The ack boundary is the WAL append and its one fsync: a crash
+    /// after it loses nothing, because opening the store replays the
+    /// log. Moving the rows into segment files is left to
     /// [`compact_step`] on the maintenance tick; only when pending rows
     /// reach [`INLINE_FLUSH_ROWS`] (maintenance off, or behind) does an
     /// insert flush them itself.

@@ -118,7 +118,9 @@ fn two_tenants_disjoint_and_bit_identical_to_single_tenant_servers() {
     let mut oa = Client::connect(&solo_a.addr().to_string()).unwrap();
     let mut ob = Client::connect(&solo_b.addr().to_string()).unwrap();
 
-    // Identical queries against tenant and oracle give identical hits.
+    // Identical queries and links against tenant and oracle give
+    // identical hits, over a MAC-only (org-a) and a MAC+enc (org-b)
+    // session alike.
     for probe_id in [3u64, 77, 10_005, 999] {
         let probe = filter_for(probe_id);
         assert_eq!(
@@ -130,6 +132,17 @@ fn two_tenants_disjoint_and_bit_identical_to_single_tenant_servers() {
             cb.query(&probe, 5).unwrap(),
             ob.query(&probe, 5).unwrap(),
             "tenant org-b diverged from its dedicated server on probe {probe_id}"
+        );
+        let probes = [probe];
+        assert_eq!(
+            ca.link(&probes, 5, 0.5).unwrap(),
+            oa.link(&probes, 5, 0.5).unwrap(),
+            "tenant org-a link diverged from its dedicated server on probe {probe_id}"
+        );
+        assert_eq!(
+            cb.link(&probes, 5, 0.5).unwrap(),
+            ob.link(&probes, 5, 0.5).unwrap(),
+            "tenant org-b link diverged from its dedicated server on probe {probe_id}"
         );
     }
 

@@ -31,7 +31,7 @@ use pprl_index::query::Hit;
 use pprl_index::segment::{
     decode_segment, decode_segment_arena, encode_segment, encode_segment_from_arena,
 };
-use pprl_index::store::{IndexStore, StoreOptions, WAL_FILE};
+use pprl_index::store::{IndexStore, WAL_FILE};
 use pprl_index::vfs::{FaultVfs, Vfs};
 use pprl_protocols::transport::Frame;
 use pprl_server::wire::{read_payload, write_payload, Incoming, Request, Response, StatsReport};
@@ -450,16 +450,15 @@ fn a_summary_manifest_reencodes_without_its_summary() {
 fn the_wal_reproduces_its_golden_and_replays_it() {
     let vfs = FaultVfs::reliable();
     let dir = Path::new("/wal-golden");
-    let options = || StoreOptions::with_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>);
-    let mut store =
-        IndexStore::create_with(dir, IndexConfig::new(80, 2), options()).expect("create");
+    let io = || Arc::clone(&vfs) as Arc<dyn Vfs>;
+    let mut store = IndexStore::create_with(dir, IndexConfig::new(80, 2), io()).expect("create");
     store.insert_batch(&segment_records()).expect("insert");
     drop(store);
     let wal = dir.join(WAL_FILE);
     assert_eq!(to_hex(&vfs.read(&wal).expect("read wal")), GOLDEN_WAL);
     vfs.write(&wal, &from_hex(GOLDEN_WAL))
         .expect("write golden");
-    let store = IndexStore::open_with(dir, options()).expect("replay");
+    let store = IndexStore::open_with(dir, io()).expect("replay");
     assert_eq!(store.pending().ids(), [1, 4, 7]);
 }
 
