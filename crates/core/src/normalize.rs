@@ -58,54 +58,51 @@ fn fold_accent(c: char) -> char {
 
 /// Normalises a string according to `config`.
 pub fn normalize(input: &str, config: &NormalizeConfig) -> String {
-    let mut out = String::with_capacity(input.len());
+    let mut out = String::new();
+    normalize_into(input, config, &mut out);
+    out
+}
+
+/// [`normalize`] into `out`, which is cleared first: one pass over
+/// `input`, and no allocation once `out` has the capacity.
+pub fn normalize_into(input: &str, config: &NormalizeConfig, out: &mut String) {
+    out.clear();
+    out.reserve(input.len());
+    let whitespace = config.collapse_whitespace || config.remove_whitespace;
+    // A collapsed run of whitespace is written only when a character
+    // follows it, so the ends come out trimmed.
+    let mut space = false;
+    let mut push = |c: char| {
+        if config.strip_punctuation && (c.is_ascii_punctuation() || c == '’' || c == '‘') {
+            return;
+        }
+        if whitespace && c.is_whitespace() {
+            space = !config.remove_whitespace && !out.is_empty();
+            return;
+        }
+        if space {
+            out.push(' ');
+            space = false;
+        }
+        out.push(c);
+    };
     for mut c in input.chars() {
         if config.fold_accents {
             c = fold_accent(c);
             if c == 'ß' {
-                out.push_str("ss");
+                push('s');
+                push('s');
                 continue;
             }
         }
-        if config.lowercase {
-            for lc in c.to_lowercase() {
-                push_char(&mut out, lc, config);
-            }
+        if !config.lowercase {
+            push(c);
+        } else if c.is_ascii() {
+            push(c.to_ascii_lowercase());
         } else {
-            push_char(&mut out, c, config);
+            c.to_lowercase().for_each(&mut push);
         }
     }
-    if config.collapse_whitespace || config.remove_whitespace {
-        let mut collapsed = String::with_capacity(out.len());
-        let mut last_space = true; // trims leading whitespace
-        for c in out.chars() {
-            if c.is_whitespace() {
-                if config.remove_whitespace {
-                    continue;
-                }
-                if !last_space {
-                    collapsed.push(' ');
-                }
-                last_space = true;
-            } else {
-                collapsed.push(c);
-                last_space = false;
-            }
-        }
-        while collapsed.ends_with(' ') {
-            collapsed.pop();
-        }
-        collapsed
-    } else {
-        out
-    }
-}
-
-fn push_char(out: &mut String, c: char, config: &NormalizeConfig) {
-    if config.strip_punctuation && (c.is_ascii_punctuation() || c == '’' || c == '‘') {
-        return;
-    }
-    out.push(c);
 }
 
 /// Normalises with the default configuration.
@@ -172,6 +169,26 @@ mod tests {
     fn empty_and_whitespace_only() {
         assert_eq!(normalize_default(""), "");
         assert_eq!(normalize_default("   "), "");
+    }
+
+    #[test]
+    fn tabs_and_runs_collapse_or_vanish() {
+        assert_eq!(normalize_default("\tAnn \t  LEE\n"), "ann lee");
+        assert_eq!(normalize_compact(" \tAnn \t  Lee\n"), "annlee");
+        let keep = NormalizeConfig {
+            collapse_whitespace: false,
+            ..NormalizeConfig::default()
+        };
+        assert_eq!(normalize(" A\tB ", &keep), " a\tb ");
+    }
+
+    #[test]
+    fn into_reuses_and_overwrites_its_buffer() {
+        let mut out = String::from("stale");
+        normalize_into("Øre", &NormalizeConfig::default(), &mut out);
+        assert_eq!(out, "ore");
+        normalize_into("", &NormalizeConfig::default(), &mut out);
+        assert_eq!(out, "");
     }
 
     #[test]

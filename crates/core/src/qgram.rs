@@ -50,7 +50,8 @@ impl QGramConfig {
 pub struct QGramScratch {
     /// The (padded) input.
     padded: String,
-    /// Byte offset of every character of `padded`, then its length.
+    /// Byte offset of every character of `padded`, then its length
+    /// (unused for ASCII, whose offsets are the character indices).
     bounds: Vec<usize>,
     /// The current gram when a position suffix has to be appended.
     gram: String,
@@ -79,17 +80,26 @@ pub fn for_each_qgram(
     } = scratch;
     let pad = if config.padded { config.q - 1 } else { 0 };
     padded.clear();
+    padded.reserve(s.len() + 2 * pad);
     padded.extend(std::iter::repeat_n(PAD_CHAR, pad));
     padded.push_str(s);
     padded.extend(std::iter::repeat_n(PAD_CHAR, pad));
-    bounds.clear();
-    bounds.extend(padded.char_indices().map(|(at, _)| at));
-    bounds.push(padded.len());
-    if bounds.len() <= config.q {
+    // An ASCII string's characters are its bytes: no boundary pass.
+    let ascii = padded.is_ascii();
+    let chars = if ascii {
+        padded.len()
+    } else {
+        bounds.clear();
+        bounds.extend(padded.char_indices().map(|(at, _)| at));
+        bounds.push(padded.len());
+        bounds.len() - 1
+    };
+    if chars < config.q {
         return f(padded);
     }
-    for (pos, window) in bounds.windows(config.q + 1).enumerate() {
-        let plain = &padded[window[0]..window[config.q]];
+    let at = |i: usize| if ascii { i } else { bounds[i] };
+    for pos in 0..=chars - config.q {
+        let plain = &padded[at(pos)..at(pos + config.q)];
         if config.positional {
             use std::fmt::Write;
             gram.clear();
@@ -220,6 +230,26 @@ mod tests {
             positional: false,
         };
         assert_eq!(qgram_list("ab", &trigram), vec!["ab"]);
+    }
+
+    #[test]
+    fn a_string_of_exactly_q_characters_is_one_window() {
+        let positional = QGramConfig {
+            positional: true,
+            ..QGramConfig::bigrams()
+        };
+        assert_eq!(qgram_list("ab", &positional), vec!["ab_0"]);
+        assert_eq!(qgram_list("éß", &positional), vec!["éß_0"]);
+        assert_eq!(qgram_list("a", &positional), vec!["a"]);
+    }
+
+    #[test]
+    fn non_ascii_grams_are_whole_characters() {
+        assert_eq!(qgram_list("łøé", &unpadded()), vec!["łø", "øé"]);
+        assert_eq!(
+            qgram_list("aé", &QGramConfig::default()),
+            vec!["#a", "aé", "é#"]
+        );
     }
 
     #[test]

@@ -158,11 +158,28 @@ impl Value {
     pub fn as_text(&self) -> String {
         match self {
             Value::Text(s) | Value::Categorical(s) => s.clone(),
-            Value::Integer(i) => i.to_string(),
-            Value::Float(x) => format!("{x}"),
-            Value::Date(d) => d.to_string(),
-            Value::Missing => String::new(),
+            other => {
+                let mut buf = String::new();
+                other.text(&mut buf);
+                buf
+            }
         }
+    }
+
+    /// [`Value::as_text`] without the copy: text and categorical values
+    /// are borrowed, the others rendered into `buf` (cleared first).
+    pub fn text<'a>(&'a self, buf: &'a mut String) -> &'a str {
+        use std::fmt::Write;
+        buf.clear();
+        let rendered = match self {
+            Value::Text(s) | Value::Categorical(s) => return s,
+            Value::Integer(i) => write!(buf, "{i}"),
+            Value::Float(x) => write!(buf, "{x}"),
+            Value::Date(d) => write!(buf, "{d}"),
+            Value::Missing => Ok(()),
+        };
+        rendered.expect("writing to a String cannot fail");
+        buf
     }
 
     /// Numeric view: integers, floats, and dates (as epoch days) convert;

@@ -16,8 +16,10 @@
 
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
+use pprl_core::hash::mix128;
 use pprl_crypto::sha::{digest_prefix_u64, hmac_sha256, Compression, Hmac, HmacKey, HmacSha1Key};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// How bit positions are derived from a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +66,12 @@ impl BloomParams {
     fn validate(&self) -> Result<()> {
         if self.len == 0 {
             return Err(PprlError::invalid("len", "filter length must be positive"));
+        }
+        if self.len as u64 > 1 << 32 {
+            return Err(PprlError::invalid(
+                "len",
+                "filter length must be at most 2^32 bits",
+            ));
         }
         if self.num_hashes == 0 {
             return Err(PprlError::invalid("num_hashes", "need at least one hash"));
@@ -158,9 +166,10 @@ impl BloomEncoder {
         self.params.num_hashes
     }
 
-    /// Appends the `k` bit positions (possibly repeating) of `token` (of
-    /// `field|token`, given a field): all the hashing a token ever costs.
-    fn push_positions(&self, field: Option<&str>, token: &str, positions: &mut Vec<usize>) {
+    /// Calls `f` with the `k` bit positions (possibly repeating) of
+    /// `token` (of `field|token`, given a field): all the hashing a token
+    /// ever costs. Positions fit a `u32`: `validate` caps the length.
+    fn for_each_position(&self, field: Option<&str>, token: &str, mut f: impl FnMut(u32)) {
         let l = self.params.len as u64;
         match &self.hasher {
             TokenHasher::Double(sha1_key, sha256_key) => {
@@ -168,20 +177,22 @@ impl BloomEncoder {
                 let h2 = keyed_hash(sha256_key, field, token) % l;
                 // With h2 = 0 every position would collapse onto h1.
                 let h2 = h2.max(1);
-                let hashes = 0..self.params.num_hashes as u64;
-                positions.extend(hashes.map(|i| ((h1 + i * h2) % l) as usize));
+                for i in 0..self.params.num_hashes as u64 {
+                    f(((h1 + i * h2) % l) as u32);
+                }
             }
-            TokenHasher::KIndependent(keys) => positions.extend(
-                keys.iter()
-                    .map(|key| (keyed_hash(key, field, token) % l) as usize),
-            ),
+            TokenHasher::KIndependent(keys) => {
+                for key in keys {
+                    f((keyed_hash(key, field, token) % l) as u32);
+                }
+            }
         }
     }
 
     /// Bit positions for one token (with possible duplicates).
     pub fn positions(&self, token: &str) -> Vec<usize> {
         let mut positions = Vec::with_capacity(self.params.num_hashes);
-        self.push_positions(None, token, &mut positions);
+        self.for_each_position(None, token, |p| positions.push(p as usize));
         positions
     }
 
@@ -207,11 +218,8 @@ impl BloomEncoder {
                 format!("{} bits", filter.len()),
             ));
         }
-        let mut positions = Vec::with_capacity(self.params.num_hashes);
         for t in tokens {
-            positions.clear();
-            self.push_positions(None, t.as_ref(), &mut positions);
-            positions.iter().for_each(|&p| filter.set(p));
+            self.for_each_position(None, t.as_ref(), |p| filter.set(p as usize));
         }
         Ok(())
     }
@@ -230,43 +238,115 @@ impl BloomEncoder {
     }
 }
 
-/// The tokens one encoder has hashed so far in one `encode_dataset`
-/// call, so that each distinct token of a column is hashed once and
-/// every repeat costs a lookup and `k` bit-sets. Scoped to the call and
-/// to the encoder: nothing outlives the key it was computed under.
+/// The tokens one field encoder has hashed so far in one
+/// `EncodeScratch`, so that each distinct token of a column is hashed
+/// once and every repeat costs one exact lookup and `k` word ORs.
+/// Scoped to the scratch and to the encoder: nothing outlives the key it
+/// was computed under.
 #[derive(Debug, Default)]
-pub(crate) struct TokenMemo {
-    /// Token → where its `k` positions start in `positions`.
-    starts: HashMap<String, usize>,
-    positions: Vec<usize>,
+pub(crate) struct PositionMemo {
+    /// Tokens of at most 15 bytes, by [`packed_key`] → where their `k`
+    /// positions start in `positions`.
+    short: HashMap<u128, u32, BuildHasherDefault<PackedKeyHasher>>,
+    /// Longer tokens, by their text.
+    long: HashMap<String, u32>,
+    positions: Vec<u32>,
 }
 
-impl TokenMemo {
-    /// ORs the bits of `field|token` under `encoder` into `filter`, which
-    /// must have the encoder's length. A token not seen before is
-    /// hashed, and remembered while `budget` (entries the caller still
-    /// allows) lasts.
+/// `token`'s bytes with its length in the top byte, if it has at most 15
+/// bytes: equal keys are equal tokens, so a lookup never needs the text.
+fn packed_key(token: &str) -> Option<u128> {
+    let bytes = token.as_bytes();
+    if bytes.len() > 15 {
+        return None;
+    }
+    let mut halves = [0u64, (bytes.len() as u64) << 56];
+    for (i, &b) in bytes.iter().enumerate() {
+        halves[i / 8] |= u64::from(b) << (8 * (i % 8));
+    }
+    Some(u128::from(halves[0]) | u128::from(halves[1]) << 64)
+}
+
+/// Hashes [`PositionMemo`]'s packed keys with [`mix128`].
+#[derive(Debug, Default)]
+struct PackedKeyHasher(u64);
+
+impl Hasher for PackedKeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the memo hashes only packed u128 keys");
+    }
+
+    fn write_u128(&mut self, key: u128) {
+        self.0 = mix128(key);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Sets `positions` in a filter's backing words.
+fn or_positions(words: &mut [u64], positions: &[u32]) {
+    for &p in positions {
+        words[(p / 64) as usize] |= 1 << (p % 64);
+    }
+}
+
+impl PositionMemo {
+    /// ORs the bits of `field|token` under `encoder` into `words`, the
+    /// backing words of a filter of the encoder's length. A token not
+    /// seen before is hashed, and remembered while `budget` (entries the
+    /// caller still allows) lasts.
     pub(crate) fn encode(
         &mut self,
         encoder: &BloomEncoder,
         field: &str,
         token: &str,
-        filter: &mut BitVec,
+        words: &mut [u64],
         budget: &mut usize,
     ) {
-        let mut set = |positions: &[usize]| positions.iter().for_each(|&p| filter.set(p));
-        if let Some(&start) = self.starts.get(token) {
-            return set(&self.positions[start..start + encoder.num_hashes()]);
+        let key = packed_key(token);
+        let held = match key {
+            Some(key) => self.short.get(&key),
+            None => self.long.get(token),
+        };
+        match held {
+            Some(&start) => {
+                let start = start as usize;
+                or_positions(words, &self.positions[start..start + encoder.num_hashes()]);
+            }
+            None => self.hash(encoder, field, token, key, words, budget),
         }
+    }
+
+    /// [`PositionMemo::encode`] of a token not in the memo: out of line,
+    /// so that the lookup path stays small.
+    #[cold]
+    #[inline(never)]
+    fn hash(
+        &mut self,
+        encoder: &BloomEncoder,
+        field: &str,
+        token: &str,
+        key: Option<u128>,
+        words: &mut [u64],
+        budget: &mut usize,
+    ) {
         let start = self.positions.len();
-        encoder.push_positions(Some(field), token, &mut self.positions);
-        set(&self.positions[start..]);
-        if *budget > 0 {
-            *budget -= 1;
-            self.starts.insert(token.to_owned(), start);
-        } else {
-            self.positions.truncate(start);
+        let fits = u32::try_from(start + encoder.num_hashes()).is_ok();
+        if *budget == 0 || !fits {
+            return encoder.for_each_position(Some(field), token, |p| {
+                or_positions(words, &[p]);
+            });
         }
+        *budget -= 1;
+        encoder.for_each_position(Some(field), token, |p| self.positions.push(p));
+        or_positions(words, &self.positions[start..]);
+        let start = start as u32;
+        match key {
+            Some(key) => self.short.insert(key, start),
+            None => self.long.insert(token.to_owned(), start),
+        };
     }
 }
 
@@ -300,6 +380,16 @@ mod tests {
             key: vec![],
         })
         .is_err());
+        // Positions are kept as `u32`.
+        if let Ok(len) = usize::try_from((1u64 << 32) + 1) {
+            assert!(BloomEncoder::new(BloomParams {
+                len,
+                num_hashes: 1,
+                scheme: HashingScheme::DoubleHashing,
+                key: vec![],
+            })
+            .is_err());
+        }
     }
 
     #[test]
@@ -410,22 +500,41 @@ mod tests {
     fn memo_agrees_with_positions_within_and_beyond_its_budget() {
         for scheme in [HashingScheme::DoubleHashing, HashingScheme::KIndependent] {
             let e = encoder(scheme);
-            let mut memo = TokenMemo::default();
-            let mut budget = 2;
-            let mut filter = BitVec::zeros(512);
+            let mut memo = PositionMemo::default();
+            let mut budget = 3;
+            let mut words = vec![0; BitVec::words_for_len(512)];
             let mut expect = BitVec::zeros(512);
-            // Repeats of memoised and of unmemoised tokens, interleaved.
-            for token in ["ab", "bc", "cd", "ab", "de", "cd", "bc", "de"] {
-                memo.encode(&e, "f", token, &mut filter, &mut budget);
+            // Repeats of memoised and of unmemoised tokens, interleaved,
+            // short and long (more than 15 bytes) alike.
+            let long = "a token of twenty bytes";
+            for token in ["ab", long, "bc", "cd", "ab", long, "de", "cd", "bc", "de"] {
+                memo.encode(&e, "f", token, &mut words, &mut budget);
                 for p in e.positions(&format!("f|{token}")) {
                     expect.set(p);
                 }
-                assert_eq!(filter, expect, "{scheme:?} after {token}");
+                assert_eq!(words, expect.as_words(), "{scheme:?} after {token}");
             }
             // Only the budgeted tokens were kept, with their positions.
-            assert_eq!((memo.starts.len(), budget), (2, 0));
-            assert_eq!(memo.positions.len(), 2 * e.num_hashes());
+            assert_eq!((memo.short.len(), memo.long.len(), budget), (2, 1, 0));
+            assert_eq!(memo.positions.len(), 3 * e.num_hashes());
         }
+    }
+
+    #[test]
+    fn packed_keys_are_exact_up_to_15_bytes() {
+        let tokens = [
+            "",
+            "a",
+            "a\0",
+            "ab",
+            "ba",
+            "full:1987-06-05",
+            "full:1987-06-050",
+        ];
+        let keys: Vec<Option<u128>> = tokens.iter().map(|t| packed_key(t)).collect();
+        assert!(keys[..6].iter().all(Option::is_some) && keys[6].is_none());
+        let distinct: std::collections::HashSet<_> = keys[..6].iter().collect();
+        assert_eq!(distinct.len(), 6);
     }
 
     #[test]

@@ -14,20 +14,19 @@
 //! token for categoricals), optional salting by a stable field, and a
 //! hardening pipeline applied to every output filter.
 
-use crate::bloom::{BloomEncoder, BloomParams, TokenMemo};
+use crate::bloom::{BloomEncoder, BloomParams, PositionMemo};
 use crate::hardening::{apply_pipeline, salted_key, Hardening};
 use crate::numeric_bf::NeighbourhoodParams;
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
-use pprl_core::normalize::normalize_default;
+use pprl_core::normalize::{normalize_into, NormalizeConfig};
 use pprl_core::qgram::{for_each_qgram, QGramConfig, QGramScratch};
 use pprl_core::record::{Dataset, Record};
 use pprl_core::schema::Schema;
 use pprl_core::value::Value;
 use pprl_similarity::bitvec_sim::dice_bits;
 use std::borrow::Cow;
-use std::collections::hash_map::{Entry, HashMap};
-use std::fmt::Write;
+use std::collections::HashMap;
 
 /// How one field's value becomes tokens.
 #[derive(Debug, Clone)]
@@ -44,10 +43,15 @@ pub enum FieldEncoding {
 }
 
 /// Buffers [`FieldEncoding::for_each_token`] reuses from value to value,
-/// so that tokenising allocates per value at most, never per token.
+/// so that tokenising allocates nothing once they have grown.
 #[derive(Debug, Default)]
 pub struct TokenScratch {
     qgrams: QGramScratch,
+    /// The value rendered as text, when it is not text already.
+    text: String,
+    /// The normalised text.
+    normalised: String,
+    /// The current date or numeric token.
     token: String,
 }
 
@@ -64,30 +68,43 @@ impl FieldEncoding {
         if value.is_missing() {
             return Ok(());
         }
-        let TokenScratch { qgrams, token } = scratch;
-        let mut emit = |parts: std::fmt::Arguments<'_>| {
+        let TokenScratch {
+            qgrams,
+            text,
+            normalised,
+            token,
+        } = scratch;
+        // `prefix`, then the numbers `-`-joined, each zero-padded to its
+        // width: what `format!` writes, without its machinery.
+        let mut emit = |prefix: &str, numbers: &[(i64, usize)]| {
             token.clear();
-            token
-                .write_fmt(parts)
-                .expect("writing to a String cannot fail");
+            token.push_str(prefix);
+            for (i, &(n, width)) in numbers.iter().enumerate() {
+                if i > 0 {
+                    token.push('-');
+                }
+                push_decimal(token, n, width);
+            }
             f(token);
         };
         match self {
             FieldEncoding::TextQGram(cfg) => {
-                let normalised = normalize_default(&value.as_text());
-                for_each_qgram(&normalised, cfg, qgrams, f);
+                normalize_into(value.text(text), &NormalizeConfig::default(), normalised);
+                for_each_qgram(normalised, cfg, qgrams, f);
             }
             FieldEncoding::Numeric(params) => {
                 for point in params.grid_points(value.as_f64()?)? {
-                    emit(format_args!("n{point}"));
+                    emit("n", &[(point, 0)]);
                 }
             }
             FieldEncoding::DateComponents => match value {
                 Value::Date(d) => {
-                    emit(format_args!("full:{d}"));
-                    emit(format_args!("y:{}", d.year()));
-                    emit(format_args!("m:{}", d.month()));
-                    emit(format_args!("d:{}", d.day()));
+                    let year = d.year().into();
+                    let (month, day) = (d.month().into(), d.day().into());
+                    emit("full:", &[(year, 4), (month, 2), (day, 2)]);
+                    emit("y:", &[(year, 0)]);
+                    emit("m:", &[(month, 0)]);
+                    emit("d:", &[(day, 0)]);
                 }
                 _ => {
                     return Err(PprlError::ValueError(
@@ -96,9 +113,9 @@ impl FieldEncoding {
                 }
             },
             FieldEncoding::Categorical => {
-                let normalised = normalize_default(&value.as_text());
+                normalize_into(value.text(text), &NormalizeConfig::default(), normalised);
                 if !normalised.is_empty() {
-                    f(&normalised);
+                    f(normalised);
                 }
             }
         }
@@ -119,6 +136,28 @@ impl FieldEncoding {
         }
         Ok(tokens)
     }
+}
+
+/// Appends `n` in decimal, zero-padded to `width` characters counting
+/// the sign, as `{n:0width$}` does.
+fn push_decimal(out: &mut String, n: i64, width: usize) {
+    let mut digits = [0; 20];
+    let mut rest = n.unsigned_abs();
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    let len = digits.len() - at + usize::from(n < 0);
+    out.extend(std::iter::repeat_n('0', width.saturating_sub(len)));
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// One encoded field of a record-encoder configuration.
@@ -351,12 +390,12 @@ const MEMO_BUDGET: usize = 1 << 16;
 /// The field encoders under one key and what they have hashed so far.
 struct KeyedCoders<'a> {
     encoders: Cow<'a, [BloomEncoder]>,
-    memos: Vec<TokenMemo>,
+    memos: Vec<PositionMemo>,
 }
 
 impl<'a> KeyedCoders<'a> {
     fn new(encoders: Cow<'a, [BloomEncoder]>) -> Self {
-        let memos = encoders.iter().map(|_| TokenMemo::default()).collect();
+        let memos = encoders.iter().map(|_| PositionMemo::default()).collect();
         KeyedCoders { encoders, memos }
     }
 }
@@ -445,27 +484,32 @@ impl RecordEncoder {
             &mut no_budget
         };
         let salted = &mut scratch.salted;
+        let len = self.config.params.len;
         let mut encoded = Vec::with_capacity(records.len());
         for (row, record) in (first_row..).zip(records) {
             let coders = match scratch.salt_idx {
                 None => &mut scratch.unsalted,
                 Some(si) => {
-                    let salt = record.values[si].as_text();
-                    if salted.len() >= SALT_CACHE_CAP && !salted.contains_key(&salt) {
-                        salted.clear();
-                    }
-                    match salted.entry(salt) {
-                        Entry::Occupied(held) => held.into_mut(),
-                        Entry::Vacant(slot) => {
-                            let key = salted_key(&self.config.params.key, slot.key());
-                            let encoders = build_encoders(&self.config, &key)?;
-                            slot.insert(KeyedCoders::new(encoders.into()))
+                    let salt = record.values[si].text(&mut scratch.tokens.text);
+                    if !salted.contains_key(salt) {
+                        if salted.len() >= SALT_CACHE_CAP {
+                            salted.clear();
                         }
+                        let key = salted_key(&self.config.params.key, salt);
+                        let encoders = build_encoders(&self.config, &key)?;
+                        salted.insert(salt.to_owned(), KeyedCoders::new(encoders.into()));
                     }
+                    salted.get_mut(salt).expect("inserted above")
                 }
             };
-            let nonce = row as u64;
-            let mut filters = Vec::new();
+            let harden = |words| {
+                let filter = BitVec::from_words(words, len)?;
+                apply_pipeline(filter, &self.config.hardening, row as u64)
+            };
+            // Every token's bits go straight into the words of the filter
+            // being built: one allocation per output filter.
+            let mut fields = Vec::new();
+            let mut words = vec![0; BitVec::words_for_len(len)];
             for (f, (spec, &idx)) in self
                 .config
                 .fields
@@ -473,25 +517,23 @@ impl RecordEncoder {
                 .zip(&scratch.field_idx)
                 .enumerate()
             {
-                if f == 0 || self.config.mode == EncodingMode::FieldLevel {
-                    filters.push(BitVec::zeros(self.config.params.len));
+                if f > 0 && self.config.mode == EncodingMode::FieldLevel {
+                    let next = vec![0; words.len()];
+                    fields.push(harden(std::mem::replace(&mut words, next))?);
                 }
-                let filter = filters.last_mut().expect("pushed for the first field");
                 let (encoder, memo) = (&coders.encoders[f], &mut coders.memos[f]);
                 spec.encoding.for_each_token(
                     &record.values[idx],
                     &mut scratch.tokens,
-                    |token| memo.encode(encoder, &spec.field, token, filter, budget),
+                    |token| memo.encode(encoder, &spec.field, token, &mut words, budget),
                 )?;
             }
-            let mut hardened = filters
-                .into_iter()
-                .map(|filter| apply_pipeline(filter, &self.config.hardening, nonce));
             encoded.push(match self.config.mode {
-                EncodingMode::Clk => {
-                    EncodedRecord::Clk(hardened.next().expect("one CLK filter per record")?)
+                EncodingMode::Clk => EncodedRecord::Clk(harden(words)?),
+                EncodingMode::FieldLevel => {
+                    fields.push(harden(words)?);
+                    EncodedRecord::Fields(fields)
                 }
-                EncodingMode::FieldLevel => EncodedRecord::Fields(hardened.collect::<Result<_>>()?),
             });
         }
         Ok(encoded)
@@ -783,6 +825,17 @@ mod tests {
         let far = e.records[0].dice(&e.records[2]).unwrap();
         assert!(close > far, "close {close} vs far {far}");
         assert!(close > 0.4);
+    }
+
+    #[test]
+    fn push_decimal_writes_what_format_does() {
+        for n in [0, 7, -7, 42, -42, 1987, -1987, 12_345, i64::MAX, i64::MIN] {
+            for width in [0, 2, 4] {
+                let mut out = String::from("x");
+                push_decimal(&mut out, n, width);
+                assert_eq!(out, format!("x{n:0width$}"));
+            }
+        }
     }
 
     #[test]

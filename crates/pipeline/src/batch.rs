@@ -253,11 +253,11 @@ pub(crate) fn probe_modalities(a: &Dataset, blocking: &BlockingChoice) -> Result
     Ok((keys, tokens))
 }
 
-/// Rows per encoding task: ~1.2 ms at the ~4.8 µs a person CLK costs
+/// Rows per encoding task: ~1 ms at the ~3.8 µs a person CLK costs
 /// (2-vCPU AVX-512 Xeon).
 const ENCODE_ROWS: usize = 256;
 /// Estimated cost of encoding one record, for the runner's admission.
-const ENCODE_ROW_NANOS: u64 = 5_000;
+const ENCODE_ROW_NANOS: u64 = 4_000;
 
 /// Encodes `a` and `b` (which share `encoder`'s schema) as one task list
 /// on at most `threads` threads, each thread keeping one token memo for

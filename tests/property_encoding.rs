@@ -226,6 +226,10 @@ fn secure_sum_protocols_agree() {
 
 /// Records over a tiny alphabet, so q-grams repeat heavily within and
 /// across rows, with missing values and exact duplicate rows mixed in.
+/// The alphabet has non-ASCII letters and punctuation, tabs and runs of
+/// spaces (the normaliser's slow branch and whitespace collapsing), and
+/// one categorical value is longer than the 15 bytes a packed memo key
+/// holds.
 fn repetitive_dataset(rng: &mut SplitMix64) -> Dataset {
     let n = rng.next_below(40) as usize;
     let mut records: Vec<Record> = Vec::with_capacity(n);
@@ -235,14 +239,16 @@ fn repetitive_dataset(rng: &mut SplitMix64) -> Dataset {
             records.push(twin);
             continue;
         }
+        const PIECES: [&str; 11] = ["a", "b", "A", " ", "   ", "\t", "é", "ß", "ł", "Ø", "’"];
         let name: String = (0..rng.next_below(9))
-            .map(|_| ['a', 'b', 'A', ' ', 'é'][rng.next_below(5) as usize])
+            .map(|_| PIECES[rng.next_below(PIECES.len() as u64) as usize])
             .collect();
+        const GENDERS: [&str; 3] = ["m", "f", "not stated at admission"];
         let mut values = vec![
             Value::Text(name),
             Value::Integer(30 + rng.next_below(4) as i64),
             Value::Date(Date::new(1990, 1 + rng.next_below(2) as u8, 1).expect("valid date")),
-            Value::Categorical(["m", "f"][rng.next_below(2) as usize].to_string()),
+            Value::Categorical(GENDERS[rng.next_below(3) as usize].to_string()),
         ];
         for value in values.iter_mut() {
             if rng.next_below(6) == 0 {
