@@ -34,11 +34,11 @@ pub struct CompareOutcome {
     pub comparisons: usize,
 }
 
-/// Candidate pairs per comparison task: ~0.3 ms of 1000-bit Dice.
+/// Candidate pairs per comparison task: ~0.2 ms of 1000-bit Dice.
 const COMPARE_PAIRS: usize = 4096;
-/// Estimated cost of one 1000-bit Dice comparison: ~75 ns measured on a
-/// 2-vCPU AVX-512 Xeon.
-const PAIR_NANOS: u64 = 75;
+/// Estimated cost of one 1000-bit Dice comparison from cached popcounts:
+/// 40–65 ns measured on a 2-vCPU AVX-512 Xeon.
+const PAIR_NANOS: u64 = 50;
 
 /// Scores `candidates` with `similarity`, keeping pairs ≥ `threshold`.
 pub fn compare_pairs<F>(

@@ -27,7 +27,7 @@ pub use canopy::CanopyBlocking;
 pub use engine::{compare_pairs, compare_pairs_parallel, CompareOutcome, ScoredPair};
 pub use index::{DiceIndex, QueryOutcome};
 pub use keys::{BlockingKey, KeyPart};
-pub use lsh::{HammingLsh, MinHashLsh};
+pub use lsh::{HammingLsh, HammingLshTables, MinHashLsh};
 pub use source::{
     CanopySource, DiceFilterSource, FullSource, HammingLshSource, KeyBlockSource, MetaBlockSource,
     MinHashLshSource, SortedNeighbourhoodSource,

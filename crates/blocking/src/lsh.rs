@@ -13,9 +13,12 @@
 
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
+use pprl_core::hash::mix128;
 use pprl_core::rng::SplitMix64;
 use pprl_core::runner;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 
 use crate::standard::CandidatePair;
 
@@ -128,106 +131,239 @@ impl HammingLsh {
             .collect()
     }
 
-    /// Candidate pairs between two filter sets of equal bit length,
-    /// sorted and without repeats. Keys are 64-bit integers, so at most
-    /// 64 bits per key can be sampled. Runs on [`runner`] with at most
-    /// `threads` threads: one task per table sorts B's keys, then tasks
-    /// of `PROBE_ROWS` rows of A probe every table; the pairs are the
-    /// same at any `threads`.
-    pub fn candidates(
-        &self,
-        filters_a: &[&BitVec],
-        filters_b: &[&BitVec],
-        threads: usize,
-    ) -> Result<Vec<CandidatePair>> {
-        let Some(first) = filters_a.first().or(filters_b.first()) else {
-            return Ok(Vec::new());
-        };
-        let len = first.len();
-        for f in filters_a.iter().chain(filters_b.iter()) {
-            if f.len() != len {
-                return Err(PprlError::shape(
-                    format!("{len} bits"),
-                    format!("{} bits", f.len()),
-                ));
-            }
-        }
+    /// Each table's sampled bits of a `len`-bit filter as taps: bits of one
+    /// word that an AND and a rotation move onto key bits of their own. A
+    /// key thus permutes [`band_key`]'s bits (equal iff the band keys are)
+    /// in ~13 taps, not 24. Keys are `u64`s: at most 64 sampled bits.
+    fn taps(&self, len: usize) -> Result<Vec<Vec<Tap>>> {
         if self.bits_per_key.min(len) > 64 {
             return Err(PprlError::invalid(
                 "bits_per_key",
                 "candidate generation keys on at most 64 sampled bits",
             ));
         }
-        let positions = self.sampled_positions(len);
-        // An all-zero filter encodes a record with no usable evidence
-        // (e.g. every field missing); it would trivially collide with
-        // every sparse filter whose sampled positions happen to be zero,
-        // so it is excluded from blocking.
-        let informative = |f: &BitVec| f.as_words().iter().any(|&w| w != 0);
-        // Per table, B's rows sorted by band key.
-        let key_nanos = filters_b.len() as u64 * KEY_NANOS;
-        let tables = runner::map(
-            threads,
-            positions.len(),
-            key_nanos,
-            || (),
-            |(), t| {
-                let mut keyed: Vec<(u64, usize)> = (0..)
-                    .zip(filters_b)
-                    .filter(|(_, f)| informative(f))
-                    .map(|(j, f)| (band_key(f.as_words(), &positions[t]), j))
-                    .collect();
-                keyed.sort_unstable();
-                Ok(keyed)
-            },
-        )?;
-        // Probe row by row, so the pairs come out sorted by `i` and only
-        // one row's collisions are sorted and deduplicated at a time. A
-        // row's keys are all computed before any is searched for: the
-        // searches then do not wait on one another.
-        let probe_nanos = (PROBE_ROWS * positions.len()) as u64 * PROBE_NANOS;
-        let scratch = || (Vec::with_capacity(positions.len()), Vec::new());
-        let parts = runner::map(
-            threads,
-            filters_a.len().div_ceil(PROBE_ROWS),
-            probe_nanos,
-            scratch,
-            |(keys, row): &mut (Vec<u64>, Vec<usize>), t| {
-                let mut pairs = Vec::new();
-                let start = t * PROBE_ROWS;
-                let rows = &filters_a[start..filters_a.len().min(start + PROBE_ROWS)];
-                for (i, f) in (start..).zip(rows).filter(|(_, f)| informative(f)) {
-                    keys.clear();
-                    keys.extend(positions.iter().map(|table| band_key(f.as_words(), table)));
-                    row.clear();
-                    for (&key, keyed) in keys.iter().zip(&tables) {
-                        let from = keyed.partition_point(|&(k, _)| k < key);
-                        row.extend(
-                            keyed[from..]
-                                .iter()
-                                .take_while(|&&(k, _)| k == key)
-                                .map(|&(_, j)| j),
-                        );
-                    }
-                    row.sort_unstable();
-                    row.dedup();
-                    pairs.extend(row.iter().map(|&j| (i, j)));
-                }
-                Ok(pairs)
-            },
-        )?;
+        let table_taps = |positions: &Vec<usize>| {
+            let (mut used, mut taps) = (0u64, Vec::<Tap>::new());
+            for &p in positions {
+                let (w, bit) = (p / 64, 1u64 << (p % 64));
+                let fits = |&(tw, _, r): &Tap| tw == w && bit.rotate_left(r) & used == 0;
+                let i = taps.iter().position(fits).unwrap_or_else(|| {
+                    let r = ((!used).trailing_zeros() + 64 - bit.trailing_zeros()) % 64;
+                    taps.push((w, 0, r));
+                    taps.len() - 1
+                });
+                taps[i].1 |= bit;
+                used |= bit.rotate_left(taps[i].2);
+            }
+            taps
+        };
+        Ok(self.sampled_positions(len).iter().map(table_taps).collect())
+    }
+
+    /// Candidate pairs between two filter sets of equal bit length,
+    /// sorted and without repeats: [`HammingLsh::bind`] B, then probe it
+    /// with A. The pairs are the same at any `threads`.
+    pub fn candidates(
+        &self,
+        filters_a: &[&BitVec],
+        filters_b: &[&BitVec],
+        threads: usize,
+    ) -> Result<Vec<CandidatePair>> {
+        self.bind(filters_b, threads)?.probe(filters_a, threads)
+    }
+
+    /// Keys B once and builds a map of its keys per table, on [`runner`]
+    /// with at most `threads` threads, for any number of probes.
+    pub fn bind(&self, filters_b: &[&BitVec], threads: usize) -> Result<HammingLshTables> {
+        let len = common_len(filters_b, None)?;
+        // An empty B samples no bits: its maps are empty.
+        let taps = self.taps(len.unwrap_or(0))?;
+        let b = Keyed::new(filters_b, &taps, threads)?;
+        let build = |_: &mut (), t: usize| Ok(KeyMap::build(&b, t));
+        let nanos = filters_b.len() as u64 * BUILD_NANOS;
+        let maps = runner::map(threads, b.tables, nanos, || (), build)?;
+        Ok(HammingLshTables { taps, len, maps })
+    }
+}
+
+/// B's side of a Hamming-LSH join ([`HammingLsh::bind`]): its taps, its
+/// filter length (`None` when B is empty) and a map per table.
+#[derive(Debug)]
+pub struct HammingLshTables {
+    taps: Vec<Vec<Tap>>,
+    len: Option<usize>,
+    maps: Vec<KeyMap>,
+}
+
+impl HammingLshTables {
+    /// The number of bound B rows (each map chains every one).
+    pub fn rows(&self) -> usize {
+        self.maps.first().map_or(0, |map| map.next.len())
+    }
+
+    /// Candidate pairs `(row of A, row of B)`, sorted and without repeats,
+    /// the same at any `threads` (a cap): A is keyed once, a [`runner`]
+    /// task per table joins it, one per `KEY_ROWS` rows merges the runs.
+    pub fn probe(&self, filters_a: &[&BitVec], threads: usize) -> Result<Vec<CandidatePair>> {
+        common_len(filters_a, self.len)?;
+        let a = Keyed::new(filters_a, &self.taps, threads)?;
+        let join = |_: &mut (), t: usize| Ok(self.maps[t].join(&a, t));
+        let nanos = filters_a.len() as u64 * JOIN_NANOS;
+        let runs = runner::map(threads, a.tables, nanos, || (), join)?;
+        let nanos = (KEY_ROWS * a.tables) as u64 * MERGE_NANOS;
+        let parts = runner::map(threads, a.chunks.len(), nanos, Vec::new, |merged, c| {
+            merged.clear();
+            for (run, bounds) in &runs {
+                merged.extend_from_slice(&run[bounds[c]..bounds[c + 1]]);
+            }
+            // The runs are sorted: the stable sort only merges them.
+            merged.sort();
+            merged.dedup();
+            let pair = |&p: &u64| ((p >> 32) as usize, p as u32 as usize);
+            Ok(merged.iter().map(pair).collect::<Vec<_>>())
+        })?;
         Ok(parts.concat())
     }
 }
 
-/// Rows of A per probing task: ~0.5 ms at 16 tables.
-const PROBE_ROWS: usize = 256;
-/// Estimated cost of keying one filter of B into one table, its share of
-/// the sort included: ~55 ns for 1000-bit CLKs (2-vCPU AVX-512 Xeon).
-const KEY_NANOS: u64 = 60;
-/// Estimated cost of probing one table with one row of A (band key and
-/// binary search): ~130 ns on the same host.
-const PROBE_NANOS: u64 = 130;
+/// Sampled bits of one filter word: `(word, mask, left rotation)`.
+type Tap = (usize, u64, u32);
+
+/// Rows per keying task and per merge task.
+const KEY_ROWS: usize = 1024;
+/// ~20 ns: keying a 1000-bit CLK under one 24-bit table (2-vCPU AVX-512 Xeon).
+const KEY_NANOS: u64 = 20;
+/// ~25 ns: inserting a row of B into one table's map, at 20k rows.
+const BUILD_NANOS: u64 = 25;
+/// ~40 ns: looking a row of A up in one table's map, collisions emitted.
+const JOIN_NANOS: u64 = 40;
+/// ~11–12 ns: merging one table's run for a row of A.
+const MERGE_NANOS: u64 = 12;
+/// No row: an empty slot's head, a chain's end.
+const NONE: u32 = u32::MAX;
+
+/// The bit length of `filters` and `expect`; at most `u32::MAX` rows.
+fn common_len(filters: &[&BitVec], expect: Option<usize>) -> Result<Option<usize>> {
+    if filters.len() > NONE as usize {
+        return Err(PprlError::invalid("filters", "more than u32::MAX rows"));
+    }
+    let len = expect.or(filters.first().map(|f| f.len()));
+    match filters.iter().find(|f| Some(f.len()) != len) {
+        Some(f) => Err(PprlError::shape(
+            format!("{} bits", len.unwrap_or_default()),
+            format!("{} bits", f.len()),
+        )),
+        None => Ok(len),
+    }
+}
+
+/// A filter set keyed under every table.
+struct Keyed<'a> {
+    filters: &'a [&'a BitVec],
+    /// Per `KEY_ROWS` rows, their keys table by table, row by row.
+    chunks: Vec<Vec<u64>>,
+    tables: usize,
+}
+
+impl<'a> Keyed<'a> {
+    /// Keys `filters` under every table of `taps`, one task per chunk.
+    fn new(filters: &'a [&'a BitVec], taps: &[Vec<Tap>], threads: usize) -> Result<Self> {
+        let nanos = (KEY_ROWS * taps.len()) as u64 * KEY_NANOS;
+        let key = |_: &mut (), c: usize| {
+            let rows = &filters[c * KEY_ROWS..filters.len().min((c + 1) * KEY_ROWS)];
+            let mut keys = vec![0; rows.len() * taps.len()];
+            for (r, words) in rows.iter().map(|f| f.as_words()).enumerate() {
+                for (t, table) in taps.iter().enumerate() {
+                    keys[t * rows.len() + r] = table.iter().fold(0, |key, &(w, mask, rot)| {
+                        key | (words[w] & mask).rotate_left(rot)
+                    });
+                }
+            }
+            Ok(keys)
+        };
+        let tasks = filters.len().div_ceil(KEY_ROWS);
+        Ok(Keyed {
+            filters,
+            chunks: runner::map(threads, tasks, nanos, || (), key)?,
+            tables: taps.len(),
+        })
+    }
+
+    /// `(row, key)` in table `t` of each row but all-zero filters, which
+    /// carry no evidence (e.g. every field missing) and would collide with
+    /// every filter whose sampled bits are zero.
+    fn column(&self, t: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let keys = self.chunks.iter().flat_map(move |keys| {
+            let rows = keys.len() / self.tables;
+            &keys[t * rows..(t + 1) * rows]
+        });
+        (0u32..)
+            .zip(keys.zip(self.filters))
+            .filter_map(|(row, (&key, f))| {
+                (key != 0 || f.as_words().iter().any(|&w| w != 0)).then_some((row, key))
+            })
+    }
+}
+
+/// One table's B rows by key: linear probing, rows chained ascending.
+#[derive(Debug)]
+struct KeyMap {
+    /// `(key, first row, last row)` per slot; [`NONE`] first when empty.
+    slots: Vec<(u64, u32, u32)>,
+    /// Random per map: keys crafted to share a slot cannot be aimed.
+    salt: u64,
+    /// Per B row, the next row with the same key, or [`NONE`].
+    next: Vec<u32>,
+}
+
+impl KeyMap {
+    /// B's map in table `t`.
+    fn build(b: &Keyed, t: usize) -> KeyMap {
+        // Under 2/3 full (512 KB at 20k rows: in L2); probes end at a gap.
+        let rows = b.filters.len();
+        let mut map = KeyMap {
+            slots: vec![(0, NONE, NONE); (rows * 3 / 2 + 1).next_power_of_two()],
+            next: vec![NONE; rows],
+            salt: RandomState::new().hash_one(t),
+        };
+        for (row, key) in b.column(t) {
+            let s = map.home(key);
+            let slot = &mut map.slots[s];
+            match slot.1 {
+                NONE => *slot = (key, row, row),
+                _ => map.next[std::mem::replace(&mut slot.2, row) as usize] = row,
+            }
+        }
+        map
+    }
+
+    /// The slot holding `key`, or the empty slot where it would go.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut s = mix128(u128::from(key ^ self.salt)) as usize & mask;
+        while self.slots[s].1 != NONE && self.slots[s].0 != key {
+            s = (s + 1) & mask;
+        }
+        s
+    }
+
+    /// Every `(row of A, row of B)` colliding in table `t`, ascending as
+    /// `a << 32 | b`, and the offsets of each `KEY_ROWS` rows of A's pairs.
+    fn join(&self, a: &Keyed, t: usize) -> (Vec<u64>, Vec<usize>) {
+        let (mut run, mut bounds) = (Vec::new(), Vec::with_capacity(a.chunks.len() + 1));
+        for (row, key) in a.column(t) {
+            bounds.resize(bounds.len().max(row as usize / KEY_ROWS + 1), run.len());
+            let mut b = self.slots[self.home(key)].1;
+            while b != NONE {
+                run.push(u64::from(row) << 32 | u64::from(b));
+                b = self.next[b as usize];
+            }
+        }
+        bounds.resize(a.chunks.len() + 1, run.len());
+        (run, bounds)
+    }
+}
 
 /// The band key of a filter (given as its backing words) under one hash
 /// table's sampled `positions`, at most 64 of them and each below the
@@ -390,6 +526,57 @@ mod tests {
         // The sample is capped by the filter length.
         let short = BitVec::ones(40);
         assert_eq!(wide.candidates(&[&short], &[&short], 1).unwrap(), [(0, 0)]);
+    }
+
+    #[test]
+    fn tap_keys_permute_the_band_key_bits() {
+        // Each sampled bit lands on a key bit of its own, so a key is as
+        // fine a partition as the band key, up to 64 bits per key.
+        for (tables, bits, len) in [(16, 24, 1000), (8, 64, 1000), (4, 64, 70), (6, 13, 65)] {
+            let lsh = HammingLsh::new(tables, bits, 5).unwrap();
+            let taps = lsh.taps(len).unwrap();
+            let key = |f: &BitVec, t: usize| Keyed::new(&[f], &taps, 1).unwrap().chunks[0][t];
+            for (t, positions) in lsh.sampled_positions(len).iter().enumerate() {
+                let mut seen = 0u64;
+                for &p in positions {
+                    let key = key(&BitVec::from_positions(len, &[p]).unwrap(), t);
+                    assert_eq!(key.count_ones(), 1, "bit {p}");
+                    assert_eq!(seen & key, 0, "bit {p} shares a key bit");
+                    seen |= key;
+                }
+                assert_eq!(key(&BitVec::ones(len), t), seen);
+            }
+        }
+    }
+
+    #[test]
+    fn one_binding_answers_every_probe() {
+        let mut rng = SplitMix64::new(9);
+        let mut filters = |n: usize| -> Vec<BitVec> {
+            (0..n)
+                .map(|_| {
+                    let ones: Vec<usize> = (0..64).map(|_| rng.next_below(128) as usize).collect();
+                    BitVec::from_positions(128, &ones).unwrap()
+                })
+                .collect()
+        };
+        let (fa, fa2, fb) = (filters(40), filters(7), filters(50));
+        let a: Vec<&BitVec> = fa.iter().collect();
+        let a2: Vec<&BitVec> = fa2.iter().collect();
+        let b: Vec<&BitVec> = fb.iter().collect();
+        let lsh = HammingLsh::new(6, 6, 3).unwrap();
+        let bound = lsh.bind(&b, 1).unwrap();
+        assert_eq!(bound.rows(), 50);
+        for probe in [&a, &a2, &b, &Vec::new()] {
+            assert_eq!(
+                bound.probe(probe, 1).unwrap(),
+                lsh.candidates(probe, &b, 1).unwrap()
+            );
+        }
+        assert!(!bound.probe(&a, 1).unwrap().is_empty());
+        // A probe of another filter length is a typed error.
+        let short = BitVec::ones(64);
+        assert!(bound.probe(&[&short], 1).is_err());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::canopy::CanopyBlocking;
 use crate::filtering::filter_candidates;
-use crate::lsh::{HammingLsh, MinHashLsh};
+use crate::lsh::{HammingLsh, HammingLshTables, MinHashLsh};
 use crate::metablocking::{block_filtering, block_pairs, build_blocks, purge_blocks};
 use crate::standard::{full_cross_product, sorted_neighbourhood};
 use pprl_core::bitvec::BitVec;
@@ -280,25 +280,23 @@ impl CandidateSource for MinHashLshSource {
     }
 }
 
-/// Hamming-LSH blocking bound to the target filters.
+/// Hamming-LSH blocking bound to the target filters, keyed once.
 #[derive(Debug)]
 pub struct HammingLshSource {
-    lsh: HammingLsh,
-    filters_b: Vec<BitVec>,
+    tables: HammingLshTables,
     threads: usize,
     stats: SourceStats,
 }
 
 impl HammingLshSource {
-    /// Binds the LSH parameters and target Bloom filters; candidate
-    /// generation uses at most `threads` threads.
-    pub fn new(lsh: HammingLsh, filters_b: Vec<BitVec>, threads: usize) -> Self {
-        HammingLshSource {
-            lsh,
-            filters_b,
+    /// Binds the LSH parameters and target Bloom filters; binding and
+    /// candidate generation use at most `threads` threads.
+    pub fn new(lsh: HammingLsh, filters_b: &[&BitVec], threads: usize) -> Result<Self> {
+        Ok(HammingLshSource {
+            tables: lsh.bind(filters_b, threads)?,
             threads,
             stats: SourceStats::default(),
-        }
+        })
     }
 }
 
@@ -308,15 +306,14 @@ impl CandidateSource for HammingLshSource {
     }
 
     fn target_len(&self) -> usize {
-        self.filters_b.len()
+        self.tables.rows()
     }
 
     fn candidates(&mut self, probes: &Probes<'_>) -> Result<Vec<CandidatePair>> {
         let filters = probes.require_filters(self.name())?;
-        let refs: Vec<&BitVec> = self.filters_b.iter().collect();
-        let pairs = self.lsh.candidates(filters, &refs, self.threads)?;
+        let pairs = self.tables.probe(filters, self.threads)?;
         self.stats
-            .record_call(filters.len(), self.filters_b.len(), pairs.len());
+            .record_call(filters.len(), self.tables.rows(), pairs.len());
         Ok(pairs)
     }
 
@@ -553,9 +550,9 @@ mod tests {
         let fa = random_filters(20, 128, 1);
         let fb = random_filters(20, 128, 2);
         let lsh = HammingLsh::new(4, 10, 99).unwrap();
-        let mut s = HammingLshSource::new(lsh.clone(), fb.clone(), 2);
         let ra: Vec<&BitVec> = fa.iter().collect();
         let rb: Vec<&BitVec> = fb.iter().collect();
+        let mut s = HammingLshSource::new(lsh.clone(), &rb, 2).unwrap();
         let probes = Probes::from_filters(&ra);
         assert_eq!(
             s.candidates(&probes).unwrap(),
@@ -632,7 +629,7 @@ mod tests {
         let mut s = KeyBlockSource::from_keys(&keys(&["a"]));
         let err = s.candidates(&Probes::default()).unwrap_err();
         assert!(matches!(err, PprlError::InvalidParameter { .. }), "{err}");
-        let mut s = HammingLshSource::new(HammingLsh::new(2, 4, 1).unwrap(), Vec::new(), 1);
+        let mut s = HammingLshSource::new(HammingLsh::new(2, 4, 1).unwrap(), &[], 1).unwrap();
         assert!(s.candidates(&Probes::default()).is_err());
     }
 

@@ -1,7 +1,7 @@
 //! The elastic task runner: the one fan-out for every loop that may
 //! borrow idle cores — the index scan behind `IndexReader::top_k_batch`
 //! and each heavy stage of `pipeline::batch::link` (encoding, Hamming-LSH
-//! table build and probing, comparison).
+//! keying, map build, join and merge, comparison).
 //!
 //! A call names its tasks `0..n` and an estimate of what one costs in
 //! nanoseconds. The caller drains the tasks itself, claiming them in

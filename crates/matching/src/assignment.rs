@@ -13,17 +13,19 @@ use pprl_core::error::{PprlError, Result};
 /// A scored candidate pair `(row_a, row_b, similarity)`.
 pub type Scored = (usize, usize, f64);
 
-/// Greedy one-to-one assignment by descending similarity.
+/// Greedy one-to-one assignment by descending similarity ([`f64::total_cmp`],
+/// so a NaN cannot break the sort); equal scores are taken in input order.
 pub fn greedy_one_to_one(pairs: &[Scored]) -> Vec<Scored> {
     let mut sorted: Vec<Scored> = pairs.to_vec();
-    sorted.sort_by(|x, y| y.2.partial_cmp(&x.2).unwrap_or(std::cmp::Ordering::Equal));
-    let mut used_a = std::collections::HashSet::new();
-    let mut used_b = std::collections::HashSet::new();
+    sorted.sort_by(|x, y| y.2.total_cmp(&x.2));
+    let rows = |side: fn(&Scored) -> usize| pairs.iter().map(side).max().map_or(0, |r| r + 1);
+    let mut used_a = vec![false; rows(|p| p.0)];
+    let mut used_b = vec![false; rows(|p| p.1)];
     let mut out = Vec::new();
     for (a, b, s) in sorted {
-        if !used_a.contains(&a) && !used_b.contains(&b) {
-            used_a.insert(a);
-            used_b.insert(b);
+        if !used_a[a] && !used_b[b] {
+            used_a[a] = true;
+            used_b[b] = true;
             out.push((a, b, s));
         }
     }
@@ -224,6 +226,78 @@ mod tests {
         let out = greedy_one_to_one(&[(0, 0, 0.5), (0, 0, 0.9)]);
         assert_eq!(out.len(), 1);
         assert!((out[0].2 - 0.9).abs() < 1e-9);
+    }
+
+    #[test]
+    fn greedy_survives_nan_scores() {
+        let mut pairs: Vec<Scored> = (0..40)
+            .flat_map(|i| (0..40).map(move |j| (i, j, ((i * 7 + j * 3) % 11) as f64 / 11.0)))
+            .collect();
+        for k in (0..pairs.len()).step_by(5) {
+            pairs[k].2 = f64::NAN;
+        }
+        let out = greedy_one_to_one(&pairs);
+        let mut rows_a: Vec<usize> = out.iter().map(|p| p.0).collect();
+        let mut rows_b: Vec<usize> = out.iter().map(|p| p.1).collect();
+        rows_a.dedup();
+        rows_b.sort_unstable();
+        rows_b.dedup();
+        assert_eq!((rows_a.len(), rows_b.len()), (out.len(), out.len()));
+    }
+
+    #[test]
+    fn greedy_ties_resolve_by_input_order() {
+        // Sorted by (a, b), as the pipeline hands them over: the tie at
+        // 0.9 goes to the smallest (a, b).
+        let pairs = vec![(0, 1, 0.9), (1, 0, 0.9), (1, 1, 0.9), (2, 2, 0.5)];
+        assert_eq!(
+            greedy_one_to_one(&pairs),
+            vec![(0, 1, 0.9), (1, 0, 0.9), (2, 2, 0.5)]
+        );
+        let pairs = vec![(0, 0, 0.8), (0, 1, 0.8), (1, 0, 0.8)];
+        assert_eq!(greedy_one_to_one(&pairs), vec![(0, 0, 0.8)]);
+    }
+
+    /// The assignment before the total order: `partial_cmp` and hash
+    /// sets of used rows.
+    fn greedy_by_partial_cmp(pairs: &[Scored]) -> Vec<Scored> {
+        let mut sorted: Vec<Scored> = pairs.to_vec();
+        sorted.sort_by(|x, y| y.2.partial_cmp(&x.2).unwrap());
+        let mut used_a = std::collections::HashSet::new();
+        let mut used_b = std::collections::HashSet::new();
+        let mut out = Vec::new();
+        for (a, b, s) in sorted {
+            if !used_a.contains(&a) && !used_b.contains(&b) {
+                used_a.insert(a);
+                used_b.insert(b);
+                out.push((a, b, s));
+            }
+        }
+        out.sort_by_key(|x| (x.0, x.1));
+        out
+    }
+
+    #[test]
+    fn greedy_on_finite_scores_is_unchanged() {
+        let mut rng = pprl_core::rng::SplitMix64::new(17);
+        for case in 0..50 {
+            let n = 1 + case * 4;
+            let pairs: Vec<Scored> = (0..n)
+                .map(|_| {
+                    let score = rng.next_below(9) as f64 / 8.0; // many ties
+                    (
+                        rng.next_below(20) as usize,
+                        rng.next_below(20) as usize,
+                        score,
+                    )
+                })
+                .collect();
+            assert_eq!(
+                greedy_one_to_one(&pairs),
+                greedy_by_partial_cmp(&pairs),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

@@ -10,16 +10,18 @@
 //! [`BlockingChoice::Index`], to a pre-built persistent index on disk —
 //! no per-run in-memory block rebuild), and the pipeline probes it with
 //! dataset A. Scores are always recomputed from the encoded filters with
-//! the same `dice_bits` call, so the match scores are bit-identical
-//! across backends that emit the same candidate pairs.
+//! the arithmetic of `dice_bits` (each filter's popcount taken once, one
+//! AND-popcount per pair), so the match scores are bit-identical across
+//! backends that emit the same candidate pairs.
 //!
 //! Every heavy stage runs on the elastic [`runner`], capped at
 //! [`PipelineConfig::threads`]: encoding A and B (tasks of
 //! `ENCODE_ROWS` rows, one token memo per thread, hardening nonces by
-//! global row), Hamming-LSH table build and probing, the index scan and
-//! comparison. The caller works through each stage's tasks and borrows
-//! only cores the process-wide foreground gauge shows idle; outputs are
-//! stitched in task order, so a result is bit-identical at any cap.
+//! global row), Hamming-LSH keying, map build, join and merge, the index
+//! scan and comparison. The caller works through each stage's tasks and
+//! borrows only cores the process-wide foreground gauge shows idle;
+//! outputs are stitched in task order, so a result is bit-identical at
+//! any cap.
 
 use pprl_blocking::canopy::CanopyBlocking;
 use pprl_blocking::engine::compare_pairs_parallel;
@@ -40,7 +42,7 @@ use pprl_core::value::Value;
 use pprl_encoding::encoder::{EncodedDataset, RecordEncoder, RecordEncoderConfig};
 use pprl_index::backend::IndexBackend;
 use pprl_matching::assignment::greedy_one_to_one;
-use pprl_similarity::bitvec_sim::dice_bits;
+use pprl_similarity::kernel::{and_count, dice_from_counts};
 use std::path::PathBuf;
 
 /// Linking against a pre-built persistent index (see `pprl-index`).
@@ -206,11 +208,9 @@ pub fn build_source(
         BlockingChoice::SortedNeighbourhood(key, window) => {
             Box::new(SortedNeighbourhoodSource::new(key.extract(b)?, *window)?)
         }
-        BlockingChoice::Lsh(lsh) => Box::new(HammingLshSource::new(
-            lsh.clone(),
-            filters_b.iter().map(|f| (*f).clone()).collect(),
-            threads,
-        )),
+        BlockingChoice::Lsh(lsh) => {
+            Box::new(HammingLshSource::new(lsh.clone(), filters_b, threads)?)
+        }
         BlockingChoice::Canopy(canopy) => {
             Box::new(CanopySource::new(canopy.clone(), record_tokens(b)))
         }
@@ -332,7 +332,14 @@ pub fn link(a: &Dataset, b: &Dataset, config: &PipelineConfig) -> Result<Linkage
     };
     let candidates = source.candidates(&probes)?;
 
-    let similarity = |i: usize, j: usize| dice_bits(filters_a[i], filters_b[j]);
+    // Popcounts once per filter: a pair costs one AND-popcount, and its
+    // score stays bit-identical to `dice_bits`.
+    let ones_a: Vec<usize> = filters_a.iter().map(|f| f.count_ones()).collect();
+    let ones_b: Vec<usize> = filters_b.iter().map(|f| f.count_ones()).collect();
+    let similarity = |i: usize, j: usize| {
+        let both = and_count(filters_a[i].as_words(), filters_b[j].as_words());
+        Ok(dice_from_counts(both, ones_a[i], ones_b[j]))
+    };
     let outcome =
         compare_pairs_parallel(&candidates, config.threshold, config.threads, similarity)?;
 
@@ -482,6 +489,31 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn match_scores_are_bit_identical_to_dice_bits() {
+        let (a, b) = data(9);
+        let mut cfg = PipelineConfig::standard(b"key".to_vec()).unwrap();
+        cfg.threshold = 0.5;
+        cfg.one_to_one = false;
+        let encoder = RecordEncoder::new(cfg.encoder.clone(), a.schema()).unwrap();
+        let enc_a = encoder.encode_dataset(&a).unwrap();
+        let enc_b = encoder.encode_dataset(&b).unwrap();
+        let (filters_a, filters_b) = (enc_a.clks().unwrap(), enc_b.clks().unwrap());
+        for threads in [1, gauge::cores()] {
+            cfg.threads = threads;
+            let r = link(&a, &b, &cfg).unwrap();
+            assert!(!r.matches.is_empty());
+            for &(i, j, s) in &r.matches {
+                let want = pprl_similarity::bitvec_sim::dice_bits(filters_a[i], filters_b[j]);
+                assert_eq!(
+                    s.to_bits(),
+                    want.unwrap().to_bits(),
+                    "({i}, {j}) at {threads}"
+                );
+            }
+        }
     }
 
     #[test]

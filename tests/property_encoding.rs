@@ -7,7 +7,9 @@
 //! seeded random cases.
 
 use pprl::blocking::lsh::HammingLsh;
+use pprl::blocking::source::HammingLshSource;
 use pprl::core::bitvec::BitVec;
+use pprl::core::candidate::{CandidateSource, Probes};
 use pprl::core::qgram::QGramConfig;
 use pprl::core::record::{Dataset, Record};
 use pprl::core::rng::SplitMix64;
@@ -447,21 +449,32 @@ fn integer_keys_give_exactly_the_byte_key_pairs() {
                 })
                 .collect()
         };
-        let (a, b) = if large {
-            (population(3000), population(3000))
+        let (a, a2, b) = if large {
+            (population(3000), population(2000), population(3000))
         } else {
-            (population(1 + case % 17), population(case % 23))
+            (
+                population(1 + case % 17),
+                population(case % 5),
+                population(case % 23),
+            )
         };
         let (a, b): (Vec<&BitVec>, Vec<&BitVec>) = (a.iter().collect(), b.iter().collect());
+        // A second probe set: fresh rows and A's rows in reverse.
+        let a2: Vec<&BitVec> = a2.iter().chain(a.iter().rev().copied()).collect();
         let tables = if large { 16 } else { 1 + case % 6 };
         let lsh = HammingLsh::new(tables, bits, rng.next_u64()).unwrap();
         let want = candidates_by_byte_keys(&lsh, &a, &b);
+        let want2 = candidates_by_byte_keys(&lsh, &a2, &b);
         for threads in [1, 2, 4, 8] {
-            assert_eq!(
-                lsh.candidates(&a, &b, threads).unwrap(),
-                want,
-                "case {case}: {len} bits, {bits} per key, {threads} threads"
-            );
+            let at = format!("case {case}: {len} bits, {bits} per key, {threads} threads");
+            assert_eq!(lsh.candidates(&a, &b, threads).unwrap(), want, "{at}");
+            // B bound once answers every probe set.
+            let mut source = HammingLshSource::new(lsh.clone(), &b, threads).unwrap();
+            let mut probe =
+                |filters: &[&BitVec]| source.candidates(&Probes::from_filters(filters)).unwrap();
+            assert_eq!(probe(&a), want, "{at}, bound");
+            assert_eq!(probe(&a2), want2, "{at}, bound, second probe");
+            assert!(probe(&[]).is_empty(), "{at}, bound, empty probe");
         }
     }
 }
