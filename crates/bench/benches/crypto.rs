@@ -10,15 +10,27 @@ use pprl_core::rng::SplitMix64;
 use pprl_crypto::bigint::BigUint;
 use pprl_crypto::paillier::KeyPair;
 use pprl_crypto::secure_edit::{plaintext_edit_distance, secure_edit_distance};
-use pprl_crypto::sha::{hmac_sha256, sha256};
+use pprl_crypto::sha::{hmac_sha256, sha1, sha256, HmacKey, HmacSha1Key};
 
 fn bench_hashing(c: &mut Criterion) {
     let data = vec![0xABu8; 64];
     c.bench_function("sha256_64B", |b| {
         b.iter(|| std::hint::black_box(sha256(&data)))
     });
+    c.bench_function("sha1_64B", |b| b.iter(|| std::hint::black_box(sha1(&data))));
+    // One-shot: derives the key pads on every call, unlike an encoder.
     c.bench_function("hmac_sha256_64B", |b| {
         b.iter(|| std::hint::black_box(hmac_sha256(b"key", &data)))
+    });
+    // What a Bloom encoder pays for a token its memo has not seen.
+    let token = std::hint::black_box(b"dob|full:1984-07-19");
+    let key256 = HmacKey::new(b"key");
+    c.bench_function("hmac_key_sha256_19B", |b| {
+        b.iter(|| std::hint::black_box(key256.mac(token)))
+    });
+    let key1 = HmacSha1Key::new(b"key");
+    c.bench_function("hmac_key_sha1_19B", |b| {
+        b.iter(|| std::hint::black_box(key1.mac(token)))
     });
 }
 

@@ -1046,7 +1046,8 @@ pub fn cluster_cmd(mut args: Args) -> CmdResult {
 
 /// `pprl kernels` — report this host's scan-kernel dispatch: detected
 /// CPU features, every runnable implementation, the `PPRL_KERNEL`
-/// override when one is set, and the active choice.
+/// override when one is set, and the active choice; then the SHA
+/// compression token hashing runs on (`sha-ni` or `scalar`).
 ///
 /// `--list` prints just the runnable kernel names, one per line, for
 /// scripting (CI iterates it to force each path in turn). `--check`
@@ -1090,6 +1091,7 @@ pub fn kernels_cmd(mut args: Args) -> CmdResult {
         None => println!("requested via PPRL_KERNEL: (unset; best available wins)"),
     }
     println!("active kernel: {}", kernel::kernel_name());
+    println!("sha compression: {}", pprl_crypto::sha::compression_name());
     if check && !kernel::requested_is_supported() {
         return Err(format!(
             "PPRL_KERNEL={} is not runnable on this host (available: {})",
@@ -1311,7 +1313,9 @@ COMMANDS:
             prints just the runnable names for scripting, --check fails
             loudly when PPRL_KERNEL names a kernel this host cannot run
             or when any op of the active kernel (and_count, and_count4,
-            scan_ge) disagrees with the scalar path on fixed vectors
+            scan_ge) disagrees with the scalar path on fixed vectors;
+            also names the SHA compression token hashing runs on
+            (sha-ni where the CPU has it, else scalar; no knob)
 
   multiparty --inputs A.csv,B.csv,C.csv --key SECRET [--threshold F]
             [--pattern ring|sequential|tree|hierarchical]

@@ -29,6 +29,8 @@
 //! [`Backend`](pprl_server::server::Backend) — so existing clients need
 //! no changes to talk to a cluster.
 
+#![forbid(unsafe_code)]
+
 pub mod coordinator;
 pub mod merge;
 pub mod server;

@@ -13,7 +13,10 @@
 //! wire must instead draw from [`rng::SecretRng`] / [`rng::os_random`],
 //! and MAC comparisons go through the constant-time [`sha::ct_eq`].
 
-#![forbid(unsafe_code)]
+// Unsafe is denied crate-wide and re-allowed only inside the SHA-NI
+// module in `sha`, where every block carries a safety comment tying it
+// to runtime CPU-feature detection.
+#![deny(unsafe_code)]
 // `!(x > 0.0)`-style comparisons are deliberate: they reject NaN, which
 // `x <= 0.0` would accept.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]

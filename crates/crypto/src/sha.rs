@@ -5,6 +5,11 @@
 //! and MD5 in the original; we use SHA-1 and SHA-256). These implementations
 //! are bit-exact against the FIPS test vectors (see tests) and are the only
 //! hash primitives in the workspace.
+//!
+//! Blocks are compressed on the x86-64 SHA extensions (SHA-NI) when the
+//! CPU has them, detected once per process, else (aarch64 included) on
+//! the scalar code, which is also the tests' oracle; [`compression_name`]
+//! says which.
 
 /// Output of SHA-256 (32 bytes).
 pub type Sha256Digest = [u8; 32];
@@ -50,45 +55,87 @@ pub trait Compression: Copy {
     fn words(&self) -> &[u32];
 }
 
+/// The FIPS 180-4 SHA-256 compression of one block, in portable code.
+fn sha256_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    load_block(&mut w, block);
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let temp1 = hh
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(SHA256_K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+    for (h, x) in state.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        *h = h.wrapping_add(x);
+    }
+}
+
+/// The FIPS 180-4 SHA-1 compression of one block, in portable code.
+fn sha1_scalar(state: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 80];
+    load_block(&mut w, block);
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+    for (i, &wi) in w.iter().enumerate() {
+        let (f, k) = match i {
+            0..=19 => ((b & c) | ((!b) & d), 0x5A827999u32),
+            20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
+            40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
+            _ => (b ^ c ^ d, 0xCA62C1D6),
+        };
+        let temp = a
+            .rotate_left(5)
+            .wrapping_add(f)
+            .wrapping_add(e)
+            .wrapping_add(k)
+            .wrapping_add(wi);
+        e = d;
+        d = c;
+        c = b.rotate_left(30);
+        b = a;
+        a = temp;
+    }
+    for (h, x) in state.iter_mut().zip([a, b, c, d, e]) {
+        *h = h.wrapping_add(x);
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+use self::{sha1_scalar as sha1_compress, sha256_scalar as sha256_compress};
+#[cfg(target_arch = "x86_64")]
+use x86::{sha1 as sha1_compress, sha256 as sha256_compress};
+
 impl Compression for [u32; 8] {
     type Digest = Sha256Digest;
     const IV: Self = SHA256_IV;
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        load_block(&mut w, block);
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *self;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = hh
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(SHA256_K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-        for (h, x) in self.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-            *h = h.wrapping_add(x);
-        }
+        sha256_compress(self, block);
     }
 
     fn words(&self) -> &[u32] {
@@ -101,38 +148,142 @@ impl Compression for [u32; 5] {
     const IV: Self = SHA1_IV;
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        load_block(&mut w, block);
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = *self;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999u32),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
-        }
-        for (h, x) in self.iter_mut().zip([a, b, c, d, e]) {
-            *h = h.wrapping_add(x);
-        }
+        sha1_compress(self, block);
     }
 
     fn words(&self) -> &[u32] {
         self
+    }
+}
+
+/// The compression code this process runs for SHA-1 and SHA-256:
+/// `"sha-ni"` on an x86-64 CPU with the SHA extensions, else `"scalar"`.
+pub fn compression_name() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if x86::detected() {
+        return "sha-ni";
+    }
+    "scalar"
+}
+
+// Every `unsafe` here reinterprets plain bytes, loads inside an array or
+// calls a `target_feature` function after `detected` confirmed it.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86 {
+    use core::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    /// Whether this CPU has SHA-NI, SSSE3 and SSE4.1; detected once.
+    pub(super) fn detected() -> bool {
+        static SHA_NI: OnceLock<bool> = OnceLock::new();
+        *SHA_NI.get_or_init(|| {
+            is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("ssse3")
+                && is_x86_feature_detected!("sse4.1")
+        })
+    }
+
+    /// SHA-256 compression on SHA-NI if [`detected`], else on the scalar code.
+    pub(super) fn sha256(state: &mut [u32; 8], block: &[u8; 64]) {
+        match detected() {
+            // SAFETY: `detected` confirmed sha, ssse3 and sse4.1 at run time.
+            true => unsafe { sha256_ni(state, block) },
+            false => super::sha256_scalar(state, block),
+        }
+    }
+
+    /// SHA-1 compression on SHA-NI if [`detected`], else on the scalar code.
+    pub(super) fn sha1(state: &mut [u32; 5], block: &[u8; 64]) {
+        match detected() {
+            // SAFETY: `detected` confirmed sha, ssse3 and sse4.1 at run time.
+            true => unsafe { sha1_ni(state, block) },
+            false => super::sha1_scalar(state, block),
+        }
+    }
+
+    /// The block's four 16-byte quarters, bytes reordered by `mask`.
+    #[target_feature(enable = "ssse3")]
+    fn load(block: &[u8; 64], mask: __m128i) -> [__m128i; 4] {
+        // SAFETY: 64 plain bytes either way, and any bits are an `__m128i`.
+        let quarters: [__m128i; 4] = unsafe { std::mem::transmute(*block) };
+        quarters.map(|q| _mm_shuffle_epi8(q, mask))
+    }
+
+    /// The four lanes of `v`, bottom lane first.
+    fn lanes(v: __m128i) -> [u32; 4] {
+        // SAFETY: 16 plain bytes either way, and any bits are a `[u32; 4]`.
+        unsafe { std::mem::transmute(v) }
+    }
+
+    /// Intel's SHA-256 sequence: lanes (A, B, E, F) and (C, D, G, H) from
+    /// the top of two registers; each `sha256rnds2` runs two rounds.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn sha256_ni(state: &mut [u32; 8], block: &[u8; 64]) {
+        let [a, b, c, d, e, f, g, h] = state.map(|x| x as i32);
+        let (abef0, cdgh0) = (_mm_set_epi32(a, b, e, f), _mm_set_epi32(c, d, g, h));
+        let (mut abef, mut cdgh) = (abef0, cdgh0);
+        // Big-endian words, word 0 in the bottom lane.
+        let be = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let mut w = load(block, be);
+        for i in 0..16 {
+            if i >= 4 {
+                let next = _mm_sha256msg1_epu32(w[0], w[1]);
+                let next = _mm_add_epi32(next, _mm_alignr_epi8(w[3], w[2], 4));
+                w = [w[1], w[2], w[3], _mm_sha256msg2_epu32(next, w[3])];
+            }
+            // SAFETY: an unaligned 16-byte load of K[4i..4i + 4], i < 16.
+            let k = unsafe { _mm_loadu_si128(super::SHA256_K.as_ptr().add(4 * i).cast()) };
+            let wk = _mm_add_epi32(w[i.min(3)], k);
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        }
+        let [f, e, b, a] = lanes(_mm_add_epi32(abef, abef0));
+        let [h, g, d, c] = lanes(_mm_add_epi32(cdgh, cdgh0));
+        *state = [a, b, c, d, e, f, g, h];
+    }
+
+    /// Intel's SHA-1 sequence: (A, B, C, D) from the top, E atop a second
+    /// register; each `sha1rnds4` runs four rounds of one round function.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn sha1_ni(state: &mut [u32; 5], block: &[u8; 64]) {
+        let [a, b, c, d, e] = state.map(|x| x as i32);
+        let (abcd0, e0) = (_mm_set_epi32(a, b, c, d), _mm_set_epi32(e, 0, 0, 0));
+        // Big-endian words, word 0 in the top lane.
+        let be = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
+        let mut w = load(block, be);
+        let mut abcd = abcd0;
+        // E plus the schedule words of the next four rounds.
+        let mut ew = _mm_add_epi32(e0, w[0]);
+        sha1_rounds20::<0>(0, &mut abcd, &mut ew, &mut w);
+        sha1_rounds20::<1>(5, &mut abcd, &mut ew, &mut w);
+        sha1_rounds20::<2>(10, &mut abcd, &mut ew, &mut w);
+        let prev = sha1_rounds20::<3>(15, &mut abcd, &mut ew, &mut w);
+        let [d, c, b, a] = lanes(_mm_add_epi32(abcd, abcd0));
+        *state = [a, b, c, d, lanes(_mm_sha1nexte_epu32(prev, e0))[3]];
+    }
+
+    /// Rounds `4 * first..4 * first + 20` with round function `F`, each four
+    /// followed by the next four's words and E. Returns ABCD before the last.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn sha1_rounds20<const F: i32>(
+        first: usize,
+        abcd: &mut __m128i,
+        ew: &mut __m128i,
+        w: &mut [__m128i; 4],
+    ) -> __m128i {
+        let mut prev = *abcd;
+        for i in first..first + 5 {
+            prev = *abcd;
+            *abcd = _mm_sha1rnds4_epu32::<F>(prev, *ew);
+            if (3..19).contains(&i) {
+                let next = _mm_xor_si128(_mm_sha1msg1_epu32(w[0], w[1]), w[2]);
+                *w = [w[1], w[2], w[3], _mm_sha1msg2_epu32(next, w[3])];
+            }
+            *ew = _mm_sha1nexte_epu32(prev, w[(i + 1).min(3)]);
+        }
+        prev
     }
 }
 
@@ -377,84 +528,135 @@ pub fn to_hex(bytes: &[u8]) -> String {
 mod tests {
     use super::*;
 
+    /// The scalar SHA-256 compression behind [`Compression`], so every
+    /// vector below runs through the dispatched path and the scalar one.
+    #[derive(Clone, Copy)]
+    struct Scalar256([u32; 8]);
+
+    impl Compression for Scalar256 {
+        type Digest = Sha256Digest;
+        const IV: Self = Scalar256(SHA256_IV);
+        fn compress(&mut self, block: &[u8; 64]) {
+            sha256_scalar(&mut self.0, block);
+        }
+        fn words(&self) -> &[u32] {
+            &self.0
+        }
+    }
+
+    /// The scalar SHA-1 compression behind [`Compression`].
+    #[derive(Clone, Copy)]
+    struct Scalar1([u32; 5]);
+
+    impl Compression for Scalar1 {
+        type Digest = Sha1Digest;
+        const IV: Self = Scalar1(SHA1_IV);
+        fn compress(&mut self, block: &[u8; 64]) {
+            sha1_scalar(&mut self.0, block);
+        }
+        fn words(&self) -> &[u32] {
+            &self.0
+        }
+    }
+
+    fn hash_hex<C: Compression>(data: &[u8]) -> String {
+        let mut h = Hasher::<C>::new();
+        h.update(data);
+        to_hex(h.finalize().as_ref())
+    }
+
+    fn mac_hex<C: Compression>(key: &[u8], message: &[u8]) -> String {
+        to_hex(Hmac::<C>::new(key).mac(message).as_ref())
+    }
+
     #[test]
     fn sha256_fips_vectors() {
-        assert_eq!(
-            to_hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            to_hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            to_hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        let cases: [(&[u8], &str); 3] = [
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ];
+        for (message, expect) in cases {
+            assert_eq!(to_hex(&sha256(message)), expect);
+            assert_eq!(hash_hex::<Scalar256>(message), expect);
+        }
     }
 
     #[test]
     fn sha256_long_input() {
         // FIPS: one million 'a' characters.
         let million_a = vec![b'a'; 1_000_000];
-        assert_eq!(
-            to_hex(&sha256(&million_a)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        let expect = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+        assert_eq!(to_hex(&sha256(&million_a)), expect);
+        assert_eq!(hash_hex::<Scalar256>(&million_a), expect);
     }
 
     #[test]
     fn sha1_fips_vectors() {
-        assert_eq!(
-            to_hex(&sha1(b"abc")),
-            "a9993e364706816aba3e25717850c26c9cd0d89d"
-        );
-        assert_eq!(
-            to_hex(&sha1(b"")),
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-        );
-        assert_eq!(
-            to_hex(&sha1(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-        );
+        let cases: [(&[u8], &str); 3] = [
+            (b"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"),
+            (b"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
+            ),
+        ];
+        for (message, expect) in cases {
+            assert_eq!(to_hex(&sha1(message)), expect);
+            assert_eq!(hash_hex::<Scalar1>(message), expect);
+        }
     }
 
     #[test]
     fn hmac_sha256_rfc4231_vectors() {
-        // RFC 4231 test case 1.
-        let key = [0x0b; 20];
-        assert_eq!(
-            to_hex(&hmac_sha256(&key, b"Hi There")),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        // Test case 2: key "Jefe".
-        assert_eq!(
-            to_hex(&hmac_sha256(b"Jefe", b"what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-        // Test case 6: key longer than the block size.
-        let long_key = [0xaa; 131];
-        assert_eq!(
-            to_hex(&hmac_sha256(
-                &long_key,
-                b"Test Using Larger Than Block-Size Key - Hash Key First"
-            )),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+        let cases: [(&[u8], &[u8], &str); 3] = [
+            // RFC 4231 test case 1.
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            // Test case 2: key "Jefe".
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            // Test case 6: key longer than the block size.
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+        ];
+        for (key, message, expect) in cases {
+            assert_eq!(to_hex(&hmac_sha256(key, message)), expect);
+            assert_eq!(mac_hex::<Scalar256>(key, message), expect);
+        }
     }
 
     #[test]
     fn sha1_long_and_uneven_streaming() {
+        sha1_streaming::<[u32; 5]>();
+        sha1_streaming::<Scalar1>();
+    }
+
+    fn sha1_streaming<C: Compression>() {
         // FIPS 180: one million 'a' characters, one-shot and fed in
         // uneven slices that straddle the 64-byte block boundary.
         let million_a = vec![b'a'; 1_000_000];
         let expect = "34aa973cd4c4daa4f61eeb2bdbad27316534016f";
-        assert_eq!(to_hex(&sha1(&million_a)), expect);
-        let mut h = Sha1::new();
+        assert_eq!(hash_hex::<C>(&million_a), expect);
+        let mut h = Hasher::<C>::new();
         let mut rest = &million_a[..];
         for step in [1usize, 63, 64, 65, 7, 129, 1000].iter().cycle() {
             let (head, tail) = rest.split_at((*step).min(rest.len()));
@@ -464,16 +666,16 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(to_hex(&h.finalize()), expect);
+        assert_eq!(to_hex(h.finalize().as_ref()), expect);
         // FIPS 180 two-block message.
         let two_block = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
 hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
-        let mut h = Sha1::new();
+        let mut h = Hasher::<C>::new();
         for chunk in two_block.chunks(13) {
             h.update(chunk);
         }
         assert_eq!(
-            to_hex(&h.finalize()),
+            to_hex(h.finalize().as_ref()),
             "a49b2446a02c645bf419f995b67091253a04a259"
         );
     }
@@ -523,6 +725,7 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
         ];
         for (key, message, expect) in cases {
             assert_eq!(to_hex(&hmac_sha1(key, message)), expect);
+            assert_eq!(mac_hex::<Scalar1>(key, message), expect);
             let cached = HmacSha1Key::new(key);
             let mut state = cached.begin();
             for chunk in message.chunks(9) {
@@ -638,18 +841,50 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
     #[test]
     fn hmac_key_rfc4231_vectors() {
         let key = [0x0b; 20];
-        assert_eq!(
-            to_hex(&HmacKey::new(&key).mac(b"Hi There")),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
+        let expect = "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7";
+        assert_eq!(to_hex(&HmacKey::new(&key).mac(b"Hi There")), expect);
+        assert_eq!(mac_hex::<Scalar256>(&key, b"Hi There"), expect);
         let long_key = [0xaa; 131];
-        assert_eq!(
-            to_hex(
-                &HmacKey::new(&long_key)
-                    .mac(b"Test Using Larger Than Block-Size Key - Hash Key First")
-            ),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+        let message = b"Test Using Larger Than Block-Size Key - Hash Key First";
+        let expect = "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54";
+        assert_eq!(to_hex(&HmacKey::new(&long_key).mac(message)), expect);
+        assert_eq!(mac_hex::<Scalar256>(&long_key, message), expect);
+    }
+
+    #[test]
+    fn dispatched_compression_is_sha_ni_whenever_the_cpu_has_it() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha") {
+            assert_eq!(compression_name(), "sha-ni");
+            return;
+        }
+        assert_eq!(compression_name(), "scalar");
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sha_ni_compression_equals_scalar_on_random_blocks() {
+        if !x86::detected() {
+            return;
+        }
+        let mut rng = pprl_core::rng::SplitMix64::new(180);
+        let mut word = || rng.next_u64() as u32;
+        for _ in 0..10_000 {
+            let mut block = [0u8; 64];
+            for chunk in block.chunks_exact_mut(4) {
+                chunk.copy_from_slice(&word().to_le_bytes());
+            }
+            let state256: [u32; 8] = std::array::from_fn(|_| word());
+            let (mut ni, mut scalar) = (state256, state256);
+            x86::sha256(&mut ni, &block);
+            sha256_scalar(&mut scalar, &block);
+            assert_eq!(ni, scalar, "SHA-256 from {state256:08x?}");
+            let state1: [u32; 5] = std::array::from_fn(|_| word());
+            let (mut ni, mut scalar) = (state1, state1);
+            x86::sha1(&mut ni, &block);
+            sha1_scalar(&mut scalar, &block);
+            assert_eq!(ni, scalar, "SHA-1 from {state1:08x?}");
+        }
     }
 
     #[test]

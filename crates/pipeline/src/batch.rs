@@ -253,11 +253,13 @@ pub(crate) fn probe_modalities(a: &Dataset, blocking: &BlockingChoice) -> Result
     Ok((keys, tokens))
 }
 
-/// Rows per encoding task: ~1 ms at the ~3.8 µs a person CLK costs
-/// (2-vCPU AVX-512 Xeon).
+/// Rows per encoding task: ~0.8 ms at the ~3 µs a person CLK costs
+/// with SHA-NI compression (2-vCPU AVX-512 Xeon: 0.78× the scalar
+/// compression's 3.8 µs, from same-process `clk_encode_dataset_10k_records`
+/// pairs that read 5.2–5.6 against 6.1–7.5 µs in a slow phase).
 const ENCODE_ROWS: usize = 256;
 /// Estimated cost of encoding one record, for the runner's admission.
-const ENCODE_ROW_NANOS: u64 = 4_000;
+const ENCODE_ROW_NANOS: u64 = 3_000;
 
 /// Encodes `a` and `b` (which share `encoder`'s schema) as one task list
 /// on at most `threads` threads, each thread keeping one token memo for

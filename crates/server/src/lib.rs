@@ -36,6 +36,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod client;
 pub mod metrics;

@@ -34,6 +34,8 @@
 //! its encoders, and its property tests carry over unchanged — the
 //! session layer is a transport detail to everything above it.
 
+#![forbid(unsafe_code)]
+
 pub mod channel;
 pub mod frame;
 pub mod handshake;

@@ -833,7 +833,8 @@ pub fn requested_is_supported() -> bool {
 
 /// The kernel-relevant CPU features detected on this host, for
 /// recording in benchmark output so cross-machine numbers stay
-/// interpretable.
+/// interpretable. `sha` is the SHA extensions `pprl_crypto::sha` hashes
+/// Bloom-filter tokens with.
 pub fn cpu_features() -> Vec<&'static str> {
     #[allow(unused_mut)]
     let mut v = Vec::new();
@@ -847,6 +848,7 @@ pub fn cpu_features() -> Vec<&'static str> {
                 "avx512vpopcntdq",
                 std::arch::is_x86_feature_detected!("avx512vpopcntdq"),
             ),
+            ("sha", std::arch::is_x86_feature_detected!("sha")),
         ] {
             if hit {
                 v.push(name);
