@@ -1,13 +1,9 @@
 //! E10b — §3.4 clustering (ref \[43]): incremental multi-party clustering
 //! matches batch quality, and star clustering resists the chaining that
 //! degrades connected components.
-//!
-//! Run: `cargo run --release -p pprl-bench --bin exp_clustering`
 
-use pprl_bench::{banner, f3, Table};
+use crate::{clks, f3, generator, Claim, Report, Size, Table};
 use pprl_core::record::{Dataset, RecordRef};
-use pprl_datagen::generator::{Generator, GeneratorConfig};
-use pprl_encoding::encoder::{RecordEncoder, RecordEncoderConfig};
 use pprl_matching::clustering::{
     connected_components, star_clustering, subset_matches, Edge, IncrementalClusterer,
 };
@@ -15,23 +11,12 @@ use pprl_similarity::bitvec_sim::dice_bits;
 
 /// Builds all cross-party similarity edges above a floor.
 fn edges(datasets: &[Dataset], floor: f64) -> Vec<Edge> {
-    let cfg = RecordEncoderConfig::person_clk(b"e10b".to_vec());
-    let encoded: Vec<_> = datasets
-        .iter()
-        .map(|ds| {
-            RecordEncoder::new(cfg.clone(), ds.schema())
-                .expect("valid")
-                .encode_dataset(ds)
-                .expect("encodes")
-        })
-        .collect();
+    let encoded: Vec<_> = datasets.iter().map(|ds| clks(ds, b"e10b")).collect();
     let mut out = Vec::new();
     for p1 in 0..datasets.len() {
         for p2 in (p1 + 1)..datasets.len() {
-            let fa = encoded[p1].clks().expect("clk");
-            let fb = encoded[p2].clks().expect("clk");
-            for (i, x) in fa.iter().enumerate() {
-                for (j, y) in fb.iter().enumerate() {
+            for (i, x) in encoded[p1].iter().enumerate() {
+                for (j, y) in encoded[p2].iter().enumerate() {
                     let s = dice_bits(x, y).expect("len");
                     if s >= floor {
                         out.push((
@@ -54,7 +39,7 @@ fn cluster_quality(datasets: &[Dataset], clusters: &[Vec<RecordRef>], common: us
     let pure = clusters
         .iter()
         .filter(|c| {
-            let ids: Vec<u64> = c.iter().map(&entity_of).collect();
+            let ids: Vec<u64> = c.iter().map(entity_of).collect();
             ids.windows(2).all(|w| w[0] == w[1])
         })
         .count();
@@ -71,25 +56,15 @@ fn cluster_quality(datasets: &[Dataset], clusters: &[Vec<RecordRef>], common: us
     )
 }
 
-fn main() {
-    banner(
-        "E10b",
-        "Batch vs incremental multi-party clustering (ref [43])",
-        "incremental clustering approaches batch quality; star resists chaining",
-    );
+/// Cluster quality per method, then subset matching.
+pub fn run(size: Size) -> Report {
     let parties = 4usize;
-    let common = 40usize;
-    let mut t = Table::new(&["method", "clusters", "purity", "entity completeness"]);
-    let mut g = Generator::new(GeneratorConfig {
-        corruption_rate: 0.1,
-        seed: 11,
-        ..GeneratorConfig::default()
-    })
-    .expect("valid");
-    let datasets = g.multi_party(parties, common, 20).expect("valid");
+    let common = size.pick(15, 40);
+    let datasets = generator(0.1, 11)
+        .multi_party(parties, common, size.pick(8, 20))
+        .expect("valid");
     let all_edges = edges(&datasets, 0.5);
     let threshold = 0.78;
-
     let match_edges: Vec<Edge> = all_edges
         .iter()
         .copied()
@@ -97,23 +72,7 @@ fn main() {
         .collect();
 
     let cc = connected_components(&match_edges, threshold).expect("valid");
-    let (purity, completeness) = cluster_quality(&datasets, &cc, common);
-    t.row(vec![
-        "connected components".into(),
-        cc.len().to_string(),
-        f3(purity),
-        f3(completeness),
-    ]);
-
     let star = star_clustering(&match_edges, threshold).expect("valid");
-    let (purity, completeness) = cluster_quality(&datasets, &star, common);
-    t.row(vec![
-        "star clustering".into(),
-        star.len().to_string(),
-        f3(purity),
-        f3(completeness),
-    ]);
-
     // Incremental: parties arrive one at a time.
     let mut inc = IncrementalClusterer::new(threshold).expect("valid");
     for (p, ds) in datasets.iter().enumerate() {
@@ -134,24 +93,61 @@ fn main() {
     // edge-based batch methods.
     let inc_clusters: Vec<Vec<RecordRef>> =
         inc.clusters().into_iter().filter(|c| c.len() > 1).collect();
-    let (purity, completeness) = cluster_quality(&datasets, &inc_clusters, common);
-    t.row(vec![
-        "incremental (party-by-party)".into(),
-        inc_clusters.len().to_string(),
-        f3(purity),
-        f3(completeness),
-    ]);
-    t.print();
 
-    println!("\nSubset matching over the connected-components clusters:");
-    let mut t = Table::new(&["min parties", "qualifying clusters"]);
-    for m in (2..=parties).rev() {
+    let mut t = Table::new("", &["method", "clusters", "purity", "entity completeness"]);
+    for (name, clusters) in [
+        ("connected components", &cc),
+        ("star clustering", &star),
+        ("incremental (party-by-party)", &inc_clusters),
+    ] {
+        let (purity, completeness) = cluster_quality(&datasets, clusters, common);
         t.row(vec![
-            m.to_string(),
-            subset_matches(&cc, m).len().to_string(),
+            name.into(),
+            clusters.len().into(),
+            f3(purity),
+            f3(completeness),
         ]);
     }
-    t.print();
+    let mut r = Report::default();
+    r.table(t);
 
-    pprl_bench::report::save();
+    let mut t = Table::new(
+        "Subset matching over the connected-components clusters:",
+        &["min parties", "qualifying clusters"],
+    );
+    for m in (2..=parties).rev() {
+        t.row(vec![m.into(), subset_matches(&cc, m).len().into()]);
+    }
+    r.table(t);
+    r
+}
+
+/// Every method, batch or incremental, recovers the entities cleanly.
+pub fn claims(r: &Report) -> Vec<Claim> {
+    let t = &r.tables[0];
+    let good = |h| t.column(h).iter().all(|&x| x >= 0.95);
+    vec![Claim::check(
+        "connected components, star and incremental clustering all reach purity and entity \
+         completeness >= 0.95",
+        good("purity") && good("entity completeness"),
+    )]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_impure_incremental_clustering_fails() {
+        let report = |purity: f64| {
+            let mut t = Table::new("", &["method", "purity", "entity completeness"]);
+            t.row(vec!["cc".into(), f3(1.0), f3(1.0)]);
+            t.row(vec!["incremental".into(), f3(purity), f3(1.0)]);
+            let mut r = Report::default();
+            r.table(t);
+            r
+        };
+        assert!(claims(&report(1.0))[0].pass);
+        assert!(!claims(&report(0.7))[0].pass);
+    }
 }

@@ -130,7 +130,7 @@ impl Bencher {
     }
 
     fn report(&self, name: &str) {
-        println!("{name:<44} median {}", crate::secs(self.median_secs));
+        println!("{name:<44} median {}", crate::secs(self.median_secs).text());
         crate::report::record_bench(name, self.median_secs);
     }
 }

@@ -1,5 +1,7 @@
 //! Entry point of the `pprl` command-line tool.
 
+#![forbid(unsafe_code)]
+
 use pprl_cli::args::Args;
 use pprl_cli::commands;
 

@@ -4,7 +4,8 @@
 //! the reader has or how many rows (tiles) they hold, or what thread cap
 //! a call below the helper threshold names. A per-slot, per-tile or
 //! per-task buffer would show up here as a count that grows with the
-//! index.
+//! index. Compaction is audited the same way: it merges arena runs and
+//! writes segments from arena rows, so it does not allocate per record.
 //!
 //! Same per-thread counting-allocator shim as `session/tests/alloc.rs`.
 
@@ -12,6 +13,7 @@ use pprl_core::bitvec::BitVec;
 use pprl_core::gauge::{cores, foreground};
 use pprl_core::rng::SplitMix64;
 use pprl_index::query::IndexReader;
+use pprl_index::store::{IndexConfig, IndexStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Barrier;
@@ -153,4 +155,37 @@ fn helper_admission_checks_do_not_allocate() {
         assert_eq!(helper_rows, 0, "a helper ran on a busy host");
     }
     assert_eq!(runs[0].2, runs[1].2, "more tasks, more allocator calls");
+}
+
+/// Arena-native compaction k-way-merges popcount-sorted arena runs and
+/// encodes the merged segment straight from arena rows: far fewer
+/// allocator calls than records merged (decoding each record into an
+/// owned filter would cost at least one per record).
+#[test]
+fn arena_native_compaction_does_not_allocate_per_merged_record() {
+    let dir = std::env::temp_dir().join(format!("pprl-alloc-compact-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = IndexStore::create(&dir, IndexConfig::new(1000, 2)).expect("create");
+    let mut rng = SplitMix64::new(0xE19_A110C);
+    let (batches, per_batch) = (4u64, 500u64);
+    for batch in 0..batches {
+        let records: Vec<(u64, BitVec)> = (0..per_batch)
+            .map(|i| (batch * per_batch + i, word_filter(&mut rng)))
+            .collect();
+        store.insert_batch(&records).expect("insert");
+        store.flush().expect("flush");
+    }
+    let (merged, calls) = alloc_calls(|| store.compact().expect("compact"));
+    std::fs::remove_dir_all(&dir).expect("remove the store");
+    assert_eq!(
+        merged,
+        2 * (batches as usize - 1),
+        "every shard merged its segments"
+    );
+    let per_record = calls as f64 / (batches * per_batch) as f64;
+    assert!(
+        per_record < 0.25,
+        "{calls} allocator calls merging {} records",
+        batches * per_batch
+    );
 }
