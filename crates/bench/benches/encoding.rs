@@ -6,6 +6,8 @@ use pprl_bench::{
     micro::{BenchmarkId, Criterion},
 };
 use pprl_core::qgram::{qgram_set, QGramConfig};
+use pprl_core::record::Dataset;
+use pprl_core::value::{Date, Value};
 use pprl_datagen::generator::{Generator, GeneratorConfig};
 use pprl_encoding::bloom::{BloomEncoder, BloomParams, HashingScheme};
 use pprl_encoding::encoder::{RecordEncoder, RecordEncoderConfig};
@@ -34,11 +36,8 @@ fn bench_bloom_encoding(c: &mut Criterion) {
 
 fn bench_record_encoding(c: &mut Criterion) {
     let mut g = Generator::new(GeneratorConfig::default()).expect("valid");
-    let ds = pprl_core::record::Dataset::from_records(
-        pprl_core::schema::Schema::person(),
-        g.population(10_000),
-    )
-    .expect("valid");
+    let ds = Dataset::from_records(pprl_core::schema::Schema::person(), g.population(10_000))
+        .expect("valid");
     let enc = RecordEncoder::new(
         RecordEncoderConfig::person_clk(b"bench".to_vec()),
         ds.schema(),
@@ -48,6 +47,22 @@ fn bench_record_encoding(c: &mut Criterion) {
     // `encoding.encode_us_per_record` layer metric: divide by 10k.
     c.bench_function("clk_encode_dataset_10k_records", |b| {
         b.iter(|| std::hint::black_box(enc.encode_dataset(&ds).expect("encodes")))
+    });
+    // The same records, no value repeated: text suffixed with its row
+    // number, dates shifted by it. What a memo of values costs unused.
+    let mut unique = ds.records().to_vec();
+    for (row, record) in unique.iter_mut().enumerate() {
+        for value in record.values.iter_mut() {
+            match value {
+                Value::Text(text) | Value::Categorical(text) => text.push_str(&format!(" {row}")),
+                Value::Date(d) => *d = Date::from_epoch_days(d.to_epoch_days() + row as i64),
+                _ => {}
+            }
+        }
+    }
+    let unique = Dataset::from_records(ds.schema().clone(), unique).expect("valid");
+    c.bench_function("clk_encode_dataset_10k_unique_values", |b| {
+        b.iter(|| std::hint::black_box(enc.encode_dataset(&unique).expect("encodes")))
     });
 }
 

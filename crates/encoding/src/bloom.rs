@@ -16,7 +16,7 @@
 
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
-use pprl_core::hash::mix128;
+use pprl_core::hash::{fnv1a, mix128};
 use pprl_crypto::sha::{digest_prefix_u64, hmac_sha256, Compression, Hmac, HmacKey, HmacSha1Key};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -113,6 +113,9 @@ enum TokenHasher {
 thread_local! {
     /// Encoders built on this thread, for tests that assert none were.
     pub(crate) static ENCODERS_BUILT: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+    /// Field values `encode_rows` tokenised on this thread, for tests.
+    pub(crate) static VALUES_TOKENISED: std::cell::Cell<usize> =
         const { std::cell::Cell::new(0) };
 }
 
@@ -253,10 +256,9 @@ pub(crate) struct PositionMemo {
     positions: Vec<u32>,
 }
 
-/// `token`'s bytes with its length in the top byte, if it has at most 15
-/// bytes: equal keys are equal tokens, so a lookup never needs the text.
-fn packed_key(token: &str) -> Option<u128> {
-    let bytes = token.as_bytes();
+/// `bytes` with their length in the top byte, if there are at most 15:
+/// equal keys are equal bytes, so a lookup never needs the text.
+fn packed_key(bytes: &[u8]) -> Option<u128> {
     if bytes.len() > 15 {
         return None;
     }
@@ -305,7 +307,7 @@ impl PositionMemo {
         words: &mut [u64],
         budget: &mut usize,
     ) {
-        let key = packed_key(token);
+        let key = packed_key(token.as_bytes());
         let held = match key {
             Some(key) => self.short.get(&key),
             None => self.long.get(token),
@@ -347,6 +349,94 @@ impl PositionMemo {
             Some(key) => self.short.insert(key, start),
             None => self.long.insert(token.to_owned(), start),
         };
+    }
+}
+
+/// The values one field encoder has encoded in one `EncodeScratch`, each
+/// with its filter words: a repeat costs one exact lookup and 16 word ORs
+/// at 1000 bits. Equal caller keys must tokenise alike.
+#[derive(Debug, Default)]
+pub(crate) struct ValueMemo {
+    /// Keys of at most 14 bytes, by [`filing`] → their entry.
+    short: HashMap<u128, u32, BuildHasherDefault<PackedKeyHasher>>,
+    /// Longer keys, by [`filing`] → their entry and where their bytes
+    /// start in `arena`.
+    long: HashMap<u128, (u32, u32), BuildHasherDefault<PackedKeyHasher>>,
+    arena: Vec<u8>,
+    /// Every entry's filter words, back to back.
+    words: Vec<u64>,
+    /// Lookups so far, and how many of them hit.
+    lookups: u64,
+    hits: u64,
+}
+
+impl ValueMemo {
+    /// ORs the words held for the value keyed `key` (a tag and bytes)
+    /// into `words`, if there are any.
+    pub(crate) fn get(&mut self, key: (u8, &[u8]), words: &mut [u64]) -> bool {
+        self.lookups += 1;
+        let held = match filing(key) {
+            Ok(short) => self.short.get(&short).copied(),
+            Err(long) => self
+                .long
+                .get(&long)
+                .filter(|&&(_, at)| self.arena[at as usize..].starts_with(key.1))
+                .map(|&(entry, _)| entry),
+        };
+        if let Some(entry) = held {
+            self.hits += 1;
+            or_words(words, &self.words[entry as usize * words.len()..]);
+        }
+        held.is_some()
+    }
+
+    /// False once under 1 in 64 of at least 1,024 lookups have hit: a
+    /// field whose values do not repeat is not worth looking up.
+    pub(crate) fn repeats(&self) -> bool {
+        self.lookups < 1024 || self.hits >= self.lookups / 64
+    }
+
+    /// Remembers `entry`, the words of the value keyed `key`, while
+    /// `budget` (bytes the caller still allows) lasts: the first entry
+    /// that does not fit spends it.
+    pub(crate) fn insert(&mut self, key: (u8, &[u8]), entry: &[u64], budget: &mut usize) {
+        let filing = filing(key);
+        let cost = 8 * entry.len() + filing.map_or(key.1.len(), |_| 0);
+        if *budget < cost {
+            *budget = 0;
+            return;
+        }
+        // Within the budget, entries and arena offsets fit a `u32`.
+        let at = (self.words.len() / entry.len()) as u32;
+        match filing {
+            Ok(short) => {
+                self.short.insert(short, at);
+            }
+            // Of two long keys filed alike, only the first is kept.
+            Err(long) if self.long.contains_key(&long) => return,
+            Err(long) => {
+                self.long.insert(long, (at, self.arena.len() as u32));
+                self.arena.extend_from_slice(key.1);
+            }
+        }
+        self.words.extend_from_slice(entry);
+        *budget -= cost;
+    }
+}
+
+/// ORs `held` into `words`, word by word.
+pub(crate) fn or_words(words: &mut [u64], held: &[u64]) {
+    for (word, held) in words.iter_mut().zip(held) {
+        *word |= held;
+    }
+}
+
+/// Where [`ValueMemo`] files a key: packed whole with its tag in the 15th
+/// byte up to 14 bytes, else by its tag, length and FNV-1a hash.
+fn filing((tag, bytes): (u8, &[u8])) -> std::result::Result<u128, u128> {
+    match packed_key(bytes).filter(|_| bytes.len() < 15) {
+        Some(packed) => Ok(packed | u128::from(tag) << 112),
+        None => Err(u128::from(tag) << 96 | (bytes.len() as u128) << 64 | u128::from(fnv1a(bytes))),
     }
 }
 
@@ -531,7 +621,7 @@ mod tests {
             "full:1987-06-05",
             "full:1987-06-050",
         ];
-        let keys: Vec<Option<u128>> = tokens.iter().map(|t| packed_key(t)).collect();
+        let keys: Vec<Option<u128>> = tokens.iter().map(|t| packed_key(t.as_bytes())).collect();
         assert!(keys[..6].iter().all(Option::is_some) && keys[6].is_none());
         let distinct: std::collections::HashSet<_> = keys[..6].iter().collect();
         assert_eq!(distinct.len(), 6);

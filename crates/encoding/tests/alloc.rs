@@ -1,7 +1,7 @@
-//! Allocation audit for the encode path: once a dataset's tokens have
-//! been seen, encoding a record costs lookups and word ORs — the heap is
-//! touched once per record, for its output filter, never per value or
-//! token — and a one-record dataset (a streaming insert) neither
+//! Allocation audit for the encode path: once a dataset's values have
+//! been seen, encoding a record costs value-memo lookups and word ORs —
+//! the heap is touched once per record, for its output filter, never per
+//! value or token — and a one-record dataset (a streaming insert) neither
 //! rebuilds encoders nor fills a memo it will throw away.
 //!
 //! Same counting-allocator shim as `session/tests/alloc.rs`, counting per

@@ -16,7 +16,7 @@
 //!
 //! Every heavy stage runs on the elastic [`runner`], capped at
 //! [`PipelineConfig::threads`]: encoding A and B (tasks of
-//! `ENCODE_ROWS` rows, one token memo per thread, hardening nonces by
+//! `ENCODE_ROWS` rows, token and value memos per thread, hardening nonces by
 //! global row), Hamming-LSH keying, map build, join and merge, the index
 //! scan and comparison. The caller works through each stage's tasks and
 //! borrows only cores the process-wide foreground gauge shows idle;
@@ -253,17 +253,17 @@ pub(crate) fn probe_modalities(a: &Dataset, blocking: &BlockingChoice) -> Result
     Ok((keys, tokens))
 }
 
-/// Rows per encoding task: ~0.8 ms at the ~3 µs a person CLK costs
-/// with SHA-NI compression (2-vCPU AVX-512 Xeon: 0.78× the scalar
-/// compression's 3.8 µs, from same-process `clk_encode_dataset_10k_records`
-/// pairs that read 5.2–5.6 against 6.1–7.5 µs in a slow phase).
+/// Rows per encoding task: ~0.5 ms at the ~2 µs a person CLK costs
+/// with the value memo (2-vCPU AVX-512 Xeon: 0.59–0.63× the 3 µs before
+/// it, same-process pairs over the `clk_encode_dataset_10k_records`
+/// corpus).
 const ENCODE_ROWS: usize = 256;
 /// Estimated cost of encoding one record, for the runner's admission.
-const ENCODE_ROW_NANOS: u64 = 3_000;
+const ENCODE_ROW_NANOS: u64 = 2_000;
 
 /// Encodes `a` and `b` (which share `encoder`'s schema) as one task list
-/// on at most `threads` threads, each thread keeping one token memo for
-/// both datasets. Filters equal `encoder.encode_dataset` of each.
+/// on at most `threads` threads, each thread keeping one token and value
+/// memo for both datasets. Filters equal `encoder.encode_dataset` of each.
 fn encode_pair(
     encoder: &RecordEncoder,
     a: &Dataset,

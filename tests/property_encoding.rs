@@ -231,7 +231,10 @@ fn secure_sum_protocols_agree() {
 /// The alphabet has non-ASCII letters and punctuation, tabs and runs of
 /// spaces (the normaliser's slow branch and whitespace collapsing), and
 /// one categorical value is longer than the 15 bytes a packed memo key
-/// holds.
+/// holds. Values of different variants that render alike (`31` as text,
+/// integer and categorical in the name field; `0`, `-0` and `31` as
+/// floats beside the integer ages) must each encode as their variant
+/// does, and a long name exercises the value memo's long keys.
 fn repetitive_dataset(rng: &mut SplitMix64) -> Dataset {
     let n = rng.next_below(40) as usize;
     let mut records: Vec<Record> = Vec::with_capacity(n);
@@ -246,9 +249,20 @@ fn repetitive_dataset(rng: &mut SplitMix64) -> Dataset {
             .map(|_| PIECES[rng.next_below(PIECES.len() as u64) as usize])
             .collect();
         const GENDERS: [&str; 3] = ["m", "f", "not stated at admission"];
+        let name = match rng.next_below(8) {
+            0 => Value::Integer(31),
+            1 => Value::Categorical("31".into()),
+            2 => Value::Text("31".into()),
+            3 => Value::Text("a name longer than fifteen bytes".into()),
+            _ => Value::Text(name),
+        };
+        let age = match rng.next_below(6) {
+            0 => Value::Float([0.0, -0.0, 31.0][rng.next_below(3) as usize]),
+            _ => Value::Integer(30 + rng.next_below(4) as i64),
+        };
         let mut values = vec![
-            Value::Text(name),
-            Value::Integer(30 + rng.next_below(4) as i64),
+            name,
+            age,
             Value::Date(Date::new(1990, 1 + rng.next_below(2) as u8, 1).expect("valid date")),
             Value::Categorical(GENDERS[rng.next_below(3) as usize].to_string()),
         ];
