@@ -1,5 +1,5 @@
 //! The one byte codec under every decoder in the workspace: a
-//! bounds-checked little-endian [`Reader`] and the `body ‖ fnv1a(body)`
+//! bounds-checked little-endian [`Reader`] and the `body ‖ word_fold(body)`
 //! checksum trailer.
 //!
 //! Segment, manifest and WAL files, wire and session frames, handshake
@@ -17,7 +17,7 @@
 //! that must resist an adversary adds a MAC on top.
 
 use crate::error::{PprlError, Result};
-use crate::hash::fnv1a;
+use crate::hash::word_fold;
 
 /// Bounds-checked little-endian cursor over a byte slice. Every read
 /// past the end, and every byte left over at [`finish`](Reader::finish),
@@ -113,10 +113,16 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Appends the FNV-1a checksum of everything in `out` as an 8-byte
-/// little-endian trailer.
+/// Appends the [`word_fold`] checksum of everything in `out` as an
+/// 8-byte little-endian trailer.
 pub fn append_checksum(out: &mut Vec<u8>) {
-    let sum = fnv1a(out);
+    append_checksum_from(out, 0);
+}
+
+/// [`append_checksum`] over `out[start..]` only: seals one record
+/// appended to a buffer that already holds others.
+pub fn append_checksum_from(out: &mut Vec<u8>, start: usize) {
+    let sum = word_fold(&out[start..]);
     out.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -131,7 +137,7 @@ pub fn checked_body(bytes: &[u8], err: fn(String) -> PprlError) -> Result<&[u8]>
         )));
     };
     let (body, sum) = bytes.split_at(split);
-    if fnv1a(body) != u64::from_le_bytes(sum.try_into().expect("8 bytes")) {
+    if word_fold(body) != u64::from_le_bytes(sum.try_into().expect("8 bytes")) {
         return Err(err("checksum mismatch".into()));
     }
     Ok(body)

@@ -6,7 +6,7 @@
 //! a small deterministic PRNG, the [`candidate::CandidateSource`]
 //! abstraction every blocking engine and index backend implements, a
 //! minimal JSON writer shared by the CLI, pipeline and bench harness, the
-//! FNV-1a [`hash`] behind every checksum and the cluster's routing, the
+//! [`hash`]es behind every checksum and the index and cluster routing, the
 //! byte [`codec`] (one bounds-checked reader, one checksum trailer) every
 //! file and frame decoder parses through, and the elastic [`runner`]
 //! (with its foreground [`gauge`]) that lends idle cores to the index

@@ -1,7 +1,7 @@
 //! Error helpers shared by the index file codecs.
 //!
 //! Segment, manifest and WAL files parse through `pprl_core::codec` —
-//! its bounds-checked `Reader` and its `body ‖ fnv1a(body)` checksum
+//! its bounds-checked `Reader` and its `body ‖ word_fold(body)` checksum
 //! trailer — with [`PprlError::Storage`] as the error kind, so every
 //! malformed file is a typed storage error. Structural sizes are
 //! declared in headers, so a truncation is caught by an exact length

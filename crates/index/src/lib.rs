@@ -16,8 +16,8 @@
 //! ```
 //!
 //! Every file follows the `protocols::transport` framing conventions: a
-//! versioned header, length-prefixed entries and a trailing FNV-1a
-//! checksum, so any corruption or truncation surfaces as a typed
+//! versioned header, length-prefixed entries and a trailing word-folded
+//! checksum (`pprl_core::hash::word_fold`), so any corruption or truncation surfaces as a typed
 //! [`pprl_core::error::PprlError::Storage`] error instead of silently
 //! wrong query results.
 //!

@@ -6,34 +6,29 @@
 //! which segment files belong to which shard. It is rewritten
 //! atomically (write to `MANIFEST.tmp`, then rename, with fsync barriers
 //! on the tmp file and the directory) so a crash mid-update leaves
-//! either the old or the new manifest, never a torn one. Version-4
+//! either the old or the new manifest, never a torn one. Version-5
 //! layout:
 //!
 //! ```text
 //! magic       u32   "PMF1"
-//! version     u16   4
+//! version     u16   5
 //! flen        u32   filter length in bits
 //! shards      u32   number of shards
 //! lsh_seed    u64   Hamming-LSH routing seed
 //! lsh_bits    u32   bits per LSH band key
-//! sum_tables  u16   written 0, read and ignored
-//! sum_bits    u16   written 0, read and ignored
 //! flush_epoch u64   WAL flush epoch (see below)
 //! next_seg    u64   next segment id to allocate
 //! segs        u32   number of segment entries
 //! quar        u32   number of quarantined-segment records
-//! entry_len   u32   total bytes of the entry region (entries vary in size)
 //! entry × segs:
 //!   shard     u32
 //!   seg_id    u64
 //!   pc_min    u32   smallest filter popcount in the segment
 //!   pc_max    u32   largest filter popcount in the segment
-//!   sum_words u32   written 0; read, size-checked and skipped
-//!   words     sum_words × u64
 //! quarantined × quar:
 //!   shard     u32
 //!   seg_id    u64
-//! fnv1a       u64   checksum of everything above
+//! sum         u64   word_fold checksum of everything above
 //! ```
 //!
 //! `flush_epoch` counts WAL→segment flushes and is stamped into the WAL
@@ -49,16 +44,12 @@
 //! query whose Dice length bounds cannot intersect `[pc_min, pc_max]`
 //! skips the segment) before the segment file is ever read.
 //!
-//! The `sum_*` fields once held a per-segment band-key Bloom summary for
-//! content pruning. It never skipped a segment at linkage thresholds and
-//! is gone; the fields stay in the layout so indexes written with
-//! summaries still open (their words are skipped), and every manifest
-//! written now stores none.
-//!
 //! The image parses through `pprl_core::codec` with
-//! [`PprlError::Storage`] as the error kind. Only version 4 decodes:
-//! versions 1–3 never shipped, so any other version byte is a typed
-//! "unsupported manifest version" error.
+//! [`PprlError::Storage`] as the error kind. Only version 5 decodes.
+//! Version 4 (the same catalogue with an FNV-1a trailer and the zeroed
+//! fields of a deleted band-key summary) and the never-shipped versions
+//! 1–3 are typed "unsupported manifest version" errors, never a
+//! checksum mismatch.
 
 use crate::format::{io_err, storage_err};
 use crate::vfs::{StdVfs, Vfs};
@@ -68,17 +59,14 @@ use std::path::{Path, PathBuf};
 
 /// Manifest file magic ("PMF1").
 const MANIFEST_MAGIC: u32 = 0x3146_4d50;
-/// Manifest format version (4 = flush epoch + quarantine ledger).
-const MANIFEST_VERSION: u16 = 4;
+/// Manifest format version (5 = `word_fold` trailer, no summary fields).
+const MANIFEST_VERSION: u16 = 5;
 /// Fixed bytes before the segment entries.
-const HEADER_LEN: usize = 58;
-/// Bytes per segment entry (a legacy entry's summary words follow).
-const ENTRY_FIXED_LEN: usize = 24;
+const HEADER_LEN: usize = 50;
+/// Bytes per segment entry.
+const ENTRY_LEN: usize = 20;
 /// Bytes per quarantined-segment record.
 const QUAR_ENTRY_LEN: usize = 12;
-/// Largest admissible per-segment summary in a legacy entry, in u64
-/// words (16 KiB); larger or non-power-of-two sizes are corrupt.
-const MAX_SUMMARY_WORDS: usize = 131_072 / 64;
 
 /// Manifest file name inside an index directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -185,7 +173,7 @@ impl Manifest {
             .collect()
     }
 
-    /// Serialises the manifest to its (version 4) file image.
+    /// Serialises the manifest to its (version 5) file image.
     pub fn encode(&self) -> Result<Vec<u8>> {
         let flen = u32::try_from(self.config.filter_len)
             .map_err(|_| PprlError::invalid("filter_len", "exceeds u32 bits"))?;
@@ -193,11 +181,11 @@ impl Manifest {
             .map_err(|_| PprlError::invalid("segments", "catalogue exceeds u32 entries"))?;
         let quar = u32::try_from(self.quarantined.len())
             .map_err(|_| PprlError::invalid("quarantined", "ledger exceeds u32 entries"))?;
-        let entry_bytes = self.segments.len() * ENTRY_FIXED_LEN;
-        let entry_bytes_u32 = u32::try_from(entry_bytes)
-            .map_err(|_| PprlError::invalid("segments", "entry region exceeds u32 bytes"))?;
         let mut out = Vec::with_capacity(
-            HEADER_LEN + entry_bytes + self.quarantined.len() * QUAR_ENTRY_LEN + 8,
+            HEADER_LEN
+                + self.segments.len() * ENTRY_LEN
+                + self.quarantined.len() * QUAR_ENTRY_LEN
+                + 8,
         );
         out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
         out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
@@ -205,20 +193,15 @@ impl Manifest {
         out.extend_from_slice(&self.config.num_shards.to_le_bytes());
         out.extend_from_slice(&self.config.lsh_seed.to_le_bytes());
         out.extend_from_slice(&self.config.lsh_bits.to_le_bytes());
-        // sum_tables, sum_bits: no summaries.
-        out.extend_from_slice(&[0u8; 4]);
         out.extend_from_slice(&self.flush_epoch.to_le_bytes());
         out.extend_from_slice(&self.next_segment_id.to_le_bytes());
         out.extend_from_slice(&segs.to_le_bytes());
         out.extend_from_slice(&quar.to_le_bytes());
-        out.extend_from_slice(&entry_bytes_u32.to_le_bytes());
         for entry in &self.segments {
             out.extend_from_slice(&entry.shard.to_le_bytes());
             out.extend_from_slice(&entry.id.to_le_bytes());
             out.extend_from_slice(&entry.pc_min.to_le_bytes());
             out.extend_from_slice(&entry.pc_max.to_le_bytes());
-            // sum_words: no summary.
-            out.extend_from_slice(&0u32.to_le_bytes());
         }
         for q in &self.quarantined {
             out.extend_from_slice(&q.shard.to_le_bytes());
@@ -228,7 +211,7 @@ impl Manifest {
         Ok(out)
     }
 
-    /// Parses and verifies a version-4 manifest file image.
+    /// Parses and verifies a version-5 manifest file image.
     pub fn decode(bytes: &[u8]) -> Result<Manifest> {
         let mut header = Reader::new(bytes, PprlError::Storage);
         let magic = header.u32()?;
@@ -247,18 +230,15 @@ impl Manifest {
         let num_shards = header.u32()?;
         let lsh_seed = header.u64()?;
         let lsh_bits = header.u32()?;
-        // sum_tables, sum_bits: a legacy summary geometry, ignored.
-        header.u32()?;
         let flush_epoch = header.u64()?;
         let next_segment_id = header.u64()?;
         let segs = header.u32()? as usize;
         let quar = header.u32()? as usize;
-        let entry_bytes = header.u32()? as usize;
-        let expected = quar
-            .checked_mul(QUAR_ENTRY_LEN)
-            .and_then(|n| n.checked_add(HEADER_LEN + 8 + entry_bytes))
-            .ok_or_else(|| storage_err("manifest entry region overflows".to_string()))?;
-        if bytes.len() != expected {
+        // Sized in u64, where u32 counts cannot overflow.
+        let expected = (HEADER_LEN + 8) as u64
+            + segs as u64 * ENTRY_LEN as u64
+            + quar as u64 * QUAR_ENTRY_LEN as u64;
+        if bytes.len() as u64 != expected {
             return Err(storage_err(format!(
                 "manifest size mismatch: header declares {segs} segment entries \
                  ({expected} bytes total), file has {}",
@@ -267,7 +247,7 @@ impl Manifest {
         }
         let body = checked_body(bytes, PprlError::Storage)?;
         let mut r = Reader::new(&body[HEADER_LEN..], PprlError::Storage);
-        let mut segments = Vec::with_capacity(segs.min(entry_bytes / ENTRY_FIXED_LEN));
+        let mut segments = Vec::with_capacity(segs);
         for i in 0..segs {
             let shard = r.u32()?;
             if shard >= num_shards {
@@ -282,14 +262,6 @@ impl Manifest {
                     "manifest entry {i}: popcount bounds inverted ({pc_min} > {pc_max})"
                 )));
             }
-            // A legacy summary's words are size-checked and skipped.
-            let sum_words = r.u32()? as usize;
-            if sum_words > MAX_SUMMARY_WORDS || (sum_words != 0 && !sum_words.is_power_of_two()) {
-                return Err(storage_err(format!(
-                    "manifest entry {i}: invalid summary size ({sum_words} words)"
-                )));
-            }
-            r.take(sum_words * 8)?;
             segments.push(SegmentEntry {
                 shard,
                 id,
@@ -448,9 +420,9 @@ mod tests {
     }
 
     #[test]
-    fn versions_that_never_shipped_are_a_typed_error() {
+    fn older_versions_are_a_typed_error() {
         let image = sample().encode().unwrap();
-        for version in 1u16..4 {
+        for version in 1u16..5 {
             let mut old = image[..image.len() - 8].to_vec();
             old[4..6].copy_from_slice(&version.to_le_bytes());
             append_checksum(&mut old);

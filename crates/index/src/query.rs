@@ -316,20 +316,7 @@ impl IndexReader {
             return Err(storage_err("memory slot lost its arena".to_string()));
         };
         // Decode straight into the columnar arena — no per-record BitVec.
-        let (seg_shard, arena) = read_segment_arena_with(&*self.vfs, path)?;
-        if seg_shard != *shard {
-            return Err(storage_err(format!(
-                "segment {seg_id} claims shard {}, manifest says {shard}",
-                seg_shard
-            )));
-        }
-        if arena.filter_len() != self.filter_len {
-            return Err(storage_err(format!(
-                "segment {seg_id} has {}-bit filters, index expects {}",
-                arena.filter_len(),
-                self.filter_len
-            )));
-        }
+        let arena = read_segment_arena_with(&*self.vfs, path, *shard, self.filter_len)?;
         if arena.len() != slot.rows {
             return Err(storage_err(format!(
                 "segment {seg_id} decoded {} records, manifest size implies {}",

@@ -6,28 +6,34 @@
 //!
 //! ```text
 //! magic   u32   "PSG1"
-//! version u16   1
+//! version u16   2
 //! shard   u32   owning shard
 //! flen    u32   filter length in bits
 //! count   u32   number of entries
 //! entry × count:
 //!   elen  u32   length prefix (= 8 + ⌈flen/8⌉)
 //!   id    u64   record id
-//!   bits  ⌈flen/8⌉ bytes, little-endian bit order
-//! fnv1a   u64   checksum of everything above
+//!   bits  ⌈flen/8⌉ bytes: the filter's u64 words, little-endian, cut
+//!               after byte ⌈flen/8⌉; no bit set past flen
+//! sum     u64   word_fold checksum of everything above
 //! ```
 //!
-//! Both encoders emit the same bytes and both decoders share one
-//! header check through `pprl_core::codec`: the declared sizes must
+//! Version 1 (the same layout under an FNV-1a trailer) is a typed
+//! "unsupported segment version" error, never a checksum mismatch.
+//!
+//! Both encoders emit the same bytes. The one verifier
+//! ([`verify_segment`]) and the one decoder ([`decode_segment_arena`])
+//! make the same checks, through `pprl_core::codec`: the declared sizes must
 //! match the image length *exactly* before any entry is trusted, so
-//! every truncation is detected deterministically, and the trailing
-//! checksum must verify, so every byte flip is detected — both as typed
+//! every truncation is detected deterministically; the trailing
+//! checksum must verify, so every byte flip is detected; and each
+//! entry's length prefix and tail bits must be right — all as typed
 //! [`PprlError::Storage`] errors. The WAL logs the same entry layout
 //! (`push_entry` / `read_entry`) with a checksum per entry.
 
 use crate::arena::{ArenaBuilder, FilterArena};
 use crate::format::{io_err, storage_err};
-use crate::vfs::{StdVfs, Vfs};
+use crate::vfs::Vfs;
 use pprl_core::bitvec::BitVec;
 use pprl_core::codec::{append_checksum, checked_body, Reader};
 use pprl_core::error::{PprlError, Result};
@@ -35,30 +41,10 @@ use std::path::Path;
 
 /// Segment file magic ("PSG1").
 const SEGMENT_MAGIC: u32 = 0x3147_5350;
-/// Current segment format version.
-const SEGMENT_VERSION: u16 = 1;
+/// Current segment format version (2 = `word_fold` trailer).
+const SEGMENT_VERSION: u16 = 2;
 /// Header bytes before the entries.
 const HEADER_LEN: usize = 18;
-
-/// One stored record: id plus encoded filter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentRecord {
-    /// Caller-assigned record id (unique across the index by convention).
-    pub id: u64,
-    /// The Bloom-filter encoding.
-    pub filter: BitVec,
-}
-
-/// Decoded segment: shard ownership, filter geometry, entries.
-#[derive(Debug, Clone)]
-pub struct Segment {
-    /// Owning shard.
-    pub shard: u32,
-    /// Filter length in bits.
-    pub filter_len: usize,
-    /// Stored records.
-    pub records: Vec<SegmentRecord>,
-}
 
 /// Number of records a well-formed segment file of `bytes` length holds
 /// for `filter_len`-bit filters, derived purely from the file size (the
@@ -68,20 +54,24 @@ pub fn record_count_for_size(bytes: u64, filter_len: usize) -> usize {
     (bytes.saturating_sub((HEADER_LEN + 8) as u64) / entry) as usize
 }
 
-/// Appends one entry, `elen u32 | id u64 | bits`, taking the filter's
-/// `⌈filter_len/8⌉` bytes off its backing words — the little-endian
-/// bytes `BitVec::to_bytes` emits.
+/// Appends one entry, `elen u32 | id u64 | bits`: the filter's whole
+/// words, then the first bytes of the next one up to `⌈filter_len/8⌉`.
 pub(crate) fn push_entry(out: &mut Vec<u8>, id: u64, row: &[u64], filter_len: usize) {
     let filter_bytes = filter_len.div_ceil(8);
     out.extend_from_slice(&((8 + filter_bytes) as u32).to_le_bytes());
     out.extend_from_slice(&id.to_le_bytes());
-    for b in 0..filter_bytes {
-        out.push((row[b / 8] >> ((b % 8) * 8)) as u8);
+    let (whole, tail) = (filter_bytes / 8, filter_bytes % 8);
+    for w in &row[..whole] {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+    if tail > 0 {
+        out.extend_from_slice(&row[whole].to_le_bytes()[..tail]);
     }
 }
 
 /// Reads one entry [`push_entry`] wrote: checks its length prefix and
-/// returns the id and the filter bytes.
+/// that no bit is set past `filter_len`, and returns the id and the
+/// filter bytes.
 pub(crate) fn read_entry<'a>(r: &mut Reader<'a>, filter_len: usize) -> Result<(u64, &'a [u8])> {
     let filter_bytes = filter_len.div_ceil(8);
     let declared = r.u32()? as usize;
@@ -91,18 +81,31 @@ pub(crate) fn read_entry<'a>(r: &mut Reader<'a>, filter_len: usize) -> Result<(u
             8 + filter_bytes
         )));
     }
-    Ok((r.u64()?, r.take(filter_bytes)?))
+    let id = r.u64()?;
+    let raw = r.take(filter_bytes)?;
+    let spare = filter_bytes * 8 - filter_len;
+    if spare > 0 && raw[filter_bytes - 1] >> (8 - spare) != 0 {
+        return Err(storage_err(format!(
+            "record {id} has bits set beyond its {filter_len} bit length"
+        )));
+    }
+    Ok((id, raw))
 }
 
-/// Loads filter bytes into a word row (the inverse of [`push_entry`]'s
-/// byte extraction).
+/// Loads filter bytes into a word row, a whole word at a time (the
+/// inverse of [`push_entry`]).
 pub(crate) fn load_row(raw: &[u8], row: &mut [u64]) {
-    row.fill(0);
-    for (b, &byte) in raw.iter().enumerate() {
-        row[b / 8] |= u64::from(byte) << ((b % 8) * 8);
+    let mut words = raw.chunks_exact(8);
+    for (w, bytes) in row.iter_mut().zip(&mut words) {
+        *w = u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        row[raw.len() / 8] = u64::from_le_bytes(last);
     }
 }
-
 /// A segment image with `count` entries: the header, then each entry
 /// from `rows` in order, then the checksum.
 fn encode_image<'a>(
@@ -193,29 +196,22 @@ fn open_image(bytes: &[u8]) -> Result<(u32, usize, usize, Reader<'_>)> {
     Ok((shard, filter_len, count, r))
 }
 
-/// Parses and verifies a segment file image. Any byte flip, truncation,
-/// or structural malformation yields a typed [`PprlError::Storage`].
-pub fn decode_segment(bytes: &[u8]) -> Result<Segment> {
+/// Verifies a segment image exactly as [`decode_segment_arena`] does
+/// — header, exact size, checksum, each entry's length prefix and tail
+/// bits — without building a row, and returns `(shard, filter_len,
+/// count)`. Any byte flip, truncation or structural malformation is a
+/// typed [`PprlError::Storage`].
+pub fn verify_segment(bytes: &[u8]) -> Result<(u32, usize, usize)> {
     let (shard, filter_len, count, mut r) = open_image(bytes)?;
-    let mut records = Vec::with_capacity(count);
     for _ in 0..count {
-        let (id, raw) = read_entry(&mut r, filter_len)?;
-        let filter = BitVec::from_bytes(raw, filter_len)
-            .map_err(|e| storage_err(format!("segment record {id}: {e}")))?;
-        records.push(SegmentRecord { id, filter });
+        read_entry(&mut r, filter_len)?;
     }
-    Ok(Segment {
-        shard,
-        filter_len,
-        records,
-    })
+    Ok((shard, filter_len, count))
 }
 
-/// Parses and verifies a segment file image directly into a columnar
-/// [`FilterArena`] — one builder push per entry instead of one `BitVec`
-/// heap allocation per record, with [`decode_segment`]'s validation
-/// (the builder rejects set bits beyond the filter length as
-/// `BitVec::from_bytes` does). Returns the owning shard alongside the
+/// Parses and verifies a segment file image into a columnar
+/// [`FilterArena`], one builder push per entry, with
+/// [`verify_segment`]'s checks. Returns the owning shard alongside the
 /// arena (rows sorted by `(popcount, id)`; a segment already written in
 /// that order — the arena-native flush/compaction output — skips the
 /// sort entirely).
@@ -231,35 +227,10 @@ pub fn decode_segment_arena(bytes: &[u8]) -> Result<(u32, FilterArena)> {
     Ok((shard, builder.finish()))
 }
 
-/// Writes a segment file (whole-file write; segments are immutable).
-pub fn write_segment(
-    path: &Path,
-    shard: u32,
-    filter_len: usize,
-    records: &[(u64, &BitVec)],
-) -> Result<()> {
-    write_segment_with(&StdVfs, path, shard, filter_len, records)
-}
-
-/// [`write_segment`] through an injectable [`Vfs`]. Durably persists the
-/// file's *content* (write + fsync); making its directory entry durable
-/// is the caller's barrier (`sync_dir` once per batch of segments).
-pub fn write_segment_with(
-    vfs: &dyn Vfs,
-    path: &Path,
-    shard: u32,
-    filter_len: usize,
-    records: &[(u64, &BitVec)],
-) -> Result<()> {
-    let bytes = encode_segment(shard, filter_len, records)?;
-    vfs.write(path, &bytes)
-        .map_err(|e| io_err(path, "writing", e))?;
-    vfs.sync_file(path).map_err(|e| io_err(path, "syncing", e))
-}
-
 /// Writes a segment file straight from an arena's rows through an
-/// injectable [`Vfs`] (content write + fsync; the directory barrier is
-/// the caller's, as with [`write_segment_with`]).
+/// injectable [`Vfs`]. Durably persists the file's *content* (write +
+/// fsync); making its directory entry durable is the caller's barrier
+/// (`sync_dir` once per batch of segments).
 pub fn write_segment_arena_with(
     vfs: &dyn Vfs,
     path: &Path,
@@ -272,26 +243,67 @@ pub fn write_segment_arena_with(
     vfs.sync_file(path).map_err(|e| io_err(path, "syncing", e))
 }
 
-/// Reads and verifies a segment file.
-pub fn read_segment(path: &Path) -> Result<Segment> {
-    read_segment_with(&StdVfs, path)
+/// Reads the catalogued segment file at `path` and runs `check` over
+/// its image; then checks that the header's shard and filter length are
+/// the manifest's `shard` and `filter_len`. Every failure is a typed
+/// [`PprlError::Storage`] naming the file.
+fn read_catalogued<T>(
+    vfs: &dyn Vfs,
+    path: &Path,
+    shard: u32,
+    filter_len: usize,
+    check: impl FnOnce(&[u8]) -> Result<(u32, usize, T)>,
+) -> Result<T> {
+    let bytes = vfs.read(path).map_err(|e| io_err(path, "reading", e))?;
+    let named = |e: PprlError| storage_err(format!("{}: {e}", path.display()));
+    let (got_shard, got_len, out) = check(&bytes).map_err(named)?;
+    if got_shard != shard {
+        return Err(named(storage_err(format!(
+            "claims shard {got_shard}, manifest says {shard}"
+        ))));
+    }
+    if got_len != filter_len {
+        return Err(named(storage_err(format!(
+            "has {got_len}-bit filters, index expects {filter_len}"
+        ))));
+    }
+    Ok(out)
 }
 
-/// [`read_segment`] through an injectable [`Vfs`].
-pub fn read_segment_with(vfs: &dyn Vfs, path: &Path) -> Result<Segment> {
-    let bytes = vfs.read(path).map_err(|e| io_err(path, "reading", e))?;
-    decode_segment(&bytes).map_err(|e| storage_err(format!("{}: {e}", path.display())))
+/// Verifies the segment file at `path` ([`verify_segment`]) as the
+/// manifest's `shard` of a `filter_len`-bit index, and returns its
+/// record count and its size in bytes. Allocates the file image only.
+pub fn verify_segment_file(
+    vfs: &dyn Vfs,
+    path: &Path,
+    shard: u32,
+    filter_len: usize,
+) -> Result<(usize, u64)> {
+    read_catalogued(vfs, path, shard, filter_len, |bytes| {
+        let (got_shard, got_len, count) = verify_segment(bytes)?;
+        Ok((got_shard, got_len, (count, bytes.len() as u64)))
+    })
 }
 
-/// Reads and verifies a segment file directly into a columnar arena.
-pub fn read_segment_arena_with(vfs: &dyn Vfs, path: &Path) -> Result<(u32, FilterArena)> {
-    let bytes = vfs.read(path).map_err(|e| io_err(path, "reading", e))?;
-    decode_segment_arena(&bytes).map_err(|e| storage_err(format!("{}: {e}", path.display())))
+/// Reads the segment file at `path` into a columnar arena
+/// ([`decode_segment_arena`]) as the manifest's `shard` of a
+/// `filter_len`-bit index.
+pub fn read_segment_arena_with(
+    vfs: &dyn Vfs,
+    path: &Path,
+    shard: u32,
+    filter_len: usize,
+) -> Result<FilterArena> {
+    read_catalogued(vfs, path, shard, filter_len, |bytes| {
+        let (got_shard, arena) = decode_segment_arena(bytes)?;
+        Ok((got_shard, arena.filter_len(), arena))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::StdVfs;
 
     fn sample_records(n: usize, len: usize) -> Vec<(u64, BitVec)> {
         (0..n)
@@ -309,37 +321,94 @@ mod tests {
         records.iter().map(|(id, f)| (*id, f)).collect()
     }
 
+    /// Both readers of `bytes` fail with a typed storage error.
+    fn assert_rejected(bytes: &[u8], what: &str) -> String {
+        let verified = verify_segment(bytes).unwrap_err();
+        let decoded = decode_segment_arena(bytes).unwrap_err();
+        assert!(
+            matches!(verified, PprlError::Storage(_)),
+            "{what}: {verified}"
+        );
+        assert_eq!(verified.to_string(), decoded.to_string(), "{what}");
+        verified.to_string()
+    }
+
+    /// `image` with the entry bytes at `at` replaced and the checksum
+    /// recomputed, so only the structural checks can catch it.
+    fn resealed(image: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
+        let mut body = image[..image.len() - 8].to_vec();
+        body[at..at + bytes.len()].copy_from_slice(bytes);
+        append_checksum(&mut body);
+        body
+    }
+
     #[test]
-    fn round_trip_preserves_everything() {
-        let records = sample_records(5, 100);
-        let bytes = encode_segment(3, 100, &refs(&records)).unwrap();
-        let seg = decode_segment(&bytes).unwrap();
-        assert_eq!(seg.shard, 3);
-        assert_eq!(seg.filter_len, 100);
-        assert_eq!(seg.records.len(), 5);
-        for ((id, filter), rec) in records.iter().zip(&seg.records) {
-            assert_eq!(*id, rec.id);
-            assert_eq!(*filter, rec.filter);
+    fn decode_round_trips_in_arena_order_and_verify_agrees() {
+        for len in [63usize, 64, 80, 100, 129, 130] {
+            let records = sample_records(7, len);
+            let bytes = encode_segment(2, len, &refs(&records)).unwrap();
+            assert_eq!(verify_segment(&bytes).unwrap(), (2, len, 7));
+            let (shard, arena) = decode_segment_arena(&bytes).unwrap();
+            assert_eq!(shard, 2);
+            assert_eq!(arena.filter_len(), len);
+            let mut expect = records.clone();
+            expect.sort_by_key(|(id, f)| (f.count_ones(), *id));
+            assert_eq!(arena.len(), expect.len());
+            for (i, (id, filter)) in expect.iter().enumerate() {
+                assert_eq!(
+                    arena.get(i).unwrap(),
+                    (*id, filter.clone()),
+                    "len={len} row {i}"
+                );
+            }
+            // Decode→encode of an already-sorted image is the identity.
+            let sorted_bytes = encode_segment_from_arena(2, &arena).unwrap();
+            let (_, again) = decode_segment_arena(&sorted_bytes).unwrap();
+            assert_eq!(
+                encode_segment_from_arena(2, &again).unwrap(),
+                sorted_bytes,
+                "len={len}"
+            );
         }
     }
 
     #[test]
     fn empty_segment_round_trips() {
         let bytes = encode_segment(0, 64, &[]).unwrap();
-        let seg = decode_segment(&bytes).unwrap();
-        assert!(seg.records.is_empty());
-        assert_eq!(seg.filter_len, 64);
+        assert_eq!(verify_segment(&bytes).unwrap(), (0, 64, 0));
+        let (_, arena) = decode_segment_arena(&bytes).unwrap();
+        assert!(arena.is_empty());
+        assert_eq!(arena.filter_len(), 64);
     }
 
     #[test]
-    fn extension_is_detected() {
+    fn extension_is_rejected_by_both_readers() {
         let records = sample_records(2, 64);
         let mut bytes = encode_segment(0, 64, &refs(&records)).unwrap();
         bytes.push(0);
-        assert!(matches!(
-            decode_segment(&bytes).unwrap_err(),
-            PprlError::Storage(_)
-        ));
+        assert_rejected(&bytes, "extension");
+    }
+
+    #[test]
+    fn a_bad_length_prefix_or_a_bit_past_the_filter_is_rejected_under_a_good_checksum() {
+        let records = sample_records(2, 100);
+        let bytes = encode_segment(1, 100, &refs(&records)).unwrap();
+        let second = HEADER_LEN + 4 + 8 + 13;
+        let msg = assert_rejected(&resealed(&bytes, second, &22u32.to_le_bytes()), "prefix");
+        assert!(msg.contains("length prefix 22"), "{msg}");
+        // 100 bits fill 12 bytes and 4 bits of the 13th: bit 100 is set.
+        let last = HEADER_LEN + 4 + 8 + 12;
+        let msg = assert_rejected(&resealed(&bytes, last, &[bytes[last] | 0x10]), "tail");
+        assert!(msg.contains("bits set beyond its 100 bit length"), "{msg}");
+    }
+
+    #[test]
+    fn a_version_1_image_is_a_typed_unsupported_error_not_a_checksum_mismatch() {
+        let records = sample_records(2, 64);
+        let mut bytes = encode_segment(0, 64, &refs(&records)).unwrap();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let msg = assert_rejected(&bytes, "v1");
+        assert!(msg.contains("unsupported segment version 1"), "{msg}");
     }
 
     #[test]
@@ -350,21 +419,41 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip() {
+    fn file_round_trip_checks_the_catalogue() {
         let dir = std::env::temp_dir().join("pprl-index-segment-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("seg-0.seg");
         let records = sample_records(6, 120);
-        write_segment(&path, 2, 120, &refs(&records)).unwrap();
-        let seg = read_segment(&path).unwrap();
-        assert_eq!(seg.records.len(), 6);
-        assert_eq!(seg.shard, 2);
+        let arena = FilterArena::from_records(records, 120).unwrap();
+        write_segment_arena_with(&StdVfs, &path, 2, &arena).unwrap();
+        let size = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(
+            verify_segment_file(&StdVfs, &path, 2, 120).unwrap(),
+            (6, size)
+        );
+        let again = read_segment_arena_with(&StdVfs, &path, 2, 120).unwrap();
+        assert_eq!(again.len(), 6);
+        for (shard, len, what) in [(1, 120, "claims shard 2"), (2, 128, "120-bit filters")] {
+            for err in [
+                verify_segment_file(&StdVfs, &path, shard, len).unwrap_err(),
+                read_segment_arena_with(&StdVfs, &path, shard, len).unwrap_err(),
+            ] {
+                let msg = err.to_string();
+                assert!(
+                    matches!(err, PprlError::Storage(_)) && msg.contains(what),
+                    "{msg}"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn missing_file_is_storage_error() {
-        let err = read_segment(Path::new("/nonexistent/seg.seg")).unwrap_err();
+        let path = Path::new("/nonexistent/seg.seg");
+        let err = read_segment_arena_with(&StdVfs, path, 0, 64).unwrap_err();
+        assert!(matches!(err, PprlError::Storage(_)), "{err}");
+        let err = verify_segment_file(&StdVfs, path, 0, 64).unwrap_err();
         assert!(matches!(err, PprlError::Storage(_)), "{err}");
     }
 
@@ -379,35 +468,6 @@ mod tests {
             let arena = crate::arena::FilterArena::from_records(records, len).unwrap();
             let via_arena = encode_segment_from_arena(5, &arena).unwrap();
             assert_eq!(via_records, via_arena, "len={len}");
-        }
-    }
-
-    #[test]
-    fn arena_decode_round_trips_and_matches_record_decode() {
-        for len in [63usize, 64, 100, 130] {
-            let records = sample_records(7, len);
-            let bytes = encode_segment(2, len, &refs(&records)).unwrap();
-            let seg = decode_segment(&bytes).unwrap();
-            let (shard, arena) = decode_segment_arena(&bytes).unwrap();
-            assert_eq!(shard, 2);
-            assert_eq!(arena.filter_len(), len);
-            assert_eq!(arena.len(), seg.records.len());
-            let mut expect: Vec<(u64, BitVec)> =
-                seg.records.into_iter().map(|r| (r.id, r.filter)).collect();
-            expect.sort_by_key(|(id, f)| (f.count_ones(), *id));
-            for (i, (id, filter)) in expect.iter().enumerate() {
-                let (got_id, got_filter) = arena.get(i).unwrap();
-                assert_eq!(got_id, *id, "len={len} row {i}");
-                assert_eq!(&got_filter, filter, "len={len} row {i}");
-            }
-            // Decode→encode of an already-sorted image is the identity.
-            let sorted_bytes = encode_segment_from_arena(2, &arena).unwrap();
-            let (_, again) = decode_segment_arena(&sorted_bytes).unwrap();
-            assert_eq!(
-                encode_segment_from_arena(2, &again).unwrap(),
-                sorted_bytes,
-                "len={len}"
-            );
         }
     }
 }

@@ -36,13 +36,13 @@ use crate::format::{io_err, storage_err};
 use crate::manifest::{segment_path, Manifest, SegmentEntry};
 use crate::query::{ArenaCell, IndexReader, SlotSpec};
 use crate::segment::{
-    load_row, push_entry, read_entry, read_segment_arena_with, read_segment_with,
-    record_count_for_size, write_segment_arena_with,
+    load_row, push_entry, read_entry, read_segment_arena_with, record_count_for_size,
+    verify_segment_file, write_segment_arena_with,
 };
 use crate::vfs::{std_vfs, Vfs};
 use pprl_blocking::lsh::HammingLsh;
 use pprl_core::bitvec::BitVec;
-use pprl_core::codec::{append_checksum, checked_body, Reader};
+use pprl_core::codec::{append_checksum, append_checksum_from, checked_body, Reader};
 use pprl_core::error::{PprlError, Result};
 use pprl_core::gauge::foreground;
 use pprl_core::hash::fnv1a;
@@ -60,11 +60,12 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 
 /// WAL file magic ("PWL1").
 const WAL_MAGIC: u32 = 0x314c_5750;
-/// WAL format version (2 = flush epoch + header checksum; version 1
-/// never shipped and is a typed error).
-const WAL_VERSION: u16 = 2;
+/// WAL format version (3 = `word_fold` trailers; 2 = the same layout
+/// under FNV-1a trailers; version 1 never shipped). Older versions are
+/// typed errors naming the version.
+const WAL_VERSION: u16 = 3;
 /// WAL header bytes: `magic u32 | version u16 | flen u32 | flush_epoch
-/// u64 | fnv1a u64`, the checksum covering the preceding 18 bytes. A
+/// u64 | sum u64`, the checksum covering the preceding 18 bytes. A
 /// flipped header byte is therefore a typed error, while a short header
 /// can only be a torn creation — benign and repairable.
 const WAL_HEADER_LEN: usize = 26;
@@ -349,8 +350,9 @@ impl IndexStore {
         let mut newly_quarantined = false;
         let mut kept = Vec::with_capacity(manifest.segments.len());
         for entry in std::mem::take(&mut manifest.segments) {
-            match verify_segment(&*vfs, dir, &entry, manifest.config.filter_len) {
-                Ok(()) => kept.push(entry),
+            let path = segment_path(dir, entry.id);
+            match verify_segment_file(&*vfs, &path, entry.shard, manifest.config.filter_len) {
+                Ok(_) => kept.push(entry),
                 Err(_) => {
                     quarantine_segment(&*vfs, dir, entry.id)?;
                     manifest.quarantined.push(QuarantinedSegment {
@@ -458,7 +460,7 @@ impl IndexStore {
             // before appending anything after the damage.
             self.rewrite_wal()?;
         }
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(records.len() * wal_entry_len(flen));
         for (id, filter) in records {
             encode_wal_entry(&mut buf, *id, filter.as_words(), flen);
         }
@@ -678,7 +680,8 @@ impl IndexStore {
         let flen = self.manifest.config.filter_len;
         let mut runs = Vec::with_capacity(entries.len());
         for entry in entries {
-            runs.push(self.load_segment_arena(entry.id, shard)?);
+            let path = segment_path(&self.dir, entry.id);
+            runs.push(read_segment_arena_with(&*self.vfs, &path, shard, flen)?);
         }
         let total = runs.iter().map(|a| a.len()).sum();
         let mut builder = ArenaBuilder::with_capacity(flen, total);
@@ -797,16 +800,19 @@ impl IndexStore {
         Ok(n)
     }
 
-    /// Verifies and summarises the index: every segment is fully decoded,
-    /// so corruption anywhere surfaces here as a typed error.
+    /// Verifies and summarises the index: every segment is checked as
+    /// open checks it (every entry, without building one), so corruption
+    /// anywhere surfaces here as a typed error.
     pub fn stats(&self) -> Result<IndexStats> {
+        let flen = self.manifest.config.filter_len;
         let mut persisted = 0usize;
         let mut disk_bytes = file_size_with(&*self.vfs, &self.dir.join(MANIFEST_FILE))?
             + file_size_with(&*self.vfs, &self.dir.join(WAL_FILE))?;
         for entry in &self.manifest.segments {
-            let seg = self.load_segment(entry.id, entry.shard)?;
-            persisted += seg.records.len();
-            disk_bytes += file_size_with(&*self.vfs, &segment_path(&self.dir, entry.id))?;
+            let path = segment_path(&self.dir, entry.id);
+            let (records, bytes) = verify_segment_file(&*self.vfs, &path, entry.shard, flen)?;
+            persisted += records;
+            disk_bytes += bytes;
         }
         Ok(IndexStats {
             filter_len: self.manifest.config.filter_len,
@@ -932,45 +938,6 @@ impl IndexStore {
         }
         Ok(store)
     }
-
-    fn load_segment(&self, seg_id: u64, shard: u32) -> Result<crate::segment::Segment> {
-        let seg = read_segment_with(&*self.vfs, &segment_path(&self.dir, seg_id))?;
-        if seg.shard != shard {
-            return Err(storage_err(format!(
-                "segment {seg_id} claims shard {}, manifest says {shard}",
-                seg.shard
-            )));
-        }
-        if seg.filter_len != self.manifest.config.filter_len {
-            return Err(storage_err(format!(
-                "segment {seg_id} has {}-bit filters, index expects {}",
-                seg.filter_len, self.manifest.config.filter_len
-            )));
-        }
-        Ok(seg)
-    }
-
-    /// [`load_segment`] decoding straight into a columnar arena, with
-    /// the same shard and geometry checks.
-    ///
-    /// [`load_segment`]: IndexStore::load_segment
-    fn load_segment_arena(&self, seg_id: u64, shard: u32) -> Result<FilterArena> {
-        let (seg_shard, arena) =
-            read_segment_arena_with(&*self.vfs, &segment_path(&self.dir, seg_id))?;
-        if seg_shard != shard {
-            return Err(storage_err(format!(
-                "segment {seg_id} claims shard {seg_shard}, manifest says {shard}"
-            )));
-        }
-        if arena.filter_len() != self.manifest.config.filter_len {
-            return Err(storage_err(format!(
-                "segment {seg_id} has {}-bit filters, index expects {}",
-                arena.filter_len(),
-                self.manifest.config.filter_len
-            )));
-        }
-        Ok(arena)
-    }
 }
 
 fn routing_positions(config: &IndexConfig) -> Result<Vec<usize>> {
@@ -993,31 +960,6 @@ fn entry_with_bounds_arena(shard: u32, id: u64, arena: &FilterArena) -> SegmentE
 fn file_size_with(vfs: &dyn Vfs, path: &Path) -> Result<u64> {
     vfs.file_size(path)
         .map_err(|e| io_err(path, "inspecting", e))
-}
-
-/// Fully decodes one catalogued segment and checks its shard and filter
-/// geometry against the manifest — the open-time health check behind
-/// quarantining.
-fn verify_segment(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    entry: &SegmentEntry,
-    filter_len: usize,
-) -> Result<()> {
-    let seg = read_segment_with(vfs, &segment_path(dir, entry.id))?;
-    if seg.shard != entry.shard {
-        return Err(storage_err(format!(
-            "segment {} claims shard {}, manifest says {}",
-            entry.id, seg.shard, entry.shard
-        )));
-    }
-    if seg.filter_len != filter_len {
-        return Err(storage_err(format!(
-            "segment {} has {}-bit filters, index expects {filter_len}",
-            entry.id, seg.filter_len
-        )));
-    }
-    Ok(())
 }
 
 /// Moves a failed segment file into the `quarantine/` subdirectory so a
@@ -1044,8 +986,7 @@ fn quarantine_segment(vfs: &dyn Vfs, dir: &Path, seg_id: u64) -> Result<()> {
 /// pending rows in append order. Byte-identical to the log the appends
 /// originally produced.
 fn encode_wal_image(filter_len: usize, flush_epoch: u64, records: &ArenaBuilder) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(WAL_HEADER_LEN + records.len() * (20 + filter_len.div_ceil(8)));
+    let mut out = Vec::with_capacity(WAL_HEADER_LEN + records.len() * wal_entry_len(filter_len));
     out.extend_from_slice(&WAL_MAGIC.to_le_bytes());
     out.extend_from_slice(&WAL_VERSION.to_le_bytes());
     out.extend_from_slice(&(filter_len as u32).to_le_bytes());
@@ -1057,14 +998,18 @@ fn encode_wal_image(filter_len: usize, flush_epoch: u64, records: &ArenaBuilder)
     out
 }
 
-/// One log entry: a segment entry (`elen u32 | id u64 | bits`, read off
-/// the filter's backing words) followed by its own checksum, so a torn
-/// or flipped tail fails verification on replay.
+/// Bytes of one log entry for `filter_len`-bit filters.
+fn wal_entry_len(filter_len: usize) -> usize {
+    4 + 8 + filter_len.div_ceil(8) + 8
+}
+
+/// Appends one log entry to `out`: a segment entry (`elen u32 | id u64
+/// | bits`, copied off the filter's backing words) followed by its own
+/// checksum, so a torn or flipped tail fails verification on replay.
 fn encode_wal_entry(out: &mut Vec<u8>, id: u64, row: &[u64], filter_len: usize) {
-    let mut entry = Vec::with_capacity(20 + filter_len.div_ceil(8));
-    push_entry(&mut entry, id, row, filter_len);
-    append_checksum(&mut entry);
-    out.extend_from_slice(&entry);
+    let start = out.len();
+    push_entry(out, id, row, filter_len);
+    append_checksum_from(out, start);
 }
 
 /// What [`replay_wal_with`] recovered, plus whether the on-disk log
@@ -1147,7 +1092,7 @@ fn replay_wal_with(
         )));
     }
     let entry_len = 8 + filter_len.div_ceil(8);
-    let frame_len = 4 + entry_len + 8;
+    let frame_len = wal_entry_len(filter_len);
     let mut records = ArenaBuilder::new(filter_len);
     let mut row = vec![0u64; records.stride()];
     for (n, frame) in entries.chunks(frame_len).enumerate() {
@@ -1453,8 +1398,8 @@ mod tests {
     }
 
     #[test]
-    fn version_1_wal_is_a_typed_unsupported_error() {
-        let dir = temp_dir("wal-v1");
+    fn wal_versions_1_and_2_are_typed_unsupported_errors() {
+        let dir = temp_dir("wal-old");
         let mut store = IndexStore::create(&dir, IndexConfig::new(64, 2)).unwrap();
         store.insert_batch(&filters(2, 64)).unwrap();
         drop(store);
@@ -1466,12 +1411,18 @@ mod tests {
         v1.extend_from_slice(&1u16.to_le_bytes());
         v1.extend_from_slice(&bytes[6..10]);
         v1.extend_from_slice(&bytes[WAL_HEADER_LEN..]);
-        std::fs::write(&wal, &v1).unwrap();
-        match IndexStore::open(&dir) {
-            Err(PprlError::Storage(msg)) => {
-                assert!(msg.contains("unsupported wal version 1"), "{msg}")
+        // v2: this layout under FNV-1a trailers, which no longer verify.
+        let mut v2 = bytes.clone();
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+        for (version, image) in [(1, v1), (2, v2)] {
+            std::fs::write(&wal, &image).unwrap();
+            match IndexStore::open(&dir) {
+                Err(PprlError::Storage(msg)) => assert!(
+                    msg.contains(&format!("unsupported wal version {version}")),
+                    "{msg}"
+                ),
+                other => panic!("expected a typed storage error, got {other:?}"),
             }
-            other => panic!("expected a typed storage error, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -6,6 +6,8 @@
 //! per-task buffer would show up here as a count that grows with the
 //! index. Compaction is audited the same way: it merges arena runs and
 //! writes segments from arena rows, so it does not allocate per record.
+//! Opening a store and `stats()` verify every segment entry by entry
+//! without building a row, so they allocate per segment, not per record.
 //!
 //! Same per-thread counting-allocator shim as `session/tests/alloc.rs`.
 
@@ -187,5 +189,43 @@ fn arena_native_compaction_does_not_allocate_per_merged_record() {
         per_record < 0.25,
         "{calls} allocator calls merging {} records",
         batches * per_batch
+    );
+}
+
+/// `IndexStore::open` and `stats()` verify every entry of every segment
+/// without building it: over the same number of segments, ten times the
+/// records costs not one allocator call more.
+#[test]
+fn open_and_stats_allocate_per_segment_not_per_record() {
+    let mut rng = SplitMix64::new(0x09E2);
+    let calls: Vec<(u64, u64)> = [150u64, 1_500]
+        .iter()
+        .map(|&per_flush| {
+            let dir = std::env::temp_dir().join(format!(
+                "pprl-alloc-open-{per_flush}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut store = IndexStore::create(&dir, IndexConfig::new(1000, 2)).expect("create");
+            for batch in 0..3 {
+                let records: Vec<(u64, BitVec)> = (0..per_flush)
+                    .map(|i| (batch * per_flush + i, word_filter(&mut rng)))
+                    .collect();
+                store.insert_batch(&records).expect("insert");
+                store.flush().expect("flush");
+            }
+            drop(store);
+            let (store, open_calls) = alloc_calls(|| IndexStore::open(&dir).expect("open"));
+            let (stats, stats_calls) = alloc_calls(|| store.stats().expect("stats"));
+            assert_eq!(stats.segments, 6, "3 flushes over 2 shards");
+            assert_eq!(stats.persisted_records as u64, 3 * per_flush);
+            std::fs::remove_dir_all(&dir).expect("remove the store");
+            (open_calls, stats_calls)
+        })
+        .collect();
+    assert!(calls[0].0 < 150 && calls[0].1 < 150, "{calls:?}");
+    assert_eq!(
+        calls[0], calls[1],
+        "(open, stats) allocator calls grew with records"
     );
 }

@@ -14,7 +14,7 @@
 
 use pprl_core::bitvec::BitVec;
 use pprl_index::manifest::{segment_path, Manifest};
-use pprl_index::segment::{encode_segment, read_segment};
+use pprl_index::segment::{decode_segment_arena, encode_segment};
 use pprl_index::store::{IndexConfig, IndexStore};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -43,6 +43,17 @@ fn random_filter(len: usize, per_mille: u64, state: &mut u64) -> BitVec {
     f
 }
 
+/// The shard and the `(id, filter)` records of one segment file, in
+/// file order (flushes write segments in arena order, so decoding keeps
+/// it).
+fn read_records(path: &std::path::Path) -> (u32, Vec<(u64, BitVec)>) {
+    let (shard, arena) = decode_segment_arena(&std::fs::read(path).expect("read")).expect("decode");
+    let records = (0..arena.len())
+        .map(|i| arena.get(i).expect("row"))
+        .collect();
+    (shard, records)
+}
+
 /// What the pre-refactor merge produced for one shard: decode every
 /// member segment to records, concatenate in manifest order, stable-sort
 /// by `(popcount, id)`, re-encode.
@@ -50,11 +61,9 @@ fn old_style_merge(dir: &std::path::Path, manifest: &Manifest, shard: u32) -> Ve
     let filter_len = manifest.config.filter_len;
     let mut merged: Vec<(u64, BitVec)> = Vec::new();
     for entry in manifest.segments.iter().filter(|e| e.shard == shard) {
-        let seg = read_segment(&segment_path(dir, entry.id)).expect("read member");
-        assert_eq!(seg.shard, shard);
-        for rec in seg.records {
-            merged.push((rec.id, rec.filter));
-        }
+        let (seg_shard, records) = read_records(&segment_path(dir, entry.id));
+        assert_eq!(seg_shard, shard);
+        merged.extend(records);
     }
     merged.sort_by_key(|(id, f)| (f.count_ones(), *id));
     let refs: Vec<(u64, &BitVec)> = merged.iter().map(|(id, f)| (*id, f)).collect();
@@ -99,9 +108,8 @@ fn arena_native_compaction_is_byte_identical_to_record_roundtrip_merge() {
     let before = Manifest::load(&dir).expect("manifest before");
     // Every flushed row sits in the segment of the shard it routes to.
     for entry in &before.segments {
-        let seg = read_segment(&segment_path(&dir, entry.id)).expect("read flushed");
-        for rec in &seg.records {
-            assert_eq!(store.shard_of(&rec.filter).unwrap(), entry.shard);
+        for (_, filter) in read_records(&segment_path(&dir, entry.id)).1 {
+            assert_eq!(store.shard_of(&filter).unwrap(), entry.shard);
         }
     }
     let mut expected: BTreeMap<u32, Vec<u8>> = BTreeMap::new();

@@ -146,10 +146,8 @@ fn every_segment_byte_flip_and_truncation_quarantines_and_degrades() {
     assert!(!seg_paths.is_empty());
     let victim = &seg_paths[0];
     let pristine = std::fs::read(victim).unwrap();
-    let victim_records = pprl_index::segment::read_segment(victim)
-        .expect("pristine segment")
-        .records
-        .len();
+    let (_, _, victim_records) =
+        pprl_index::segment::verify_segment(&pristine).expect("pristine segment");
     let manifest_path = dir.join("MANIFEST");
     let pristine_manifest = std::fs::read(&manifest_path).unwrap();
 

@@ -13,7 +13,7 @@
 //!
 //! For fault tolerance the linker can be checkpointed:
 //! [`StreamingLinker::snapshot`] serialises the full index/cluster state
-//! into an in-memory blob — `magic ‖ body ‖ fnv1a`, `pprl_core::codec`'s
+//! into an in-memory blob — `magic ‖ body ‖ sum`, `pprl_core::codec`'s
 //! checksum trailer — and [`StreamingLinker::restore`] rebuilds an
 //! identical linker from it through `pprl_core::codec`'s `Reader`: any
 //! corruption of the blob is detected and reported as a typed

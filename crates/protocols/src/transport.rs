@@ -63,7 +63,7 @@ impl Frame {
     }
 
     /// Serialises the frame: `len u32 LE | seq u32 LE | kind u8 | payload |
-    /// fnv1a u64 LE` where the checksum covers everything before it.
+    /// sum u64 LE` where the checksum covers everything before it.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.payload.len() + FRAME_OVERHEAD);
         out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());

@@ -6,7 +6,7 @@
 //! answers a stream of link queries against an ever-growing encoded
 //! database. This crate turns the offline index into that service:
 //!
-//! - [`wire`] — a framed, FNV-1a-checksummed request/response protocol
+//! - [`wire`] — a framed, checksummed request/response protocol
 //!   with typed [`pprl_core::error::PprlError::Transport`] errors;
 //! - `pool` — the front end's bounded connection queue with explicit
 //!   backpressure (`Busy {retry_after}`), never unbounded buffering;

@@ -1,14 +1,14 @@
 //! The `pprl-server` wire protocol: framed, checksummed, typed.
 //!
 //! Every message travels as one `pprl_session::frame` stream frame —
-//! `plen ‖ payload ‖ fnv1a`, the checksum being `pprl_core::codec`'s
+//! `plen ‖ payload ‖ sum`, the checksum being `pprl_core::codec`'s
 //! trailer — and every payload parses through `pprl_core::codec`'s
 //! bounds-checked `Reader`:
 //!
 //! ```text
 //! plen    u32 LE   payload length in bytes
 //! payload          version u8 | opcode u8 | body
-//! fnv1a   u64 LE   checksum of the length prefix + payload
+//! sum     u64 LE   word_fold checksum of the length prefix + payload
 //! ```
 //!
 //! All malformations surface as typed [`PprlError::Transport`] errors —

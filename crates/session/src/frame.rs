@@ -4,7 +4,7 @@
 //! ```text
 //! plen    u32 LE   payload length in bytes
 //! payload          (wire v3 request/response, or a v4 session frame)
-//! fnv1a   u64 LE   checksum of the length prefix + payload
+//! sum     u64 LE   word_fold checksum of the length prefix + payload
 //! ```
 //!
 //! The authenticated record layer and the plaintext protocol share

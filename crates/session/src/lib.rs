@@ -8,7 +8,7 @@
 //! over networks they do not trust, so this crate adds what that model
 //! actually needs:
 //!
-//! * **[`frame`]** — the shared length-prefix + FNV-1a envelope (moved
+//! * **[`frame`]** — the shared length-prefix + checksum envelope (moved
 //!   down from `pprl-server::wire`, which re-exports it).
 //! * **[`keys`]** — 32-byte per-party pre-shared keys with `0600` file
 //!   storage and typed load errors.

@@ -1,9 +1,8 @@
 //! One structured-mutation harness over every checksummed byte decoder.
 //!
-//! Each case pins an encoder's output to a hex golden captured from the
-//! commit before the decoders moved onto `pprl_core::codec`, so a stored
-//! index, a peer built from that commit and this one read each other's
-//! bytes. Against each golden the harness then asserts:
+//! Each case pins an encoder's output to a hex golden, so a stored index
+//! and peers built from different commits are known to read each
+//! other's bytes. Against each golden the harness then asserts:
 //!
 //! - every encoder of the format reproduces the golden byte for byte;
 //! - every decoder accepts it, and re-encoding what it decoded gives the
@@ -12,10 +11,11 @@
 //!   decoder's own error kind (`Storage` for index files, `Transport`
 //!   for frames): never `Ok`, never a panic.
 //!
-//! A manifest with a band-key summary entry, as the code before the
-//! summary was deleted wrote it, is kept as a decode-only golden: it
-//! must still decode and still reject every flip and cut, and
-//! re-encoding it gives the summary-less manifest golden.
+//! The goldens carry the `word_fold` checksum trailer. Bytes written
+//! under the FNV-1a trailer before it (segment v1, WAL v2, manifest v4
+//! and frames) are kept as `OLD_*` goldens: each index file must fail
+//! as a typed `Storage` error naming its version, and each frame as a
+//! `Transport` error, never decode.
 //!
 //! Formats whose corruption is *not* always an error are tested where
 //! that rule lives: a truncated WAL is a benign torn tail
@@ -29,7 +29,7 @@ use pprl_index::arena::FilterArena;
 use pprl_index::manifest::{IndexConfig, Manifest, QuarantinedSegment, SegmentEntry};
 use pprl_index::query::Hit;
 use pprl_index::segment::{
-    decode_segment, decode_segment_arena, encode_segment, encode_segment_from_arena,
+    decode_segment_arena, encode_segment, encode_segment_from_arena, verify_segment,
 };
 use pprl_index::store::{IndexStore, WAL_FILE};
 use pprl_index::vfs::{FaultVfs, Vfs};
@@ -110,10 +110,11 @@ fn decode_simnet(bytes: &[u8]) -> Result<Vec<u8>> {
     Ok(Frame::decode(bytes)?.encode())
 }
 
-fn decode_segment_records(bytes: &[u8]) -> Result<Vec<u8>> {
-    let seg = decode_segment(bytes)?;
-    let refs: Vec<(u64, &BitVec)> = seg.records.iter().map(|r| (r.id, &r.filter)).collect();
-    encode_segment(seg.shard, seg.filter_len, &refs)
+/// Accepts or rejects like [`verify_segment`]; on success hands the
+/// bytes back, as the verifier builds nothing to re-encode.
+fn verify_segment_image(bytes: &[u8]) -> Result<Vec<u8>> {
+    verify_segment(bytes)?;
+    Ok(bytes.to_vec())
 }
 
 fn decode_segment_to_arena(bytes: &[u8]) -> Result<Vec<u8>> {
@@ -123,13 +124,6 @@ fn decode_segment_to_arena(bytes: &[u8]) -> Result<Vec<u8>> {
 
 fn decode_manifest(bytes: &[u8]) -> Result<Vec<u8>> {
     Manifest::decode(bytes)?.encode()
-}
-
-/// Accepts or rejects like [`Manifest::decode`]; on success hands the
-/// bytes back, for a golden no current encoder writes.
-fn decode_manifest_only(bytes: &[u8]) -> Result<Vec<u8>> {
-    Manifest::decode(bytes)?;
-    Ok(bytes.to_vec())
 }
 
 fn wire_case(name: &'static str, golden: &'static str, payload: Vec<u8>, request: bool) -> Case {
@@ -157,8 +151,7 @@ fn segment_records() -> Vec<(u64, BitVec)> {
     ]
 }
 
-/// A v4 manifest with two segment entries and one quarantine record:
-/// what [`GOLDEN_MANIFEST_WITH_SUMMARY`] decodes to.
+/// A manifest with two segment entries and one quarantine record.
 fn manifest() -> Manifest {
     Manifest {
         config: IndexConfig::new(80, 2),
@@ -335,23 +328,16 @@ fn cases() -> Vec<Case> {
                 encode_segment_from_arena(1, &arena).expect("encode_segment_from_arena"),
             ],
             decoders: vec![
-                ("decode_segment", decode_segment_records),
+                ("verify_segment", verify_segment_image),
                 ("decode_segment_arena", decode_segment_to_arena),
             ],
             kind: is_storage,
         },
         Case {
-            name: "manifest v4",
+            name: "manifest v5",
             golden: GOLDEN_MANIFEST,
             encoded: vec![manifest().encode().expect("encode manifest")],
             decoders: vec![("Manifest::decode", decode_manifest)],
-            kind: is_storage,
-        },
-        Case {
-            name: "manifest v4 with a summary entry",
-            golden: GOLDEN_MANIFEST_WITH_SUMMARY,
-            encoded: Vec::new(),
-            decoders: vec![("Manifest::decode", decode_manifest_only)],
             kind: is_storage,
         },
     ]
@@ -427,20 +413,61 @@ fn every_truncation_is_a_typed_error() {
     }
 }
 
-/// A manifest written with a summary decodes to the same segments, and
-/// re-encodes with every summary field zero.
+/// Index files written under the FNV-1a trailer fail as typed `Storage`
+/// errors naming their version, not as checksum mismatches, and frames
+/// from a peer of that epoch fail as `Transport` errors.
 #[test]
-fn a_summary_manifest_reencodes_without_its_summary() {
-    let decoded = Manifest::decode(&from_hex(GOLDEN_MANIFEST_WITH_SUMMARY)).expect("decode");
-    assert_eq!(decoded, manifest());
-    let again = decoded.encode().expect("encode");
-    assert_eq!(to_hex(&again), GOLDEN_MANIFEST);
-    // sum_tables and sum_bits follow lsh_bits at byte 26; each 24-byte
-    // entry after the 58-byte header ends in its u32 sum_words.
-    assert_eq!(again[26..30], [0; 4]);
-    for entry in 0..decoded.segments.len() {
-        let at = 58 + 24 * entry + 20;
-        assert_eq!(again[at..at + 4], [0; 4], "entry {entry}");
+fn files_and_frames_of_the_fnv_epoch_fail_typed() {
+    let storage = |result: Result<()>, what: &str, version: &str| match result {
+        Err(PprlError::Storage(msg)) => assert!(msg.contains(version), "{what}: {msg}"),
+        other => panic!("{what}: expected a typed storage error, got {other:?}"),
+    };
+    for (what, golden) in [
+        ("manifest v4", OLD_MANIFEST),
+        (
+            "manifest v4 with a summary entry",
+            OLD_MANIFEST_WITH_SUMMARY,
+        ),
+    ] {
+        let result = Manifest::decode(&from_hex(golden)).map(drop);
+        storage(result, what, "unsupported manifest version 4");
+    }
+    let old_segment = from_hex(OLD_SEGMENT);
+    storage(
+        verify_segment(&old_segment).map(drop),
+        "segment v1",
+        "unsupported segment version 1",
+    );
+    let result = decode_segment_arena(&old_segment).map(drop);
+    storage(result, "segment v1", "unsupported segment version 1");
+
+    let vfs = FaultVfs::reliable();
+    let dir = Path::new("/wal-old");
+    let io = || Arc::clone(&vfs) as Arc<dyn Vfs>;
+    drop(IndexStore::create_with(dir, IndexConfig::new(80, 2), io()).expect("create"));
+    vfs.write(&dir.join(WAL_FILE), &from_hex(OLD_WAL))
+        .expect("write old wal");
+    let result = IndexStore::open_with(dir, io()).map(drop);
+    storage(result, "wal v2", "unsupported wal version 2");
+
+    for (what, golden, decode) in [
+        (
+            "request/query",
+            OLD_REQUEST_QUERY,
+            decode_request as Decoder,
+        ),
+        ("response/hits", OLD_RESPONSE_HITS, decode_response),
+        (
+            "session stream frame",
+            OLD_STREAM_FRAME,
+            decode_stream_frame,
+        ),
+        ("simnet/data", OLD_SIMNET_DATA, decode_simnet),
+    ] {
+        match decode(&from_hex(golden)) {
+            Err(e) if is_transport(&e) => {}
+            other => panic!("{what}: expected a transport error, got {other:?}"),
+        }
     }
 }
 
@@ -462,60 +489,87 @@ fn the_wal_reproduces_its_golden_and_replays_it() {
     assert_eq!(store.pending().ids(), [1, 4, 7]);
 }
 
-const GOLDEN_REQUEST_QUERY: &str = "120000000301400000002200000000010000070000004d0a0de3e22d6361";
+const GOLDEN_REQUEST_QUERY: &str = "120000000301400000002200000000010000070000001f4d94aab0e6b8a5";
 const GOLDEN_REQUEST_LINK: &str = concat!(
     "2600000003024000000003000000000000000000e83f02000000020000000000",
-    "00000c00000000000000fcd2db6a9b86e87c",
+    "00000c000000000000002a6b7e458297930a",
 );
 const GOLDEN_REQUEST_INSERT: &str = concat!(
     "2a00000003034000000002000000090000000000000001000000000000800a00",
-    "00000000000000000080000000005534a63d2457209a",
+    "00000000000000000080000000000759599eb17a906c",
 );
-const GOLDEN_REQUEST_STATS: &str = "020000000304684d7805608f0791";
-const GOLDEN_REQUEST_SHUTDOWN: &str = "0200000003051b4f780560900791";
+const GOLDEN_REQUEST_STATS: &str = "020000000304ecaf085622db0c1f";
+const GOLDEN_REQUEST_SHUTDOWN: &str = "0200000003057ed94e3e23aebc59";
 const GOLDEN_RESPONSE_HITS: &str = concat!(
     "260000000381020000000300000000000000000000000000f03f090000000000",
-    "0000000000000000d03f7b80ba55739abacf",
+    "0000000000000000d03fdaabb88124349e93",
 );
 const GOLDEN_RESPONSE_LINK_HITS: &str = concat!(
     "1e000000038202000000010000000100000000000000000000000000e03f0000",
-    "0000e19184df427e03bc",
+    "0000445aa9cc37ef17ae",
 );
-const GOLDEN_RESPONSE_INSERTED: &str = "0e00000003830c000000040000000000000029ca09b8b081f30d";
+const GOLDEN_RESPONSE_INSERTED: &str = "0e00000003830c0000000400000000000000f57d3da77e16a1de";
 const GOLDEN_RESPONSE_STATS: &str = concat!(
     "b300000003846400000000000000020000000000000037000000000000000100",
     "0000000000000300000000000000140000000000000023000000000000001200",
     "0000000000001100000000000000020000000000000001000000000000000600",
     "00000000000039300000000000006400000000000000840300000000000060ea",
     "0000000000000400000010000000010000000000000001030000000100000001",
-    "00000002000000e110000000000000040000006176783292f53590f9478cc8",
+    "00000002000000e1100000000000000400000061767832563f67c505e767a8",
 );
-const GOLDEN_RESPONSE_BUSY: &str = "06000000038532000000cd7f6be8be87acf8";
+const GOLDEN_RESPONSE_BUSY: &str = "06000000038532000000fe75779479fb8be8";
 const GOLDEN_RESPONSE_SERVER_ERROR: &str =
-    "1300000003860d0000006e6f207375636820696e64657854d8fb1085a184a4";
-const GOLDEN_RESPONSE_BYE: &str = "0200000003870179770560120791";
-const GOLDEN_STREAM_FRAME: &str = "12000000736f6d65207061796c6f6164206279746573e65fa9508fd8eddc";
-const GOLDEN_SIMNET_DATA: &str = "0700000009000000007061796c6f616431db37df16bdf177";
-const GOLDEN_SIMNET_ACK: &str = "00000000070000000149eca1acbad9f7bf";
+    "1300000003860d0000006e6f207375636820696e646578d3308738c0d2e4b8";
+const GOLDEN_RESPONSE_BYE: &str = "0200000003872dcaae0b88721fec";
+const GOLDEN_STREAM_FRAME: &str = "12000000736f6d65207061796c6f616420627974657348c22081d7b81d1f";
+const GOLDEN_SIMNET_DATA: &str = "0700000009000000007061796c6f61645fd838cbea4d8235";
+const GOLDEN_SIMNET_ACK: &str = "0000000007000000010c892d8e24c397ea";
 const GOLDEN_SEGMENT: &str = concat!(
+    "5053473102000100000050000000030000001200000001000000000000000102",
+    "0000020000000000120000000400000000000000040002000001000000801200",
+    "000007000000000000006000000000000400410059e5d65f05d88e42",
+);
+const GOLDEN_MANIFEST: &str = concat!(
+    "504d463105005000000002000000ed5e00000000000010000000030000000000",
+    "0000090000000000000002000000010000000000000004000000000000000300",
+    "0000290000000100000008000000000000000000000050000000010000000600",
+    "000000000000fff59da88665c2e2",
+);
+const GOLDEN_WAL: &str = concat!(
+    "50574c310300500000000000000000000000b120211bff6c531a120000000100",
+    "00000000000001020000020000000000a2f5239d7d3a59881200000004000000",
+    "00000000040002000001000000806e1b8fcc7702616b12000000070000000000",
+    "0000600000000000040041002ccf456a5eef727e",
+);
+
+/// Bytes of the FNV-1a trailer epoch (segment v1, WAL v2, manifest v4),
+/// as the encoders wrote them before the `word_fold` trailer.
+const OLD_REQUEST_QUERY: &str = "120000000301400000002200000000010000070000004d0a0de3e22d6361";
+const OLD_RESPONSE_HITS: &str = concat!(
+    "260000000381020000000300000000000000000000000000f03f090000000000",
+    "0000000000000000d03f7b80ba55739abacf",
+);
+const OLD_STREAM_FRAME: &str = "12000000736f6d65207061796c6f6164206279746573e65fa9508fd8eddc";
+const OLD_SIMNET_DATA: &str = "0700000009000000007061796c6f616431db37df16bdf177";
+const OLD_SEGMENT: &str = concat!(
     "5053473101000100000050000000030000001200000001000000000000000102",
     "0000020000000000120000000400000000000000040002000001000000801200",
     "0000070000000000000060000000000004004100164f4b48b9a1ce98",
 );
-const GOLDEN_MANIFEST: &str = concat!(
+const OLD_MANIFEST: &str = concat!(
     "504d463104005000000002000000ed5e00000000000010000000000000000300",
     "0000000000000900000000000000020000000100000030000000000000000400",
     "0000000000000300000029000000000000000100000008000000000000000000",
     "000050000000000000000100000006000000000000007317dd9f149bc06f",
 );
-const GOLDEN_MANIFEST_WITH_SUMMARY: &str = concat!(
+const OLD_MANIFEST_WITH_SUMMARY: &str = concat!(
     "504d463104005000000002000000ed5e00000000000010000000020008000300",
     "0000000000000900000000000000020000000100000040000000000000000400",
     "000000000000030000002900000002000000efcdab8967452301010000000000",
     "0080010000000800000000000000000000005000000000000000010000000600",
     "0000000000000aa18d3128890218",
 );
-const GOLDEN_WAL: &str = concat!(
+const OLD_WAL: &str = concat!(
     "50574c310200500000000000000000000000ed9f15349cffecaa120000000100",
     "0000000000000102000002000000000077ae430913c70fe31200000004000000",
     "00000000040002000001000000805a34be205def5b9212000000070000000000",
