@@ -37,10 +37,17 @@ const FOLD_SEEDS: [u64; 4] = [
 const FOLD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// One absorb step: a bijection of the state for every fixed word, and
-/// of the word for every fixed state.
+/// of the word for every fixed state. One multiply is not enough: an
+/// odd multiplier maps a top-bit difference to itself, and so does any
+/// fixed rotation or shift after it, to a known bit, which the next
+/// word of the lane could flip back. Multiplying again after the
+/// rotation leaves no difference that passes a step unchanged.
 #[inline(always)]
 fn absorb(h: u64, word: u64) -> u64 {
-    (h ^ word).wrapping_mul(FOLD_MUL)
+    (h ^ word)
+        .wrapping_mul(FOLD_MUL)
+        .rotate_left(32)
+        .wrapping_mul(FOLD_MUL)
 }
 
 /// The checksum of every trailer: `bytes` read as little-endian `u64`
@@ -105,11 +112,11 @@ mod tests {
 
     #[test]
     fn word_fold_known_vector() {
-        assert_eq!(word_fold(b""), 0xd6a5_cf8e_ca5e_0098);
+        assert_eq!(word_fold(b""), 0x9712_955f_dfbf_fe5e);
         // 37 bytes: one 32-byte block, no whole word left, a 5-byte tail.
         assert_eq!(
             word_fold(b"The quick brown fox jumps over a dog."),
-            0x973a_c473_ff47_9f3f
+            0x1e09_575e_7ba7_2d63
         );
     }
 
@@ -137,6 +144,56 @@ mod tests {
                 assert_ne!(word_fold(&bad), sum, "len {len}: extended by {byte:#x}");
                 bad.pop();
             }
+        }
+    }
+
+    /// Two flipped bits must change the sum too. A multiply alone keeps
+    /// a top-bit difference where it is (an odd multiplier maps 2⁶³ to
+    /// itself), and a rotation after it only moves it to another fixed
+    /// bit, so: every pair of bits in the top bytes of the words of
+    /// 16–64-byte bodies, every pair of bits at all in bodies of 40 and
+    /// 71 bytes (a flip in word `i` against one in word `i + 4` of the
+    /// same lane, and against the tail), and random pairs over bodies of
+    /// every length up to 300 bytes.
+    #[test]
+    fn word_fold_changes_on_every_two_bit_flip() {
+        fn flip(body: &mut [u8], bit: usize) {
+            body[bit / 8] ^= 1 << (bit % 8);
+        }
+        fn check_pairs(body: &[u8], pairs: impl Iterator<Item = (usize, usize)>) {
+            let sum = word_fold(body);
+            let mut bad = body.to_vec();
+            for (a, b) in pairs {
+                flip(&mut bad, a);
+                flip(&mut bad, b);
+                assert_ne!(word_fold(&bad), sum, "len {}: bits {a} and {b}", body.len());
+                flip(&mut bad, a);
+                flip(&mut bad, b);
+            }
+        }
+        fn every_pair(bits: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
+            (0..bits.len()).flat_map(move |i| bits[i + 1..].iter().map(move |&b| (bits[i], b)))
+        }
+        let mut rng = crate::rng::SplitMix64::new(0x2F11);
+        let mut random_body =
+            |len: usize| -> Vec<u8> { (0..len).map(|_| rng.next_u64() as u8).collect() };
+        for len in 16..=64usize {
+            let top_bits: Vec<usize> = (7..len)
+                .step_by(8)
+                .flat_map(|byte| byte * 8..byte * 8 + 8)
+                .collect();
+            check_pairs(&random_body(len), every_pair(&top_bits));
+        }
+        for len in [40usize, 71] {
+            let bits: Vec<usize> = (0..len * 8).collect();
+            check_pairs(&random_body(len), every_pair(&bits));
+        }
+        for len in 1..=300usize {
+            let body = random_body(len);
+            let mut pick = crate::rng::SplitMix64::new(len as u64);
+            let mut bit = || pick.next_below(len as u64 * 8) as usize;
+            let pairs: Vec<(usize, usize)> = (0..200).map(|_| (bit(), bit())).collect();
+            check_pairs(&body, pairs.into_iter().filter(|(a, b)| a != b));
         }
     }
 

@@ -14,7 +14,7 @@
 
 use pprl_core::bitvec::BitVec;
 use pprl_index::manifest::{segment_path, Manifest};
-use pprl_index::segment::{decode_segment_arena, encode_segment};
+use pprl_index::segment::encode_segment;
 use pprl_index::store::{IndexConfig, IndexStore};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -44,12 +44,28 @@ fn random_filter(len: usize, per_mille: u64, state: &mut u64) -> BitVec {
 }
 
 /// The shard and the `(id, filter)` records of one segment file, in
-/// file order (flushes write segments in arena order, so decoding keeps
-/// it).
+/// file order. Parsed here from the documented layout (18-byte header,
+/// fixed-stride `elen ‖ id ‖ bits` entries, 8-byte trailer) rather than
+/// through the library's decoder, so a decoder bug cannot make both
+/// sides of the comparison agree; the trailer is left to the byte
+/// comparison and to `segment.rs`'s own tests.
 fn read_records(path: &std::path::Path) -> (u32, Vec<(u64, BitVec)>) {
-    let (shard, arena) = decode_segment_arena(&std::fs::read(path).expect("read")).expect("decode");
-    let records = (0..arena.len())
-        .map(|i| arena.get(i).expect("row"))
+    let bytes = std::fs::read(path).expect("read");
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    assert_eq!(&bytes[..4], b"PSG1");
+    let (shard, filter_len, count) = (u32_at(6), u32_at(10) as usize, u32_at(14) as usize);
+    let stride = 4 + 8 + filter_len.div_ceil(8);
+    assert_eq!(bytes.len(), 18 + count * stride + 8, "segment size");
+    let records = bytes[18..18 + count * stride]
+        .chunks_exact(stride)
+        .map(|entry| {
+            assert_eq!(entry[..4], ((stride - 4) as u32).to_le_bytes());
+            let id = u64::from_le_bytes(entry[4..12].try_into().unwrap());
+            (
+                id,
+                BitVec::from_bytes(&entry[12..], filter_len).expect("filter"),
+            )
+        })
         .collect();
     (shard, records)
 }

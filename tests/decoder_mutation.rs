@@ -489,57 +489,57 @@ fn the_wal_reproduces_its_golden_and_replays_it() {
     assert_eq!(store.pending().ids(), [1, 4, 7]);
 }
 
-const GOLDEN_REQUEST_QUERY: &str = "120000000301400000002200000000010000070000001f4d94aab0e6b8a5";
+const GOLDEN_REQUEST_QUERY: &str = "12000000030140000000220000000001000007000000ea610fce9c3e02c4";
 const GOLDEN_REQUEST_LINK: &str = concat!(
     "2600000003024000000003000000000000000000e83f02000000020000000000",
-    "00000c000000000000002a6b7e458297930a",
+    "00000c00000000000000957b5d2c38341d1a",
 );
 const GOLDEN_REQUEST_INSERT: &str = concat!(
     "2a00000003034000000002000000090000000000000001000000000000800a00",
-    "00000000000000000080000000000759599eb17a906c",
+    "00000000000000000080000000006154b65da2e415e6",
 );
-const GOLDEN_REQUEST_STATS: &str = "020000000304ecaf085622db0c1f";
-const GOLDEN_REQUEST_SHUTDOWN: &str = "0200000003057ed94e3e23aebc59";
+const GOLDEN_REQUEST_STATS: &str = "02000000030454846b79b6470dc7";
+const GOLDEN_REQUEST_SHUTDOWN: &str = "02000000030512f0305d7186528f";
 const GOLDEN_RESPONSE_HITS: &str = concat!(
     "260000000381020000000300000000000000000000000000f03f090000000000",
-    "0000000000000000d03fdaabb88124349e93",
+    "0000000000000000d03f7ffca590302ff42f",
 );
 const GOLDEN_RESPONSE_LINK_HITS: &str = concat!(
     "1e000000038202000000010000000100000000000000000000000000e03f0000",
-    "0000445aa9cc37ef17ae",
+    "0000fee93c109b23c3c2",
 );
-const GOLDEN_RESPONSE_INSERTED: &str = "0e00000003830c0000000400000000000000f57d3da77e16a1de";
+const GOLDEN_RESPONSE_INSERTED: &str = "0e00000003830c000000040000000000000004b0567e3091184b";
 const GOLDEN_RESPONSE_STATS: &str = concat!(
     "b300000003846400000000000000020000000000000037000000000000000100",
     "0000000000000300000000000000140000000000000023000000000000001200",
     "0000000000001100000000000000020000000000000001000000000000000600",
     "00000000000039300000000000006400000000000000840300000000000060ea",
     "0000000000000400000010000000010000000000000001030000000100000001",
-    "00000002000000e1100000000000000400000061767832563f67c505e767a8",
+    "00000002000000e1100000000000000400000061767832f4c71b4e7baa49f5",
 );
-const GOLDEN_RESPONSE_BUSY: &str = "06000000038532000000fe75779479fb8be8";
+const GOLDEN_RESPONSE_BUSY: &str = "0600000003853200000072a9ae8f65c75e50";
 const GOLDEN_RESPONSE_SERVER_ERROR: &str =
-    "1300000003860d0000006e6f207375636820696e646578d3308738c0d2e4b8";
-const GOLDEN_RESPONSE_BYE: &str = "0200000003872dcaae0b88721fec";
-const GOLDEN_STREAM_FRAME: &str = "12000000736f6d65207061796c6f616420627974657348c22081d7b81d1f";
-const GOLDEN_SIMNET_DATA: &str = "0700000009000000007061796c6f61645fd838cbea4d8235";
-const GOLDEN_SIMNET_ACK: &str = "0000000007000000010c892d8e24c397ea";
+    "1300000003860d0000006e6f207375636820696e646578046b44ce7734418e";
+const GOLDEN_RESPONSE_BYE: &str = "020000000387233013cb671508c0";
+const GOLDEN_STREAM_FRAME: &str = "12000000736f6d65207061796c6f61642062797465732edfea754d26a337";
+const GOLDEN_SIMNET_DATA: &str = "0700000009000000007061796c6f61642fbb8f3009687129";
+const GOLDEN_SIMNET_ACK: &str = "0000000007000000011e86bfe45ddb428e";
 const GOLDEN_SEGMENT: &str = concat!(
     "5053473102000100000050000000030000001200000001000000000000000102",
     "0000020000000000120000000400000000000000040002000001000000801200",
-    "000007000000000000006000000000000400410059e5d65f05d88e42",
+    "00000700000000000000600000000000040041000f7b54eaa56605c2",
 );
 const GOLDEN_MANIFEST: &str = concat!(
     "504d463105005000000002000000ed5e00000000000010000000030000000000",
     "0000090000000000000002000000010000000000000004000000000000000300",
     "0000290000000100000008000000000000000000000050000000010000000600",
-    "000000000000fff59da88665c2e2",
+    "0000000000009377fad885d125fa",
 );
 const GOLDEN_WAL: &str = concat!(
-    "50574c310300500000000000000000000000b120211bff6c531a120000000100",
-    "00000000000001020000020000000000a2f5239d7d3a59881200000004000000",
-    "00000000040002000001000000806e1b8fcc7702616b12000000070000000000",
-    "0000600000000000040041002ccf456a5eef727e",
+    "50574c3103005000000000000000000000007ef6682159434877120000000100",
+    "00000000000001020000020000000000abd3647d2efa37d01200000004000000",
+    "0000000004000200000100000080b89367b82308173412000000070000000000",
+    "000060000000000004004100ba844aa1e8874949",
 );
 
 /// Bytes of the FNV-1a trailer epoch (segment v1, WAL v2, manifest v4),
