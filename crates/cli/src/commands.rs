@@ -8,7 +8,7 @@ use crate::args::Args;
 use pprl_blocking::keys::BlockingKey;
 use pprl_blocking::lsh::HammingLsh;
 use pprl_cluster::coordinator::{ClusterConfig, Coordinator};
-use pprl_cluster::server::{serve_cluster, serve_cluster_auth, ClusterServerConfig};
+use pprl_cluster::server::{serve_cluster_auth, ClusterServerConfig};
 use pprl_core::gauge::cores;
 use pprl_core::json::Json;
 use pprl_core::record::Dataset;
@@ -22,7 +22,7 @@ use pprl_pipeline::dedup::{deduplicate, deduplicated_dataset, DedupConfig};
 use pprl_protocols::transport::Crash;
 use pprl_protocols::{multi_party_linkage, MultiPartyConfig, Pattern};
 use pprl_server::client::Client;
-use pprl_server::server::{serve, serve_auth, ServerConfig};
+use pprl_server::server::{serve_auth, ServerConfig};
 use pprl_server::wire::StatsReport;
 use pprl_server::{AuthRegistry, ClientAuth, PartyKey, SuiteOffer};
 
@@ -585,34 +585,45 @@ pub fn keygen(mut args: Args) -> CmdResult {
 }
 
 /// Reads the session-auth client flags — `--identity NAME --key-file
-/// PATH [--tenant T] [--encrypt]` — into an optional [`ClientAuth`].
-/// Absent flags mean plaintext wire v3, exactly as before.
-fn auth_from_args(args: &mut Args) -> Result<Option<ClientAuth>, String> {
+/// PATH [--tenant T] [--encrypt]` — into a [`ClientAuth`]; every
+/// session is authenticated, so the first two are required.
+fn auth_from_args(args: &mut Args) -> Result<ClientAuth, String> {
     let identity = args.get("identity");
     let key_file = args.get("key-file");
     let tenant = args.get_or("tenant", "default");
     let encrypt = args.flag("encrypt");
-    match (identity, key_file) {
-        (Some(identity), Some(path)) => {
-            let key = PartyKey::load(std::path::Path::new(&path)).map_err(fail)?;
-            Ok(Some(ClientAuth {
-                identity,
-                key,
-                tenant,
-                encrypt,
-                suites: SuiteOffer::default(),
-            }))
-        }
-        (None, None) if !encrypt => Ok(None),
-        (None, None) => Err("--encrypt needs --identity and --key-file".into()),
-        _ => Err("--identity and --key-file must be given together".into()),
-    }
+    let (Some(identity), Some(path)) = (identity, key_file) else {
+        return Err(
+            "--identity NAME and --key-file K.psk are required: every session \
+                    is authenticated (create a key with `pprl keygen`)"
+                .into(),
+        );
+    };
+    let key = PartyKey::load(std::path::Path::new(&path)).map_err(fail)?;
+    Ok(ClientAuth {
+        identity,
+        key,
+        tenant,
+        encrypt,
+        suites: SuiteOffer::default(),
+    })
+}
+
+/// Reads the required `--auth-dir DIR` of a serving command into the
+/// registry its front end checks every session against.
+fn registry_from_args(args: &mut Args) -> Result<(String, AuthRegistry), String> {
+    let dir = args.get("auth-dir").ok_or(
+        "--auth-dir DIR is required: every session is authenticated (create keys \
+         with `pprl keygen --auth-dir DIR --identity NAME --tenant T`)",
+    )?;
+    let registry = AuthRegistry::load(std::path::Path::new(&dir)).map_err(fail)?;
+    Ok((dir, registry))
 }
 
 /// `pprl serve` — serve a persistent index over TCP until a client
-/// sends `shutdown` (or the process is killed). With `--auth-dir` the
-/// server only accepts authenticated wire v4 sessions and serves the
-/// tenant namespaces named by the directory's grants.
+/// sends `shutdown` (or the process is killed). Only authenticated
+/// wire v4 sessions are accepted, and the server hosts the tenant
+/// namespaces named by the auth directory's grants.
 pub fn serve_cmd(mut args: Args) -> CmdResult {
     let dir = args.require("index").map_err(fail)?;
     let host = args.get_or("host", "127.0.0.1");
@@ -622,7 +633,7 @@ pub fn serve_cmd(mut args: Args) -> CmdResult {
     let cache: usize = args.parse_or("cache", 256).map_err(fail)?;
     let compact_ms: u64 = args.parse_or("compact-interval-ms", 500).map_err(fail)?;
     let addr_file = args.get("addr-file");
-    let auth_dir = args.get("auth-dir");
+    let (auth_dir, registry) = registry_from_args(&mut args)?;
     args.finish().map_err(fail)?;
 
     let config = ServerConfig {
@@ -633,13 +644,7 @@ pub fn serve_cmd(mut args: Args) -> CmdResult {
         ..ServerConfig::default()
     };
     let bind = format!("{host}:{port}");
-    let handle = match &auth_dir {
-        Some(auth) => {
-            let registry = AuthRegistry::load(std::path::Path::new(auth)).map_err(fail)?;
-            serve_auth(std::path::Path::new(&dir), &bind, config, registry).map_err(fail)?
-        }
-        None => serve(std::path::Path::new(&dir), &bind, config).map_err(fail)?,
-    };
+    let handle = serve_auth(std::path::Path::new(&dir), &bind, config, registry).map_err(fail)?;
     let addr = handle.addr();
     // With --port 0 the kernel picks the port; publish the resolved
     // address so scripts (and the CI smoke job) can find it.
@@ -648,11 +653,7 @@ pub fn serve_cmd(mut args: Args) -> CmdResult {
     }
     println!(
         "serving {dir} on {addr}: {workers} workers, queue {queue}, cache {cache}, \
-         compaction every {compact_ms} ms (0 = disabled){}",
-        match &auth_dir {
-            Some(auth) => format!(", authenticated sessions only (auth dir {auth})"),
-            None => String::new(),
-        }
+         compaction every {compact_ms} ms (0 = disabled), auth dir {auth_dir}"
     );
     let backend = handle.join();
     let stats = backend
@@ -947,7 +948,7 @@ pub fn cluster_cmd(mut args: Args) -> CmdResult {
             // to the shard nodes, so it reuses the client auth flags.
             let shard_auth = auth_from_args(&mut args)?;
             // Front-end registry: who may connect to the coordinator.
-            let auth_dir = args.get("auth-dir");
+            let (_, registry) = registry_from_args(&mut args)?;
             args.finish().map_err(fail)?;
 
             let shards: Vec<String> = shards_arg
@@ -966,7 +967,7 @@ pub fn cluster_cmd(mut args: Args) -> CmdResult {
                     shards,
                     min_shards,
                     deadline: std::time::Duration::from_millis(deadline_ms.max(1)),
-                    shard_auth,
+                    shard_auth: Some(shard_auth),
                 })
                 .map_err(fail)?,
             );
@@ -977,20 +978,13 @@ pub fn cluster_cmd(mut args: Args) -> CmdResult {
                 ..ClusterServerConfig::default()
             };
             let bind = format!("{host}:{port}");
-            let handle = match &auth_dir {
-                Some(auth) => {
-                    let registry = AuthRegistry::load(std::path::Path::new(auth)).map_err(fail)?;
-                    serve_cluster_auth(
-                        std::sync::Arc::clone(&coordinator),
-                        &bind,
-                        front_config,
-                        registry,
-                    )
-                    .map_err(fail)?
-                }
-                None => serve_cluster(std::sync::Arc::clone(&coordinator), &bind, front_config)
-                    .map_err(fail)?,
-            };
+            let handle = serve_cluster_auth(
+                std::sync::Arc::clone(&coordinator),
+                &bind,
+                front_config,
+                registry,
+            )
+            .map_err(fail)?;
             let addr = handle.addr();
             if let Some(path) = addr_file {
                 write_file_atomic(&path, &addr.to_string())?;
@@ -1249,9 +1243,9 @@ COMMANDS:
             DIR/tenants.map (`*` = privileged: any tenant, may shut
             servers down); only the fingerprint is printed
 
-  serve     --index IDX [--host H] [--port P] [--workers N] [--queue N]
-            [--cache N] [--compact-interval-ms MS]
-            [--addr-file PATH] [--auth-dir DIR]
+  serve     --index IDX --auth-dir DIR [--host H] [--port P]
+            [--workers N] [--queue N] [--cache N]
+            [--compact-interval-ms MS] [--addr-file PATH]
             serve the index over TCP: concurrent top-k Dice queries,
             batch link, inserts acked at their WAL fsync, background
             flush and size-tiered compaction every MS (0 disables it;
@@ -1259,10 +1253,10 @@ COMMANDS:
             reads; a large scan borrows idle cores on its own and
             hands them back to writers (no thread flag); --port 0
             binds an ephemeral port and --addr-file publishes the
-            resolved address atomically (tmp + rename);
-            --auth-dir requires every client to complete the wire v4
-            handshake against DIR's keys and serves one namespace per
-            granted tenant (IDX/<tenant>, or IDX itself as `default`
+            resolved address atomically (tmp + rename); every client
+            completes the wire v4 handshake against the keys in
+            --auth-dir (see keygen), and the server hosts one namespace
+            per granted tenant (IDX/<tenant>, or IDX itself as `default`
             when it holds a MANIFEST directly; sessions negotiate
             ChaCha20/Poly1305); runs until a client sends shutdown
 
@@ -1274,24 +1268,22 @@ COMMANDS:
             stats    --addr H:P [--json]
             shutdown --addr H:P
             talk to a running `pprl serve` or `pprl cluster serve`;
-            every action also takes [--deadline-ms MS] (default 60000),
+            every action also takes the session credentials
+            --identity NAME --key-file K.psk [--tenant T] [--encrypt]
+            (--encrypt additionally encrypts frame bodies; shutdown
+            needs a `*` grant), [--deadline-ms MS] (default 60000),
             the total budget for the call including bounded-backoff
-            retries after Busy rejections, [--cluster], which asserts
-            the address is a cluster coordinator (loud error when
-            pointed at a lone shard), and the session-auth flags
-            [--identity NAME --key-file K.psk] [--tenant T] [--encrypt]
-            for servers running with --auth-dir (--encrypt additionally
-            encrypts frame bodies; shutdown needs a `*` grant);
-            query/link results are bit-for-bit identical to offline
-            `pprl index query`
+            retries after Busy rejections, and [--cluster], which
+            asserts the address is a cluster coordinator (loud error
+            when pointed at a lone shard); query/link results are
+            bit-for-bit identical to offline `pprl index query`
 
-  cluster   serve --shards H:P,H:P,... [--host H] [--port P]
-                  [--workers N] [--queue N] [--quorum N]
-                  [--deadline-ms MS] [--addr-file PATH]
-                  [--identity NAME --key-file K.psk] [--encrypt]
-                  [--auth-dir DIR]
-            stats --addr H:P [--json]
-                  [--identity NAME --key-file K.psk] [--encrypt]
+  cluster   serve --shards H:P,H:P,... --auth-dir DIR
+                  --identity NAME --key-file K.psk [--encrypt]
+                  [--host H] [--port P] [--workers N] [--queue N]
+                  [--quorum N] [--deadline-ms MS] [--addr-file PATH]
+            stats --addr H:P --identity NAME --key-file K.psk
+                  [--encrypt] [--json]
             scatter-gather coordinator over sharded `pprl serve` nodes,
             speaking the same wire protocol on both sides: queries
             broadcast to every shard and merge exactly (results
@@ -1301,9 +1293,9 @@ COMMANDS:
             (default: all shards) instead of failing them — stats
             shows a DEGRADED CLUSTER banner with the missing shards;
             shutdown stops only the coordinator, never the shards;
-            --identity/--key-file authenticate the coordinator to
-            auth-enabled shards and --auth-dir makes the front end
-            demand the same handshake from its own clients
+            --identity/--key-file authenticate the coordinator to its
+            shards and --auth-dir holds the keys its own clients
+            authenticate against
 
   kernels   [--list] [--check]
             report the scan-kernel dispatch on this host: detected CPU
@@ -1673,6 +1665,25 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A fresh auth directory under `tag` holding one privileged
+    /// identity, `ops`, and the client flags that present it.
+    fn ops_keys(tag: &str) -> (String, String) {
+        let auth_dir = tmp(tag);
+        let _ = std::fs::remove_dir_all(&auth_dir);
+        keygen(
+            Args::parse(
+                &raw(&format!(
+                    "keygen --auth-dir {auth_dir} --identity ops --tenant *"
+                )),
+                &[],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let creds = format!("--identity ops --key-file {auth_dir}/ops.psk");
+        (auth_dir, creds)
+    }
+
     #[test]
     fn serve_and_client_round_trip() {
         let a = tmp("srv-a.csv");
@@ -1680,6 +1691,7 @@ mod tests {
         let dir = tmp("srv-idx");
         let hits_csv = tmp("srv-hits.csv");
         let _ = std::fs::remove_dir_all(&dir);
+        let (auth_dir, ops) = ops_keys("srv-keys");
         generate(
             Args::parse(
                 &raw(&format!(
@@ -1705,7 +1717,7 @@ mod tests {
         let serve_args = Args::parse(
             &raw(&format!(
                 "serve --index {dir} --port 0 --workers 2 --compact-interval-ms 50 \
-                 --addr-file {addr_file}"
+                 --auth-dir {auth_dir} --addr-file {addr_file}"
             )),
             &[],
         )
@@ -1728,7 +1740,7 @@ mod tests {
         client_cmd(
             Args::parse(
                 &raw(&format!(
-                    "query --addr {addr} --input {b} --key s3cret --row 2 --top-k 5 --json"
+                    "query --addr {addr} {ops} --input {b} --key s3cret --row 2 --top-k 5 --json"
                 )),
                 &["json"],
             )
@@ -1738,8 +1750,8 @@ mod tests {
         client_cmd(
             Args::parse(
                 &raw(&format!(
-                    "link --addr {addr} --input {b} --key s3cret --top-k 3 --min-score 0.7 \
-                     --output {hits_csv}"
+                    "link --addr {addr} {ops} --input {b} --key s3cret --top-k 3 \
+                     --min-score 0.7 --output {hits_csv}"
                 )),
                 &[],
             )
@@ -1751,24 +1763,28 @@ mod tests {
         assert!(hits.lines().count() > 10, "overlapping rows should link");
         client_cmd(
             Args::parse(
-                &raw(&format!("insert --addr {addr} --input {b} --key s3cret")),
+                &raw(&format!(
+                    "insert --addr {addr} {ops} --input {b} --key s3cret"
+                )),
                 &[],
             )
             .unwrap(),
         )
         .unwrap();
-        client_cmd(Args::parse(&raw(&format!("stats --addr {addr}")), &[]).unwrap()).unwrap();
+        client_cmd(Args::parse(&raw(&format!("stats --addr {addr} {ops}")), &[]).unwrap()).unwrap();
         // Bad action is a clean error that doesn't touch the server.
-        let e = client_cmd(Args::parse(&raw(&format!("poke --addr {addr}")), &[]).unwrap())
+        let e = client_cmd(Args::parse(&raw(&format!("poke --addr {addr} {ops}")), &[]).unwrap())
             .unwrap_err();
         assert!(e.contains("unknown client action"), "{e}");
-        client_cmd(Args::parse(&raw(&format!("shutdown --addr {addr}")), &[]).unwrap()).unwrap();
+        client_cmd(Args::parse(&raw(&format!("shutdown --addr {addr} {ops}")), &[]).unwrap())
+            .unwrap();
         server.join().unwrap().unwrap();
 
         // The wire insert was durable: 50 built + 50 inserted.
         let store = IndexStore::open(std::path::Path::new(&dir)).unwrap();
         assert_eq!(store.record_count().unwrap(), 100);
         std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&auth_dir).unwrap();
     }
 
     #[test]
@@ -1848,10 +1864,15 @@ mod tests {
             }
         };
 
-        // Unauthenticated access is refused before dispatch.
+        // A client without credentials is an argument error naming
+        // keygen, and so is a server without an auth directory.
         let e = client_cmd(Args::parse(&raw(&format!("stats --addr {addr}")), &[]).unwrap())
             .unwrap_err();
-        assert!(e.contains("authentication required"), "{e}");
+        assert!(e.contains("pprl keygen"), "{e}");
+        let e =
+            serve_cmd(Args::parse(&raw(&format!("serve --index {dir} --port 0")), &[]).unwrap())
+                .unwrap_err();
+        assert!(e.contains("--auth-dir") && e.contains("pprl keygen"), "{e}");
 
         // Authenticated, encrypted query and stats work.
         client_cmd(
@@ -1947,11 +1968,20 @@ mod tests {
             index_cmd(Args::parse(&raw(&format!("stats --dir {dir}")), &[]).unwrap()).unwrap_err();
         assert!(e.contains("storage error"), "{e}");
         // `pprl serve` surfaces the same typed error.
-        let e =
-            serve_cmd(Args::parse(&raw(&format!("serve --index {dir} --port 0")), &[]).unwrap())
-                .unwrap_err();
+        let (auth_dir, _) = ops_keys("no-manifest-keys");
+        let e = serve_cmd(
+            Args::parse(
+                &raw(&format!(
+                    "serve --index {dir} --auth-dir {auth_dir} --port 0"
+                )),
+                &[],
+            )
+            .unwrap(),
+        )
+        .unwrap_err();
         assert!(e.contains("storage error"), "{e}");
         std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&auth_dir).unwrap();
     }
 
     #[test]
@@ -2058,6 +2088,7 @@ mod tests {
         let dir1 = tmp("cl-s1");
         let _ = std::fs::remove_dir_all(&dir0);
         let _ = std::fs::remove_dir_all(&dir1);
+        let (auth_dir, ops) = ops_keys("cl-keys");
         generate(
             Args::parse(
                 &raw(&format!(
@@ -2079,7 +2110,8 @@ mod tests {
             .unwrap();
         }
 
-        // Two shard nodes on ephemeral ports.
+        // Two shard nodes on ephemeral ports, each with a worker to
+        // spare beside the coordinator's pooled session.
         let wait_addr = |path: &str| -> String {
             let mut waited = 0;
             loop {
@@ -2100,8 +2132,8 @@ mod tests {
             let _ = std::fs::remove_file(&addr_file);
             let serve_args = Args::parse(
                 &raw(&format!(
-                    "serve --index {dir} --port 0 --workers 1 --compact-interval-ms 0 \
-                     --addr-file {addr_file}"
+                    "serve --index {dir} --port 0 --workers 2 --compact-interval-ms 0 \
+                     --auth-dir {auth_dir} --addr-file {addr_file}"
                 )),
                 &[],
             )
@@ -2112,7 +2144,7 @@ mod tests {
 
         // `cluster stats` against a lone shard is a loud error.
         let e = cluster_cmd(
-            Args::parse(&raw(&format!("stats --addr {}", shard_addrs[0])), &[]).unwrap(),
+            Args::parse(&raw(&format!("stats --addr {} {ops}", shard_addrs[0])), &[]).unwrap(),
         )
         .unwrap_err();
         assert!(e.contains("not a cluster coordinator"), "{e}");
@@ -2122,7 +2154,8 @@ mod tests {
         let _ = std::fs::remove_file(&coord_file);
         let cluster_args = Args::parse(
             &raw(&format!(
-                "serve --shards {} --port 0 --workers 2 --addr-file {coord_file}",
+                "serve --shards {} --auth-dir {auth_dir} {ops} --port 0 --workers 2 \
+                 --addr-file {coord_file}",
                 shard_addrs.join(",")
             )),
             &[],
@@ -2136,7 +2169,7 @@ mod tests {
         client_cmd(
             Args::parse(
                 &raw(&format!(
-                    "query --addr {coord_addr} --input {a} --key s3cret --row 1 \
+                    "query --addr {coord_addr} {ops} --input {a} --key s3cret --row 1 \
                      --top-k 3 --cluster --json"
                 )),
                 &["cluster", "json"],
@@ -2147,18 +2180,18 @@ mod tests {
         // --cluster against a lone shard is the mirrored loud error.
         let e = client_cmd(
             Args::parse(
-                &raw(&format!("stats --addr {} --cluster", shard_addrs[0])),
+                &raw(&format!("stats --addr {} {ops} --cluster", shard_addrs[0])),
                 &["cluster"],
             )
             .unwrap(),
         )
         .unwrap_err();
         assert!(e.contains("not a cluster coordinator"), "{e}");
-        cluster_cmd(Args::parse(&raw(&format!("stats --addr {coord_addr}")), &[]).unwrap())
+        cluster_cmd(Args::parse(&raw(&format!("stats --addr {coord_addr} {ops}")), &[]).unwrap())
             .unwrap();
         cluster_cmd(
             Args::parse(
-                &raw(&format!("stats --addr {coord_addr} --json")),
+                &raw(&format!("stats --addr {coord_addr} {ops} --json")),
                 &["json"],
             )
             .unwrap(),
@@ -2167,18 +2200,18 @@ mod tests {
 
         // Shutdown stops the coordinator only; the shards then answer
         // their own shutdowns.
-        client_cmd(Args::parse(&raw(&format!("shutdown --addr {coord_addr}")), &[]).unwrap())
-            .unwrap();
+        let client = |line: String| client_cmd(Args::parse(&raw(&line), &[]).unwrap());
+        client(format!("shutdown --addr {coord_addr} {ops}")).unwrap();
         coordinator.join().unwrap().unwrap();
         for addr in &shard_addrs {
-            client_cmd(Args::parse(&raw(&format!("stats --addr {addr}")), &[]).unwrap()).unwrap();
-            client_cmd(Args::parse(&raw(&format!("shutdown --addr {addr}")), &[]).unwrap())
-                .unwrap();
+            client(format!("stats --addr {addr} {ops}")).unwrap();
+            client(format!("shutdown --addr {addr} {ops}")).unwrap();
         }
         for t in shard_threads {
             t.join().unwrap().unwrap();
         }
         std::fs::remove_dir_all(&dir0).unwrap();
         std::fs::remove_dir_all(&dir1).unwrap();
+        std::fs::remove_dir_all(&auth_dir).unwrap();
     }
 }

@@ -63,12 +63,12 @@ pub struct ClusterConfig {
     /// `Busy` backoff) runs a plain [`Client::call`] under a fresh
     /// budget of the same length.
     pub deadline: Duration,
-    /// Credentials the coordinator presents to its shard nodes. `None`
-    /// speaks plaintext wire v3 (shards must be running without an auth
-    /// registry); `Some` runs the wire v4 handshake on every shard
-    /// connection — including redials after stale pooled sockets. The
-    /// identity should be privileged (`*` grant) on the shards so
-    /// [`Coordinator::shutdown_shards`] can tear the fleet down.
+    /// Credentials the coordinator presents to its shard nodes: every
+    /// shard connection — redials after stale pooled sockets included —
+    /// runs the wire v4 handshake with them. Required; `None` fails
+    /// [`Coordinator::new`]. The identity should be privileged (`*`
+    /// grant) on the shards so [`Coordinator::shutdown_shards`] can tear
+    /// the fleet down.
     pub shard_auth: Option<ClientAuth>,
 }
 
@@ -92,7 +92,8 @@ impl ClusterConfig {
         }
     }
 
-    fn validate(&self) -> Result<()> {
+    /// Checks the config and returns the shard credentials.
+    fn validate(&self) -> Result<&ClientAuth> {
         if self.shards.is_empty() {
             return Err(PprlError::invalid("shards", "need at least one address"));
         }
@@ -102,7 +103,12 @@ impl ClusterConfig {
                 format!("must be in 1..={}", self.shards.len()),
             ));
         }
-        Ok(())
+        self.shard_auth.as_ref().ok_or_else(|| {
+            PprlError::invalid(
+                "shard_auth",
+                "shards only accept authenticated sessions: give the coordinator credentials",
+            )
+        })
     }
 }
 
@@ -163,6 +169,8 @@ fn is_shard_failure(e: &PprlError) -> bool {
 #[derive(Debug)]
 pub struct Coordinator {
     shards: Vec<ShardSlot>,
+    /// `config.shard_auth`, checked present.
+    shard_auth: ClientAuth,
     config: ClusterConfig,
     started: Instant,
     /// Coordinator-level counters and latency histogram.
@@ -174,7 +182,7 @@ impl Coordinator {
     /// lazily per call, so a cluster can be assembled before every
     /// shard is up — health is discovered (and re-discovered) on use.
     pub fn new(config: ClusterConfig) -> Result<Coordinator> {
-        config.validate()?;
+        let shard_auth = config.validate()?.clone();
         let shards = config
             .shards
             .iter()
@@ -186,6 +194,7 @@ impl Coordinator {
             .collect();
         Ok(Coordinator {
             shards,
+            shard_auth,
             config,
             started: Instant::now(),
             metrics: ClusterMetrics::default(),
@@ -205,7 +214,7 @@ impl Coordinator {
         for slot in &coordinator.shards {
             let probed = Client::connect_retry_with(
                 &slot.addr,
-                coordinator.config.shard_auth.clone(),
+                Some(coordinator.shard_auth.clone()),
                 20,
                 Duration::from_millis(50),
             )
@@ -271,10 +280,10 @@ impl Coordinator {
         e
     }
 
-    /// A fresh connection to shard `i` (handshake included when
-    /// authenticating) with the cluster deadline set.
+    /// A fresh connection to shard `i`, handshake included, with the
+    /// cluster deadline set.
     fn dial(&self, i: usize) -> Result<Client> {
-        let mut client = Client::connect_with(&self.shards[i].addr, self.config.shard_auth.clone())
+        let mut client = Client::connect_with(&self.shards[i].addr, self.shard_auth.clone())
             .map_err(|e| self.failed(i, e))?;
         client.set_deadline(self.config.deadline);
         Ok(client)
@@ -703,6 +712,20 @@ mod tests {
     fn config_validation() {
         assert!(ClusterConfig::new(vec![]).validate().is_err());
         let mut c = ClusterConfig::new(vec!["a:1".into(), "b:2".into()]);
+        assert!(matches!(
+            c.validate(),
+            Err(PprlError::InvalidParameter {
+                name: "shard_auth",
+                ..
+            })
+        ));
+        c.shard_auth = Some(ClientAuth {
+            identity: "coordinator".into(),
+            key: pprl_session::keys::PartyKey::from_bytes([7; 32]),
+            tenant: "default".into(),
+            encrypt: false,
+            suites: pprl_session::suite::SuiteOffer::default(),
+        });
         assert!(c.validate().is_ok());
         c.min_shards = 3;
         assert!(c.validate().is_err());

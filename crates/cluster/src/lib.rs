@@ -3,7 +3,7 @@
 //!
 //! A cluster is N independent shard nodes — each a stock `pprl-server`
 //! over its own persistent index — fronted by a [`Coordinator`] that
-//! speaks the same framed, checksummed wire protocol on both sides:
+//! speaks the same authenticated wire v4 sessions on both sides:
 //!
 //! - **Reads** (Query/Link) broadcast to every shard; each shard
 //!   answers its local top-k and the coordinator merges the lists
@@ -23,7 +23,7 @@
 //!   tail are copied to a fresh directory, verified by the usual
 //!   open-time checks, and served by a new node.
 //!
-//! [`serve_cluster`] serves the coordinator through the same TCP front
+//! [`serve_cluster_auth`] serves the coordinator through the same TCP front
 //! end a single node uses — `pprl-server`'s one accept loop, worker pool
 //! and session loop, with the [`Coordinator`] as its
 //! [`Backend`](pprl_server::server::Backend) — so existing clients need
@@ -37,4 +37,4 @@ pub mod server;
 
 pub use coordinator::{route_id, ClusterConfig, ClusterMetrics, Coordinator};
 pub use merge::{hit_order, merge_top_k};
-pub use server::{serve_cluster, serve_cluster_auth, ClusterHandle, ClusterServerConfig};
+pub use server::{serve_cluster_auth, ClusterHandle, ClusterServerConfig};

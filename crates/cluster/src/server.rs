@@ -4,8 +4,9 @@
 //! session loop a single node uses ([`pprl_server::server`]); this module
 //! only plugs the [`Coordinator`] in as its [`Backend`]. So every
 //! existing client (the [`pprl_server::client::Client`] struct, the
-//! `pprl client` CLI, the `exp_*` binaries) talks to a cluster exactly as
-//! it talks to one node. The differences live behind the dispatch:
+//! `pprl client` CLI) talks to a cluster exactly as it talks to one
+//! node, over the same authenticated wire v4 session. The differences
+//! live behind the dispatch:
 //! requests scatter to shards and gather through the coordinator, the
 //! only tenant is `default`, and `Shutdown` stops *only the coordinator's
 //! front end* — shard nodes are separate processes with their own
@@ -19,7 +20,7 @@ use pprl_server::wire::{Request, Response};
 use pprl_session::registry::AuthRegistry;
 use std::sync::Arc;
 
-/// Tunables for [`serve_cluster`]: the shared front-end config, whose
+/// Tunables for [`serve_cluster_auth`]: the shared front-end config, whose
 /// index fields (`cache_capacity`, `compact_interval`, `tiered`) a
 /// coordinator ignores. Each scatter fans out to every shard from its
 /// worker, so a handful of workers go a long way. Shard hops open
@@ -68,17 +69,10 @@ impl Backend for Coordinator {
 /// Serves `coordinator` on `addr` (e.g. `"127.0.0.1:0"` for an
 /// ephemeral port). Returns immediately; the handle owns the acceptor
 /// and worker threads.
-pub fn serve_cluster(
-    coordinator: Arc<Coordinator>,
-    addr: &str,
-    config: ClusterServerConfig,
-) -> Result<ClusterHandle> {
-    serve_backend(coordinator, addr, config, None)
-}
-
-/// [`serve_cluster`] with client authentication: every front-end
-/// connection must complete the wire v4 handshake against `registry`
-/// before any request is dispatched to the shards. The cluster fronts a
+///
+/// Every front-end connection must complete the wire v4 handshake
+/// against `registry` before any request is dispatched to the shards.
+/// The cluster fronts a
 /// single logical corpus, so the only tenant namespace it serves is
 /// `default` — identities need a `default` (or `*`) grant, and only
 /// privileged identities may send `Shutdown`. Shard-facing credentials
@@ -90,5 +84,5 @@ pub fn serve_cluster_auth(
     config: ClusterServerConfig,
     registry: AuthRegistry,
 ) -> Result<ClusterHandle> {
-    serve_backend(coordinator, addr, config, Some(registry))
+    serve_backend(coordinator, addr, config, registry)
 }

@@ -2,17 +2,21 @@
 //! bit-identical to a single node holding the union corpus, degraded
 //! merges after a shard dies mid-query, quorum enforcement, `Busy`
 //! absorption within the deadline, snapshot-shipped replicas, and the
-//! TCP front end speaking the stock client protocol.
+//! TCP front end speaking the stock client protocol — every session, on
+//! both hops, authenticated through the shared fixture.
+
+#[path = "../../server/tests/common/auth.rs"]
+mod fixture;
 
 use pprl_cluster::coordinator::{route_id, ClusterConfig, Coordinator};
-use pprl_cluster::server::{serve_cluster, ClusterServerConfig};
+use pprl_cluster::server::{serve_cluster_auth, ClusterServerConfig};
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::PprlError;
 use pprl_index::manifest::IndexConfig;
 use pprl_index::query::Hit;
 use pprl_index::store::IndexStore;
 use pprl_server::client::Client;
-use pprl_server::server::{serve, ServerConfig, ServerHandle};
+use pprl_server::server::{ServerConfig, ServerHandle};
 use pprl_server::wire::{read_payload, write_payload, Incoming, Request, Response};
 use pprl_session::suite::SuiteOffer;
 use std::path::{Path, PathBuf};
@@ -57,9 +61,8 @@ fn build_store(dir: &Path, records: &[(u64, BitVec)]) {
 }
 
 fn serve_shard(dir: &Path) -> ServerHandle {
-    serve(
+    fixture::serve(
         dir,
-        "127.0.0.1:0",
         ServerConfig {
             workers: 2,
             queue_capacity: 16,
@@ -67,7 +70,6 @@ fn serve_shard(dir: &Path) -> ServerHandle {
             ..ServerConfig::default()
         },
     )
-    .unwrap()
 }
 
 /// The union corpus: ids 0..180 routed across shards by `route_id`,
@@ -167,7 +169,7 @@ fn cluster_matches_single_node_union_oracle() {
         shards: cluster.addrs(),
         min_shards: SHARDS,
         deadline: Duration::from_secs(10),
-        shard_auth: None,
+        shard_auth: Some(fixture::auth(true)),
     })
     .unwrap();
 
@@ -228,7 +230,7 @@ fn routed_inserts_are_visible_cluster_wide() {
         shards: cluster.addrs(),
         min_shards: SHARDS,
         deadline: Duration::from_secs(10),
-        shard_auth: None,
+        shard_auth: Some(fixture::auth(true)),
     })
     .unwrap();
 
@@ -274,7 +276,7 @@ fn killed_shard_degrades_merge_and_stats_then_quorum_fails() {
         shards: addrs.clone(),
         min_shards: 1,
         deadline: Duration::from_secs(5),
-        shard_auth: None,
+        shard_auth: Some(fixture::auth(true)),
     })
     .unwrap();
 
@@ -285,7 +287,7 @@ fn killed_shard_degrades_merge_and_stats_then_quorum_fails() {
     }
 
     // Kill shard 1 out from under the coordinator.
-    let mut killer = Client::connect(&addrs[1]).unwrap();
+    let mut killer = fixture::connect(&addrs[1]);
     killer.shutdown().unwrap();
     drop(killer);
     std::thread::sleep(Duration::from_millis(300));
@@ -337,10 +339,10 @@ fn killed_shard_degrades_merge_and_stats_then_quorum_fails() {
         shards: addrs.clone(),
         min_shards: 2,
         deadline: Duration::from_secs(5),
-        shard_auth: None,
+        shard_auth: Some(fixture::auth(true)),
     })
     .unwrap();
-    let mut killer = Client::connect(&addrs[2]).unwrap();
+    let mut killer = fixture::connect(&addrs[2]);
     killer.shutdown().unwrap();
     drop(killer);
     std::thread::sleep(Duration::from_millis(300));
@@ -351,11 +353,11 @@ fn killed_shard_degrades_merge_and_stats_then_quorum_fails() {
     cluster.stop();
 }
 
-/// A scripted wire-speaking shard that answers the first request with
-/// `Busy` (closing the connection, as the real server does) and the
-/// second with real hits: the coordinator's client absorbs the
-/// rejection with backoff and the scatter still succeeds within its
-/// deadline.
+/// A scripted wire-speaking shard that sheds the first connection with
+/// a pre-handshake `Busy` (closing it, as the real accept loop does)
+/// and answers the retried one with real hits: the coordinator's client
+/// absorbs the rejection with backoff and the scatter still succeeds
+/// within its deadline.
 #[test]
 fn busy_shard_is_retried_within_the_deadline() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -369,47 +371,34 @@ fn busy_shard_is_retried_within_the_deadline() {
     ];
     let scripted = hits.clone();
     let fake = std::thread::spawn(move || {
-        // Connection 1: read the request, reject with Busy, close.
+        // Connection 1: read the HELLO, reject with Busy, close.
         let (mut conn, _) = listener.accept().unwrap();
-        loop {
-            match read_payload(&mut conn).unwrap() {
-                Incoming::Payload(p) => {
-                    assert!(matches!(
-                        Request::decode(&p).unwrap(),
-                        Request::Query { .. }
-                    ));
-                    break;
-                }
-                Incoming::TimedOut => continue,
-                Incoming::Eof => panic!("client hung up before sending"),
-            }
+        match read_payload(&mut conn).unwrap() {
+            Incoming::Payload(_) => {}
+            other => panic!("expected a HELLO, got {other:?}"),
         }
         let busy = Response::Busy { retry_after_ms: 5 };
         write_payload(&mut conn, &busy.encode()).unwrap();
         drop(conn);
-        // Connection 2: the retried request gets real hits.
-        let (mut conn, _) = listener.accept().unwrap();
-        loop {
-            match read_payload(&mut conn).unwrap() {
-                Incoming::Payload(p) => {
-                    assert!(matches!(
-                        Request::decode(&p).unwrap(),
-                        Request::Query { .. }
-                    ));
-                    break;
-                }
-                Incoming::TimedOut => continue,
-                Incoming::Eof => panic!("client never retried after Busy"),
-            }
+        // Connection 2: the retried handshake, then real hits.
+        let (mut conn, mut channel) = fixture::accept_session(&listener);
+        match channel.recv(&mut conn).unwrap() {
+            Incoming::Payload(p) => assert!(matches!(
+                Request::decode(&p).unwrap(),
+                Request::Query { .. }
+            )),
+            other => panic!("client never retried after Busy: {other:?}"),
         }
-        write_payload(&mut conn, &Response::Hits(scripted).encode()).unwrap();
+        channel
+            .send(&mut conn, &Response::Hits(scripted).encode())
+            .unwrap();
     });
 
     let coordinator = Coordinator::new(ClusterConfig {
         shards: vec![addr],
         min_shards: 1,
         deadline: Duration::from_secs(5),
-        shard_auth: None,
+        shard_auth: Some(fixture::auth(true)),
     })
     .unwrap();
     let got = coordinator.query(&filter_for(1), 2).unwrap();
@@ -459,7 +448,7 @@ fn snapshot_shipped_replica_serves_as_a_shard() {
         shards: shards.iter().map(|h| h.addr().to_string()).collect(),
         min_shards: 3,
         deadline: Duration::from_secs(10),
-        shard_auth: None,
+        shard_auth: Some(fixture::auth(true)),
     })
     .unwrap();
 
@@ -496,11 +485,11 @@ fn front_end_speaks_the_stock_client_protocol() {
             shards: cluster.addrs(),
             min_shards: SHARDS,
             deadline: Duration::from_secs(10),
-            shard_auth: None,
+            shard_auth: Some(fixture::auth(true)),
         })
         .unwrap(),
     );
-    let front = serve_cluster(
+    let front = serve_cluster_auth(
         std::sync::Arc::clone(&coordinator),
         "127.0.0.1:0",
         ClusterServerConfig {
@@ -508,13 +497,14 @@ fn front_end_speaks_the_stock_client_protocol() {
             queue_capacity: 8,
             ..ClusterServerConfig::default()
         },
+        fixture::registry(),
     )
     .unwrap();
     let front_addr = front.addr().to_string();
 
     let probes: Vec<BitVec> = (0..6u64).map(filter_for).collect();
     let expected = oracle_top_k("front-oracle", &records, &probes, 4);
-    let mut client = Client::connect_retry(&front_addr, 20, Duration::from_millis(10)).unwrap();
+    let mut client = fixture::connect(&front_addr);
     for (probe, want) in probes.iter().zip(&expected) {
         assert_eq!(&client.query(probe, 4).unwrap(), want);
     }
@@ -532,7 +522,7 @@ fn front_end_speaks_the_stock_client_protocol() {
     client.shutdown().unwrap();
     front.join();
     for addr in cluster.addrs() {
-        let mut direct = Client::connect(&addr).unwrap();
+        let mut direct = fixture::connect(&addr);
         assert!(direct.stats().is_ok(), "shard died with the coordinator");
     }
     cluster.stop();
@@ -544,8 +534,9 @@ fn front_end_speaks_the_stock_client_protocol() {
 /// on a new connection could append the same records twice (shard
 /// stores are append-only with no id dedup). Scripted shard: it acks
 /// the first insert (populating the pool), then answers the second
-/// with a `Busy` whose backoff cannot fit in the deadline — the client
-/// gives up with a `Timeout` — and watches for a forbidden redial.
+/// with a sealed `Busy` whose backoff cannot fit in the deadline — the
+/// client gives up with a busy `Timeout` — and watches for a forbidden
+/// redial.
 #[test]
 fn timed_out_insert_is_not_redialed() {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -556,7 +547,7 @@ fn timed_out_insert_is_not_redialed() {
     let accepts = Arc::new(AtomicUsize::new(0));
     let fake_accepts = Arc::clone(&accepts);
     let fake = std::thread::spawn(move || {
-        let (mut conn, _) = listener.accept().unwrap();
+        let (mut conn, mut channel) = fixture::accept_session(&listener);
         fake_accepts.fetch_add(1, Ordering::SeqCst);
         let script = [
             Response::Inserted {
@@ -568,20 +559,14 @@ fn timed_out_insert_is_not_redialed() {
             },
         ];
         for response in script {
-            loop {
-                match read_payload(&mut conn).unwrap() {
-                    Incoming::Payload(p) => {
-                        assert!(matches!(
-                            Request::decode(&p).unwrap(),
-                            Request::Insert { .. }
-                        ));
-                        break;
-                    }
-                    Incoming::TimedOut => continue,
-                    Incoming::Eof => panic!("coordinator hung up before sending"),
-                }
+            match channel.recv(&mut conn).unwrap() {
+                Incoming::Payload(p) => assert!(matches!(
+                    Request::decode(&p).unwrap(),
+                    Request::Insert { .. }
+                )),
+                other => panic!("coordinator sent no insert: {other:?}"),
             }
-            write_payload(&mut conn, &response.encode()).unwrap();
+            channel.send(&mut conn, &response.encode()).unwrap();
         }
         // The timed-out insert must not arrive again on a fresh dial.
         listener.set_nonblocking(true).unwrap();
@@ -598,13 +583,15 @@ fn timed_out_insert_is_not_redialed() {
         shards: vec![addr],
         min_shards: 1,
         deadline: Duration::from_millis(200),
-        shard_auth: None,
+        shard_auth: Some(fixture::auth(true)),
     })
     .unwrap();
     let (count, _) = coordinator.insert(&[(1, filter_for(1))]).unwrap();
     assert_eq!(count, 1);
-    let err = coordinator.insert(&[(2, filter_for(2))]).unwrap_err();
-    assert!(matches!(err, PprlError::Timeout(_)), "got {err:?}");
+    match coordinator.insert(&[(2, filter_for(2))]).unwrap_err() {
+        PprlError::Timeout(msg) => assert!(msg.contains("busy"), "{msg}"),
+        other => panic!("expected a busy Timeout, got {other:?}"),
+    }
     fake.join().unwrap();
     assert_eq!(
         accepts.load(Ordering::SeqCst),
@@ -629,7 +616,7 @@ fn partial_insert_names_applied_and_failed_shards() {
         shards: addrs.clone(),
         min_shards: 1,
         deadline: Duration::from_secs(5),
-        shard_auth: None,
+        shard_auth: Some(fixture::auth(true)),
     })
     .unwrap();
 
@@ -641,7 +628,7 @@ fn partial_insert_names_applied_and_failed_shards() {
     );
     let survivors_share = routed.iter().filter(|&&s| s != 1).count() as u32;
 
-    let mut killer = Client::connect(&addrs[1]).unwrap();
+    let mut killer = fixture::connect(&addrs[1]);
     killer.shutdown().unwrap();
     drop(killer);
     std::thread::sleep(Duration::from_millis(300));
@@ -668,6 +655,32 @@ fn partial_insert_names_applied_and_failed_shards() {
         assert_eq!(hits[0].id, *id, "applied record missing from its shard");
     }
     cluster.stop();
+}
+
+/// Missing credentials fail typed before any socket opens: the one
+/// address is a closed port, so a dial would surface as a `Transport`
+/// error (a refused connection, or a quorum failure) instead.
+#[test]
+fn missing_credentials_fail_typed_before_any_dial() {
+    let closed = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .to_string();
+    match Client::connect_retry_with(&closed, None, 3, Duration::from_millis(1)) {
+        Err(PprlError::Auth(msg)) => assert!(msg.contains("credentials"), "{msg}"),
+        other => panic!("expected a typed Auth error, got {:?}", other.map(|_| ())),
+    }
+    let config = ClusterConfig::new(vec![closed]);
+    for built in [
+        Coordinator::new(config.clone()),
+        Coordinator::connect(config),
+    ] {
+        match built {
+            Err(PprlError::InvalidParameter { name, .. }) => assert_eq!(name, "shard_auth"),
+            other => panic!("expected an invalid shard_auth, got {other:?}"),
+        }
+    }
 }
 
 /// The startup probe exchanges a real Stats round-trip, so a listener
@@ -703,7 +716,7 @@ fn connect_probe_rejects_a_non_pprl_listener() {
         shards: addrs.clone(),
         min_shards: 4,
         deadline: Duration::from_secs(5),
-        shard_auth: None,
+        shard_auth: Some(fixture::auth(true)),
     })
     .unwrap_err();
     match err {
@@ -718,7 +731,7 @@ fn connect_probe_rejects_a_non_pprl_listener() {
         shards: addrs,
         min_shards: 3,
         deadline: Duration::from_secs(5),
-        shard_auth: None,
+        shard_auth: Some(fixture::auth(true)),
     })
     .unwrap();
     assert_eq!(coordinator.missing_shards(), vec![3]);
@@ -744,9 +757,8 @@ fn stale_pooled_connections_are_redialed_not_degraded() {
         .zip(&parts)
         .map(|(dir, part)| {
             build_store(dir, part);
-            serve(
+            fixture::serve(
                 dir,
-                "127.0.0.1:0",
                 ServerConfig {
                     workers: 2,
                     queue_capacity: 16,
@@ -757,7 +769,6 @@ fn stale_pooled_connections_are_redialed_not_degraded() {
                     ..ServerConfig::default()
                 },
             )
-            .unwrap()
         })
         .collect();
     let addrs: Vec<String> = shards.iter().map(|h| h.addr().to_string()).collect();
@@ -766,7 +777,7 @@ fn stale_pooled_connections_are_redialed_not_degraded() {
         shards: addrs,
         min_shards: SHARDS,
         deadline: Duration::from_secs(10),
-        shard_auth: None,
+        shard_auth: Some(fixture::auth(true)),
     })
     .unwrap();
     let probes: Vec<BitVec> = (0..4u64).map(filter_for).collect();
@@ -808,9 +819,9 @@ fn stale_pooled_connections_are_redialed_not_degraded() {
 /// coordinator, the coordinator authenticates to them with a
 /// privileged identity (encrypted frames on the shard leg), and the
 /// front end authenticates stock clients against its own registry.
-/// Results stay bit-identical to the plaintext union oracle; plaintext
-/// and wrong-key clients are rejected; `Shutdown` needs privilege at
-/// every layer.
+/// Results stay bit-identical to the offline union oracle; bare v3
+/// requests and wrong-key clients are rejected; `Shutdown` needs
+/// privilege at every layer.
 #[test]
 fn authenticated_cluster_end_to_end() {
     use pprl_server::server::serve_auth;
@@ -926,13 +937,9 @@ fn authenticated_cluster_end_to_end() {
     };
     let probes: Vec<BitVec> = (0..6u64).map(filter_for).collect();
     let expected = oracle_top_k("auth-oracle", &records, &probes, 4);
-    let mut alice = Client::connect_retry_with(
-        &front_addr,
-        Some(alice_auth.clone()),
-        20,
-        Duration::from_millis(10),
-    )
-    .unwrap();
+    let mut alice =
+        Client::connect_retry_with(&front_addr, Some(alice_auth), 20, Duration::from_millis(10))
+            .unwrap();
     for (probe, want) in probes.iter().zip(&expected) {
         assert_eq!(&alice.query(probe, 4).unwrap(), want);
     }
@@ -949,25 +956,20 @@ fn authenticated_cluster_end_to_end() {
         assert_eq!(alice.query(filter, 1).unwrap()[0].id, *id);
     }
 
-    // A plaintext client is refused before any request is interpreted.
-    let mut plain = Client::connect(&front_addr).unwrap();
-    match plain.stats() {
-        Err(PprlError::ProtocolError(msg)) => {
-            assert!(msg.contains("authentication required"), "{msg}")
-        }
-        other => panic!("expected an authentication-required error, got {other:?}"),
-    }
+    // A bare v3 request is refused before any request is interpreted.
+    let refusal = fixture::refusal_of_bare_request(&front_addr, &Request::Stats);
+    assert!(refusal.contains("authentication required"), "{refusal}");
 
     // A wrong-key client fails the handshake at connect.
     let wrong = Client::connect_with(
         &front_addr,
-        Some(ClientAuth {
+        ClientAuth {
             identity: "alice".into(),
             key: PartyKey::from_bytes([0x5A; 32]),
             tenant: "default".into(),
             encrypt: false,
             suites: SuiteOffer::default(),
-        }),
+        },
     );
     match wrong {
         Err(PprlError::Auth(_)) => {}
@@ -984,13 +986,13 @@ fn authenticated_cluster_end_to_end() {
     }
     let mut admin = Client::connect_with(
         &front_addr,
-        Some(ClientAuth {
+        ClientAuth {
             identity: "admin".into(),
             key: admin_key,
             tenant: "default".into(),
             encrypt: false,
             suites: SuiteOffer::default(),
-        }),
+        },
     )
     .unwrap();
     admin.shutdown().unwrap();
@@ -1011,17 +1013,13 @@ fn authenticated_cluster_end_to_end() {
 // ------------------------------------------------------------------
 // Scripted shards: the two-phase scatter under forced interleavings.
 //
-// A fake shard speaks plaintext wire v3 — or wire v4, after the real
-// server-side handshake — and answers from a script, so each test
-// decides exactly when a request has been received, when (and whether)
-// its reply is written, and what the reply says. Ordering is forced
-// with channels, never with sleeps.
+// A fake shard completes the real server-side handshake and answers
+// from a script, so each test decides exactly when a request has been
+// received, when (and whether) its reply is written, and what the reply
+// says. Ordering is forced with channels, never with sleeps.
 
 use pprl_cluster::merge::merge_top_k;
 use pprl_session::channel::SecureChannel;
-use pprl_session::handshake::{server_handshake, ClientAuth};
-use pprl_session::keys::{entropy_rng, PartyKey};
-use pprl_session::registry::{AuthRegistry, TenantGrant};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -1032,41 +1030,22 @@ use std::time::Instant;
 /// hanging it.
 const SIGNAL_WAIT: Duration = Duration::from_secs(5);
 
-/// One accepted connection of a scripted shard.
+/// One accepted session of a scripted shard.
 struct FakeConn {
     stream: TcpStream,
-    channel: Option<SecureChannel>,
+    channel: SecureChannel,
 }
 
 impl FakeConn {
-    fn accept(listener: &TcpListener, registry: Option<&AuthRegistry>) -> FakeConn {
-        let (mut stream, _) = listener.accept().unwrap();
-        let channel = registry.map(|registry| {
-            let Incoming::Payload(hello) = read_payload(&mut stream).unwrap() else {
-                panic!("coordinator hung up before HELLO");
-            };
-            let mut rng = entropy_rng();
-            server_handshake(
-                &mut stream,
-                &hello,
-                registry,
-                &mut rng,
-                SuiteOffer::default(),
-            )
-            .unwrap()
-            .channel
-        });
+    fn accept(listener: &TcpListener) -> FakeConn {
+        let (stream, channel) = fixture::accept_session(listener);
         FakeConn { stream, channel }
     }
 
     /// The next request, or `None` once the coordinator has dropped
     /// this connection.
     fn request(&mut self) -> Option<Request> {
-        let incoming = match &mut self.channel {
-            Some(channel) => channel.recv(&mut self.stream),
-            None => read_payload(&mut self.stream),
-        };
-        match incoming {
+        match self.channel.recv(&mut self.stream) {
             Ok(Incoming::Payload(p)) => Some(Request::decode(&p).unwrap()),
             Ok(Incoming::Eof) | Err(_) => None,
             Ok(Incoming::TimedOut) => panic!("fake shards set no read timeout"),
@@ -1074,10 +1053,9 @@ impl FakeConn {
     }
 
     fn reply(&mut self, response: Response) {
-        match &mut self.channel {
-            Some(channel) => channel.send(&mut self.stream, &response.encode()).unwrap(),
-            None => write_payload(&mut self.stream, &response.encode()).unwrap(),
-        }
+        self.channel
+            .send(&mut self.stream, &response.encode())
+            .unwrap();
     }
 }
 
@@ -1094,7 +1072,6 @@ struct FakeShard {
 /// returns whether the shard lives on — `false` kills it on the spot,
 /// connection and listener closed.
 fn fake_shard(
-    registry: Option<AuthRegistry>,
     requests: usize,
     mut script: impl FnMut(usize, Request, &mut FakeConn) -> bool + Send + 'static,
 ) -> FakeShard {
@@ -1105,7 +1082,7 @@ fn fake_shard(
     let thread = std::thread::spawn(move || {
         let mut served = 0;
         while served < requests {
-            let mut conn = FakeConn::accept(&listener, registry.as_ref());
+            let mut conn = FakeConn::accept(&listener);
             accepted.fetch_add(1, Ordering::SeqCst);
             while served < requests {
                 let Some(request) = conn.request() else { break };
@@ -1123,18 +1100,13 @@ fn fake_shard(
     }
 }
 
-/// A coordinator over `fakes` (plaintext unless `auth`).
-fn coordinator_over(
-    fakes: &[FakeShard],
-    min_shards: usize,
-    deadline: Duration,
-    auth: Option<ClientAuth>,
-) -> Coordinator {
+/// A coordinator over `fakes`.
+fn coordinator_over(fakes: &[FakeShard], min_shards: usize, deadline: Duration) -> Coordinator {
     Coordinator::new(ClusterConfig {
         shards: fakes.iter().map(|f| f.addr.clone()).collect(),
         min_shards,
         deadline,
-        shard_auth: auth,
+        shard_auth: Some(fixture::auth(true)),
     })
     .unwrap()
 }
@@ -1179,7 +1151,7 @@ fn scripted_merge(shards: &[usize], request: usize, k: usize) -> Vec<Hit> {
 #[test]
 fn every_request_is_on_the_wire_before_the_first_reply_is_awaited() {
     let (seen_tx, seen_rx) = mpsc::channel::<()>();
-    let mut fakes = vec![fake_shard(None, 1, move |n, _, conn| {
+    let mut fakes = vec![fake_shard(1, move |n, _, conn| {
         for _ in 0..2 {
             seen_rx
                 .recv_timeout(SIGNAL_WAIT)
@@ -1189,12 +1161,12 @@ fn every_request_is_on_the_wire_before_the_first_reply_is_awaited() {
     })];
     for shard in 1..SHARDS {
         let seen = seen_tx.clone();
-        fakes.push(fake_shard(None, 1, move |n, _, conn| {
+        fakes.push(fake_shard(1, move |n, _, conn| {
             seen.send(()).unwrap();
             reply_hits(conn, shard, n)
         }));
     }
-    let coordinator = coordinator_over(&fakes, SHARDS, Duration::from_secs(2), None);
+    let coordinator = coordinator_over(&fakes, SHARDS, Duration::from_secs(2));
     let got = coordinator.query(&filter_for(1), 5).unwrap();
     assert_eq!(got, scripted_merge(&[0, 1, 2], 0, 5));
     assert!(coordinator.missing_shards().is_empty());
@@ -1213,7 +1185,7 @@ fn query_with_reply_order(order: [usize; SHARDS]) -> Vec<Hit> {
         .map(|(shard, my_turn)| {
             let place = order.iter().position(|&s| s == shard).unwrap();
             let next = order.get(place + 1).map(|&s| turn_txs[s].clone());
-            fake_shard(None, 1, move |n, _, conn| {
+            fake_shard(1, move |n, _, conn| {
                 my_turn.recv_timeout(SIGNAL_WAIT).expect("turn never came");
                 reply_hits(conn, shard, n);
                 if let Some(next) = &next {
@@ -1223,7 +1195,7 @@ fn query_with_reply_order(order: [usize; SHARDS]) -> Vec<Hit> {
             })
         })
         .collect();
-    let coordinator = coordinator_over(&fakes, SHARDS, Duration::from_secs(2), None);
+    let coordinator = coordinator_over(&fakes, SHARDS, Duration::from_secs(2));
     let got = coordinator.query(&filter_for(1), 7).unwrap();
     join_all(fakes);
     got
@@ -1255,18 +1227,18 @@ fn silent_shard_times_out_and_the_rest_answer_degraded() {
             .map(|shard| {
                 if shard == silent {
                     let done = done_rx.take().unwrap();
-                    fake_shard(None, 1, move |_, _, _| {
+                    fake_shard(1, move |_, _, _| {
                         // Hold the connection open, silently, until the
                         // test is over; then die.
                         let _ = done.recv();
                         false
                     })
                 } else {
-                    fake_shard(None, 1, move |n, _, conn| reply_hits(conn, shard, n))
+                    fake_shard(1, move |n, _, conn| reply_hits(conn, shard, n))
                 }
             })
             .collect();
-        let coordinator = coordinator_over(&fakes, 2, deadline, None);
+        let coordinator = coordinator_over(&fakes, 2, deadline);
         let started = Instant::now();
         let got = coordinator.query(&filter_for(1), 5).unwrap();
         let elapsed = started.elapsed();
@@ -1290,27 +1262,13 @@ fn silent_shard_times_out_and_the_rest_answer_degraded() {
 /// returns that error, and the next three queries are exactly the merge
 /// of what each shard scripted for *them*. A connection pooled with the
 /// first query's reply still unread would hand that reply to the second
-/// query — over wire v4 too, where the stale frame carries the expected
-/// sequence number and a valid MAC.
-fn typed_rejection_leaves_no_stale_reply(authenticated: bool) {
-    let key = PartyKey::from_bytes([0xC0; 32]);
-    let registry = authenticated.then(|| {
-        let mut registry = AuthRegistry::new();
-        registry
-            .insert("coordinator", key.clone(), TenantGrant::Any)
-            .unwrap();
-        registry
-    });
-    let auth = authenticated.then(|| ClientAuth {
-        identity: "coordinator".into(),
-        key: key.clone(),
-        tenant: "default".into(),
-        encrypt: true,
-        suites: SuiteOffer::default(),
-    });
+/// query — the stale frame carries the expected sequence number and a
+/// valid MAC, so the session layer cannot catch it.
+#[test]
+fn typed_rejection_leaves_no_stale_reply_authenticated() {
     let fakes: Vec<FakeShard> = (0..SHARDS)
         .map(|shard| {
-            fake_shard(registry.clone(), 4, move |n, request, conn| {
+            fake_shard(4, move |n, request, conn| {
                 assert!(matches!(request, Request::Query { .. }));
                 if shard == 0 && n == 0 {
                     conn.reply(Response::ServerError {
@@ -1323,7 +1281,7 @@ fn typed_rejection_leaves_no_stale_reply(authenticated: bool) {
             })
         })
         .collect();
-    let coordinator = coordinator_over(&fakes, SHARDS, Duration::from_secs(5), auth);
+    let coordinator = coordinator_over(&fakes, SHARDS, Duration::from_secs(5));
     match coordinator.query(&filter_for(1), 5) {
         Err(PprlError::ProtocolError(msg)) => assert!(msg.contains("512-bit filter"), "{msg}"),
         other => panic!("expected the shard's typed rejection, got {other:?}"),
@@ -1341,16 +1299,6 @@ fn typed_rejection_leaves_no_stale_reply(authenticated: bool) {
     join_all(fakes);
 }
 
-#[test]
-fn typed_rejection_leaves_no_stale_reply_plaintext() {
-    typed_rejection_leaves_no_stale_reply(false);
-}
-
-#[test]
-fn typed_rejection_leaves_no_stale_reply_authenticated() {
-    typed_rejection_leaves_no_stale_reply(true);
-}
-
 /// A shard killed between phase 1 and phase 2 — it has read its request
 /// (on a pooled connection) and dies without a word once every other
 /// request is delivered — yields a degraded reply with exactly that
@@ -1364,7 +1312,7 @@ fn shard_killed_mid_scatter_degrades_and_survivors_keep_their_connections() {
         .map(|shard| {
             if shard == 1 {
                 let seen = seen_rx.take().unwrap();
-                fake_shard(None, 2, move |n, _, conn| {
+                fake_shard(2, move |n, _, conn| {
                     if n == 0 {
                         return reply_hits(conn, shard, n);
                     }
@@ -1376,7 +1324,7 @@ fn shard_killed_mid_scatter_degrades_and_survivors_keep_their_connections() {
                 })
             } else {
                 let seen = seen_tx.clone();
-                fake_shard(None, 3, move |n, _, conn| {
+                fake_shard(3, move |n, _, conn| {
                     if n == 1 {
                         seen.send(()).unwrap();
                     }
@@ -1385,7 +1333,7 @@ fn shard_killed_mid_scatter_degrades_and_survivors_keep_their_connections() {
             }
         })
         .collect();
-    let coordinator = coordinator_over(&fakes, 2, Duration::from_secs(5), None);
+    let coordinator = coordinator_over(&fakes, 2, Duration::from_secs(5));
 
     // Query 0 fills the pools; query 1 loses shard 1 mid-flight; query
     // 2 finds it still gone (its listener died with it).
@@ -1421,7 +1369,7 @@ fn short_link_reply_is_a_shard_failure_not_a_partial_result() {
     let lists_of = |shard: usize, n: usize| (0..n).map(|p| scripted_hits(shard, p)).collect();
     let fakes: Vec<FakeShard> = (0..SHARDS)
         .map(|shard| {
-            fake_shard(None, 1, move |_, request, conn| {
+            fake_shard(1, move |_, request, conn| {
                 let Request::Link { probes, .. } = request else {
                     panic!("expected a link request");
                 };
@@ -1431,7 +1379,7 @@ fn short_link_reply_is_a_shard_failure_not_a_partial_result() {
             })
         })
         .collect();
-    let coordinator = coordinator_over(&fakes, 2, Duration::from_secs(5), None);
+    let coordinator = coordinator_over(&fakes, 2, Duration::from_secs(5));
     let got = coordinator.link(&probes, 4, 0.0).unwrap();
     let want: Vec<Vec<Hit>> = (0..probes.len())
         .map(|p| scripted_merge(&[0, 2], p, 4))
@@ -1445,14 +1393,11 @@ fn short_link_reply_is_a_shard_failure_not_a_partial_result() {
 
 // ------------------------------------------------------------------
 // Front-end behaviours, pinned through the cluster: the accept loop's
-// `Busy` shedding and its count, first-frame routing, tenant refusal,
-// and sessions that survive an undecodable request. Ordering comes
-// from request/reply round trips, never from sleeps.
+// `Busy` shedding and its count, tenant refusal, and sessions that
+// survive an undecodable request. Ordering comes from request/reply
+// round trips, never from sleeps.
 
-use pprl_cluster::server::serve_cluster_auth;
 use pprl_server::wire::WIRE_VERSION;
-use pprl_session::handshake::client_handshake;
-use std::io::{Read, Write};
 
 /// A coordinator over one address nobody listens on. Requests that
 /// never reach a shard are all these tests send, and `Stats` reports
@@ -1463,42 +1408,36 @@ fn coordinator_without_shards() -> Arc<Coordinator> {
         .local_addr()
         .unwrap()
         .to_string();
-    Arc::new(Coordinator::new(ClusterConfig::new(vec![addr])).unwrap())
+    Arc::new(
+        Coordinator::new(ClusterConfig {
+            shard_auth: Some(fixture::auth(true)),
+            ..ClusterConfig::new(vec![addr])
+        })
+        .unwrap(),
+    )
 }
 
-/// Writes one plaintext request payload and reads the one reply.
-fn round_trip(raw: &mut TcpStream, payload: &[u8]) -> Response {
-    write_payload(raw, payload).unwrap();
-    match read_payload(raw).unwrap() {
-        Incoming::Payload(reply) => Response::decode(&reply).unwrap(),
-        other => panic!("expected a reply frame, got {other:?}"),
-    }
+/// The cluster front end over [`coordinator_without_shards`].
+fn front_without_shards(config: ClusterServerConfig) -> pprl_cluster::server::ClusterHandle {
+    serve_cluster_auth(
+        coordinator_without_shards(),
+        "127.0.0.1:0",
+        config,
+        fixture::registry(),
+    )
+    .unwrap()
 }
 
 #[test]
 fn front_end_refuses_a_privileged_identity_naming_another_tenant() {
-    let admin_key = PartyKey::from_bytes([0xAD; 32]);
-    let mut registry = AuthRegistry::new();
-    registry
-        .insert("admin", admin_key.clone(), TenantGrant::Any)
-        .unwrap();
-    let front = serve_cluster_auth(
-        coordinator_without_shards(),
-        "127.0.0.1:0",
-        ClusterServerConfig::default(),
-        registry,
-    )
-    .unwrap();
+    let front = front_without_shards(ClusterServerConfig::default());
     // The `*` grant may name any tenant, so the handshake succeeds...
     let mut admin = Client::connect_with(
         &front.addr().to_string(),
-        Some(ClientAuth {
-            identity: "admin".into(),
-            key: admin_key,
+        pprl_session::handshake::ClientAuth {
             tenant: "other".into(),
-            encrypt: true,
-            suites: SuiteOffer::default(),
-        }),
+            ..fixture::auth(true)
+        },
     )
     .unwrap();
     // ...and the first request is refused.
@@ -1514,21 +1453,16 @@ fn front_end_refuses_a_privileged_identity_naming_another_tenant() {
 
 #[test]
 fn front_end_sheds_overflow_with_busy_and_counts_it() {
-    let front = serve_cluster(
-        coordinator_without_shards(),
-        "127.0.0.1:0",
-        ClusterServerConfig {
-            workers: 1,
-            queue_capacity: 1,
-            retry_after_ms: 77,
-            ..ClusterServerConfig::default()
-        },
-    )
-    .unwrap();
+    let front = front_without_shards(ClusterServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        retry_after_ms: 77,
+        ..ClusterServerConfig::default()
+    });
     let addr = front.addr().to_string();
     // A worker keeps a connection until EOF, so once `held` has had an
     // answer it owns the only worker.
-    let mut held = Client::connect(&addr).unwrap();
+    let mut held = fixture::connect(&addr);
     assert_eq!(held.stats().unwrap().busy_rejected, 0);
     // The acceptor takes connections in arrival order: `queued` fills
     // the one queue slot before `rejected` is accepted.
@@ -1551,90 +1485,19 @@ fn front_end_sheds_overflow_with_busy_and_counts_it() {
     front.shutdown_now();
 }
 
-/// Passes a socket through and keeps every byte read from it.
-struct Tap {
-    stream: TcpStream,
-    read: Vec<u8>,
-}
-
-impl Read for Tap {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.stream.read(buf)?;
-        self.read.extend_from_slice(&buf[..n]);
-        Ok(n)
-    }
-}
-
-impl Write for Tap {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.stream.write(buf)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.stream.flush()
-    }
-}
-
-#[test]
-fn plaintext_front_end_refuses_a_v4_hello() {
-    let front = serve_cluster(
-        coordinator_without_shards(),
-        "127.0.0.1:0",
-        ClusterServerConfig::default(),
-    )
-    .unwrap();
-    let stream = TcpStream::connect(front.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut tap = Tap {
-        stream,
-        read: Vec::new(),
-    };
-    let auth = ClientAuth {
-        identity: "alice".into(),
-        key: PartyKey::from_bytes([0xA1; 32]),
-        tenant: "default".into(),
-        encrypt: false,
-        suites: SuiteOffer::default(),
-    };
-    // A real HELLO goes out; what comes back is no WELCOME...
-    assert!(client_handshake(&mut tap, &auth, &mut entropy_rng()).is_err());
-    // ...but a plaintext error naming the problem.
-    let Incoming::Payload(reply) = read_payload(&mut tap.read.as_slice()).unwrap() else {
-        panic!("the front end sent no frame");
-    };
-    match Response::decode(&reply).unwrap() {
-        Response::ServerError { message } => assert!(
-            message.contains("not configured for authenticated sessions"),
-            "{message}"
-        ),
-        other => panic!("expected a ServerError, got {other:?}"),
-    }
-    front.shutdown_now();
-}
-
 #[test]
 fn undecodable_request_gets_a_server_error_and_the_session_keeps_serving() {
-    let front = serve_cluster(
-        coordinator_without_shards(),
-        "127.0.0.1:0",
-        ClusterServerConfig::default(),
-    )
-    .unwrap();
-    let mut raw = TcpStream::connect(front.addr()).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    // Framed and checksummed correctly, but no such opcode.
-    match round_trip(&mut raw, &[WIRE_VERSION, 0x7f]) {
-        Response::ServerError { message } => {
-            assert!(message.contains("unknown request opcode"), "{message}")
+    let front = front_without_shards(ClusterServerConfig::default());
+    let mut client = fixture::connect(&front.addr().to_string());
+    // Sealed and intact, but no such opcode.
+    client.send(&[WIRE_VERSION, 0x7f]).unwrap();
+    match client.recv(Instant::now() + Duration::from_secs(5)) {
+        Err(PprlError::ProtocolError(msg)) => {
+            assert!(msg.contains("unknown request opcode"), "{msg}")
         }
         other => panic!("expected a ServerError, got {other:?}"),
     }
-    // The stream is still in sync: the same session answers a request.
-    match round_trip(&mut raw, &Request::Stats.encode()) {
-        Response::Stats(stats) => assert_eq!(stats.cluster_shards, 1),
-        other => panic!("expected Stats, got {other:?}"),
-    }
+    // The session is still in sync: it answers a request.
+    assert_eq!(client.stats().unwrap().cluster_shards, 1);
     front.shutdown_now();
 }

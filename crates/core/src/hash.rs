@@ -18,12 +18,16 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// bijection on `u64` for every fixed byte, so any single flipped byte
 /// changes the result.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv1a_iter(bytes.iter().copied())
+}
+
+/// [`fnv1a`] of bytes produced one at a time, so a caller that derives
+/// its key byte by byte hashes it without materialising it.
+#[inline]
+pub fn fnv1a_iter(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(FNV_OFFSET, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
 }
 
 /// Starting states of [`word_fold`]'s four lanes (hex digits of π).

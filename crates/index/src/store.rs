@@ -45,7 +45,7 @@ use pprl_core::bitvec::BitVec;
 use pprl_core::codec::{append_checksum, append_checksum_from, checked_body, Reader};
 use pprl_core::error::{PprlError, Result};
 use pprl_core::gauge::foreground;
-use pprl_core::hash::fnv1a;
+use pprl_core::hash::fnv1a_iter;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -421,20 +421,21 @@ impl IndexStore {
         Ok(self.shard_of_words(filter.as_words()))
     }
 
-    /// [`shard_of`] over a filter's backing words: builds the same LSH
+    /// [`shard_of`] over a filter's backing words: hashes the same LSH
     /// band-key bytes `BitVec::sample(..).to_bytes()` would (bit `j` of
-    /// the key = filter bit `routing_positions[j]`) without allocating
-    /// the intermediate `BitVec`, so routing stays bit-identical.
+    /// the key = filter bit `routing_positions[j]`), folding each byte
+    /// into FNV-1a as soon as its eight bits are known, so routing stays
+    /// bit-identical and allocates nothing.
     ///
     /// [`shard_of`]: IndexStore::shard_of
     fn shard_of_words(&self, row: &[u64]) -> u32 {
-        let mut key = vec![0u8; self.routing_positions.len().div_ceil(8)];
-        for (j, &p) in self.routing_positions.iter().enumerate() {
-            if (row[p / 64] >> (p % 64)) & 1 == 1 {
-                key[j / 8] |= 1 << (j % 8);
-            }
-        }
-        (fnv1a(&key) % u64::from(self.manifest.config.num_shards)) as u32
+        let bit = |p: usize| ((row[p / 64] >> (p % 64)) & 1) as u8;
+        let key = self.routing_positions.chunks(8).map(|byte| {
+            byte.iter()
+                .enumerate()
+                .fold(0u8, |acc, (j, &p)| acc | bit(p) << j)
+        });
+        (fnv1a_iter(key) % u64::from(self.manifest.config.num_shards)) as u32
     }
 
     /// Appends records to the write-ahead log and fsyncs it before this
@@ -1199,6 +1200,31 @@ mod tests {
             assert_eq!(store.shard_of(f).unwrap(), reopened.shard_of(f).unwrap());
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The byte-streamed router hashes exactly the band key a sampled
+    /// `BitVec` serialises to, including the partial last byte of
+    /// widths that are not a multiple of 8.
+    #[test]
+    fn word_routing_matches_the_sampled_band_key_bytes() {
+        use pprl_core::hash::fnv1a;
+        let mut rng = pprl_core::rng::SplitMix64::new(0x0bad_5eed);
+        for (lsh_bits, num_shards) in [(1u32, 3u32), (5, 8), (13, 7), (16, 8), (21, 5), (63, 11)] {
+            let dir = temp_dir(&format!("route-bytes-{lsh_bits}"));
+            let config = IndexConfig {
+                lsh_bits,
+                ..IndexConfig::new(300, num_shards)
+            };
+            let store = IndexStore::create(&dir, config).unwrap();
+            for _ in 0..200 {
+                let ones: Vec<usize> = (0..300).filter(|_| rng.next_below(3) == 0).collect();
+                let filter = BitVec::from_positions(300, &ones).unwrap();
+                let key = filter.sample(&store.routing_positions).unwrap().to_bytes();
+                let want = (fnv1a(&key) % u64::from(num_shards)) as u32;
+                assert_eq!(store.shard_of(&filter).unwrap(), want, "{lsh_bits} bits");
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! A blocking client for the `pprl-server` wire protocol, speaking
-//! either plaintext wire v3 or an authenticated wire v4 session.
+//! A blocking client for the `pprl-server` wire protocol over an
+//! authenticated wire v4 session.
 
-use crate::wire::{read_payload, write_payload, Incoming, Request, Response, StatsReport};
+use crate::wire::{Request, Response, StatsReport};
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
 use pprl_core::hash::fnv1a;
@@ -47,16 +47,15 @@ fn jitter_seed(addr: &str) -> u64 {
 /// A connected client. One request is in flight at a time; the
 /// connection persists across requests.
 ///
-/// With [`Client::connect_with`] and a [`ClientAuth`], every connection
-/// (including reconnects after `Busy` rejections) runs the wire v4
-/// handshake and all traffic travels in authenticated — optionally
-/// encrypted — session frames. Without one, the client speaks plaintext
-/// wire v3 exactly as before.
+/// Every connection (including reconnects after `Busy` rejections) runs
+/// the wire v4 handshake with the client's [`ClientAuth`], and all
+/// traffic travels in authenticated — optionally encrypted — session
+/// frames.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    channel: Option<SecureChannel>,
-    auth: Option<ClientAuth>,
+    channel: SecureChannel,
+    auth: ClientAuth,
     addr: String,
     deadline: Duration,
     rng: SplitMix64,
@@ -68,20 +67,14 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to `addr` (e.g. `"127.0.0.1:7878"`) in plaintext mode.
-    pub fn connect(addr: &str) -> Result<Client> {
-        Client::connect_with(addr, None)
-    }
-
-    /// Connects to `addr`, authenticating with `auth` when given. The
-    /// handshake absorbs pre-handshake `Busy` rejections with bounded
-    /// backoff, like requests do.
-    pub fn connect_with(addr: &str, auth: Option<ClientAuth>) -> Result<Client> {
+    /// Connects to `addr` (e.g. `"127.0.0.1:7878"`) and authenticates
+    /// with `auth`. The handshake absorbs pre-handshake `Busy`
+    /// rejections with bounded backoff, like requests do.
+    pub fn connect_with(addr: &str, auth: ClientAuth) -> Result<Client> {
         let mut rng = SplitMix64::new(jitter_seed(addr));
         let call_deadline = Duration::from_secs(60);
         let deadline = Instant::now() + Duration::from_secs(30);
-        let (stream, channel) =
-            Self::establish(addr, auth.as_ref(), &mut rng, deadline, call_deadline)?;
+        let (stream, channel) = Self::establish(addr, &auth, &mut rng, deadline, call_deadline)?;
         Ok(Client {
             stream,
             channel,
@@ -103,25 +96,22 @@ impl Client {
         Ok(stream)
     }
 
-    /// Opens a socket and, when authenticating, completes the handshake,
-    /// backing off through pre-handshake `Busy` rejections until
-    /// `deadline`. The socket's I/O timeouts follow `call_deadline`.
+    /// Opens a socket and completes the handshake, backing off through
+    /// pre-handshake `Busy` rejections until `deadline`. The socket's
+    /// I/O timeouts follow `call_deadline`.
     fn establish(
         addr: &str,
-        auth: Option<&ClientAuth>,
+        auth: &ClientAuth,
         rng: &mut SplitMix64,
         deadline: Instant,
         call_deadline: Duration,
-    ) -> Result<(TcpStream, Option<SecureChannel>)> {
+    ) -> Result<(TcpStream, SecureChannel)> {
         let mut attempt: u32 = 0;
         loop {
             let mut stream = Self::open_stream(addr, call_deadline)?;
-            let Some(auth) = auth else {
-                return Ok((stream, None));
-            };
             let mut hs_rng = entropy_rng();
             match client_handshake(&mut stream, auth, &mut hs_rng)? {
-                HandshakeOutcome::Established(channel) => return Ok((stream, Some(*channel))),
+                HandshakeOutcome::Established(channel) => return Ok((stream, *channel)),
                 HandshakeOutcome::Busy { retry_after_ms } => {
                     attempt += 1;
                     let base = u64::from(retry_after_ms.max(1))
@@ -154,23 +144,24 @@ impl Client {
         let _ = set_io_timeouts(&self.stream, self.deadline);
     }
 
-    /// Connects, retrying up to `attempts` times with `delay` between
-    /// tries — for racing a server that is still binding its port.
-    pub fn connect_retry(addr: &str, attempts: u32, delay: Duration) -> Result<Client> {
-        Client::connect_retry_with(addr, None, attempts, delay)
-    }
-
-    /// [`Client::connect_retry`] with optional authentication. Auth
-    /// rejections (wrong key, unknown identity, tenant mismatch) are
-    /// returned immediately — retrying the same credentials cannot
-    /// succeed, and hammering the handshake would only mask the real
-    /// error behind a timeout.
+    /// [`Client::connect_with`], retrying up to `attempts` times with
+    /// `delay` between tries — for racing a server that is still binding
+    /// its port. Missing credentials are a typed `Auth` error before any
+    /// socket is opened. Auth rejections (wrong key, unknown identity,
+    /// tenant mismatch) are returned immediately — retrying the same
+    /// credentials cannot succeed, and hammering the handshake would
+    /// only mask the real error behind a timeout.
     pub fn connect_retry_with(
         addr: &str,
         auth: Option<ClientAuth>,
         attempts: u32,
         delay: Duration,
     ) -> Result<Client> {
+        let auth = auth.ok_or_else(|| {
+            PprlError::Auth(format!(
+                "connecting to {addr} needs credentials: every session is authenticated"
+            ))
+        })?;
         let mut last = PprlError::Transport(format!("no attempt made connecting to {addr}"));
         for _ in 0..attempts.max(1) {
             match Client::connect_with(addr, auth.clone()) {
@@ -220,11 +211,11 @@ impl Client {
                     )));
                 }
                 std::thread::sleep(wait);
-                // The server closed the rejected connection; an
-                // authenticated client re-handshakes on the new one.
+                // The server closed the rejected connection; the
+                // client re-handshakes on a new one.
                 let (stream, channel) = Self::establish(
                     &self.addr,
-                    self.auth.as_ref(),
+                    &self.auth,
                     &mut self.rng,
                     deadline,
                     self.deadline,
@@ -242,14 +233,11 @@ impl Client {
 
     /// First half of a [`call`](Client::call): writes one
     /// already-encoded request payload (the bytes of
-    /// [`Request::encode`]) as one frame, sealed first on an
-    /// authenticated session. One request is in flight per connection:
-    /// every `send` is followed by exactly one [`recv`](Client::recv).
+    /// [`Request::encode`]) as one sealed frame. One request is in
+    /// flight per connection: every `send` is followed by exactly one
+    /// [`recv`](Client::recv).
     pub fn send(&mut self, encoded: &[u8]) -> Result<()> {
-        match &mut self.channel {
-            Some(ch) => ch.send(&mut self.stream, encoded),
-            None => write_payload(&mut self.stream, encoded),
-        }
+        self.channel.send(&mut self.stream, encoded)
     }
 
     /// Second half of a [`call`](Client::call): reads the one response
@@ -264,20 +252,12 @@ impl Client {
         let closed =
             || PprlError::Transport("server closed the connection before responding".into());
         loop {
-            // The authenticated path decodes straight out of the
-            // channel's receive buffer (no per-response copy); the
-            // plaintext path keeps its owned payload.
-            let response = match &mut self.channel {
-                Some(ch) => match ch.recv_ref(&mut self.stream)? {
-                    IncomingRef::Payload(p) => Some(Response::decode(p)?),
-                    IncomingRef::TimedOut => None,
-                    IncomingRef::Eof => return Err(closed()),
-                },
-                None => match read_payload(&mut self.stream)? {
-                    Incoming::Payload(p) => Some(Response::decode(&p)?),
-                    Incoming::TimedOut => None,
-                    Incoming::Eof => return Err(closed()),
-                },
+            // Decodes straight out of the channel's receive buffer (no
+            // per-response copy).
+            let response = match self.channel.recv_ref(&mut self.stream)? {
+                IncomingRef::Payload(p) => Some(Response::decode(p)?),
+                IncomingRef::TimedOut => None,
+                IncomingRef::Eof => return Err(closed()),
             };
             match response {
                 Some(Response::ServerError { message }) => {

@@ -6,8 +6,9 @@
 //! answers a stream of link queries against an ever-growing encoded
 //! database. This crate turns the offline index into that service:
 //!
-//! - [`wire`] — a framed, checksummed request/response protocol
-//!   with typed [`pprl_core::error::PprlError::Transport`] errors;
+//! - [`wire`] — the typed request/response payloads every session
+//!   frame carries, with typed
+//!   [`pprl_core::error::PprlError::Transport`] errors;
 //! - `pool` — the front end's bounded connection queue with explicit
 //!   backpressure (`Busy {retry_after}`), never unbounded buffering;
 //! - [`snapshot`] — generation-tagged snapshot isolation: queries pin an
@@ -20,14 +21,25 @@
 //!   histogram behind the `STATS` wire command;
 //! - [`server`] / [`client`] — the TCP front end, generic over the
 //!   [`Backend`] it serves (a node's tenants here, the coordinator in
-//!   `pprl-cluster`), and its blocking counterpart.
+//!   `pprl-cluster`), and its blocking counterpart. Every session is
+//!   wire v4, authenticated against an [`AuthRegistry`].
 //!
 //! ```no_run
-//! use pprl_server::server::{serve, ServerConfig};
-//! use pprl_server::client::Client;
+//! use pprl_server::server::{serve_auth, ServerConfig};
+//! use pprl_server::{AuthRegistry, Client, ClientAuth, PartyKey, SuiteOffer, TenantGrant};
 //! # fn main() -> pprl_core::error::Result<()> {
-//! let handle = serve(std::path::Path::new("idx"), "127.0.0.1:0", ServerConfig::default())?;
-//! let mut client = Client::connect(&handle.addr().to_string())?;
+//! let key = PartyKey::generate()?;
+//! let mut registry = AuthRegistry::new();
+//! registry.insert("ops", key.clone(), TenantGrant::Any)?;
+//! let handle = serve_auth(std::path::Path::new("idx"), "127.0.0.1:0", ServerConfig::default(), registry)?;
+//! let auth = ClientAuth {
+//!     identity: "ops".into(),
+//!     key,
+//!     tenant: "default".into(),
+//!     encrypt: true,
+//!     suites: SuiteOffer::default(),
+//! };
+//! let mut client = Client::connect_with(&handle.addr().to_string(), auth)?;
 //! let stats = client.stats()?;
 //! assert_eq!(stats.generation, 0);
 //! client.shutdown()?;
@@ -48,13 +60,11 @@ pub mod snapshot;
 pub mod wire;
 
 pub use client::Client;
-pub use server::{
-    serve, serve_auth, serve_backend, Backend, ServerBackend, ServerConfig, ServerHandle,
-};
+pub use server::{serve_auth, serve_backend, Backend, ServerBackend, ServerConfig, ServerHandle};
 pub use service::{LinkageService, ServiceConfig};
 pub use wire::StatsReport;
 
-// Session-layer types callers need to drive authenticated mode.
+// Session-layer types every caller needs to open a session.
 pub use pprl_session::handshake::ClientAuth;
 pub use pprl_session::keys::PartyKey;
 pub use pprl_session::registry::{AuthRegistry, TenantGrant};

@@ -3,12 +3,13 @@
 //! requests, plus a node's background maintenance thread.
 //!
 //! Both linkage-unit roles serve through it: a node's tenant set
-//! ([`ServerBackend`], see [`serve`] / [`serve_auth`]) and the cluster
-//! coordinator (`pprl-cluster`'s `serve_cluster`). [`serve_backend`] is
+//! ([`ServerBackend`], see [`serve_auth`]) and the cluster coordinator
+//! (`pprl-cluster`'s `serve_cluster_auth`). [`serve_backend`] is
 //! monomorphised per backend, so the seam costs no dynamic dispatch.
-//! Everything above it is shared: framing, authentication, tenant
-//! resolution once per connection, `Shutdown`, and the `Busy` count. A
-//! backend only names its tenants and answers requests.
+//! Everything above it is shared: the wire v4 handshake against an
+//! [`AuthRegistry`], tenant resolution once per connection, `Shutdown`,
+//! and the `Busy` count. A backend only names its tenants and answers
+//! requests.
 //!
 //! One connection is one job. The acceptor never blocks the world: the
 //! listener is non-blocking and polls the shutdown flag; a connection
@@ -32,7 +33,7 @@ use pprl_core::error::{PprlError, Result};
 use pprl_core::gauge::foreground;
 use pprl_index::store::TieredPolicy;
 use pprl_session::channel::{IncomingRef, SecureChannel, SESSION_WIRE_VERSION};
-use pprl_session::frame::{frame_begin, frame_finish, frame_send, read_payload_into, IncomingLen};
+use pprl_session::frame::{read_payload_into, IncomingLen};
 use pprl_session::handshake::server_handshake;
 use pprl_session::keys::entropy_rng;
 use pprl_session::registry::AuthRegistry;
@@ -48,7 +49,7 @@ use std::time::Duration;
 /// flag. Bounds shutdown latency; invisible to throughput.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
-/// Tunables for [`serve`] and every other front end. `cache_capacity`,
+/// Tunables for [`serve_auth`] and every other front end. `cache_capacity`,
 /// `compact_interval` and `tiered` configure a node's index and are
 /// ignored by other backends.
 #[derive(Debug, Clone, Copy)]
@@ -94,7 +95,7 @@ impl Default for ServerConfig {
 impl ServerConfig {
     /// Rejects a config no front end can run, and an empty registry
     /// (every client would be refused).
-    fn preflight(&self, registry: Option<&AuthRegistry>) -> Result<()> {
+    fn preflight(&self, registry: &AuthRegistry) -> Result<()> {
         if self.workers == 0 {
             return Err(PprlError::invalid("workers", "must be at least 1"));
         }
@@ -107,7 +108,7 @@ impl ServerConfig {
         if self.idle_timeout.is_zero() {
             return Err(PprlError::invalid("idle_timeout", "must be non-zero"));
         }
-        if registry.is_some_and(AuthRegistry::is_empty) {
+        if registry.is_empty() {
             return Err(PprlError::Auth(
                 "auth registry is empty: no identities would be able to connect".into(),
             ));
@@ -119,9 +120,9 @@ impl ServerConfig {
 /// What a front end serves: the seam between the shared accept, worker
 /// and session loops and the code that answers requests.
 ///
-/// The front end resolves each connection's tenant once — `default` on
-/// plaintext, the handshake's tenant on wire v4 — and hands every
-/// request except `Shutdown` to [`Backend::dispatch`]. It fills
+/// The front end resolves each connection's tenant once, from its
+/// handshake, and hands every request except `Shutdown` to
+/// [`Backend::dispatch`]. It fills
 /// `workers` and `queue_capacity` into a `Stats` reply and adds its own
 /// `busy_rejected` count, since a `Busy` rejection happens before any
 /// tenant is known.
@@ -139,13 +140,11 @@ pub trait Backend: Send + Sync + 'static {
     fn dispatch(&self, tenant: &Self::Tenant, request: Request) -> Result<Response>;
 }
 
-/// The set of tenant namespaces one server process hosts.
-///
-/// A plaintext server is the degenerate case: one tenant named
-/// `default`. An authenticated server maps each tenant name to its own
-/// [`LinkageService`] over its own index directory — disjoint stores,
-/// snapshots, caches, and metrics, so per-tenant `STATS` are exactly
-/// what a dedicated single-tenant server would report.
+/// The set of tenant namespaces one server process hosts: each tenant
+/// name maps to its own [`LinkageService`] over its own index directory
+/// — disjoint stores, snapshots, caches, and metrics, so per-tenant
+/// `STATS` are exactly what a dedicated single-tenant server would
+/// report.
 pub struct ServerBackend {
     entries: Vec<(String, Arc<LinkageService>)>,
 }
@@ -207,7 +206,7 @@ impl Backend for ServerBackend {
 /// Everything the front end's threads share.
 struct FrontEnd<B> {
     backend: Arc<B>,
-    registry: Option<AuthRegistry>,
+    registry: AuthRegistry,
     config: ServerConfig,
     shutdown: AtomicBool,
     /// Connections rejected with `Busy`.
@@ -282,33 +281,24 @@ impl ServerHandle<ServerBackend> {
     }
 }
 
-/// Opens the index at `dir` and serves it on `addr` (e.g.
+/// Serves the index namespaces under `root` on `addr` (e.g.
 /// `"127.0.0.1:0"` to bind an ephemeral port). Returns immediately;
 /// the returned handle owns the acceptor, worker, and maintenance
 /// threads.
-pub fn serve(dir: &Path, addr: &str, config: ServerConfig) -> Result<ServerHandle> {
-    config.preflight(None)?;
-    let backend = ServerBackend {
-        entries: vec![("default".to_string(), open_service(dir, &config)?)],
-    };
-    serve_node(backend, addr, config, None)
-}
-
-/// Serves with authentication and multi-tenant namespaces enabled.
 ///
 /// Every connection must complete the wire v4 handshake against
-/// `registry`; plaintext v3 requests are rejected. The directory layout
-/// under `root` follows a simple rule: if `root` itself contains a
-/// `MANIFEST` it is served as the single tenant `default`; otherwise
-/// each tenant named by the registry's grants is served from
-/// `root/<tenant>`, which must already hold an index.
+/// `registry`. The directory layout under `root` follows a simple rule:
+/// if `root` itself contains a `MANIFEST` it is served as the single
+/// tenant `default`; otherwise each tenant named by the registry's
+/// grants is served from `root/<tenant>`, which must already hold an
+/// index.
 pub fn serve_auth(
     root: &Path,
     addr: &str,
     config: ServerConfig,
     registry: AuthRegistry,
 ) -> Result<ServerHandle> {
-    config.preflight(Some(&registry))?;
+    config.preflight(&registry)?;
     let mut entries = Vec::new();
     if root.join("MANIFEST").exists() {
         entries.push(("default".to_string(), open_service(root, &config)?));
@@ -330,7 +320,14 @@ pub fn serve_auth(
             "no tenant namespaces to serve: grant at least one identity a named tenant".into(),
         ));
     }
-    serve_node(ServerBackend { entries }, addr, config, Some(registry))
+    let mut handle = serve_backend(Arc::new(ServerBackend { entries }), addr, config, registry)?;
+    if let Some(interval) = config.compact_interval {
+        let front = Arc::clone(&handle.front);
+        handle.threads.push(std::thread::spawn(move || {
+            maintenance_loop(&front.backend, &front.shutdown, interval);
+        }));
+    }
+    Ok(handle)
 }
 
 fn open_service(dir: &Path, config: &ServerConfig) -> Result<Arc<LinkageService>> {
@@ -343,43 +340,16 @@ fn open_service(dir: &Path, config: &ServerConfig) -> Result<Arc<LinkageService>
     )?))
 }
 
-/// The front end over a node's tenants, plus its maintenance thread.
-fn serve_node(
-    backend: ServerBackend,
-    addr: &str,
-    config: ServerConfig,
-    registry: Option<AuthRegistry>,
-) -> Result<ServerHandle> {
-    let mut handle = start(Arc::new(backend), addr, config, registry)?;
-    if let Some(interval) = config.compact_interval {
-        let front = Arc::clone(&handle.front);
-        handle.threads.push(std::thread::spawn(move || {
-            maintenance_loop(&front.backend, &front.shutdown, interval);
-        }));
-    }
-    Ok(handle)
-}
-
-/// Serves `backend` on `addr` through the shared front end: plaintext
-/// wire v3 when `registry` is `None`, otherwise only wire v4 sessions
-/// authenticated against it. Returns immediately; the handle owns the
-/// acceptor and worker threads.
+/// Serves `backend` on `addr` through the shared front end, to wire v4
+/// sessions authenticated against `registry` only. Returns
+/// immediately; the handle owns the acceptor and worker threads.
 pub fn serve_backend<B: Backend>(
     backend: Arc<B>,
     addr: &str,
     config: ServerConfig,
-    registry: Option<AuthRegistry>,
+    registry: AuthRegistry,
 ) -> Result<ServerHandle<B>> {
-    config.preflight(registry.as_ref())?;
-    start(backend, addr, config, registry)
-}
-
-fn start<B: Backend>(
-    backend: Arc<B>,
-    addr: &str,
-    config: ServerConfig,
-    registry: Option<AuthRegistry>,
-) -> Result<ServerHandle<B>> {
+    config.preflight(&registry)?;
     let listener = TcpListener::bind(addr)
         .map_err(|e| PprlError::Transport(format!("binding {addr}: {e}")))?;
     let local_addr = listener
@@ -517,71 +487,23 @@ fn refuse(stream: &mut TcpStream, message: String) {
     let _ = write_payload(stream, &Response::ServerError { message }.encode());
 }
 
-/// Who is on the other end of a session, fixed when its first frame
-/// routes it.
+/// Who is on the other end of a session, fixed by its handshake.
 struct Peer<T> {
-    /// The authenticated identity (empty on plaintext).
+    /// The authenticated identity.
     identity: String,
-    /// May send `Shutdown`: a privileged identity, or any plaintext peer.
+    /// May send `Shutdown` (the any-tenant grant).
     privileged: bool,
     /// The connection's tenant, resolved once.
     tenant: std::result::Result<T, String>,
 }
 
-/// How a session's frames travel. Both variants reuse their buffers for
-/// the life of the session.
-enum Framing {
-    /// Plaintext wire v3: requests are read into, and replies built in,
-    /// `buf`. `pending` is the length of a request already in `buf` —
-    /// the frame that routed the connection — not yet served.
-    Plain {
-        buf: Vec<u8>,
-        pending: Option<usize>,
-    },
-    /// Wire v4: every frame opens and seals under the session's keys.
-    Sealed(Box<SecureChannel>),
-}
-
-impl Framing {
-    fn recv(&mut self, stream: &mut TcpStream) -> Result<IncomingRef<'_>> {
-        match self {
-            Framing::Plain { buf, pending } => {
-                let len = match pending.take() {
-                    Some(len) => len,
-                    None => match read_payload_into(stream, buf)? {
-                        IncomingLen::Payload(len) => len,
-                        IncomingLen::Eof => return Ok(IncomingRef::Eof),
-                        IncomingLen::TimedOut => return Ok(IncomingRef::TimedOut),
-                    },
-                };
-                Ok(IncomingRef::Payload(&buf[..len]))
-            }
-            Framing::Sealed(channel) => channel.recv_ref(stream),
-        }
-    }
-
-    fn send(&mut self, stream: &mut TcpStream, response: &Response) -> Result<()> {
-        match self {
-            Framing::Plain { buf, .. } => {
-                frame_begin(buf);
-                response.encode_into(buf);
-                frame_finish(buf)?;
-                frame_send(stream, buf)
-            }
-            Framing::Sealed(channel) => channel.send(stream, &response.encode()),
-        }
-    }
-}
-
 /// Routes one connection on its first frame, then serves it until EOF,
-/// shutdown, or a framing error.
+/// shutdown, or a broken frame.
 ///
 /// A payload leading with the session version byte enters the wire v4
-/// handshake (when the front end has a registry), anything else is a
-/// plaintext wire v3 request (only accepted when it does not). The
-/// mismatched combinations are both refused with a plaintext
-/// `ServerError` naming the problem, since no session keys exist yet to
-/// say it authenticated.
+/// handshake; anything else — a plaintext wire v3 request among them —
+/// is refused with a plaintext `ServerError` naming the problem, since
+/// no session keys exist yet to say it authenticated.
 fn handle_session<B: Backend>(mut stream: TcpStream, front: &FrontEnd<B>) {
     let mut buf = Vec::new();
     let mut idle = Duration::ZERO;
@@ -596,80 +518,48 @@ fn handle_session<B: Backend>(mut stream: TcpStream, front: &FrontEnd<B>) {
             Err(e) => return refuse(&mut stream, e.to_string()),
         }
     };
-    let sealed = buf[0] == SESSION_WIRE_VERSION;
-    match &front.registry {
-        Some(registry) if sealed => {
-            let mut rng = entropy_rng();
-            // On failure the handshake has already sent the typed
-            // AUTH_ERROR where one is safe to send; just close.
-            if let Ok(session) = server_handshake(
-                &mut stream,
-                &buf[..first],
-                registry,
-                &mut rng,
-                SuiteOffer::all(),
-            ) {
-                let peer = Peer {
-                    tenant: front.backend.tenant(&session.tenant),
-                    identity: session.identity,
-                    privileged: session.privileged,
-                };
-                serve_session(
-                    stream,
-                    Framing::Sealed(Box::new(session.channel)),
-                    &peer,
-                    front,
-                );
-            }
-        }
-        // Auth is on but the peer spoke plaintext v3: refuse before
-        // interpreting anything.
-        Some(_) => refuse(
+    if buf[0] != SESSION_WIRE_VERSION {
+        return refuse(
             &mut stream,
             format!(
                 "authentication required: this {} only accepts wire v4 sessions \
                  (connect with an identity and key)",
                 B::NAME
             ),
-        ),
-        None if sealed => refuse(
-            &mut stream,
-            format!(
-                "this {} is not configured for authenticated sessions \
-                 (start it with an auth directory)",
-                B::NAME
-            ),
-        ),
-        None => {
-            let peer = Peer {
-                identity: String::new(),
-                privileged: true,
-                tenant: front.backend.tenant("default"),
-            };
-            let framing = Framing::Plain {
-                buf,
-                pending: Some(first),
-            };
-            serve_session(stream, framing, &peer, front);
-        }
+        );
+    }
+    let mut rng = entropy_rng();
+    // On failure the handshake has already sent the typed AUTH_ERROR
+    // where one is safe to send; just close.
+    if let Ok(session) = server_handshake(
+        &mut stream,
+        &buf[..first],
+        &front.registry,
+        &mut rng,
+        SuiteOffer::all(),
+    ) {
+        let peer = Peer {
+            tenant: front.backend.tenant(&session.tenant),
+            identity: session.identity,
+            privileged: session.privileged,
+        };
+        serve_session(stream, session.channel, &peer, front);
     }
 }
 
-/// The session loop, plaintext and sealed alike.
+/// The session loop.
 ///
-/// A broken frame ends the session: on plaintext the byte stream can no
-/// longer be trusted, so the reason is sent best-effort; under session
-/// keys a frame that fails its MAC or sequence check closes the
-/// connection without a reply — a forger gets no feedback beyond the
-/// drop. A frame that arrives intact but does not decode is answered
-/// with a `ServerError` and the session keeps serving.
+/// A frame that fails its MAC or sequence check closes the connection
+/// without a reply — a forger gets no feedback beyond the drop. A frame
+/// that arrives intact but does not decode is answered with a
+/// `ServerError` and the session keeps serving.
 ///
-/// Requests decode straight out of the framing's receive buffer, and
-/// both framings reuse their buffers, so a steady-state request/response
-/// cycle performs no heap allocation inside the record layer.
+/// Requests decode straight out of the channel's receive buffer, which
+/// it reuses, so a steady-state request reads without heap allocation
+/// inside the record layer.
 fn serve_session<B: Backend>(
     mut stream: TcpStream,
-    mut framing: Framing,
+    mut channel: SecureChannel,
     peer: &Peer<B::Tenant>,
     front: &FrontEnd<B>,
 ) {
@@ -679,17 +569,12 @@ fn serve_session<B: Backend>(
             return;
         }
         // `Request` owns its fields, so the borrow of the receive buffer
-        // ends here and the framing is free to send the response.
-        let decoded = match framing.recv(&mut stream) {
+        // ends here and the channel is free to send the response.
+        let decoded = match channel.recv_ref(&mut stream) {
             Ok(IncomingRef::Payload(payload)) => Request::decode(payload),
             Ok(IncomingRef::TimedOut) if !front.idle_out(&mut idle) => continue,
-            Ok(_) => return, // EOF, or silent past the idle cap
-            Err(e) => {
-                if let Framing::Plain { .. } = framing {
-                    let _ = framing.send(&mut stream, &server_error(&e));
-                }
-                return;
-            }
+            // EOF, silent past the idle cap, or a broken frame
+            _ => return,
         };
         idle = Duration::ZERO;
         let tenant = match &peer.tenant {
@@ -698,13 +583,13 @@ fn serve_session<B: Backend>(
                 let refusal = Response::ServerError {
                     message: message.clone(),
                 };
-                let _ = framing.send(&mut stream, &refusal);
+                let _ = channel.send(&mut stream, &refusal.encode());
                 return;
             }
         };
         let response = match decoded {
             Ok(Request::Shutdown) if peer.privileged => {
-                let _ = framing.send(&mut stream, &Response::Bye);
+                let _ = channel.send(&mut stream, &Response::Bye.encode());
                 front.shutdown.store(true, Ordering::SeqCst);
                 return;
             }
@@ -716,7 +601,7 @@ fn serve_session<B: Backend>(
             Err(e) => server_error(&e),
             Ok(request) => front.dispatch(tenant, request),
         };
-        if framing.send(&mut stream, &response).is_err() {
+        if channel.send(&mut stream, &response.encode()).is_err() {
             return; // peer went away mid-response
         }
     }

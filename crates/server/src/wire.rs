@@ -1,15 +1,17 @@
-//! The `pprl-server` wire protocol: framed, checksummed, typed.
+//! The `pprl-server` request/response payloads: versioned, typed.
 //!
-//! Every message travels as one `pprl_session::frame` stream frame —
-//! `plen ‖ payload ‖ sum`, the checksum being `pprl_core::codec`'s
-//! trailer — and every payload parses through `pprl_core::codec`'s
-//! bounds-checked `Reader`:
+//! Every payload travels as the body of a wire v4 session `DATA` frame
+//! (see `pprl_session::channel`), and parses through
+//! `pprl_core::codec`'s bounds-checked `Reader`:
 //!
 //! ```text
-//! plen    u32 LE   payload length in bytes
 //! payload          version u8 | opcode u8 | body
-//! sum     u64 LE   word_fold checksum of the length prefix + payload
 //! ```
+//!
+//! Two replies travel bare, in a plain `pprl_session::frame` stream
+//! frame, because no session exists to seal them: the accept loop's
+//! `Busy` and the front end's refusal of a first frame that does not
+//! open a handshake.
 //!
 //! All malformations surface as typed [`PprlError::Transport`] errors —
 //! never a panic, never a silently misparsed request.
@@ -29,9 +31,8 @@ use pprl_core::codec::Reader;
 use pprl_core::error::{PprlError, Result};
 use pprl_index::query::Hit;
 
-// The framing layer lives in `pprl-session::frame`, because wire v4
-// session frames travel in the identical envelope; re-exported here so
-// every `wire::read_payload` caller keeps compiling.
+// The stream framing lives in `pprl-session::frame`; re-exported for
+// peers that read the bare pre-session replies.
 pub use pprl_session::frame::{read_payload, write_payload, Incoming, MAX_PAYLOAD};
 
 /// Wire protocol version, the first byte of every frame payload.
@@ -358,24 +359,17 @@ impl Response {
     /// Serialises the response to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Appends the response's frame payload to `out`, so a session loop
-    /// can build every reply in one reused buffer.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(WIRE_VERSION);
         match self {
             Response::Hits(hits) => {
                 out.push(OP_HITS);
-                push_hits(out, hits);
+                push_hits(&mut out, hits);
             }
             Response::LinkHits(per_probe) => {
                 out.push(OP_LINK_HITS);
                 out.extend_from_slice(&(per_probe.len() as u32).to_le_bytes());
                 for hits in per_probe {
-                    push_hits(out, hits);
+                    push_hits(&mut out, hits);
                 }
             }
             Response::Inserted { count, generation } => {
@@ -430,6 +424,7 @@ impl Response {
             }
             Response::Bye => out.push(OP_BYE),
         }
+        out
     }
 
     /// Parses a frame payload into a response, rejecting foreign

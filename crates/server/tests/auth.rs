@@ -1,14 +1,18 @@
 //! End-to-end tests for the authenticated, multi-tenant server:
-//! handshake gating, per-tenant namespace isolation, STATS parity with
-//! dedicated single-tenant servers, privileged shutdown, and encrypted
-//! sessions carrying the full request surface.
+//! handshake gating, per-tenant namespace isolation, answers identical
+//! to the offline index and STATS to dedicated single-tenant servers,
+//! privileged shutdown, and encrypted sessions carrying the full
+//! request surface.
 
+use pprl_cluster::coordinator::{ClusterConfig, Coordinator};
+use pprl_cluster::server::serve_cluster_auth;
 use pprl_core::bitvec::BitVec;
 use pprl_index::manifest::IndexConfig;
+use pprl_index::query::Hit;
 use pprl_index::store::IndexStore;
 use pprl_server::client::Client;
-use pprl_server::server::{serve, serve_auth, ServerConfig};
-use pprl_server::wire::StatsReport;
+use pprl_server::server::{serve_auth, ServerConfig};
+use pprl_server::wire::{read_payload, write_payload, Incoming, Request, Response, StatsReport};
 use pprl_session::handshake::ClientAuth;
 use pprl_session::keys::PartyKey;
 use pprl_session::registry::{AuthRegistry, TenantGrant};
@@ -86,6 +90,39 @@ fn auth(identity: &str, key: &PartyKey, tenant: &str, encrypt: bool) -> ClientAu
     }
 }
 
+/// The offline answers over the index at `dir`: top-5 for every probe,
+/// and the same lists thresholded at 0.5 as a link would return them.
+fn offline_answers(dir: &Path, probes: &[BitVec]) -> (Vec<Vec<Hit>>, Vec<Vec<Hit>>) {
+    let store = IndexStore::open(dir).unwrap();
+    let reader = store.reader().unwrap();
+    let top: Vec<Vec<Hit>> = probes
+        .iter()
+        .map(|p| reader.top_k(p, 5, 1).unwrap())
+        .collect();
+    let linked = top
+        .iter()
+        .map(|hits| hits.iter().filter(|h| h.score >= 0.5).cloned().collect())
+        .collect();
+    (top, linked)
+}
+
+/// Sends `request` to `addr` as a bare wire v3 payload — no handshake —
+/// and returns the refusal the front end answers with, after checking
+/// that it then closed the connection.
+fn refusal_of_bare_request(addr: &str, request: &Request) -> String {
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    write_payload(&mut raw, &request.encode()).unwrap();
+    let Incoming::Payload(reply) = read_payload(&mut raw).unwrap() else {
+        panic!("the front end sent no refusal");
+    };
+    let Response::ServerError { message } = Response::decode(&reply).unwrap() else {
+        panic!("expected a ServerError refusal");
+    };
+    assert!(matches!(read_payload(&mut raw).unwrap(), Incoming::Eof));
+    message
+}
+
 /// Scrubs the fields that legitimately differ run to run (latency,
 /// uptime) so the remaining report can be compared bit for bit.
 fn normalize(mut s: StatsReport) -> StatsReport {
@@ -101,49 +138,59 @@ fn two_tenants_disjoint_and_bit_identical_to_single_tenant_servers() {
     let root = temp_dir("multi");
     build_index(&root.join("org-a"), 0, 120);
     build_index(&root.join("org-b"), 10_000, 80);
-    let (reg, key_a, key_b, _) = two_tenant_registry();
-    let handle = serve_auth(&root, "127.0.0.1:0", quiet_config(), reg).unwrap();
+    let probe_ids = [3u64, 77, 10_005, 999];
+    let probes: Vec<BitVec> = probe_ids.iter().map(|&id| filter_for(id)).collect();
+    let oracle_a = offline_answers(&root.join("org-a"), &probes);
+    let oracle_b = offline_answers(&root.join("org-b"), &probes);
+    let (reg, key_a, key_b, key_admin) = two_tenant_registry();
+    let handle = serve_auth(&root, "127.0.0.1:0", quiet_config(), reg.clone()).unwrap();
     let addr = handle.addr().to_string();
 
-    // ...and two dedicated single-tenant plaintext servers as oracles.
+    // ...and two dedicated single-tenant servers, for STATS parity,
+    // each serving its root as `default` to the privileged operator.
     let solo_a_dir = temp_dir("solo-a");
     let solo_b_dir = temp_dir("solo-b");
     build_index(&solo_a_dir, 0, 120);
     build_index(&solo_b_dir, 10_000, 80);
-    let solo_a = serve(&solo_a_dir, "127.0.0.1:0", quiet_config()).unwrap();
-    let solo_b = serve(&solo_b_dir, "127.0.0.1:0", quiet_config()).unwrap();
+    let solo_a = serve_auth(&solo_a_dir, "127.0.0.1:0", quiet_config(), reg.clone()).unwrap();
+    let solo_b = serve_auth(&solo_b_dir, "127.0.0.1:0", quiet_config(), reg).unwrap();
 
-    let mut ca = Client::connect_with(&addr, Some(auth("org-a", &key_a, "org-a", false))).unwrap();
-    let mut cb = Client::connect_with(&addr, Some(auth("org-b", &key_b, "org-b", true))).unwrap();
-    let mut oa = Client::connect(&solo_a.addr().to_string()).unwrap();
-    let mut ob = Client::connect(&solo_b.addr().to_string()).unwrap();
+    let mut ca = Client::connect_with(&addr, auth("org-a", &key_a, "org-a", false)).unwrap();
+    let mut cb = Client::connect_with(&addr, auth("org-b", &key_b, "org-b", true)).unwrap();
+    let operator = || auth("admin", &key_admin, "default", true);
+    let mut oa = Client::connect_with(&solo_a.addr().to_string(), operator()).unwrap();
+    let mut ob = Client::connect_with(&solo_b.addr().to_string(), operator()).unwrap();
 
-    // Identical queries and links against tenant and oracle give
-    // identical hits, over a MAC-only (org-a) and a MAC+enc (org-b)
-    // session alike.
-    for probe_id in [3u64, 77, 10_005, 999] {
-        let probe = filter_for(probe_id);
+    // Queries and links against each tenant give exactly the offline
+    // index's hits, over a MAC-only (org-a) and a MAC+enc (org-b)
+    // session alike; the dedicated servers see the same requests.
+    for (i, probe) in probes.iter().enumerate() {
+        let probe_id = probe_ids[i];
         assert_eq!(
-            ca.query(&probe, 5).unwrap(),
-            oa.query(&probe, 5).unwrap(),
-            "tenant org-a diverged from its dedicated server on probe {probe_id}"
+            ca.query(probe, 5).unwrap(),
+            oracle_a.0[i],
+            "tenant org-a diverged from its offline index on probe {probe_id}"
         );
         assert_eq!(
-            cb.query(&probe, 5).unwrap(),
-            ob.query(&probe, 5).unwrap(),
-            "tenant org-b diverged from its dedicated server on probe {probe_id}"
+            cb.query(probe, 5).unwrap(),
+            oracle_b.0[i],
+            "tenant org-b diverged from its offline index on probe {probe_id}"
         );
-        let probes = [probe];
+        let one = std::slice::from_ref(probe);
         assert_eq!(
-            ca.link(&probes, 5, 0.5).unwrap(),
-            oa.link(&probes, 5, 0.5).unwrap(),
-            "tenant org-a link diverged from its dedicated server on probe {probe_id}"
+            ca.link(one, 5, 0.5).unwrap(),
+            [oracle_a.1[i].clone()],
+            "tenant org-a link diverged from its offline index on probe {probe_id}"
         );
         assert_eq!(
-            cb.link(&probes, 5, 0.5).unwrap(),
-            ob.link(&probes, 5, 0.5).unwrap(),
-            "tenant org-b link diverged from its dedicated server on probe {probe_id}"
+            cb.link(one, 5, 0.5).unwrap(),
+            [oracle_b.1[i].clone()],
+            "tenant org-b link diverged from its offline index on probe {probe_id}"
         );
+        for solo in [&mut oa, &mut ob] {
+            solo.query(probe, 5).unwrap();
+            solo.link(one, 5, 0.5).unwrap();
+        }
     }
 
     // The tenants see disjoint record sets: a record present in org-a
@@ -189,19 +236,14 @@ fn wrong_key_and_plaintext_clients_rejected() {
     let root = temp_dir("reject");
     build_index(&root.join("org-a"), 0, 20);
     build_index(&root.join("org-b"), 100, 20);
-    let (reg, key_a, _, _) = two_tenant_registry();
-    let handle = serve_auth(&root, "127.0.0.1:0", quiet_config(), reg).unwrap();
+    let (reg, key_a, _, key_admin) = two_tenant_registry();
+    let handle = serve_auth(&root, "127.0.0.1:0", quiet_config(), reg.clone()).unwrap();
     let addr = handle.addr().to_string();
 
     // Wrong key: rejected at handshake with a typed Auth error.
     let bad = Client::connect_with(
         &addr,
-        Some(auth(
-            "org-a",
-            &PartyKey::from_bytes([0xFF; 32]),
-            "org-a",
-            false,
-        )),
+        auth("org-a", &PartyKey::from_bytes([0xFF; 32]), "org-a", false),
     );
     match bad {
         Err(pprl_core::error::PprlError::Auth(_)) => {}
@@ -211,17 +253,12 @@ fn wrong_key_and_plaintext_clients_rejected() {
     // Unknown identity: same typed rejection, indistinguishable shape.
     let ghost = Client::connect_with(
         &addr,
-        Some(auth(
-            "ghost",
-            &PartyKey::from_bytes([0x01; 32]),
-            "ghost",
-            false,
-        )),
+        auth("ghost", &PartyKey::from_bytes([0x01; 32]), "ghost", false),
     );
     assert!(matches!(ghost, Err(pprl_core::error::PprlError::Auth(_))));
 
     // Cross-tenant: authenticates, then gets the typed CrossTenant error.
-    let crossed = Client::connect_with(&addr, Some(auth("org-a", &key_a, "org-b", false)));
+    let crossed = Client::connect_with(&addr, auth("org-a", &key_a, "org-b", false));
     match crossed {
         Err(pprl_core::error::PprlError::CrossTenant {
             identity,
@@ -233,19 +270,55 @@ fn wrong_key_and_plaintext_clients_rejected() {
         other => panic!("expected CrossTenant, got {other:?}"),
     }
 
-    // A plaintext v3 client is refused before its request is interpreted.
-    let mut plain = Client::connect(&addr).unwrap();
-    let err = plain.stats().unwrap_err();
+    // A bare wire v3 request is refused before it is dispatched: the
+    // insert below never lands.
+    let v3_insert = Request::Insert {
+        records: vec![(9_999, filter_for(9_999))],
+    };
+    let refusal = refusal_of_bare_request(&addr, &v3_insert);
     assert!(
-        err.to_string().contains("authentication required"),
-        "unexpected plaintext rejection: {err}"
+        refusal.contains("authentication required") && refusal.contains("server"),
+        "unexpected plaintext rejection: {refusal}"
     );
 
     // An authorized client still works fine alongside the rejections.
-    let mut good = Client::connect_with(&addr, Some(auth("org-a", &key_a, "org-a", true))).unwrap();
-    assert_eq!(good.stats().unwrap().records, 20);
+    let mut good = Client::connect_with(&addr, auth("org-a", &key_a, "org-a", true)).unwrap();
+    let stats = good.stats().unwrap();
+    assert_eq!((stats.records, stats.inserts), (20, 0));
 
-    drop((plain, good));
+    // The cluster front end refuses a bare v3 request the same way,
+    // before its coordinator dials a shard: the one shard address is a
+    // closed port, so a dispatch would count a shard failure.
+    let closed = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .to_string();
+    let coordinator = std::sync::Arc::new(
+        Coordinator::new(ClusterConfig {
+            shard_auth: Some(auth("admin", &key_admin, "default", true)),
+            ..ClusterConfig::new(vec![closed])
+        })
+        .unwrap(),
+    );
+    let front = serve_cluster_auth(
+        std::sync::Arc::clone(&coordinator),
+        "127.0.0.1:0",
+        quiet_config(),
+        reg,
+    )
+    .unwrap();
+    let refusal = refusal_of_bare_request(&front.addr().to_string(), &v3_insert);
+    assert!(
+        refusal.contains("authentication required") && refusal.contains("cluster front end"),
+        "unexpected plaintext rejection: {refusal}"
+    );
+    let count = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(count(&coordinator.metrics.inserts), 0);
+    assert_eq!(count(&coordinator.metrics.shard_failures), 0);
+
+    drop(good);
+    front.shutdown_now();
     handle.shutdown_now();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -259,8 +332,7 @@ fn shutdown_requires_privileged_identity() {
     let handle = serve_auth(&root, "127.0.0.1:0", quiet_config(), reg).unwrap();
     let addr = handle.addr().to_string();
 
-    let mut tenant =
-        Client::connect_with(&addr, Some(auth("org-a", &key_a, "org-a", false))).unwrap();
+    let mut tenant = Client::connect_with(&addr, auth("org-a", &key_a, "org-a", false)).unwrap();
     let err = tenant.shutdown().unwrap_err();
     assert!(
         err.to_string().contains("not privileged"),
@@ -271,8 +343,7 @@ fn shutdown_requires_privileged_identity() {
 
     // A privileged identity may open any tenant's namespace and stop the
     // server.
-    let mut admin =
-        Client::connect_with(&addr, Some(auth("admin", &key_admin, "org-b", true))).unwrap();
+    let mut admin = Client::connect_with(&addr, auth("admin", &key_admin, "org-b", true)).unwrap();
     assert_eq!(admin.stats().unwrap().records, 10);
     admin.shutdown().unwrap();
     handle.join();
@@ -292,8 +363,7 @@ fn single_tenant_root_serves_as_default() {
     let handle = serve_auth(&root, "127.0.0.1:0", quiet_config(), reg).unwrap();
     let addr = handle.addr().to_string();
 
-    let mut client =
-        Client::connect_with(&addr, Some(auth("alice", &key, "default", true))).unwrap();
+    let mut client = Client::connect_with(&addr, auth("alice", &key, "default", true)).unwrap();
     assert_eq!(client.stats().unwrap().records, 30);
     let hits = client.query(&filter_for(7), 3).unwrap();
     assert_eq!(hits[0].id, 7);

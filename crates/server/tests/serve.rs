@@ -1,7 +1,11 @@
 //! End-to-end tests for `pprl-server`: concurrent TCP queries
 //! bit-identical to offline reads while background compaction runs,
 //! explicit backpressure, cache invalidation on insert, snapshot
-//! isolation under compaction, and framing robustness.
+//! isolation under compaction, and framing robustness — every session
+//! authenticated through the shared fixture.
+
+#[path = "common/auth.rs"]
+mod fixture;
 
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::PprlError;
@@ -10,9 +14,9 @@ use pprl_index::query::Hit;
 use pprl_index::segment::record_count_for_size;
 use pprl_index::store::{IndexStore, TieredPolicy, WAL_FILE};
 use pprl_server::client::Client;
-use pprl_server::server::{serve, ServerConfig};
+use pprl_server::server::ServerConfig;
 use pprl_server::service::{LinkageService, ServiceConfig, INLINE_FLUSH_ROWS};
-use pprl_server::wire::{read_payload, write_payload, Incoming, Request, Response};
+use pprl_server::wire::{read_payload, write_payload, Incoming, Request, Response, WIRE_VERSION};
 use pprl_similarity::bitvec_sim::dice_bits;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -86,9 +90,8 @@ fn concurrent_queries_match_offline_during_background_compaction() {
         .collect();
     drop(store);
 
-    let handle = serve(
+    let handle = fixture::serve(
         &dir,
-        "127.0.0.1:0",
         ServerConfig {
             workers: 3,
             queue_capacity: 16,
@@ -96,8 +99,7 @@ fn concurrent_queries_match_offline_during_background_compaction() {
             tiered: aggressive_policy(),
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
+    );
     let addr = handle.addr().to_string();
 
     let clients: Vec<_> = (0..3)
@@ -106,8 +108,7 @@ fn concurrent_queries_match_offline_during_background_compaction() {
             let probes = probes.clone();
             let expected = expected.clone();
             std::thread::spawn(move || {
-                let mut client =
-                    Client::connect_retry(&addr, 20, Duration::from_millis(10)).unwrap();
+                let mut client = fixture::connect(&addr);
                 for round in 0..25 {
                     for (probe, want) in probes.iter().zip(&expected) {
                         let got = client.query(probe, 5).unwrap();
@@ -125,7 +126,7 @@ fn concurrent_queries_match_offline_during_background_compaction() {
     // The load ran long enough for several maintenance ticks; compaction
     // must have merged at least once and never failed a read (asserted
     // above by every query succeeding bit-identically).
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = fixture::connect(&addr);
     let stats = client.stats().unwrap();
     assert!(stats.compactions >= 1, "no background compaction ran");
     assert!(stats.generation >= 1);
@@ -428,14 +429,14 @@ fn acked_unflushed_inserts_survive_a_reopen() {
 }
 
 /// Overflowing the bounded queue yields an immediate `Busy` with the
-/// configured retry hint — not an ever-growing backlog.
+/// configured retry hint — not an ever-growing backlog — and a client
+/// shed while connecting backs off and gets in once the queue drains.
 #[test]
 fn full_queue_rejects_with_busy_retry_after() {
     let dir = temp_dir("busy");
     drop(build_index(&dir, 50, 2));
-    let handle = serve(
+    let handle = fixture::serve(
         &dir,
-        "127.0.0.1:0",
         ServerConfig {
             workers: 1,
             queue_capacity: 1,
@@ -443,15 +444,14 @@ fn full_queue_rejects_with_busy_retry_after() {
             compact_interval: None,
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
+    );
     let addr = handle.addr().to_string();
 
-    // Occupy the only worker with an idle session, then fill the queue.
-    let held = Client::connect_retry(&addr, 20, Duration::from_millis(10)).unwrap();
-    std::thread::sleep(Duration::from_millis(150)); // worker picks it up
-    let queued = Client::connect(&addr).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    // `held` owns the only worker once its handshake is answered; the
+    // acceptor takes connections in arrival order, so `queued` fills
+    // the one queue slot before the next connection is accepted.
+    let mut held = fixture::connect(&addr);
+    let queued = std::net::TcpStream::connect(&addr).unwrap();
 
     // Third connection overflows: raw socket sees the Busy frame.
     let mut raw = std::net::TcpStream::connect(&addr).unwrap();
@@ -464,36 +464,21 @@ fn full_queue_rejects_with_busy_retry_after() {
         other => panic!("expected a frame, got {other:?}"),
     }
 
-    // The typed client absorbs Busy with backoff + reconnect; with the
-    // server still saturated and a short deadline, the rejection
-    // surfaces as a busy Timeout once the deadline is spent.
-    let mut rejected = Client::connect(&addr).unwrap();
-    rejected.set_deadline(Duration::from_millis(300));
-    match rejected.stats() {
-        Err(PprlError::Timeout(msg)) => assert!(msg.contains("busy"), "{msg}"),
-        other => panic!("expected busy Timeout, got {other:?}"),
+    // A client connecting now is shed before its handshake too; it
+    // absorbs the Busy with backoff and reconnects until it gets in.
+    let connecting = {
+        let addr = addr.clone();
+        std::thread::spawn(move || fixture::connect(&addr))
+    };
+    while held.stats().unwrap().busy_rejected < 2 {
+        std::thread::sleep(Duration::from_millis(10));
     }
 
-    // Draining both idle sessions frees the worker and the queue slot.
+    // Draining both sessions frees the worker and the queue slot.
     drop(held);
     drop(queued);
-    std::thread::sleep(Duration::from_millis(300));
-    let mut ok = Client::connect_retry(&addr, 40, Duration::from_millis(25)).unwrap();
-    let mut stats = None;
-    for _ in 0..40 {
-        match ok.stats() {
-            Ok(s) => {
-                stats = Some(s);
-                break;
-            }
-            Err(PprlError::Timeout(_)) => {
-                std::thread::sleep(Duration::from_millis(50));
-                ok = Client::connect_retry(&addr, 40, Duration::from_millis(25)).unwrap();
-            }
-            Err(e) => panic!("stats failed: {e}"),
-        }
-    }
-    let stats = stats.expect("server never recovered from backpressure");
+    let mut ok = connecting.join().unwrap();
+    let stats = ok.stats().unwrap();
     assert!(stats.busy_rejected >= 2);
     ok.shutdown().unwrap();
     handle.join();
@@ -508,9 +493,8 @@ fn stalled_client_cannot_pin_a_worker() {
     use std::io::Read;
     let dir = temp_dir("slow-client");
     drop(build_index(&dir, 30, 2));
-    let handle = serve(
+    let handle = fixture::serve(
         &dir,
-        "127.0.0.1:0",
         ServerConfig {
             workers: 1,
             queue_capacity: 1,
@@ -518,8 +502,7 @@ fn stalled_client_cannot_pin_a_worker() {
             idle_timeout: Duration::from_millis(300),
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
+    );
     let addr = handle.addr().to_string();
 
     // The stalled client occupies the worker without ever sending a
@@ -527,10 +510,10 @@ fn stalled_client_cannot_pin_a_worker() {
     let mut stalled = std::net::TcpStream::connect(&addr).unwrap();
     std::thread::sleep(Duration::from_millis(150)); // worker adopts it
 
-    // A well-behaved client queues behind it and is served once the
-    // idle cap evicts the staller (its internal Busy backoff absorbs
-    // any queue-full rejections in between).
-    let mut ok = Client::connect_retry(&addr, 40, Duration::from_millis(25)).unwrap();
+    // A well-behaved client queues behind it and its handshake is
+    // answered once the idle cap evicts the staller (its internal Busy
+    // backoff absorbs any queue-full rejections in between).
+    let mut ok = fixture::connect(&addr);
     ok.set_deadline(Duration::from_secs(10));
     let stats = ok.stats().expect("server must free the pinned worker");
     assert!(stats.records > 0);
@@ -556,18 +539,15 @@ fn stalled_client_cannot_pin_a_worker() {
 fn insert_over_wire_invalidates_cache_and_bumps_generation() {
     let dir = temp_dir("insert");
     drop(build_index(&dir, 100, 4));
-    let handle = serve(
+    let handle = fixture::serve(
         &dir,
-        "127.0.0.1:0",
         ServerConfig {
             workers: 1,
             compact_interval: None,
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
-    let addr = handle.addr().to_string();
-    let mut client = Client::connect_retry(&addr, 20, Duration::from_millis(10)).unwrap();
+    );
+    let mut client = fixture::connect(&handle.addr().to_string());
 
     let probe = filter_for(5000);
     let before = client.query(&probe, 3).unwrap();
@@ -604,23 +584,22 @@ fn insert_over_wire_invalidates_cache_and_bumps_generation() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Malformed input: a corrupt frame gets a typed error and only kills
-/// that connection; a shape-mismatched query errors but keeps its
-/// session; the server keeps serving either way.
+/// Malformed input: a corrupt first frame gets a typed refusal and
+/// only kills that connection; an intact request that does not decode,
+/// or a shape-mismatched query, errors but keeps its session; the
+/// server keeps serving either way.
 #[test]
 fn malformed_frames_and_bad_requests_get_typed_errors() {
     let dir = temp_dir("malformed");
     drop(build_index(&dir, 30, 1));
-    let handle = serve(
+    let handle = fixture::serve(
         &dir,
-        "127.0.0.1:0",
         ServerConfig {
             workers: 1,
             compact_interval: None,
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
+    );
     let addr = handle.addr().to_string();
 
     // Corrupt checksum: ServerError frame, then the connection closes.
@@ -649,8 +628,19 @@ fn malformed_frames_and_bad_requests_get_typed_errors() {
         }
     }
 
+    // Sealed and intact, but no such opcode: a ServerError, and the
+    // session stays in sync.
+    let mut client = fixture::connect(&addr);
+    client.send(&[WIRE_VERSION, 0x7f]).unwrap();
+    match client.recv(std::time::Instant::now() + Duration::from_secs(5)) {
+        Err(PprlError::ProtocolError(msg)) => {
+            assert!(msg.contains("unknown request opcode"), "got: {msg}")
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert_eq!(client.stats().unwrap().records, 30);
+
     // Wrong filter length: typed error, session survives.
-    let mut client = Client::connect_retry(&addr, 20, Duration::from_millis(10)).unwrap();
     let bad = BitVec::from_positions(FILTER_LEN / 2, &[1, 2]).unwrap();
     match client.query(&bad, 3) {
         Err(PprlError::ProtocolError(msg)) => assert!(msg.contains("shape"), "got: {msg}"),
@@ -680,18 +670,15 @@ fn link_request_matches_offline_thresholded_topk() {
         .collect();
     drop(store);
 
-    let handle = serve(
+    let handle = fixture::serve(
         &dir,
-        "127.0.0.1:0",
         ServerConfig {
             workers: 1,
             compact_interval: None,
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
-    let mut client =
-        Client::connect_retry(&handle.addr().to_string(), 20, Duration::from_millis(10)).unwrap();
+    );
+    let mut client = fixture::connect(&handle.addr().to_string());
     let got = client.link(&probes, 4, 0.6).unwrap();
     assert_eq!(got, expected);
     // Each probe's own record is a perfect match.
@@ -705,11 +692,11 @@ fn link_request_matches_offline_thresholded_topk() {
 }
 
 /// The call deadline bounds blocking socket I/O in both directions: a
-/// peer that accepts and never answers yields a typed `Timeout` within
-/// 2 × the deadline (not after the 30 s socket timeout the deadline
-/// used to be rounded up to), and a peer that never drains its socket
-/// fails the write with a typed `Timeout` too, instead of pinning the
-/// caller in `write_all` forever.
+/// peer that completes the handshake and never answers yields a typed
+/// `Timeout` within 2 × the deadline (not after the 30 s socket timeout
+/// the deadline used to be rounded up to), and a peer that never drains
+/// its socket fails the write with a typed `Timeout` too, instead of
+/// pinning the caller in `write_all` forever.
 #[test]
 fn silent_or_stalled_peer_cannot_pin_a_caller_past_its_deadline() {
     use std::time::Instant;
@@ -717,14 +704,15 @@ fn silent_or_stalled_peer_cannot_pin_a_caller_past_its_deadline() {
     let addr = listener.local_addr().unwrap().to_string();
     let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
     let peer = std::thread::spawn(move || {
-        // Hold both connections open without reading or writing a byte.
-        let held: Vec<_> = (0..2).map(|_| listener.accept().unwrap().0).collect();
+        // Answer both handshakes, then hold the sessions open without
+        // reading or writing another byte.
+        let held: Vec<_> = (0..2).map(|_| fixture::accept_session(&listener)).collect();
         let _ = done_rx.recv();
         drop(held);
     });
     let deadline = Duration::from_millis(200);
 
-    let mut silent = Client::connect(&addr).unwrap();
+    let mut silent = fixture::connect(&addr);
     silent.set_deadline(deadline);
     let started = Instant::now();
     match silent.stats() {
@@ -739,7 +727,7 @@ fn silent_or_stalled_peer_cannot_pin_a_caller_past_its_deadline() {
 
     // Far more than the loopback socket buffers absorb, so the write
     // must block on a peer that never reads.
-    let mut stalled = Client::connect(&addr).unwrap();
+    let mut stalled = Client::connect_with(&addr, fixture::auth(false)).unwrap();
     stalled.set_deadline(deadline);
     let started = Instant::now();
     match stalled.send(&vec![0u8; 32 << 20]) {

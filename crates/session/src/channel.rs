@@ -2,7 +2,7 @@
 //!
 //! After the handshake (see [`crate::handshake`]) both peers hold an
 //! established [`SecureChannel`]. Every application payload — a
-//! plaintext wire-v3 request or response — is wrapped as
+//! version-3 request or response of `pprl-server::wire` — is wrapped as
 //!
 //! ```text
 //! version u8      = 4

@@ -3,14 +3,15 @@
 //!
 //! ```text
 //! plen    u32 LE   payload length in bytes
-//! payload          (wire v3 request/response, or a v4 session frame)
+//! payload          a v4 session frame (or a bare pre-session reply)
 //! sum     u64 LE   word_fold checksum of the length prefix + payload
 //! ```
 //!
-//! The authenticated record layer and the plaintext protocol share
-//! exactly this frame format — a v4 `HELLO` travels in the same
-//! envelope as a v3 `STATS` — and `pprl-server::wire` re-exports this
-//! module. The trailer is `pprl_core::codec`'s checksum trailer over
+//! Handshake messages and sealed `DATA` frames travel in this envelope,
+//! and so do the two replies a server sends before any session exists
+//! (a plaintext `Busy`, and the refusal of a first frame that opens no
+//! handshake); `pprl-server::wire` re-exports the read and write halves
+//! for peers that read those. The trailer is `pprl_core::codec`'s checksum trailer over
 //! `plen ‖ payload`, verified with its single word compare; the
 //! explicit length prefix turns every truncation into a detectable
 //! short read. Every malformed frame is a typed [`PprlError::Transport`]
@@ -140,9 +141,9 @@ pub fn write_payload(w: &mut impl Write, payload: &[u8]) -> Result<()> {
 /// Starts building a frame in `buf` (clearing it): writes a placeholder
 /// length prefix, after which the caller appends the payload bytes
 /// directly. Together with [`frame_finish`] and [`frame_send`] this
-/// lets a session loop assemble and send frames in one reused buffer —
-/// no per-frame allocation, no payload copy.
-pub fn frame_begin(buf: &mut Vec<u8>) {
+/// lets the record layer assemble and send frames in one reused buffer
+/// — no per-frame allocation, no payload copy.
+pub(crate) fn frame_begin(buf: &mut Vec<u8>) {
     buf.clear();
     buf.extend_from_slice(&[0u8; 4]);
 }
@@ -150,7 +151,7 @@ pub fn frame_begin(buf: &mut Vec<u8>) {
 /// Completes a frame started with [`frame_begin`]: patches the length
 /// prefix over the payload appended since, validates its size, and
 /// appends the checksum. `buf` then holds exactly one wire frame.
-pub fn frame_finish(buf: &mut Vec<u8>) -> Result<()> {
+pub(crate) fn frame_finish(buf: &mut Vec<u8>) -> Result<()> {
     let plen = buf.len().saturating_sub(4);
     if plen == 0 || plen > MAX_PAYLOAD {
         return Err(transport_err(format!(
@@ -171,7 +172,7 @@ fn stalled(e: &std::io::Error) -> bool {
 /// Writes a finished frame to `w` and flushes. A peer that stops
 /// draining until the write timeout fires is a [`PprlError::Timeout`];
 /// any other failure is [`PprlError::Transport`].
-pub fn frame_send(w: &mut impl Write, frame: &[u8]) -> Result<()> {
+pub(crate) fn frame_send(w: &mut impl Write, frame: &[u8]) -> Result<()> {
     let fail = |op: &str, e: std::io::Error| {
         let msg = format!("{op} frame: {e}");
         if stalled(&e) {
@@ -184,8 +185,8 @@ pub fn frame_send(w: &mut impl Write, frame: &[u8]) -> Result<()> {
     w.flush().map_err(|e| fail("flushing", e))
 }
 
-/// Wire version of the *plaintext* request/response protocol carried
-/// inside session frames (and spoken bare by unauthenticated peers).
+/// Wire version of the request/response payloads carried inside
+/// session frames (and of the bare pre-session `Busy`).
 /// `pprl-server::wire` asserts its own constant equals this one.
 pub const INNER_WIRE_VERSION: u8 = 3;
 

@@ -173,12 +173,27 @@ fn auth_err(msg: impl Into<String>) -> PprlError {
     PprlError::Auth(msg.into())
 }
 
-/// Reads the next frame, treating EOF/timeout mid-handshake as failures.
+/// Reads the client's next frame; a client that hangs up or stalls
+/// mid-handshake has failed to authenticate.
 fn expect_frame(r: &mut impl Read) -> Result<Vec<u8>> {
     match read_payload(r)? {
         Incoming::Payload(p) => Ok(p),
         Incoming::Eof => Err(auth_err("peer closed the connection mid-handshake")),
         Incoming::TimedOut => Err(auth_err("handshake timed out")),
+    }
+}
+
+/// Reads the server's next frame. A server sends every verdict as a
+/// typed `AUTH_ERROR`, so a close or a stall is no verdict: it stays a
+/// `Transport` / `Timeout` error, which a caller may retry or count as
+/// a down peer.
+fn expect_reply(r: &mut impl Read) -> Result<Vec<u8>> {
+    match read_payload(r)? {
+        Incoming::Payload(p) => Ok(p),
+        Incoming::Eof => Err(PprlError::Transport(
+            "server closed the connection mid-handshake".into(),
+        )),
+        Incoming::TimedOut => Err(PprlError::Timeout("handshake timed out".into())),
     }
 }
 
@@ -383,7 +398,7 @@ pub fn client_handshake<S: Read + Write>(
     let hello = encode_hello(auth, &nonce_c, &a_share)?;
     write_payload(stream, &hello)?;
 
-    let reply = expect_frame(stream)?;
+    let reply = expect_reply(stream)?;
     // The accept loop sheds load with a *plaintext* v3 Busy before any
     // handshake state exists; recognise it and let the caller back off.
     if let Some(retry_after_ms) = parse_plain_busy(&reply) {
@@ -428,7 +443,7 @@ pub fn client_handshake<S: Read + Write>(
     confirm.extend_from_slice(&mac_c);
     write_payload(stream, &confirm)?;
 
-    let verdict = expect_frame(stream)?;
+    let verdict = expect_reply(stream)?;
     let mut r = Reader::new(&verdict, PprlError::Auth);
     match (r.u8()?, r.u8()?) {
         (SESSION_WIRE_VERSION, OP_ACCEPT) => {

@@ -1,15 +1,16 @@
 //! # pprl-session — authenticated, encrypted sessions (wire v4)
 //!
-//! The serving stack's trust layer. Wire v3 (`pprl-server::wire`)
-//! detects *corruption* — a checksum per frame — but any peer that can
-//! reach the port can query, insert, or shut a server down, and encoded
-//! Bloom filters cross the wire in the clear. The survey's linkage-unit
-//! deployment model assumes honest-but-curious organisations talking
-//! over networks they do not trust, so this crate adds what that model
-//! actually needs:
+//! The serving stack's trust layer, and the only way to hold a session
+//! with a server, a cluster front end or a shard. The survey's
+//! linkage-unit deployment model assumes honest-but-curious
+//! organisations talking over networks they do not trust: a frame
+//! checksum catches accidents, not a peer that queries, inserts, or
+//! shuts a server down, nor one that reads encoded Bloom filters off
+//! the wire. This crate supplies what that model needs:
 //!
-//! * **[`frame`]** — the shared length-prefix + checksum envelope (moved
-//!   down from `pprl-server::wire`, which re-exports it).
+//! * **[`frame`]** — the length-prefix + checksum envelope every frame
+//!   travels in (`pprl-server::wire` re-exports its read and write
+//!   halves).
 //! * **[`keys`]** — 32-byte per-party pre-shared keys with `0600` file
 //!   storage and typed load errors.
 //! * **[`registry`]** — the server's identity → (key, tenant grant) map,
@@ -29,10 +30,13 @@
 //!   encryption, with reusable frame buffers so steady-state `DATA`
 //!   frames allocate nothing.
 //!
-//! The layering is deliberate: a wire v4 `DATA` frame *wraps* an
-//! unmodified wire v3 payload, so the entire request/response protocol,
-//! its encoders, and its property tests carry over unchanged — the
-//! session layer is a transport detail to everything above it.
+//! The layering is deliberate: a wire v4 `DATA` frame *wraps* a
+//! versioned request/response payload (`pprl-server::wire`), so the
+//! request/response protocol, its encoders, and its property tests know
+//! nothing of keys — the session layer is a transport detail to
+//! everything above it. A MAC-only session (`ClientAuth { encrypt:
+//! false }`) is the cheap mode: every frame authenticated, bodies in
+//! the clear.
 
 #![forbid(unsafe_code)]
 
