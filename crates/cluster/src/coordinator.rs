@@ -280,13 +280,12 @@ impl Coordinator {
         e
     }
 
-    /// A fresh connection to shard `i`, handshake included, with the
-    /// cluster deadline set.
+    /// A fresh connection to shard `i` under the cluster deadline, which
+    /// bounds its handshake too.
     fn dial(&self, i: usize) -> Result<Client> {
-        let mut client = Client::connect_with(&self.shards[i].addr, self.shard_auth.clone())
-            .map_err(|e| self.failed(i, e))?;
-        client.set_deadline(self.config.deadline);
-        Ok(client)
+        let addr = &self.shards[i].addr;
+        Client::connect_within(addr, self.shard_auth.clone(), self.config.deadline)
+            .map_err(|e| self.failed(i, e))
     }
 
     /// Phase 1 for one shard: writes `payload` on a pooled connection,

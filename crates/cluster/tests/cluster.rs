@@ -686,9 +686,11 @@ fn missing_credentials_fail_typed_before_any_dial() {
 /// The startup probe exchanges a real Stats round-trip, so a listener
 /// that accepts TCP but does not speak the pprl protocol (here: it
 /// hangs up on every connection) cannot satisfy the startup quorum.
+/// A hang-up after accept is not retried: each probe costs the
+/// impostor one accept.
 #[test]
 fn connect_probe_rejects_a_non_pprl_listener() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     let records = union_corpus();
@@ -698,11 +700,15 @@ fn connect_probe_rejects_a_non_pprl_listener() {
     let fake_addr = listener.local_addr().unwrap().to_string();
     listener.set_nonblocking(true).unwrap();
     let stop = Arc::new(AtomicBool::new(false));
-    let fake_stop = Arc::clone(&stop);
+    let accepts = Arc::new(AtomicUsize::new(0));
+    let (fake_stop, fake_accepts) = (Arc::clone(&stop), Arc::clone(&accepts));
     let fake = std::thread::spawn(move || {
         while !fake_stop.load(Ordering::SeqCst) {
             match listener.accept() {
-                Ok((conn, _)) => drop(conn), // accept, then hang up
+                Ok((conn, _)) => {
+                    fake_accepts.fetch_add(1, Ordering::SeqCst);
+                    drop(conn); // accept, then hang up
+                }
                 Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
         }
@@ -723,6 +729,7 @@ fn connect_probe_rejects_a_non_pprl_listener() {
         PprlError::Transport(msg) => assert!(msg.contains("quorum"), "{msg}"),
         other => panic!("expected a startup quorum error, got {other:?}"),
     }
+    assert_eq!(accepts.load(Ordering::SeqCst), 1, "one accept per probe");
 
     // With quorum 3 the real shards carry the cluster, and the
     // impostor starts out marked down instead of lurking until first
@@ -735,6 +742,7 @@ fn connect_probe_rejects_a_non_pprl_listener() {
     })
     .unwrap();
     assert_eq!(coordinator.missing_shards(), vec![3]);
+    assert_eq!(accepts.load(Ordering::SeqCst), 2, "one accept per probe");
 
     stop.store(true, Ordering::SeqCst);
     fake.join().unwrap();

@@ -90,16 +90,6 @@ impl FilterArena {
         &self.popcounts
     }
 
-    /// Smallest popcount in the arena (`None` when empty).
-    pub fn pc_min(&self) -> Option<u32> {
-        self.popcounts.first().copied()
-    }
-
-    /// Largest popcount in the arena (`None` when empty).
-    pub fn pc_max(&self) -> Option<u32> {
-        self.popcounts.last().copied()
-    }
-
     /// Approximate heap footprint in bytes (words + ids + popcounts).
     pub fn bytes(&self) -> usize {
         self.words.len() * 8 + self.ids.len() * 8 + self.popcounts.len() * 4
@@ -157,7 +147,8 @@ impl ArenaBuilder {
     /// Appends one row from its backing words (little-endian bit order,
     /// as produced by [`BitVec::as_words`]). Rejects a wrong word count
     /// and set bits beyond `filter_len` — a poisoned popcount would
-    /// silently break the sorted-arena pruning bounds.
+    /// silently break the scan's `need` bound, which rests on the
+    /// popcount order.
     pub fn push(&mut self, id: u64, row: &[u64]) -> Result<()> {
         if row.len() != self.stride {
             return Err(storage_err(format!(
@@ -341,8 +332,6 @@ mod tests {
             seen.insert(id);
         }
         assert_eq!(seen.len(), 60, "every record present exactly once");
-        assert_eq!(arena.pc_min(), Some(arena.popcount(0)));
-        assert_eq!(arena.pc_max(), Some(arena.popcount(59)));
     }
 
     #[test]
@@ -351,8 +340,6 @@ mod tests {
         assert!(matches!(err, PprlError::Storage(_)), "{err}");
         let arena = FilterArena::from_records(Vec::new(), 64).unwrap();
         assert!(arena.is_empty());
-        assert_eq!(arena.pc_min(), None);
-        assert_eq!(arena.pc_max(), None);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! Candidates come from the exact batched top-k Dice engine
 //! ([`IndexReader::top_k_batch`]): each probe batch walks the columnar
 //! arenas once for all probes together, and the `min_score` bound is
-//! pushed down so a segment no probe can reach by popcount is never read
-//! from disk at all. Because the engine is exact, the emitted pairs are
+//! pushed down into the scan kernel as an integer floor. Segment files
+//! are read on the first probe batch. Because the engine is exact, the
+//! emitted pairs are
 //! precisely the k nearest stored records per probe at or above the
 //! threshold — no false dismissals within k.
 
@@ -36,8 +37,8 @@ impl IndexBackend {
     /// Opens the index at `dir` as a candidate source emitting up to
     /// `top_k` neighbours per probe with Dice score ≥ `min_score`,
     /// scanning with at most `threads` threads (a cap; 0 fails the first
-    /// probe batch). Segment files load lazily, on the first probe batch
-    /// that actually needs them.
+    /// probe batch). Segment files load lazily, on the first probe
+    /// batch.
     pub fn open(dir: &Path, top_k: usize, min_score: f64, threads: usize) -> Result<IndexBackend> {
         if top_k == 0 {
             return Err(PprlError::invalid("top_k", "must be at least 1"));
@@ -69,7 +70,7 @@ impl IndexBackend {
         self.stats.degraded
     }
 
-    /// What the backend has read from (and pruned out of) storage so far.
+    /// What the backend has read from storage and scanned so far.
     pub fn read_stats(&self) -> ReadStats {
         self.reader.read_stats()
     }
@@ -206,19 +207,10 @@ mod tests {
     }
 
     #[test]
-    fn lazy_reader_loads_only_segments_probes_can_reach() {
+    fn opening_reads_no_segment_and_a_probe_loads_them_on_demand() {
         let dir = temp_dir("lazy");
-        // Sparse and dense targets land in segments with disjoint bounds.
-        let mut targets = Vec::new();
-        for i in 0..6usize {
-            targets
-                .push(BitVec::from_positions(128, &[(i * 7) % 128, (i * 11 + 1) % 128]).unwrap());
-        }
-        for i in 0..6usize {
-            let ones: Vec<usize> = (0..60).map(|k| (k * 2 + i) % 128).collect();
-            targets.push(BitVec::from_positions(128, &ones).unwrap());
-        }
-        // Two flushes so sparse and dense records sit in different segments.
+        let targets = random_filters(12, 128, 5);
+        // Two flushes, so the targets sit in two segments.
         let mut store = IndexStore::create(&dir, IndexConfig::new(128, 1)).unwrap();
         let recs: Vec<(u64, BitVec)> = targets
             .iter()
@@ -237,22 +229,14 @@ mod tests {
             0,
             "opening reads no segments"
         );
-        // A sparse probe cannot reach the dense segment at 0.6: it stays
-        // unread on disk.
-        let sparse = BitVec::from_positions(128, &[0, 12]).unwrap();
-        let refs = vec![&sparse];
-        backend.candidates(&Probes::from_filters(&refs)).unwrap();
-        assert_eq!(backend.read_stats().segments_skipped, 1);
-        assert_eq!(backend.read_stats().segments_read, 1);
-        let bytes_after_first = backend.read_stats().bytes_read;
-        // A dense probe needs the dense segment, which loads on demand.
-        let ones: Vec<usize> = (0..60).map(|k| k * 2 % 128).collect();
-        let dense = BitVec::from_positions(128, &ones).unwrap();
-        let refs = vec![&dense];
+        assert_eq!(backend.read_stats().segments_skipped, 2);
+        // The first probe batch loads both segments on demand.
+        let refs = vec![&targets[8]];
         let pairs = backend.candidates(&Probes::from_filters(&refs)).unwrap();
-        assert!(!pairs.is_empty(), "dense probe finds dense targets");
-        assert!(backend.read_stats().bytes_read > bytes_after_first);
+        assert!(pairs.contains(&(0, 8)), "a stored probe finds itself");
+        assert_eq!(backend.read_stats().segments_read, 2);
         assert_eq!(backend.read_stats().segments_skipped, 0);
+        assert!(backend.read_stats().bytes_read > 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -30,12 +30,12 @@
 //! id)`, with parallel id and popcount arrays — scanned by the unrolled
 //! slice kernels in `pprl-similarity` (4-row blocks score a whole query
 //! batch per block load). Queries answer exact top-k Dice similarity:
-//! segments whose popcount range proves a score ceiling below the
-//! running k-th score are skipped — and with
-//! [`store::IndexStore::lazy_reader`] never even read from disk — while
-//! surviving arenas are walked with per-block Dice
-//! upper-bound cutoffs `2·min(q,x)/(q+x)`. All pruning is lossless:
-//! results are bit-exact against a brute-force scan. A scan runs on its
+//! arenas are walked in tiles, and a tile's lowest popcount turns the
+//! running k-th score into the smallest intersection a row must reach,
+//! so the kernel reports only rows that can place. The bound is
+//! lossless: results are bit-exact against a brute-force scan. With
+//! [`store::IndexStore::lazy_reader`] a segment is read from disk on its
+//! first scan, not at open. A scan runs on its
 //! caller; a large one also lends idle cores to scoped helpers admitted
 //! by the process-wide foreground gauge of [`pprl_core::runner`], which
 //! yield to writers.

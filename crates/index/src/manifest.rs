@@ -6,12 +6,12 @@
 //! which segment files belong to which shard. It is rewritten
 //! atomically (write to `MANIFEST.tmp`, then rename, with fsync barriers
 //! on the tmp file and the directory) so a crash mid-update leaves
-//! either the old or the new manifest, never a torn one. Version-5
+//! either the old or the new manifest, never a torn one. Version-6
 //! layout:
 //!
 //! ```text
 //! magic       u32   "PMF1"
-//! version     u16   5
+//! version     u16   6
 //! flen        u32   filter length in bits
 //! shards      u32   number of shards
 //! lsh_seed    u64   Hamming-LSH routing seed
@@ -20,12 +20,7 @@
 //! next_seg    u64   next segment id to allocate
 //! segs        u32   number of segment entries
 //! quar        u32   number of quarantined-segment records
-//! entry × segs:
-//!   shard     u32
-//!   seg_id    u64
-//!   pc_min    u32   smallest filter popcount in the segment
-//!   pc_max    u32   largest filter popcount in the segment
-//! quarantined × quar:
+//! entry × segs, then quarantined × quar, each 12 bytes:
 //!   shard     u32
 //!   seg_id    u64
 //! sum         u64   word_fold checksum of everything above
@@ -40,16 +35,12 @@
 //! `quarantine/` and remain listed here until an operator intervenes,
 //! letting every stats surface report degraded reads honestly.
 //!
-//! The per-segment popcount bounds enable length pruning (a threshold
-//! query whose Dice length bounds cannot intersect `[pc_min, pc_max]`
-//! skips the segment) before the segment file is ever read.
-//!
 //! The image parses through `pprl_core::codec` with
-//! [`PprlError::Storage`] as the error kind. Only version 5 decodes.
-//! Version 4 (the same catalogue with an FNV-1a trailer and the zeroed
-//! fields of a deleted band-key summary) and the never-shipped versions
-//! 1–3 are typed "unsupported manifest version" errors, never a
-//! checksum mismatch.
+//! [`PprlError::Storage`] as the error kind. Only version 6 decodes.
+//! Version 5 (20-byte entries carrying each segment's popcount range),
+//! version 4 (an FNV-1a trailer and the zeroed fields of a deleted
+//! band-key summary) and the never-shipped versions 1–3 are typed
+//! "unsupported manifest version" errors, never a checksum mismatch.
 
 use crate::format::{io_err, storage_err};
 use crate::vfs::{StdVfs, Vfs};
@@ -59,14 +50,12 @@ use std::path::{Path, PathBuf};
 
 /// Manifest file magic ("PMF1").
 const MANIFEST_MAGIC: u32 = 0x3146_4d50;
-/// Manifest format version (5 = `word_fold` trailer, no summary fields).
-const MANIFEST_VERSION: u16 = 5;
+/// Manifest format version (6 = `(shard, seg_id)` entries only).
+const MANIFEST_VERSION: u16 = 6;
 /// Fixed bytes before the segment entries.
 const HEADER_LEN: usize = 50;
-/// Bytes per segment entry.
-const ENTRY_LEN: usize = 20;
-/// Bytes per quarantined-segment record.
-const QUAR_ENTRY_LEN: usize = 12;
+/// Bytes per segment entry and per quarantined-segment record.
+const ENTRY_LEN: usize = 12;
 
 /// Manifest file name inside an index directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -111,26 +100,14 @@ impl IndexConfig {
     }
 }
 
-/// One catalogued segment: its shard, id and filter-popcount range.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One catalogued segment: its shard and id. The quarantine ledger
+/// lists segments by the same pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentEntry {
     /// Owning shard.
     pub shard: u32,
-    /// Segment id (names the `seg-<id>.seg` file).
-    pub id: u64,
-    /// Smallest filter popcount stored in the segment.
-    pub pc_min: u32,
-    /// Largest filter popcount stored in the segment.
-    pub pc_max: u32,
-}
-
-/// A segment that failed verification at open and was moved to the
-/// `quarantine/` subdirectory instead of being served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuarantinedSegment {
-    /// Shard the segment belonged to.
-    pub shard: u32,
-    /// Segment id (the file now lives at `quarantine/seg-<id>.seg`).
+    /// Segment id (names the `seg-<id>.seg` file, or
+    /// `quarantine/seg-<id>.seg` once quarantined).
     pub id: u64,
 }
 
@@ -148,8 +125,10 @@ pub struct Manifest {
     pub next_segment_id: u64,
     /// Segment entries, in catalogue order.
     pub segments: Vec<SegmentEntry>,
-    /// Health ledger of segments quarantined at open.
-    pub quarantined: Vec<QuarantinedSegment>,
+    /// Health ledger of segments that failed verification at open and
+    /// were moved to the `quarantine/` subdirectory instead of being
+    /// served.
+    pub quarantined: Vec<SegmentEntry>,
 }
 
 impl Manifest {
@@ -173,7 +152,7 @@ impl Manifest {
             .collect()
     }
 
-    /// Serialises the manifest to its (version 5) file image.
+    /// Serialises the manifest to its (version 6) file image.
     pub fn encode(&self) -> Result<Vec<u8>> {
         let flen = u32::try_from(self.config.filter_len)
             .map_err(|_| PprlError::invalid("filter_len", "exceeds u32 bits"))?;
@@ -182,10 +161,7 @@ impl Manifest {
         let quar = u32::try_from(self.quarantined.len())
             .map_err(|_| PprlError::invalid("quarantined", "ledger exceeds u32 entries"))?;
         let mut out = Vec::with_capacity(
-            HEADER_LEN
-                + self.segments.len() * ENTRY_LEN
-                + self.quarantined.len() * QUAR_ENTRY_LEN
-                + 8,
+            HEADER_LEN + (self.segments.len() + self.quarantined.len()) * ENTRY_LEN + 8,
         );
         out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
         out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
@@ -197,21 +173,15 @@ impl Manifest {
         out.extend_from_slice(&self.next_segment_id.to_le_bytes());
         out.extend_from_slice(&segs.to_le_bytes());
         out.extend_from_slice(&quar.to_le_bytes());
-        for entry in &self.segments {
+        for entry in self.segments.iter().chain(&self.quarantined) {
             out.extend_from_slice(&entry.shard.to_le_bytes());
             out.extend_from_slice(&entry.id.to_le_bytes());
-            out.extend_from_slice(&entry.pc_min.to_le_bytes());
-            out.extend_from_slice(&entry.pc_max.to_le_bytes());
-        }
-        for q in &self.quarantined {
-            out.extend_from_slice(&q.shard.to_le_bytes());
-            out.extend_from_slice(&q.id.to_le_bytes());
         }
         append_checksum(&mut out);
         Ok(out)
     }
 
-    /// Parses and verifies a version-5 manifest file image.
+    /// Parses and verifies a version-6 manifest file image.
     pub fn decode(bytes: &[u8]) -> Result<Manifest> {
         let mut header = Reader::new(bytes, PprlError::Storage);
         let magic = header.u32()?;
@@ -235,9 +205,7 @@ impl Manifest {
         let segs = header.u32()? as usize;
         let quar = header.u32()? as usize;
         // Sized in u64, where u32 counts cannot overflow.
-        let expected = (HEADER_LEN + 8) as u64
-            + segs as u64 * ENTRY_LEN as u64
-            + quar as u64 * QUAR_ENTRY_LEN as u64;
+        let expected = (HEADER_LEN + 8) as u64 + (segs as u64 + quar as u64) * ENTRY_LEN as u64;
         if bytes.len() as u64 != expected {
             return Err(storage_err(format!(
                 "manifest size mismatch: header declares {segs} segment entries \
@@ -247,34 +215,20 @@ impl Manifest {
         }
         let body = checked_body(bytes, PprlError::Storage)?;
         let mut r = Reader::new(&body[HEADER_LEN..], PprlError::Storage);
-        let mut segments = Vec::with_capacity(segs);
-        for i in 0..segs {
+        let mut entries = (0..segs + quar).map(|i| {
             let shard = r.u32()?;
             if shard >= num_shards {
                 return Err(storage_err(format!(
                     "manifest entry {i}: shard {shard} out of range ({num_shards} shards)"
                 )));
             }
-            let id = r.u64()?;
-            let (pc_min, pc_max) = (r.u32()?, r.u32()?);
-            if pc_min > pc_max {
-                return Err(storage_err(format!(
-                    "manifest entry {i}: popcount bounds inverted ({pc_min} > {pc_max})"
-                )));
-            }
-            segments.push(SegmentEntry {
+            Ok(SegmentEntry {
                 shard,
-                id,
-                pc_min,
-                pc_max,
-            });
-        }
-        let mut quarantined = Vec::with_capacity(quar);
-        for _ in 0..quar {
-            let shard = r.u32()?;
-            let id = r.u64()?;
-            quarantined.push(QuarantinedSegment { shard, id });
-        }
+                id: r.u64()?,
+            })
+        });
+        let segments = entries.by_ref().take(segs).collect::<Result<Vec<_>>>()?;
+        let quarantined = entries.collect::<Result<Vec<_>>>()?;
         r.finish()?;
         let config = IndexConfig {
             filter_len,
@@ -340,26 +294,16 @@ pub fn segment_path(dir: &Path, seg_id: u64) -> PathBuf {
 mod tests {
     use super::*;
 
-    fn entry(shard: u32, id: u64, pc_min: u32, pc_max: u32) -> SegmentEntry {
-        SegmentEntry {
-            shard,
-            id,
-            pc_min,
-            pc_max,
-        }
+    fn entry(shard: u32, id: u64) -> SegmentEntry {
+        SegmentEntry { shard, id }
     }
 
     fn sample() -> Manifest {
         let mut m = Manifest::new(IndexConfig::new(1000, 4));
         m.flush_epoch = 9;
         m.next_segment_id = 5;
-        m.segments = vec![
-            entry(0, 0, 10, 250),
-            entry(1, 1, 5, 40),
-            entry(0, 2, 100, 300),
-            entry(3, 4, 0, 1000),
-        ];
-        m.quarantined = vec![QuarantinedSegment { shard: 2, id: 3 }];
+        m.segments = vec![entry(0, 0), entry(1, 1), entry(0, 2), entry(3, 4)];
+        m.quarantined = vec![entry(2, 3)];
         m
     }
 
@@ -382,10 +326,7 @@ mod tests {
     #[test]
     fn quarantine_ledger_round_trips() {
         let mut m = sample();
-        m.quarantined = vec![
-            QuarantinedSegment { shard: 0, id: 11 },
-            QuarantinedSegment { shard: 3, id: 7 },
-        ];
+        m.quarantined = vec![entry(0, 11), entry(3, 7)];
         let decoded = Manifest::decode(&m.encode().unwrap()).unwrap();
         assert_eq!(decoded.quarantined, m.quarantined);
         assert_eq!(decoded.flush_epoch, m.flush_epoch);
@@ -412,17 +353,9 @@ mod tests {
     }
 
     #[test]
-    fn inverted_popcount_bounds_rejected() {
-        let mut m = sample();
-        m.segments[0] = entry(0, 0, 50, 10);
-        let err = Manifest::decode(&m.encode().unwrap()).unwrap_err();
-        assert!(matches!(err, PprlError::Storage(_)), "{err}");
-    }
-
-    #[test]
     fn older_versions_are_a_typed_error() {
         let image = sample().encode().unwrap();
-        for version in 1u16..5 {
+        for version in 1u16..6 {
             let mut old = image[..image.len() - 8].to_vec();
             old[4..6].copy_from_slice(&version.to_le_bytes());
             append_checksum(&mut old);
@@ -439,7 +372,11 @@ mod tests {
     #[test]
     fn out_of_range_shard_rejected() {
         let mut m = sample();
-        m.segments.push(entry(9, 7, 0, 1)); // only 4 shards configured
+        m.segments.push(entry(9, 7)); // only 4 shards configured
+        let err = Manifest::decode(&m.encode().unwrap()).unwrap_err();
+        assert!(matches!(err, PprlError::Storage(_)), "{err}");
+        let mut m = sample();
+        m.quarantined.push(entry(4, 8));
         let err = Manifest::decode(&m.encode().unwrap()).unwrap_err();
         assert!(matches!(err, PprlError::Storage(_)), "{err}");
     }

@@ -3,9 +3,9 @@
 //!
 //! The reader is a list of *slots*, each one popcount-sorted
 //! [`FilterArena`] (flat `Vec<u64>`, fixed stride, parallel id/popcount
-//! arrays). A slot is either memory-resident from construction or backed
-//! by a segment file that is materialised lazily, on first scan — so
-//! segments pruned for every query of a batch are never read at all. A
+//! arrays) seen as a range of tiles. A slot is either memory-resident
+//! from construction or backed by a segment file that is materialised
+//! lazily, on its first scan, so opening a store reads no rows. A
 //! materialised arena lives in a cell shared with the store, so the
 //! reader of the next generation inherits it instead of re-reading it.
 //!
@@ -13,18 +13,14 @@
 //! [`IndexReader::top_k_batch`], visiting slots in order, and a row
 //! costs float arithmetic only if it can place:
 //!
-//! 1. **Slot bounds, before any IO** — for query popcount `q` and a slot
-//!    whose popcounts span `[pc_min, pc_max]`, no record can beat
-//!    `2·min(q,x)/(q+x)` at `x = clamp(q, pc_min, pc_max)`. A slot whose
-//!    ceiling is below the query's threshold is never read.
-//! 2. **Tiles and `need`** — rows are walked in tiles of `TILE_ROWS`.
-//!    Per live query the threshold θ (its k-th score so far, floored by
+//! 1. **Tiles and `need`** — rows are walked in tiles of `TILE_ROWS`.
+//!    Per query the threshold θ (its k-th score so far, floored by
 //!    `min_score`) becomes `need = need_count(θ, q, x_lo)`, the smallest
 //!    intersection whose Dice reaches θ at the tile's lowest popcount. A
 //!    tile with `need > min(q, x_hi)` is skipped; otherwise the
 //!    dispatched `Kernel::scan_ge` AND-popcounts it and reports only
-//!    rows with `count >= need`.
-//! 3. **Survivors** get their exact f64 score and meet the heap.
+//!    rows with `count >= need`. This is the scan's only bound.
+//! 2. **Survivors** get their exact f64 score and meet the heap.
 //!
 //! Exactness: `need_count` is decided by the f64 expression of
 //! [`dice_from_counts`] and is monotone in the row popcount, and rows
@@ -42,7 +38,7 @@
 //! one local top-k per query (sound: a candidate below a thread's own
 //! k-th score cannot be in the global top k either) and helpers' heaps
 //! merge into the caller's at the end. In a batch every tile is loaded
-//! once and scanned by each live query while it sits in L1.
+//! once and scanned by each query while it sits in L1.
 
 use crate::arena::FilterArena;
 use crate::format::storage_err;
@@ -85,15 +81,11 @@ enum SlotSource {
 }
 
 /// One scannable unit: a (possibly not yet materialised) filter arena
-/// plus everything needed to prune it without reading it.
+/// and its row count.
 #[derive(Debug)]
 struct Slot {
     /// Row count (known up front, from the file size for lazy slots).
     rows: usize,
-    /// Smallest filter popcount in the slot.
-    pc_min: usize,
-    /// Largest filter popcount in the slot.
-    pc_max: usize,
     source: SlotSource,
     arena: ArenaCell,
 }
@@ -115,10 +107,6 @@ pub(crate) enum SlotSpec {
         bytes: u64,
         /// Record count derived from the file size.
         rows: usize,
-        /// Manifest popcount lower bound.
-        pc_min: usize,
-        /// Manifest popcount upper bound.
-        pc_max: usize,
         /// The store's cell for this segment id (possibly already
         /// filled by an earlier generation's reader).
         arena: ArenaCell,
@@ -127,8 +115,8 @@ pub(crate) enum SlotSpec {
 
 /// An immutable snapshot of an index, ready for queries. Memory-resident
 /// slots are scanned directly; file-backed slots (from
-/// [`crate::store::IndexStore::lazy_reader`]) are read only when some
-/// query's pruning bounds fail to exclude them.
+/// [`crate::store::IndexStore::lazy_reader`]) are read on their first
+/// scan.
 #[derive(Debug)]
 pub struct IndexReader {
     slots: Vec<Slot>,
@@ -186,8 +174,6 @@ impl IndexReader {
             let slot = match spec {
                 SlotSpec::Memory(arena) => Slot {
                     rows: arena.len(),
-                    pc_min: arena.pc_min().unwrap_or(0) as usize,
-                    pc_max: arena.pc_max().unwrap_or(0) as usize,
                     source: SlotSource::Memory,
                     arena: Arc::new(OnceLock::from(arena)),
                 },
@@ -197,13 +183,9 @@ impl IndexReader {
                     seg_id,
                     bytes,
                     rows,
-                    pc_min,
-                    pc_max,
                     arena,
                 } => Slot {
                     rows,
-                    pc_min,
-                    pc_max,
                     source: SlotSource::File {
                         path,
                         shard,
@@ -341,13 +323,11 @@ impl IndexReader {
     }
 
     /// Exact top-k for a whole batch of queries in one pass: every arena
-    /// tile is loaded once and scanned by all still-live queries. With
+    /// tile is loaded once and scanned by every query. With
     /// `min_score`, hits below it are dropped from the results —
     /// equivalently (and bit-for-bit identically), the top k among hits
-    /// scoring at least `min_score` — which lets slots whose upper bound
-    /// cannot reach `min_score` be skipped without ever materialising
-    /// them, and turns the threshold into an integer floor for the scan
-    /// kernel from the first tile on.
+    /// scoring at least `min_score` — which turns the threshold into an
+    /// integer floor for the scan kernel from the first tile on.
     pub fn top_k_batch(
         &self,
         queries: &[&BitVec],
@@ -389,18 +369,19 @@ impl IndexReader {
         } else {
             0
         };
-        // Each participant's per-query heaps, scan buffers and pairs scanned.
+        // Each participant's per-query heaps, its kernel's survivor
+        // buffer (so no tile allocates) and the pairs it scanned.
         let init = || {
             let tops: Vec<TopK> = (0..queries.len()).map(|_| TopK::new(k)).collect();
-            (tops, ScanScratch::new(ctxs.len()), 0)
+            (tops, Vec::with_capacity(TILE_ROWS), 0)
         };
         let ((mut merged, _, _), helpers) = runner::run(
             threads,
             tasks.len(),
             task_nanos,
             init,
-            |(tops, scratch, scanned), i| {
-                *scanned += self.scan_task(tasks[i], &ctxs, min_score, tops, scratch)?;
+            |(tops, survivors, scanned), i| {
+                *scanned += self.scan_task(tasks[i], &ctxs, min_score, tops, survivors)?;
                 Ok(())
             },
         )?;
@@ -424,32 +405,19 @@ impl IndexReader {
             .collect())
     }
 
-    /// Scans rows `[start, end)` of slot `si` for every query whose
-    /// bounds cannot exclude the slot, pushing into the caller's
-    /// per-query accumulators, and returns the `(query, row)` pairs it
-    /// handed the kernel. Pruned-for-all tasks return without
-    /// materialising the slot.
+    /// Scans rows `[start, end)` of slot `si` for every query, pushing
+    /// into the caller's per-query accumulators, and returns the
+    /// `(query, row)` pairs it handed the kernel. `survivors` holds the
+    /// `(row in tile, intersection)` pairs of one kernel call.
     fn scan_task(
         &self,
         (si, start, end): Task,
         ctxs: &[QueryCtx],
         min_score: Option<f64>,
         locals: &mut [TopK],
-        scratch: &mut ScanScratch,
+        survivors: &mut Vec<(u32, u32)>,
     ) -> Result<u64> {
-        let slot = &self.slots[si];
-        // Slot-level pruning, before the segment file is touched.
-        scratch.live.clear();
-        for (qi, ctx) in ctxs.iter().enumerate() {
-            let ub = dice_upper_bound(ctx.q, ctx.q.clamp(slot.pc_min, slot.pc_max));
-            if !locals[qi].theta(min_score).is_some_and(|theta| ub < theta) {
-                scratch.live.push(qi);
-            }
-        }
-        if scratch.live.is_empty() {
-            return Ok(0);
-        }
-        let arena = self.arena(slot)?;
+        let arena = self.arena(&self.slots[si])?;
         let stride = arena.stride();
         let popcounts = arena.popcounts();
         // One dispatch-table fetch per task; tiles go through a fn pointer.
@@ -459,20 +427,18 @@ impl IndexReader {
             let tile_end = end.min(tile + TILE_ROWS);
             let (x_lo, x_hi) = (popcounts[tile] as usize, popcounts[tile_end - 1] as usize);
             let rows = &arena.words()[tile * stride..tile_end * stride];
-            for &qi in &scratch.live {
-                let ctx = &ctxs[qi];
-                let top = &mut locals[qi];
+            for (ctx, top) in ctxs.iter().zip(locals.iter_mut()) {
                 let need = top
                     .theta(min_score)
                     .map_or(0, |theta| need_count(theta, ctx.q, x_lo));
                 if need > ctx.q.min(x_hi) {
                     continue;
                 }
-                scratch.survivors.clear();
-                kernel.scan_ge(ctx.words, rows, need, &mut scratch.survivors);
+                survivors.clear();
+                kernel.scan_ge(ctx.words, rows, need, survivors);
                 scanned += (tile_end - tile) as u64;
-                scored += scratch.survivors.len() as u64;
-                for &(r, count) in &scratch.survivors {
+                scored += survivors.len() as u64;
+                for &(r, count) in survivors.iter() {
                     let row = tile + r as usize;
                     top.push(Hit {
                         id: arena.id(row),
@@ -513,23 +479,6 @@ struct QueryCtx<'a> {
     q: usize,
 }
 
-/// Per-participant scan buffers, so no slot or tile allocates:
-/// the queries the current slot's bounds could not exclude, and the
-/// `(row in tile, intersection)` pairs one kernel call reported.
-struct ScanScratch {
-    live: Vec<usize>,
-    survivors: Vec<(u32, u32)>,
-}
-
-impl ScanScratch {
-    fn new(queries: usize) -> Self {
-        ScanScratch {
-            live: Vec::with_capacity(queries),
-            survivors: Vec::with_capacity(TILE_ROWS),
-        }
-    }
-}
-
 /// Rows per scan tile: the unit at which a query's threshold becomes an
 /// integer `need` and at which a batch shares loaded rows. 128 rows of a
 /// 1000-bit index are 16 KiB — resident in any L1 while every query of a
@@ -546,13 +495,6 @@ const TASK_ROWS: usize = 16 * TILE_ROWS;
 /// Estimated cost of one (row, probe) pair of a batched scan, for the
 /// runner's admission rule: ~2.0–2.5 ns measured on 1000-bit CLKs.
 const SCAN_PAIR_NANOS: u64 = 2;
-
-/// `2·min(q, x)/(q + x)`, the best Dice score any filter with popcount
-/// `x` can reach against a query with popcount `q`: a full overlap. Two
-/// empty filters have Dice 1.0 by convention, matching `dice_bits`.
-fn dice_upper_bound(q: usize, x: usize) -> f64 {
-    dice_from_counts(q.min(x), q, x)
-}
 
 /// Worst-at-top ordering so a max-`BinaryHeap` evicts the weakest hit:
 /// lower score is "greater"; on ties the larger id is "greater" (ids

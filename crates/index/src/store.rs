@@ -31,7 +31,7 @@
 //! the manifest's routing seed), so Hamming-similar filters tend to
 //! co-locate and the routing is stable across process restarts.
 
-use crate::arena::{ArenaBuilder, FilterArena};
+use crate::arena::ArenaBuilder;
 use crate::format::{io_err, storage_err};
 use crate::manifest::{segment_path, Manifest, SegmentEntry};
 use crate::query::{ArenaCell, IndexReader, SlotSpec};
@@ -50,7 +50,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-pub use crate::manifest::{IndexConfig, QuarantinedSegment, MANIFEST_FILE};
+pub use crate::manifest::{IndexConfig, MANIFEST_FILE};
 
 /// WAL file name inside an index directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -102,8 +102,8 @@ pub struct ReadStats {
     pub bytes_read: u64,
     /// Segments decoded.
     pub segments_read: usize,
-    /// File-backed segments not resident: not materialised by anyone
-    /// yet (every query so far pruned them, or none ran).
+    /// File-backed segments not resident yet: no reader of the store
+    /// has materialised them, because no query has scanned them.
     pub segments_skipped: usize,
     /// `(query, row)` pairs the scan kernel AND-popcounted (rows of
     /// tiles skipped by the threshold bound are not counted).
@@ -355,10 +355,7 @@ impl IndexStore {
                 Ok(_) => kept.push(entry),
                 Err(_) => {
                     quarantine_segment(&*vfs, dir, entry.id)?;
-                    manifest.quarantined.push(QuarantinedSegment {
-                        shard: entry.shard,
-                        id: entry.id,
-                    });
+                    manifest.quarantined.push(entry);
                     newly_quarantined = true;
                 }
             }
@@ -550,7 +547,10 @@ impl IndexStore {
                 shard as u32,
                 &arena,
             )?;
-            new_segments.push(entry_with_bounds_arena(shard as u32, seg_id, &arena));
+            new_segments.push(SegmentEntry {
+                shard: shard as u32,
+                id: seg_id,
+            });
         }
         self.vfs
             .sync_dir(&self.dir)
@@ -706,7 +706,7 @@ impl IndexStore {
         let new_id = self.manifest.next_segment_id;
         self.manifest.next_segment_id += 1;
         write_segment_arena_with(&*self.vfs, &segment_path(&self.dir, new_id), shard, &arena)?;
-        Ok((entry_with_bounds_arena(shard, new_id, &arena), arena.len()))
+        Ok((SegmentEntry { shard, id: new_id }, arena.len()))
     }
 
     /// [`IndexStore::lazy_reader`] with every segment materialised up
@@ -731,13 +731,11 @@ impl IndexStore {
     }
 
     /// A reader that defers segment loading to query time: every segment
-    /// becomes a lazily-materialised slot carrying its manifest popcount
-    /// bounds, so a segment every query of a batch can prune (by length,
-    /// or a full top-k) is never read at all. Pending records are
-    /// memory-resident from the start. Unlike
-    /// [`reader`], disk corruption in a pruned segment goes unnoticed
-    /// until some query actually needs it — call
-    /// [`IndexReader::materialise_all`] to force full verification.
+    /// becomes a lazily-materialised slot, read on its first scan.
+    /// Pending records are memory-resident from the start. Unlike
+    /// [`reader`], disk corruption in a segment goes unnoticed until the
+    /// first query reads it — call [`IndexReader::materialise_all`] to
+    /// force full verification.
     ///
     /// Segments an earlier lazy reader of this store already
     /// materialised are handed over resident (shared, not copied), so
@@ -768,8 +766,6 @@ impl IndexStore {
                 seg_id: entry.id,
                 bytes,
                 rows: record_count_for_size(bytes, flen),
-                pc_min: entry.pc_min as usize,
-                pc_max: entry.pc_max as usize,
                 arena,
             });
         }
@@ -827,7 +823,7 @@ impl IndexStore {
     }
 
     /// Segments quarantined at open, from the manifest's health ledger.
-    pub fn quarantined(&self) -> &[QuarantinedSegment] {
+    pub fn quarantined(&self) -> &[SegmentEntry] {
         &self.manifest.quarantined
     }
 
@@ -944,18 +940,6 @@ impl IndexStore {
 fn routing_positions(config: &IndexConfig) -> Result<Vec<usize>> {
     let lsh = HammingLsh::new(1, config.lsh_bits as usize, config.lsh_seed)?;
     Ok(lsh.sampled_positions(config.filter_len).swap_remove(0))
-}
-
-/// Builds a manifest entry for a freshly written arena-backed segment:
-/// the popcount bounds come straight off the sorted arena's ends.
-fn entry_with_bounds_arena(shard: u32, id: u64, arena: &FilterArena) -> SegmentEntry {
-    debug_assert!(!arena.is_empty(), "segments are never empty");
-    SegmentEntry {
-        shard,
-        id,
-        pc_min: arena.pc_min().unwrap_or(0),
-        pc_max: arena.pc_max().unwrap_or(0),
-    }
 }
 
 fn file_size_with(vfs: &dyn Vfs, path: &Path) -> Result<u64> {
@@ -1491,47 +1475,33 @@ mod tests {
     }
 
     #[test]
-    fn lazy_reader_defers_segment_reads_and_prunes_by_popcount() {
-        let dir = temp_dir("lazy-prune");
+    fn lazy_reader_defers_segment_reads_until_the_first_scan() {
+        let dir = temp_dir("lazy-defer");
         let mut store = IndexStore::create(&dir, IndexConfig::new(128, 1)).unwrap();
-        let sparse: Vec<(u64, BitVec)> = (0..5u64)
-            .map(|i| {
-                let ones: Vec<usize> = (0..8).map(|k| (k * 16 + i as usize) % 128).collect();
-                (i, BitVec::from_positions(128, &ones).unwrap())
-            })
-            .collect();
-        let dense: Vec<(u64, BitVec)> = (0..5u64)
-            .map(|i| {
-                let ones: Vec<usize> = (0..64).map(|k| (k * 2 + i as usize) % 128).collect();
-                (100 + i, BitVec::from_positions(128, &ones).unwrap())
-            })
-            .collect();
-        store.insert_batch(&sparse).unwrap();
-        store.flush().unwrap();
-        store.insert_batch(&dense).unwrap();
-        store.flush().unwrap();
+        let records = filters(10, 128);
+        for chunk in records.chunks(5) {
+            store.insert_batch(chunk).unwrap();
+            store.flush().unwrap();
+        }
 
         let lazy = store.lazy_reader().unwrap();
         let fresh = lazy.read_stats();
-        assert_eq!(fresh.segments_read, 0, "nothing read before any query");
+        assert_eq!(
+            fresh.segments_read, 0,
+            "nothing read before the first query"
+        );
         assert_eq!(fresh.bytes_read, 0);
         assert_eq!(fresh.segments_skipped, 2);
 
-        // A sparse probe at a high threshold: the dense segment's popcount
-        // upper bound (2·8/(8+64) ≈ 0.22) cannot reach 0.8, so its file is
-        // never opened.
-        let probe = &sparse[0].1;
-        let hits = lazy.top_k_batch(&[probe], 3, 1, Some(0.8)).unwrap();
-        assert_eq!(hits[0][0].id, 0);
+        // The first scan loads both segments; later scans read nothing.
+        let hits = lazy.top_k(&records[3].1, 1, 1).unwrap();
+        assert_eq!(hits[0].id, records[3].0);
         let stats = lazy.read_stats();
-        assert_eq!(stats.segments_read, 1);
-        assert_eq!(stats.segments_skipped, 1);
+        assert_eq!(stats.segments_read, 2);
+        assert_eq!(stats.segments_skipped, 0);
         assert!(stats.bytes_read > 0);
-
-        // Forcing materialisation reads the rest.
-        lazy.materialise_all().unwrap();
-        assert_eq!(lazy.read_stats().segments_read, 2);
-        assert_eq!(lazy.read_stats().segments_skipped, 0);
+        lazy.top_k(&records[7].1, 1, 1).unwrap();
+        assert_eq!(lazy.read_stats().bytes_read, stats.bytes_read);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

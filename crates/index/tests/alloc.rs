@@ -100,7 +100,7 @@ fn warm_top_k_allocator_calls_do_not_grow_with_slots_or_rows() {
     // Helper admission costs no allocation on a call that stays below
     // its threshold, whatever the thread cap.
     for (i, &count) in counts.iter().enumerate() {
-        assert_eq!(count, 7, "reader {} threads {}", i / 2, [1, 4][i % 2]);
+        assert_eq!(count, 6, "reader {} threads {}", i / 2, [1, 4][i % 2]);
     }
 }
 

@@ -16,6 +16,10 @@ use std::time::{Duration, Instant};
 /// Ceiling on one `Busy` backoff sleep, in milliseconds.
 const MAX_BACKOFF_MS: u64 = 2000;
 
+/// Call deadline of a client that was not given one (see
+/// [`Client::set_deadline`]).
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(60);
+
 /// Ceiling on one blocking socket read or write. A call deadline
 /// shorter than this lowers it further (see [`Client::set_deadline`]).
 const MAX_IO_WAIT: Duration = Duration::from_secs(30);
@@ -44,6 +48,38 @@ fn jitter_seed(addr: &str) -> u64 {
     h ^ nanos
 }
 
+/// Sleeps out the backoff after the `attempt`-th `Busy` (from 1) with
+/// hint `retry_after_ms`: `base = retry_after·2^min(attempt−1, 6)`,
+/// capped at [`MAX_BACKOFF_MS`], slept for a random `[base/2, base]` so
+/// a burst of rejected clients does not retry in phase. A sleep that
+/// would reach `deadline` (the end of a `budget` started earlier) is a
+/// busy `Timeout` instead.
+fn back_off(
+    rng: &mut SplitMix64,
+    retry_after_ms: u32,
+    attempt: u32,
+    deadline: Instant,
+    budget: Duration,
+) -> Result<()> {
+    let base = u64::from(retry_after_ms.max(1))
+        .saturating_mul(1 << (attempt - 1).min(6))
+        .min(MAX_BACKOFF_MS);
+    let wait = Duration::from_millis(base / 2 + rng.next_below(base / 2 + 1));
+    if Instant::now() + wait >= deadline {
+        return Err(PprlError::Timeout(format!(
+            "server still busy after {attempt} attempts within the {} ms deadline",
+            budget.as_millis()
+        )));
+    }
+    std::thread::sleep(wait);
+    Ok(())
+}
+
+/// Opens a TCP connection to `addr`.
+fn open_stream(addr: &str) -> Result<TcpStream> {
+    TcpStream::connect(addr).map_err(|e| PprlError::Transport(format!("connecting to {addr}: {e}")))
+}
+
 /// A connected client. One request is in flight at a time; the
 /// connection persists across requests.
 ///
@@ -68,62 +104,68 @@ pub struct Client {
 
 impl Client {
     /// Connects to `addr` (e.g. `"127.0.0.1:7878"`) and authenticates
-    /// with `auth`. The handshake absorbs pre-handshake `Busy`
-    /// rejections with bounded backoff, like requests do.
+    /// with `auth`, under the default 60 s call deadline (see
+    /// [`Client::connect_within`]).
     pub fn connect_with(addr: &str, auth: ClientAuth) -> Result<Client> {
+        Self::connect_within(addr, auth, DEFAULT_DEADLINE)
+    }
+
+    /// [`Client::connect_with`] under the call deadline `deadline` (see
+    /// [`Client::set_deadline`]), which also bounds the handshake: it
+    /// absorbs pre-handshake `Busy` rejections with bounded backoff,
+    /// like requests do, until `deadline` is spent, and its socket
+    /// reads and writes time out as a call's do.
+    pub fn connect_within(addr: &str, auth: ClientAuth, deadline: Duration) -> Result<Client> {
+        Self::start(open_stream(addr)?, addr, auth, deadline)
+    }
+
+    /// Completes the handshake on a freshly connected `stream` and
+    /// wraps it in a client with call deadline `deadline`.
+    fn start(
+        stream: TcpStream,
+        addr: &str,
+        auth: ClientAuth,
+        deadline: Duration,
+    ) -> Result<Client> {
+        let deadline = deadline.max(Duration::from_millis(1));
         let mut rng = SplitMix64::new(jitter_seed(addr));
-        let call_deadline = Duration::from_secs(60);
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let (stream, channel) = Self::establish(addr, &auth, &mut rng, deadline, call_deadline)?;
+        let until = Instant::now() + deadline;
+        let (stream, channel) = Self::establish(stream, addr, &auth, &mut rng, until, deadline)?;
         Ok(Client {
             stream,
             channel,
             auth,
             addr: addr.to_string(),
-            deadline: call_deadline,
+            deadline,
             rng,
             rejected: None,
         })
     }
 
-    fn open_stream(addr: &str, call_deadline: Duration) -> Result<TcpStream> {
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| PprlError::Transport(format!("connecting to {addr}: {e}")))?;
-        stream
-            .set_nodelay(true)
-            .and_then(|()| set_io_timeouts(&stream, call_deadline))
-            .map_err(|e| PprlError::Transport(format!("configuring socket: {e}")))?;
-        Ok(stream)
-    }
-
-    /// Opens a socket and completes the handshake, backing off through
-    /// pre-handshake `Busy` rejections until `deadline`. The socket's
-    /// I/O timeouts follow `call_deadline`.
+    /// Completes the handshake on `stream`, reconnecting to `addr`
+    /// through pre-handshake `Busy` rejections with backoff until
+    /// `until`. Every socket's I/O timeouts follow `io_wait`, the call
+    /// deadline.
     fn establish(
+        mut stream: TcpStream,
         addr: &str,
         auth: &ClientAuth,
         rng: &mut SplitMix64,
-        deadline: Instant,
-        call_deadline: Duration,
+        until: Instant,
+        io_wait: Duration,
     ) -> Result<(TcpStream, SecureChannel)> {
         let mut attempt: u32 = 0;
         loop {
-            let mut stream = Self::open_stream(addr, call_deadline)?;
-            let mut hs_rng = entropy_rng();
-            match client_handshake(&mut stream, auth, &mut hs_rng)? {
+            stream
+                .set_nodelay(true)
+                .and_then(|()| set_io_timeouts(&stream, io_wait))
+                .map_err(|e| PprlError::Transport(format!("configuring socket: {e}")))?;
+            match client_handshake(&mut stream, auth, &mut entropy_rng())? {
                 HandshakeOutcome::Established(channel) => return Ok((stream, *channel)),
                 HandshakeOutcome::Busy { retry_after_ms } => {
                     attempt += 1;
-                    let base = u64::from(retry_after_ms.max(1))
-                        .saturating_mul(1 << (attempt - 1).min(6))
-                        .min(MAX_BACKOFF_MS);
-                    let wait = Duration::from_millis(base / 2 + rng.next_below(base / 2 + 1));
-                    if Instant::now() + wait >= deadline {
-                        return Err(PprlError::Timeout(format!(
-                            "server still busy after {attempt} handshake attempts"
-                        )));
-                    }
-                    std::thread::sleep(wait);
+                    back_off(rng, retry_after_ms, attempt, until, io_wait)?;
+                    stream = open_stream(addr)?;
                 }
             }
         }
@@ -144,13 +186,14 @@ impl Client {
         let _ = set_io_timeouts(&self.stream, self.deadline);
     }
 
-    /// [`Client::connect_with`], retrying up to `attempts` times with
-    /// `delay` between tries — for racing a server that is still binding
-    /// its port. Missing credentials are a typed `Auth` error before any
-    /// socket is opened. Auth rejections (wrong key, unknown identity,
-    /// tenant mismatch) are returned immediately — retrying the same
-    /// credentials cannot succeed, and hammering the handshake would
-    /// only mask the real error behind a timeout.
+    /// [`Client::connect_with`], retrying the TCP connect up to
+    /// `attempts` times with `delay` between tries — for racing a
+    /// server that is still binding its port. Missing credentials are a
+    /// typed `Auth` error before any socket is opened. Only a connect
+    /// that fails (refused, unreachable) is retried: once a peer has
+    /// accepted, whatever the handshake returns — an auth rejection, a
+    /// close, a stall past the deadline — is returned at once, since
+    /// a retry would meet the same peer.
     pub fn connect_retry_with(
         addr: &str,
         auth: Option<ClientAuth>,
@@ -162,16 +205,18 @@ impl Client {
                 "connecting to {addr} needs credentials: every session is authenticated"
             ))
         })?;
-        let mut last = PprlError::Transport(format!("no attempt made connecting to {addr}"));
-        for _ in 0..attempts.max(1) {
-            match Client::connect_with(addr, auth.clone()) {
-                Ok(c) => return Ok(c),
-                Err(e @ (PprlError::Auth(_) | PprlError::CrossTenant { .. })) => return Err(e),
-                Err(e) => last = e,
+        let mut tries = 1;
+        let stream = loop {
+            match open_stream(addr) {
+                Ok(stream) => break stream,
+                Err(e) if tries >= attempts => return Err(e),
+                Err(_) => {
+                    tries += 1;
+                    std::thread::sleep(delay);
+                }
             }
-            std::thread::sleep(delay);
-        }
-        Err(last)
+        };
+        Self::start(stream, addr, auth, DEFAULT_DEADLINE)
     }
 
     /// Sends one request and reads one response, absorbing `Busy`
@@ -197,23 +242,17 @@ impl Client {
         loop {
             if let Some(retry_after_ms) = self.rejected.take() {
                 attempt += 1;
-                let base = u64::from(retry_after_ms.max(1))
-                    .saturating_mul(1 << (attempt - 1).min(6))
-                    .min(MAX_BACKOFF_MS);
-                // Sleep in [base/2, base]: the random half keeps a
-                // burst of rejected clients from retrying in phase.
-                let wait = Duration::from_millis(base / 2 + self.rng.next_below(base / 2 + 1));
-                if Instant::now() + wait >= deadline {
-                    return Err(PprlError::Timeout(format!(
-                        "server still busy after {attempt} attempts within the \
-                         {} ms deadline",
-                        self.deadline.as_millis()
-                    )));
-                }
-                std::thread::sleep(wait);
+                back_off(
+                    &mut self.rng,
+                    retry_after_ms,
+                    attempt,
+                    deadline,
+                    self.deadline,
+                )?;
                 // The server closed the rejected connection; the
                 // client re-handshakes on a new one.
                 let (stream, channel) = Self::establish(
+                    open_stream(&self.addr)?,
                     &self.addr,
                     &self.auth,
                     &mut self.rng,

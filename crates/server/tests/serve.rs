@@ -464,13 +464,29 @@ fn full_queue_rejects_with_busy_retry_after() {
         other => panic!("expected a frame, got {other:?}"),
     }
 
-    // A client connecting now is shed before its handshake too; it
-    // absorbs the Busy with backoff and reconnects until it gets in.
+    // A client connecting now is shed before its handshake too. With the
+    // server still saturated and a short deadline, the rejection
+    // surfaces as a busy Timeout once that deadline is spent.
+    let started = std::time::Instant::now();
+    match Client::connect_within(&addr, fixture::auth(true), Duration::from_millis(300)) {
+        Err(PprlError::Timeout(msg)) => assert!(msg.contains("busy"), "{msg}"),
+        other => panic!("expected busy Timeout, got {other:?}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "{:?}",
+        started.elapsed()
+    );
+
+    // One with the default deadline absorbs the Busy with backoff and
+    // reconnects until it gets in.
+    let shed = held.stats().unwrap().busy_rejected;
+    assert!(shed >= 2, "{shed}");
     let connecting = {
         let addr = addr.clone();
         std::thread::spawn(move || fixture::connect(&addr))
     };
-    while held.stats().unwrap().busy_rejected < 2 {
+    while held.stats().unwrap().busy_rejected == shed {
         std::thread::sleep(Duration::from_millis(10));
     }
 
@@ -479,7 +495,7 @@ fn full_queue_rejects_with_busy_retry_after() {
     drop(queued);
     let mut ok = connecting.join().unwrap();
     let stats = ok.stats().unwrap();
-    assert!(stats.busy_rejected >= 2);
+    assert!(stats.busy_rejected > shed);
     ok.shutdown().unwrap();
     handle.join();
     std::fs::remove_dir_all(&dir).ok();

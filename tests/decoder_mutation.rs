@@ -13,8 +13,9 @@
 //!
 //! The goldens carry the `word_fold` checksum trailer. Bytes written
 //! under the FNV-1a trailer before it (segment v1, WAL v2, manifest v4
-//! and frames) are kept as `OLD_*` goldens: each index file must fail
-//! as a typed `Storage` error naming its version, and each frame as a
+//! and frames), and the version-5 manifest with per-segment popcount
+//! ranges, are kept as `OLD_*` goldens: each index file must fail as a
+//! typed `Storage` error naming its version, and each frame as a
 //! `Transport` error, never decode.
 //!
 //! Formats whose corruption is *not* always an error are tested where
@@ -26,7 +27,7 @@
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
 use pprl_index::arena::FilterArena;
-use pprl_index::manifest::{IndexConfig, Manifest, QuarantinedSegment, SegmentEntry};
+use pprl_index::manifest::{IndexConfig, Manifest, SegmentEntry, MANIFEST_FILE};
 use pprl_index::query::Hit;
 use pprl_index::segment::{
     decode_segment_arena, encode_segment, encode_segment_from_arena, verify_segment,
@@ -158,20 +159,10 @@ fn manifest() -> Manifest {
         flush_epoch: 3,
         next_segment_id: 9,
         segments: vec![
-            SegmentEntry {
-                shard: 0,
-                id: 4,
-                pc_min: 3,
-                pc_max: 41,
-            },
-            SegmentEntry {
-                shard: 1,
-                id: 8,
-                pc_min: 0,
-                pc_max: 80,
-            },
+            SegmentEntry { shard: 0, id: 4 },
+            SegmentEntry { shard: 1, id: 8 },
         ],
-        quarantined: vec![QuarantinedSegment { shard: 1, id: 6 }],
+        quarantined: vec![SegmentEntry { shard: 1, id: 6 }],
     }
 }
 
@@ -334,7 +325,7 @@ fn cases() -> Vec<Case> {
             kind: is_storage,
         },
         Case {
-            name: "manifest v5",
+            name: "manifest v6",
             golden: GOLDEN_MANIFEST,
             encoded: vec![manifest().encode().expect("encode manifest")],
             decoders: vec![("Manifest::decode", decode_manifest)],
@@ -413,24 +404,31 @@ fn every_truncation_is_a_typed_error() {
     }
 }
 
-/// Index files written under the FNV-1a trailer fail as typed `Storage`
-/// errors naming their version, not as checksum mismatches, and frames
-/// from a peer of that epoch fail as `Transport` errors.
+/// Index files written under the FNV-1a trailer, and version-5
+/// manifests, fail as typed `Storage` errors naming their version, not
+/// as checksum mismatches, and frames from a peer of the FNV-1a epoch
+/// fail as `Transport` errors.
 #[test]
 fn files_and_frames_of_the_fnv_epoch_fail_typed() {
     let storage = |result: Result<()>, what: &str, version: &str| match result {
         Err(PprlError::Storage(msg)) => assert!(msg.contains(version), "{what}: {msg}"),
         other => panic!("{what}: expected a typed storage error, got {other:?}"),
     };
-    for (what, golden) in [
-        ("manifest v4", OLD_MANIFEST),
+    for (what, golden, version) in [
+        ("manifest v4", OLD_MANIFEST, 4),
         (
             "manifest v4 with a summary entry",
             OLD_MANIFEST_WITH_SUMMARY,
+            4,
         ),
+        ("manifest v5", OLD_MANIFEST_V5, 5),
     ] {
         let result = Manifest::decode(&from_hex(golden)).map(drop);
-        storage(result, what, "unsupported manifest version 4");
+        storage(
+            result,
+            what,
+            &format!("unsupported manifest version {version}"),
+        );
     }
     let old_segment = from_hex(OLD_SEGMENT);
     storage(
@@ -449,6 +447,18 @@ fn files_and_frames_of_the_fnv_epoch_fail_typed() {
         .expect("write old wal");
     let result = IndexStore::open_with(dir, io()).map(drop);
     storage(result, "wal v2", "unsupported wal version 2");
+
+    // A store whose manifest an older build wrote does not open.
+    let dir = Path::new("/manifest-v5");
+    drop(IndexStore::create_with(dir, IndexConfig::new(80, 2), io()).expect("create"));
+    vfs.write(&dir.join(MANIFEST_FILE), &from_hex(OLD_MANIFEST_V5))
+        .expect("write v5 manifest");
+    let result = IndexStore::open_with(dir, io()).map(drop);
+    storage(
+        result,
+        "store with a v5 manifest",
+        "unsupported manifest version 5",
+    );
 
     for (what, golden, decode) in [
         (
@@ -530,16 +540,24 @@ const GOLDEN_SEGMENT: &str = concat!(
     "00000700000000000000600000000000040041000f7b54eaa56605c2",
 );
 const GOLDEN_MANIFEST: &str = concat!(
-    "504d463105005000000002000000ed5e00000000000010000000030000000000",
-    "0000090000000000000002000000010000000000000004000000000000000300",
-    "0000290000000100000008000000000000000000000050000000010000000600",
-    "0000000000009377fad885d125fa",
+    "504d463106005000000002000000ed5e00000000000010000000030000000000",
+    "0000090000000000000002000000010000000000000004000000000000000100",
+    "000008000000000000000100000006000000000000007d160e0d233d4da8",
 );
 const GOLDEN_WAL: &str = concat!(
     "50574c3103005000000000000000000000007ef6682159434877120000000100",
     "00000000000001020000020000000000abd3647d2efa37d01200000004000000",
     "0000000004000200000100000080b89367b82308173412000000070000000000",
     "000060000000000004004100ba844aa1e8874949",
+);
+
+/// The same manifest at version 5, whose entries carried each segment's
+/// popcount range (`pc_min` 3 / 41 and 0 / 80).
+const OLD_MANIFEST_V5: &str = concat!(
+    "504d463105005000000002000000ed5e00000000000010000000030000000000",
+    "0000090000000000000002000000010000000000000004000000000000000300",
+    "0000290000000100000008000000000000000000000050000000010000000600",
+    "0000000000009377fad885d125fa",
 );
 
 /// Bytes of the FNV-1a trailer epoch (segment v1, WAL v2, manifest v4),
