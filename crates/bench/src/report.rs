@@ -295,7 +295,7 @@ pub fn record_bench(name: &str, median_secs: f64) {
 
 /// Writes accumulated micro-benchmark medians to
 /// `<dir>/bench_<binary>.json`.
-pub fn save_bench_to(dir: &std::path::Path) -> Option<PathBuf> {
+fn save_bench_to(dir: &std::path::Path) -> Option<PathBuf> {
     let benches = std::mem::take(&mut *BENCHES.lock().expect("bench lock"));
     if benches.is_empty() {
         return None;

@@ -1782,7 +1782,7 @@ mod tests {
 
         // The wire insert was durable: 50 built + 50 inserted.
         let store = IndexStore::open(std::path::Path::new(&dir)).unwrap();
-        assert_eq!(store.record_count().unwrap(), 100);
+        assert_eq!(store.record_count(), 100);
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&auth_dir).unwrap();
     }
@@ -2068,7 +2068,7 @@ mod tests {
         // The copy is a fully working index: stats and queries run.
         index_cmd(Args::parse(&raw(&format!("stats --dir {copy}")), &[]).unwrap()).unwrap();
         let replica = IndexStore::open(std::path::Path::new(&copy)).unwrap();
-        assert_eq!(replica.record_count().unwrap(), 40);
+        assert_eq!(replica.record_count(), 40);
         drop(replica);
         // Re-exporting onto an existing index is a clean error.
         let e = index_cmd(

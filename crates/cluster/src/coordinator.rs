@@ -38,9 +38,7 @@ use pprl_core::hash::fnv1a;
 use pprl_index::query::Hit;
 use pprl_server::client::Client;
 use pprl_server::metrics::{LatencyHistogram, Metrics};
-use pprl_server::wire::{
-    encode_insert, encode_link, encode_query, Request, Response, StatsReport, WIRE_VERSION,
-};
+use pprl_server::wire::{encode_insert, encode_link, encode_query, Request, Response, StatsReport};
 use pprl_session::handshake::ClientAuth;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -203,25 +201,24 @@ impl Coordinator {
 
     /// [`Coordinator::new`] plus an eager health probe: connects to
     /// every shard (retrying briefly, for shards still binding their
-    /// port) and exchanges one real request — a Stats round-trip — so a
-    /// version-skewed shard, or some non-pprl service that happens to
-    /// accept on the configured port, fails fast at startup instead of
-    /// on first use. Fails unless at least the read quorum answered
-    /// the probe.
+    /// port) and exchanges one real request — a Stats round-trip — each
+    /// under [`ClusterConfig::deadline`], so a version-skewed shard, or
+    /// some non-pprl service that happens to accept on the configured
+    /// port, fails fast at startup instead of on first use, and a peer
+    /// that accepts and never answers holds startup one deadline. Fails
+    /// unless at least the read quorum answered the probe.
     pub fn connect(config: ClusterConfig) -> Result<Coordinator> {
         let coordinator = Self::new(config)?;
         let mut up = 0usize;
         for slot in &coordinator.shards {
-            let probed = Client::connect_retry_with(
+            let probed = Client::connect_retry_within(
                 &slot.addr,
                 Some(coordinator.shard_auth.clone()),
                 20,
                 Duration::from_millis(50),
+                coordinator.config.deadline,
             )
-            .and_then(|mut client| {
-                client.set_deadline(coordinator.config.deadline);
-                client.stats().map(|_| client)
-            });
+            .and_then(|mut client| client.stats().map(|_| client));
             match probed {
                 Ok(client) => {
                     slot.idle.lock().expect("idle lock").push(client);
@@ -638,13 +635,6 @@ impl Coordinator {
             _ => None,
         });
         results.into_iter().filter(Result::is_ok).count()
-    }
-
-    /// The wire version this coordinator speaks to its shards — shards
-    /// built at a different version answer every call with a typed
-    /// [`PprlError::UnsupportedVersion`] instead of garbage.
-    pub fn wire_version(&self) -> u8 {
-        WIRE_VERSION
     }
 }
 

@@ -749,6 +749,59 @@ fn connect_probe_rejects_a_non_pprl_listener() {
     cluster.stop();
 }
 
+/// A shard address that accepts and then never says a word holds
+/// cluster startup for one `ClusterConfig::deadline`, not the client's
+/// 60 s default: its probe handshake times out under the deadline, it
+/// is dialled once, and it starts out marked down beside three real
+/// shards.
+#[test]
+fn silent_listener_holds_startup_one_deadline() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let records = union_corpus();
+    let cluster = TestCluster::start("silent-probe", &records);
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let silent_addr = listener.local_addr().unwrap().to_string();
+    listener.set_nonblocking(true).unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let accepts = Arc::new(AtomicUsize::new(0));
+    let (silent_stop, silent_accepts) = (Arc::clone(&stop), Arc::clone(&accepts));
+    let silent = std::thread::spawn(move || {
+        let mut held = Vec::new();
+        while !silent_stop.load(Ordering::SeqCst) {
+            match listener.accept() {
+                Ok((conn, _)) => {
+                    silent_accepts.fetch_add(1, Ordering::SeqCst);
+                    held.push(conn); // accept, then never answer
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+    });
+
+    let mut addrs = cluster.addrs();
+    addrs.push(silent_addr);
+    let deadline = Duration::from_secs(1);
+    let started = std::time::Instant::now();
+    let coordinator = Coordinator::connect(ClusterConfig {
+        shards: addrs,
+        min_shards: 3,
+        deadline,
+        shard_auth: Some(fixture::auth(true)),
+    })
+    .unwrap();
+    let took = started.elapsed();
+    assert!(took < 3 * deadline, "startup took {took:?}");
+    assert_eq!(coordinator.missing_shards(), vec![3]);
+    assert_eq!(accepts.load(Ordering::SeqCst), 1, "one accept per probe");
+
+    stop.store(true, Ordering::SeqCst);
+    silent.join().unwrap();
+    cluster.stop();
+}
+
 /// Shard nodes close sessions idle past their `idle_timeout`, so a
 /// coordinator that sat quiet holds a pool of dead sockets. The first
 /// call on such a socket must fall through to a fresh dial instead of

@@ -33,12 +33,13 @@
 //! arenas are walked in tiles, and a tile's lowest popcount turns the
 //! running k-th score into the smallest intersection a row must reach,
 //! so the kernel reports only rows that can place. The bound is
-//! lossless: results are bit-exact against a brute-force scan. With
-//! [`store::IndexStore::lazy_reader`] a segment is read from disk on its
-//! first scan, not at open. A scan runs on its
-//! caller; a large one also lends idle cores to scoped helpers admitted
-//! by the process-wide foreground gauge of [`pprl_core::runner`], which
-//! yield to writers.
+//! lossless: results are bit-exact against a brute-force scan. Every
+//! segment is resident from the moment the store has it — decoded at
+//! open, kept from the flush or merge that wrote it — and readers share
+//! those arenas, so no query reads a file. A scan runs on its caller; a
+//! large one also lends idle cores to scoped helpers admitted by the
+//! process-wide foreground gauge of [`pprl_core::runner`], which yield
+//! to writers.
 //!
 //! ```
 //! use pprl_core::bitvec::BitVec;

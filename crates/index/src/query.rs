@@ -3,11 +3,11 @@
 //!
 //! The reader is a list of *slots*, each one popcount-sorted
 //! [`FilterArena`] (flat `Vec<u64>`, fixed stride, parallel id/popcount
-//! arrays) seen as a range of tiles. A slot is either memory-resident
-//! from construction or backed by a segment file that is materialised
-//! lazily, on its first scan, so opening a store reads no rows. A
-//! materialised arena lives in a cell shared with the store, so the
-//! reader of the next generation inherits it instead of re-reading it.
+//! arrays) seen as a range of tiles. Every slot is resident when the
+//! reader is built: a segment's arena is shared (`Arc`) with the store
+//! that decoded it at open or wrote it in a flush or merge, and with
+//! every other reader whose generation names it, so a reader never
+//! touches a file.
 //!
 //! One scan loop serves [`IndexReader::top_k`] and
 //! [`IndexReader::top_k_batch`], visiting slots in order, and a row
@@ -41,21 +41,13 @@
 //! once and scanned by each query while it sits in L1.
 
 use crate::arena::FilterArena;
-use crate::format::storage_err;
-use crate::segment::read_segment_arena_with;
 use crate::store::ReadStats;
-use crate::vfs::{std_vfs, Vfs};
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
 use pprl_core::runner;
 use pprl_similarity::kernel::{active_kernel, dice_from_counts, need_count};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// A segment's rows once materialised, shared between the store and every
-/// reader whose manifest names the segment: one load serves all of them.
-pub(crate) type ArenaCell = Arc<OnceLock<FilterArena>>;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One query result: a stored record id and its Dice similarity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,158 +58,60 @@ pub struct Hit {
     pub score: f64,
 }
 
-/// Where a slot's rows come from.
-#[derive(Debug)]
-enum SlotSource {
-    /// Arena resident since construction.
-    Memory,
-    /// Backed by a segment file, materialised on first scan.
-    File {
-        path: PathBuf,
-        shard: u32,
-        seg_id: u64,
-        bytes: u64,
-    },
-}
-
-/// One scannable unit: a (possibly not yet materialised) filter arena
-/// and its row count.
-#[derive(Debug)]
-struct Slot {
-    /// Row count (known up front, from the file size for lazy slots).
-    rows: usize,
-    source: SlotSource,
-    arena: ArenaCell,
-}
-
-/// Constructor input for [`IndexReader::from_specs`].
-#[derive(Debug)]
-pub(crate) enum SlotSpec {
-    /// An in-memory arena (pending records, or an eager build).
-    Memory(FilterArena),
-    /// A segment file to materialise on demand.
-    File {
-        /// Segment file path.
-        path: PathBuf,
-        /// Shard the segment must declare.
-        shard: u32,
-        /// Segment id (for error messages).
-        seg_id: u64,
-        /// File size in bytes (for read accounting).
-        bytes: u64,
-        /// Record count derived from the file size.
-        rows: usize,
-        /// The store's cell for this segment id (possibly already
-        /// filled by an earlier generation's reader).
-        arena: ArenaCell,
-    },
-}
-
-/// An immutable snapshot of an index, ready for queries. Memory-resident
-/// slots are scanned directly; file-backed slots (from
-/// [`crate::store::IndexStore::lazy_reader`]) are read on their first
-/// scan.
+/// An immutable snapshot of an index, ready for queries: one resident
+/// arena per slot.
 #[derive(Debug)]
 pub struct IndexReader {
-    slots: Vec<Slot>,
+    slots: Vec<Arc<FilterArena>>,
     filter_len: usize,
     num_shards: usize,
     len: usize,
-    /// Cumulative bytes this reader read materialising file slots.
-    bytes_read: AtomicU64,
-    /// File slots this reader materialised so far.
-    segments_loaded: AtomicUsize,
+    /// Segment bytes the store read at open (0 for a memory reader).
+    bytes_read: u64,
     /// (query, row) pairs handed to the scan kernel.
     rows_scanned: AtomicU64,
     /// Of those, the survivors that were scored and met the heap.
     rows_scored: AtomicU64,
     /// Of `rows_scanned`, the pairs scan helpers took.
     helper_rows: AtomicU64,
-    /// Serialises lazy materialisation so this reader reads each file at
-    /// most once.
-    load_lock: Mutex<()>,
-    /// IO layer file-backed slots are materialised through.
-    vfs: Arc<dyn Vfs>,
     /// Segments the store quarantined at open; > 0 means this reader
     /// serves a degraded view of the index.
     quarantined_segments: usize,
 }
 
 impl IndexReader {
-    /// Builds an eager, memory-resident reader from per-shard record
-    /// lists. Every filter must have length `filter_len`.
+    /// Builds a memory reader from per-shard record lists. Every filter
+    /// must have length `filter_len`.
     pub fn new(shard_records: Vec<Vec<(u64, BitVec)>>, filter_len: usize) -> Result<IndexReader> {
         let num_shards = shard_records.len();
-        let specs = shard_records
+        let slots = shard_records
             .into_iter()
-            .map(|records| {
-                Ok(SlotSpec::Memory(FilterArena::from_records(
-                    records, filter_len,
-                )?))
-            })
+            .map(|records| Ok(Arc::new(FilterArena::from_records(records, filter_len)?)))
             .collect::<Result<Vec<_>>>()?;
-        Self::from_specs(specs, filter_len, num_shards, std_vfs())
+        Ok(Self::from_arenas(slots, filter_len, num_shards, 0, 0))
     }
 
-    /// Builds a reader from slot specs (crate-internal; the public
-    /// constructors are [`IndexReader::new`] and the store's reader
-    /// methods).
-    pub(crate) fn from_specs(
-        specs: Vec<SlotSpec>,
+    /// A reader over `slots` (crate-internal; the public constructors
+    /// are [`IndexReader::new`] and [`crate::store::IndexStore::reader`]),
+    /// reporting `bytes_read` and `quarantined_segments` from the store.
+    pub(crate) fn from_arenas(
+        slots: Vec<Arc<FilterArena>>,
         filter_len: usize,
         num_shards: usize,
-        vfs: Arc<dyn Vfs>,
-    ) -> Result<IndexReader> {
-        let mut slots = Vec::with_capacity(specs.len());
-        let mut len = 0usize;
-        for spec in specs {
-            let slot = match spec {
-                SlotSpec::Memory(arena) => Slot {
-                    rows: arena.len(),
-                    source: SlotSource::Memory,
-                    arena: Arc::new(OnceLock::from(arena)),
-                },
-                SlotSpec::File {
-                    path,
-                    shard,
-                    seg_id,
-                    bytes,
-                    rows,
-                    arena,
-                } => Slot {
-                    rows,
-                    source: SlotSource::File {
-                        path,
-                        shard,
-                        seg_id,
-                        bytes,
-                    },
-                    arena,
-                },
-            };
-            len += slot.rows;
-            slots.push(slot);
-        }
-        Ok(IndexReader {
+        bytes_read: u64,
+        quarantined_segments: usize,
+    ) -> IndexReader {
+        IndexReader {
+            len: slots.iter().map(|a| a.len()).sum(),
             slots,
             filter_len,
             num_shards,
-            len,
-            bytes_read: AtomicU64::new(0),
-            segments_loaded: AtomicUsize::new(0),
+            bytes_read,
             rows_scanned: AtomicU64::new(0),
             rows_scored: AtomicU64::new(0),
             helper_rows: AtomicU64::new(0),
-            load_lock: Mutex::new(()),
-            vfs,
-            quarantined_segments: 0,
-        })
-    }
-
-    /// Records how many segments the store quarantined at open, so the
-    /// degraded flag propagates through every stats surface.
-    pub(crate) fn set_quarantined(&mut self, n: usize) {
-        self.quarantined_segments = n;
+            quarantined_segments,
+        }
     }
 
     /// Segments quarantined by the store this reader was built from.
@@ -251,65 +145,17 @@ impl IndexReader {
         self.filter_len
     }
 
-    /// What this reader has read, avoided reading, and scanned so far
-    /// (see [`ReadStats`] for what counts as which). Counters are
-    /// cumulative over the reader's lifetime.
+    /// What the store read to build this reader and what it has scanned
+    /// so far (see [`ReadStats`]). Scan counters are cumulative over the
+    /// reader's lifetime.
     pub fn read_stats(&self) -> ReadStats {
-        let segments_skipped = self
-            .slots
-            .iter()
-            .filter(|s| matches!(s.source, SlotSource::File { .. }) && s.arena.get().is_none())
-            .count();
         ReadStats {
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            segments_read: self.segments_loaded.load(Ordering::Relaxed),
-            segments_skipped,
+            bytes_read: self.bytes_read,
             rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
             rows_scored: self.rows_scored.load(Ordering::Relaxed),
             helper_rows: self.helper_rows.load(Ordering::Relaxed),
             kernel: pprl_similarity::kernel::kernel_name(),
         }
-    }
-
-    /// Materialises every file-backed slot (corruption surfaces here).
-    pub fn materialise_all(&self) -> Result<()> {
-        for slot in &self.slots {
-            self.arena(slot)?;
-        }
-        Ok(())
-    }
-
-    /// The slot's arena, loading it from its segment file on first use.
-    fn arena<'a>(&self, slot: &'a Slot) -> Result<&'a FilterArena> {
-        if let Some(arena) = slot.arena.get() {
-            return Ok(arena);
-        }
-        let _guard = self.load_lock.lock().expect("load lock");
-        if let Some(arena) = slot.arena.get() {
-            return Ok(arena);
-        }
-        let SlotSource::File {
-            path,
-            shard,
-            seg_id,
-            bytes,
-        } = &slot.source
-        else {
-            return Err(storage_err("memory slot lost its arena".to_string()));
-        };
-        // Decode straight into the columnar arena — no per-record BitVec.
-        let arena = read_segment_arena_with(&*self.vfs, path, *shard, self.filter_len)?;
-        if arena.len() != slot.rows {
-            return Err(storage_err(format!(
-                "segment {seg_id} decoded {} records, manifest size implies {}",
-                arena.len(),
-                slot.rows
-            )));
-        }
-        self.bytes_read.fetch_add(*bytes, Ordering::Relaxed);
-        self.segments_loaded.fetch_add(1, Ordering::Relaxed);
-        let _ = slot.arena.set(arena);
-        Ok(slot.arena.get().expect("arena just set"))
     }
 
     /// The exact `k` most Dice-similar records to `query`, scanned by at
@@ -381,7 +227,7 @@ impl IndexReader {
             task_nanos,
             init,
             |(tops, survivors, scanned), i| {
-                *scanned += self.scan_task(tasks[i], &ctxs, min_score, tops, survivors)?;
+                *scanned += self.scan_task(tasks[i], &ctxs, min_score, tops, survivors);
                 Ok(())
             },
         )?;
@@ -416,8 +262,8 @@ impl IndexReader {
         min_score: Option<f64>,
         locals: &mut [TopK],
         survivors: &mut Vec<(u32, u32)>,
-    ) -> Result<u64> {
-        let arena = self.arena(&self.slots[si])?;
+    ) -> u64 {
+        let arena = &self.slots[si];
         let stride = arena.stride();
         let popcounts = arena.popcounts();
         // One dispatch-table fetch per task; tiles go through a fn pointer.
@@ -449,16 +295,17 @@ impl IndexReader {
         }
         self.rows_scanned.fetch_add(scanned, Ordering::Relaxed);
         self.rows_scored.fetch_add(scored, Ordering::Relaxed);
-        Ok(scanned)
+        scanned
     }
 
     /// Splits slots into `(slot, start, end)` scan tasks of at most
     /// `chunk` rows (`usize::MAX`: one task per slot), in slot order.
     fn split_tasks(&self, chunk: usize) -> Vec<Task> {
         // Exact capacity: a query's allocator calls must not grow with slots.
-        let mut tasks = Vec::with_capacity(self.slots.iter().map(|s| s.rows.div_ceil(chunk)).sum());
+        let mut tasks =
+            Vec::with_capacity(self.slots.iter().map(|s| s.len().div_ceil(chunk)).sum());
         for (si, slot) in self.slots.iter().enumerate() {
-            let n = slot.rows;
+            let n = slot.len();
             let mut start = 0;
             while start < n {
                 let end = n.min(start.saturating_add(chunk));
@@ -578,12 +425,12 @@ mod tests {
     use pprl_similarity::bitvec_sim::dice_bits;
 
     impl IndexReader {
-        /// Address and heap size of every resident arena, so store tests
+        /// Address and heap size of every slot's arena, so store tests
         /// can tell shared rows from copies.
         pub(crate) fn resident_arenas(&self) -> Vec<(*const FilterArena, usize)> {
-            let resident = self.slots.iter().filter_map(|s| s.arena.get());
-            resident
-                .map(|a| (std::ptr::from_ref(a), a.bytes()))
+            self.slots
+                .iter()
+                .map(|a| (Arc::as_ptr(a), a.bytes()))
                 .collect()
         }
     }
@@ -778,9 +625,6 @@ mod tests {
     fn memory_reader_read_stats_are_zero() {
         let records = random_filters(20, 64, 3);
         let reader = IndexReader::new(vec![records], 64).unwrap();
-        let stats = reader.read_stats();
-        assert_eq!(stats.bytes_read, 0);
-        assert_eq!(stats.segments_read, 0);
-        assert_eq!(stats.segments_skipped, 0);
+        assert_eq!(reader.read_stats().bytes_read, 0);
     }
 }

@@ -46,12 +46,11 @@ const SEGMENT_VERSION: u16 = 2;
 /// Header bytes before the entries.
 const HEADER_LEN: usize = 18;
 
-/// Number of records a well-formed segment file of `bytes` length holds
-/// for `filter_len`-bit filters, derived purely from the file size (the
-/// layout is fixed: header, `count` equal-length entries, checksum).
-pub fn record_count_for_size(bytes: u64, filter_len: usize) -> usize {
-    let entry = (4 + 8 + filter_len.div_ceil(8)) as u64;
-    (bytes.saturating_sub((HEADER_LEN + 8) as u64) / entry) as usize
+/// Bytes of a segment file holding `count` records of `filter_len`-bit
+/// filters (the layout is fixed: header, `count` equal-length entries,
+/// checksum).
+pub fn segment_len(count: usize, filter_len: usize) -> u64 {
+    (HEADER_LEN + count * (4 + 8 + filter_len.div_ceil(8)) + 8) as u64
 }
 
 /// Appends one entry, `elen u32 | id u64 | bits`: the filter's whole

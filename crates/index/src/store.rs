@@ -13,6 +13,12 @@
 //! single popcount-sorted segment, which keeps per-shard file counts
 //! bounded under incremental insert workloads.
 //!
+//! Every committed segment is resident: open decodes each catalogued
+//! file into its columnar [`FilterArena`] (the decode is the open-time
+//! verification), and flush and merge keep the arena they write. Readers
+//! share those arenas and never touch a segment file, so a compaction
+//! deletes the files it supersedes as soon as its manifest commits.
+//!
 //! All file IO goes through an injectable [`Vfs`] (see
 //! [`IndexStore::create_with`]), so the crash-recovery property tests
 //! drive the identical code paths against a deterministic in-memory
@@ -31,13 +37,13 @@
 //! the manifest's routing seed), so Hamming-similar filters tend to
 //! co-locate and the routing is stable across process restarts.
 
-use crate::arena::ArenaBuilder;
+use crate::arena::{ArenaBuilder, FilterArena};
 use crate::format::{io_err, storage_err};
 use crate::manifest::{segment_path, Manifest, SegmentEntry};
-use crate::query::{ArenaCell, IndexReader, SlotSpec};
+use crate::query::IndexReader;
 use crate::segment::{
-    load_row, push_entry, read_entry, read_segment_arena_with, record_count_for_size,
-    verify_segment_file, write_segment_arena_with,
+    load_row, push_entry, read_entry, read_segment_arena_with, segment_len, verify_segment_file,
+    write_segment_arena_with,
 };
 use crate::vfs::{std_vfs, Vfs};
 use pprl_blocking::lsh::HammingLsh;
@@ -46,9 +52,9 @@ use pprl_core::codec::{append_checksum, append_checksum_from, checked_body, Read
 use pprl_core::error::{PprlError, Result};
 use pprl_core::gauge::foreground;
 use pprl_core::hash::fnv1a_iter;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 pub use crate::manifest::{IndexConfig, MANIFEST_FILE};
 
@@ -90,21 +96,15 @@ pub struct IndexStats {
     pub quarantined_segments: usize,
 }
 
-/// What an [`IndexReader`] read from disk and scanned.
-///
-/// `bytes_read` and `segments_read` count only what *this* reader
-/// pulled from disk. A segment that an earlier reader of the store
-/// already materialised is inherited through the store's shared cell
-/// and counts as neither read nor skipped.
+/// What the store read to build an [`IndexReader`], and what the
+/// reader scanned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadStats {
-    /// Bytes of segment files loaded.
+    /// Segment bytes the store read at open to make its segments
+    /// resident (0 for a memory reader). Flushes and merges keep the
+    /// arenas they write, so this stays the open total for every later
+    /// reader of the same store.
     pub bytes_read: u64,
-    /// Segments decoded.
-    pub segments_read: usize,
-    /// File-backed segments not resident yet: no reader of the store
-    /// has materialised them, because no query has scanned them.
-    pub segments_skipped: usize,
     /// `(query, row)` pairs the scan kernel AND-popcounted (rows of
     /// tiles skipped by the threshold bound are not counted).
     pub rows_scanned: u64,
@@ -176,11 +176,8 @@ impl TieredPolicy {
     }
 }
 
-/// What one [`IndexStore::compact_tiered`] step did. The rewritten
-/// segment files in `obsolete` are **not** deleted by the store — they
-/// stay on disk until the caller decides every reader of the previous
-/// manifest generation has drained, then removes them via [`reclaim`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// What one [`IndexStore::compact_tiered`] step did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionOutcome {
     /// Segments merged away (inputs of merges).
     pub merged_segments: usize,
@@ -188,9 +185,6 @@ pub struct CompactionOutcome {
     pub new_segments: usize,
     /// Records rewritten into the new segments.
     pub records_rewritten: usize,
-    /// Old segment files superseded by the new manifest, awaiting
-    /// [`reclaim`] once readers of the old generation drain.
-    pub obsolete: Vec<PathBuf>,
 }
 
 impl CompactionOutcome {
@@ -209,28 +203,6 @@ pub struct SnapshotStats {
     pub records: usize,
     /// Segment bytes copied (excludes manifest and WAL image).
     pub bytes: u64,
-}
-
-/// Deletes segment files superseded by a compaction, once the caller
-/// knows no reader of the old manifest generation remains. Returns how
-/// many files were removed; a file already gone is not an error (crash
-/// between manifest swap and reclaim leaves orphans that a later pass
-/// may have cleaned).
-pub fn reclaim(paths: &[PathBuf]) -> Result<usize> {
-    reclaim_with(&crate::vfs::StdVfs, paths)
-}
-
-/// [`reclaim`] through an injectable [`Vfs`].
-pub fn reclaim_with(vfs: &dyn Vfs, paths: &[PathBuf]) -> Result<usize> {
-    let mut removed = 0usize;
-    for path in paths {
-        match vfs.remove_file(path) {
-            Ok(()) => removed += 1,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(io_err(path, "reclaiming", e)),
-        }
-    }
-    Ok(removed)
 }
 
 /// A persistent, sharded store of Bloom-filter-encoded records.
@@ -253,14 +225,14 @@ pub struct IndexStore {
     /// carry a stale epoch, so it is rewritten from `pending` before
     /// the next append.
     wal_ok: bool,
-    /// File size and materialised rows by segment id, the rows shared
-    /// with the lazy readers handed out so far: a generation swap
-    /// re-stats and re-reads nothing an earlier generation saw. Sound
-    /// because a segment file is immutable once a committed manifest
-    /// names its id and ids are never reused after that;
-    /// [`IndexStore::lazy_reader`] creates entries only for ids in the
-    /// committed manifest and prunes the rest.
-    arenas: Mutex<HashMap<u64, (u64, ArenaCell)>>,
+    /// The rows of every segment the committed manifest names, by
+    /// segment id: decoded at open, kept from flush and merge, and
+    /// shared with every reader handed out. Changed only after a
+    /// manifest commit succeeds, so rows a failed flush wrote under an
+    /// id its retry reuses are never served.
+    arenas: HashMap<u64, Arc<FilterArena>>,
+    /// Segment bytes read at open to fill `arenas`.
+    bytes_read: u64,
 }
 
 impl IndexStore {
@@ -303,7 +275,8 @@ impl IndexStore {
             pending_shards: Vec::new(),
             vfs,
             wal_ok: true,
-            arenas: Mutex::default(),
+            arenas: HashMap::new(),
+            bytes_read: 0,
         })
     }
 
@@ -318,8 +291,8 @@ impl IndexStore {
     /// Open is also where crash recovery happens: a missing, torn, or
     /// stale-epoch WAL is repaired (rewritten with exactly the entries
     /// that survive the recovery rules; see the module docs), and every
-    /// catalogued segment is fully verified — one that fails its
-    /// checksum, length, or shard/geometry checks is moved to
+    /// catalogued segment is decoded into its resident arena — one that
+    /// fails its checksum, length, or shard/geometry checks is moved to
     /// `quarantine/` and recorded in the manifest's health ledger rather
     /// than refusing the open. Check [`IndexStore::is_degraded`] after
     /// opening.
@@ -343,16 +316,24 @@ impl IndexStore {
             manifest.config.filter_len,
             manifest.flush_epoch,
         )?;
-        // Verify every catalogued segment up front; quarantine failures
-        // instead of refusing to open. The full read costs one pass over
-        // the index, paid once per open, and is what makes "the store
-        // opened" mean "every segment it will serve is intact".
+        // Decode every catalogued segment up front; quarantine failures
+        // instead of refusing to open. The decode runs every check the
+        // verifier does, costs one pass over the index per open, and is
+        // what makes "the store opened" mean "every segment it will
+        // serve is intact and resident".
+        let flen = manifest.config.filter_len;
         let mut newly_quarantined = false;
         let mut kept = Vec::with_capacity(manifest.segments.len());
+        let mut arenas = HashMap::with_capacity(manifest.segments.len());
+        let mut bytes_read = 0;
         for entry in std::mem::take(&mut manifest.segments) {
             let path = segment_path(dir, entry.id);
-            match verify_segment_file(&*vfs, &path, entry.shard, manifest.config.filter_len) {
-                Ok(_) => kept.push(entry),
+            match read_segment_arena_with(&*vfs, &path, entry.shard, flen) {
+                Ok(arena) => {
+                    bytes_read += segment_len(arena.len(), flen);
+                    arenas.insert(entry.id, Arc::new(arena));
+                    kept.push(entry);
+                }
                 Err(_) => {
                     quarantine_segment(&*vfs, dir, entry.id)?;
                     manifest.quarantined.push(entry);
@@ -372,7 +353,8 @@ impl IndexStore {
             pending_shards: Vec::new(),
             vfs,
             wal_ok: true,
-            arenas: Mutex::default(),
+            arenas,
+            bytes_read,
         };
         store.pending_shards = (0..store.pending.len())
             .map(|i| store.shard_of_words(store.pending.row(i)))
@@ -528,7 +510,8 @@ impl IndexStore {
         for (i, &shard) in self.pending_shards.iter().enumerate() {
             by_shard[shard as usize].push(i as u32);
         }
-        let mut new_segments = Vec::new();
+        let mut next = self.manifest.clone();
+        let mut added = Vec::new();
         for (shard, rows) in by_shard.iter().enumerate() {
             if rows.is_empty() {
                 continue;
@@ -540,30 +523,15 @@ impl IndexStore {
             // Segments are written popcount-sorted, the arena's native
             // order, so later decodes and merges skip re-sorting.
             let arena = builder.finish();
-            let seg_id = self.manifest.next_segment_id + new_segments.len() as u64;
-            write_segment_arena_with(
-                &*self.vfs,
-                &segment_path(&self.dir, seg_id),
-                shard as u32,
-                &arena,
-            )?;
-            new_segments.push(SegmentEntry {
-                shard: shard as u32,
-                id: seg_id,
-            });
+            let id = next.next_segment_id;
+            next.next_segment_id += 1;
+            let shard = shard as u32;
+            write_segment_arena_with(&*self.vfs, &segment_path(&self.dir, id), shard, &arena)?;
+            next.segments.push(SegmentEntry { shard, id });
+            added.push((id, arena));
         }
-        self.vfs
-            .sync_dir(&self.dir)
-            .map_err(|e| io_err(&self.dir, "syncing directory", e))?;
-        // Commit on a scratch manifest so a failed save leaves the
-        // in-memory state (and the next segment id) untouched; the
-        // orphaned segment files are simply overwritten by a retry.
-        let mut next = self.manifest.clone();
-        next.next_segment_id += new_segments.len() as u64;
-        next.segments.extend(new_segments);
         next.flush_epoch += 1;
-        next.save_with(&*self.vfs, &self.dir)?;
-        self.manifest = next;
+        self.commit(next, added, &[])?;
         self.pending.clear();
         self.pending_shards.clear();
         self.rewrite_wal()
@@ -575,32 +543,20 @@ impl IndexStore {
     pub fn compact(&mut self) -> Result<usize> {
         let _busy = foreground();
         self.flush()?;
-        let num_shards = self.manifest.config.num_shards;
-        let mut catalogue = Vec::new();
-        let mut removed_paths = Vec::new();
-        let mut reclaimed = 0usize;
-        for shard in 0..num_shards {
+        let mut next = self.manifest.clone();
+        next.segments.clear();
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        for shard in 0..self.manifest.config.num_shards {
             let entries = self.manifest.shard_segments(shard);
             if entries.len() < 2 {
-                catalogue.extend(entries);
+                next.segments.extend(entries);
                 continue;
             }
-            let (entry, _) = self.merge_segments(shard, &entries)?;
-            catalogue.push(entry);
-            reclaimed += entries.len() - 1;
-            removed_paths.extend(entries.iter().map(|e| segment_path(&self.dir, e.id)));
+            added.push(self.merge_segments(&mut next, shard, &entries)?);
+            removed.extend(entries.iter().map(|e| e.id));
         }
-        self.vfs
-            .sync_dir(&self.dir)
-            .map_err(|e| io_err(&self.dir, "syncing directory", e))?;
-        self.manifest.segments = catalogue;
-        self.manifest.save_with(&*self.vfs, &self.dir)?;
-        // Only after the manifest commit is it safe to reclaim old files.
-        for path in removed_paths {
-            self.vfs
-                .remove_file(&path)
-                .map_err(|e| io_err(&path, "removing", e))?;
-        }
+        let reclaimed = removed.len() - added.len();
+        self.commit(next, added, &removed)?;
         Ok(reclaimed)
     }
 
@@ -608,84 +564,73 @@ impl IndexStore {
     /// (see [`TieredPolicy`]) holding at least `policy.min_segments`
     /// segments is merged into a single popcount-sorted segment. Unlike
     /// [`compact`], pending log records are left alone (flushing is the
-    /// caller's cadence, not compaction's) and superseded segment files
-    /// are **not** deleted — they are listed in
-    /// [`CompactionOutcome::obsolete`] so a serving layer can hold them
-    /// until every reader pinned to the previous manifest generation has
-    /// drained, then [`reclaim`] them. The manifest swap itself is atomic
-    /// (tmp + rename), so a crash at any point leaves a readable index.
+    /// caller's cadence, not compaction's). The superseded files are
+    /// deleted right after the manifest commit, as [`compact`] does: no
+    /// reader ever opens a segment file. The manifest swap itself is
+    /// atomic (tmp + rename), so a crash at any point leaves a readable
+    /// index.
     ///
     /// [`compact`]: IndexStore::compact
     pub fn compact_tiered(&mut self, policy: &TieredPolicy) -> Result<CompactionOutcome> {
         policy.validate()?;
         let _busy = foreground();
-        let num_shards = self.manifest.config.num_shards;
-        let mut catalogue = Vec::new();
+        let flen = self.manifest.config.filter_len;
+        let mut next = self.manifest.clone();
+        next.segments.clear();
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
         let mut outcome = CompactionOutcome::default();
-        for shard in 0..num_shards {
+        for shard in 0..self.manifest.config.num_shards {
             let entries = self.manifest.shard_segments(shard);
             if entries.len() < policy.min_segments {
-                catalogue.extend(entries);
+                next.segments.extend(entries);
                 continue;
             }
             // Group this shard's segments into size tiers.
-            let mut tiers: std::collections::BTreeMap<u32, Vec<SegmentEntry>> =
-                std::collections::BTreeMap::new();
+            let mut tiers: BTreeMap<u32, Vec<SegmentEntry>> = BTreeMap::new();
             for entry in entries {
-                let bytes = file_size_with(&*self.vfs, &segment_path(&self.dir, entry.id))?;
+                let bytes = segment_len(self.arenas[&entry.id].len(), flen);
                 tiers.entry(policy.tier(bytes)).or_default().push(entry);
             }
             for (_, members) in tiers {
                 if members.len() < policy.min_segments {
-                    catalogue.extend(members);
+                    next.segments.extend(members);
                     continue;
                 }
-                let (entry, records) = self.merge_segments(shard, &members)?;
-                catalogue.push(entry);
+                let (id, arena) = self.merge_segments(&mut next, shard, &members)?;
                 outcome.merged_segments += members.len();
                 outcome.new_segments += 1;
-                outcome.records_rewritten += records;
-                outcome
-                    .obsolete
-                    .extend(members.iter().map(|e| segment_path(&self.dir, e.id)));
+                outcome.records_rewritten += arena.len();
+                added.push((id, arena));
+                removed.extend(members.iter().map(|e| e.id));
             }
         }
-        if outcome.is_noop() {
-            return Ok(outcome);
+        if !outcome.is_noop() {
+            self.commit(next, added, &removed)?;
         }
-        self.vfs
-            .sync_dir(&self.dir)
-            .map_err(|e| io_err(&self.dir, "syncing directory", e))?;
-        self.manifest.segments = catalogue;
-        self.manifest.save_with(&*self.vfs, &self.dir)?;
         Ok(outcome)
     }
 
-    /// Loads `entries` (all of `shard`) as popcount-sorted arena runs
-    /// and k-way merges them by `(popcount, id)` straight into one new
-    /// segment file — rows stream from run slices into the output
-    /// builder with no per-record `BitVec` and no re-sort (the merged
-    /// order is already the arena order, so `finish` is a move).
-    /// Returns the new manifest entry plus the row count. The old files
-    /// are left untouched.
+    /// K-way merges the resident arenas of `entries` (all of `shard`) by
+    /// `(popcount, id)` into one new segment, written under `next`'s
+    /// next segment id and appended to its catalogue — rows stream from
+    /// run slices into the output builder with no per-record `BitVec`
+    /// and no re-sort (the merged order is already the arena order, so
+    /// `finish` is a move). Returns the new id and its arena. The old
+    /// files are left untouched.
     ///
     /// Output bytes are identical to the old concatenate-then-
     /// stable-sort merge: the heap key ends with the run index, which
     /// reproduces a stable sort's tie-breaking by original (segment,
     /// entry) order.
     fn merge_segments(
-        &mut self,
+        &self,
+        next: &mut Manifest,
         shard: u32,
         entries: &[SegmentEntry],
-    ) -> Result<(SegmentEntry, usize)> {
-        let flen = self.manifest.config.filter_len;
-        let mut runs = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let path = segment_path(&self.dir, entry.id);
-            runs.push(read_segment_arena_with(&*self.vfs, &path, shard, flen)?);
-        }
+    ) -> Result<(u64, FilterArena)> {
+        let runs: Vec<&FilterArena> = entries.iter().map(|e| &*self.arenas[&e.id]).collect();
         let total = runs.iter().map(|a| a.len()).sum();
-        let mut builder = ArenaBuilder::with_capacity(flen, total);
+        let mut builder = ArenaBuilder::with_capacity(self.manifest.config.filter_len, total);
         let mut cursor = vec![0usize; runs.len()];
         let mut heap = std::collections::BinaryHeap::with_capacity(runs.len());
         for (r, run) in runs.iter().enumerate() {
@@ -694,7 +639,7 @@ impl IndexStore {
             }
         }
         while let Some(std::cmp::Reverse((_, _, r))) = heap.pop() {
-            let run = &runs[r];
+            let run = runs[r];
             let i = cursor[r];
             builder.push(run.id(i), run.row(i))?;
             cursor[r] = i + 1;
@@ -703,19 +648,45 @@ impl IndexStore {
             }
         }
         let arena = builder.finish();
-        let new_id = self.manifest.next_segment_id;
-        self.manifest.next_segment_id += 1;
-        write_segment_arena_with(&*self.vfs, &segment_path(&self.dir, new_id), shard, &arena)?;
-        Ok((SegmentEntry { shard, id: new_id }, arena.len()))
+        let id = next.next_segment_id;
+        next.next_segment_id += 1;
+        write_segment_arena_with(&*self.vfs, &segment_path(&self.dir, id), shard, &arena)?;
+        next.segments.push(SegmentEntry { shard, id });
+        Ok((id, arena))
     }
 
-    /// [`IndexStore::lazy_reader`] with every segment materialised up
-    /// front, so corruption anywhere surfaces here as a typed error
-    /// rather than at the first query that needs the segment.
-    pub fn reader(&self) -> Result<IndexReader> {
-        let reader = self.lazy_reader()?;
-        reader.materialise_all()?;
-        Ok(reader)
+    /// Makes the segment files written so far durable, commits `next`
+    /// (fsynced tmp + rename + directory fsync) and only then adopts it:
+    /// the `added` arenas become resident, the `removed` ones are
+    /// dropped and their files deleted. A failed commit leaves the
+    /// in-memory state (and the next segment id) untouched; the
+    /// orphaned files are simply overwritten by a retry.
+    fn commit(
+        &mut self,
+        next: Manifest,
+        added: Vec<(u64, FilterArena)>,
+        removed: &[u64],
+    ) -> Result<()> {
+        self.vfs
+            .sync_dir(&self.dir)
+            .map_err(|e| io_err(&self.dir, "syncing directory", e))?;
+        next.save_with(&*self.vfs, &self.dir)?;
+        self.manifest = next;
+        for (id, arena) in added {
+            self.arenas.insert(id, Arc::new(arena));
+        }
+        // The map is settled before any file goes, so a failed delete
+        // leaves an orphan file, never a stale entry.
+        for id in removed {
+            self.arenas.remove(id);
+        }
+        for &id in removed {
+            let path = segment_path(&self.dir, id);
+            self.vfs
+                .remove_file(&path)
+                .map_err(|e| io_err(&path, "removing", e))?;
+        }
+        Ok(())
     }
 
     /// Splits the pending buffer into one builder per shard (row order
@@ -730,76 +701,39 @@ impl IndexStore {
         Ok(out)
     }
 
-    /// A reader that defers segment loading to query time: every segment
-    /// becomes a lazily-materialised slot, read on its first scan.
-    /// Pending records are memory-resident from the start. Unlike
-    /// [`reader`], disk corruption in a segment goes unnoticed until the
-    /// first query reads it — call [`IndexReader::materialise_all`] to
-    /// force full verification.
-    ///
-    /// Segments an earlier lazy reader of this store already
-    /// materialised are handed over resident (shared, not copied), so
-    /// the reader built after a flush loads only the segments that flush
-    /// wrote, and the one after a compaction only the merged output.
-    /// Likewise only segment ids no earlier lazy reader saw have their
-    /// file size read, and pending rows keep the shard they were routed
-    /// to on insert: an install after an insert touches no segment file
-    /// and costs only a copy of the pending rows.
-    ///
-    /// [`reader`]: IndexStore::reader
-    pub fn lazy_reader(&self) -> Result<IndexReader> {
-        let flen = self.manifest.config.filter_len;
+    /// A reader over the committed segments and the pending rows. Each
+    /// segment's resident arena is shared with the store, not copied,
+    /// and no file is read: the cost is a copy of the pending rows, each
+    /// into the memory slot of the shard it was routed to on insert.
+    pub fn reader(&self) -> Result<IndexReader> {
         let num_shards = self.manifest.config.num_shards as usize;
-        let mut specs = Vec::with_capacity(self.manifest.segments.len() + num_shards);
-        let mut arenas = self.arenas.lock().expect("arena map lock");
-        let mut live = HashMap::with_capacity(self.manifest.segments.len());
+        let mut slots = Vec::with_capacity(self.manifest.segments.len() + num_shards);
         for entry in &self.manifest.segments {
-            let path = segment_path(&self.dir, entry.id);
-            let (bytes, arena) = match arenas.get(&entry.id) {
-                Some(seen) => seen.clone(),
-                None => (file_size_with(&*self.vfs, &path)?, ArenaCell::default()),
-            };
-            live.insert(entry.id, (bytes, Arc::clone(&arena)));
-            specs.push(SlotSpec::File {
-                path,
-                shard: entry.shard,
-                seg_id: entry.id,
-                bytes,
-                rows: record_count_for_size(bytes, flen),
-                arena,
-            });
+            slots.push(Arc::clone(&self.arenas[&entry.id]));
         }
-        // Whatever the committed manifest no longer names is dropped
-        // here; readers still pinned to it keep their own handles.
-        *arenas = live;
-        drop(arenas);
         for builder in self.pending_by_shard()? {
             if !builder.is_empty() {
-                specs.push(SlotSpec::Memory(builder.finish()));
+                slots.push(Arc::new(builder.finish()));
             }
         }
-        let mut reader = IndexReader::from_specs(specs, flen, num_shards, Arc::clone(&self.vfs))?;
-        reader.set_quarantined(self.manifest.quarantined.len());
-        Ok(reader)
+        Ok(IndexReader::from_arenas(
+            slots,
+            self.manifest.config.filter_len,
+            num_shards,
+            self.bytes_read,
+            self.manifest.quarantined.len(),
+        ))
     }
 
-    /// Total records in the index (segment-resident + pending), derived
-    /// from segment file sizes without decoding any segment. Structural
-    /// only: corruption inside a segment surfaces when it is actually
-    /// read, not here.
-    pub fn record_count(&self) -> Result<usize> {
-        let flen = self.manifest.config.filter_len;
-        let mut n = self.pending.len();
-        for entry in &self.manifest.segments {
-            let bytes = file_size_with(&*self.vfs, &segment_path(&self.dir, entry.id))?;
-            n += crate::segment::record_count_for_size(bytes, flen);
-        }
-        Ok(n)
+    /// Total records in the index: segment-resident plus pending.
+    pub fn record_count(&self) -> usize {
+        self.pending.len() + self.arenas.values().map(|a| a.len()).sum::<usize>()
     }
 
-    /// Verifies and summarises the index: every segment is checked as
-    /// open checks it (every entry, without building one), so corruption
-    /// anywhere surfaces here as a typed error.
+    /// Verifies and summarises the index: every segment file is read
+    /// and checked as open checks it (every entry, without building
+    /// one), so corruption on disk since open surfaces here as a typed
+    /// error.
     pub fn stats(&self) -> Result<IndexStats> {
         let flen = self.manifest.config.filter_len;
         let mut persisted = 0usize;
@@ -907,7 +841,7 @@ impl IndexStore {
         self.manifest.save_with(&*self.vfs, dest)?;
         Ok(SnapshotStats {
             segments: self.manifest.segments.len(),
-            records: self.record_count()?,
+            records: self.record_count(),
             bytes,
         })
     }
@@ -1265,7 +1199,7 @@ mod tests {
     }
 
     #[test]
-    fn tiered_compaction_merges_full_tiers_and_defers_reclaim() {
+    fn tiered_compaction_merges_full_tiers_and_deletes_their_files() {
         let dir = temp_dir("tiered");
         let mut store = IndexStore::create(&dir, IndexConfig::new(128, 1)).unwrap();
         let records = filters(40, 128);
@@ -1286,22 +1220,22 @@ mod tests {
         assert_eq!(outcome.merged_segments, 4);
         assert_eq!(outcome.new_segments, 1);
         assert_eq!(outcome.records_rewritten, 40);
-        assert_eq!(outcome.obsolete.len(), 4);
-        // Old files are NOT deleted until the caller reclaims them.
-        for path in &outcome.obsolete {
-            assert!(path.exists(), "{} reclaimed too early", path.display());
-        }
-        // The new manifest answers bit-for-bit identically.
+        // The merged-away files are gone at once; only the output stays.
+        let on_disk: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+            .collect();
+        assert_eq!(
+            on_disk,
+            vec![segment_path(&dir, store.manifest.segments[0].id)]
+        );
+        // The new manifest answers bit-for-bit identically, and so does
+        // the reader taken before the merge, whose files are gone.
         let after = store.reader().unwrap();
         assert_eq!(after.top_k(&query, 5, 1).unwrap(), expected);
         assert_eq!(after.len(), 40);
-
-        assert_eq!(reclaim(&outcome.obsolete).unwrap(), 4);
-        for path in &outcome.obsolete {
-            assert!(!path.exists());
-        }
-        // Double reclaim is a clean no-op, and the store still reads.
-        assert_eq!(reclaim(&outcome.obsolete).unwrap(), 0);
+        assert_eq!(before.top_k(&query, 5, 1).unwrap(), expected);
         let reopened = IndexStore::open(&dir).unwrap();
         assert_eq!(
             reopened.reader().unwrap().top_k(&query, 5, 1).unwrap(),
@@ -1309,9 +1243,7 @@ mod tests {
         );
 
         // A second step with nothing mergeable is a no-op.
-        let noop = store.compact_tiered(&policy).unwrap();
-        assert!(noop.is_noop());
-        assert!(noop.obsolete.is_empty());
+        assert!(store.compact_tiered(&policy).unwrap().is_noop());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1373,7 +1305,6 @@ mod tests {
         let stats = store.stats().unwrap();
         assert_eq!(stats.persisted_records, 64);
         assert_eq!(stats.segments, 2, "big segment + merged small segment");
-        reclaim(&outcome.obsolete).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1389,7 +1320,7 @@ mod tests {
         // exactly the entries before it and repairs the log in place.
         std::fs::write(&wal, &bytes[..bytes.len() - 5]).unwrap();
         let store = IndexStore::open(&dir).unwrap();
-        assert_eq!(store.record_count().unwrap(), 2, "entries before the tear");
+        assert_eq!(store.record_count(), 2, "entries before the tear");
         let repaired = std::fs::read(&wal).unwrap();
         assert_eq!(
             repaired.len(),
@@ -1437,12 +1368,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Both store readers answer like an independently built memory
-    /// reader over the same records, scores compared as raw bits, with
-    /// the pending rows of the log included.
+    /// The store's reader, before and after a reopen, answers like an
+    /// independently built memory reader over the same records, scores
+    /// compared as raw bits, with the pending rows of the log included.
     #[test]
     fn store_readers_match_a_memory_reader_bit_for_bit() {
-        let dir = temp_dir("lazy-eq");
+        let dir = temp_dir("reader-eq");
         let mut store = IndexStore::create(&dir, IndexConfig::new(128, 2)).unwrap();
         let records = filters(45, 128);
         for chunk in records[..40].chunks(10) {
@@ -1461,47 +1392,12 @@ mod tests {
             probes.push((0, near));
         }
         let want = answers(&oracle, &probes);
-        // The lazy reader answers first, so it loads every segment itself
-        // rather than inheriting rows `reader()` already materialised.
-        let lazy = store.lazy_reader().unwrap();
-        assert_eq!(lazy.len(), records.len());
-        assert_eq!(answers(&lazy, &probes), want, "lazy_reader");
-        let eager = store.reader().unwrap();
-        assert_eq!(eager.len(), records.len());
-        assert_eq!(eager.num_shards(), 2);
-        assert_eq!(eager.read_stats().segments_skipped, 0);
-        assert_eq!(answers(&eager, &probes), want, "reader");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn lazy_reader_defers_segment_reads_until_the_first_scan() {
-        let dir = temp_dir("lazy-defer");
-        let mut store = IndexStore::create(&dir, IndexConfig::new(128, 1)).unwrap();
-        let records = filters(10, 128);
-        for chunk in records.chunks(5) {
-            store.insert_batch(chunk).unwrap();
-            store.flush().unwrap();
-        }
-
-        let lazy = store.lazy_reader().unwrap();
-        let fresh = lazy.read_stats();
-        assert_eq!(
-            fresh.segments_read, 0,
-            "nothing read before the first query"
-        );
-        assert_eq!(fresh.bytes_read, 0);
-        assert_eq!(fresh.segments_skipped, 2);
-
-        // The first scan loads both segments; later scans read nothing.
-        let hits = lazy.top_k(&records[3].1, 1, 1).unwrap();
-        assert_eq!(hits[0].id, records[3].0);
-        let stats = lazy.read_stats();
-        assert_eq!(stats.segments_read, 2);
-        assert_eq!(stats.segments_skipped, 0);
-        assert!(stats.bytes_read > 0);
-        lazy.top_k(&records[7].1, 1, 1).unwrap();
-        assert_eq!(lazy.read_stats().bytes_read, stats.bytes_read);
+        let kept = store.reader().unwrap();
+        assert_eq!(kept.len(), records.len());
+        assert_eq!(kept.num_shards(), 2);
+        assert_eq!(answers(&kept, &probes), want, "flushed arenas");
+        let reopened = IndexStore::open(&dir).unwrap().reader().unwrap();
+        assert_eq!(answers(&reopened, &probes), want, "decoded arenas");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1512,18 +1408,14 @@ mod tests {
         let recs = filters(240, 128);
         store.insert_batch(&recs[..200]).unwrap();
         store.flush().unwrap();
-        let first = store.lazy_reader().unwrap();
-        assert!(first.resident_arenas().is_empty(), "nothing loaded yet");
-        first.materialise_all().unwrap();
+        let first = store.reader().unwrap();
         let old = first.resident_arenas();
         let corpus: usize = old.iter().map(|&(_, bytes)| bytes).sum();
 
         store.insert_batch(&recs[200..]).unwrap();
         store.flush().unwrap();
-        let second = store.lazy_reader().unwrap();
-        // Resident before any query, and the very same allocations.
-        assert_eq!(second.resident_arenas(), old);
-        second.materialise_all().unwrap();
+        // The very same allocations, plus the flush's own arenas.
+        let second = store.reader().unwrap();
         let new = second.resident_arenas();
         assert_eq!(new[..old.len()], old[..]);
 
@@ -1539,136 +1431,14 @@ mod tests {
         // A compaction drops the merged-away ids from the store's map;
         // the pinned readers keep theirs alive and the map forgets them.
         store.compact().unwrap();
-        let third = store.lazy_reader().unwrap();
-        assert!(third.resident_arenas().is_empty(), "merged output is new");
-        assert_eq!(store.arenas.lock().unwrap().len(), 3);
+        let third = store.reader().unwrap();
+        assert!(
+            third.resident_arenas().iter().all(|a| !new.contains(a)),
+            "merged output is new"
+        );
+        assert_eq!(store.arenas.len(), 3);
         drop((first, second));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A [`FaultVfs`] that logs every `file_size` of a segment file.
-    #[derive(Debug)]
-    struct StatLog {
-        inner: Arc<crate::vfs::FaultVfs>,
-        stats: Mutex<Vec<PathBuf>>,
-    }
-
-    impl StatLog {
-        fn new() -> Arc<StatLog> {
-            Arc::new(StatLog {
-                inner: crate::vfs::FaultVfs::reliable(),
-                stats: Mutex::default(),
-            })
-        }
-
-        /// Segment files stat'd since the last call, sorted.
-        fn take(&self) -> Vec<PathBuf> {
-            let mut seen = std::mem::take(&mut *self.stats.lock().unwrap());
-            seen.sort();
-            seen
-        }
-    }
-
-    impl Vfs for StatLog {
-        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
-            self.inner.read(path)
-        }
-        fn write(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
-            self.inner.write(path, data)
-        }
-        fn append(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
-            self.inner.append(path, data)
-        }
-        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
-            self.inner.rename(from, to)
-        }
-        fn sync_file(&self, path: &Path) -> std::io::Result<()> {
-            self.inner.sync_file(path)
-        }
-        fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
-            self.inner.sync_dir(path)
-        }
-        fn file_size(&self, path: &Path) -> std::io::Result<u64> {
-            if path.extension().is_some_and(|e| e == "seg") {
-                self.stats.lock().unwrap().push(path.to_path_buf());
-            }
-            self.inner.file_size(path)
-        }
-        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
-            self.inner.remove_file(path)
-        }
-        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
-            self.inner.create_dir_all(path)
-        }
-        fn exists(&self, path: &Path) -> bool {
-            self.inner.exists(path)
-        }
-    }
-
-    fn segment_paths(store: &IndexStore, except: &[u64]) -> Vec<PathBuf> {
-        let mut paths: Vec<PathBuf> = store
-            .manifest
-            .segments
-            .iter()
-            .filter(|e| !except.contains(&e.id))
-            .map(|e| segment_path(&store.dir, e.id))
-            .collect();
-        paths.sort();
-        paths
-    }
-
-    fn segment_ids(store: &IndexStore) -> Vec<u64> {
-        store.manifest.segments.iter().map(|e| e.id).collect()
-    }
-
-    #[test]
-    fn installs_stat_only_segment_ids_no_earlier_install_saw() {
-        let vfs = StatLog::new();
-        let dir = Path::new("/stat-once");
-        let io = Arc::clone(&vfs) as Arc<dyn Vfs>;
-        let mut store = IndexStore::create_with(dir, IndexConfig::new(128, 4), io).unwrap();
-        let recs = filters(300, 128);
-        for chunk in recs[..200].chunks(50) {
-            store.insert_batch(chunk).unwrap();
-            store.flush().unwrap();
-        }
-        vfs.take();
-        let _first = store.lazy_reader().unwrap();
-        assert_eq!(vfs.take(), segment_paths(&store, &[]), "first install");
-
-        store.insert_batch(&recs[200..250]).unwrap();
-        let _ = store.lazy_reader().unwrap();
-        assert!(
-            vfs.take().is_empty(),
-            "an install after an insert stats nothing"
-        );
-
-        let seen = segment_ids(&store);
-        store.flush().unwrap();
-        vfs.take();
-        let _ = store.lazy_reader().unwrap();
-        let fresh = segment_paths(&store, &seen);
-        assert!(!fresh.is_empty());
-        assert_eq!(
-            vfs.take(),
-            fresh,
-            "an install after a flush stats its segments"
-        );
-
-        let seen = segment_ids(&store);
-        store.insert_batch(&recs[250..]).unwrap();
-        assert!(store.compact().unwrap() > 0);
-        vfs.take();
-        let _ = store.lazy_reader().unwrap();
-        assert_eq!(
-            vfs.take(),
-            segment_paths(&store, &seen),
-            "merged output only"
-        );
-        assert_eq!(
-            store.arenas.lock().unwrap().len(),
-            store.manifest.segments.len()
-        );
     }
 
     /// Every pending row's cached shard is the one routing gives it.
@@ -1768,41 +1538,40 @@ mod tests {
                     store.compact_tiered(&policy).unwrap();
                 }
             }
-            let incremental = store.lazy_reader().unwrap();
+            let incremental = store.reader().unwrap();
             let reopened = IndexStore::open_with(dir, io()).unwrap();
             assert_eq!(
                 answers(&incremental, probes),
-                answers(&reopened.lazy_reader().unwrap(), probes),
+                answers(&reopened.reader().unwrap(), probes),
                 "step {step}"
             );
         }
     }
 
+    /// Readers never read a file, so a byte flipped on disk after a
+    /// flush cannot reach a query: `stats()` re-reads every segment and
+    /// names it, and the next open quarantines it.
     #[test]
-    fn lazy_reader_surfaces_corruption_when_segment_is_needed() {
-        let dir = temp_dir("lazy-corrupt");
+    fn a_byte_flipped_after_a_flush_fails_stats_and_quarantines_at_open() {
+        let dir = temp_dir("flip-after-flush");
         let mut store = IndexStore::create(&dir, IndexConfig::new(64, 1)).unwrap();
-        store.insert_batch(&filters(8, 64)).unwrap();
+        let records = filters(8, 64);
+        store.insert_batch(&records).unwrap();
         store.flush().unwrap();
-        let seg = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| p.extension().is_some_and(|e| e == "seg"))
-            .unwrap();
+        let seg = segment_path(&dir, store.manifest.segments[0].id);
         let mut bytes = std::fs::read(&seg).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         std::fs::write(&seg, &bytes).unwrap();
-        // Constructing the lazy reader succeeds (nothing is read) …
-        let lazy = store.lazy_reader().unwrap();
-        // … but touching the segment is a typed error, not silence.
-        let err = lazy.materialise_all().unwrap_err();
+        // The resident rows still answer exactly.
+        let hits = store.reader().unwrap().top_k(&records[3].1, 1, 1).unwrap();
+        assert_eq!(hits[0].id, records[3].0);
+        let err = store.stats().unwrap_err();
         assert!(matches!(err, PprlError::Storage(_)), "{err}");
-        let err = lazy.top_k(&filters(1, 64)[0].1, 3, 1).unwrap_err();
-        assert!(matches!(err, PprlError::Storage(_)), "{err}");
-        // The eager reader reads every segment, so it fails at build.
-        let err = store.reader().unwrap_err();
-        assert!(matches!(err, PprlError::Storage(_)), "{err}");
+        drop(store);
+        let reopened = IndexStore::open(&dir).unwrap();
+        assert!(reopened.is_degraded());
+        assert_eq!(reopened.reader().unwrap().len(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1840,7 +1609,7 @@ mod tests {
         assert!(shipped.bytes > 0);
         // The replica opens clean and answers queries bit-identically.
         let replica = IndexStore::import_snapshot(&dest).unwrap();
-        assert_eq!(replica.record_count().unwrap(), 30);
+        assert_eq!(replica.record_count(), 30);
         assert_eq!(replica.flush_epoch(), store.flush_epoch());
         let donor_reader = store.reader().unwrap();
         let replica_reader = replica.reader().unwrap();

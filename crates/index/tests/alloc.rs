@@ -6,8 +6,9 @@
 //! per-task buffer would show up here as a count that grows with the
 //! index. Compaction is audited the same way: it merges arena runs and
 //! writes segments from arena rows, so it does not allocate per record.
-//! Opening a store and `stats()` verify every segment entry by entry
-//! without building a row, so they allocate per segment, not per record.
+//! Opening a store decodes each segment into its arena with one builder
+//! per segment, and `stats()` verifies every entry without building a
+//! row, so both allocate per segment, not per record.
 //!
 //! Same per-thread counting-allocator shim as `session/tests/alloc.rs`.
 
@@ -192,9 +193,10 @@ fn arena_native_compaction_does_not_allocate_per_merged_record() {
     );
 }
 
-/// `IndexStore::open` and `stats()` verify every entry of every segment
-/// without building it: over the same number of segments, ten times the
-/// records costs not one allocator call more.
+/// `IndexStore::open` decodes every segment into a presized arena and
+/// `stats()` verifies every entry without building it: over the same
+/// number of segments, ten times the records costs not one allocator
+/// call more.
 #[test]
 fn open_and_stats_allocate_per_segment_not_per_record() {
     let mut rng = SplitMix64::new(0x09E2);

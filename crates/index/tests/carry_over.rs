@@ -1,32 +1,27 @@
-//! Generation swaps cost O(new segments).
+//! Generation swaps read nothing.
 //!
-//! `IndexStore::lazy_reader` hands each new reader the rows every
-//! earlier reader of the same store already materialised, keyed by
-//! segment id. These tests pin the observable contract: what a
-//! successor reader pulls from disk (`ReadStats::bytes_read` /
-//! `segments_read` count this reader's IO only; an inherited segment is
-//! neither read nor skipped), that old generations keep answering after
-//! their files are reclaimed, and that sharing can never serve rows of a
-//! segment id no committed manifest named.
+//! An `IndexStore` holds every committed segment resident: open decodes
+//! each file once, and flush and merge keep the arenas they write.
+//! Readers share those arenas. These tests pin the observable contract
+//! through a `Vfs` that logs every segment-file read: once `open`
+//! returns, inserts, flushes, compaction steps and new readers read no
+//! segment file (only `stats()` and `export_snapshot()` do), a reader's
+//! `ReadStats::bytes_read` stays the open total, old generations keep
+//! answering after compaction deleted their files, and sharing can
+//! never serve rows of a segment id no committed manifest named.
 
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::PprlError;
 use pprl_core::rng::SplitMix64;
 use pprl_index::query::{Hit, IndexReader};
-use pprl_index::store::{reclaim, IndexConfig, IndexStore, TieredPolicy};
+use pprl_index::store::{IndexConfig, IndexStore, TieredPolicy};
 use pprl_index::vfs::{FaultPlan, FaultVfs, Vfs};
 use pprl_similarity::bitvec_sim::dice_bits;
-use std::collections::BTreeMap;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const LEN: usize = 256;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pprl-carry-over-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn records(ids: std::ops::Range<u64>, rng: &mut SplitMix64) -> Vec<(u64, BitVec)> {
     ids.map(|id| {
@@ -61,93 +56,143 @@ fn assert_answers(reader: &IndexReader, corpus: &[(u64, BitVec)], what: &str) {
     }
 }
 
-/// Segment file name → size, for the index at `dir`.
-fn segment_files(dir: &Path) -> BTreeMap<String, u64> {
-    std::fs::read_dir(dir)
-        .expect("read_dir")
-        .map(|e| e.expect("dir entry"))
-        .filter(|e| e.file_name().to_string_lossy().ends_with(".seg"))
-        .map(|e| {
-            (
-                e.file_name().to_string_lossy().into_owned(),
-                e.metadata().expect("metadata").len(),
-            )
+/// An in-memory filesystem that logs every read of a segment file.
+#[derive(Debug)]
+struct ReadLog {
+    inner: Arc<FaultVfs>,
+    reads: Mutex<Vec<PathBuf>>,
+}
+
+impl ReadLog {
+    fn new() -> Arc<ReadLog> {
+        Arc::new(ReadLog {
+            inner: FaultVfs::reliable(),
+            reads: Mutex::default(),
         })
-        .collect()
+    }
+
+    /// Segment files read since the last call, sorted.
+    fn take(&self) -> Vec<PathBuf> {
+        let mut reads = std::mem::take(&mut *self.reads.lock().expect("log"));
+        reads.sort();
+        reads
+    }
+
+    /// Every segment file under `dir`, sorted.
+    fn segments(&self, dir: &Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = self
+            .inner
+            .list_files()
+            .into_iter()
+            .filter(|p| p.parent() == Some(dir) && p.extension().is_some_and(|e| e == "seg"))
+            .collect();
+        files.sort();
+        files
+    }
+
+    fn io(self: &Arc<Self>) -> Arc<dyn Vfs> {
+        Arc::clone(self) as Arc<dyn Vfs>
+    }
+}
+
+impl Vfs for ReadLog {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        if path.extension().is_some_and(|e| e == "seg") {
+            self.reads.lock().expect("log").push(path.to_path_buf());
+        }
+        self.inner.read(path)
+    }
+    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        self.inner.write(path, data)
+    }
+    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        self.inner.append(path, data)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn sync_file(&self, path: &Path) -> io::Result<()> {
+        self.inner.sync_file(path)
+    }
+    fn sync_dir(&self, path: &Path) -> io::Result<()> {
+        self.inner.sync_dir(path)
+    }
+    fn file_size(&self, path: &Path) -> io::Result<u64> {
+        self.inner.file_size(path)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.inner.remove_file(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        self.inner.create_dir_all(path)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+}
+
+/// Total bytes of `files` in `vfs`.
+fn bytes_of(vfs: &ReadLog, files: &[PathBuf]) -> u64 {
+    files.iter().map(|p| vfs.file_size(p).expect("size")).sum()
 }
 
 #[test]
-fn successor_reader_reads_only_the_segments_the_flush_wrote() {
-    let dir = temp_dir("flush");
+fn successor_readers_read_no_segment_file() {
+    let vfs = ReadLog::new();
+    let dir = Path::new("/flush");
     let mut rng = SplitMix64::new(0xCA77);
-    let mut store = IndexStore::create(&dir, IndexConfig::new(LEN, 4)).expect("create");
+    let mut store =
+        IndexStore::create_with(dir, IndexConfig::new(LEN, 4), vfs.io()).expect("create");
     let mut corpus = records(0..300, &mut rng);
     store.insert_batch(&corpus[..150]).expect("insert");
     store.flush().expect("flush");
     store.insert_batch(&corpus[150..]).expect("insert");
     store.flush().expect("flush");
+    drop(store);
 
-    let before = segment_files(&dir);
-    let first = store.lazy_reader().expect("first reader");
-    first.materialise_all().expect("materialise");
-    let stats = first.read_stats();
-    assert_eq!(stats.bytes_read, before.values().sum::<u64>());
-    assert_eq!(stats.segments_read, before.len());
-    assert_eq!(stats.segments_skipped, 0);
+    // Open reads each catalogued segment exactly once.
+    let mut store = IndexStore::open_with(dir, vfs.io()).expect("open");
+    let opened = vfs.segments(dir);
+    assert_eq!(vfs.take(), opened, "open reads every segment once");
+    let open_bytes = bytes_of(&vfs, &opened);
+    let first = store.reader().expect("first reader");
+    assert_eq!(first.read_stats().bytes_read, open_bytes);
 
-    let mut cumulative = stats.bytes_read;
     for round in 0..3u64 {
-        let known = segment_files(&dir);
         let extra = records(1000 + 40 * round..1040 + 40 * round, &mut rng);
         store.insert_batch(&extra).expect("insert");
-        store.flush().expect("flush");
         corpus.extend(extra);
-        let fresh: Vec<u64> = segment_files(&dir)
-            .into_iter()
-            .filter(|(name, _)| !known.contains_key(name))
-            .map(|(_, bytes)| bytes)
-            .collect();
-        assert!(!fresh.is_empty());
-
-        let next = store.lazy_reader().expect("successor");
-        // Inherited segments are resident already: neither read nor
-        // skipped. Only the flush's own segments are still on disk.
-        let stats = next.read_stats();
-        assert_eq!((stats.bytes_read, stats.segments_read), (0, 0));
-        assert_eq!(stats.segments_skipped, fresh.len());
+        let pending = store.reader().expect("reader over pending rows");
+        assert_answers(&pending, &corpus, "successor after insert");
+        store.flush().expect("flush");
+        let next = store.reader().expect("successor");
         assert_answers(&next, &corpus, "successor after flush");
-        next.materialise_all().expect("materialise");
-        let stats = next.read_stats();
-        assert_eq!(stats.bytes_read, fresh.iter().sum::<u64>());
-        assert_eq!(stats.segments_read, fresh.len());
-        assert_eq!(stats.segments_skipped, 0);
-        cumulative += stats.bytes_read;
+        assert_eq!(next.read_stats().bytes_read, open_bytes);
+        assert!(vfs.take().is_empty(), "round {round} read a segment file");
     }
-    // Four generations read the index once in total, not four times.
-    assert_eq!(cumulative, segment_files(&dir).values().sum::<u64>());
     // The first generation saw none of that and still answers its own view.
-    assert_eq!(first.read_stats().bytes_read, before.values().sum::<u64>());
     assert_answers(&first, &corpus[..300], "first generation");
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
-fn compaction_successor_reads_only_the_merged_output_and_pinned_readers_survive_reclaim() {
-    let dir = temp_dir("compact");
+fn compaction_deletes_superseded_files_and_pinned_readers_still_answer() {
+    let vfs = ReadLog::new();
+    let dir = Path::new("/compact");
     let mut rng = SplitMix64::new(0xC0DE);
-    let mut store = IndexStore::create(&dir, IndexConfig::new(LEN, 2)).expect("create");
-    let corpus = records(0..400, &mut rng);
+    let mut store =
+        IndexStore::create_with(dir, IndexConfig::new(LEN, 2), vfs.io()).expect("create");
+    let mut corpus = records(0..400, &mut rng);
     for batch in corpus.chunks(80) {
         store.insert_batch(batch).expect("insert");
         store.flush().expect("flush");
     }
-    let before = segment_files(&dir);
-    // Pinned *before* the compaction, fully resident by the time the
-    // obsolete files are reclaimed (the serving layer reclaims only once
-    // older generations drain; this reader stands for one that has not).
-    let pinned = store.lazy_reader().expect("pinned reader");
+    drop(store);
+    let mut store = IndexStore::open_with(dir, vfs.io()).expect("open");
+    let before = vfs.segments(dir);
+    assert_eq!(vfs.take(), before);
+    let open_bytes = bytes_of(&vfs, &before);
+    let pinned = store.reader().expect("pinned reader");
     let warm = pinned.top_k(&corpus[0].1, 8, 1).expect("warm query");
-    pinned.materialise_all().expect("materialise");
 
     let policy = TieredPolicy {
         min_segments: 2,
@@ -156,37 +201,36 @@ fn compaction_successor_reads_only_the_merged_output_and_pinned_readers_survive_
     };
     let outcome = store.compact_tiered(&policy).expect("compact");
     assert!(!outcome.is_noop());
-    let after = segment_files(&dir);
-    let merged: Vec<u64> = after
-        .iter()
-        .filter(|(name, _)| !before.contains_key(*name))
-        .map(|(_, &bytes)| bytes)
-        .collect();
-    assert_eq!(merged.len(), outcome.new_segments);
-
-    let next = store.lazy_reader().expect("successor");
-    next.materialise_all().expect("materialise");
-    let stats = next.read_stats();
-    assert_eq!(stats.bytes_read, merged.iter().sum::<u64>());
-    assert_eq!(stats.segments_read, merged.len());
+    // The merged-away files are gone as soon as the manifest commits.
+    let after = vfs.segments(dir);
+    assert_eq!(after.len(), outcome.new_segments);
+    assert!(after.iter().all(|p| !before.contains(p)));
+    let next = store.reader().expect("successor");
     assert_answers(&next, &corpus, "successor after compaction");
-
-    // The obsolete files go away; the pinned generation holds its rows.
-    assert_eq!(
-        reclaim(&outcome.obsolete).expect("reclaim"),
-        outcome.obsolete.len()
-    );
+    assert_eq!(next.read_stats().bytes_read, open_bytes);
+    // The pinned generation holds its rows though its files are gone.
     assert_eq!(
         pinned.top_k(&corpus[0].1, 8, 1).expect("pinned query"),
         warm
     );
-    assert_answers(&pinned, &corpus, "pinned generation after reclaim");
-    // And a reader built now neither needs nor resurrects them.
-    let last = store.lazy_reader().expect("post-reclaim reader");
-    assert_eq!(last.read_stats().segments_skipped, 0);
-    assert_answers(&last, &corpus, "post-reclaim reader");
-    assert_eq!(last.read_stats().bytes_read, 0);
-    std::fs::remove_dir_all(&dir).expect("cleanup");
+    assert_answers(&pinned, &corpus, "pinned generation after compaction");
+
+    // A full compaction after more inserts reads nothing either.
+    let extra = records(1000..1100, &mut rng);
+    store.insert_batch(&extra).expect("insert");
+    corpus.extend(extra);
+    assert!(store.compact().expect("compact") > 0);
+    let last = store.reader().expect("reader after compact");
+    assert_answers(&last, &corpus, "reader after compact");
+    assert_eq!(last.read_stats().bytes_read, open_bytes);
+    assert!(vfs.take().is_empty(), "a write path read a segment file");
+
+    // Only a verification pass and a snapshot export read the files.
+    let live = vfs.segments(dir);
+    store.stats().expect("stats");
+    assert_eq!(vfs.take(), live, "stats reads every segment once");
+    store.export_snapshot(Path::new("/copy")).expect("export");
+    assert_eq!(vfs.take(), live, "export reads every segment once");
 }
 
 /// A flush that fails (one-shot `ENOSPC`, swept over every write of the
@@ -215,8 +259,7 @@ fn a_segment_id_that_never_committed_is_never_served_from_the_map() {
         if store.insert_batch(&base).is_err() || store.flush().is_err() {
             continue; // the fault fired before the flush under test
         }
-        let first = store.lazy_reader().expect("first reader");
-        first.materialise_all().expect("materialise");
+        let first = store.reader().expect("first reader");
         if store.insert_batch(&second).is_err() {
             continue;
         }
@@ -227,8 +270,7 @@ fn a_segment_id_that_never_committed_is_never_served_from_the_map() {
                 failed_flushes += 1;
                 // Whatever the failed flush left behind, a reader taken
                 // now is built from the committed manifest + pending.
-                let between = store.lazy_reader().expect("reader between");
-                between.materialise_all().expect("materialise");
+                let between = store.reader().expect("reader between");
                 assert_answers(&between, &corpus, "between failure and retry");
                 store.insert_batch(&third).expect("insert after the fault");
                 corpus.extend(third.iter().cloned());
@@ -236,7 +278,7 @@ fn a_segment_id_that_never_committed_is_never_served_from_the_map() {
             }
             Err(e) => panic!("unexpected error kind at limit {limit}: {e}"),
         }
-        let last = store.lazy_reader().expect("reader after retry");
+        let last = store.reader().expect("reader after retry");
         assert_answers(&last, &corpus, "after the retried flush");
         assert_eq!(last.len(), corpus.len(), "limit {limit}");
         assert_answers(&first, &base, "first generation");

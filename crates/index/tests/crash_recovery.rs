@@ -357,7 +357,7 @@ fn corrupt_segment_quarantines_and_serves_degraded_reads() {
     );
 
     // Queries still answer, exactly over the surviving records.
-    let reader = store.lazy_reader().expect("lazy reader");
+    let reader = store.reader().expect("reader");
     assert!(reader.is_degraded());
     assert_eq!(reader.quarantined_segments(), 1);
     let ids = scan_ids(&store, &probes(1)[0]);
@@ -401,7 +401,7 @@ fn read_flips_surface_as_typed_errors_never_panics() {
     drop(store);
 
     // Every open re-reads everything through the flipping vfs. The
-    // property under test: a flip can fail an open or a load with a
+    // property under test: a flip can fail an open with a
     // typed error, or trigger a (spurious but safe) quarantine — it can
     // never panic and never surface wrong data, because every file
     // carries checksums. Data that loads is correct data.

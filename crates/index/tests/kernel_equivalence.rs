@@ -7,8 +7,8 @@
 //!    `dice_from_counts`) must reproduce `BitVec::and_count` /
 //!    `dice_bits` exactly, including all-zero and all-one edges and
 //!    lengths that straddle word boundaries.
-//! 2. A lazy [`IndexReader`] over segment files, the eager store
-//!    reader (the lazy one with every segment loaded at build), and a
+//! 2. The store's [`IndexReader`] over the arenas its flushes kept, the
+//!    reader of the same files decoded by a fresh open, and a
 //!    brute-force scan must return identical `(id, score)` hit lists
 //!    for the same queries.
 //! 3. The one scan loop behind `top_k` and `top_k_batch` must stay
@@ -552,7 +552,7 @@ fn brute_force(records: &[(u64, BitVec)], query: &BitVec, k: usize, min_score: f
 }
 
 #[test]
-fn lazy_reader_eager_reader_and_brute_force_agree() {
+fn store_readers_and_brute_force_agree() {
     let len = 256;
     let mut state = 0x5EEDu64;
     let records: Vec<(u64, BitVec)> = (0..180)
@@ -560,13 +560,13 @@ fn lazy_reader_eager_reader_and_brute_force_agree() {
         .collect();
     let dir = temp_dir("agree");
     let store = build_store(&dir, IndexConfig::new(len, 4), &records);
-    let eager = store.reader().expect("eager");
-    // A second handle on the same files, so the lazy reader loads every
-    // segment itself instead of inheriting the rows `reader()` loaded.
-    let lazy = IndexStore::open(&dir)
+    let kept = store.reader().expect("flushed arenas");
+    // A second handle on the same files, whose open decodes every
+    // segment instead of keeping the rows the flushes wrote.
+    let decoded = IndexStore::open(&dir)
         .expect("reopen")
-        .lazy_reader()
-        .expect("lazy");
+        .reader()
+        .expect("decoded arenas");
 
     // Queries: members, perturbed members, and foreign filters.
     let mut queries: Vec<BitVec> = records.iter().step_by(23).map(|(_, f)| f.clone()).collect();
@@ -585,10 +585,10 @@ fn lazy_reader_eager_reader_and_brute_force_agree() {
         for k in [1usize, 7, 50, 400] {
             let expect = brute_force(&records, query, k, 0.0);
             for threads in [1usize, 3] {
-                let e = eager.top_k(query, k, threads).expect("eager top_k");
-                let l = lazy.top_k(query, k, threads).expect("lazy top_k");
-                assert_eq!(e, expect, "eager k={k} threads={threads}");
-                assert_eq!(l, expect, "lazy k={k} threads={threads}");
+                let e = kept.top_k(query, k, threads).expect("kept top_k");
+                let d = decoded.top_k(query, k, threads).expect("decoded top_k");
+                assert_eq!(e, expect, "kept k={k} threads={threads}");
+                assert_eq!(d, expect, "decoded k={k} threads={threads}");
             }
         }
     }
@@ -596,7 +596,7 @@ fn lazy_reader_eager_reader_and_brute_force_agree() {
     // One batched columnar scan over all queries must equal the
     // per-query answers exactly.
     let refs: Vec<&BitVec> = queries.iter().collect();
-    let batch = lazy.top_k_batch(&refs, 9, 2, None).expect("batch");
+    let batch = decoded.top_k_batch(&refs, 9, 2, None).expect("batch");
     for (qi, query) in queries.iter().enumerate() {
         assert_eq!(
             batch[qi],

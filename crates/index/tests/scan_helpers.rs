@@ -1,4 +1,6 @@
-//! Admission of scan helpers, observed through `ReadStats::helper_rows`.
+//! Admission of scan helpers, observed through `ReadStats::helper_rows`
+//! and, for a helper stopped mid-call, through the tasks each runner
+//! participant took.
 //!
 //! The foreground gauge is process-wide, so the tests here take turns
 //! (one lock) and nothing else in this binary scans or writes. Every
@@ -7,14 +9,11 @@
 
 use pprl_core::bitvec::BitVec;
 use pprl_core::gauge::{cores, foreground};
-use pprl_index::query::IndexReader;
-use pprl_index::store::{IndexConfig, IndexStore};
-use pprl_index::vfs::{FaultVfs, Vfs};
-use std::io;
-use std::path::Path;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::{self, JoinHandle, ThreadId};
+use pprl_core::runner;
+use pprl_index::query::{Hit, IndexReader};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::{self, JoinHandle};
 
 const PROBES: usize = 32;
 /// 32 probes × 34k rows is past the ~1M-pair admission threshold.
@@ -129,65 +128,30 @@ fn a_free_gauge_lends_idle_cores_to_a_large_scan_only() {
     assert!(stats.helper_rows < stats.rows_scanned);
 }
 
-/// Passes every call to an in-memory filesystem, except that the first
-/// segment read on a thread other than the scan's owner — a helper's —
-/// reports on `gate`'s sender and then waits for its receiver.
-#[derive(Debug)]
-struct GatedVfs {
-    inner: Arc<FaultVfs>,
-    owner: Mutex<Option<ThreadId>>,
-    gate: Mutex<Option<(Sender<Event>, Receiver<()>)>>,
-}
-
 #[derive(Debug, PartialEq)]
 enum Event {
     HelperMidTask,
     ScanDone,
 }
 
-impl Vfs for GatedVfs {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let helper = *self.owner.lock().expect("owner") != Some(thread::current().id());
-        if helper && path.extension().is_some_and(|e| e == "seg") {
-            if let Some((mid, go)) = self.gate.lock().expect("gate").take() {
-                mid.send(Event::HelperMidTask).expect("test listens");
-                go.recv().expect("test releases the helper");
-            }
-        }
-        self.inner.read(path)
-    }
-    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        self.inner.write(path, data)
-    }
-    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        self.inner.append(path, data)
-    }
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.inner.rename(from, to)
-    }
-    fn sync_file(&self, path: &Path) -> io::Result<()> {
-        self.inner.sync_file(path)
-    }
-    fn sync_dir(&self, path: &Path) -> io::Result<()> {
-        self.inner.sync_dir(path)
-    }
-    fn file_size(&self, path: &Path) -> io::Result<u64> {
-        self.inner.file_size(path)
-    }
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        self.inner.remove_file(path)
-    }
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        self.inner.create_dir_all(path)
-    }
-    fn exists(&self, path: &Path) -> bool {
-        self.inner.exists(path)
-    }
+/// Per-probe top `k` of several slices' answers, ranked as every scan
+/// ranks: score descending, ties by ascending id.
+fn merge(parts: &[Vec<Vec<Hit>>], probes: usize, k: usize) -> Vec<Vec<Hit>> {
+    (0..probes)
+        .map(|q| {
+            let mut hits: Vec<Hit> = parts.iter().flat_map(|p| p[q].iter().copied()).collect();
+            hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+            hits.truncate(k);
+            hits
+        })
+        .collect()
 }
 
-/// A helper blocked inside its first task (a lazy segment load) sees
-/// every core taken when it resumes: it finishes that one task and
-/// claims no other, while the caller scans the rest.
+/// A helper blocked inside its first task sees every core taken when it
+/// resumes: it finishes that one task and claims no other, while the
+/// caller scans the rest. The tasks are segment-sized scans on the
+/// runner `top_k_batch` drains; the first one a helper (any thread but
+/// the caller) runs reports on a channel and waits to be released.
 #[test]
 fn a_guard_taken_mid_scan_stops_helpers_claiming_tasks() {
     const SEGMENT_ROWS: usize = 1_000; // one task per segment
@@ -197,60 +161,64 @@ fn a_guard_taken_mid_scan_stops_helpers_claiming_tasks() {
     let _turn = my_turn();
     let (records, probes) = corpus();
     let refs: Vec<&BitVec> = probes.iter().collect();
-    let vfs = Arc::new(GatedVfs {
-        inner: FaultVfs::reliable(),
-        owner: Mutex::default(),
-        gate: Mutex::default(),
-    });
-    let io = || Arc::clone(&vfs) as Arc<dyn Vfs>;
-    let dir = Path::new("/scan-helpers");
-    let mut store = IndexStore::create_with(dir, IndexConfig::new(1000, 1), io()).expect("create");
-    for chunk in records.chunks(SEGMENT_ROWS) {
-        store.insert_batch(chunk).expect("insert");
-        store.flush().expect("flush");
-    }
     let want = IndexReader::new(vec![records.clone()], 1000)
-        .expect("eager reader")
+        .expect("one reader")
         .top_k_batch(&refs, 10, 1, None)
         .expect("oracle scan");
+    let segments: Vec<IndexReader> = records
+        .chunks(SEGMENT_ROWS)
+        .map(|chunk| IndexReader::new(vec![chunk.to_vec()], 1000).expect("segment"))
+        .collect();
 
-    // A store opened afresh has no segment loaded, so a helper's first
-    // task reads one; retry in the rare case the caller drains every
-    // task before the helper claims any.
+    // Retry in the rare case the caller drains every task before the
+    // helper claims any.
     for _ in 0..10 {
-        let reader = IndexStore::open_with(dir, io())
-            .expect("open")
-            .lazy_reader()
-            .expect("lazy reader");
         let (events_tx, events) = channel();
         let (go, go_rx) = channel();
-        *vfs.gate.lock().expect("gate") = Some((events_tx.clone(), go_rx));
-        let (got, helper_rows) = thread::scope(|s| {
+        let gate = Mutex::new(Some((events_tx.clone(), go_rx)));
+        let (got, helper_tasks) = thread::scope(|s| {
             let scan = s.spawn(|| {
-                *vfs.owner.lock().expect("owner") = Some(thread::current().id());
-                let got = reader.top_k_batch(&refs, 10, 4, None).expect("scan");
+                let owner = thread::current().id();
+                let (caller, helpers) = runner::run(
+                    4,
+                    segments.len(),
+                    runner::HELPER_MIN_NANOS,
+                    || (Vec::new(), 0usize),
+                    |(parts, tasks), i| {
+                        if thread::current().id() != owner {
+                            if let Some((mid, go)) = gate.lock().expect("gate").take() {
+                                mid.send(Event::HelperMidTask).expect("test listens");
+                                go.recv().expect("test releases the helper");
+                            }
+                        }
+                        parts.push(segments[i].top_k_batch(&refs, 10, 1, None)?);
+                        *tasks += 1;
+                        Ok(())
+                    },
+                )
+                .expect("scan");
                 events_tx.send(Event::ScanDone).expect("test listens");
-                got
+                let helper_tasks: usize = helpers.iter().map(|(_, tasks)| tasks).sum();
+                let parts: Vec<_> = std::iter::once(caller)
+                    .chain(helpers)
+                    .flat_map(|(parts, _)| parts)
+                    .collect();
+                (merge(&parts, PROBES, 10), helper_tasks)
             });
             let first = events.recv().expect("an event");
             let _held = (first == Event::HelperMidTask).then(|| hold(cores()));
             go.send(()).expect("the gate holds its receiver until used");
-            let got = scan.join().expect("scan thread");
-            (
-                got,
-                (first == Event::HelperMidTask).then(|| reader.read_stats().helper_rows),
-            )
+            let (got, helper_tasks) = scan.join().expect("scan thread");
+            (got, (first == Event::HelperMidTask).then_some(helper_tasks))
         });
         assert_eq!(got, want);
-        if let Some(helper_rows) = helper_rows {
+        if let Some(helper_tasks) = helper_tasks {
             assert_eq!(
-                helper_rows,
-                (PROBES * SEGMENT_ROWS) as u64,
+                helper_tasks, 1,
                 "the helper must finish its one task and claim nothing after"
             );
             return;
         }
-        vfs.gate.lock().expect("gate").take();
     }
     panic!("no helper claimed a task in ten large scans on an idle host");
 }

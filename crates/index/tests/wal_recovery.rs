@@ -69,7 +69,7 @@ fn every_prefix_truncation_recovers_exactly_the_complete_entries() {
             .unwrap_or_else(|e| panic!("cut at {cut} must be a benign torn tail, got: {e}"));
         let expect = cut.saturating_sub(HEADER_LEN) / FRAME_LEN;
         assert_eq!(
-            store.record_count().expect("count"),
+            store.record_count(),
             expect,
             "cut at {cut}: wrong number of entries recovered"
         );
@@ -107,7 +107,7 @@ fn every_single_bit_flip_is_a_typed_error() {
     // Pristine image still opens cleanly (the loop never mutated state).
     vfs.write(&wal, &image).expect("restore");
     let store = reopen(&vfs).expect("pristine reopen");
-    assert_eq!(store.record_count().expect("count"), 3);
+    assert_eq!(store.record_count(), 3);
 }
 
 #[test]
@@ -118,7 +118,7 @@ fn truncated_tail_repairs_and_store_keeps_accepting_inserts() {
     vfs.write(&wal, &image[..image.len() - FRAME_LEN / 2])
         .expect("tear");
     let mut store = reopen(&vfs).expect("torn tail is benign");
-    assert_eq!(store.record_count().expect("count"), 2);
+    assert_eq!(store.record_count(), 2);
     // The repaired log keeps working: new appends land after the
     // recovered prefix and survive a further reopen.
     store

@@ -186,19 +186,31 @@ impl Client {
         let _ = set_io_timeouts(&self.stream, self.deadline);
     }
 
-    /// [`Client::connect_with`], retrying the TCP connect up to
-    /// `attempts` times with `delay` between tries — for racing a
-    /// server that is still binding its port. Missing credentials are a
-    /// typed `Auth` error before any socket is opened. Only a connect
-    /// that fails (refused, unreachable) is retried: once a peer has
-    /// accepted, whatever the handshake returns — an auth rejection, a
-    /// close, a stall past the deadline — is returned at once, since
-    /// a retry would meet the same peer.
+    /// [`Client::connect_retry_within`] under the default 60 s call
+    /// deadline.
     pub fn connect_retry_with(
         addr: &str,
         auth: Option<ClientAuth>,
         attempts: u32,
         delay: Duration,
+    ) -> Result<Client> {
+        Self::connect_retry_within(addr, auth, attempts, delay, DEFAULT_DEADLINE)
+    }
+
+    /// [`Client::connect_within`], retrying the TCP connect up to
+    /// `attempts` times with `delay` between tries — for racing a
+    /// server that is still binding its port. Missing credentials are a
+    /// typed `Auth` error before any socket is opened. Only a connect
+    /// that fails (refused, unreachable) is retried: once a peer has
+    /// accepted, whatever the handshake returns — an auth rejection, a
+    /// close, a stall past `deadline` — is returned at once, since a
+    /// retry would meet the same peer.
+    pub fn connect_retry_within(
+        addr: &str,
+        auth: Option<ClientAuth>,
+        attempts: u32,
+        delay: Duration,
+        deadline: Duration,
     ) -> Result<Client> {
         let auth = auth.ok_or_else(|| {
             PprlError::Auth(format!(
@@ -216,7 +228,7 @@ impl Client {
                 }
             }
         };
-        Self::start(stream, addr, auth, DEFAULT_DEADLINE)
+        Self::start(stream, addr, auth, deadline)
     }
 
     /// Sends one request and reads one response, absorbing `Busy`

@@ -12,8 +12,8 @@
 //! - `pool` — the front end's bounded connection queue with explicit
 //!   backpressure (`Busy {retry_after}`), never unbounded buffering;
 //! - [`snapshot`] — generation-tagged snapshot isolation: queries pin an
-//!   immutable reader while writes install the next generation, and
-//!   superseded segment files are reclaimed only once readers drain;
+//!   immutable reader over resident arenas while writes install the next
+//!   generation, so compaction deletes superseded files at once;
 //! - [`service`] — queries, batch link, durable insert, background
 //!   size-tiered compaction, and an LRU result cache keyed by
 //!   (generation, filter bits, k);

@@ -86,8 +86,6 @@ pub struct Metrics {
     pub segments_merged: AtomicU64,
     /// Rows rewritten by arena-native segment merges during compaction.
     pub merge_rows: AtomicU64,
-    /// Bytes read from storage while building snapshots.
-    pub bytes_read: AtomicU64,
     /// Request latency histogram (query + link).
     pub latency: LatencyHistogram,
 }

@@ -453,8 +453,7 @@ fn maintenance_loop(backend: &ServerBackend, shutdown: &AtomicBool, interval: Du
         }
         // Compaction is best-effort maintenance: a failed step (e.g. a
         // transient I/O error) must not kill the serving path; a later
-        // tick retries. reclaim_drained runs inside compact_step. One
-        // thread round-robins every tenant's store.
+        // tick retries. One thread round-robins every tenant's store.
         let mut any_failed = false;
         for service in services() {
             if service.compact_step().is_err() {
@@ -471,7 +470,6 @@ fn maintenance_loop(backend: &ServerBackend, shutdown: &AtomicBool, interval: Du
     // only spares the next open its replay.
     for service in services() {
         let _ = service.flush();
-        let _ = service.reclaim_drained();
     }
 }
 

@@ -7,10 +7,9 @@
 //! [`SnapshotHub`] and run entirely against in-memory state, so a
 //! compaction rewriting segments on the maintenance thread can neither
 //! block nor be blocked by reads. After any mutation the writer builds a
-//! fresh reader, installs it as the next generation (the on-disk
-//! counterpart being `pprl-index`'s atomic tmp+rename manifest swap),
-//! and the superseded segment files wait in the hub until every reader
-//! of an older generation drains.
+//! fresh reader over the store's resident arenas and installs it as the
+//! next generation (the on-disk counterpart being `pprl-index`'s atomic
+//! tmp+rename manifest swap).
 
 use crate::cache::{LruCache, QueryKey};
 use crate::metrics::Metrics;
@@ -71,13 +70,13 @@ pub struct LinkageService {
 }
 
 impl LinkageService {
-    /// Opens the index at `dir` and builds the generation-0 snapshot.
-    /// The snapshot's reader is *lazy*: each segment file is read on the
-    /// first query that scans it, not all up front.
+    /// Opens the index at `dir` — which reads every segment file once,
+    /// into the arenas every later generation shares — and builds the
+    /// generation-0 snapshot.
     pub fn open(dir: &Path, config: ServiceConfig) -> Result<LinkageService> {
         config.tiered.validate()?;
         let store = IndexStore::open(dir)?;
-        let reader = store.lazy_reader()?;
+        let reader = store.reader()?;
         Ok(LinkageService {
             store: Mutex::new(store),
             hub: SnapshotHub::new(reader),
@@ -163,23 +162,12 @@ impl LinkageService {
         Ok(out)
     }
 
-    /// Builds a fresh lazy reader from the (locked) store and installs it
-    /// as the next generation, clearing the result cache. The new reader
-    /// inherits every segment the store's earlier readers materialised,
-    /// so the swap costs the segments this mutation wrote, not the index.
-    /// The retiring snapshot's cumulative read counter folds into the
-    /// service metrics here, so `bytes_read` in [`stats_report`] stays a
-    /// running total across generations.
-    ///
-    /// [`stats_report`]: LinkageService::stats_report
-    fn install_fresh(&self, store: &IndexStore, obsolete: Vec<std::path::PathBuf>) -> Result<u64> {
-        let reader = store.lazy_reader()?;
-        let retiring = self.hub.pin();
-        Metrics::add(
-            &self.metrics.bytes_read,
-            retiring.reader.read_stats().bytes_read,
-        );
-        let generation = self.hub.install(reader, obsolete);
+    /// Builds a fresh reader from the (locked) store and installs it as
+    /// the next generation, clearing the result cache. The new reader
+    /// shares every segment arena with the store and reads no file, so
+    /// the swap costs a copy of the pending rows, not the index.
+    fn install_fresh(&self, store: &IndexStore) -> Result<u64> {
+        let generation = self.hub.install(store.reader()?);
         self.cache.lock().expect("cache lock").clear();
         Ok(generation)
     }
@@ -206,7 +194,7 @@ impl LinkageService {
         if store.pending_len() >= INLINE_FLUSH_ROWS {
             store.flush()?;
         }
-        let generation = self.install_fresh(&store, Vec::new())?;
+        let generation = self.install_fresh(&store)?;
         Metrics::add(&self.metrics.inserts, 1);
         Ok(generation)
     }
@@ -215,29 +203,25 @@ impl LinkageService {
     /// runs one size-tiered compaction step, then installs one next
     /// snapshot generation if either changed the store. When a tier
     /// merges, the new manifest is swapped in atomically and the
-    /// rewritten segment files are queued for reclamation once readers
-    /// of older generations drain (attempted immediately, and again on
-    /// every later step). The returned outcome describes the merge only.
+    /// rewritten segment files are deleted at once; pinned older
+    /// generations keep the arenas they share. The returned outcome
+    /// describes the merge only.
     pub fn compact_step(&self) -> Result<CompactionOutcome> {
-        let outcome = {
-            let mut store = self.store.lock().expect("store lock");
-            let flushed = store.pending_len() > 0;
-            store.flush()?;
-            let outcome = store.compact_tiered(&self.config.tiered)?;
-            if flushed || !outcome.is_noop() {
-                self.install_fresh(&store, outcome.obsolete.clone())?;
-            }
-            if !outcome.is_noop() {
-                Metrics::add(&self.metrics.compactions, 1);
-                Metrics::add(
-                    &self.metrics.segments_merged,
-                    outcome.merged_segments as u64,
-                );
-                Metrics::add(&self.metrics.merge_rows, outcome.records_rewritten as u64);
-            }
-            outcome
-        };
-        self.hub.reclaim_drained()?;
+        let mut store = self.store.lock().expect("store lock");
+        let flushed = store.pending_len() > 0;
+        store.flush()?;
+        let outcome = store.compact_tiered(&self.config.tiered)?;
+        if flushed || !outcome.is_noop() {
+            self.install_fresh(&store)?;
+        }
+        if !outcome.is_noop() {
+            Metrics::add(&self.metrics.compactions, 1);
+            Metrics::add(
+                &self.metrics.segments_merged,
+                outcome.merged_segments as u64,
+            );
+            Metrics::add(&self.metrics.merge_rows, outcome.records_rewritten as u64);
+        }
         Ok(outcome)
     }
 
@@ -248,19 +232,9 @@ impl LinkageService {
         let mut store = self.store.lock().expect("store lock");
         if store.pending_len() > 0 {
             store.flush()?;
-            self.install_fresh(&store, Vec::new())?;
+            self.install_fresh(&store)?;
         }
         Ok(())
-    }
-
-    /// Deletes obsolete segment files of drained generations.
-    pub fn reclaim_drained(&self) -> Result<usize> {
-        self.hub.reclaim_drained()
-    }
-
-    /// Retired generations whose files are still awaiting reclamation.
-    pub fn retired_generations(&self) -> usize {
-        self.hub.retired_len()
     }
 
     /// Snapshot of the aggregate stats surface.
@@ -282,9 +256,7 @@ impl LinkageService {
             busy_rejected: 0,
             compactions: Metrics::get(&self.metrics.compactions),
             segments_merged: Metrics::get(&self.metrics.segments_merged),
-            // Retired generations' reads (folded in at install) plus what
-            // the live snapshot has lazily materialised so far.
-            bytes_read: Metrics::get(&self.metrics.bytes_read) + read_stats.bytes_read,
+            bytes_read: read_stats.bytes_read,
             latency_p50_us: self.metrics.latency.quantile_us(0.50),
             latency_p99_us: self.metrics.latency.quantile_us(0.99),
             uptime_ms: self.started.elapsed().as_millis() as u64,

@@ -10,21 +10,13 @@
 //! one consistent generation — never a half-swapped manifest — and never
 //! blocks on, or is blocked by, the writer.
 //!
-//! Reclamation is the second half of the contract: compaction rewrites
-//! segment files but must not delete the superseded ones while any
-//! pinned snapshot of an older generation might still exist. The hub
-//! keeps `(Weak<Snapshot>, obsolete files)` pairs in install order and
-//! [`SnapshotHub::reclaim_drained`] deletes files only for prefix
-//! entries whose snapshots have fully dropped — oldest first, stopping
-//! at the first still-live generation so files are removed strictly in
-//! retirement order.
+//! A snapshot's rows are resident arenas it shares with the store, so
+//! it never reads a segment file: a compaction deletes the files it
+//! supersedes at once, and a pinned old generation keeps answering from
+//! the arenas it holds until its last reader drops it.
 
-use pprl_core::error::Result;
 use pprl_index::query::IndexReader;
-use pprl_index::store::reclaim;
-use std::collections::VecDeque;
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 
 /// One immutable, queryable view of the index.
 #[derive(Debug)]
@@ -35,19 +27,10 @@ pub struct Snapshot {
     pub reader: IndexReader,
 }
 
-/// Retired generation awaiting drain: the snapshot (weakly held) and the
-/// segment files its supersession made obsolete.
-#[derive(Debug)]
-struct Retired {
-    snapshot: Weak<Snapshot>,
-    obsolete: Vec<PathBuf>,
-}
-
-/// Publishes snapshots to readers and reclaims superseded files.
+/// Publishes snapshots to readers.
 #[derive(Debug)]
 pub struct SnapshotHub {
     current: Mutex<Arc<Snapshot>>,
-    retired: Mutex<VecDeque<Retired>>,
 }
 
 impl SnapshotHub {
@@ -58,7 +41,6 @@ impl SnapshotHub {
                 generation: 0,
                 reader,
             })),
-            retired: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -73,47 +55,16 @@ impl SnapshotHub {
         self.pin().generation
     }
 
-    /// Atomically installs `reader` as the next generation, retiring the
-    /// previous snapshot together with the segment files (`obsolete`)
-    /// its supersession made reclaimable. Returns the new generation.
-    pub fn install(&self, reader: IndexReader, obsolete: Vec<PathBuf>) -> u64 {
+    /// Atomically installs `reader` as the next generation. Readers of
+    /// the previous one keep it until they drop their pin. Returns the
+    /// new generation.
+    pub fn install(&self, reader: IndexReader) -> u64 {
         let mut current = self.current.lock().expect("snapshot lock");
-        let next = Arc::new(Snapshot {
+        *current = Arc::new(Snapshot {
             generation: current.generation + 1,
             reader,
         });
-        let old = std::mem::replace(&mut *current, next.clone());
-        self.retired
-            .lock()
-            .expect("retired lock")
-            .push_back(Retired {
-                snapshot: Arc::downgrade(&old),
-                obsolete,
-            });
-        drop(old); // may or may not be the last strong ref; readers decide
-        next.generation
-    }
-
-    /// Retired generations whose files have not been reclaimed yet.
-    pub fn retired_len(&self) -> usize {
-        self.retired.lock().expect("retired lock").len()
-    }
-
-    /// Deletes obsolete files of every *drained* retired generation —
-    /// oldest first, stopping at the first generation still pinned by a
-    /// reader. Returns how many files were removed. Safe to call from
-    /// the maintenance thread at any time.
-    pub fn reclaim_drained(&self) -> Result<usize> {
-        let mut removed = 0usize;
-        let mut retired = self.retired.lock().expect("retired lock");
-        while let Some(front) = retired.front() {
-            if front.snapshot.strong_count() > 0 {
-                break; // a reader still holds this generation
-            }
-            let entry = retired.pop_front().expect("front exists");
-            removed += reclaim(&entry.obsolete)?;
-        }
-        Ok(removed)
+        current.generation
     }
 }
 
@@ -140,48 +91,11 @@ mod tests {
         let hub = SnapshotHub::new(reader_with(&[1, 2]));
         let pinned = hub.pin();
         assert_eq!(pinned.generation, 0);
-        let g1 = hub.install(reader_with(&[1, 2, 3]), vec![]);
+        let g1 = hub.install(reader_with(&[1, 2, 3]));
         assert_eq!(g1, 1);
         // The pinned snapshot still serves the old view.
         assert_eq!(pinned.reader.len(), 2);
         assert_eq!(hub.pin().reader.len(), 3);
         assert_eq!(hub.generation(), 1);
-    }
-
-    #[test]
-    fn reclaim_waits_for_pinned_readers_and_preserves_order() {
-        let dir = std::env::temp_dir().join(format!("pprl-snap-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let f0 = dir.join("gen0.seg");
-        let f1 = dir.join("gen1.seg");
-        std::fs::write(&f0, b"old0").unwrap();
-        std::fs::write(&f1, b"old1").unwrap();
-
-        let hub = SnapshotHub::new(reader_with(&[1]));
-        let pinned_g0 = hub.pin();
-        hub.install(reader_with(&[1, 2]), vec![f0.clone()]);
-        let pinned_g1 = hub.pin();
-        hub.install(reader_with(&[1, 2, 3]), vec![f1.clone()]);
-
-        // Both old generations still pinned: nothing reclaimable.
-        assert_eq!(hub.reclaim_drained().unwrap(), 0);
-        assert!(f0.exists() && f1.exists());
-
-        // Dropping only the *newer* pin must not free the older one's
-        // files: reclamation is strictly oldest-first.
-        drop(pinned_g1);
-        assert_eq!(hub.reclaim_drained().unwrap(), 0);
-        assert!(f0.exists() && f1.exists());
-        assert_eq!(hub.retired_len(), 2);
-
-        // Dropping the oldest pin drains both retired generations.
-        drop(pinned_g0);
-        assert_eq!(hub.reclaim_drained().unwrap(), 2);
-        assert!(!f0.exists() && !f1.exists());
-        assert_eq!(hub.retired_len(), 0);
-
-        // Idempotent once drained.
-        assert_eq!(hub.reclaim_drained().unwrap(), 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

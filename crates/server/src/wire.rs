@@ -176,7 +176,10 @@ pub struct StatsReport {
     pub compactions: u64,
     /// Segments merged away by background compaction.
     pub segments_merged: u64,
-    /// Bytes read from storage building snapshots.
+    /// Segment bytes the store read at open to make its segments
+    /// resident; later generations share those arenas and read no
+    /// file, so this stays the open total (summed over shards on a
+    /// cluster).
     pub bytes_read: u64,
     /// Median request latency in microseconds (fixed-bucket histogram).
     pub latency_p50_us: u64,

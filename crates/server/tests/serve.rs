@@ -11,7 +11,7 @@ use pprl_core::bitvec::BitVec;
 use pprl_core::error::PprlError;
 use pprl_index::manifest::IndexConfig;
 use pprl_index::query::Hit;
-use pprl_index::segment::record_count_for_size;
+use pprl_index::segment::segment_len;
 use pprl_index::store::{IndexStore, TieredPolicy, WAL_FILE};
 use pprl_server::client::Client;
 use pprl_server::server::ServerConfig;
@@ -134,12 +134,16 @@ fn concurrent_queries_match_offline_during_background_compaction() {
     assert!(stats.cache_hits > 0, "repeated queries never hit the cache");
     assert_eq!(stats.records, 400);
     client.shutdown().unwrap();
-    let backend = handle.join();
-    let service = backend.default_service();
-    assert_eq!(service.retired_generations(), 0, "files not reclaimed");
+    handle.join();
 
-    // The compacted on-disk index still answers identically offline.
+    // The compacted on-disk index still answers identically offline,
+    // and every superseded segment file is gone.
     let reopened = IndexStore::open(&dir).unwrap();
+    assert_eq!(
+        segment_bytes(&dir).len(),
+        reopened.stats().unwrap().segments,
+        "superseded segment files left behind"
+    );
     let reader = reopened.reader().unwrap();
     for (probe, want) in probes.iter().zip(&expected) {
         assert_eq!(&reader.top_k(probe, 5, 1).unwrap(), want);
@@ -148,9 +152,9 @@ fn concurrent_queries_match_offline_during_background_compaction() {
 }
 
 /// Satellite: a reader pinned to an old snapshot returns bit-for-bit
-/// identical top-k results while compaction rewrites segments and swaps
-/// the manifest underneath it, and obsolete files survive until that
-/// reader drains.
+/// identical top-k results after compaction rewrote segments, swapped
+/// the manifest and deleted the files that reader was built from: its
+/// rows are arenas it shares, not files it reads.
 #[test]
 fn old_snapshot_reads_identical_while_compaction_swaps() {
     let dir = temp_dir("snapshot");
@@ -172,38 +176,22 @@ fn old_snapshot_reads_identical_while_compaction_swaps() {
         .map(|p| pinned.reader.top_k(p, 7, 1).unwrap())
         .collect();
 
+    let built = segment_bytes(&dir);
     let outcome = service.compact_step().unwrap();
     assert!(!outcome.is_noop(), "compaction found nothing to merge");
     assert!(service.generation() >= 1);
-    // The pinned generation still exists, so its files must too.
-    assert!(service.retired_generations() >= 1);
-    for path in &outcome.obsolete {
-        assert!(
-            path.exists(),
-            "{} reclaimed under a live reader",
-            path.display()
-        );
-    }
+    // The merged-away files are gone while the old generation is pinned.
+    let now = segment_bytes(&dir);
+    let gone = built.keys().filter(|name| !now.contains_key(*name)).count();
+    assert_eq!(gone, outcome.merged_segments);
 
-    // Old snapshot: bit-for-bit identical results mid-rewrite.
+    // Old snapshot: bit-for-bit identical results after the rewrite.
     for (probe, want) in probes.iter().zip(&expected) {
         assert_eq!(&pinned.reader.top_k(probe, 7, 1).unwrap(), want);
     }
     // New snapshot: same logical content, same exact results.
     for (probe, want) in probes.iter().zip(&expected) {
         assert_eq!(&service.query(probe, 7).unwrap(), want);
-    }
-
-    // Only once the old reader drains do the files go away.
-    drop(pinned);
-    assert!(service.reclaim_drained().unwrap() >= 1);
-    assert_eq!(service.retired_generations(), 0);
-    for path in &outcome.obsolete {
-        assert!(
-            !path.exists(),
-            "{} not reclaimed after drain",
-            path.display()
-        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -225,9 +213,10 @@ fn segment_bytes(dir: &std::path::Path) -> std::collections::BTreeMap<String, u6
 
 /// Rows held in the `.seg` files under `dir`, from their sizes.
 fn segment_rows(dir: &std::path::Path) -> usize {
+    let (empty, row) = (segment_len(0, FILTER_LEN), segment_len(1, FILTER_LEN));
     segment_bytes(dir)
         .values()
-        .map(|&bytes| record_count_for_size(bytes, FILTER_LEN))
+        .map(|&bytes| ((bytes - empty) / (row - empty)) as usize)
         .sum()
 }
 
@@ -265,16 +254,18 @@ fn assert_oracle_exact(corpus: &[(u64, BitVec)], answer: impl Fn(&BitVec) -> Vec
     }
 }
 
-/// A generation swap costs the segments it added, not the index. A
-/// served insert writes no segment file, so its successor reader reads
-/// nothing from disk and cumulative `bytes_read` stays flat; the
-/// compaction step's flush and merge grow it by exactly the files they
-/// wrote that the new manifest names. An old pinned generation keeps
-/// answering from the rows it shares with the new one throughout.
+/// A generation swap reads none of the segments it added, nor any
+/// other. Opening the service reads each segment file once; a served
+/// insert writes no segment, and the compaction step's flush and merge
+/// keep the arenas they write, so `bytes_read` stays the open total
+/// throughout. An old pinned generation keeps answering from the rows
+/// it shares with the new one.
 #[test]
 fn generation_swaps_read_only_the_segments_they_added() {
     let dir = temp_dir("carry-over");
     drop(build_index(&dir, 300, 6));
+    let built = segment_bytes(&dir);
+    let expected = built.values().sum::<u64>();
     let service = LinkageService::open(
         &dir,
         ServiceConfig {
@@ -284,13 +275,10 @@ fn generation_swaps_read_only_the_segments_they_added() {
     )
     .unwrap();
     let pinned = service.snapshot();
-    pinned.reader.materialise_all().unwrap();
     let probe = filter_for(7);
     let pinned_answer = pinned.reader.top_k(&probe, 5, 1).unwrap();
-    let expected = segment_bytes(&dir).values().sum::<u64>();
     assert_eq!(service.stats_report(1, 1).bytes_read, expected);
 
-    let built = segment_bytes(&dir);
     let mut inserted = Vec::new();
     for round in 0..5u64 {
         let records: Vec<(u64, BitVec)> = (0..20)
@@ -300,7 +288,6 @@ fn generation_swaps_read_only_the_segments_they_added() {
         service.insert(&records).unwrap();
         inserted.extend_from_slice(&records);
         assert_eq!(segment_bytes(&dir), built, "insert {round} wrote a segment");
-        service.snapshot().reader.materialise_all().unwrap();
         assert_eq!(service.query(&records[3].1, 1).unwrap()[0].score, 1.0);
         assert_eq!(
             service.stats_report(1, 1).bytes_read,
@@ -315,16 +302,8 @@ fn generation_swaps_read_only_the_segments_they_added() {
     let outcome = service.compact_step().unwrap();
     assert!(!outcome.is_noop());
     assert_eq!(service.generation(), generation + 1, "one install per step");
-    assert_eq!(segment_rows(&dir), 400 + outcome.records_rewritten);
-    service.snapshot().reader.materialise_all().unwrap();
-    let written: u64 = segment_bytes(&dir)
-        .iter()
-        .filter(|(name, _)| !built.contains_key(*name))
-        .filter(|(name, _)| !outcome.obsolete.iter().any(|p| p.ends_with(name)))
-        .map(|(_, bytes)| bytes)
-        .sum();
-    assert!(written > 0);
-    assert_eq!(service.stats_report(1, 1).bytes_read, expected + written);
+    assert_eq!(segment_rows(&dir), 400, "only live segment files remain");
+    assert_eq!(service.stats_report(1, 1).bytes_read, expected);
     assert_eq!(pinned.reader.top_k(&probe, 5, 1).unwrap(), pinned_answer);
     assert_oracle_exact(&corpus, |p| service.query(p, 5).unwrap(), "after step");
     std::fs::remove_dir_all(&dir).ok();
@@ -371,7 +350,7 @@ fn inserts_past_the_pending_bound_flush_inline() {
     assert_oracle_exact(&corpus, |p| service.query(p, 5).unwrap(), "inline flush");
     drop(service);
     let reopened = IndexStore::open(&dir).unwrap();
-    assert_eq!(reopened.record_count().unwrap(), corpus.len());
+    assert_eq!(reopened.record_count(), corpus.len());
     let reader = reopened.reader().unwrap();
     assert_oracle_exact(&corpus, |p| reader.top_k(p, 5, 1).unwrap(), "reopened");
     std::fs::remove_dir_all(&dir).ok();
@@ -399,7 +378,7 @@ fn acked_unflushed_inserts_survive_a_reopen() {
     let corpus = corpus_with(200, &inserted);
     let store = IndexStore::open(&dir).unwrap();
     assert_eq!(store.pending_len(), inserted.len(), "WAL replay");
-    assert_eq!(store.record_count().unwrap(), corpus.len());
+    assert_eq!(store.record_count(), corpus.len());
     let reader = store.reader().unwrap();
     assert_oracle_exact(&corpus, |p| reader.top_k(p, 5, 1).unwrap(), "replayed");
     let replayed: Vec<Vec<Hit>> = corpus
@@ -420,7 +399,7 @@ fn acked_unflushed_inserts_survive_a_reopen() {
 
     let store = IndexStore::open(&dir).unwrap();
     assert_eq!(store.pending_len(), 0);
-    assert_eq!(store.record_count().unwrap(), corpus.len());
+    assert_eq!(store.record_count(), corpus.len());
     let reader = store.reader().unwrap();
     for ((_, p), want) in corpus.iter().zip(&replayed) {
         assert_eq!(&reader.top_k(p, 5, 1).unwrap(), want);
@@ -596,7 +575,7 @@ fn insert_over_wire_invalidates_cache_and_bumps_generation() {
 
     // Durability: a reopened store sees the inserted record.
     let store = IndexStore::open(&dir).unwrap();
-    assert_eq!(store.record_count().unwrap(), 101);
+    assert_eq!(store.record_count(), 101);
     std::fs::remove_dir_all(&dir).ok();
 }
 

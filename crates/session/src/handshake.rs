@@ -102,7 +102,7 @@ pub const AUTH_ERR_CROSS_TENANT: u8 = 2;
 pub const HELLO_FLAG_ENCRYPT: u8 = 0x01;
 
 /// The shared handshake group (fixed safe prime).
-pub fn session_group() -> Group {
+fn session_group() -> Group {
     Group {
         p: BigUint::from_hex(GROUP_PRIME_HEX).expect("GROUP_PRIME_HEX is valid hex"),
     }
@@ -110,7 +110,7 @@ pub fn session_group() -> Group {
 
 /// The fixed generator both key shares exponentiate: a domain-separated
 /// hash into the quadratic-residue subgroup.
-pub fn session_generator(group: &Group) -> BigUint {
+fn session_generator(group: &Group) -> BigUint {
     let mut input = HS_DOMAIN.to_vec();
     input.extend_from_slice(b":generator");
     group.hash_to_group(&input)

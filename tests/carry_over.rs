@@ -1,7 +1,8 @@
-//! Tier-1 copy of the index crate's carry-over suite: a successor lazy
-//! reader inherits every segment an earlier reader of the same store
-//! materialised, reads only what is new from disk, and never serves
-//! rows of a segment id no committed manifest named.
+//! Tier-1 copy of the index crate's carry-over suite: once a store is
+//! open, no insert, flush, compaction step or new reader reads a
+//! segment file, pinned generations answer after compaction deleted
+//! their files, and no reader serves rows of a segment id no committed
+//! manifest named.
 
 #[path = "../crates/index/tests/carry_over.rs"]
 mod carry_over;
