@@ -1,12 +1,16 @@
 //! The elastic task runner: the one fan-out for every loop that may
-//! borrow idle cores — the index scan behind `IndexReader::top_k_batch`
-//! and each heavy stage of `pipeline::batch::link` (encoding, Hamming-LSH
-//! keying, map build, join and merge, comparison).
+//! borrow idle cores — the index scans behind `IndexReader::top_k` and
+//! `IndexReader::top_k_batch`, and each heavy stage of
+//! `pipeline::batch::link` (encoding, Hamming-LSH keying, map build,
+//! join and merge, comparison).
 //!
 //! A call names its tasks `0..n` and an estimate of what one costs in
 //! nanoseconds. The caller drains the tasks itself, claiming them in
-//! order off an atomic counter. Before each claim it may admit one more
-//! scoped helper, up to `min(threads, cores) − 1`, while the process-wide
+//! order off an atomic counter ([`run`]); [`run_claims`] takes any other
+//! [`Claims`] source instead, such as the shared circular pass behind
+//! `IndexReader::top_k`, whose claims also serve other callers' probes.
+//! Before each claim the caller may admit one more scoped helper, up to
+//! `min(threads, cores) − 1`, while the process-wide
 //! [`gauge`] shows an idle core and the unclaimed tasks are estimated at
 //! ≥ [`HELPER_MIN_NANOS`] — enough to pay for the spawn. A helper
 //! re-checks before each claim and sleeps while foreground threads need
@@ -21,10 +25,10 @@
 //! before each claim, and a woken writer waits at most one task. A call
 //! too small to admit a helper claims without yielding. Each
 //! participant keeps its own state (token memos, scan heaps, scratch
-//! buffers), built by `init` on its own thread; [`map`] stitches per-task
-//! outputs back in task order, so no result depends on how many helpers
-//! ran or which tasks they took. `threads = 1` runs the same tasks on the
-//! caller without spawning.
+//! buffers), a helper's built by `init` on its own thread; [`map`]
+//! stitches per-task outputs back in task order, so no result depends
+//! on how many helpers ran or which tasks they took. `threads = 1` runs
+//! the same tasks on the caller without spawning.
 
 use crate::error::{PprlError, Result};
 use crate::gauge;
@@ -57,6 +61,42 @@ fn admits_helper(nanos: u64, occupied: usize, cores: usize, threads: usize) -> b
     may_admit(threads, nanos) && occupied < cores
 }
 
+/// Where the participants of one runner call take their tasks: a claim
+/// source shared by the caller and every helper it admits.
+pub trait Claims: Sync {
+    /// What one claim hands the participant that took it.
+    type Claim;
+    /// The next claim, or `None` once the call has none left.
+    fn claim(&self) -> Option<Self::Claim>;
+    /// Claims the call may still hand out (for the admission estimate).
+    fn left(&self) -> usize;
+    /// Hands out no more claims: a task failed.
+    fn close(&self);
+}
+
+/// Tasks `0..tasks`, claimed in order off an atomic counter.
+struct Counter {
+    next: AtomicUsize,
+    tasks: usize,
+}
+
+impl Claims for Counter {
+    type Claim = usize;
+
+    fn claim(&self) -> Option<usize> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.tasks).then_some(i)
+    }
+
+    fn left(&self) -> usize {
+        self.tasks.saturating_sub(self.next.load(Ordering::Relaxed))
+    }
+
+    fn close(&self) {
+        self.next.store(self.tasks, Ordering::Relaxed);
+    }
+}
+
 /// Runs `task(state, i)` for every `i` in `0..tasks` on the caller and
 /// whatever helpers the gauge admits, at most `threads` threads in all;
 /// one task costs about `task_nanos`. Returns the caller's state and
@@ -75,26 +115,46 @@ where
     I: Fn() -> S + Sync,
     T: Fn(&mut S, usize) -> Result<()> + Sync,
 {
+    let counter = Counter {
+        next: AtomicUsize::new(0),
+        tasks,
+    };
+    run_claims(threads, &counter, task_nanos, init(), init, task)
+}
+
+/// [`run`] over any claim source: the caller starts from `state` and
+/// each helper from `init()`; every participant runs `task` on each
+/// claim it takes until `claims` has none left for it.
+pub fn run_claims<C, S, I, T>(
+    threads: usize,
+    claims: &C,
+    task_nanos: u64,
+    mut state: S,
+    init: I,
+    task: T,
+) -> Result<(S, Vec<S>)>
+where
+    C: Claims,
+    S: Send,
+    I: Fn() -> S + Sync,
+    T: Fn(&mut S, C::Claim) -> Result<()> + Sync,
+{
     if threads == 0 {
         return Err(PprlError::invalid("threads", "need at least one thread"));
     }
     let _busy = gauge::foreground();
-    let next = &AtomicUsize::new(0);
-    let left =
-        || (tasks.saturating_sub(next.load(Ordering::Relaxed)) as u64).saturating_mul(task_nanos);
+    let left = || (claims.left() as u64).saturating_mul(task_nanos);
     // Claims tasks until none are left or `ready` says stop; an error
     // ends every participant's claims.
     let drain = |state: &mut S, ready: &mut dyn FnMut() -> bool| -> Result<()> {
         while ready() {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= tasks {
+            let Some(claim) = claims.claim() else {
                 break;
-            }
-            task(state, i).inspect_err(|_| next.store(tasks, Ordering::Relaxed))?;
+            };
+            task(state, claim).inspect_err(|_| claims.close())?;
         }
         Ok(())
     };
-    let mut state = init();
     if !may_admit(threads, left()) {
         drain(&mut state, &mut || true)?;
         return Ok((state, Vec::new()));
@@ -111,7 +171,7 @@ where
                 helpers.push(scope.spawn(move || {
                     let _slot = slot;
                     let mut state = init();
-                    let done = || next.load(Ordering::Relaxed) >= tasks;
+                    let done = || claims.left() == 0;
                     drain(&mut state, &mut || {
                         yield_core();
                         gauge::wait_for_core(done)

@@ -112,9 +112,12 @@ pub struct ReadStats {
     /// top-k heap; `rows_scored / rows_scanned` is the scan's
     /// wasted-work ratio.
     pub rows_scored: u64,
-    /// Of `rows_scanned`, the pairs scanned by helper threads lent to
-    /// large calls (see [`pprl_core::runner`]); 0 when every call ran on its
-    /// caller alone. In-process only: not part of server `STATS`.
+    /// Of `rows_scanned`, the pairs a thread other than the probe's
+    /// caller scanned: runner helpers lent to large calls (see
+    /// [`pprl_core::runner`]), and concurrent single-probe callers that
+    /// scanned a task of the shared pass for one another (see
+    /// [`crate::query`]). 0 when every call ran on its caller alone.
+    /// In-process only: not part of server `STATS`.
     pub helper_rows: u64,
     /// Name of the dispatched scan-kernel path serving these reads
     /// (`"scalar"`, `"avx2"`, …; empty in a default-constructed value).

@@ -1,5 +1,5 @@
 //! Tier-1 copy of the index crate's allocation audit: a warm `top_k`
-//! makes a fixed number of allocator calls however many slots and rows
+//! makes one allocator call, for its result, however many slots and rows
 //! the reader holds, and helper admission checks allocate nothing. One
 //! binary per audit, because each installs its own counting
 //! `#[global_allocator]`.
