@@ -4,7 +4,9 @@
 use pprl_bench::{criterion_group, criterion_main, micro::Criterion};
 use pprl_blocking::keys::BlockingKey;
 use pprl_blocking::lsh::{HammingLsh, MinHashLsh};
-use pprl_blocking::standard::{sorted_neighbourhood, standard_blocking};
+use pprl_blocking::source::KeyBlockSource;
+use pprl_blocking::standard::sorted_neighbourhood;
+use pprl_core::candidate::{CandidateSource, Probes};
 use pprl_core::normalize::normalize_default;
 use pprl_core::qgram::{qgram_set, QGramConfig};
 use pprl_datagen::generator::{Generator, GeneratorConfig};
@@ -24,8 +26,18 @@ fn bench_blocking(c: &mut Criterion) {
     let key = BlockingKey::person_default();
     let ka = key.extract(&a).expect("keys");
     let kb = key.extract(&b).expect("keys");
-    c.bench_function("standard_blocking_500", |bch| {
-        bch.iter(|| std::hint::black_box(standard_blocking(&ka, &kb)))
+    let probes = Probes {
+        keys: Some(&ka),
+        ..Probes::default()
+    };
+    c.bench_function("key_block_source_500", |bch| {
+        bch.iter(|| {
+            std::hint::black_box(
+                KeyBlockSource::from_keys(&kb)
+                    .candidates(&probes)
+                    .expect("keys"),
+            )
+        })
     });
     c.bench_function("sorted_neighbourhood_500_w6", |bch| {
         bch.iter(|| std::hint::black_box(sorted_neighbourhood(&ka, &kb, 6).expect("window")))

@@ -78,11 +78,14 @@ const TAXONOMY: &[(&str, &[(&str, &str)])] = &[
         &[
             (
                 "blocking (standard/sorted-neigh/canopy)",
-                "pprl-blocking::{standard,canopy}",
+                "pprl-blocking::{source::KeyBlockSource,standard,canopy}",
             ),
             ("LSH blocking (MinHash, Hamming)", "pprl-blocking::lsh"),
             ("meta-blocking", "pprl-blocking::metablocking"),
-            ("filtering (PPJoin-style)", "pprl-blocking::filtering"),
+            (
+                "filtering (PPJoin-style)",
+                "pprl-blocking::filtering on pprl-similarity::kernel::need_count",
+            ),
             (
                 "parallel/distributed",
                 "pprl-core::runner (encoding, LSH blocking, comparison, index scan)",

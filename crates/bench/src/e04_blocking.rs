@@ -13,7 +13,9 @@ use pprl_blocking::filtering::filter_candidates;
 use pprl_blocking::keys::{BlockingKey, KeyPart};
 use pprl_blocking::lsh::{HammingLsh, MinHashLsh};
 use pprl_blocking::metablocking::{block_pairs, build_blocks, purge_blocks};
-use pprl_blocking::standard::{full_cross_product, sorted_neighbourhood, standard_blocking};
+use pprl_blocking::source::KeyBlockSource;
+use pprl_blocking::standard::{full_cross_product, sorted_neighbourhood};
+use pprl_core::candidate::{CandidateSource, Probes};
 use pprl_core::normalize::normalize_default;
 use pprl_core::qgram::{qgram_set, QGramConfig};
 use pprl_core::record::Dataset;
@@ -73,7 +75,18 @@ pub fn run(size: Size) -> Report {
             "full cross product",
             timed(|| full_cross_product(a.len(), b.len())),
         );
-        report("standard (sdx+year)", timed(|| standard_blocking(&ka, &kb)));
+        report(
+            "standard (sdx+year)",
+            timed(|| {
+                let probes = Probes {
+                    keys: Some(&ka),
+                    ..Probes::default()
+                };
+                KeyBlockSource::from_keys(&kb)
+                    .candidates(&probes)
+                    .expect("keys")
+            }),
+        );
         report(
             "sorted neighbourhood",
             timed(|| sorted_neighbourhood(&ka, &kb, 6).expect("window")),

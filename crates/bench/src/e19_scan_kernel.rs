@@ -12,10 +12,12 @@
 //!    re-derives both popcounts on every call.
 //! 2. `unrolled`: the 4-accumulator `and_count` slice kernel over arena
 //!    rows, with popcounts read from the arena's side array.
-//! 3. `batched`: the multi-probe arena walk the real query engine uses —
-//!    each 4-row block is loaded once and scored against the whole query
-//!    batch with `and_count4`, so arena words are read once per batch
-//!    instead of once per query.
+//! 3. `batched`: a multi-probe arena walk — each 4-row block is loaded
+//!    once and scored against the whole query batch with `and_count4`,
+//!    so arena words are read once per batch instead of once per query.
+//!    It times raw counting; the index's query engine walks the same
+//!    arena in tiles through `Kernel::scan_ge` and its `need` bound
+//!    (see `pprl_index::query`).
 //!
 //! The `simd:*` rows force the batched walk through every kernel this
 //! host can run (`scalar`, `popcnt`-only `portable`, `avx2`, `avx512`),

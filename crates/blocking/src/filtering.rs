@@ -2,51 +2,19 @@
 //!
 //! For a fixed Dice threshold `t`, cheap necessary conditions eliminate
 //! pairs that *cannot* reach `t` before the full similarity is computed —
-//! the PPJoin-style optimisation adapted to Bloom filters:
+//! the PPJoin-style optimisation adapted to Bloom filters. Both tests
+//! read one integer, [`need_count`]`(t, |x_a|, |x_b|)`: the smallest bit
+//! overlap whose Dice reaches `t` (`|x|` is the number of set bits). It
+//! is the rule every index scan applies, and it is exact, ties included.
 //!
-//! * **Length filter** — Dice ≥ t requires
-//!   `|x_b| ∈ [ t/(2−t)·|x_a| , (2−t)/t·|x_a| ]` where `|x|` is the number
-//!   of set bits.
-//! * **Overlap bound** — Dice ≥ t requires a bit overlap of at least
-//!   `⌈ t·(|x_a|+|x_b|)/2 ⌉`; scanning a fixed *prefix* of the sorted
-//!   set-bit positions cheaply upper-bounds the achievable overlap.
+//! * **Length filter** — no overlap exceeds `min(|x_a|, |x_b|)`, so a
+//!   pair whose `need` does is hopeless without computing any AND.
+//! * **Overlap test** — otherwise the pair survives iff its AND-popcount
+//!   reaches `need`.
 
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
-
-/// Validates a similarity threshold in `(0, 1]`.
-fn check_threshold(t: f64) -> Result<()> {
-    if !(t > 0.0 && t <= 1.0) {
-        return Err(PprlError::invalid("threshold", "must be in (0, 1]"));
-    }
-    Ok(())
-}
-
-/// Bit-count bounds `[lo, hi]` a candidate's cardinality must fall in to
-/// possibly reach Dice `t` against a filter with `count` set bits.
-pub fn dice_length_bounds(count: usize, t: f64) -> Result<(usize, usize)> {
-    check_threshold(t)?;
-    let c = count as f64;
-    // Nudge by an epsilon so floating-point rounding never prunes a pair
-    // sitting exactly on the threshold (the filter must stay a necessary
-    // condition).
-    let lo = (t / (2.0 - t) * c - 1e-9).ceil() as usize;
-    let hi = ((2.0 - t) / t * c + 1e-9).floor() as usize;
-    Ok((lo, hi))
-}
-
-/// Minimum bit overlap required for Dice ≥ `t` given both cardinalities.
-pub fn dice_min_overlap(count_a: usize, count_b: usize, t: f64) -> Result<usize> {
-    check_threshold(t)?;
-    Ok((t * (count_a + count_b) as f64 / 2.0 - 1e-9).ceil() as usize)
-}
-
-/// True when the pair *passes* the length filter (i.e. may still match).
-pub fn length_filter(a: &BitVec, b: &BitVec, t: f64) -> Result<bool> {
-    let (lo, hi) = dice_length_bounds(a.count_ones(), t)?;
-    let cb = b.count_ones();
-    Ok(cb >= lo && cb <= hi)
-}
+use pprl_similarity::kernel::need_count;
 
 /// Applies length + exact-overlap filtering to a candidate list, returning
 /// the surviving pairs and the number of full comparisons avoided.
@@ -59,7 +27,7 @@ pub struct FilterOutcome {
     pub pruned_by_overlap: usize,
 }
 
-/// Filters candidate pairs for `Dice ≥ t`.
+/// Filters candidate pairs for `Dice ≥ t`, `t` in `(0, 1]`.
 ///
 /// The survivor list is exact: a pair survives iff its Dice really is ≥ t,
 /// but the length filter skips the popcount-AND for hopeless pairs, which
@@ -70,7 +38,9 @@ pub fn filter_candidates(
     candidates: &[(usize, usize)],
     t: f64,
 ) -> Result<FilterOutcome> {
-    check_threshold(t)?;
+    if !(t > 0.0 && t <= 1.0) {
+        return Err(PprlError::invalid("threshold", "must be in (0, 1]"));
+    }
     let counts_a: Vec<usize> = filters_a.iter().map(|f| f.count_ones()).collect();
     let counts_b: Vec<usize> = filters_b.iter().map(|f| f.count_ones()).collect();
     let mut survivors = Vec::new();
@@ -78,18 +48,14 @@ pub fn filter_candidates(
     let mut pruned_by_overlap = 0usize;
     for &(i, j) in candidates {
         let (ca, cb) = (counts_a[i], counts_b[j]);
-        let (lo, hi) = dice_length_bounds(ca, t)?;
-        if cb < lo || cb > hi {
+        let need = need_count(t, ca, cb);
+        if need > ca.min(cb) {
             pruned_by_length += 1;
-            continue;
-        }
-        let need = dice_min_overlap(ca, cb, t)?;
-        let overlap = filters_a[i].and_count(filters_b[j]);
-        if overlap < need {
+        } else if filters_a[i].and_count(filters_b[j]) < need {
             pruned_by_overlap += 1;
-            continue;
+        } else {
+            survivors.push((i, j));
         }
-        survivors.push((i, j));
     }
     Ok(FilterOutcome {
         survivors,
@@ -101,43 +67,68 @@ pub fn filter_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pprl_similarity::bitvec_sim::dice_bits;
+    use crate::standard::full_cross_product;
+    use pprl_core::rng::SplitMix64;
+    use pprl_similarity::kernel::dice_from_counts;
 
     fn bv(ones: &[usize]) -> BitVec {
         BitVec::from_positions(64, ones).unwrap()
     }
 
+    /// Runs the filter over the full cross product and checks it against
+    /// brute force: survivors are exactly the pairs whose
+    /// `dice_from_counts(and, ca, cb)` reaches `t`, every pair pruned by
+    /// length scores below `t`, and the three counts add up.
+    fn check_exact(a: &[BitVec], b: &[BitVec], t: f64) -> FilterOutcome {
+        let fa: Vec<&BitVec> = a.iter().collect();
+        let fb: Vec<&BitVec> = b.iter().collect();
+        let candidates = full_cross_product(a.len(), b.len());
+        let out = filter_candidates(&fa, &fb, &candidates, t).unwrap();
+        let counts = |(i, j): (usize, usize)| (a[i].count_ones(), b[j].count_ones());
+        let hopeless = |p| {
+            let (ca, cb) = counts(p);
+            need_count(t, ca, cb) > ca.min(cb)
+        };
+        let dice = |p @ (i, j): (usize, usize)| {
+            let (ca, cb) = counts(p);
+            dice_from_counts(a[i].and_count(&b[j]), ca, cb)
+        };
+        let brute: Vec<(usize, usize)> = candidates
+            .iter()
+            .copied()
+            .filter(|&p| dice(p) >= t)
+            .collect();
+        assert_eq!(out.survivors, brute, "t = {t}");
+        let by_length: Vec<(usize, usize)> = candidates
+            .iter()
+            .copied()
+            .filter(|&p| hopeless(p))
+            .collect();
+        assert_eq!(out.pruned_by_length, by_length.len(), "t = {t}");
+        assert!(by_length.iter().all(|&p| dice(p) < t), "t = {t}");
+        assert_eq!(
+            out.survivors.len() + out.pruned_by_length + out.pruned_by_overlap,
+            candidates.len()
+        );
+        out
+    }
+
     #[test]
     fn threshold_validation() {
-        assert!(dice_length_bounds(10, 0.0).is_err());
-        assert!(dice_length_bounds(10, 1.5).is_err());
-        assert!(dice_min_overlap(5, 5, -0.1).is_err());
-    }
-
-    #[test]
-    fn length_bounds_symmetric_at_one() {
-        let (lo, hi) = dice_length_bounds(10, 1.0).unwrap();
-        assert_eq!((lo, hi), (10, 10));
-    }
-
-    #[test]
-    fn length_bounds_widen_with_lower_threshold() {
-        let (lo8, hi8) = dice_length_bounds(10, 0.8).unwrap();
-        let (lo5, hi5) = dice_length_bounds(10, 0.5).unwrap();
-        assert!(lo5 <= lo8 && hi5 >= hi8);
-        assert!(lo8 <= 10 && hi8 >= 10);
-    }
-
-    #[test]
-    fn min_overlap_formula() {
-        // t=0.8, sizes 10+10 → ceil(0.8*10)=8
-        assert_eq!(dice_min_overlap(10, 10, 0.8).unwrap(), 8);
-        assert_eq!(dice_min_overlap(0, 0, 0.5).unwrap(), 0);
+        let a = [bv(&[1])];
+        let fa: Vec<&BitVec> = a.iter().collect();
+        for t in [0.0, -0.1, 1.5, f64::NAN] {
+            assert!(
+                filter_candidates(&fa, &fa, &[(0, 0)], t).is_err(),
+                "t = {t}"
+            );
+        }
+        assert!(filter_candidates(&fa, &fa, &[(0, 0)], 1.0).is_ok());
     }
 
     #[test]
     fn length_filter_soundness() {
-        // Filter must never eliminate a pair whose true Dice >= t.
+        // The length filter must never eliminate a pair whose Dice >= t.
         let sets: Vec<BitVec> = vec![
             bv(&[1, 2, 3, 4]),
             bv(&[1, 2, 3, 4, 5, 6]),
@@ -146,17 +137,7 @@ mod tests {
             bv(&(0..30).collect::<Vec<_>>()),
         ];
         for t in [0.3, 0.5, 0.8, 1.0] {
-            for a in &sets {
-                for b in &sets {
-                    let d = dice_bits(a, b).unwrap();
-                    if d >= t {
-                        assert!(
-                            length_filter(a, b, t).unwrap(),
-                            "length filter wrongly pruned a pair with dice {d} >= {t}"
-                        );
-                    }
-                }
-            }
+            check_exact(&sets, &sets, t);
         }
     }
 
@@ -164,23 +145,54 @@ mod tests {
     fn filter_candidates_exact_survivors() {
         let a = [bv(&[1, 2, 3, 4]), bv(&(0..20).collect::<Vec<_>>())];
         let b = [bv(&[1, 2, 3, 5]), bv(&[40, 41]), bv(&[1, 2, 3, 4])];
-        let fa: Vec<&BitVec> = a.iter().collect();
-        let fb: Vec<&BitVec> = b.iter().collect();
-        let candidates = crate::standard::full_cross_product(2, 3);
-        let t = 0.7;
-        let out = filter_candidates(&fa, &fb, &candidates, t).unwrap();
-        // check against brute force
-        let brute: Vec<(usize, usize)> = candidates
-            .iter()
-            .copied()
-            .filter(|&(i, j)| dice_bits(fa[i], fb[j]).unwrap() >= t)
-            .collect();
-        assert_eq!(out.survivors, brute);
+        let out = check_exact(&a, &b, 0.7);
+        assert_eq!(out.survivors, vec![(0, 0), (0, 2)]);
         assert!(out.pruned_by_length > 0);
-        assert_eq!(
-            out.survivors.len() + out.pruned_by_length + out.pruned_by_overlap,
-            candidates.len()
-        );
+    }
+
+    #[test]
+    fn exact_ties_survive() {
+        // Popcounts 5/5 with overlap 4 sit exactly on t = 0.8: Dice is
+        // 2·4/10 = 0.8, so the pair survives; overlap 3 (0.6) does not.
+        let a = [bv(&[0, 1, 2, 3, 4])];
+        let b = [bv(&[0, 1, 2, 3, 9]), bv(&[0, 1, 2, 8, 9])];
+        let out = check_exact(&a, &b, 0.8);
+        assert_eq!(out.survivors, vec![(0, 0)]);
+        assert_eq!(out.pruned_by_overlap, 1);
+        // Popcounts 4/6 cap the overlap at 4 = need(0.8, 4, 6): a
+        // length tie, kept when the smaller set is contained.
+        let a = [bv(&[0, 1, 2, 3])];
+        let b = [bv(&[0, 1, 2, 3, 4, 5]), bv(&[0, 1, 2, 4, 5, 6])];
+        let out = check_exact(&a, &b, 0.8);
+        assert_eq!(out.survivors, vec![(0, 0)]);
+        assert_eq!(out.pruned_by_length, 0);
+        // Popcounts 4/7 need 5 > 4: pruned by length alone.
+        let b = [bv(&[0, 1, 2, 3, 4, 5, 6])];
+        let out = check_exact(&a, &b, 0.8);
+        assert_eq!(out.pruned_by_length, 1);
+        // Two empty filters score 1.0 and pass every threshold.
+        let empty = [bv(&[])];
+        assert_eq!(check_exact(&empty, &empty, 1.0).survivors, vec![(0, 0)]);
+    }
+
+    #[test]
+    fn random_filters_match_brute_force() {
+        let mut rng = SplitMix64::new(43);
+        let mut random = |n: usize| -> Vec<BitVec> {
+            (0..n)
+                .map(|_| {
+                    let density = 2 + rng.next_u64() % 6;
+                    let ones: Vec<usize> = (0..64)
+                        .filter(|_| rng.next_u64().is_multiple_of(density))
+                        .collect();
+                    bv(&ones)
+                })
+                .collect()
+        };
+        let (a, b) = (random(30), random(30));
+        for t in [0.1, 0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 1.0] {
+            check_exact(&a, &b, t);
+        }
     }
 
     #[test]
@@ -191,11 +203,8 @@ mod tests {
             bv(&(0..40).collect::<Vec<_>>()),
             bv(&[1, 2, 3, 4]),
         ];
-        let fa: Vec<&BitVec> = a.iter().collect();
-        let fb: Vec<&BitVec> = b.iter().collect();
-        let cand = crate::standard::full_cross_product(1, 3);
-        let strict = filter_candidates(&fa, &fb, &cand, 0.9).unwrap();
-        let lax = filter_candidates(&fa, &fb, &cand, 0.2).unwrap();
+        let strict = check_exact(&a, &b, 0.9);
+        let lax = check_exact(&a, &b, 0.2);
         assert!(strict.pruned_by_length >= lax.pruned_by_length);
         assert!(strict.survivors.len() <= lax.survivors.len());
     }

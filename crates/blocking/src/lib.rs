@@ -6,6 +6,14 @@
 //! probability guarantees, meta-blocking (purging, filtering, weighted edge
 //! pruning), PPJoin-style Dice threshold filtering, and a sequential /
 //! parallel comparison engine.
+//!
+//! Each blocking job has one implementation, reached through the
+//! [`CandidateSource`](pprl_core::candidate::CandidateSource) adapters of
+//! [`source`] (standard blocking *is* [`KeyBlockSource`]). A Dice
+//! threshold becomes bit counts by one rule, the scan kernel's exact
+//! `pprl_similarity::kernel::need_count`, which [`filtering`] and every
+//! index scan share; "which stored filters reach Dice ≥ t" is
+//! `pprl_index`'s `IndexReader::top_k_batch` with a `min_score`.
 
 #![forbid(unsafe_code)]
 // `!(x > 0.0)`-style comparisons are deliberate: they reject NaN, which
@@ -16,7 +24,6 @@
 pub mod canopy;
 pub mod engine;
 pub mod filtering;
-pub mod index;
 pub mod keys;
 pub mod lsh;
 pub mod metablocking;
@@ -25,11 +32,10 @@ pub mod standard;
 
 pub use canopy::CanopyBlocking;
 pub use engine::{compare_pairs, compare_pairs_parallel, CompareOutcome, ScoredPair};
-pub use index::{DiceIndex, QueryOutcome};
 pub use keys::{BlockingKey, KeyPart};
 pub use lsh::{HammingLsh, HammingLshTables, MinHashLsh};
 pub use source::{
-    CanopySource, DiceFilterSource, FullSource, HammingLshSource, KeyBlockSource, MetaBlockSource,
-    MinHashLshSource, SortedNeighbourhoodSource,
+    CanopySource, FullSource, HammingLshSource, KeyBlockSource, MetaBlockSource, MinHashLshSource,
+    SortedNeighbourhoodSource,
 };
-pub use standard::{full_cross_product, sorted_neighbourhood, standard_blocking, CandidatePair};
+pub use standard::{full_cross_product, sorted_neighbourhood, CandidatePair};

@@ -5,19 +5,16 @@
 //! [`CandidateSource`] contract, so the pipeline can swap blocking
 //! strategies — or the persistent index backend from `pprl-index` —
 //! without touching the comparison stage. The adapters delegate to the
-//! engine functions in this crate ([`standard_blocking`] semantics,
-//! [`sorted_neighbourhood`], [`CanopyBlocking`], [`MinHashLsh`] /
-//! [`HammingLsh`], meta-blocking, Dice filtering), so candidate sets are
-//! identical to calling the engines directly.
+//! engine functions in this crate ([`sorted_neighbourhood`],
+//! [`CanopyBlocking`], [`MinHashLsh`] / [`HammingLsh`], meta-blocking), so
+//! candidate sets are identical to calling the engines directly.
 //!
-//! [`KeyBlockSource`] additionally supports incremental target insertion
-//! ([`KeyBlockSource::push_target`]), which is what the streaming linker
-//! uses: arriving records probe the source, then join it as targets.
-//!
-//! [`standard_blocking`]: crate::standard::standard_blocking
+//! [`KeyBlockSource`] is standard blocking itself. It also supports
+//! incremental target insertion ([`KeyBlockSource::push_target`]), which
+//! is what the streaming linker uses: arriving records probe the source,
+//! then join it as targets.
 
 use crate::canopy::CanopyBlocking;
-use crate::filtering::filter_candidates;
 use crate::lsh::{HammingLsh, HammingLshTables, MinHashLsh};
 use crate::metablocking::{block_filtering, block_pairs, build_blocks, purge_blocks};
 use crate::standard::{full_cross_product, sorted_neighbourhood};
@@ -69,12 +66,13 @@ impl CandidateSource for FullSource {
     }
 }
 
-/// Standard key blocking over an (optionally growing) target set.
+/// Standard key blocking over an (optionally growing) target set:
+/// candidates are the pairs with equal, non-empty keys.
 ///
-/// Targets with an empty key are held only for `target_len` accounting —
-/// they never enter a block, matching [`standard_blocking`].
-///
-/// [`standard_blocking`]: crate::standard::standard_blocking
+/// A key is empty when it is all separators; an all-missing key would
+/// otherwise create one giant junk block. Targets with an empty key are
+/// held only for `target_len` accounting — they never enter a block, and
+/// a probe with one gets no candidates.
 #[derive(Debug, Default)]
 pub struct KeyBlockSource {
     blocks: HashMap<String, Vec<usize>>,
@@ -380,66 +378,10 @@ impl CandidateSource for MetaBlockSource {
     }
 }
 
-/// A decorator that Dice-filters another source's candidates (PPJoin-style
-/// length + overlap pruning at threshold `t`). Survivors are exact: a
-/// pair survives iff its Dice really is ≥ `t`.
-pub struct DiceFilterSource<S> {
-    inner: S,
-    filters_b: Vec<BitVec>,
-    threshold: f64,
-    stats: SourceStats,
-}
-
-impl<S: CandidateSource> DiceFilterSource<S> {
-    /// Wraps `inner`, filtering against the target filters at `threshold`.
-    pub fn new(inner: S, filters_b: Vec<BitVec>, threshold: f64) -> Result<Self> {
-        if !(threshold > 0.0 && threshold <= 1.0) {
-            return Err(PprlError::invalid("threshold", "must be in (0, 1]"));
-        }
-        Ok(DiceFilterSource {
-            inner,
-            filters_b,
-            threshold,
-            stats: SourceStats::default(),
-        })
-    }
-}
-
-impl<S: CandidateSource> CandidateSource for DiceFilterSource<S> {
-    fn name(&self) -> &'static str {
-        "dice-filter"
-    }
-
-    fn target_len(&self) -> usize {
-        self.inner.target_len()
-    }
-
-    fn candidates(&mut self, probes: &Probes<'_>) -> Result<Vec<CandidatePair>> {
-        let filters = probes.require_filters(self.name())?;
-        let raw = self.inner.candidates(probes)?;
-        let refs: Vec<&BitVec> = self.filters_b.iter().collect();
-        let outcome = filter_candidates(filters, &refs, &raw, self.threshold)?;
-        self.stats.record_call(
-            probes.len(),
-            self.inner.target_len(),
-            outcome.survivors.len(),
-        );
-        Ok(outcome.survivors)
-    }
-
-    fn stats(&self) -> SourceStats {
-        SourceStats {
-            bytes_read: self.inner.stats().bytes_read,
-            ..self.stats
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::keys::BlockingKey;
-    use crate::standard::standard_blocking;
     use pprl_core::qgram::{qgram_set, QGramConfig};
     use pprl_core::rng::SplitMix64;
 
@@ -473,8 +415,17 @@ mod tests {
         assert_eq!(s.stats().bytes_read, 0);
     }
 
+    /// The candidates of a [`KeyBlockSource`] over `kb` probed with `ka`.
+    fn key_blocks(ka: &[String], kb: &[String]) -> Vec<CandidatePair> {
+        let probes = Probes {
+            keys: Some(ka),
+            ..Probes::default()
+        };
+        KeyBlockSource::from_keys(kb).candidates(&probes).unwrap()
+    }
+
     #[test]
-    fn key_block_source_matches_standard_blocking() {
+    fn key_block_source_pairs_equal_keys() {
         let ka = keys(&["s530|", "j520|", "s530|", "|"]);
         let kb = keys(&["s530|", "b600|", "|"]);
         let mut s = KeyBlockSource::from_keys(&kb);
@@ -483,10 +434,38 @@ mod tests {
             ..Probes::default()
         };
         let got = s.candidates(&probes).unwrap();
-        assert_eq!(got, standard_blocking(&ka, &kb));
+        assert_eq!(got, vec![(0, 0), (2, 0)]);
         assert_eq!(s.target_len(), 3);
         assert_eq!(s.stats().candidates, got.len());
         assert_eq!(s.stats().comparisons_saved, 4 * 3 - got.len());
+    }
+
+    #[test]
+    fn key_block_source_excludes_empty_keys() {
+        let k = keys(&["||", "s530|"]);
+        assert_eq!(key_blocks(&k, &k), vec![(1, 1)]);
+    }
+
+    #[test]
+    fn key_blocks_reduce_comparisons() {
+        // 100 records spread over 10 keys: ~10x reduction vs cross product.
+        let k: Vec<String> = (0..100).map(|i| format!("k{}", i % 10)).collect();
+        let blocked = key_blocks(&k, &k).len();
+        assert_eq!(blocked, 10 * 10 * 10);
+        assert!(blocked * 5 < full_cross_product(100, 100).len());
+    }
+
+    #[test]
+    fn sorted_neighbourhood_catches_what_key_blocks_miss() {
+        let ka = keys(&["smith1987"]);
+        let kb = keys(&["smith1988"]);
+        assert!(key_blocks(&ka, &kb).is_empty());
+        let mut s = SortedNeighbourhoodSource::new(kb, 2).unwrap();
+        let probes = Probes {
+            keys: Some(&ka),
+            ..Probes::default()
+        };
+        assert_eq!(s.candidates(&probes).unwrap(), vec![(0, 0)]);
     }
 
     #[test]
@@ -598,30 +577,6 @@ mod tests {
         // The 19×19 junk block exceeds the purge cap and is dropped.
         assert!(pairs.len() < 19 * 19);
         assert!(MetaBlockSource::new(Vec::new(), 0, 2).is_err());
-    }
-
-    #[test]
-    fn dice_filter_source_keeps_exactly_threshold_pairs() {
-        use pprl_similarity::bitvec_sim::dice_bits;
-        let fa = random_filters(15, 128, 3);
-        let fb = random_filters(15, 128, 4);
-        let t = 0.4;
-        let mut s = DiceFilterSource::new(FullSource::new(fb.len()), fb.clone(), t).unwrap();
-        let ra: Vec<&BitVec> = fa.iter().collect();
-        let probes = Probes::from_filters(&ra);
-        let survivors = s.candidates(&probes).unwrap();
-        for (i, a) in fa.iter().enumerate() {
-            for (j, b) in fb.iter().enumerate() {
-                let dice = dice_bits(a, b).unwrap();
-                assert_eq!(
-                    survivors.contains(&(i, j)),
-                    dice >= t,
-                    "pair ({i},{j}) dice {dice}"
-                );
-            }
-        }
-        assert_eq!(s.stats().candidates, survivors.len());
-        assert!(DiceFilterSource::new(FullSource::new(1), Vec::new(), 0.0).is_err());
     }
 
     #[test]

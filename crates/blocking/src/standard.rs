@@ -1,12 +1,14 @@
-//! Standard (hash-based) blocking and sorted-neighbourhood blocking.
+//! The no-blocking baseline and sorted-neighbourhood blocking.
 //!
-//! Standard blocking restricts comparison to records sharing a blocking key
-//! value; sorted-neighbourhood instead sorts both datasets by key and slides
-//! a fixed window over the merged order, tolerating small key errors at the
-//! cost of window-size-bounded candidate growth.
+//! Standard (hash-based) blocking, which restricts comparison to records
+//! sharing a blocking key value, is [`KeyBlockSource`]. Sorted
+//! neighbourhood instead sorts both datasets by key and slides a fixed
+//! window over the merged order, tolerating small key errors at the cost
+//! of window-size-bounded candidate growth.
+//!
+//! [`KeyBlockSource`]: crate::source::KeyBlockSource
 
 use pprl_core::error::{PprlError, Result};
-use std::collections::HashMap;
 
 /// A candidate record pair `(row_in_a, row_in_b)`.
 pub type CandidatePair = (usize, usize);
@@ -20,42 +22,6 @@ pub fn full_cross_product(len_a: usize, len_b: usize) -> Vec<CandidatePair> {
         }
     }
     out
-}
-
-/// Standard blocking: candidates are pairs with equal, non-empty keys.
-///
-/// `keys_*[row]` is the blocking key of that row. Rows whose key is empty
-/// (after stripping separators) are excluded — an all-missing key would
-/// otherwise create one giant junk block.
-pub fn standard_blocking(keys_a: &[String], keys_b: &[String]) -> Vec<CandidatePair> {
-    let is_empty_key = |k: &str| k.chars().all(|c| c == '|');
-    let mut by_key: HashMap<&str, Vec<usize>> = HashMap::new();
-    for (j, k) in keys_b.iter().enumerate() {
-        if !is_empty_key(k) {
-            by_key.entry(k.as_str()).or_default().push(j);
-        }
-    }
-    let mut out = Vec::new();
-    for (i, k) in keys_a.iter().enumerate() {
-        if is_empty_key(k) {
-            continue;
-        }
-        if let Some(rows) = by_key.get(k.as_str()) {
-            for &j in rows {
-                out.push((i, j));
-            }
-        }
-    }
-    out
-}
-
-/// Block-size statistics of a key column (for meta-blocking decisions).
-pub fn block_sizes(keys: &[String]) -> HashMap<String, usize> {
-    let mut sizes = HashMap::new();
-    for k in keys {
-        *sizes.entry(k.clone()).or_insert(0) += 1;
-    }
-    sizes
 }
 
 /// Sorted-neighbourhood blocking: merge both key lists into one sorted
@@ -114,41 +80,6 @@ mod tests {
     }
 
     #[test]
-    fn standard_blocking_matches_equal_keys() {
-        let a = keys(&["s530|", "j520|", "s530|"]);
-        let b = keys(&["s530|", "b600|"]);
-        let mut pairs = standard_blocking(&a, &b);
-        pairs.sort_unstable();
-        assert_eq!(pairs, vec![(0, 0), (2, 0)]);
-    }
-
-    #[test]
-    fn empty_keys_excluded() {
-        let a = keys(&["||", "s530|"]);
-        let b = keys(&["||", "s530|"]);
-        let pairs = standard_blocking(&a, &b);
-        assert_eq!(pairs, vec![(1, 1)]);
-    }
-
-    #[test]
-    fn blocking_reduces_comparisons() {
-        // 100 records spread over 10 keys: ~10x reduction vs cross product.
-        let a: Vec<String> = (0..100).map(|i| format!("k{}", i % 10)).collect();
-        let b = a.clone();
-        let blocked = standard_blocking(&a, &b).len();
-        let full = full_cross_product(100, 100).len();
-        assert_eq!(blocked, 10 * 10 * 10);
-        assert!(blocked * 5 < full);
-    }
-
-    #[test]
-    fn block_sizes_counts() {
-        let sizes = block_sizes(&keys(&["a", "b", "a"]));
-        assert_eq!(sizes["a"], 2);
-        assert_eq!(sizes["b"], 1);
-    }
-
-    #[test]
     fn sorted_neighbourhood_window_validation() {
         assert!(sorted_neighbourhood(&keys(&["a"]), &keys(&["a"]), 1).is_err());
         assert!(sorted_neighbourhood(&keys(&["a"]), &keys(&["a"]), 2).is_ok());
@@ -156,10 +87,9 @@ mod tests {
 
     #[test]
     fn sorted_neighbourhood_catches_adjacent_keys() {
-        // Keys differ slightly; standard blocking misses them, SN catches.
+        // Keys differ slightly: no shared block, but adjacent in order.
         let a = keys(&["smith1987"]);
         let b = keys(&["smith1988"]);
-        assert!(standard_blocking(&a, &b).is_empty());
         let pairs = sorted_neighbourhood(&a, &b, 2).unwrap();
         assert_eq!(pairs, vec![(0, 0)]);
     }

@@ -9,6 +9,7 @@ use pprl_blocking::keys::BlockingKey;
 use pprl_blocking::lsh::HammingLsh;
 use pprl_cluster::coordinator::{ClusterConfig, Coordinator};
 use pprl_cluster::server::{serve_cluster_auth, ClusterServerConfig};
+use pprl_core::error::PprlError;
 use pprl_core::gauge::cores;
 use pprl_core::json::Json;
 use pprl_core::record::Dataset;
@@ -25,8 +26,12 @@ use pprl_server::client::Client;
 use pprl_server::server::{serve_auth, ServerConfig};
 use pprl_server::wire::StatsReport;
 use pprl_server::{AuthRegistry, ClientAuth, PartyKey, SuiteOffer};
+use pprl_session::registry::valid_name;
 
 type CmdResult = Result<(), String>;
+
+/// What [`valid_name`] accepts, for error messages.
+const NAME_RULE: &str = "must be 1-64 ASCII letters, digits, `-` or `_`";
 
 fn fail(e: impl std::fmt::Display) -> String {
     e.to_string()
@@ -534,6 +539,11 @@ pub fn index_cmd(mut args: Args) -> CmdResult {
 /// permissions, either to an explicit `--out` path or into an auth
 /// directory as `<identity>.psk` (optionally granting the identity a
 /// tenant in `tenants.map`). Only the fingerprint is ever printed.
+///
+/// Names are checked with the rule [`AuthRegistry::load`] applies, before
+/// anything is written: a name it would reject (or one such as `../x`
+/// that escapes the directory) is an error that leaves the directory as
+/// it was.
 pub fn keygen(mut args: Args) -> CmdResult {
     let out = args.get("out");
     let auth_dir = args.get("auth-dir");
@@ -541,6 +551,20 @@ pub fn keygen(mut args: Args) -> CmdResult {
     let tenant = args.get("tenant");
     args.finish().map_err(fail)?;
 
+    if identity.as_deref().is_some_and(|name| !valid_name(name)) {
+        return Err(fail(PprlError::invalid("identity", NAME_RULE)));
+    }
+    if let Some(tenant) = &tenant {
+        if tenant != "*" && !valid_name(tenant) {
+            return Err(fail(PprlError::invalid(
+                "tenant",
+                format!("{NAME_RULE}, or `*`"),
+            )));
+        }
+        if auth_dir.is_none() || identity.is_none() {
+            return Err("--tenant needs --auth-dir and --identity".into());
+        }
+    }
     let key = PartyKey::generate().map_err(fail)?;
     let path = match (&out, &auth_dir, &identity) {
         (Some(path), None, _) => std::path::PathBuf::from(path),
@@ -556,10 +580,7 @@ pub fn keygen(mut args: Args) -> CmdResult {
         path.display(),
         key.fingerprint()
     );
-    if let Some(tenant) = tenant {
-        let (Some(dir), Some(identity)) = (&auth_dir, &identity) else {
-            return Err("--tenant needs --auth-dir and --identity".into());
-        };
+    if let (Some(tenant), Some(dir), Some(identity)) = (tenant, &auth_dir, &identity) {
         let map = std::path::Path::new(dir).join("tenants.map");
         let mut lines = match std::fs::read_to_string(&map) {
             Ok(text) => text,
@@ -682,8 +703,8 @@ pub fn client_cmd(mut args: Args) -> CmdResult {
     let cluster = args.flag("cluster");
     let auth = auth_from_args(&mut args)?;
     let connect = |addr: &str| -> Result<Client, String> {
-        let mut client = Client::connect_with(addr, auth.clone()).map_err(fail)?;
-        client.set_deadline(std::time::Duration::from_millis(deadline_ms.max(1)));
+        let deadline = std::time::Duration::from_millis(deadline_ms);
+        let mut client = Client::connect_within(addr, auth.clone(), deadline).map_err(fail)?;
         if cluster {
             let probe = client.stats().map_err(fail)?;
             if probe.cluster_shards == 0 {
@@ -1241,7 +1262,8 @@ COMMANDS:
             owner-only (0600) permissions; with --auth-dir the key
             lands as DIR/NAME.psk and --tenant appends a grant to
             DIR/tenants.map (`*` = privileged: any tenant, may shut
-            servers down); only the fingerprint is printed
+            servers down); NAME and T are 1-64 ASCII letters, digits,
+            `-` or `_`; only the fingerprint is printed
 
   serve     --index IDX --auth-dir DIR [--host H] [--port P]
             [--workers N] [--queue N] [--cache N]
@@ -1272,8 +1294,9 @@ COMMANDS:
             --identity NAME --key-file K.psk [--tenant T] [--encrypt]
             (--encrypt additionally encrypts frame bodies; shutdown
             needs a `*` grant), [--deadline-ms MS] (default 60000),
-            the total budget for the call including bounded-backoff
-            retries after Busy rejections, and [--cluster], which
+            the budget for the connect and handshake and for the call,
+            including bounded-backoff retries after Busy rejections,
+            and [--cluster], which
             asserts the address is a cluster coordinator (loud error
             when pointed at a lone shard); query/link results are
             bit-for-bit identical to offline `pprl index query`
@@ -1682,6 +1705,103 @@ mod tests {
         .unwrap();
         let creds = format!("--identity ops --key-file {auth_dir}/ops.psk");
         (auth_dir, creds)
+    }
+
+    /// Every file under `dir`, by path, with its bytes.
+    fn dir_contents(dir: &str) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn keygen_rejects_names_the_registry_would_and_writes_nothing() {
+        let (auth_dir, _) = ops_keys("keygen-names");
+        let escaped = std::path::Path::new(&auth_dir).join("../x.psk");
+        let _ = std::fs::remove_file(&escaped);
+        let before = dir_contents(&auth_dir);
+        for (identity, tenant, field) in [
+            ("../x", "default", "identity"),
+            ("a b", "default", "identity"),
+            ("", "default", "identity"),
+            ("carol", "x y", "tenant"),
+            ("carol", "../t", "tenant"),
+            ("carol", "**", "tenant"),
+        ] {
+            let argv: Vec<String> = [
+                "keygen",
+                "--auth-dir",
+                &auth_dir,
+                "--identity",
+                identity,
+                "--tenant",
+                tenant,
+            ]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+            let e = keygen(Args::parse(&argv, &[]).unwrap()).unwrap_err();
+            assert!(
+                e.starts_with(&format!("invalid parameter `{field}`")),
+                "{identity:?}/{tenant:?}: {e}"
+            );
+            assert_eq!(dir_contents(&auth_dir), before, "{identity:?}/{tenant:?}");
+            assert!(!escaped.exists());
+        }
+        // The directory still loads, and a good name still lands in it.
+        AuthRegistry::load(std::path::Path::new(&auth_dir)).unwrap();
+        keygen(
+            Args::parse(
+                &raw(&format!(
+                    "keygen --auth-dir {auth_dir} --identity carol-2 --tenant org_b"
+                )),
+                &[],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let registry = AuthRegistry::load(std::path::Path::new(&auth_dir)).unwrap();
+        assert!(registry.get("carol-2").is_some());
+        std::fs::remove_dir_all(&auth_dir).unwrap();
+    }
+
+    #[test]
+    fn client_deadline_bounds_connect_and_handshake() {
+        // A peer that accepts the connection and never says a word.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let held = listener.accept().unwrap();
+            let _ = done_rx.recv();
+            drop(held);
+        });
+        let (auth_dir, ops) = ops_keys("deadline-keys");
+        let started = std::time::Instant::now();
+        let e = client_cmd(
+            Args::parse(
+                &raw(&format!("stats --addr {addr} {ops} --deadline-ms 300")),
+                &[],
+            )
+            .unwrap(),
+        )
+        .unwrap_err();
+        let elapsed = started.elapsed();
+        assert!(e.starts_with("timeout"), "{e}");
+        assert!(
+            elapsed < std::time::Duration::from_secs(3),
+            "a silent peer held a 300 ms call for {elapsed:?}"
+        );
+        drop(done_tx);
+        peer.join().unwrap();
+        std::fs::remove_dir_all(&auth_dir).unwrap();
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! record), an arena stores every filter back-to-back in a single
 //! contiguous `Vec<u64>` with a fixed words-per-filter `stride`, plus
 //! parallel `ids` and `popcounts` arrays. Rows are sorted ascending by
-//! `(popcount, id)`, so any contiguous row range supports the same
-//! popcount-based Dice upper-bound reasoning as the old per-record
-//! layout, and the scan kernel walks memory strictly linearly. Row `i`'s
-//! words are `words[i * stride .. (i + 1) * stride]`; four consecutive
-//! rows form one block for the batched `and_count4` kernel.
+//! `(popcount, id)`, so the first row of any contiguous row range holds
+//! its lowest popcount, which fixes the range's integer `need` for a
+//! Dice threshold (see [`crate::query`]), and the scan kernel walks
+//! memory strictly linearly. Row `i`'s words are
+//! `words[i * stride .. (i + 1) * stride]`; a tile of consecutive rows is
+//! one contiguous word slice, scanned by one `Kernel::scan_ge` call.
 
 use crate::format::storage_err;
 use pprl_core::bitvec::BitVec;

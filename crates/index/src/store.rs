@@ -856,12 +856,7 @@ impl IndexStore {
     /// [`PprlError::Storage`] error instead of a silently degraded
     /// replica. Use [`IndexStore::open`] for the forgiving behaviour.
     pub fn import_snapshot(dir: &Path) -> Result<IndexStore> {
-        Self::import_snapshot_with(dir, std_vfs())
-    }
-
-    /// [`IndexStore::import_snapshot`] through an explicit IO layer.
-    pub fn import_snapshot_with(dir: &Path, vfs: Arc<dyn Vfs>) -> Result<IndexStore> {
-        let store = Self::open_with(dir, vfs)?;
+        let store = Self::open(dir)?;
         if store.is_degraded() {
             return Err(storage_err(format!(
                 "snapshot at {} failed verification: {} segment(s) \
@@ -1491,8 +1486,9 @@ mod tests {
 
         let dest = Path::new("/route-once-copy");
         store.export_snapshot(dest).unwrap();
-        let copy = IndexStore::import_snapshot_with(dest, io()).unwrap();
-        assert_routed(&copy, "import_snapshot");
+        let copy = IndexStore::open_with(dest, io()).unwrap();
+        assert!(!copy.is_degraded());
+        assert_routed(&copy, "open of an exported snapshot");
         assert_eq!(copy.pending_len(), 30);
     }
 
