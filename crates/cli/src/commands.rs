@@ -404,9 +404,9 @@ pub fn index_cmd(mut args: Args) -> CmdResult {
             };
             args.finish().map_err(fail)?;
             let mut store = IndexStore::open(std::path::Path::new(&dir)).map_err(fail)?;
-            let stats = store.stats().map_err(fail)?;
-            let id_base =
-                id_base_flag.unwrap_or((stats.persisted_records + stats.pending_records) as u64);
+            // Resident plus pending rows: `open` has just verified every
+            // segment, so the count needs no second read of the files.
+            let id_base = id_base_flag.unwrap_or(store.record_count() as u64);
             let records = encode_filters(&input, &key, id_base)?;
             store.insert_batch(&records).map_err(fail)?;
             store.flush().map_err(fail)?;
@@ -1586,6 +1586,22 @@ mod tests {
         let hits = reader.top_k(&queries[3].1, 5, 2).unwrap();
         assert_eq!(hits[0].id, 3);
         assert_eq!(hits[0].score, 1.0);
+        // The inserted rows took ids continuing from the 60 built ones.
+        let mut ids: Vec<u64> = reader
+            .top_k(&queries[0].1, 500, 1)
+            .unwrap()
+            .iter()
+            .map(|h| h.id)
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..120).collect::<Vec<u64>>());
+        for (id, filter) in encode_filters(&b, "s3cret", 60).unwrap().iter().step_by(7) {
+            let hits = reader.top_k(filter, 500, 1).unwrap();
+            assert!(
+                hits.iter().any(|h| h.id == *id && h.score == 1.0),
+                "inserted record {id} is not its own exact match"
+            );
+        }
 
         // Bad action and out-of-range row are clean errors.
         let e =

@@ -21,7 +21,7 @@ use pprl_session::registry::AuthRegistry;
 use std::sync::Arc;
 
 /// Tunables for [`serve_cluster_auth`]: the shared front-end config, whose
-/// index fields (`cache_capacity`, `compact_interval`, `tiered`) a
+/// index fields (`cache_capacity`, `compact_interval`) a
 /// coordinator ignores. Each scatter fans out to every shard from its
 /// worker, so a handful of workers go a long way. Shard hops open
 /// their own sessions via `ClusterConfig::shard_auth`.

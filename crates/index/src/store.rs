@@ -124,62 +124,34 @@ pub struct ReadStats {
     pub kernel: &'static str,
 }
 
-/// Policy for [`IndexStore::compact_tiered`]: segments are grouped into
-/// size tiers (tier `t` covers files of `min_bytes·growth^t` up to
-/// `min_bytes·growth^(t+1)` bytes) and a tier is merged only once it
-/// accumulates `min_segments` files. Small fresh segments therefore merge
-/// often and cheaply, while a large settled segment is rewritten only
-/// when enough peers of its own size exist — the classic size-tiered
-/// bound on write amplification, which keeps individual compaction steps
-/// short enough to run on a maintenance thread between queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TieredPolicy {
-    /// Segments a tier must hold before it is merged (≥ 2).
-    pub min_segments: usize,
-    /// Size ratio between consecutive tiers (≥ 2).
-    pub growth: u64,
-    /// Floor of tier 0 in bytes; files smaller than this share a tier.
-    pub min_bytes: u64,
+/// Segments a size tier must hold before [`IndexStore::compact_tiered`]
+/// merges it.
+const TIER_MIN_SEGMENTS: usize = 4;
+/// Size ratio between consecutive tiers.
+const TIER_GROWTH: u64 = 4;
+/// Ceiling of tier 0 in bytes: files smaller than this share a tier.
+const TIER_MIN_BYTES: u64 = 4096;
+
+/// The size tier of a segment file of `bytes`: tier 0 holds files below
+/// `TIER_MIN_BYTES`, tier `t > 0` those from `TIER_MIN_BYTES·TIER_GROWTH^(t-1)`
+/// up to `TIER_MIN_BYTES·TIER_GROWTH^t`. A tier merges only once it holds
+/// `TIER_MIN_SEGMENTS` files, so small fresh segments merge often and
+/// cheaply while a large settled one is rewritten only when enough peers
+/// of its size exist: the classic size-tiered bound on write
+/// amplification, which keeps each step short enough for a maintenance
+/// thread between queries. Constants, not settings: no caller outside
+/// tests ever chose other values.
+fn tier(bytes: u64) -> u32 {
+    let mut tier = 0u32;
+    let mut ceiling = TIER_MIN_BYTES;
+    while bytes >= ceiling && tier < 63 {
+        tier += 1;
+        ceiling = ceiling.saturating_mul(TIER_GROWTH);
+    }
+    tier
 }
 
-impl Default for TieredPolicy {
-    fn default() -> Self {
-        TieredPolicy {
-            min_segments: 4,
-            growth: 4,
-            min_bytes: 4096,
-        }
-    }
-}
-
-impl TieredPolicy {
-    /// Validates the policy parameters.
-    pub fn validate(&self) -> Result<()> {
-        if self.min_segments < 2 {
-            return Err(PprlError::invalid("min_segments", "must be at least 2"));
-        }
-        if self.growth < 2 {
-            return Err(PprlError::invalid("growth", "must be at least 2"));
-        }
-        if self.min_bytes == 0 {
-            return Err(PprlError::invalid("min_bytes", "must be positive"));
-        }
-        Ok(())
-    }
-
-    /// The size tier a segment of `bytes` belongs to.
-    fn tier(&self, bytes: u64) -> u32 {
-        let mut tier = 0u32;
-        let mut ceiling = self.min_bytes;
-        while bytes >= ceiling && tier < 63 {
-            tier += 1;
-            ceiling = ceiling.saturating_mul(self.growth);
-        }
-        tier
-    }
-}
-
-/// What one [`IndexStore::compact_tiered`] step did.
+/// What one compaction step merged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionOutcome {
     /// Segments merged away (inputs of merges).
@@ -191,7 +163,7 @@ pub struct CompactionOutcome {
 }
 
 impl CompactionOutcome {
-    /// True when this step changed nothing (no tier was full).
+    /// True when this step merged nothing (and so committed nothing).
     pub fn is_noop(&self) -> bool {
         self.merged_segments == 0
     }
@@ -546,37 +518,37 @@ impl IndexStore {
     pub fn compact(&mut self) -> Result<usize> {
         let _busy = foreground();
         self.flush()?;
-        let mut next = self.manifest.clone();
-        next.segments.clear();
-        let (mut added, mut removed) = (Vec::new(), Vec::new());
-        for shard in 0..self.manifest.config.num_shards {
-            let entries = self.manifest.shard_segments(shard);
-            if entries.len() < 2 {
-                next.segments.extend(entries);
-                continue;
-            }
-            added.push(self.merge_segments(&mut next, shard, &entries)?);
-            removed.extend(entries.iter().map(|e| e.id));
-        }
-        let reclaimed = removed.len() - added.len();
-        self.commit(next, added, &removed)?;
-        Ok(reclaimed)
+        let outcome = self.merge_groups(2, |_| 0)?;
+        Ok(outcome.merged_segments - outcome.new_segments)
     }
 
     /// One size-tiered compaction step: in every shard, each size tier
-    /// (see [`TieredPolicy`]) holding at least `policy.min_segments`
-    /// segments is merged into a single popcount-sorted segment. Unlike
-    /// [`compact`], pending log records are left alone (flushing is the
-    /// caller's cadence, not compaction's). The superseded files are
-    /// deleted right after the manifest commit, as [`compact`] does: no
-    /// reader ever opens a segment file. The manifest swap itself is
-    /// atomic (tmp + rename), so a crash at any point leaves a readable
-    /// index.
+    /// (see `tier`) holding at least `TIER_MIN_SEGMENTS` segments is
+    /// merged into a single popcount-sorted segment. Unlike [`compact`],
+    /// pending log records are left alone (flushing is the caller's
+    /// cadence, not compaction's).
     ///
     /// [`compact`]: IndexStore::compact
-    pub fn compact_tiered(&mut self, policy: &TieredPolicy) -> Result<CompactionOutcome> {
-        policy.validate()?;
+    pub fn compact_tiered(&mut self) -> Result<CompactionOutcome> {
         let _busy = foreground();
+        self.merge_groups(TIER_MIN_SEGMENTS, tier)
+    }
+
+    /// The one merge planner behind [`compact`] and [`compact_tiered`]:
+    /// in every shard holding at least `min` segments, the segments are
+    /// grouped by `key` of their file size, and each group of at least
+    /// `min` members is merged into one new segment. Shards are walked in
+    /// ascending order and groups by ascending key, which fixes the new
+    /// segment ids and the manifest order; a shard below `min` keeps its
+    /// catalogue order. Everything commits at once, after which the
+    /// superseded files are deleted (no reader ever opens a segment
+    /// file). The manifest swap is atomic (tmp + rename), so a crash at
+    /// any point leaves a readable index. A step that merges nothing
+    /// commits nothing.
+    ///
+    /// [`compact`]: IndexStore::compact
+    /// [`compact_tiered`]: IndexStore::compact_tiered
+    fn merge_groups(&mut self, min: usize, key: fn(u64) -> u32) -> Result<CompactionOutcome> {
         let flen = self.manifest.config.filter_len;
         let mut next = self.manifest.clone();
         next.segments.clear();
@@ -584,18 +556,17 @@ impl IndexStore {
         let mut outcome = CompactionOutcome::default();
         for shard in 0..self.manifest.config.num_shards {
             let entries = self.manifest.shard_segments(shard);
-            if entries.len() < policy.min_segments {
+            if entries.len() < min {
                 next.segments.extend(entries);
                 continue;
             }
-            // Group this shard's segments into size tiers.
-            let mut tiers: BTreeMap<u32, Vec<SegmentEntry>> = BTreeMap::new();
+            let mut groups: BTreeMap<u32, Vec<SegmentEntry>> = BTreeMap::new();
             for entry in entries {
                 let bytes = segment_len(self.arenas[&entry.id].len(), flen);
-                tiers.entry(policy.tier(bytes)).or_default().push(entry);
+                groups.entry(key(bytes)).or_default().push(entry);
             }
-            for (_, members) in tiers {
-                if members.len() < policy.min_segments {
+            for members in groups.into_values() {
+                if members.len() < min {
                     next.segments.extend(members);
                     continue;
                 }
@@ -1206,15 +1177,11 @@ mod tests {
             store.insert_batch(chunk).unwrap();
             store.flush().unwrap();
         }
-        let policy = TieredPolicy {
-            min_segments: 4,
-            ..TieredPolicy::default()
-        };
         let before = store.reader().unwrap();
         let query = records[7].1.clone();
         let expected = before.top_k(&query, 5, 1).unwrap();
 
-        let outcome = store.compact_tiered(&policy).unwrap();
+        let outcome = store.compact_tiered().unwrap();
         assert_eq!(outcome.merged_segments, 4);
         assert_eq!(outcome.new_segments, 1);
         assert_eq!(outcome.records_rewritten, 40);
@@ -1241,67 +1208,38 @@ mod tests {
         );
 
         // A second step with nothing mergeable is a no-op.
-        assert!(store.compact_tiered(&policy).unwrap().is_noop());
+        assert!(store.compact_tiered().unwrap().is_noop());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn tiered_policy_separates_size_tiers() {
-        let policy = TieredPolicy {
-            min_segments: 2,
-            growth: 4,
-            min_bytes: 1024,
-        };
-        assert_eq!(policy.tier(0), 0);
-        assert_eq!(policy.tier(1023), 0);
-        assert_eq!(policy.tier(1024), 1);
-        assert_eq!(policy.tier(4095), 1);
-        assert_eq!(policy.tier(4096), 2);
-        assert!(TieredPolicy::default().validate().is_ok());
-        assert!(TieredPolicy {
-            min_segments: 1,
-            ..TieredPolicy::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TieredPolicy {
-            growth: 1,
-            ..TieredPolicy::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TieredPolicy {
-            min_bytes: 0,
-            ..TieredPolicy::default()
-        }
-        .validate()
-        .is_err());
+    fn tiers_split_at_powers_of_the_growth_above_the_floor() {
+        assert_eq!(tier(0), 0);
+        assert_eq!(tier(4095), 0);
+        assert_eq!(tier(4096), 1);
+        assert_eq!(tier(16383), 1);
+        assert_eq!(tier(16384), 2);
     }
 
     #[test]
     fn tiered_compaction_spares_segments_of_a_different_tier() {
         let dir = temp_dir("tiered-spare");
         let mut store = IndexStore::create(&dir, IndexConfig::new(128, 1)).unwrap();
-        let records = filters(64, 128);
-        // One big segment …
-        store.insert_batch(&records[..60]).unwrap();
+        let records = filters(208, 128);
+        // One big segment (200 rows of 28 bytes: tier 1) …
+        store.insert_batch(&records[..200]).unwrap();
         store.flush().unwrap();
-        // … plus two tiny ones: with min_bytes small enough to separate
-        // them into different tiers, only the tiny tier merges.
-        store.insert_batch(&records[60..62]).unwrap();
-        store.flush().unwrap();
-        store.insert_batch(&records[62..]).unwrap();
-        store.flush().unwrap();
-        let policy = TieredPolicy {
-            min_segments: 2,
-            growth: 4,
-            min_bytes: 256,
-        };
-        let outcome = store.compact_tiered(&policy).unwrap();
-        assert_eq!(outcome.merged_segments, 2, "only the small tier merges");
-        assert_eq!(outcome.records_rewritten, 4);
+        assert_eq!(tier(segment_len(200, 128)), 1);
+        // … plus four tiny ones in tier 0: only the tiny tier merges.
+        for chunk in records[200..].chunks(2) {
+            store.insert_batch(chunk).unwrap();
+            store.flush().unwrap();
+        }
+        let outcome = store.compact_tiered().unwrap();
+        assert_eq!(outcome.merged_segments, 4, "only the small tier merges");
+        assert_eq!(outcome.records_rewritten, 8);
         let stats = store.stats().unwrap();
-        assert_eq!(stats.persisted_records, 64);
+        assert_eq!(stats.persisted_records, 208);
         assert_eq!(stats.segments, 2, "big segment + merged small segment");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1522,19 +1460,17 @@ mod tests {
         let recs = filters(400, 128);
         let probes: &Vec<_> = &recs.iter().step_by(23).cloned().collect();
         let mut store = IndexStore::create_with(dir, IndexConfig::new(128, 4), io()).unwrap();
-        let policy = TieredPolicy {
-            min_segments: 2,
-            growth: 4,
-            min_bytes: 64,
-        };
-        for (step, chunk) in recs.chunks(40).enumerate() {
+        // Chunks of 20 rows over 4 shards: every second compaction step
+        // finds a full tier 0 and merges it.
+        let mut merges = 0;
+        for (step, chunk) in recs.chunks(20).enumerate() {
             store.insert_batch(chunk).unwrap();
             match step % 3 {
                 0 => {}
                 1 => store.flush().unwrap(),
                 _ => {
                     store.flush().unwrap();
-                    store.compact_tiered(&policy).unwrap();
+                    merges += usize::from(!store.compact_tiered().unwrap().is_noop());
                 }
             }
             let incremental = store.reader().unwrap();
@@ -1545,6 +1481,7 @@ mod tests {
                 "step {step}"
             );
         }
+        assert_eq!(merges, 3, "compaction steps that merged");
     }
 
     /// Readers never read a file, so a byte flipped on disk after a

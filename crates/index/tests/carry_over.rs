@@ -14,7 +14,7 @@ use pprl_core::bitvec::BitVec;
 use pprl_core::error::PprlError;
 use pprl_core::rng::SplitMix64;
 use pprl_index::query::{Hit, IndexReader};
-use pprl_index::store::{IndexConfig, IndexStore, TieredPolicy};
+use pprl_index::store::{IndexConfig, IndexStore};
 use pprl_index::vfs::{FaultPlan, FaultVfs, Vfs};
 use pprl_similarity::bitvec_sim::dice_bits;
 use std::io;
@@ -194,12 +194,9 @@ fn compaction_deletes_superseded_files_and_pinned_readers_still_answer() {
     let pinned = store.reader().expect("pinned reader");
     let warm = pinned.top_k(&corpus[0].1, 8, 1).expect("warm query");
 
-    let policy = TieredPolicy {
-        min_segments: 2,
-        growth: 4,
-        min_bytes: 1 << 20, // every segment in tier 0: each shard merges
-    };
-    let outcome = store.compact_tiered(&policy).expect("compact");
+    // Five flushes of 80 rows over 2 shards: each shard holds five
+    // segments below 4 KiB, one full size tier, so every shard merges.
+    let outcome = store.compact_tiered().expect("compact");
     assert!(!outcome.is_noop());
     // The merged-away files are gone as soon as the manifest commits.
     let after = vfs.segments(dir);

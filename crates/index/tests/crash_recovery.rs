@@ -22,21 +22,13 @@
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::PprlError;
 use pprl_core::rng::SplitMix64;
-use pprl_index::store::{IndexConfig, IndexStore, TieredPolicy};
+use pprl_index::store::{IndexConfig, IndexStore};
 use pprl_index::vfs::{FaultPlan, FaultVfs};
 use std::path::Path;
 use std::sync::Arc;
 
 const FILTER_LEN: usize = 64;
 const NUM_SHARDS: u32 = 2;
-
-fn policy() -> TieredPolicy {
-    TieredPolicy {
-        min_segments: 2,
-        growth: 4,
-        min_bytes: 1024,
-    }
-}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -55,40 +47,54 @@ fn random_filter(rng: &mut SplitMix64) -> BitVec {
     BitVec::from_positions(FILTER_LEN, &ones).expect("filter")
 }
 
-/// A deterministic workload: ~10 operations, inserts of 1–4 records
-/// with globally unique ids, interleaved flushes and compaction steps.
+/// A deterministic workload: 10 drawn operations, inserts of 1–4
+/// records with globally unique ids, interleaved flushes and compaction
+/// steps. Each compaction step is led by two insert-and-flush rounds and
+/// one more insert, so `compact()`'s own flush is the third non-empty
+/// flush in a row: over two shards two of those three flushes share a
+/// shard, and every compaction step merges a group.
 fn schedule(seed: u64) -> Vec<Op> {
     let mut rng = SplitMix64::new(seed.wrapping_mul(0x9e37_79b9).wrapping_add(1));
     let mut next_id = 0u64;
+    let mut insert = |rng: &mut SplitMix64| {
+        let n = 1 + rng.next_below(4) as usize;
+        let batch: Vec<(u64, BitVec)> = (0..n)
+            .map(|_| {
+                let id = next_id;
+                next_id += 1;
+                (id, random_filter(rng))
+            })
+            .collect();
+        Op::Insert(batch)
+    };
     let mut ops = Vec::new();
     for _ in 0..10 {
         match rng.next_below(100) {
-            0..=59 => {
-                let n = 1 + rng.next_below(4) as usize;
-                let batch: Vec<(u64, BitVec)> = (0..n)
-                    .map(|_| {
-                        let id = next_id;
-                        next_id += 1;
-                        (id, random_filter(&mut rng))
-                    })
-                    .collect();
-                ops.push(Op::Insert(batch));
-            }
+            0..=59 => ops.push(insert(&mut rng)),
             60..=84 => ops.push(Op::Flush),
-            _ => ops.push(Op::Compact),
+            _ => {
+                for _ in 0..2 {
+                    ops.push(insert(&mut rng));
+                    ops.push(Op::Flush);
+                }
+                ops.push(insert(&mut rng));
+                ops.push(Op::Compact);
+            }
         }
     }
     ops
 }
 
-/// Runs the schedule, tracking which inserts were acked and which batch
-/// (if any) was in flight when the first failure hit. Returns false on
-/// the first error (the simulated crash); every op after a crash fails.
+/// Runs the schedule, tracking which inserts were acked, which batch
+/// (if any) was in flight when the first failure hit, and how many
+/// `Compact` steps merged a group. Returns false on the first error (the
+/// simulated crash); every op after a crash fails.
 fn run_schedule(
     store: &mut IndexStore,
     ops: &[Op],
     acked: &mut Vec<(u64, BitVec)>,
     in_flight: &mut Vec<(u64, BitVec)>,
+    merges: &mut usize,
 ) -> bool {
     for op in ops {
         let outcome = match op {
@@ -102,7 +108,9 @@ fn run_schedule(
                 r
             }
             Op::Flush => store.flush(),
-            Op::Compact => store.compact_tiered(&policy()).map(|_| ()),
+            Op::Compact => store
+                .compact()
+                .map(|reclaimed| *merges += usize::from(reclaimed > 0)),
         };
         if outcome.is_err() {
             return false;
@@ -169,10 +177,15 @@ fn crash_at_every_io_op_loses_no_acked_insert_and_matches_oracle() {
             Arc::clone(&dry) as Arc<dyn pprl_index::vfs::Vfs>,
         )
         .expect("dry create");
-        let (mut acked, mut in_flight) = (Vec::new(), Vec::new());
+        let (mut acked, mut in_flight, mut merges) = (Vec::new(), Vec::new(), 0);
         assert!(
-            run_schedule(&mut store, &ops, &mut acked, &mut in_flight),
+            run_schedule(&mut store, &ops, &mut acked, &mut in_flight, &mut merges),
             "reliable run must not fail"
+        );
+        let compactions = ops.iter().filter(|op| matches!(op, Op::Compact)).count();
+        assert_eq!(
+            merges, compactions,
+            "seed {seed}: a Compact step merged nothing"
         );
         let total_ops = dry.mutating_ops();
         assert!(total_ops > 10, "schedule too trivial to exercise crashes");
@@ -188,7 +201,7 @@ fn crash_at_every_io_op_loses_no_acked_insert_and_matches_oracle() {
                 IndexConfig::new(FILTER_LEN, NUM_SHARDS),
                 io.clone(),
             ) {
-                Ok(mut store) => run_schedule(&mut store, &ops, &mut acked, &mut in_flight),
+                Ok(mut store) => run_schedule(&mut store, &ops, &mut acked, &mut in_flight, &mut 0),
                 Err(_) => false, // crashed during create: nothing acked
             };
             if finished {

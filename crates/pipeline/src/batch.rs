@@ -24,14 +24,15 @@
 //! any cap.
 
 use pprl_blocking::canopy::CanopyBlocking;
-use pprl_blocking::engine::compare_pairs_parallel;
+use pprl_blocking::engine::{compare_pairs_parallel, CompareOutcome};
 use pprl_blocking::keys::BlockingKey;
 use pprl_blocking::lsh::HammingLsh;
 use pprl_blocking::source::{
     CanopySource, FullSource, HammingLshSource, KeyBlockSource, MetaBlockSource,
     SortedNeighbourhoodSource,
 };
-use pprl_core::candidate::{CandidateSource, Probes, SourceStats};
+use pprl_core::bitvec::BitVec;
+use pprl_core::candidate::{CandidatePair, CandidateSource, Probes, SourceStats};
 use pprl_core::error::{PprlError, Result};
 use pprl_core::gauge;
 use pprl_core::json::Json;
@@ -48,8 +49,7 @@ use std::path::PathBuf;
 /// Linking against a pre-built persistent index (see `pprl-index`).
 #[derive(Debug, Clone)]
 pub struct IndexSourceConfig {
-    /// Index directory (as produced by `pprl index build` or
-    /// `StreamingLinker::flush_to_index`).
+    /// Index directory (as produced by `pprl index build`).
     pub dir: PathBuf,
     /// Neighbours fetched per probe record. Candidates are the exact
     /// top-k stored records per probe with Dice ≥ the pipeline threshold;
@@ -197,7 +197,7 @@ pub(crate) fn record_tokens(dataset: &Dataset) -> Vec<Vec<String>> {
 /// `threads` caps the Hamming-LSH and index sources' runner calls.
 pub fn build_source(
     b: &Dataset,
-    filters_b: &[&pprl_core::bitvec::BitVec],
+    filters_b: &[&BitVec],
     blocking: &BlockingChoice,
     threshold: f64,
     threads: usize,
@@ -302,6 +302,27 @@ fn encode_pair(
     ))
 }
 
+/// Scores each candidate `(i, j)` as the Dice similarity of `a[i]` and
+/// `b[j]` on at most `threads` threads, keeping the pairs at or above
+/// `threshold` in candidate order. Popcounts are taken once per filter,
+/// so a pair costs one AND-popcount and its score stays bit-identical to
+/// `dice_bits`.
+pub(crate) fn score_pairs(
+    a: &[&BitVec],
+    b: &[&BitVec],
+    candidates: &[CandidatePair],
+    threshold: f64,
+    threads: usize,
+) -> Result<CompareOutcome> {
+    let ones_a: Vec<usize> = a.iter().map(|f| f.count_ones()).collect();
+    let ones_b: Vec<usize> = b.iter().map(|f| f.count_ones()).collect();
+    let similarity = |i: usize, j: usize| {
+        let both = and_count(a[i].as_words(), b[j].as_words());
+        Ok(dice_from_counts(both, ones_a[i], ones_b[j]))
+    };
+    compare_pairs_parallel(candidates, threshold, threads, similarity)
+}
+
 /// Runs the batch pipeline over two datasets with a shared schema.
 pub fn link(a: &Dataset, b: &Dataset, config: &PipelineConfig) -> Result<LinkageResult> {
     if a.schema() != b.schema() {
@@ -333,17 +354,13 @@ pub fn link(a: &Dataset, b: &Dataset, config: &PipelineConfig) -> Result<Linkage
         signatures: None,
     };
     let candidates = source.candidates(&probes)?;
-
-    // Popcounts once per filter: a pair costs one AND-popcount, and its
-    // score stays bit-identical to `dice_bits`.
-    let ones_a: Vec<usize> = filters_a.iter().map(|f| f.count_ones()).collect();
-    let ones_b: Vec<usize> = filters_b.iter().map(|f| f.count_ones()).collect();
-    let similarity = |i: usize, j: usize| {
-        let both = and_count(filters_a[i].as_words(), filters_b[j].as_words());
-        Ok(dice_from_counts(both, ones_a[i], ones_b[j]))
-    };
-    let outcome =
-        compare_pairs_parallel(&candidates, config.threshold, config.threads, similarity)?;
+    let outcome = score_pairs(
+        &filters_a,
+        &filters_b,
+        &candidates,
+        config.threshold,
+        config.threads,
+    )?;
 
     let mut matches: Vec<(usize, usize, f64)> = outcome
         .matches

@@ -11,14 +11,13 @@
 //! materialise a de-duplicated dataset keeping one representative per
 //! cluster.
 
-use crate::batch::{build_source, probe_modalities, BlockingChoice};
+use crate::batch::{build_source, probe_modalities, score_pairs, BlockingChoice};
 use pprl_blocking::keys::BlockingKey;
 use pprl_core::candidate::Probes;
 use pprl_core::error::Result;
 use pprl_core::record::{Dataset, RecordRef};
 use pprl_encoding::encoder::{RecordEncoder, RecordEncoderConfig};
 use pprl_matching::clustering::connected_components;
-use pprl_similarity::bitvec_sim::dice_bits;
 
 /// Configuration for de-duplication.
 #[derive(Debug, Clone)]
@@ -31,8 +30,9 @@ pub struct DedupConfig {
     pub blocking: BlockingChoice,
     /// Dice duplicate threshold.
     pub threshold: f64,
-    /// Thread cap for the index-backed and Hamming-LSH sources (ignored
-    /// by the other in-memory sources).
+    /// Thread cap for scoring the candidates and for the index-backed
+    /// and Hamming-LSH sources (the other in-memory sources run on the
+    /// caller alone).
     pub threads: usize,
 }
 
@@ -107,15 +107,18 @@ pub fn deduplicate(dataset: &Dataset, config: &DedupConfig) -> Result<DedupOutco
     candidates.sort_unstable();
     candidates.dedup();
 
-    let mut pairs = Vec::new();
-    let mut comparisons = 0usize;
-    for (i, j) in candidates {
-        comparisons += 1;
-        let s = dice_bits(filters[i], filters[j])?;
-        if s >= config.threshold {
-            pairs.push((i, j, s));
-        }
-    }
+    let scored = score_pairs(
+        &filters,
+        &filters,
+        &candidates,
+        config.threshold,
+        config.threads,
+    )?;
+    let pairs: Vec<(usize, usize, f64)> = scored
+        .matches
+        .iter()
+        .map(|m| (m.a, m.b, m.similarity))
+        .collect();
 
     // Cluster duplicates transitively.
     let edges: Vec<(RecordRef, RecordRef, f64)> = pairs
@@ -129,7 +132,7 @@ pub fn deduplicate(dataset: &Dataset, config: &DedupConfig) -> Result<DedupOutco
     Ok(DedupOutcome {
         clusters,
         pairs,
-        comparisons,
+        comparisons: scored.comparisons,
     })
 }
 
@@ -152,6 +155,7 @@ mod tests {
     use crate::batch::IndexSourceConfig;
     use pprl_datagen::generator::{Generator, GeneratorConfig};
     use pprl_index::store::{IndexConfig, IndexStore};
+    use pprl_similarity::bitvec_sim::dice_bits;
     use std::collections::HashMap;
 
     fn dirty_dataset(seed: u64) -> Dataset {
@@ -255,6 +259,48 @@ mod tests {
             assert!(indexed_set.contains(&(*i, *j)), "({i},{j}) missing");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Candidates are scored on the shared pairwise scorer: at 1 and 4
+    /// threads its pairs and scores equal a `dice_bits` scan of the same
+    /// candidates (a full self-join, so every pair is a candidate).
+    #[test]
+    fn pairs_and_scores_equal_a_dice_bits_scan_at_any_thread_cap() {
+        let ds = dirty_dataset(5);
+        let config = DedupConfig {
+            blocking: BlockingChoice::Full,
+            ..DedupConfig::standard()
+        };
+        let encoder = RecordEncoder::new(config.encoder.clone(), ds.schema()).unwrap();
+        let encoded = encoder.encode_dataset(&ds).unwrap();
+        let filters = encoded.clks().unwrap();
+        let mut want = Vec::new();
+        for i in 0..filters.len() {
+            for j in (i + 1)..filters.len() {
+                let s = dice_bits(filters[i], filters[j]).unwrap();
+                if s >= config.threshold {
+                    want.push((i, j, s.to_bits()));
+                }
+            }
+        }
+        assert!(!want.is_empty(), "the dataset holds duplicates");
+        for threads in [1, 4] {
+            let out = deduplicate(
+                &ds,
+                &DedupConfig {
+                    threads,
+                    ..config.clone()
+                },
+            )
+            .unwrap();
+            let got: Vec<_> = out
+                .pairs
+                .iter()
+                .map(|&(i, j, s)| (i, j, s.to_bits()))
+                .collect();
+            assert_eq!(got, want, "{threads} threads");
+            assert_eq!(out.comparisons, ds.len() * (ds.len() - 1) / 2);
+        }
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! standard-blocking implementation — records with an empty blocking key
 //! are never compared), classified, clustered incrementally, and
 //! inserted — all in one call, with per-insert comparison counts for
-//! throughput experiments.
+//! throughput experiments. The linker holds its whole history in
+//! memory; a stream that outgrows it goes to `pprl-server`'s
+//! `LinkageService`, whose durable inserts and `Link` batches run
+//! against the persistent index.
 //!
 //! For fault tolerance the linker can be checkpointed:
 //! [`StreamingLinker::snapshot`] serialises the full index/cluster state
@@ -28,7 +31,6 @@ use pprl_core::error::{PprlError, Result};
 use pprl_core::record::{Record, RecordRef};
 use pprl_core::schema::Schema;
 use pprl_encoding::encoder::{EncodedRecord, RecordEncoder, RecordEncoderConfig};
-use pprl_index::store::IndexStore;
 use pprl_matching::clustering::IncrementalClusterer;
 use pprl_similarity::bitvec_sim::dice_bits;
 use std::collections::HashMap;
@@ -100,9 +102,6 @@ pub struct StreamingLinker {
     filters: Vec<BitVec>,
     refs: Vec<RecordRef>,
     clusterer: IncrementalClusterer,
-    /// Rows already handed to a persistent index via
-    /// [`StreamingLinker::flush_to_index`].
-    indexed_rows: usize,
 }
 
 impl StreamingLinker {
@@ -123,39 +122,7 @@ impl StreamingLinker {
             filters: Vec::new(),
             refs: Vec::new(),
             clusterer: IncrementalClusterer::new(threshold)?,
-            indexed_rows: 0,
         })
-    }
-
-    /// Flushes every not-yet-indexed filter into a persistent
-    /// [`IndexStore`] and returns how many records were written. Record
-    /// ids are `party << 32 | row`, so linker rows stay recoverable from
-    /// query hits. Repeated calls only ship the rows inserted since the
-    /// previous flush; a linker rebuilt via [`StreamingLinker::restore`]
-    /// starts from a zero watermark and re-ships everything.
-    pub fn flush_to_index(&mut self, store: &mut IndexStore) -> Result<usize> {
-        if store.config().filter_len != self.encoder.output_len() {
-            return Err(PprlError::shape(
-                format!("{}-bit index", store.config().filter_len),
-                format!("{}-bit filters", self.encoder.output_len()),
-            ));
-        }
-        let mut batch = Vec::with_capacity(self.filters.len() - self.indexed_rows);
-        for row in self.indexed_rows..self.filters.len() {
-            let rref = self.refs[row];
-            let row32 = u32::try_from(rref.row).map_err(|_| {
-                PprlError::invalid("row", format!("row {} exceeds u32 range", rref.row))
-            })?;
-            let id = (u64::from(rref.party.0) << 32) | u64::from(row32);
-            batch.push((id, self.filters[row].clone()));
-        }
-        if batch.is_empty() {
-            return Ok(0);
-        }
-        store.insert_batch(&batch)?;
-        store.flush()?;
-        self.indexed_rows = self.filters.len();
-        Ok(batch.len())
     }
 
     /// Number of indexed records.
@@ -270,71 +237,6 @@ impl StreamingLinker {
             .collect();
         let mut matches = Vec::new();
         let comparisons = self.score_rows(&filter, candidate_rows, &mut matches)?;
-        self.commit(party, filter, &key, matches, comparisons)
-    }
-
-    /// Inserts one record, generating candidates for the already-flushed
-    /// rows from a **persistent index** instead of the in-memory blocks —
-    /// the other half of the index-backed streaming story next to
-    /// [`StreamingLinker::flush_to_index`]: the linker no longer needs
-    /// its full history in memory to match against it.
-    ///
-    /// `index` is any [`CandidateSource`] over an index this linker
-    /// flushed to (typically `pprl_index::IndexBackend` opened on that
-    /// directory, or a served snapshot). Candidate ids are decoded by the
-    /// `party << 32 | row` contract of [`flush_to_index`]; rows the
-    /// linker never flushed are rejected as a typed error rather than
-    /// silently matched. Rows inserted *after* the last flush are not in
-    /// the index yet, so they are still probed via the in-memory blocks —
-    /// together the two paths cover exactly the linker's history.
-    ///
-    /// The caller configures the source's own candidate policy (top-k,
-    /// score floor); a floor above this linker's threshold will drop
-    /// matches [`StreamingLinker::insert`] would have found.
-    ///
-    /// [`flush_to_index`]: StreamingLinker::flush_to_index
-    pub fn insert_via(
-        &mut self,
-        party: u32,
-        record: &Record,
-        index: &mut dyn CandidateSource,
-    ) -> Result<InsertOutcome> {
-        let (filter, key) = self.encode_one(record)?;
-
-        // Flushed rows: candidates from the persistent index.
-        let filter_refs = [&filter];
-        let pairs = index.candidates(&Probes::from_filters(&filter_refs))?;
-        let mut indexed_rows = Vec::with_capacity(pairs.len());
-        for (_, id) in pairs {
-            let row = id & 0xffff_ffff;
-            if row >= self.indexed_rows {
-                return Err(PprlError::invalid(
-                    "index",
-                    format!(
-                        "candidate id {id} does not decode to a flushed linker row \
-                         (row {row}, {} flushed)",
-                        self.indexed_rows
-                    ),
-                ));
-            }
-            indexed_rows.push(row);
-        }
-        let mut matches = Vec::new();
-        let mut comparisons = self.score_rows(&filter, indexed_rows, &mut matches)?;
-
-        // Unflushed tail: still only in memory, probe the blocks.
-        let probes = Probes {
-            keys: Some(std::slice::from_ref(&key)),
-            ..Probes::default()
-        };
-        let tail_rows: Vec<usize> = self
-            .blocks
-            .candidates(&probes)?
-            .into_iter()
-            .map(|(_, row)| row)
-            .filter(|&row| row >= self.indexed_rows)
-            .collect();
-        comparisons += self.score_rows(&filter, tail_rows, &mut matches)?;
         self.commit(party, filter, &key, matches, comparisons)
     }
 
@@ -458,7 +360,6 @@ impl StreamingLinker {
             filters,
             refs,
             clusterer: IncrementalClusterer::from_state(threshold, clusters)?,
-            indexed_rows: 0,
         })
     }
 }
@@ -665,153 +566,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, PprlError::ShapeMismatch { .. }), "{err}");
-    }
-
-    #[test]
-    fn flush_to_index_is_incremental_and_queryable() {
-        use pprl_index::store::{IndexConfig, IndexStore};
-        let dir = std::env::temp_dir().join("pprl-streaming-flush-index");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut g = generator(8);
-        let mut l = linker();
-        for id in 0..15 {
-            l.insert(0, &g.entity(id)).unwrap();
-        }
-        let flen = RecordEncoderConfig::person_clk(b"stream-key".to_vec())
-            .params
-            .len;
-        let mut store = IndexStore::create(&dir, IndexConfig::new(flen, 4)).unwrap();
-        assert_eq!(l.flush_to_index(&mut store).unwrap(), 15);
-        // Only new rows ship on the second flush.
-        assert_eq!(l.flush_to_index(&mut store).unwrap(), 0);
-        l.insert(1, &g.entity(99)).unwrap();
-        assert_eq!(l.flush_to_index(&mut store).unwrap(), 1);
-        let reader = store.reader().unwrap();
-        assert_eq!(reader.len(), 16);
-        // A stored record's own filter is its top hit, id = party<<32|row.
-        let hits = reader.top_k(&l.filters[3], 1, 2).unwrap();
-        assert_eq!(hits[0].id, 3);
-        assert_eq!(hits[0].score, 1.0);
-        let hits = reader.top_k(&l.filters[15], 1, 2).unwrap();
-        assert_eq!(hits[0].id, (1u64 << 32) | 15);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn insert_via_persistent_index_matches_in_memory_insert() {
-        use pprl_index::backend::IndexBackend;
-        use pprl_index::store::{IndexConfig, IndexStore};
-        let dir = std::env::temp_dir().join("pprl-streaming-insert-via");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut g = generator(9);
-        let mut indexed = linker();
-        let mut memory = linker();
-        let mut originals = Vec::new();
-        for id in 0..20 {
-            let r = g.entity(id);
-            indexed.insert(0, &r).unwrap();
-            memory.insert(0, &r).unwrap();
-            originals.push(r);
-        }
-        let flen = RecordEncoderConfig::person_clk(b"stream-key".to_vec())
-            .params
-            .len;
-        let mut store = IndexStore::create(&dir, IndexConfig::new(flen, 4)).unwrap();
-        assert_eq!(indexed.flush_to_index(&mut store).unwrap(), 20);
-        // One record arrives after the flush: only the in-memory tail
-        // knows it.
-        let late = g.entity(50);
-        indexed.insert(0, &late).unwrap();
-        memory.insert(0, &late).unwrap();
-        drop(store);
-        let mut backend = IndexBackend::open(&dir, 64, 0.0, 1).unwrap();
-
-        // A duplicate of a flushed entity: found through the index, and
-        // every match the blocking-only linker finds is found here too,
-        // with the identical similarity.
-        let dup = g.corrupt_record(&originals[3]);
-        let via = indexed.insert_via(1, &dup, &mut backend).unwrap();
-        let plain = memory.insert(1, &dup).unwrap();
-        assert!(
-            via.matches.iter().any(|m| m.existing.row == 3),
-            "flushed duplicate not found via index: {:?}",
-            via.matches
-        );
-        for m in &plain.matches {
-            assert!(
-                via.matches.contains(m),
-                "in-memory match {m:?} missing from insert_via: {:?}",
-                via.matches
-            );
-        }
-        assert_eq!(via.cluster, plain.cluster);
-
-        // A duplicate of the unflushed record: only the tail path can
-        // find it (row 20 >= indexed_rows).
-        let late_dup = g.corrupt_record(&late);
-        let via = indexed.insert_via(1, &late_dup, &mut backend).unwrap();
-        assert!(
-            via.matches.iter().any(|m| m.existing.row == 20),
-            "unflushed tail record not matched: {:?}",
-            via.matches
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn insert_via_rejects_foreign_index() {
-        use pprl_index::backend::IndexBackend;
-        use pprl_index::store::{IndexConfig, IndexStore};
-        let dir = std::env::temp_dir().join("pprl-streaming-insert-via-foreign");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut g = generator(10);
-        // The index holds 8 rows, but this linker only ever flushed 5:
-        // candidate ids 5..8 cannot be resolved to local filters.
-        let mut other = linker();
-        for id in 0..8 {
-            other.insert(0, &g.entity(id)).unwrap();
-        }
-        let flen = RecordEncoderConfig::person_clk(b"stream-key".to_vec())
-            .params
-            .len;
-        let mut store = IndexStore::create(&dir, IndexConfig::new(flen, 4)).unwrap();
-        other.flush_to_index(&mut store).unwrap();
-        drop(store);
-        let own_dir = std::env::temp_dir().join("pprl-streaming-insert-via-own");
-        let _ = std::fs::remove_dir_all(&own_dir);
-        let mut g2 = generator(10);
-        let mut local = linker();
-        for id in 0..5 {
-            local.insert(0, &g2.entity(id)).unwrap();
-        }
-        let mut own = IndexStore::create(&own_dir, IndexConfig::new(flen, 4)).unwrap();
-        local.flush_to_index(&mut own).unwrap();
-        drop(own);
-        // Probing the *foreign* index surfaces rows 5..8 the local linker
-        // cannot resolve — a typed error, not a silent wrong match.
-        let probe = g2.entity(6);
-        let mut backend = IndexBackend::open(&dir, 64, 0.0, 1).unwrap();
-        let err = local.insert_via(0, &probe, &mut backend).unwrap_err();
-        assert!(
-            matches!(err, PprlError::InvalidParameter { name: "index", .. }),
-            "{err}"
-        );
-        // The failed insert must not have half-committed anything.
-        assert_eq!(local.len(), 5);
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&own_dir).unwrap();
-    }
-
-    #[test]
-    fn flush_to_index_rejects_mismatched_filter_length() {
-        use pprl_index::store::{IndexConfig, IndexStore};
-        let dir = std::env::temp_dir().join("pprl-streaming-flush-badlen");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut l = linker();
-        let mut store = IndexStore::create(&dir, IndexConfig::new(8, 2)).unwrap();
-        let err = l.flush_to_index(&mut store).unwrap_err();
-        assert!(matches!(err, PprlError::ShapeMismatch { .. }), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

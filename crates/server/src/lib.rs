@@ -15,8 +15,10 @@
 //!   immutable reader over resident arenas while writes install the next
 //!   generation, so compaction deletes superseded files at once;
 //! - [`service`] — queries, batch link, durable insert, background
-//!   size-tiered compaction, and an LRU result cache keyed by
-//!   (generation, filter bits, k);
+//!   size-tiered compaction (`IndexStore::compact_tiered`, whose tiers
+//!   are fixed constants, not settings), and an LRU result cache keyed
+//!   by (generation, filter bits, k); a [`ServerConfig`] sets only the
+//!   cache capacity and the maintenance interval of a node's index;
 //! - [`metrics`] — lock-free counters and a fixed-bucket latency
 //!   histogram behind the `STATS` wire command;
 //! - [`server`] / [`client`] — the TCP front end, generic over the
@@ -61,7 +63,7 @@ pub mod wire;
 
 pub use client::Client;
 pub use server::{serve_auth, serve_backend, Backend, ServerBackend, ServerConfig, ServerHandle};
-pub use service::{LinkageService, ServiceConfig};
+pub use service::LinkageService;
 pub use wire::StatsReport;
 
 // Session-layer types every caller needs to open a session.

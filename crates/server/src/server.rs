@@ -27,11 +27,10 @@
 //! backs off exponentially (capped) and retries rather than dying.
 
 use crate::pool::BoundedQueue;
-use crate::service::{LinkageService, ServiceConfig};
+use crate::service::LinkageService;
 use crate::wire::{write_payload, Request, Response};
 use pprl_core::error::{PprlError, Result};
 use pprl_core::gauge::foreground;
-use pprl_index::store::TieredPolicy;
 use pprl_session::channel::{IncomingRef, SecureChannel, SESSION_WIRE_VERSION};
 use pprl_session::frame::{read_payload_into, IncomingLen};
 use pprl_session::handshake::server_handshake;
@@ -49,9 +48,9 @@ use std::time::Duration;
 /// flag. Bounds shutdown latency; invisible to throughput.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
-/// Tunables for [`serve_auth`] and every other front end. `cache_capacity`,
-/// `compact_interval` and `tiered` configure a node's index and are
-/// ignored by other backends.
+/// Tunables for [`serve_auth`] and every other front end. `cache_capacity`
+/// and `compact_interval` configure a node's index and are ignored by
+/// other backends.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Worker threads serving sessions.
@@ -67,8 +66,6 @@ pub struct ServerConfig {
     /// disables the maintenance thread entirely (inserts then flush
     /// inline once enough rows are pending).
     pub compact_interval: Option<Duration>,
-    /// Size-tiered compaction policy for the maintenance thread.
-    pub tiered: TieredPolicy,
     /// Write timeout on accepted sockets: a client that stops draining
     /// responses is disconnected instead of pinning a worker.
     pub write_timeout: Duration,
@@ -85,7 +82,6 @@ impl Default for ServerConfig {
             cache_capacity: 256,
             retry_after_ms: 50,
             compact_interval: Some(Duration::from_millis(500)),
-            tiered: TieredPolicy::default(),
             write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
         }
@@ -301,7 +297,8 @@ pub fn serve_auth(
     config.preflight(&registry)?;
     let mut entries = Vec::new();
     if root.join("MANIFEST").exists() {
-        entries.push(("default".to_string(), open_service(root, &config)?));
+        let service = LinkageService::open(root, config.cache_capacity)?;
+        entries.push(("default".to_string(), Arc::new(service)));
     } else {
         for tenant in registry.tenants() {
             let dir = root.join(&tenant);
@@ -311,8 +308,8 @@ pub fn serve_auth(
                     dir.display()
                 )));
             }
-            let service = open_service(&dir, &config)?;
-            entries.push((tenant, service));
+            let service = LinkageService::open(&dir, config.cache_capacity)?;
+            entries.push((tenant, Arc::new(service)));
         }
     }
     if entries.is_empty() {
@@ -328,16 +325,6 @@ pub fn serve_auth(
         }));
     }
     Ok(handle)
-}
-
-fn open_service(dir: &Path, config: &ServerConfig) -> Result<Arc<LinkageService>> {
-    Ok(Arc::new(LinkageService::open(
-        dir,
-        ServiceConfig {
-            cache_capacity: config.cache_capacity,
-            tiered: config.tiered,
-        },
-    )?))
 }
 
 /// Serves `backend` on `addr` through the shared front end, to wire v4

@@ -19,7 +19,7 @@ use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
 use pprl_core::gauge;
 use pprl_index::query::Hit;
-use pprl_index::store::{CompactionOutcome, IndexStore, TieredPolicy};
+use pprl_index::store::{CompactionOutcome, IndexStore};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -39,24 +39,6 @@ use std::time::Instant;
 /// never what an ack guarantees.
 pub const INLINE_FLUSH_ROWS: usize = 8_192;
 
-/// Tunables for a [`LinkageService`].
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceConfig {
-    /// Result-cache capacity in entries (0 disables caching).
-    pub cache_capacity: usize,
-    /// Size-tiered compaction policy for maintenance steps.
-    pub tiered: TieredPolicy,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            cache_capacity: 256,
-            tiered: TieredPolicy::default(),
-        }
-    }
-}
-
 /// A thread-safe linkage service over one persistent index.
 #[derive(Debug)]
 pub struct LinkageService {
@@ -65,24 +47,22 @@ pub struct LinkageService {
     cache: Mutex<LruCache<QueryKey, Vec<Hit>>>,
     /// Aggregate counters and the latency histogram.
     pub metrics: Metrics,
-    config: ServiceConfig,
     started: Instant,
 }
 
 impl LinkageService {
     /// Opens the index at `dir` — which reads every segment file once,
     /// into the arenas every later generation shares — and builds the
-    /// generation-0 snapshot.
-    pub fn open(dir: &Path, config: ServiceConfig) -> Result<LinkageService> {
-        config.tiered.validate()?;
+    /// generation-0 snapshot, with a result cache of `cache_capacity`
+    /// entries (0 disables caching).
+    pub fn open(dir: &Path, cache_capacity: usize) -> Result<LinkageService> {
         let store = IndexStore::open(dir)?;
         let reader = store.reader()?;
         Ok(LinkageService {
             store: Mutex::new(store),
             hub: SnapshotHub::new(reader),
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
+            cache: Mutex::new(LruCache::new(cache_capacity)),
             metrics: Metrics::default(),
-            config,
             started: Instant::now(),
         })
     }
@@ -210,7 +190,7 @@ impl LinkageService {
         let mut store = self.store.lock().expect("store lock");
         let flushed = store.pending_len() > 0;
         store.flush()?;
-        let outcome = store.compact_tiered(&self.config.tiered)?;
+        let outcome = store.compact_tiered()?;
         if flushed || !outcome.is_noop() {
             self.install_fresh(&store)?;
         }

@@ -12,10 +12,10 @@ use pprl_core::error::PprlError;
 use pprl_index::manifest::IndexConfig;
 use pprl_index::query::Hit;
 use pprl_index::segment::segment_len;
-use pprl_index::store::{IndexStore, TieredPolicy, WAL_FILE};
+use pprl_index::store::{IndexStore, WAL_FILE};
 use pprl_server::client::Client;
 use pprl_server::server::ServerConfig;
-use pprl_server::service::{LinkageService, ServiceConfig, INLINE_FLUSH_ROWS};
+use pprl_server::service::{LinkageService, INLINE_FLUSH_ROWS};
 use pprl_server::wire::{read_payload, write_payload, Incoming, Request, Response, WIRE_VERSION};
 use pprl_similarity::bitvec_sim::dice_bits;
 use std::path::PathBuf;
@@ -67,14 +67,6 @@ fn build_index(dir: &std::path::Path, n: u64, batches: u64) -> IndexStore {
     store
 }
 
-fn aggressive_policy() -> TieredPolicy {
-    TieredPolicy {
-        min_segments: 2,
-        growth: 4,
-        min_bytes: 4096,
-    }
-}
-
 /// The headline acceptance criterion: concurrent clients get results
 /// bit-for-bit equal to the offline reader while a background
 /// compaction triggered mid-load completes without a failed read.
@@ -96,7 +88,6 @@ fn concurrent_queries_match_offline_during_background_compaction() {
             workers: 3,
             queue_capacity: 16,
             compact_interval: Some(Duration::from_millis(25)),
-            tiered: aggressive_policy(),
             ..ServerConfig::default()
         },
     );
@@ -159,14 +150,7 @@ fn concurrent_queries_match_offline_during_background_compaction() {
 fn old_snapshot_reads_identical_while_compaction_swaps() {
     let dir = temp_dir("snapshot");
     drop(build_index(&dir, 300, 12));
-    let service = LinkageService::open(
-        &dir,
-        ServiceConfig {
-            tiered: aggressive_policy(),
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+    let service = LinkageService::open(&dir, 256).unwrap();
 
     let probes: Vec<BitVec> = (0..6).map(|i| filter_for(2000 + i)).collect();
     let pinned = service.snapshot();
@@ -266,14 +250,7 @@ fn generation_swaps_read_only_the_segments_they_added() {
     drop(build_index(&dir, 300, 6));
     let built = segment_bytes(&dir);
     let expected = built.values().sum::<u64>();
-    let service = LinkageService::open(
-        &dir,
-        ServiceConfig {
-            tiered: aggressive_policy(),
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+    let service = LinkageService::open(&dir, 256).unwrap();
     let pinned = service.snapshot();
     let probe = filter_for(7);
     let pinned_answer = pinned.reader.top_k(&probe, 5, 1).unwrap();
@@ -317,7 +294,7 @@ fn generation_swaps_read_only_the_segments_they_added() {
 fn inserts_past_the_pending_bound_flush_inline() {
     let dir = temp_dir("inline-flush");
     drop(build_index(&dir, 200, 2));
-    let service = LinkageService::open(&dir, ServiceConfig::default()).unwrap();
+    let service = LinkageService::open(&dir, 256).unwrap();
     let built = segment_bytes(&dir);
     let batch = 1_000u64;
     let mut inserted = Vec::new();
@@ -367,7 +344,7 @@ fn acked_unflushed_inserts_survive_a_reopen() {
     drop(build_index(&dir, 200, 4));
     let built = segment_bytes(&dir);
     let empty_wal = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
-    let service = LinkageService::open(&dir, ServiceConfig::default()).unwrap();
+    let service = LinkageService::open(&dir, 256).unwrap();
     let inserted: Vec<(u64, BitVec)> = (7_000..7_060).map(|id| (id, filter_for(id))).collect();
     for chunk in inserted.chunks(15) {
         service.insert(chunk).unwrap();
@@ -387,7 +364,7 @@ fn acked_unflushed_inserts_survive_a_reopen() {
         .collect();
     drop((reader, store));
 
-    let service = LinkageService::open(&dir, ServiceConfig::default()).unwrap();
+    let service = LinkageService::open(&dir, 256).unwrap();
     service.compact_step().unwrap();
     assert_eq!(segment_rows(&dir), corpus.len(), "rows not in segments");
     assert_eq!(
