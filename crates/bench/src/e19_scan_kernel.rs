@@ -203,7 +203,7 @@ pub fn run(size: Size) -> Report {
 /// the scalar kernel.
 pub fn claims(r: &Report) -> Vec<Claim> {
     let t = &r.tables[0];
-    // At 1000 bits (the CLK length), by kernel label.
+    // At 1000 bits, by kernel label.
     let at_1000 = |kernel: &str, header: &str| {
         (0..t.rows().len())
             .find(|&i| t.cell(i, "bits").value() == 1000.0 && t.cell(i, "kernel").text() == kernel)

@@ -231,7 +231,7 @@ type Tap = (usize, u64, u32);
 
 /// Rows per keying task and per merge task.
 const KEY_ROWS: usize = 1024;
-/// ~20 ns: keying a 1000-bit CLK under one 24-bit table (2-vCPU AVX-512 Xeon).
+/// ~20 ns: keying a CLK under one 24-bit table (2-vCPU AVX-512 Xeon).
 const KEY_NANOS: u64 = 20;
 /// ~25 ns: inserting a row of B into one table's map, at 20k rows.
 const BUILD_NANOS: u64 = 25;

@@ -353,16 +353,6 @@ fn encode_filters(
         .collect()
 }
 
-/// Filter length of the person CLK encoder (what `index build` stores).
-fn person_clk_len(key: &str) -> Result<usize, String> {
-    let enc = RecordEncoder::new(
-        RecordEncoderConfig::person_clk(key.as_bytes().to_vec()),
-        &Schema::person(),
-    )
-    .map_err(fail)?;
-    Ok(enc.output_len())
-}
-
 /// `pprl index <action>` — manage a persistent sharded filter index.
 ///
 /// The caller parses the action as the subcommand (`build`, `insert`,
@@ -377,7 +367,8 @@ pub fn index_cmd(mut args: Args) -> CmdResult {
             args.finish().map_err(fail)?;
             let started = std::time::Instant::now();
             let records = encode_filters(&input, &key, 0)?;
-            let config = IndexConfig::new(person_clk_len(&key)?, shards);
+            let filter_len = RecordEncoderConfig::person_clk(key).params.len;
+            let config = IndexConfig::new(filter_len, shards);
             let mut store = IndexStore::create(std::path::Path::new(&dir), config).map_err(fail)?;
             store.insert_batch(&records).map_err(fail)?;
             store.flush().map_err(fail)?;

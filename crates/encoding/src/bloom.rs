@@ -54,15 +54,6 @@ impl BloomParams {
         }
     }
 
-    /// The k minimising the false-positive rate for `expected_elements`
-    /// insertions into `len` bits: `k = (l/n)·ln 2`, at least 1.
-    pub fn optimal_num_hashes(len: usize, expected_elements: usize) -> usize {
-        if expected_elements == 0 {
-            return 1;
-        }
-        (((len as f64 / expected_elements as f64) * std::f64::consts::LN_2).round() as usize).max(1)
-    }
-
     fn validate(&self) -> Result<()> {
         if self.len == 0 {
             return Err(PprlError::invalid("len", "filter length must be positive"));
@@ -353,8 +344,8 @@ impl PositionMemo {
 }
 
 /// The values one field encoder has encoded in one `EncodeScratch`, each
-/// with its filter words: a repeat costs one exact lookup and 16 word ORs
-/// at 1000 bits. Equal caller keys must tokenise alike.
+/// with its filter words: a repeat costs one exact lookup and 8 word ORs
+/// at 512 bits. Equal caller keys must tokenise alike.
 #[derive(Debug, Default)]
 pub(crate) struct ValueMemo {
     /// Keys of at most 14 bytes, by [`filing`] → their entry.
@@ -568,14 +559,6 @@ mod tests {
             "smith~smyth {sim_ab} should beat smith~jones {sim_ac}"
         );
         assert!(sim_ab > 0.4);
-    }
-
-    #[test]
-    fn optimal_k_formula() {
-        // l/n = 10 → k = round(10·ln2) = 7
-        assert_eq!(BloomParams::optimal_num_hashes(1000, 100), 7);
-        assert_eq!(BloomParams::optimal_num_hashes(1000, 0), 1);
-        assert!(BloomParams::optimal_num_hashes(10, 1000) >= 1);
     }
 
     #[test]

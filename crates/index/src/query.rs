@@ -434,20 +434,20 @@ type Task = (usize, usize, usize);
 
 /// Rows per scan tile: the unit at which a query's threshold becomes an
 /// integer `need` and at which a batch shares loaded rows. 128 rows of a
-/// 1000-bit index are 16 KiB — resident in any L1 while every query of a
-/// batch scans them — and amortise the per-tile arithmetic and kernel
-/// call to ~0.1 ns per row (64 → 96, 128 → 91, 256 → 87, L2-sized 512 →
-/// 101 µs per probe on the benchmark's 50k CLKs).
+/// 512-bit index are 8 KiB, resident in any L1 while every query of a
+/// batch scans them. ns per (row, probe), 32 probes over 50k CLKs, in
+/// alternating runs: 64 rows 2.85–2.95 against 128 rows 2.56–2.76;
+/// 128 → 1.60–1.67, 256 → 1.57–1.62, 512 → 1.49–1.71 (within noise).
 const TILE_ROWS: usize = 128;
 
-/// Rows per scan task: 16 tiles, ~14 µs for one probe and ≤ ~150 µs for
-/// a 32-probe batch. That bounds how long a woken writer waits for an
-/// elastic scan thread to yield its core at its next claim, and how
-/// long a finished shared-pass caller waits for a co-participant's task.
+/// Rows per scan task: 16 tiles, ~6 µs for one probe and ~0.1–0.2 ms for
+/// a 32-probe batch at 512 bits: how long a woken writer waits for an
+/// elastic scan thread to yield its core at its next claim, and a finished
+/// shared-pass caller for a co-participant's task.
 const TASK_ROWS: usize = 16 * TILE_ROWS;
 
 /// Estimated cost of one (row, probe) pair of a batched scan, for the
-/// runner's admission rule: ~2.0–2.5 ns measured on 1000-bit CLKs.
+/// runner's admission rule: 1.5–1.7 ns on 512-bit CLKs (slow phase 2.5–2.9).
 const SCAN_PAIR_NANOS: u64 = 2;
 
 /// Single-probe calls one reader's shared pass serves at once (bits of

@@ -442,7 +442,7 @@ fn scans_large_enough_for_helpers_match_the_oracle() {
 }
 
 /// The wasted-work ratio on the data the scan is built for: real person
-/// CLKs (1000 bits, ~41 % dense, every third record a corrupted
+/// CLKs (512 bits, ~34 % dense, every third record a corrupted
 /// duplicate), probes with ~5 % of their bits flipped, `Link` at 0.8.
 /// Every row is AND-popcounted, but only rows that can place are scored:
 /// `rows_scored` covers every true ≥ 0.8 pair and stays under 2 % of

@@ -192,8 +192,8 @@ mod tests {
         let (a, b) = pair(3, 50, 10);
         let config = TwoPartyConfig::standard(b"shared".to_vec()).unwrap();
         let out = two_party_linkage(&a, &b, &config).unwrap();
-        // 100 filters of 125 bytes each at minimum.
-        assert!(out.cost.bytes >= 100 * 125);
+        // 100 filters of l/8 bytes each at minimum.
+        assert!(out.cost.bytes >= 100 * config.encoder.params.len / 8);
         assert_eq!(out.cost.rounds, 2);
         // Fault-free: one frame per message, no retries, every data frame
         // acked.

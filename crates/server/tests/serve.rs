@@ -9,6 +9,7 @@ mod fixture;
 
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::PprlError;
+use pprl_encoding::encoder::RecordEncoderConfig;
 use pprl_index::manifest::IndexConfig;
 use pprl_index::query::Hit;
 use pprl_index::segment::segment_len;
@@ -619,6 +620,43 @@ fn malformed_frames_and_bad_requests_get_typed_errors() {
         other => panic!("expected a protocol error, got {other:?}"),
     }
     assert!(!client.query(&filter_for(1), 3).unwrap().is_empty());
+    client.shutdown().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A node serving the shipped person-CLK length answers a probe of the
+/// 1000-bit CLK it replaced with a typed error naming both lengths, and
+/// the session keeps serving.
+#[test]
+fn a_probe_of_the_old_clk_length_gets_a_typed_error() {
+    let len = RecordEncoderConfig::person_clk(b"k".to_vec()).params.len;
+    let row = |id: usize| BitVec::from_positions(len, &[id, id + 7, id + 64]).unwrap();
+    let dir = temp_dir("old-clk");
+    let mut store = IndexStore::create(&dir, IndexConfig::new(len, 2)).unwrap();
+    let rows: Vec<(u64, BitVec)> = (0..20).map(|id| (id as u64, row(id))).collect();
+    store.insert_batch(&rows).unwrap();
+    store.flush().unwrap();
+    drop(store);
+    let handle = fixture::serve(
+        &dir,
+        ServerConfig {
+            workers: 1,
+            compact_interval: None,
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = fixture::connect(&handle.addr().to_string());
+    let old = BitVec::from_positions(1000, &[1, 2, 999]).unwrap();
+    match client.query(&old, 3) {
+        Err(PprlError::ProtocolError(msg)) => {
+            assert!(msg.contains("1000-bit"), "got: {msg}");
+            assert!(msg.contains(&format!("{len}-bit")), "got: {msg}");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    let hits = client.query(&row(5), 1).unwrap();
+    assert_eq!((hits[0].id, hits[0].score), (5, 1.0));
     client.shutdown().unwrap();
     handle.join();
     std::fs::remove_dir_all(&dir).ok();

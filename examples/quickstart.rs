@@ -32,8 +32,8 @@ fn main() {
     let config =
         PipelineConfig::standard(b"example-shared-secret".to_vec()).expect("valid pipeline config");
     println!(
-        "Encoding: 1000-bit CLK, double hashing; blocking: Hamming LSH; threshold {}",
-        config.threshold
+        "Encoding: {}-bit CLK, double hashing; blocking: Hamming LSH; threshold {}",
+        config.encoder.params.len, config.threshold
     );
 
     // 3. Link.

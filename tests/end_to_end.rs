@@ -203,3 +203,41 @@ fn ground_truth_free_quality_estimation_tracks_reality() {
     );
     assert!(actual.f1() > 0.8, "the linkage itself should be good");
 }
+
+/// The shipped CLK geometry (`person_clk`: 512 bits, k = 4) keeps the
+/// linkage quality of the 1000-bit, k = 10 filter it replaced, and fills
+/// its rows as its doc states (mean fill 0.33–0.36). k = 5 at 512 bits
+/// fills ~0.41 and fails here.
+#[test]
+fn person_clk_geometry_keeps_f1_of_the_1000_bit_filter() {
+    use pprl::encoding::encoder::RecordEncoder;
+    for seed in [1, 2, 3] {
+        let (a, b) = generator(seed, 0.2).dataset_pair(2000, 2000, 1000).unwrap();
+        let truth = a.ground_truth_pairs(&b);
+        let shipped = PipelineConfig::standard(b"k".to_vec()).unwrap();
+        let mut wide = shipped.clone();
+        wide.encoder.params.len = 1000;
+        wide.encoder.params.num_hashes = 10;
+        let f1 = |cfg: &PipelineConfig| {
+            let r = link(&a, &b, cfg).unwrap();
+            Confusion::from_pairs(&r.pairs(), &truth).f1()
+        };
+        let (f1_shipped, f1_wide) = (f1(&shipped), f1(&wide));
+        assert!(
+            f1_shipped >= f1_wide - 0.005,
+            "seed {seed}: F1 {f1_shipped:.4} at 512 bits, {f1_wide:.4} at 1000"
+        );
+
+        let encoder = RecordEncoder::new(shipped.encoder, a.schema()).unwrap();
+        let fills: Vec<f64> = [&a, &b]
+            .into_iter()
+            .flat_map(|d| encoder.encode_dataset(d).unwrap().records)
+            .map(|r| r.clk().unwrap().fill_ratio())
+            .collect();
+        let mean = fills.iter().sum::<f64>() / fills.len() as f64;
+        assert!(
+            (0.33..=0.36).contains(&mean),
+            "seed {seed}: mean fill {mean:.4} outside person_clk's 0.33–0.36"
+        );
+    }
+}

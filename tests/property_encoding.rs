@@ -553,15 +553,21 @@ fn small_clk(scheme: HashingScheme) -> RecordEncoderConfig {
     config
 }
 
-/// Every value below was captured from the commit before the memoised
-/// encode path landed: an index stored by that commit must keep matching
-/// the filters this one produces.
+/// Every value below but `GOLDEN_PERSON_CLK_512` was captured from the
+/// commit before the memoised encode path landed: an index stored by that
+/// commit must keep matching the filters this one produces.
 #[test]
 fn golden_filters_are_bit_identical_to_the_parent_commit() {
-    // The benchmark's encoder: 1000-bit CLK, k = 10, double hashing.
+    // The person encoder before its 512-bit default, which every index
+    // stored until then holds: 1000-bit CLK, k = 10, double hashing.
+    let mut wide = RecordEncoderConfig::person_clk(b"golden-key".to_vec());
+    wide.params.len = 1000;
+    wide.params.num_hashes = 10;
+    assert_eq!(golden_hex(wide), GOLDEN_PERSON_CLK);
+    // The shipped default, the benchmark's encoder: 512 bits, k = 4.
     assert_eq!(
         golden_hex(RecordEncoderConfig::person_clk(b"golden-key".to_vec())),
-        GOLDEN_PERSON_CLK
+        GOLDEN_PERSON_CLK_512
     );
     assert_eq!(
         golden_hex(small_clk(HashingScheme::DoubleHashing)),
@@ -611,6 +617,11 @@ fn golden_filters_are_bit_identical_to_the_parent_commit() {
 const GOLDEN_PERSON_CLK: [&str; 2] = [
     "dcf6599af596ba847c204fc2bfb950ec6d9ad6497640992008f6f2bf620201a198e48cc68091a06af9fee8d6614507c60d90bf1744fc142a0f4e374a9dc665a0dccdca210094777b40f7de14643120645c2b104890ce80e84e8fec51e80a9420433ba3e5ff49c0bf2fd5b0ecadbe4e759dc080bc8c0f50709f00426021",
     "82000141b01a080100080020154000010101003100200100000011050480002400001510510103041a420101441081d04001080003000200100400b02a000008000004b30200c010080000000004400200220110202500081402010151000000800144545d551108050000810000800001805600118008400104011002",
+];
+/// Captured when `person_clk` became 512 bits, k = 4.
+const GOLDEN_PERSON_CLK_512: [&str; 2] = [
+    "44265ca5145c05c280896898f86081302822efa2040c72809c039819d9d692aac053b58c46fa410a31239b847c64a43484648230033375c12b0424101081c2f4",
+    "0214000101000c80001001011000015a9100138002001041681101000009041006000401000004005a8102000020008000401010008000000000000404020021",
 ];
 const GOLDEN_DOUBLE: [&str; 2] = [
     "c057bd8556fe458ab18bfa9c7464a53484662f32053e77c12f07b810c8d3c2fe",
